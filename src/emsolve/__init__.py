@@ -14,7 +14,6 @@ from .ems import (
 )
 from .errors import ConvergenceError, DomainError, TableFormatError, UnsupportedVersionError
 from .integrals import (
-    EkCache,
     IntegralTable,
     build_integral_table,
     coeff_A,
@@ -27,7 +26,6 @@ from .models import (
     EvalCounter,
     GaussianMixture,
     Guided,
-    ModelEval,
     ModelSpec,
     PointGaussian,
     forward_diffuse,
@@ -38,7 +36,6 @@ from .models import (
 from .schedule import Schedule, TimeGrid, make_time_grid, schedules_equal
 from .solver import (
     SolverConfig,
-    SolverState,
     ddim_sample,
     ddim_step,
     estimate_derivatives,

@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,14 +61,6 @@ class RunRow:
     linf_error: float
     seconds: float
     seed: int
-
-
-@dataclass
-class RunReport:
-    rows: list
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
 
 
 def _fmt(value) -> str:
@@ -204,17 +197,61 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_solver_case(model, sched, tab, order, corrector, nfe, grid_kind, t_start, t_end, x_init):
-    grid = make_time_grid(sched, nfe, grid_kind, t_start, t_end)
-    cfg = SolverConfig(order=order, grid=grid, corrector=corrector)
+class _Seeds(NamedTuple):
+    """Every seed's initial noise as one (S, D) batch, and each row's reference."""
+
+    seeds: list
+    x_init: np.ndarray
+    refs: list
+
+
+def _seed_batch(model, table, seeds) -> _Seeds:
+    # DOP853's step control would couple the rows of a batch: reference per seed
+    sched = table.schedule
+    lam0, lam1 = float(table.lambda_grid[0]), float(table.lambda_grid[-1])
+    x_init = np.stack([_initial_noise(sched, lam0, table.dim, seed) for seed in seeds])
+    refs = [reference_solve(model, sched, x, lam0, lam1, tol=REFERENCE_TOL) for x in x_init]
+    return _Seeds(list(seeds), x_init, refs)
+
+
+def _snapped_lambdas(table, grid):
+    return table.lambda_grid[[table.index_of(l) for l in grid.lambdas]]
+
+
+def _run_seeds(batch: _Seeds, model, sample, timing, solver, order, corrector, nfe, h_max) -> list:
+    """Run ``sample(model, x)`` once on the whole seed batch; one row per seed, in seed order.
+
+    The model-call count must equal ``nfe``.  Under ``timing``, each row's
+    ``seconds`` is the batch call's wall time divided by the number of seeds.
+    """
     counted = EvalCounter(model)
     start = time.perf_counter()
-    x_final, _ = multistep_sample(counted, sched, tab, cfg, x_init)
-    elapsed = time.perf_counter() - start
+    x_final = sample(counted, batch.x_init)
+    seconds = (time.perf_counter() - start) / len(batch.seeds) if timing else 0.0
     if counted.calls != nfe:
         raise RuntimeError(f"model-call accounting broke: {counted.calls} calls for {nfe} steps")
-    h_max = float(np.max(np.diff(tab.ems.lambda_grid[[tab.ems.index_of(l) for l in grid.lambdas]])))
-    return x_final, h_max, elapsed
+    return [
+        RunRow(solver, order, corrector, nfe, h_max, *_error_row(x, ref), seconds, seed)
+        for seed, x, ref in zip(batch.seeds, x_final, batch.refs)
+    ]
+
+
+def _v3_rows(batch: _Seeds, model, sched, tab, cfg, name, timing) -> list:
+    """Per-seed rows of one multistep configuration on ``tab``."""
+    h_max = float(np.max(np.diff(_snapped_lambdas(tab.ems, cfg.grid))))
+    return _run_seeds(
+        batch, model, lambda m, x: multistep_sample(m, sched, tab, cfg, x)[0], timing,
+        name, cfg.order, cfg.corrector, cfg.grid.num_steps, h_max,
+    )
+
+
+def _seed_major(runs) -> list:
+    """Rows of per-configuration runs, reordered seed by seed as the runs were listed."""
+    return [row for seed_rows in zip(*runs) for row in seed_rows]
+
+
+def _sorted(rows) -> list:
+    return sorted(rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
 
 
 def cmd_bench_convergence(args) -> int:
@@ -223,34 +260,18 @@ def cmd_bench_convergence(args) -> int:
     sched = table.schedule
     tab = build_integral_table(table)
     t_end, t_start = _table_time_range(table)
-    lam0, lam1 = float(table.lambda_grid[0]), float(table.lambda_grid[-1])
+    batch = _seed_batch(model, table, args.seeds)
 
-    rows = []
-    for seed in args.seeds:
-        x_init = _initial_noise(sched, lam0, table.dim, seed)
-        ref = reference_solve(model, sched, x_init, lam0, lam1, tol=REFERENCE_TOL)
-        for order in args.orders:
-            for nfe in args.nfe:
-                x_final, h_max, elapsed = _run_solver_case(
-                    model, sched, tab, order, args.corrector, nfe, args.grid, t_start, t_end, x_init
-                )
-                l2, linf = _error_row(x_final, ref)
-                rows.append(
-                    RunRow(
-                        solver="v3",
-                        order=order,
-                        corrector=args.corrector,
-                        nfe=nfe,
-                        h_max=h_max,
-                        l2_error=l2,
-                        linf_error=linf,
-                        seconds=elapsed if args.timing else 0.0,
-                        seed=seed,
-                    )
-                )
+    runs = []
+    for order in args.orders:
+        for nfe in args.nfe:
+            grid = make_time_grid(sched, nfe, args.grid, t_start, t_end)
+            cfg = SolverConfig(order=order, grid=grid, corrector=args.corrector)
+            runs.append(_v3_rows(batch, model, sched, tab, cfg, "v3", args.timing))
+    # the slope fit sees its rows seed by seed
+    rows = _seed_major(runs)
 
-    report = RunReport(rows)
-    out_rows = report.sorted_rows()
+    out_rows = _sorted(rows)
     for order in sorted(args.orders):
         subset = [r for r in rows if r.order == order]
         if all(r.l2_error <= FLOOR_ERROR for r in subset):
@@ -276,8 +297,7 @@ def cmd_bench_compare(args) -> int:
     sched = table.schedule
     tab_v3 = build_integral_table(table)
     t_end, t_start = _table_time_range(table)
-    lam0, lam1 = float(table.lambda_grid[0]), float(table.lambda_grid[-1])
-    lam_range = (lam0, lam1)
+    lam_range = (float(table.lambda_grid[0]), float(table.lambda_grid[-1]))
     n_intervals = len(table.lambda_grid) - 1
 
     baseline_tabs = {}
@@ -286,65 +306,28 @@ def cmd_bench_compare(args) -> int:
             baseline_tabs[kind] = build_integral_table(
                 degenerate_table(kind, sched, n_intervals, lam_range, table.dim)
             )
+    cases = [("v3", tab_v3)] + [(k, baseline_tabs[k]) for k in args.baselines if k != "ddim"]
+    batch = _seed_batch(model, table, args.seeds)
 
-    rows = []
-    for seed in args.seeds:
-        x_init = _initial_noise(sched, lam0, table.dim, seed)
-        ref = reference_solve(model, sched, x_init, lam0, lam1, tol=REFERENCE_TOL)
-        for nfe in args.nfe:
-            cases = [("v3", tab_v3, args.order, args.corrector)]
-            for kind in args.baselines:
-                if kind == "ddim":
-                    continue
-                cases.append((kind, baseline_tabs[kind], args.order, args.corrector))
-            for name, tab, order, corrector in cases:
-                x_final, h_max, elapsed = _run_solver_case(
-                    model, sched, tab, order, corrector, nfe, args.grid, t_start, t_end, x_init
+    runs = []
+    for nfe in args.nfe:
+        grid = make_time_grid(sched, nfe, args.grid, t_start, t_end)
+        cfg = SolverConfig(order=args.order, grid=grid, corrector=args.corrector)
+        for name, tab in cases:
+            runs.append(_v3_rows(batch, model, sched, tab, cfg, name, args.timing))
+        if "ddim" in args.baselines:
+            lams = _snapped_lambdas(table, grid)
+            ts = np.asarray(sched.t_of_lambda(lams), dtype=float)
+            h_max = float(np.max(np.diff(lams)))
+            runs.append(
+                _run_seeds(
+                    batch, model, lambda m, x: ddim_sample(m, sched, ts, x), args.timing,
+                    "ddim", 1, "none", nfe, h_max,
                 )
-                l2, linf = _error_row(x_final, ref)
-                rows.append(
-                    RunRow(
-                        solver=name,
-                        order=order,
-                        corrector=corrector,
-                        nfe=nfe,
-                        h_max=h_max,
-                        l2_error=l2,
-                        linf_error=linf,
-                        seconds=elapsed if args.timing else 0.0,
-                        seed=seed,
-                    )
-                )
-            if "ddim" in args.baselines:
-                grid = make_time_grid(sched, nfe, args.grid, t_start, t_end)
-                idx = [table.index_of(l) for l in grid.lambdas]
-                snapped_lams = table.lambda_grid[idx]
-                ts = np.asarray(sched.t_of_lambda(snapped_lams), dtype=float)
-                counted = EvalCounter(model)
-                start = time.perf_counter()
-                x_final = ddim_sample(counted, sched, ts, x_init)
-                elapsed = time.perf_counter() - start
-                if counted.calls != nfe:
-                    raise RuntimeError(
-                        f"model-call accounting broke: {counted.calls} calls for {nfe} steps"
-                    )
-                l2, linf = _error_row(x_final, ref)
-                rows.append(
-                    RunRow(
-                        solver="ddim",
-                        order=1,
-                        corrector="none",
-                        nfe=nfe,
-                        h_max=float(np.max(np.diff(snapped_lams))),
-                        l2_error=l2,
-                        linf_error=linf,
-                        seconds=elapsed if args.timing else 0.0,
-                        seed=seed,
-                    )
-                )
+            )
+    rows = _seed_major(runs)
 
-    report = RunReport(rows)
-    out_rows = report.sorted_rows()
+    out_rows = _sorted(rows)
     # per-(solver, nfe) mean errors as summary rows
     for name in sorted({r.solver for r in rows}):
         for nfe in sorted(args.nfe):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TableFormatError, UnsupportedVersionError
+from .errors import DomainError, TableFormatError, UnsupportedVersionError
 from .models import ModelSpec, model_id
 from .schedule import Schedule, schedules_equal
 
@@ -233,9 +233,15 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     After l is estimated at every grid point, its slope is taken by finite
     differences, and a second sweep over the same diffused points fits s and
-    b.  Bit-identical output for a fixed config.
+    b.  Bit-identical output for a fixed config.  Raises :class:`DomainError`
+    when ``cfg.lam_range`` leaves the schedule's lambda domain.
     """
     lam_lo, lam_hi = cfg.lam_range
+    dom_lo, dom_hi = sched.lam_domain
+    if lam_lo < dom_lo or lam_hi > dom_hi:
+        raise DomainError(
+            f"lam_range {cfg.lam_range} outside the schedule's lambda domain [{dom_lo}, {dom_hi}]"
+        )
     n_pts = cfg.num_timesteps + 1
     grid = np.linspace(lam_lo, lam_hi, n_pts)
     dim = model.dim

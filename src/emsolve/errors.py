@@ -2,7 +2,11 @@
 
 
 class DomainError(ValueError):
-    """A time or log-SNR value lies outside the schedule's domain."""
+    """A value lies outside its domain.
+
+    Raised for a time or log-SNR value outside the schedule's domain (a table's
+    ``lam_range`` included) and for a sampler state with non-finite entries.
+    """
 
 
 class ConvergenceError(RuntimeError):

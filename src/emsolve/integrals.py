@@ -10,18 +10,20 @@ Every coefficient of the exponential-integrator update is then an O(1)
 combination of these: the linear damping A = exp(L_s - L_t), the bias term
 int E*B, the zeroth-order weight E0, and the polynomial-weighted weights E^k
 for the higher derivative terms.  E^k for k >= 1 has no cumulative shortcut
-and is integrated per transition pair, memoized in an :class:`EkCache`.
+and is integrated per transition pair; a sampler's step plan computes the
+coefficients of each of its transitions once.
 
 When all three fields are constant across the grid (the degenerate
 noise-prediction / data-prediction tables), every coefficient has a closed
-form; the solver uses those so that the degenerate baselines are exact
-rather than quadrature-limited.
+form; :func:`transition_coefficients` and :func:`g_map` use those so that the
+degenerate baselines are exact rather than quadrature-limited.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,30 +45,6 @@ class IntegralTable:
     @property
     def lambda_grid(self) -> np.ndarray:
         return self.ems.lambda_grid
-
-
-@dataclass
-class EkCache:
-    """Memo for the polynomial-weighted integrals, keyed by (k, j_s, j_t).
-
-    Values are immutable once inserted; concurrent readers are safe and a
-    cache hit returns the identical array that the first computation stored.
-    """
-
-    store: dict = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-
-    def get_or_compute(self, key, compute):
-        hit = self.store.get(key)
-        if hit is not None:
-            self.hits += 1
-            return hit
-        self.misses += 1
-        value = compute()
-        value.setflags(write=False)
-        self.store[key] = value
-        return value
 
 
 def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
@@ -130,33 +108,23 @@ def coeff_E0(tab: IntegralTable, j_s: int, j_t: int) -> np.ndarray:
     return np.exp(-tab.L[j_s] - tab.S[j_s]) * (tab.I[j_t] - tab.I[j_s])
 
 
-def coeff_Ek(tab: IntegralTable, cache: EkCache | None, j_s: int, j_t: int, k: int) -> np.ndarray:
-    """Trapezoid of exp((L+S) - (L+S)_s) (lam - lam_s)^k / k! over [j_s, j_t].
-
-    Memoized by (k, j_s, j_t) when a cache is supplied; cached values are
-    bit-identical to the first computation.
-    """
+def coeff_Ek(tab: IntegralTable, j_s: int, j_t: int, k: int) -> np.ndarray:
+    """Trapezoid of exp((L+S) - (L+S)_s) (lam - lam_s)^k / k! over [j_s, j_t]."""
     if not 1 <= k <= 3:
         raise ValueError(f"k must be in [1, 3], got {k}")
     _check_pair(tab, j_s, j_t)
-
-    def compute():
-        lam = tab.lambda_grid[j_s : j_t + 1]
-        ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
-        w = np.exp(ls - ls[0]) * (lam - lam[0])[:, None] ** k / math.factorial(k)
-        if len(w) < 2:
-            return np.zeros(tab.ems.dim)
-        return np.trapezoid(w, dx=tab.ems.spacing, axis=0)
-
-    if cache is None:
-        return compute()
-    return cache.get_or_compute((k, j_s, j_t), compute)
+    lam = tab.lambda_grid[j_s : j_t + 1]
+    ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
+    w = np.exp(ls - ls[0]) * (lam - lam[0])[:, None] ** k / math.factorial(k)
+    if len(w) < 2:
+        return np.zeros(tab.ems.dim)
+    return np.trapezoid(w, dx=tab.ems.spacing, axis=0)
 
 
 def g_coefficients(tab: IntegralTable, j_anchor: int, j_l: int):
     """Affine map (a, b, c) with g = a*x + b*eps + c at grid point j_l, anchored at j_anchor.
 
-    The anchor sets the zero point of the S and B integrals, so cached states
+    The anchor sets the zero point of the S and B integrals, so kept states
     and noise predictions can be re-expressed against each step's anchor.
     """
     n = len(tab.lambda_grid)
@@ -234,45 +202,42 @@ def const_g_coefficients(c_l, c_s, c_b, sched, lam_anchor: float, lam_l: float):
     return a, b, c
 
 
-class CoefficientProvider:
-    """Uniform access to update coefficients, closed-form where possible.
+# -- dispatch: closed forms on constant tables, quadrature otherwise ------------
 
-    For constant-field tables the closed forms are exact; otherwise every
-    quantity falls back to the trapezoid-backed functions above (with E^k
-    memoized in the supplied cache).
+
+class Transition(NamedTuple):
+    """Every coefficient of one update from grid point j_s to grid point j_t.
+
+    The update is x_t = alpha_t A (x_s / alpha_s - int_EB - sum_k k! g_k E[k]).
     """
 
-    def __init__(self, tab: IntegralTable, cache: EkCache | None = None):
-        self.tab = tab
-        self.cache = cache if cache is not None else EkCache()
-        self.const = tab.const_lsb
+    alpha_s: float
+    alpha_t: float
+    A: np.ndarray
+    int_EB: np.ndarray
+    E: tuple  # E^0 .. E^n
 
-    def _lam(self, j: int) -> float:
-        return float(self.tab.lambda_grid[j])
 
-    def A(self, j_s, j_t):
-        if self.const is not None:
-            return const_coeff_A(self.const[0], self._lam(j_s), self._lam(j_t))
-        return coeff_A(self.tab, j_s, j_t)
+def transition_coefficients(tab: IntegralTable, j_s: int, j_t: int, n: int) -> Transition:
+    """The coefficients of the update j_s -> j_t, with weights E^0 up to E^n."""
+    lam_s, lam_t = float(tab.lambda_grid[j_s]), float(tab.lambda_grid[j_t])
+    if tab.const_lsb is not None:
+        c_l, c_s, c_b = tab.const_lsb
+        A = const_coeff_A(c_l, lam_s, lam_t)
+        int_EB = const_coeff_int_EB(c_l, c_s, c_b, lam_s, lam_t)
+        E = tuple(const_coeff_Ek(c_l, c_s, lam_s, lam_t, k) for k in range(n + 1))
+    else:
+        A = coeff_A(tab, j_s, j_t)
+        int_EB = coeff_int_EB(tab, j_s, j_t)
+        E = (coeff_E0(tab, j_s, j_t),) + tuple(coeff_Ek(tab, j_s, j_t, k) for k in range(1, n + 1))
+    sched = tab.ems.schedule
+    return Transition(sched.alpha_lambda(lam_s), sched.alpha_lambda(lam_t), A, int_EB, E)
 
-    def int_EB(self, j_s, j_t):
-        if self.const is not None:
-            c_l, c_s, c_b = self.const
-            return const_coeff_int_EB(c_l, c_s, c_b, self._lam(j_s), self._lam(j_t))
-        return coeff_int_EB(self.tab, j_s, j_t)
 
-    def Ek(self, j_s, j_t, k):
-        if self.const is not None:
-            c_l, c_s, _ = self.const
-            return const_coeff_Ek(c_l, c_s, self._lam(j_s), self._lam(j_t), k)
-        if k == 0:
-            return coeff_E0(self.tab, j_s, j_t)
-        return coeff_Ek(self.tab, self.cache, j_s, j_t, k)
-
-    def g_abc(self, j_anchor, j_l):
-        if self.const is not None:
-            c_l, c_s, c_b = self.const
-            return const_g_coefficients(
-                c_l, c_s, c_b, self.tab.ems.schedule, self._lam(j_anchor), self._lam(j_l)
-            )
-        return g_coefficients(self.tab, j_anchor, j_l)
+def g_map(tab: IntegralTable, j_anchor: int, j_l: int):
+    """The affine map (a, b, c) of :func:`g_coefficients`, closed-form on constant tables."""
+    if tab.const_lsb is not None:
+        c_l, c_s, c_b = tab.const_lsb
+        lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])
+        return const_g_coefficients(c_l, c_s, c_b, tab.ems.schedule, lam_anchor, lam_l)
+    return g_coefficients(tab, j_anchor, j_l)

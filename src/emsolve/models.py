@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -27,18 +26,6 @@ from .errors import ConvergenceError
 from .schedule import Schedule
 
 _FD_LAMBDA_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class ModelEval:
-    """One model evaluation: noise prediction, its lambda-partial, and a JVP map.
-
-    ``jvp`` maps a direction v to (grad_x eps) @ v and is linear in v.
-    """
-
-    eps: np.ndarray
-    eps_dlambda: np.ndarray
-    jvp: Callable[[np.ndarray], np.ndarray]
 
 
 class ModelSpec:
@@ -71,14 +58,6 @@ class ModelSpec:
     def sample_data(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. points from the clean-data distribution q0."""
         raise NotImplementedError
-
-    def evaluate(self, sched: Schedule, x, lam) -> ModelEval:
-        """Bundle eps, its lambda-partial, and the JVP map at one point."""
-        return ModelEval(
-            eps=self.eps(sched, x, lam),
-            eps_dlambda=self.eps_dlambda(sched, x, lam),
-            jvp=lambda v: self.jvp(sched, x, lam, v),
-        )
 
     def _check_x(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""High-order exponential-integrator sampling on a precomputed coefficient table.
+"""High-order exponential-integrator sampling on a precomputed step plan.
 
 The local update transits from an anchor state to a later lambda by Taylor
 expansion of the reparameterized model output g; the needed lambda-derivatives
@@ -7,20 +7,27 @@ polynomial-matching linear system exactly (full order) or by a
 divided-difference recurrence that uses only the nearest k+1 values for the
 k-th derivative ("pseudo" order, more stable at very few steps).
 
-The global multistep sampler caches states and noise predictions, re-derives
-g values against each step's anchor, and optionally refines each step with a
-corrector that reuses the new model evaluation (no extra NFE).  A sampling
-run is strictly sequential; independent runs can share the immutable tables.
+A sampler lists its transitions over the snapped grid as (anchor, target,
+history, corrector) tuples.  The plan built from them once per call holds
+each transition's coefficients and the g-map of every position it reads, so
+one loop runs every sampler: it makes the model calls, re-expresses the kept
+states and noise predictions against each step's anchor, and applies the
+update.  The multistep corrector reuses the step's model evaluation (no extra
+NFE).  States may be ``(D,)`` or ``(B, D)``: rows never mix, so a batch gives
+the same bits as its rows run one at a time.  A sampling run is strictly
+sequential; independent runs can share the immutable tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .integrals import CoefficientProvider, EkCache, IntegralTable
+from .errors import DomainError
+from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
 from .schedule import Schedule, TimeGrid
 
@@ -61,35 +68,6 @@ class SolverConfig:
             raise ValueError("a corrector has order >= 2; use order >= 2 or corrector='none'")
         if self.pseudo_corrector and self.corrector == CORRECTOR_NONE:
             raise ValueError("pseudo_corrector requires a corrector strategy")
-
-
-@dataclass
-class SolverState:
-    """Ring buffers of cached states and noise predictions, aligned to steps."""
-
-    capacity: int
-    positions: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    noises: list = field(default_factory=list)
-
-    def push(self, pos: int, x: np.ndarray, eps: np.ndarray):
-        self.positions.append(pos)
-        self.states.append(x)
-        self.noises.append(eps)
-        if len(self.positions) > self.capacity:
-            del self.positions[0], self.states[0], self.noises[0]
-
-    def fetch(self, pos: int):
-        i = self.positions.index(pos)
-        return self.states[i], self.noises[i]
-
-
-@dataclass(frozen=True, eq=False)
-class DerivativeStack:
-    """Scaled derivative estimates g_hat[k] ~= g^(k)/k! for k = 0..n."""
-
-    deltas: np.ndarray
-    g_hat: list
 
 
 def _check_deltas(deltas):
@@ -159,7 +137,6 @@ def explicit_vandermonde_solution(deltas, g_diffs):
 
 def lupdate(
     tab: IntegralTable,
-    cache: EkCache | None,
     anchor: tuple,
     extras: list,
     j_t: int,
@@ -177,31 +154,34 @@ def lupdate(
     lam_s, lam_t = float(grid[j_s]), float(grid[j_t])
     if lam_t < lam_s:
         raise ValueError(f"target lambda {lam_t} precedes anchor lambda {lam_s}")
-    coeffs = CoefficientProvider(tab, cache)
-    sched = tab.ems.schedule
+    coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
+    return _update(coeffs, x_s, g_s, [(grid[j] - grid[j_s], g) for j, g in extras], pseudo)
 
-    stack = _derivative_stack(grid, j_s, g_s, extras, pseudo)
+
+def _update(coeffs: Transition, x_s, g_s, history, pseudo: bool):
+    """The Taylor-expanded update; ``history`` is nearest-first (lambda offset, g) pairs."""
+    g_hat = [np.asarray(g_s, dtype=float)]
+    if history:
+        deltas = np.array([d for d, _ in history])
+        if pseudo:
+            g_hat += estimate_derivatives_pseudo(deltas, [g_s] + [g for _, g in history])
+        else:
+            g_hat += estimate_derivatives(deltas, [g - g_s for _, g in history])
     total = np.zeros_like(np.asarray(x_s, dtype=float))
-    for k, g_hat_k in enumerate(stack.g_hat):
-        total = total + math.factorial(k) * g_hat_k * coeffs.Ek(j_s, j_t, k)
-
-    alpha_s = sched.alpha_lambda(lam_s)
-    alpha_t = sched.alpha_lambda(lam_t)
-    return alpha_t * coeffs.A(j_s, j_t) * (x_s / alpha_s - coeffs.int_EB(j_s, j_t) - total)
+    for k, g_hat_k in enumerate(g_hat):
+        total = total + math.factorial(k) * g_hat_k * coeffs.E[k]
+    return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
 
 
-def _derivative_stack(grid, j_s, g_s, extras, pseudo) -> DerivativeStack:
-    if not extras:
-        return DerivativeStack(deltas=np.empty(0), g_hat=[np.asarray(g_s, dtype=float)])
-    deltas = np.array([grid[j] - grid[j_s] for j, _ in extras])
-    if pseudo:
-        scaled = estimate_derivatives_pseudo(deltas, [g_s] + [g for _, g in extras])
-    else:
-        scaled = estimate_derivatives(deltas, [g - g_s for _, g in extras])
-    return DerivativeStack(deltas=deltas, g_hat=[np.asarray(g_s, dtype=float)] + scaled)
+class _Grid(NamedTuple):
+    """The sampling grid snapped to table indices, with its lambdas and times."""
+
+    idx: list
+    lams: np.ndarray
+    ts: np.ndarray
 
 
-def _snap_grid(tab: IntegralTable, grid: TimeGrid):
+def _snap_grid(tab: IntegralTable, sched: Schedule, grid: TimeGrid) -> _Grid:
     """Snap sampling lambdas to table indices; they must stay strictly increasing."""
     idx = [tab.ems.index_of(lam) for lam in grid.lambdas]
     if np.any(np.diff(idx) <= 0):
@@ -209,7 +189,106 @@ def _snap_grid(tab: IntegralTable, grid: TimeGrid):
             "sampling grid is finer than the coefficient table; "
             "increase the table's timestep count"
         )
-    return idx
+    lams = tab.ems.lambda_grid[idx]
+    return _Grid(idx, lams, np.asarray(sched.t_of_lambda(lams), dtype=float))
+
+
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """One planned transition; positions index the snapped grid.
+
+    ``history`` and ``corrector`` are nearest-first positions whose g values
+    feed the predictor and (after the target's own value) the corrector;
+    ``corrector`` is None when the step is not corrected.  ``g_maps`` holds
+    the (a, b, c) map against the anchor of every position the step reads.
+    """
+
+    anchor: int
+    target: int
+    history: tuple
+    corrector: tuple | None
+    coeffs: Transition
+    g_maps: dict
+
+
+def _plan(tab: IntegralTable, idx, transitions) -> list:
+    """Attach the coefficients of each (anchor, target, history, corrector) tuple."""
+    steps = []
+    maps = {}  # (anchor, position) -> g-map; singlestep substeps share an anchor
+    for anchor, target, history, corrector in transitions:
+        # the corrector also reads the target's own g value, so it needs one more E^k
+        n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
+        coeffs = transition_coefficients(tab, idx[anchor], idx[target], n)
+        reads = (anchor, target) + history + (corrector or ())
+        for p in reads:
+            if (anchor, p) not in maps:
+                maps[anchor, p] = g_map(tab, idx[anchor], idx[p])
+        g_maps = {p: maps[anchor, p] for p in reads}
+        steps.append(_Step(anchor, target, history, corrector, coeffs, g_maps))
+    return steps
+
+
+def _run(
+    model, sched, tab, grid, plan, x_init, pseudo_predictor=False, pseudo_corrector=False, trace=None
+):
+    """Run ``plan`` over the snapped ``grid`` from ``x_init``; returns the final state.
+
+    One model call on the initial state and one per step except the last.
+    Appends one row per step to ``trace`` when a list is given.  Only the
+    (state, noise) pairs the next step reads are kept: each plan here reads a
+    run of positions whose start never moves back, so the next step reads
+    every earlier position that any later step needs.
+    """
+    x = np.asarray(x_init, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("initial sampler state has non-finite entries")
+    lams, ts = grid.lams, grid.ts
+    pairs = {0: (x, model.eps(sched, x, lams[0]))}
+    for i, step in enumerate(plan):
+        a_pos, t_pos = step.anchor, step.target
+        reads = (a_pos,) + step.history + (step.corrector or ())
+        g = {p: _g_value(step.g_maps[p], *pairs[p]) for p in reads}
+        x_s, lam_s = pairs[a_pos][0], lams[a_pos]
+        history = [(lams[p] - lam_s, g[p]) for p in step.history]
+        x = _update(step.coeffs, x_s, g[a_pos], history, pseudo_predictor)
+        if i == len(plan) - 1:
+            if trace is not None:
+                trace.append(_trace_row(ts[t_pos], lams[t_pos], x, None, None))
+            break
+
+        eps = model.eps(sched, x, lams[t_pos])
+        g[t_pos] = _g_value(step.g_maps[t_pos], x, eps)
+        if step.corrector is not None:
+            history = [(lams[p] - lam_s, g[p]) for p in (t_pos,) + step.corrector]
+            x_corr = _update(step.coeffs, x_s, g[a_pos], history, pseudo_corrector)
+            # adjust the noise prediction so the corrected pair maps to the
+            # same g value: a*dx + b*(l/sigma)*dx = 0 by construction
+            eps = eps + tab.ems.l[grid.idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
+            x = x_corr
+        if trace is not None:
+            trace.append(_trace_row(ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
+        pairs[t_pos] = (x, eps)
+        pairs = {p: pairs[p] for p in plan[i + 1].g_maps if p in pairs}
+
+    if not np.all(np.isfinite(x)):
+        raise DomainError("sampler state became non-finite")
+    return x
+
+
+def _g_value(abc, x, eps):
+    a, b, c = abc
+    return a * x + b * eps + c
+
+
+def _trace_row(t, lam, x, eps, g):
+    return {
+        "t": float(t),
+        "lambda": float(lam),
+        "x": np.asarray(x, dtype=float).tolist(),
+        "eps": None if eps is None else np.asarray(eps, dtype=float).tolist(),
+        "eps_norm": None if eps is None else float(np.linalg.norm(eps)),
+        "g_norm": None if g is None else float(np.linalg.norm(g)),
+    }
 
 
 def multistep_sample(
@@ -224,85 +303,31 @@ def multistep_sample(
     Runs exactly ``M`` noise-prediction calls for an ``M``-interval grid:
     one on the initial state and one per step except the last (the
     corrector reuses the step's evaluation instead of adding one).  Early
-    steps ramp the order up as history becomes available.  Returns the final
-    state and a per-step trace.
+    steps ramp the order up as history becomes available.  ``x_init`` may be
+    ``(D,)`` or ``(B, D)``.  Returns the final state and a per-step trace.
     """
-    idx = _snap_grid(tab, cfg.grid)
-    lams = tab.ems.lambda_grid[idx]
-    ts = np.asarray(sched.t_of_lambda(lams), dtype=float)
-    num_steps = len(idx) - 1
-    cache = EkCache()
-    coeffs = CoefficientProvider(tab, cache)
+    grid = _snap_grid(tab, sched, cfg.grid)
+    num_steps = len(grid.idx) - 1
     half_threshold = 0.5 * sched.t_domain[1]
-
-    x0 = np.asarray(x_init, dtype=float)
-    state = SolverState(capacity=cfg.order + 1)
-    state.push(0, x0, model.eps(sched, x0, lams[0]))
-    trace = []
-
+    transitions = []
     for m in range(1, num_steps + 1):
         n_m = min(cfg.order, m)
-        j_anchor = idx[m - 1]
-        x_prev, _ = state.fetch(m - 1)
-
-        def g_at(pos, x, eps):
-            a, b, c = coeffs.g_abc(j_anchor, idx[pos])
-            return a * x + b * eps + c
-
-        g_anchor = g_at(m - 1, *state.fetch(m - 1))
-        extras = [(idx[p], g_at(p, *state.fetch(p))) for p in range(m - 2, m - 1 - n_m, -1)]
-        x_pred = lupdate(
-            tab, cache, (j_anchor, x_prev, g_anchor), extras, idx[m], pseudo=cfg.pseudo_predictor
-        )
-
-        if m == num_steps:
-            trace.append(_trace_row(ts[m], lams[m], x_pred, None, None))
-            return x_pred, trace
-
-        eps_pred = model.eps(sched, x_pred, lams[m])
-        g_new = g_at(m, x_pred, eps_pred)
-
         n_c = n_m + 1 if cfg.pseudo_corrector else n_m
-        apply_corrector = (
-            cfg.corrector != CORRECTOR_NONE
+        corrected = (
+            m < num_steps
+            and cfg.corrector != CORRECTOR_NONE
             and n_c >= 2
-            and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
+            and (cfg.corrector == CORRECTOR_FULL or grid.ts[m] <= half_threshold)
         )
-        if apply_corrector:
-            corr_extras = [(idx[m], g_new)] + [
-                (idx[p], g_at(p, *state.fetch(p))) for p in range(m - 2, m - n_c, -1)
-            ]
-            x_corr = lupdate(
-                tab,
-                cache,
-                (j_anchor, x_prev, g_anchor),
-                corr_extras,
-                idx[m],
-                pseudo=cfg.pseudo_corrector,
-            )
-            # adjust the cached noise prediction so the corrected pair maps to
-            # the same g value: a*dx + b*(l/sigma)*dx = 0 by construction
-            eps_corr = eps_pred + tab.ems.l[idx[m]] * (x_corr - x_pred) / sched.sigma_lambda(
-                lams[m]
-            )
-            state.push(m, x_corr, eps_corr)
-            trace.append(_trace_row(ts[m], lams[m], x_corr, eps_corr, g_new))
-        else:
-            state.push(m, x_pred, eps_pred)
-            trace.append(_trace_row(ts[m], lams[m], x_pred, eps_pred, g_new))
-
-    return state.states[-1], trace
-
-
-def _trace_row(t, lam, x, eps, g):
-    return {
-        "t": float(t),
-        "lambda": float(lam),
-        "x": np.asarray(x, dtype=float).tolist(),
-        "eps": None if eps is None else np.asarray(eps, dtype=float).tolist(),
-        "eps_norm": None if eps is None else float(np.linalg.norm(eps)),
-        "g_norm": None if g is None else float(np.linalg.norm(g)),
-    }
+        history = tuple(range(m - 2, m - 1 - n_m, -1))
+        corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
+        transitions.append((m - 1, m, history, corrector))
+    plan = _plan(tab, grid.idx, transitions)
+    trace = []
+    x = _run(
+        model, sched, tab, grid, plan, x_init, cfg.pseudo_predictor, cfg.pseudo_corrector, trace
+    )
+    return x, trace
 
 
 def singlestep_sample(
@@ -317,34 +342,17 @@ def singlestep_sample(
     Derivatives are built only from values inside the current macro step,
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
-    order.  Corrector and pseudo flags do not apply to this path.
+    order.  Corrector and pseudo flags do not apply to this path.  ``x_init``
+    may be ``(D,)`` or ``(B, D)``; returns the final state.
     """
-    idx = _snap_grid(tab, cfg.grid)
-    lams = tab.ems.lambda_grid[idx]
-    total = len(idx) - 1
-    cache = EkCache()
-    coeffs = CoefficientProvider(tab, cache)
-
-    x = np.asarray(x_init, dtype=float)
-    eps = model.eps(sched, x, lams[0])
-    start = 0
-    while start < total:
-        width = min(cfg.order, total - start)
-        j_anchor = idx[start]
-        members = [(start, x, eps)]  # (position, state, noise) within the macro step
-        for i in range(width):
-            a, b, c = coeffs.g_abc(j_anchor, idx[start])
-            g_anchor = a * members[0][1] + b * members[0][2] + c
-            extras = []
-            for pos, xs, es in reversed(members[1:]):
-                aa, bb, cc = coeffs.g_abc(j_anchor, idx[pos])
-                extras.append((idx[pos], aa * xs + bb * es + cc))
-            x = lupdate(tab, cache, (j_anchor, members[0][1], g_anchor), extras, idx[start + i + 1])
-            if start + i + 1 != total:
-                eps = model.eps(sched, x, lams[start + i + 1])
-                members.append((start + i + 1, x, eps))
-        start += width
-    return x
+    grid = _snap_grid(tab, sched, cfg.grid)
+    total = len(grid.idx) - 1
+    transitions = [
+        (start, target, tuple(range(target - 1, start, -1)), None)
+        for start in range(0, total, cfg.order)
+        for target in range(start + 1, min(start + cfg.order, total) + 1)
+    ]
+    return _run(model, sched, tab, grid, _plan(tab, grid.idx, transitions), x_init)
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):

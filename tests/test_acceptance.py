@@ -31,7 +31,6 @@ from emsolve import (
 from emsolve.cli import main, parse_csv
 from emsolve.ems import DATA_PRED, NOISE_PRED
 from emsolve.integrals import (
-    CoefficientProvider,
     coeff_A,
     coeff_E0,
     coeff_Ek,
@@ -40,6 +39,7 @@ from emsolve.integrals import (
     const_coeff_Ek,
     const_coeff_int_EB,
     const_g_coefficients,
+    g_map,
 )
 from emsolve.models import ModelSpec
 from emsolve.schedule import UNIFORM_LAMBDA
@@ -124,7 +124,6 @@ def test_criterion_2_local_order(vp, mix4):
     )
     table = estimate_table(mix4, vp, cfg)
     tab = build_integral_table(table)
-    cp = CoefficientProvider(tab)
 
     rng = np.random.default_rng(42)
     x_far = forward_diffuse(vp, mix4.sample_data(rng, 1)[0], float(table.lambda_grid[0]), rng)
@@ -145,9 +144,9 @@ def test_criterion_2_local_order(vp, mix4):
             state_at = {int(round((l - table.lambda_grid[0]) / table.spacing)): s
                         for l, s in zip(lam_pts, states)}
             x_s = state_at[j_s]
-            anchor = (j_s, x_s, g_value(cp, vp, mix4, j_s, j_s, x_s))
-            extras = [(j, g_value(cp, vp, mix4, j_s, j, state_at[j])) for j in j_hist]
-            xhat = lupdate(tab, None, anchor, extras, j_t)
+            anchor = (j_s, x_s, g_value(tab, vp, mix4, j_s, j_s, x_s))
+            extras = [(j, g_value(tab, vp, mix4, j_s, j, state_at[j])) for j in j_hist]
+            xhat = lupdate(tab, anchor, extras, j_t)
             errs.append(np.linalg.norm(xhat - state_at[j_t]))
             h_used.append(cells * table.spacing)
         slopes[n] = float(np.polyfit(np.log(h_used), np.log(errs), 1)[0])
@@ -177,10 +176,9 @@ def test_criterion_3_local_unbiasedness(vp, mix4, mix_table, mix_tab):
     x_s = reference_solve(mix4, vp, x_hist, lam_hist, lam_s, tol=1e-10)
     x_true = reference_solve(mix4, vp, x_s, lam_s, lam_t, tol=1e-10)
 
-    cp = CoefficientProvider(mix_tab)
-    anchor = (j_s, x_s, g_value(cp, vp, mix4, j_s, j_s, x_s))
-    extras = [(j_hist, g_value(cp, vp, mix4, j_s, j_hist, x_hist))]
-    err = lupdate(mix_tab, None, anchor, extras, j_t) - x_true
+    anchor = (j_s, x_s, g_value(mix_tab, vp, mix4, j_s, j_s, x_s))
+    extras = [(j_hist, g_value(mix_tab, vp, mix4, j_s, j_hist, x_hist))]
+    err = lupdate(mix_tab, anchor, extras, j_t) - x_true
     mean = err.mean(axis=0)
     bound = 3.0 * err.std(axis=0, ddof=1) / np.sqrt(n_pts)
 
@@ -189,10 +187,9 @@ def test_criterion_3_local_unbiasedness(vp, mix4, mix_table, mix_tab):
         degenerate_table(DATA_PRED, vp, len(table.lambda_grid) - 1,
                          (float(table.lambda_grid[0]), float(table.lambda_grid[-1])), 4)
     )
-    cp_dp = CoefficientProvider(dp_tab)
-    anchor_dp = (j_s, x_s, g_value(cp_dp, vp, mix4, j_s, j_s, x_s))
-    extras_dp = [(j_hist, g_value(cp_dp, vp, mix4, j_s, j_hist, x_hist))]
-    err_dp = lupdate(dp_tab, None, anchor_dp, extras_dp, j_t) - x_true
+    anchor_dp = (j_s, x_s, g_value(dp_tab, vp, mix4, j_s, j_s, x_s))
+    extras_dp = [(j_hist, g_value(dp_tab, vp, mix4, j_s, j_hist, x_hist))]
+    err_dp = lupdate(dp_tab, anchor_dp, extras_dp, j_t) - x_true
     larger = int(np.sum(np.abs(err_dp.mean(axis=0)) > np.abs(mean)))
     print(f"\n  [report] degenerate data-pred bias larger in {larger}/4 components")
 
@@ -214,14 +211,13 @@ def test_criterion_4_ddim_equivalence():
         lam_range = (float(sched.lambda_of_t(trange[0])), float(sched.lambda_of_t(trange[1])))
         table = degenerate_table(NOISE_PRED, sched, 400, lam_range, 4)
         tab = build_integral_table(table)
-        cp = CoefficientProvider(tab)
         rng = np.random.default_rng(17)
         for _ in range(100):
             j_s = int(rng.integers(0, 400))
             j_t = int(rng.integers(j_s + 1, 401))
             x, eps = rng.standard_normal(4), rng.standard_normal(4)
-            a, b, c = cp.g_abc(j_s, j_s)
-            got = lupdate(tab, None, (j_s, x, a * x + b * eps + c), [], j_t)
+            a, b, c = g_map(tab, j_s, j_s)
+            got = lupdate(tab, (j_s, x, a * x + b * eps + c), [], j_t)
             want = ddim_step(
                 sched, x, eps,
                 float(sched.t_of_lambda(table.lambda_grid[j_s])),
@@ -313,7 +309,7 @@ def test_criterion_8_quadrature_order(vp):
         errs["E0"].append(np.max(np.abs(coeff_E0(tab, j_s, j_t) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 0))))
         for k in (1, 2, 3):
             errs[f"E{k}"].append(
-                np.max(np.abs(coeff_Ek(tab, None, j_s, j_t, k) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, k)))
+                np.max(np.abs(coeff_Ek(tab, j_s, j_t, k) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, k)))
             )
         errs["intEB"].append(
             np.max(np.abs(coeff_int_EB(tab, j_s, j_t) - const_coeff_int_EB(c_l, c_s, c_b, lam_s, lam_t)))

@@ -302,6 +302,28 @@ def test_bench_compare_deterministic(cli_files, mix_ems_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_bench_compare_seed_batch_equals_single_seed_runs(cli_files, mix_ems_file):
+    def per_seed_rows(seeds, name):
+        out = cli_files["root"] / name
+        code = main(
+            [
+                "bench-compare",
+                "--model", str(cli_files["mix"]),
+                "--ems", str(mix_ems_file),
+                "--nfe", "5", "8",
+                "--seeds", *map(str, seeds),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        return [r for r in parse_csv(out.read_text()) if r.seed != -1]
+
+    batched = per_seed_rows([0, 1, 2], "seeds012.csv")
+    single = [r for seed in (0, 1, 2) for r in per_seed_rows([seed], f"seed{seed}.csv")]
+    assert len(batched) == 3 * 2 * 4
+    assert batched == sorted(single, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
+
+
 # -- report plumbing ---------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emsolve import (
+    DomainError,
     EmsConfig,
     EmsTable,
     TableFormatError,
@@ -283,6 +284,17 @@ def test_estimate_table_deterministic(vp, mix4):
     b = estimate_table(mix4, vp, cfg)
     for name in ("lambda_grid", "l", "s", "b", "l_dot"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_estimate_table_rejects_lam_range_outside_schedule(vp, edm, pg4):
+    # vp-linear's lambda domain starts at -5.02; (-20, 30) used to overflow in exp
+    with pytest.raises(DomainError, match="lam_range"):
+        estimate_table(pg4, vp, EmsConfig(num_timesteps=8, num_datapoints=8, lam_range=(-20.0, 30.0)))
+    lo, hi = edm.lam_domain
+    with pytest.raises(DomainError, match="lam_range"):
+        estimate_table(pg4, edm, EmsConfig(num_timesteps=8, num_datapoints=8, lam_range=(lo, hi + 0.1)))
+    table = estimate_table(pg4, edm, EmsConfig(num_timesteps=8, num_datapoints=8, lam_range=(lo, hi)))
+    assert table.lambda_grid[0] == lo and table.lambda_grid[-1] == hi
 
 
 def test_estimate_table_standard_error_scaling(vp, mix4):

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from emsolve import (
-    EkCache,
     EmsTable,
     build_integral_table,
     coeff_A,
@@ -15,12 +14,13 @@ from emsolve import (
     g_coefficients,
 )
 from emsolve.integrals import (
-    CoefficientProvider,
     const_coeff_A,
     const_coeff_Ek,
     const_coeff_int_EB,
     const_g_coefficients,
+    g_map,
     poly_exp_integral,
+    transition_coefficients,
 )
 
 LAM_RANGE = (-4.0, 4.0)
@@ -146,30 +146,24 @@ def test_coeff_Ek_flat_cases(vp):
     flat = build_integral_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]), False)
     h = flat.lambda_grid[48] - flat.lambda_grid[16]
     # degree-1 integrand: trapezoid exact
-    assert np.allclose(coeff_Ek(flat, None, 16, 48, 1), h**2 / 2.0, atol=1e-12)
+    assert np.allclose(coeff_Ek(flat, 16, 48, 1), h**2 / 2.0, atol=1e-12)
     errs = []
     for n in (64, 128):
         tab = build_integral_table(make_constant_table(vp, n, [0.3], [-0.3], [0.0]), False)
         j_s, j_t = n // 4, 3 * n // 4
         hh = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
-        errs.append(abs(float(coeff_Ek(tab, None, j_s, j_t, 2)[0]) - hh**3 / 6.0))
+        errs.append(abs(float(coeff_Ek(tab, j_s, j_t, 2)[0]) - hh**3 / 6.0))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
     with pytest.raises(ValueError):
-        coeff_Ek(flat, None, 0, 10, 4)
+        coeff_Ek(flat, 0, 10, 4)
     with pytest.raises(ValueError):
-        coeff_Ek(flat, None, 10, 5, 1)
+        coeff_Ek(flat, 10, 5, 1)
 
 
-def test_ek_cache_hit_is_bit_identical(smooth_table):
+def test_coeff_Ek_is_deterministic(smooth_table):
+    # a step plan computes each E^k once; recomputing it must give the same bits
     tab = build_integral_table(smooth_table)
-    cache = EkCache()
-    first = coeff_Ek(tab, cache, 10, 90, 2)
-    assert cache.misses == 1 and cache.hits == 0
-    second = coeff_Ek(tab, cache, 10, 90, 2)
-    assert cache.misses == 1 and cache.hits == 1
-    assert second is first  # no recomputation: the stored array itself
-    without = coeff_Ek(tab, None, 10, 90, 2)
-    assert np.array_equal(first, without)
+    assert np.array_equal(coeff_Ek(tab, 10, 90, 2), coeff_Ek(tab, 10, 90, 2))
 
 
 def test_g_coefficients_examples(vp, edm):
@@ -233,7 +227,7 @@ def test_closed_forms_are_refinement_limits(vp):
             np.max(np.abs(coeff_E0(tab, j_s, j_t) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 0)))
         )
         errs["E2"].append(
-            np.max(np.abs(coeff_Ek(tab, None, j_s, j_t, 2) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 2)))
+            np.max(np.abs(coeff_Ek(tab, j_s, j_t, 2) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 2)))
         )
         errs["intEB"].append(
             np.max(
@@ -248,27 +242,28 @@ def test_closed_forms_are_refinement_limits(vp):
         assert e1 / e2 == pytest.approx(4.0, abs=0.5), name
 
 
-def test_provider_uses_closed_forms_on_constant_tables(vp):
+def test_dispatch_uses_closed_forms_on_constant_tables(vp):
     c_l, c_s, c_b = np.array([0.0]), np.array([-1.0]), np.array([0.0])
     table = make_constant_table(vp, 32, c_l, c_s, c_b)
     tab = build_integral_table(table)  # detection on
     assert tab.const_lsb is not None
-    p = CoefficientProvider(tab)
+    E0 = transition_coefficients(tab, 4, 20, 0).E[0]
     h = float(table.lambda_grid[20] - table.lambda_grid[4])
-    assert p.Ek(4, 20, 0) == pytest.approx(1.0 - np.exp(-h), rel=1e-14)
+    assert E0 == pytest.approx(1.0 - np.exp(-h), rel=1e-14)
     # quadrature at this resolution would be off by ~h0^2, far beyond 1e-14
     assert float(coeff_E0(tab, 4, 20)[0]) != pytest.approx(1.0 - np.exp(-h), rel=1e-10)
 
 
-def test_provider_matches_functions_on_varying_tables(smooth_table):
+def test_dispatch_matches_functions_on_varying_tables(smooth_table):
     tab = build_integral_table(smooth_table)
     assert tab.const_lsb is None
-    p = CoefficientProvider(tab)
-    assert np.array_equal(p.A(10, 60), coeff_A(tab, 10, 60))
-    assert np.array_equal(p.int_EB(10, 60), coeff_int_EB(tab, 10, 60))
-    assert np.array_equal(p.Ek(10, 60, 0), coeff_E0(tab, 10, 60))
-    assert np.array_equal(p.Ek(10, 60, 2), coeff_Ek(tab, None, 10, 60, 2))
-    for got, want in zip(p.g_abc(10, 60), g_coefficients(tab, 10, 60)):
+    tr = transition_coefficients(tab, 10, 60, 2)
+    assert np.array_equal(tr.A, coeff_A(tab, 10, 60))
+    assert np.array_equal(tr.int_EB, coeff_int_EB(tab, 10, 60))
+    assert np.array_equal(tr.E[0], coeff_E0(tab, 10, 60))
+    assert np.array_equal(tr.E[2], coeff_Ek(tab, 10, 60, 2))
+    assert len(tr.E) == 3
+    for got, want in zip(g_map(tab, 10, 60), g_coefficients(tab, 10, 60)):
         assert np.array_equal(got, want)
 
 

@@ -94,9 +94,8 @@ def test_jvp_linearity(vp, mix4):
         x = rng.standard_normal(4)
         v, w = rng.standard_normal(4), rng.standard_normal(4)
         a, b = rng.standard_normal(2)
-        ev = mix4.evaluate(vp, x, lam)
-        combined = ev.jvp(a * v + b * w)
-        split = a * ev.jvp(v) + b * ev.jvp(w)
+        combined = mix4.jvp(vp, x, lam, a * v + b * w)
+        split = a * mix4.jvp(vp, x, lam, v) + b * mix4.jvp(vp, x, lam, w)
         assert np.max(np.abs(combined - split)) < 1e-9
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsolve import (
+    DomainError,
     EvalCounter,
     SolverConfig,
     build_integral_table,
@@ -17,7 +20,7 @@ from emsolve import (
     singlestep_sample,
 )
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, estimate_table
-from emsolve.integrals import CoefficientProvider
+from emsolve.integrals import g_map
 from emsolve.schedule import UNIFORM_LAMBDA
 from emsolve.solver import explicit_vandermonde_solution
 
@@ -32,9 +35,9 @@ def draw_separated(rng, n, lo=-2.0, hi=-0.1, min_gap=0.05):
             return deltas
 
 
-def g_value(cp, sched, model, j_anchor, j, x):
-    a, b, c = cp.g_abc(j_anchor, j)
-    return a * x + b * model.eps(sched, x, float(cp.tab.lambda_grid[j])) + c
+def g_value(tab, sched, model, j_anchor, j, x):
+    a, b, c = g_map(tab, j_anchor, j)
+    return a * x + b * model.eps(sched, x, float(tab.lambda_grid[j])) + c
 
 
 # -- derivative estimation ------------------------------------------------------
@@ -141,14 +144,14 @@ def test_vandermonde_explicit_inverse_matches_elimination():
 def test_lupdate_zero_span_is_identity(vp, vp_lam_range):
     tab = build_integral_table(degenerate_table(DATA_PRED, vp, 50, vp_lam_range, 3))
     x = np.array([0.4, -1.2, 2.0])
-    out = lupdate(tab, None, (10, x, np.zeros(3)), [], 10)
+    out = lupdate(tab, (10, x, np.zeros(3)), [], 10)
     assert np.allclose(out, x, rtol=1e-14)
 
 
 def test_lupdate_rejects_backward_target(vp, vp_lam_range):
     tab = build_integral_table(degenerate_table(DATA_PRED, vp, 50, vp_lam_range, 3))
     with pytest.raises(ValueError):
-        lupdate(tab, None, (10, np.zeros(3), np.zeros(3)), [], 5)
+        lupdate(tab, (10, np.zeros(3), np.zeros(3)), [], 5)
 
 
 @pytest.mark.parametrize("kind", ["vp-linear", "edm"])
@@ -160,14 +163,13 @@ def test_lupdate_first_order_equals_ddim(kind):
     lam_range = (float(sched.lambda_of_t(t_hi)), float(sched.lambda_of_t(t_lo)))
     table = degenerate_table(NOISE_PRED, sched, 200, lam_range, 4)
     tab = build_integral_table(table)
-    cp = CoefficientProvider(tab)
     rng = np.random.default_rng(5)
     for _ in range(30):
         j_s = int(rng.integers(0, 200))
         j_t = int(rng.integers(j_s + 1, 201))
         x, eps = rng.standard_normal(4), rng.standard_normal(4)
-        a, b, c = cp.g_abc(j_s, j_s)
-        got = lupdate(tab, None, (j_s, x, a * x + b * eps + c), [], j_t)
+        a, b, c = g_map(tab, j_s, j_s)
+        got = lupdate(tab, (j_s, x, a * x + b * eps + c), [], j_t)
         want = ddim_step(
             sched,
             x,
@@ -183,18 +185,17 @@ def test_lupdate_point_mass_exact_with_estimated_stats(vp, pg4):
     cfg = EmsConfig(num_timesteps=2000, num_datapoints=8, lam_range=(0.0, 0.5), seed=6)
     table = estimate_table(pg4, vp, cfg)
     tab = build_integral_table(table)
-    cp = CoefficientProvider(tab)
     rng = np.random.default_rng(7)
     lam0 = float(table.lambda_grid[0])
     x_s = vp.alpha_lambda(lam0) * pg4.x0 + vp.sigma_lambda(lam0) * rng.standard_normal(4)
     for extras_idx in ([], [400], [400, 800]):
-        g_s = g_value(cp, vp, pg4, 0, 0, x_s)
+        g_s = g_value(tab, vp, pg4, 0, 0, x_s)
         extras = []
         for j in extras_idx:
             # history on the exact trajectory (g is constant along it anyway)
             x_j = closed_form_trajectory(vp, pg4, x_s, lam0, float(table.lambda_grid[j]))
-            extras.append((j, g_value(cp, vp, pg4, 0, j, x_j)))
-        got = lupdate(tab, None, (0, x_s, g_s), extras, 2000)
+            extras.append((j, g_value(tab, vp, pg4, 0, j, x_j)))
+        got = lupdate(tab, (0, x_s, g_s), extras, 2000)
         want = closed_form_trajectory(vp, pg4, x_s, lam0, float(table.lambda_grid[2000]))
         assert np.max(np.abs(got - want)) < 1e-8
 
@@ -208,9 +209,8 @@ def test_multistep_single_step_equals_first_order_update(vp, mix4, mix_tab):
     rng = np.random.default_rng(8)
     x0 = vp.sigma_lambda(table.lambda_grid[0]) * rng.standard_normal(4)
     got, trace = multistep_sample(mix4, vp, mix_tab, SolverConfig(order=3, grid=grid), x0)
-    cp = CoefficientProvider(mix_tab)
-    g0 = g_value(cp, vp, mix4, 0, 0, x0)
-    want = lupdate(mix_tab, None, (0, x0, g0), [], len(table.lambda_grid) - 1)
+    g0 = g_value(mix_tab, vp, mix4, 0, 0, x0)
+    want = lupdate(mix_tab, (0, x0, g0), [], len(table.lambda_grid) - 1)
     assert np.array_equal(got, want)
     assert len(trace) == 1 and trace[0]["eps_norm"] is None
 
@@ -306,6 +306,73 @@ def test_multistep_rejects_grid_finer_than_table(vp, mix4, vp_lam_range):
     grid = make_time_grid(vp, 40, UNIFORM_LAMBDA, 1.0, 1e-3)
     with pytest.raises(ValueError, match="finer"):
         multistep_sample(mix4, vp, tab, SolverConfig(order=1, grid=grid), np.zeros(4))
+
+
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_samplers_reject_non_finite_initial_state(vp, mix4, mix_tab, sampler, bad):
+    grid = make_time_grid(vp, 6, UNIFORM_LAMBDA, 1.0, 1e-3)
+    x0 = np.array([0.1, bad, -0.2, 0.3])
+    with pytest.raises(DomainError, match="non-finite"):
+        sampler(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), x0)
+    with pytest.raises(DomainError, match="non-finite"):
+        sampler(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), np.stack([np.zeros(4), x0]))
+
+
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+def test_samplers_reject_non_finite_final_state(vp, mix4, mix_tab, sampler):
+    # a finite but huge initial state overflows the model's posterior to nan
+    grid = make_time_grid(vp, 6, UNIFORM_LAMBDA, 1.0, 1e-3)
+    with pytest.raises(DomainError, match="non-finite"), np.errstate(all="ignore"):
+        sampler(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), np.full(4, 1e200))
+
+
+# -- batch contract ---------------------------------------------------------------------
+
+
+@st.composite
+def _sampler_cases(draw):
+    order = draw(st.integers(1, 3))
+    corrector = "none" if order == 1 else draw(st.sampled_from(["none", "full", "half"]))
+    pseudo_corrector = corrector != "none" and draw(st.booleans())
+    return dict(
+        rows=draw(st.integers(1, 6)),
+        order=order,
+        corrector=corrector,
+        pseudo_predictor=draw(st.booleans()),
+        pseudo_corrector=pseudo_corrector,
+        nfe=draw(st.integers(1, 20)),
+        table=draw(st.sampled_from(["estimated", NOISE_PRED, DATA_PRED])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=_sampler_cases())
+def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
+    if case["table"] == "estimated":
+        tab = mix_tab
+    else:
+        lam = mix_tab.lambda_grid
+        tab = build_integral_table(
+            degenerate_table(case["table"], vp, 240, (float(lam[0]), float(lam[-1])), 4)
+        )
+    grid = make_time_grid(vp, case["nfe"], UNIFORM_LAMBDA, 1.0, 1e-3)
+    cfg = SolverConfig(
+        order=case["order"],
+        grid=grid,
+        corrector=case["corrector"],
+        pseudo_predictor=case["pseudo_predictor"],
+        pseudo_corrector=case["pseudo_corrector"],
+    )
+    rng = np.random.default_rng(case["seed"])
+    x0 = vp.sigma_lambda(tab.lambda_grid[0]) * rng.standard_normal((case["rows"], 4))
+    batch, _ = multistep_sample(mix4, vp, tab, cfg, x0)
+    rows = np.stack([multistep_sample(mix4, vp, tab, cfg, x)[0] for x in x0])
+    assert np.array_equal(batch, rows)
+    batch = singlestep_sample(mix4, vp, tab, cfg, x0)
+    rows = np.stack([singlestep_sample(mix4, vp, tab, cfg, x) for x in x0])
+    assert np.array_equal(batch, rows)
 
 
 # -- singlestep sampler ---------------------------------------------------------------
