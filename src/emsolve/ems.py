@@ -168,34 +168,29 @@ def estimate_l_dot(l_values, spacing: float):
     return out
 
 
-def _f_values(model, sched, l_row, x, lam):
+def _f_and_f1(model, sched, l_row, l_dot_row, x, lam):
+    """f = (sigma eps - l x) / alpha and f1, its total lambda-derivative along the ODE.
+
+    One ``eps_along_ode`` call gives eps and its total derivative d_eps.
+    """
     alpha = sched.alpha_lambda(lam)
     sigma = sched.sigma_lambda(lam)
-    return (sigma * model.eps(sched, x, lam) - l_row * x) / alpha
-
-
-def _f1_values(model, sched, l_row, l_dot_row, x, lam):
-    alpha = sched.alpha_lambda(lam)
-    sigma = sched.sigma_lambda(lam)
-    c = sched.dlog_alpha_dlambda(lam)
-    eps = model.eps(sched, x, lam)
-    # total lambda-derivative of eps along the ODE: partial + jvp(dx/dlambda)
-    eps1 = model.eps_dlambda(sched, x, lam) + model.jvp(sched, x, lam, c * x - sigma * eps)
-    return np.exp(-lam) * ((l_row - 1.0) * eps + eps1) - l_dot_row * x / alpha
+    eps, d_eps = model.eps_along_ode(sched, x, lam)
+    f = (sigma * eps - l_row * x) / alpha
+    f1 = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps) - l_dot_row * x / alpha
+    return f, f1
 
 
 def eval_f(model, sched, table: EmsTable, x, lam):
     """The approximated nonlinearity f = (sigma eps - l * x) / alpha at a grid lambda."""
     j = table.index_of(lam)
-    return _f_values(model, sched, table.l[j], x, table.lambda_grid[j])
+    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[0]
 
 
 def eval_f1(model, sched, table: EmsTable, x, lam):
     """Total lambda-derivative of f along the ODE at a grid lambda."""
     j = table.index_of(lam)
-    return _f1_values(
-        model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j]
-    )
+    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[1]
 
 
 def estimate_sb(f_samples, f1_samples, eps_floor=None):
@@ -231,10 +226,12 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     rely on; independently re-drawn points per grid lambda would leave
     grid-scale jitter in the fields and cap the observable convergence order.
 
-    After l is estimated at every grid point, its slope is taken by finite
-    differences, and a second sweep over the same diffused points fits s and
-    b.  Bit-identical output for a fixed config.  Raises :class:`DomainError`
-    when ``cfg.lam_range`` leaves the schedule's lambda domain.
+    After l is estimated at every grid point (one ``jvp`` per point), its
+    slope is taken by finite differences, and a second sweep over the same
+    diffused points fits s and b (one ``eps_along_ode`` per point, whose
+    closed-form d_eps gives f1).  Bit-identical output for a fixed config.
+    Raises :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's
+    lambda domain.
     """
     lam_lo, lam_hi = cfg.lam_range
     dom_lo, dom_hi = sched.lam_domain
@@ -265,8 +262,7 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     b = np.empty((n_pts, dim))
     for j in range(n_pts):
         xs = diffused(j)
-        f = _f_values(model, sched, l[j], xs, grid[j])
-        f1 = _f1_values(model, sched, l[j], l_dot[j], xs, grid[j])
+        f, f1 = _f_and_f1(model, sched, l[j], l_dot[j], xs, grid[j])
         floor = cfg.degenerate_epsilon * (f * f).mean(axis=0) + _ABS_FLOOR
         s[j], b[j] = estimate_sb(f, f1, eps_floor=floor)
 

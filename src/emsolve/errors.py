@@ -5,7 +5,8 @@ class DomainError(ValueError):
     """A value lies outside its domain.
 
     Raised for a time or log-SNR value outside the schedule's domain (a table's
-    ``lam_range`` included) and for a sampler state with non-finite entries.
+    ``lam_range`` included), for a sampler state with non-finite entries, and
+    for statistics whose integral table has non-finite entries.
     """
 
 

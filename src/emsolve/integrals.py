@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ems import EmsTable
+from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,15 +59,21 @@ def build_integral_table(ems: EmsTable, detect_constant: bool = True) -> Integra
 
     ``detect_constant=False`` suppresses the constant-field detection, forcing
     downstream coefficient computation through the quadrature path (used by
-    the grid-refinement accuracy checks).
+    the grid-refinement accuracy checks).  Raises :class:`DomainError` when
+    an integral has a non-finite entry: fields too large for the grid
+    overflow ``exp(L + S)``.
     """
     h0 = ems.spacing
-    L = _cumtrapz(ems.l, h0)
-    S = _cumtrapz(ems.s, h0)
-    B = _cumtrapz(np.exp(-S) * ems.b, h0)
-    ls_weight = np.exp(L + S)
-    C = _cumtrapz(ls_weight * B, h0)
-    I = _cumtrapz(ls_weight, h0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = _cumtrapz(ems.l, h0)
+        S = _cumtrapz(ems.s, h0)
+        B = _cumtrapz(np.exp(-S) * ems.b, h0)
+        ls_weight = np.exp(L + S)
+        C = _cumtrapz(ls_weight * B, h0)
+        I = _cumtrapz(ls_weight, h0)
+    for name, arr in (("L", L), ("S", S), ("B", B), ("C", C), ("I", I)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"integral {name} has non-finite entries; the fields overflow")
     const = None
     if detect_constant and ems.is_constant():
         const = (ems.l[0].copy(), ems.s[0].copy(), ems.b[0].copy())

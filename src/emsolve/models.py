@@ -2,7 +2,8 @@
 
 Every model here has a closed-form marginal density under forward diffusion,
 so the noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x) is
-exact, and so are its Jacobian-vector products.  That makes these models
+exact, and so are its Jacobian-vector products and its lambda-derivative
+along the probability-flow ODE (``eps_along_ode``).  That makes these models
 usable as ground truth for solver-accuracy measurements: the probability-flow
 ODE can be integrated to near machine precision with an adaptive
 embedded Runge-Kutta pair (``reference_solve``).
@@ -20,12 +21,47 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError
 from .schedule import Schedule
 
-_FD_LAMBDA_STEP = 1e-4
+
+def _short_sum(a, axis=-1, keepdims=False):
+    """``np.sum(a, axis)`` over a short axis, as left-to-right slice additions.
+
+    ``axis`` is negative.  Below 8 terms np.sum adds in this order too, so the
+    bits match; the slices skip np.sum's reduction set-up, which dominates on
+    the mixture's short component and coordinate axes.  From 8 terms on the
+    two differ by reassociation only.
+    """
+    tail = (slice(None),) * (-axis - 1)
+    n = a.shape[axis]
+    out = a[(..., 0) + tail]
+    out = out.copy() if n == 1 else out + a[(..., 1) + tail]
+    for k in range(2, n):
+        out += a[(..., k) + tail]
+    return np.expand_dims(out, axis) if keepdims else out
+
+
+def _logsumexp(a, keepdims=False):
+    """``scipy.special.logsumexp(a, axis=-1)`` of a real array, restated in numpy.
+
+    The same arithmetic as scipy 1.17, without its array-API dispatch: every
+    entry tied with the maximum leaves the sum and is counted instead, the
+    result is log1p(sum of the others' exp(a - max) / count) + log(count) +
+    max, and where that is not finite (all -inf, an inf, a NaN) it is the
+    direct log(sum(exp(a))).
+    """
+    a_max = np.max(a, axis=-1, keepdims=True)
+    tied = a == a_max
+    count = _short_sum(tied.astype(float), keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = _short_sum(np.exp(np.where(tied, -np.inf, a) - a_max), keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(_short_sum(np.exp(a), keepdims=True)))
+    return out if keepdims else out[..., 0]
 
 
 class ModelSpec:
@@ -45,15 +81,14 @@ class ModelSpec:
         """Exact Jacobian-vector product (grad_x eps) @ v."""
         raise NotImplementedError
 
-    def eps_dlambda(self, sched: Schedule, x, lam):
-        """Partial derivative of eps w.r.t. lambda at fixed x.
+    def eps_along_ode(self, sched: Schedule, x, lam):
+        """eps and its total lambda-derivative along the probability-flow ODE.
 
-        Analytic where the expression is short (point mass); central finite
-        difference in lambda (step 1e-4) otherwise.
+        Returns ``(eps, d_eps)`` with d_eps = (d/dlambda) eps + J (c x - sigma eps),
+        where J = grad_x eps and c = dlog alpha/dlambda: the rate at which eps
+        changes on the trajectory through (x, lambda).  Closed form.
         """
-        lam = float(lam)
-        h = _FD_LAMBDA_STEP
-        return (self.eps(sched, x, lam + h) - self.eps(sched, x, lam - h)) / (2.0 * h)
+        raise NotImplementedError
 
     def sample_data(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. points from the clean-data distribution q0."""
@@ -103,13 +138,10 @@ class PointGaussian(ModelSpec):
         v = self._check_x(v)
         return v / sched.sigma_lambda(lam)
 
-    def eps_dlambda(self, sched, x, lam):
-        x = self._check_x(x)
-        alpha = sched.alpha_lambda(lam)
-        sigma = sched.sigma_lambda(lam)
-        c = sched.dlog_alpha_dlambda(lam)
-        # d(alpha)/dlambda = alpha c, d(log sigma)/dlambda = c - 1
-        return -(alpha * c / sigma) * self.x0 - (c - 1.0) * ((x - alpha * self.x0) / sigma)
+    def eps_along_ode(self, sched, x, lam):
+        # (x - alpha x0) / sigma is constant along every trajectory
+        eps = self.eps(sched, x, lam)
+        return eps, np.zeros_like(eps)
 
     def sample_data(self, rng, n):
         if n < 1:
@@ -163,47 +195,85 @@ class GaussianMixture(ModelSpec):
         var = alpha**2 * self.stds**2 + sigma**2  # per-component marginal variance
         return alpha, sigma, var
 
-    def _posterior(self, x, alpha, var):
-        """Posterior component weights pi_i(x) and per-component score terms."""
+    def _log_components(self, x, alpha, var):
+        """Offsets x - alpha mu_i, their squared norms, and log w_i N_i(x)."""
         diff = x[..., None, :] - alpha * self.means  # (..., C, D)
-        sq = np.sum(diff**2, axis=-1)  # (..., C)
+        sq = _short_sum(diff**2)  # (..., C)
         log_comp = np.log(self.weights) - 0.5 * (self.dim * np.log(2.0 * np.pi * var) + sq / var)
-        log_pi = log_comp - logsumexp(log_comp, axis=-1, keepdims=True)
+        return diff, sq, log_comp
+
+    def _posterior(self, x, alpha, var):
+        """Posterior component weights pi_i(x), score terms grad log N_i, and |x - alpha mu_i|^2."""
+        diff, sq, log_comp = self._log_components(x, alpha, var)
+        log_pi = log_comp - _logsumexp(log_comp, keepdims=True)
         pi = np.exp(log_pi)
-        comp_score = -diff / var[:, None]  # grad log N_i, (..., C, D)
-        return pi, comp_score
+        # grad log N_i = -diff / var_i, (..., C, D), formed in diff's memory
+        comp_score = np.divide(diff, -var[:, None], out=diff)
+        return pi, comp_score, sq
+
+    @staticmethod
+    def _hessian_terms(pi, comp_score, mean_score, var, v, weights):
+        """sum_i weights_i g_i - gbar (gbar . v) - (sum_i pi_i / var_i) v.
+
+        With g_i = grad log N_i, gbar = sum_i pi_i g_i and weights_i =
+        pi_i (g_i . v) this is the Hessian-vector product H v of log q.
+        """
+        return (
+            _short_sum(weights[..., None] * comp_score, axis=-2)
+            - mean_score * _short_sum(mean_score * v, keepdims=True)
+            - _short_sum(pi / var, keepdims=True) * v
+        )
 
     def log_density(self, sched, x, lam):
         """log q_lambda(x) of the diffused mixture."""
         x = self._check_x(x)
         alpha, _, var = self._moments(sched, lam)
-        diff = x[..., None, :] - alpha * self.means
-        sq = np.sum(diff**2, axis=-1)
-        log_comp = np.log(self.weights) - 0.5 * (self.dim * np.log(2.0 * np.pi * var) + sq / var)
-        return logsumexp(log_comp, axis=-1)
+        return _logsumexp(self._log_components(x, alpha, var)[2])
 
     def eps(self, sched, x, lam):
         x = self._check_x(x)
         alpha, sigma, var = self._moments(sched, lam)
-        pi, comp_score = self._posterior(x, alpha, var)
-        score = np.sum(pi[..., None] * comp_score, axis=-2)
+        pi, comp_score, _ = self._posterior(x, alpha, var)
+        score = _short_sum(pi[..., None] * comp_score, axis=-2)
         return -sigma * score
 
     def jvp(self, sched, x, lam, v):
         x = self._check_x(x)
         v = self._check_x(v)
         alpha, sigma, var = self._moments(sched, lam)
-        pi, comp_score = self._posterior(x, alpha, var)
-        mean_score = np.sum(pi[..., None] * comp_score, axis=-2)  # (..., D)
-        dots = np.sum(comp_score * v[..., None, :], axis=-1)  # (..., C)
-        # Hessian-vector product of log q:
-        #   H v = sum_i pi_i g_i (g_i . v) - gbar (gbar . v) - (sum_i pi_i / v_i) v
-        hv = (
-            np.sum((pi * dots)[..., None] * comp_score, axis=-2)
-            - mean_score * np.sum(mean_score * v, axis=-1, keepdims=True)
-            - np.sum(pi / var, axis=-1, keepdims=True) * v
+        pi, comp_score, _ = self._posterior(x, alpha, var)
+        mean_score = _short_sum(pi[..., None] * comp_score, axis=-2)  # (..., D)
+        dots = _short_sum(comp_score * v[..., None, :])  # (..., C)
+        return -sigma * self._hessian_terms(pi, comp_score, mean_score, var, v, pi * dots)
+
+    def eps_along_ode(self, sched, x, lam):
+        x = self._check_x(x)
+        alpha, sigma, var = self._moments(sched, lam)
+        c = float(sched.dlog_alpha_dlambda(lam))
+        pi, comp_score, sq = self._posterior(x, alpha, var)
+        mean_score = _short_sum(pi[..., None] * comp_score, axis=-2)
+        eps = -sigma * mean_score
+        v = c * x - sigma * eps  # dx/dlambda on the ODE
+        # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
+        # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
+        #   dlog N_i = a_i - c g_i . x,  a_i = -sigma^2 |g_i|^2 - rate_i D / 2,
+        #   dpi_i = pi_i (dlog N_i - sum_j pi_j dlog N_j),
+        #   dg_i = c (g_i + x / var_i) - rate_i g_i.
+        # d_eps = (c - 1) eps - sigma (sum_i (dpi_i g_i + pi_i dg_i) + H v).  In
+        # the weights of the g_i, the Jacobian's g_i . v = c g_i . x +
+        # sigma^2 g_i . gbar cancels the c g_i . x of dlog N_i.
+        rate = 2.0 * c - 2.0 * sigma**2 / var
+        a = -(sigma**2) * sq / var**2 - 0.5 * self.dim * rate
+        weights = pi * (
+            sigma**2 * _short_sum(comp_score * mean_score[..., None, :])
+            + (a - _short_sum(pi * a, keepdims=True))
+            + c * _short_sum(mean_score * x, keepdims=True)
+            - rate
         )
-        return -sigma * hv
+        hv = self._hessian_terms(pi, comp_score, mean_score, var, v, weights)
+        pi_over_var = _short_sum(pi / var, keepdims=True)
+        d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
+        return eps, d_eps
 
     def sample_data(self, rng, n):
         if n < 1:
@@ -246,6 +316,23 @@ class Guided(ModelSpec):
     def jvp(self, sched, x, lam, v):
         s = self.scale
         return s * self.cond.jvp(sched, x, lam, v) + (1.0 - s) * self.uncond.jvp(sched, x, lam, v)
+
+    def eps_along_ode(self, sched, x, lam):
+        s = self.scale
+        eps_c, d_c = self.cond.eps_along_ode(sched, x, lam)
+        eps_u, d_u = self.uncond.eps_along_ode(sched, x, lam)
+        eps = s * eps_c + (1.0 - s) * eps_u
+        # Each part's d_eps follows that part's own ODE.  The guided velocity
+        # differs from it by sigma (eps_part - eps), which the parts' Jacobians
+        # carry into d_eps: sigma s (1 - s) (J_c - J_u) (eps_c - eps_u).
+        gap = (sched.sigma_lambda(lam) * s * (1.0 - s)) * (eps_c - eps_u)
+        d_eps = (
+            s * d_c
+            + (1.0 - s) * d_u
+            + self.cond.jvp(sched, x, lam, gap)
+            - self.uncond.jvp(sched, x, lam, gap)
+        )
+        return eps, d_eps
 
     def sample_data(self, rng, n):
         return self.cond.sample_data(rng, n)
@@ -317,8 +404,8 @@ class EvalCounter(ModelSpec):
     def jvp(self, sched, x, lam, v):
         return self.inner.jvp(sched, x, lam, v)
 
-    def eps_dlambda(self, sched, x, lam):
-        return self.inner.eps_dlambda(sched, x, lam)
+    def eps_along_ode(self, sched, x, lam):
+        return self.inner.eps_along_ode(sched, x, lam)
 
     def sample_data(self, rng, n):
         return self.inner.sample_data(rng, n)

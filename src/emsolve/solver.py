@@ -43,11 +43,13 @@ class SolverConfig:
     """Sampler settings: predictor order, corrector strategy, timestep grid.
 
     ``order`` is the predictor's order (1 to 3).  A corrector of the same
-    order runs after each step when ``corrector`` is "full" ("half" restricts
-    it to the late, low-t part of sampling); ``pseudo_corrector`` raises the
-    corrector to order+1 using the divided-difference derivative estimates.
-    ``pseudo_predictor`` switches the predictor's derivative estimation to the
-    divided-difference form at the same order.
+    order runs after each step when ``corrector`` is "full".  "half" runs it
+    only after the steps whose target time is at most half the schedule's
+    upper time, ``0.5 * t_domain[1]``: t <= 0.5 on vp-linear, t <= 40 on edm.
+    ``pseudo_corrector`` raises the corrector to order+1 using the
+    divided-difference derivative estimates.  ``pseudo_predictor`` switches
+    the predictor's derivative estimation to the divided-difference form at
+    the same order.
     """
 
     order: int

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from emsolve import (
     EmsConfig,
@@ -11,6 +12,11 @@ from emsolve import (
 )
 
 T_END = 1e-3  # sampling start time epsilon on the vp schedules
+
+# Property tests replay the same examples on every run, and model-heavy
+# examples are not held to hypothesis's per-example deadline.
+settings.register_profile("emsolve", derandomize=True, deadline=None)
+settings.load_profile("emsolve")
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +50,7 @@ def vp_lam_range(vp):
 
 @pytest.fixture(scope="session")
 def mix_table(mix4, vp, vp_lam_range):
-    """Well-resolved statistics for the mixture testbed (shared, ~15 s to build)."""
+    """Well-resolved statistics for the mixture testbed (shared, ~5 s to build)."""
     cfg = EmsConfig(
         num_timesteps=960, num_datapoints=4096, lam_range=vp_lam_range, seed=7
     )

@@ -72,9 +72,6 @@ class RecordingModel(ModelSpec):
     def jvp(self, sched, x, lam, v):
         return self.inner.jvp(sched, x, lam, v)
 
-    def eps_dlambda(self, sched, x, lam):
-        return self.inner.eps_dlambda(sched, x, lam)
-
 
 def test_criterion_1_global_convergence_order(vp, mix4, mix_table, mix_tab, vp_lam_range):
     start = time.perf_counter()

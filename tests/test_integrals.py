@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from emsolve import (
+    DomainError,
     EmsTable,
     build_integral_table,
     coeff_A,
@@ -85,6 +87,26 @@ def test_build_constant_b_polynomial_exact(vp):
     assert np.max(np.abs(tab.B[:, 0] - beta * span)) < 1e-12
     # C integrates a degree-1 polynomial: the trapezoid is exact
     assert np.max(np.abs(tab.C[:, 0] - beta * span**2 / 2.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"l": 800.0}, "C"),  # exp(L + S) overflows, and C takes inf * 0
+        ({"s": -800.0}, "B"),  # exp(-S) overflows
+        ({"l": 1e308}, "L"),  # the trapezoid's sum overflows
+    ],
+)
+def test_build_rejects_fields_that_overflow(vp, fields, name):
+    grid = np.linspace(0.0, 2.0, 5)
+    arrays = {key: np.full((5, 2), fields.get(key, 0.0)) for key in ("l", "s", "b")}
+    table = EmsTable(
+        lambda_grid=grid, l_dot=np.zeros((5, 2)), schedule=vp, meta={}, **arrays
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the DomainError is the only signal
+        with pytest.raises(DomainError, match=f"integral {name} has non-finite"):
+            build_integral_table(table)
 
 
 # -- update coefficients ---------------------------------------------------------

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
 from emsolve import (
     GaussianMixture,
     Guided,
     PointGaussian,
+    Schedule,
     forward_diffuse,
     model_from_dict,
     model_id,
     reference_solve,
 )
+from emsolve.models import _logsumexp, _short_sum
 
 
 def closed_form_trajectory(sched, pg, x_start, lam_start, lam_end):
@@ -99,7 +105,23 @@ def test_jvp_linearity(vp, mix4):
         assert np.max(np.abs(combined - split)) < 1e-9
 
 
-# -- lambda-derivatives -------------------------------------------------------
+# -- lambda-derivatives along the ODE ---------------------------------------------
+
+
+def eps_dlambda(model, sched, x, lam):
+    """The lambda-partial of eps at fixed x: d_eps minus the Jacobian term."""
+    eps, d_eps = model.eps_along_ode(sched, x, lam)
+    flow = sched.dlog_alpha_dlambda(lam) * x - sched.sigma_lambda(lam) * eps
+    return d_eps - model.jvp(sched, x, lam, flow)
+
+
+def richardson_eps_dlambda(model, sched, x, lam, h):
+    """Central differences at steps h and h/2, Richardson-extrapolated (error O(h^4))."""
+
+    def central(step):
+        return (model.eps(sched, x, lam + step) - model.eps(sched, x, lam - step)) / (2 * step)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
 def test_eps_dlambda_point_gaussian_analytic(vp, pg4):
@@ -109,7 +131,7 @@ def test_eps_dlambda_point_gaussian_analytic(vp, pg4):
         lam = rng.uniform(-4.0, 4.0)
         x = rng.standard_normal(4)
         fd = (pg4.eps(vp, x, lam + h) - pg4.eps(vp, x, lam - h)) / (2 * h)
-        assert np.max(np.abs(pg4.eps_dlambda(vp, x, lam) - fd)) < 1e-6
+        assert np.max(np.abs(eps_dlambda(pg4, vp, x, lam) - fd)) < 1e-6
 
 
 def test_eps_dlambda_edm_point_mass_equals_eps(edm):
@@ -117,7 +139,7 @@ def test_eps_dlambda_edm_point_mass_equals_eps(edm):
     rng = np.random.default_rng(7)
     x = rng.standard_normal(3)
     lam = -1.5  # sigma = exp(-lambda), so eps = x exp(lambda) and d/dlambda eps = eps
-    assert np.allclose(pg.eps_dlambda(edm, x, lam), pg.eps(edm, x, lam), atol=1e-12)
+    assert np.allclose(eps_dlambda(pg, edm, x, lam), pg.eps(edm, x, lam), atol=1e-12)
 
 
 def test_eps_dlambda_mixture_tail_matches_point_mass(vp):
@@ -125,7 +147,97 @@ def test_eps_dlambda_mixture_tail_matches_point_mass(vp):
     pg = PointGaussian(x0=np.array([10.0]))
     lam = 2.0
     x = vp.alpha_lambda(lam) * np.array([10.0]) + 0.1  # deep in one component's basin
-    assert np.allclose(mix.eps_dlambda(vp, x, lam), pg.eps_dlambda(vp, x, lam), atol=1e-4)
+    assert np.allclose(eps_dlambda(mix, vp, x, lam), eps_dlambda(pg, vp, x, lam), atol=1e-4)
+
+
+@pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine", "edm"])
+def test_mixture_d_eps_matches_richardson_difference(kind, mix4):
+    sched = Schedule(kind)
+    mix3 = GaussianMixture(
+        weights=[0.2, 0.3, 0.5],
+        means=[[1.0, 0.0, 0.5, 0.1], [-1.0, 0.5, 0.0, 0.2], [0.0, -1.0, 0.3, -0.4]],
+        stds=[0.0, 0.3, 0.6],
+    )
+    lo, hi = max(sched.lam_domain[0], -4.0) + 0.1, min(sched.lam_domain[1], 4.0) - 0.1
+    rng = np.random.default_rng(20)
+    for model in (mix4, mix3):
+        for _ in range(10):
+            lam = rng.uniform(lo, hi)
+            x = 1.5 * rng.standard_normal((3, 4))
+            eps, d_eps = model.eps_along_ode(sched, x, lam)
+            assert np.array_equal(eps, model.eps(sched, x, lam))
+            flow = sched.dlog_alpha_dlambda(lam) * x - sched.sigma_lambda(lam) * eps
+            want = richardson_eps_dlambda(model, sched, x, lam, 4e-3) + model.jvp(
+                sched, x, lam, flow
+            )
+            assert np.max(np.abs(d_eps - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+def test_point_mass_d_eps_is_zero(vp, edm, pg4):
+    rng = np.random.default_rng(21)
+    for sched in (vp, edm):
+        x = rng.standard_normal((5, 4))
+        eps, d_eps = pg4.eps_along_ode(sched, x, 0.7)
+        assert np.array_equal(eps, pg4.eps(sched, x, 0.7))
+        assert np.array_equal(d_eps, np.zeros((5, 4)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.5, -0.5])
+def test_guided_lambda_partial_is_linear(vp, mix4, pg4, scale):
+    # the lambda-partial combines linearly; d_eps then follows the guided ODE
+    guided = Guided(cond=mix4, uncond=pg4, scale=scale)
+    rng = np.random.default_rng(22)
+    for lam in (-2.0, 0.3, 2.5):
+        x = rng.standard_normal((3, 4))
+        eps, d_eps = guided.eps_along_ode(vp, x, lam)
+        assert np.array_equal(eps, guided.eps(vp, x, lam))
+        want = scale * eps_dlambda(mix4, vp, x, lam) + (1.0 - scale) * eps_dlambda(
+            pg4, vp, x, lam
+        )
+        got = eps_dlambda(guided, vp, x, lam)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        fd = richardson_eps_dlambda(guided, vp, x, lam, 4e-3)
+        flow = vp.dlog_alpha_dlambda(lam) * x - vp.sigma_lambda(lam) * eps
+        assert np.max(np.abs(d_eps - fd - guided.jvp(vp, x, lam, flow))) <= 1e-7 * np.max(
+            np.abs(d_eps)
+        )
+
+
+# -- private reductions: restatements that keep np.sum's and scipy's bits ----------
+
+_logsumexp_rows = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5),
+    # a few repeated values force ties with the maximum
+    elements=st.one_of(
+        st.sampled_from([0.0, -1.5, 3.0, -np.inf, np.inf, np.nan]),
+        st.floats(-800.0, 800.0),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(a=_logsumexp_rows, keepdims=st.booleans())
+def test_logsumexp_restatement_matches_scipy_bit_for_bit(a, keepdims):
+    with np.errstate(all="ignore"):
+        want = scipy_logsumexp(a, axis=-1, keepdims=keepdims)
+    got = _logsumexp(a, keepdims=keepdims)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("axis", [-1, -2])
+@pytest.mark.parametrize("terms", range(1, 8))
+def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
+    rng = np.random.default_rng(terms)
+    shape = (50, 3, terms) if axis == -1 else (50, terms, 4)
+    # magnitudes over 16 decades make any change of summation order visible
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    for keepdims in (False, True):
+        want = np.sum(a, axis=axis, keepdims=keepdims)
+        assert np.array_equal(_short_sum(a, axis=axis, keepdims=keepdims), want)
+    row = a[0, 0] if axis == -1 else a[0, :, 0]
+    assert np.array_equal(_short_sum(row), np.sum(row))
 
 
 # -- data sampling and diffusion ------------------------------------------------
