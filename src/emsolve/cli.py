@@ -191,7 +191,7 @@ def cmd_solve(args) -> int:
     if args.trace:
         payload["trace"] = trace
     with open(args.out, "w") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, default=np.ndarray.tolist)  # trace rows hold arrays
         fh.write("\n")
     print(f"wrote {args.out}: {args.steps} steps, order {args.order}, corrector {args.corrector}")
     return 0

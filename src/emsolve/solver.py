@@ -283,11 +283,12 @@ def _g_value(abc, x, eps):
 
 
 def _trace_row(t, lam, x, eps, g):
+    """One trace row; ``x`` and ``eps`` are float64 copies the caller cannot alias."""
     return {
         "t": float(t),
         "lambda": float(lam),
-        "x": np.asarray(x, dtype=float).tolist(),
-        "eps": None if eps is None else np.asarray(eps, dtype=float).tolist(),
+        "x": np.array(x, dtype=np.float64),
+        "eps": None if eps is None else np.array(eps, dtype=np.float64),
         "eps_norm": None if eps is None else float(np.linalg.norm(eps)),
         "g_norm": None if g is None else float(np.linalg.norm(g)),
     }
@@ -307,6 +308,11 @@ def multistep_sample(
     corrector reuses the step's evaluation instead of adding one).  Early
     steps ramp the order up as history becomes available.  ``x_init`` may be
     ``(D,)`` or ``(B, D)``.  Returns the final state and a per-step trace.
+
+    Each trace row holds the target's ``t`` and ``lambda``, its state ``x``
+    and noise prediction ``eps`` as float64 arrays of the state's shape (the
+    row's own copies; ``eps`` is None on the last row), and ``eps_norm`` and
+    ``g_norm``, the 2-norms over the whole state, batch included.
     """
     grid = _snap_grid(tab, sched, cfg.grid)
     num_steps = len(grid.idx) - 1

@@ -191,6 +191,15 @@ def test_cmd_solve_trace_and_determinism(cli_files, mix_ems_file):
     assert len(payload["trace"]) == 6
     assert len(payload["grid"]) == 6
     assert payload["trace"][0]["g_norm"] > 0
+    # the JSON schema: x and eps are lists of D floats, eps is null on the last row
+    rows = payload["trace"]
+    for row in rows:
+        assert list(row) == ["t", "lambda", "x", "eps", "eps_norm", "g_norm"]
+        assert len(row["x"]) == 4 and all(type(v) is float for v in row["x"])
+    for row in rows[:-1]:
+        assert len(row["eps"]) == 4 and all(type(v) is float for v in row["eps"])
+    assert rows[-1]["eps"] is None and rows[-1]["eps_norm"] is None and rows[-1]["g_norm"] is None
+    assert rows[-1]["x"] == payload["x_final"]
 
 
 # -- benchmark commands ----------------------------------------------------------------

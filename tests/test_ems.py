@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emsolve import (
     DomainError,
@@ -22,6 +25,7 @@ from emsolve import (
 )
 from emsolve.ems import DATA_PRED, NOISE_PRED, diag_probe_terms, estimate_l_dot
 from emsolve.models import ModelSpec
+from emsolve.schedule import EDM, VP_COSINE, VP_LINEAR, Schedule
 
 
 class ConstantModel(ModelSpec):
@@ -347,6 +351,53 @@ def test_index_of_snapping(vp, vp_lam_range):
     assert table.index_of(float(table.lambda_grid[17] + 0.4 * h0)) == 17
     with pytest.raises(ValueError):
         table.index_of(float(table.lambda_grid[-1] + h0))
+
+
+@st.composite
+def _tables(draw):
+    """A table with random schedule, dim and grid size, whose values are any finite floats."""
+    kind = draw(st.sampled_from([VP_LINEAR, VP_COSINE, EDM]))
+    params = {}
+    if kind == VP_LINEAR:
+        params = {"beta0": draw(st.floats(0.01, 1.0)), "beta1": draw(st.floats(5.0, 30.0))}
+    sched = Schedule(kind, params)
+    lam_lo = sched.lam_domain[0] + draw(st.floats(0.0, 4.0))
+    lam_hi = lam_lo + draw(st.floats(1e-3, 10.0))
+    n, dim = draw(st.integers(2, 60)), draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    fields = {
+        name: draw(hnp.arrays(np.float64, (n, dim), elements=finite))
+        for name in ("l", "s", "b", "l_dot")
+    }
+    meta = {"seed": draw(st.integers(0, 2**31))}
+    return EmsTable(lambda_grid=np.linspace(lam_lo, lam_hi, n), schedule=sched, meta=meta, **fields)
+
+
+@settings(max_examples=40)
+@given(table=_tables())
+def test_save_load_round_trips_every_bit(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("round_trip") / "table.json"
+    save_table(table, path)
+    again = load_table(path, expected_schedule=table.schedule)
+    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
+        want, got = getattr(table, name), getattr(again, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+    assert again.meta == table.meta
+    assert again.schedule == table.schedule
+
+
+@settings(max_examples=100)
+@given(table=_tables(), u=st.floats(0.0, 1.0), beyond=st.floats(1e-6, 5.0))
+def test_index_of_snaps_within_half_a_cell(table, u, beyond):
+    grid, h = table.lambda_grid, table.spacing
+    lam = float(grid[0] + u * (grid[-1] - grid[0]))
+    j = table.index_of(lam)
+    assert abs(lam - grid[j]) <= 0.5 * h + 1e-12
+    assert abs(lam - grid[j]) <= np.min(np.abs(lam - grid)) + 1e-12  # the nearest point
+    for outside in (grid[0] - (0.5 + beyond) * h, grid[-1] + (0.5 + beyond) * h):
+        with pytest.raises(ValueError, match="outside the table range"):
+            table.index_of(float(outside))
 
 
 def test_save_load_round_trip(tmp_path, vp, mix4):

@@ -269,7 +269,7 @@ def test_multistep_half_corrector_matches_full_late_only(vp, mix4, mix_tab):
     early = [r["t"] > 0.5 for r in tr_half]
     for rh, rn, flag in zip(tr_half, tr_none, early):
         if flag:
-            assert rh["x"] == rn["x"]
+            assert np.array_equal(rh["x"], rn["x"])
     assert not np.array_equal(half, none)
     assert not np.array_equal(half, full)
 
@@ -284,6 +284,27 @@ def test_multistep_trace_contents(vp, mix4, mix_tab):
     for row in trace[:-1]:
         assert row["eps_norm"] > 0 and row["g_norm"] > 0 and len(row["x"]) == 4
     assert trace[-1]["eps_norm"] is None
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_trace_rows_own_their_arrays(vp, mix4, mix_tab, shape):
+    grid = make_time_grid(vp, 5, UNIFORM_LAMBDA, 1.0, 1e-3)
+    rng = np.random.default_rng(15)
+    x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * rng.standard_normal(shape)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full")
+    x_final, trace = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    for row in trace[:-1]:
+        assert row["x"].shape == row["eps"].shape == shape
+        assert row["x"].dtype == row["eps"].dtype == np.float64
+    assert trace[-1]["x"].shape == shape and trace[-1]["x"].dtype == np.float64
+    assert trace[-1]["eps"] is None
+    assert np.array_equal(trace[-1]["x"], x_final)
+    saved = [(row["x"].copy(), None if row["eps"] is None else row["eps"].copy()) for row in trace]
+    x_final[...] = 0.0
+    x0[...] = 0.0
+    for row, (x, eps) in zip(trace, saved):
+        assert np.array_equal(row["x"], x)
+        assert eps is None or np.array_equal(row["eps"], eps)
 
 
 def test_solver_config_validation(vp):
@@ -381,8 +402,10 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
     row_runs = [multistep_sample(mix4, vp, tab, cfg, x) for x in x0]
     assert np.array_equal(batch, np.stack([x for x, _ in row_runs]))
     for i, (_, row_trace) in enumerate(row_runs):
-        want = [{key: step[key] for key in ("t", "lambda", "x", "eps")} for step in row_trace]
-        assert [_trace_row_of(step, i) for step in batch_trace] == want
+        assert len(batch_trace) == len(row_trace)
+        for step, want in zip(batch_trace, row_trace):
+            got = _trace_row_of(step, i)
+            assert all(np.array_equal(got[key], want[key]) for key in got)
     batch = singlestep_sample(mix4, vp, tab, cfg, x0)
     rows = np.stack([singlestep_sample(mix4, vp, tab, cfg, x) for x in x0])
     assert np.array_equal(batch, rows)
