@@ -16,8 +16,6 @@ which breaks that property).  Exit codes: 0 success, 1 runtime error,
 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -36,12 +34,17 @@ from .ems import (
     load_table,
     save_table,
 )
-from .integrals import build_integral_table
+from .integrals import IntegralTable, build_integral_table
 from .models import EvalCounter, ModelSpec, model_from_dict, reference_solve
-from .schedule import Schedule, make_time_grid
-from .solver import SolverConfig, ddim_sample, multistep_sample
-
-CSV_HEADER = "solver,order,corrector,nfe,h_max,l2_error,linf_error,seconds,seed"
+from .schedule import UNIFORM_LAMBDA, UNIFORM_T, Schedule, make_time_grid
+from .solver import (
+    CORRECTOR_NONE,
+    CORRECTORS,
+    SolverConfig,
+    _snap_grid,
+    ddim_sample,
+    multistep_sample,
+)
 
 REFERENCE_TOL = 1e-10
 FLOOR_ERROR = 1e-8
@@ -63,18 +66,15 @@ class RunRow:
     seed: int
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+# The CSV columns are RunRow's fields in order; each field's type writes and reads its column.
+CSV_HEADER = ",".join(f.name for f in fields(RunRow))
+_FORMATS = {str: str, int: lambda v: str(int(v)), float: lambda v: repr(float(v))}
 
 
 def format_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join(_fmt(getattr(r, f.name)) for f in fields(RunRow)))
+        lines.append(",".join(_FORMATS[f.type](getattr(r, f.name)) for f in fields(RunRow)))
     return "\n".join(lines) + "\n"
 
 
@@ -82,24 +82,13 @@ def parse_csv(text: str) -> list:
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {lines[0] if lines else '<empty>'}")
+    types = [f.type for f in fields(RunRow)]
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 9:
+        if len(parts) != len(types):
             raise ValueError(f"bad CSV row: {ln}")
-        rows.append(
-            RunRow(
-                solver=parts[0],
-                order=int(parts[1]),
-                corrector=parts[2],
-                nfe=int(parts[3]),
-                h_max=float(parts[4]),
-                l2_error=float(parts[5]),
-                linf_error=float(parts[6]),
-                seconds=float(parts[7]),
-                seed=int(parts[8]),
-            )
-        )
+        rows.append(RunRow(*(typ(part) for typ, part in zip(types, parts))))
     return rows
 
 
@@ -120,11 +109,6 @@ def measure_order(rows) -> float:
 def _load_model(path) -> ModelSpec:
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def _load_schedule(path) -> Schedule:
-    with open(path) as fh:
-        return Schedule.from_dict(json.load(fh))
 
 
 def _initial_noise(sched, lam_start: float, dim: int, seed: int):
@@ -148,7 +132,8 @@ def _error_row(x, ref):
 
 def cmd_ems(args) -> int:
     model = _load_model(args.model)
-    sched = _load_schedule(args.schedule)
+    with open(args.schedule) as fh:
+        sched = Schedule.from_dict(json.load(fh))
     cfg = EmsConfig(
         num_timesteps=args.num_timesteps,
         num_datapoints=args.num_datapoints,
@@ -181,7 +166,7 @@ def cmd_solve(args) -> int:
         pseudo_corrector=args.pseudo_corrector,
     )
     tab = build_integral_table(table)
-    lam0 = table.lambda_grid[table.index_of(grid.lambdas[0])]
+    lam0 = _snap_grid(table, sched, grid).lams[0]
     x_init = _initial_noise(sched, lam0, table.dim, args.noise_seed)
     x_final, trace = multistep_sample(model, sched, tab, cfg, x_init)
     payload = {
@@ -214,141 +199,125 @@ def _seed_batch(model, table, seeds) -> _Seeds:
     return _Seeds(list(seeds), x_init, refs)
 
 
-def _snapped_lambdas(table, grid):
-    return table.lambda_grid[[table.index_of(l) for l in grid.lambdas]]
+class _Config(NamedTuple):
+    """One bench configuration: multistep sampling on ``tab``, or DDIM if ``tab`` is None."""
+
+    name: str
+    tab: IntegralTable | None
+    cfg: SolverConfig
 
 
-def _run_seeds(batch: _Seeds, model, sample, timing, solver, order, corrector, nfe, h_max) -> list:
-    """Run ``sample(model, x)`` once on the whole seed batch; one row per seed, in seed order.
+def _run_seeds(batch: _Seeds, model, table, config: _Config, timing) -> list:
+    """Run one configuration once on the whole seed batch; one row per seed, in seed order.
 
-    The model-call count must equal ``nfe``.  Under ``timing``, each row's
-    ``seconds`` is the batch call's wall time divided by the number of seeds.
+    DDIM steps between the sampling grid's times snapped to ``table``.  The
+    model-call count must equal the grid's step count.  Under ``timing``,
+    each row's ``seconds`` is the batch call's wall time divided by the
+    number of seeds.
     """
+    name, tab, cfg = config
+    sched = table.schedule
+    snapped = _snap_grid(table if tab is None else tab.ems, sched, cfg.grid)
+    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(snapped.lams)))
     counted = EvalCounter(model)
     start = time.perf_counter()
-    x_final = sample(counted, batch.x_init)
+    if tab is None:
+        x_final = ddim_sample(counted, sched, snapped.ts, batch.x_init)
+    else:
+        x_final = multistep_sample(counted, sched, tab, cfg, batch.x_init)[0]
     seconds = (time.perf_counter() - start) / len(batch.seeds) if timing else 0.0
     if counted.calls != nfe:
         raise RuntimeError(f"model-call accounting broke: {counted.calls} calls for {nfe} steps")
     return [
-        RunRow(solver, order, corrector, nfe, h_max, *_error_row(x, ref), seconds, seed)
+        RunRow(name, cfg.order, cfg.corrector, nfe, h_max, *_error_row(x, ref), seconds, seed)
         for seed, x, ref in zip(batch.seeds, x_final, batch.refs)
     ]
 
 
-def _v3_rows(batch: _Seeds, model, sched, tab, cfg, name, timing) -> list:
-    """Per-seed rows of one multistep configuration on ``tab``."""
-    h_max = float(np.max(np.diff(_snapped_lambdas(tab.ems, cfg.grid))))
-    return _run_seeds(
-        batch, model, lambda m, x: multistep_sample(m, sched, tab, cfg, x)[0], timing,
-        name, cfg.order, cfg.corrector, cfg.grid.num_steps, h_max,
-    )
+def _bench(args, configs, summary) -> int:
+    """Run every configuration of a bench command on the seed batch and write its CSV.
 
-
-def _seed_major(runs) -> list:
-    """Rows of per-configuration runs, reordered seed by seed as the runs were listed."""
-    return [row for seed_rows in zip(*runs) for row in seed_rows]
-
-
-def _sorted(rows) -> list:
-    return sorted(rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
+    ``configs(table, grids)`` lists the configurations, ``grids[nfe]`` being
+    the ``--grid`` time grid over the table's range.  The CSV holds the
+    per-seed rows sorted, then ``summary(rows)``, which sees the rows seed by
+    seed, each seed's in the order the configurations were listed.
+    """
+    model = _load_model(args.model)
+    table = load_table(args.ems)
+    t_end, t_start = _table_time_range(table)
+    grids = {
+        nfe: make_time_grid(table.schedule, nfe, args.grid, t_start, t_end) for nfe in args.nfe
+    }
+    listed = configs(table, grids)
+    batch = _seed_batch(model, table, args.seeds)
+    runs = [_run_seeds(batch, model, table, config, args.timing) for config in listed]
+    rows = [row for seed_rows in zip(*runs) for row in seed_rows]
+    out_rows = sorted(rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed)) + summary(rows)
+    with open(args.out, "w") as fh:
+        fh.write(format_csv(out_rows))
+    print(f"wrote {args.out}: {len(out_rows)} rows")
+    return 0
 
 
 def cmd_bench_convergence(args) -> int:
-    model = _load_model(args.model)
-    table = load_table(args.ems)
-    sched = table.schedule
-    tab = build_integral_table(table)
-    t_end, t_start = _table_time_range(table)
-    batch = _seed_batch(model, table, args.seeds)
+    def configs(table, grids):
+        tab = build_integral_table(table)
+        return [
+            _Config("v3", tab, SolverConfig(order=order, grid=grids[nfe], corrector=args.corrector))
+            for order in args.orders
+            for nfe in args.nfe
+        ]
 
-    runs = []
-    for order in args.orders:
-        for nfe in args.nfe:
-            grid = make_time_grid(sched, nfe, args.grid, t_start, t_end)
-            cfg = SolverConfig(order=order, grid=grid, corrector=args.corrector)
-            runs.append(_v3_rows(batch, model, sched, tab, cfg, "v3", args.timing))
-    # the slope fit sees its rows seed by seed
-    rows = _seed_major(runs)
+    def slopes(rows):
+        out = []
+        for order in sorted(args.orders):
+            subset = [r for r in rows if r.order == order]
+            if all(r.l2_error <= FLOOR_ERROR for r in subset):
+                kind, slope = "floor", 0.0
+            elif len({r.h_max for r in subset}) < 3:
+                kind, slope = "na", 0.0
+            else:
+                kind, slope = "fit", measure_order(subset)
+            out.append(RunRow("slope", order, kind, 0, 0.0, slope, slope, 0.0, SUMMARY_SEED))
+        return out
 
-    out_rows = _sorted(rows)
-    for order in sorted(args.orders):
-        subset = [r for r in rows if r.order == order]
-        if all(r.l2_error <= FLOOR_ERROR for r in subset):
-            out_rows.append(
-                RunRow("slope", order, "floor", 0, 0.0, 0.0, 0.0, 0.0, SUMMARY_SEED)
-            )
-        elif len({r.h_max for r in subset}) < 3:
-            out_rows.append(RunRow("slope", order, "na", 0, 0.0, 0.0, 0.0, 0.0, SUMMARY_SEED))
-        else:
-            slope = measure_order(subset)
-            out_rows.append(
-                RunRow("slope", order, "fit", 0, 0.0, slope, slope, 0.0, SUMMARY_SEED)
-            )
-    with open(args.out, "w") as fh:
-        fh.write(format_csv(out_rows))
-    print(f"wrote {args.out}: {len(out_rows)} rows")
-    return 0
+    return _bench(args, configs, slopes)
 
 
 def cmd_bench_compare(args) -> int:
-    model = _load_model(args.model)
-    table = load_table(args.ems)
-    sched = table.schedule
-    tab_v3 = build_integral_table(table)
-    t_end, t_start = _table_time_range(table)
-    lam_range = (float(table.lambda_grid[0]), float(table.lambda_grid[-1]))
-    n_intervals = len(table.lambda_grid) - 1
-
-    baseline_tabs = {}
-    for kind in args.baselines:
-        if kind in (NOISE_PRED, DATA_PRED):
-            baseline_tabs[kind] = build_integral_table(
-                degenerate_table(kind, sched, n_intervals, lam_range, table.dim)
-            )
-    cases = [("v3", tab_v3)] + [(k, baseline_tabs[k]) for k in args.baselines if k != "ddim"]
-    batch = _seed_batch(model, table, args.seeds)
-
-    runs = []
-    for nfe in args.nfe:
-        grid = make_time_grid(sched, nfe, args.grid, t_start, t_end)
-        cfg = SolverConfig(order=args.order, grid=grid, corrector=args.corrector)
-        for name, tab in cases:
-            runs.append(_v3_rows(batch, model, sched, tab, cfg, name, args.timing))
-        if "ddim" in args.baselines:
-            lams = _snapped_lambdas(table, grid)
-            ts = np.asarray(sched.t_of_lambda(lams), dtype=float)
-            h_max = float(np.max(np.diff(lams)))
-            runs.append(
-                _run_seeds(
-                    batch, model, lambda m, x: ddim_sample(m, sched, ts, x), args.timing,
-                    "ddim", 1, "none", nfe, h_max,
+    def configs(table, grids):
+        lam_range = (float(table.lambda_grid[0]), float(table.lambda_grid[-1]))
+        n_intervals = len(table.lambda_grid) - 1
+        tabs = {"v3": build_integral_table(table)}
+        for kind in args.baselines:
+            if kind in (NOISE_PRED, DATA_PRED):
+                tabs[kind] = build_integral_table(
+                    degenerate_table(kind, table.schedule, n_intervals, lam_range, table.dim)
                 )
-            )
-    rows = _seed_major(runs)
+        names = ["v3"] + [k for k in args.baselines if k != "ddim"]
+        out = []
+        for nfe in args.nfe:
+            cfg = SolverConfig(order=args.order, grid=grids[nfe], corrector=args.corrector)
+            out += [_Config(name, tabs[name], cfg) for name in names]
+            if "ddim" in args.baselines:
+                out.append(_Config("ddim", None, SolverConfig(order=1, grid=cfg.grid)))
+        return out
 
-    out_rows = _sorted(rows)
-    # per-(solver, nfe) mean errors as summary rows
-    for name in sorted({r.solver for r in rows}):
-        for nfe in sorted(args.nfe):
-            subset = [r for r in rows if r.solver == name and r.nfe == nfe]
-            out_rows.append(
-                RunRow(
-                    solver=name,
-                    order=subset[0].order,
-                    corrector="mean",
-                    nfe=nfe,
-                    h_max=subset[0].h_max,
-                    l2_error=float(np.mean([r.l2_error for r in subset])),
-                    linf_error=float(np.mean([r.linf_error for r in subset])),
-                    seconds=0.0,
-                    seed=SUMMARY_SEED,
+    def means(rows):
+        # per-(solver, nfe) mean errors
+        out = []
+        for name in sorted({r.solver for r in rows}):
+            for nfe in sorted(args.nfe):
+                subset = [r for r in rows if r.solver == name and r.nfe == nfe]
+                l2 = float(np.mean([r.l2_error for r in subset]))
+                linf = float(np.mean([r.linf_error for r in subset]))
+                first = subset[0]
+                out.append(
+                    RunRow(name, first.order, "mean", nfe, first.h_max, l2, linf, 0.0, SUMMARY_SEED)
                 )
-            )
-    with open(args.out, "w") as fh:
-        fh.write(format_csv(out_rows))
-    print(f"wrote {args.out}: {len(out_rows)} rows")
-    return 0
+        return out
+
+    return _bench(args, configs, means)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -373,37 +342,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_ems.add_argument("--out", required=True)
     p_ems.set_defaults(func=cmd_ems)
 
-    p_solve = sub.add_parser("solve", help="sample one trajectory")
-    p_solve.add_argument("--ems", required=True, help="statistics table JSON file")
-    p_solve.add_argument("--model", required=True)
+    # the flags of every sampling subcommand, and those the two bench subcommands add
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--model", required=True, help="model JSON file")
+    sampling.add_argument("--ems", required=True, help="statistics table JSON file")
+    sampling.add_argument("--grid", choices=[UNIFORM_LAMBDA, UNIFORM_T], default=UNIFORM_LAMBDA)
+    sampling.add_argument("--corrector", choices=CORRECTORS, default=CORRECTOR_NONE)
+    sampling.add_argument("--out", required=True)
+    bench = argparse.ArgumentParser(add_help=False, parents=[sampling])
+    bench.add_argument("--seeds", type=int, nargs="+", default=[0])
+    bench.add_argument("--timing", action="store_true")
+
+    p_solve = sub.add_parser("solve", parents=[sampling], help="sample one trajectory")
     p_solve.add_argument("--order", type=int, default=3)
-    p_solve.add_argument("--corrector", choices=["none", "full", "half"], default="none")
     p_solve.add_argument("--pseudo-predictor", action="store_true")
     p_solve.add_argument("--pseudo-corrector", action="store_true")
     p_solve.add_argument("--steps", type=int, required=True, metavar="M")
-    p_solve.add_argument("--grid", choices=["uniform-lambda", "uniform-t"], default="uniform-lambda")
     p_solve.add_argument("--t-start", type=float, default=None)
     p_solve.add_argument("--t-end", type=float, default=None)
     p_solve.add_argument("--noise-seed", type=int, default=0)
-    p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_conv = sub.add_parser("bench-convergence", help="error-vs-steps study")
-    p_conv.add_argument("--model", required=True)
-    p_conv.add_argument("--ems", required=True)
+    p_conv = sub.add_parser("bench-convergence", parents=[bench], help="error-vs-steps study")
     p_conv.add_argument("--orders", type=int, nargs="+", default=[1, 2, 3])
     p_conv.add_argument("--nfe", type=int, nargs="+", default=[10, 20, 40, 80])
-    p_conv.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p_conv.add_argument("--grid", choices=["uniform-lambda", "uniform-t"], default="uniform-lambda")
-    p_conv.add_argument("--corrector", choices=["none", "full", "half"], default="none")
-    p_conv.add_argument("--timing", action="store_true")
-    p_conv.add_argument("--out", required=True)
     p_conv.set_defaults(func=cmd_bench_convergence)
 
-    p_cmp = sub.add_parser("bench-compare", help="estimated statistics vs baselines")
-    p_cmp.add_argument("--model", required=True)
-    p_cmp.add_argument("--ems", required=True)
+    p_cmp = sub.add_parser(
+        "bench-compare", parents=[bench], help="estimated statistics vs baselines"
+    )
     p_cmp.add_argument(
         "--baselines",
         nargs="+",
@@ -411,12 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[NOISE_PRED, DATA_PRED, "ddim"],
     )
     p_cmp.add_argument("--order", type=int, default=3)
-    p_cmp.add_argument("--corrector", choices=["none", "full", "half"], default="none")
     p_cmp.add_argument("--nfe", type=int, nargs="+", default=[5, 8, 10])
-    p_cmp.add_argument("--seeds", type=int, nargs="+", default=[0])
-    p_cmp.add_argument("--grid", choices=["uniform-lambda", "uniform-t"], default="uniform-lambda")
-    p_cmp.add_argument("--timing", action="store_true")
-    p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_bench_compare)
 
     return parser

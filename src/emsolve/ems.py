@@ -39,10 +39,7 @@ _ABS_FLOOR = 1e-20
 class EmsConfig:
     """Settings for one estimation run.
 
-    ``num_timesteps`` is the number of grid intervals (the grid has one more
-    point).  ``degenerate_epsilon`` is the relative variance floor used to
-    regularize the slope/intercept fit when f has (near-)zero variance, as
-    happens for a point-mass data distribution.
+    ``num_timesteps`` is the number of grid intervals (the grid has one more point).
     """
 
     num_timesteps: int
@@ -50,7 +47,6 @@ class EmsConfig:
     lam_range: tuple[float, float]
     probes_per_point: int = 1
     seed: int = 0
-    degenerate_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.num_timesteps < 1:
@@ -62,8 +58,6 @@ class EmsConfig:
         lo, hi = self.lam_range
         if not lo < hi:
             raise ValueError(f"lam_range must be increasing, got {self.lam_range}")
-        if self.degenerate_epsilon <= 0:
-            raise ValueError("degenerate_epsilon must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +193,7 @@ def estimate_sb(f_samples, f1_samples, eps_floor=None):
     Returns (s, b) with s = cov(f, f1) / (var(f) + eps_floor) and
     b = mean(f1) - s * mean(f).  When ``eps_floor`` is None, a relative floor
     of 1e-8 * mean(f*f) plus a tiny absolute term regularizes the
-    zero-variance case.
+    zero-variance case, as happens for a point-mass data distribution.
     """
     f = np.asarray(f_samples, dtype=float)
     f1 = np.asarray(f1_samples, dtype=float)
@@ -263,8 +257,7 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     for j in range(n_pts):
         xs = diffused(j)
         f, f1 = _f_and_f1(model, sched, l[j], l_dot[j], xs, grid[j])
-        floor = cfg.degenerate_epsilon * (f * f).mean(axis=0) + _ABS_FLOOR
-        s[j], b[j] = estimate_sb(f, f1, eps_floor=floor)
+        s[j], b[j] = estimate_sb(f, f1)
 
     meta = {"K": cfg.num_datapoints, "seed": cfg.seed, "model": model_id(model)}
     return EmsTable(

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ems import EmsTable
 from .errors import DomainError
 from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
@@ -34,6 +35,7 @@ from .schedule import Schedule, TimeGrid
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
 CORRECTOR_HALF = "half"
+CORRECTORS = (CORRECTOR_NONE, CORRECTOR_FULL, CORRECTOR_HALF)
 
 _MAX_PREDICTOR_ORDER = 3
 
@@ -64,7 +66,7 @@ class SolverConfig:
                 f"order must be in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order}); "
                 "4th order is available as the pseudo corrector on an order-3 run"
             )
-        if self.corrector not in (CORRECTOR_NONE, CORRECTOR_FULL, CORRECTOR_HALF):
+        if self.corrector not in CORRECTORS:
             raise ValueError(f"unknown corrector {self.corrector!r}")
         if self.corrector != CORRECTOR_NONE and self.order < 2:
             raise ValueError("a corrector has order >= 2; use order >= 2 or corrector='none'")
@@ -183,15 +185,15 @@ class _Grid(NamedTuple):
     ts: np.ndarray
 
 
-def _snap_grid(tab: IntegralTable, sched: Schedule, grid: TimeGrid) -> _Grid:
+def _snap_grid(table: EmsTable, sched: Schedule, grid: TimeGrid) -> _Grid:
     """Snap sampling lambdas to table indices; they must stay strictly increasing."""
-    idx = [tab.ems.index_of(lam) for lam in grid.lambdas]
+    idx = [table.index_of(lam) for lam in grid.lambdas]
     if np.any(np.diff(idx) <= 0):
         raise ValueError(
             "sampling grid is finer than the coefficient table; "
             "increase the table's timestep count"
         )
-    lams = tab.ems.lambda_grid[idx]
+    lams = table.lambda_grid[idx]
     return _Grid(idx, lams, np.asarray(sched.t_of_lambda(lams), dtype=float))
 
 
@@ -314,7 +316,7 @@ def multistep_sample(
     row's own copies; ``eps`` is None on the last row), and ``eps_norm`` and
     ``g_norm``, the 2-norms over the whole state, batch included.
     """
-    grid = _snap_grid(tab, sched, cfg.grid)
+    grid = _snap_grid(tab.ems, sched, cfg.grid)
     num_steps = len(grid.idx) - 1
     half_threshold = 0.5 * sched.t_domain[1]
     transitions = []
@@ -353,7 +355,7 @@ def singlestep_sample(
     order.  Corrector and pseudo flags do not apply to this path.  ``x_init``
     may be ``(D,)`` or ``(B, D)``; returns the final state.
     """
-    grid = _snap_grid(tab, sched, cfg.grid)
+    grid = _snap_grid(tab.ems, sched, cfg.grid)
     total = len(grid.idx) - 1
     transitions = [
         (start, target, tuple(range(target - 1, start, -1)), None)

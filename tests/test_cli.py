@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from emsolve import EmsConfig, estimate_table, save_table
+from emsolve import EmsConfig, SolverConfig, cli, estimate_table, save_table
 from emsolve.cli import CSV_HEADER, RunRow, format_csv, main, measure_order, parse_csv
+from emsolve.ems import DATA_PRED, NOISE_PRED
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +335,90 @@ def test_bench_compare_seed_batch_equals_single_seed_runs(cli_files, mix_ems_fil
     assert batched == sorted(single, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
 
 
+# The module attributes of emsolve.cli that benchmark tracing swaps for timing
+# wrappers: the bench commands must look each up at call time, positionally.
+PATCH_POINTS = (
+    "load_table",
+    "build_integral_table",
+    "reference_solve",
+    "multistep_sample",
+    "ddim_sample",
+    "model_from_dict",
+)
+
+
+def test_bench_commands_call_the_patch_points(cli_files, mix_ems_file, monkeypatch):
+    calls = {name: [] for name in PATCH_POINTS}
+    returned = {}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            returned[name] = original(*args, **kwargs)
+            return returned[name]
+
+        return wrapper
+
+    for name in PATCH_POINTS:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    common = ["--model", str(cli_files["mix"]), "--ems", str(mix_ems_file)]
+    common += ["--seeds", "0", "1", "2"]
+    out = str(cli_files["root"] / "patched.csv")
+    commands = {
+        "bench-convergence": (["--orders", "1", "2", "--nfe", "5", "8", "10"], 1, 6, 0),
+        "bench-compare": (
+            ["--baselines", NOISE_PRED, DATA_PRED, "ddim", "--nfe", "5", "8"], 3, 6, 2
+        ),
+    }
+    for command, (extra, builds, multisteps, ddims) in commands.items():
+        for name in PATCH_POINTS:
+            calls[name].clear()
+        assert main([command, *common, *extra, "--out", out]) == 0
+        want = {
+            "load_table": 1,
+            "model_from_dict": 1,
+            "build_integral_table": builds,
+            "reference_solve": 3,  # one per seed
+            "multistep_sample": multisteps,
+            "ddim_sample": ddims,
+        }
+        assert {name: len(args) for name, args in calls.items()} == want
+        model, sched = returned["model_from_dict"], returned["load_table"].schedule
+        for args in calls["reference_solve"]:
+            assert len(args) == 5 and args[0] is model and args[1] is sched
+        for args in calls["multistep_sample"]:
+            assert len(args) == 5 and args[1] is sched and isinstance(args[3], SolverConfig)
+        for args in calls["ddim_sample"]:
+            assert len(args) == 4 and args[1] is sched and len(args[2]) in (6, 9)
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        ("ems", "lam-max lam-min model num-datapoints num-timesteps out probes schedule seed"),
+        (
+            "solve",
+            "corrector ems grid model noise-seed order out pseudo-corrector pseudo-predictor "
+            "steps t-end t-start trace",
+        ),
+        ("bench-convergence", "corrector ems grid model nfe orders out seeds timing"),
+        ("bench-compare", "baselines corrector ems grid model nfe order out seeds timing"),
+    ],
+)
+def test_subcommand_options(command, options, capsys):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert listed == set(options.split()) | {"help"}
+
+
+def test_bench_choices_come_from_the_library(cli_files, mix_ems_file, capsys):
+    common = ["--model", str(cli_files["mix"]), "--ems", str(mix_ems_file), "--out", "unused.csv"]
+    assert main(["bench-compare", *common, "--grid", "log-t"]) == 2
+    assert main(["bench-convergence", *common, "--corrector", "twice"]) == 2
+    err = capsys.readouterr().err
+    assert "'uniform-lambda', 'uniform-t'" in err and "'none', 'full', 'half'" in err
+
+
 # -- report plumbing ---------------------------------------------------------------------
 
 
@@ -344,6 +430,10 @@ def test_csv_round_trip():
     text = format_csv(rows)
     assert text.split("\n")[0] == CSV_HEADER
     assert parse_csv(text) == rows
+    with pytest.raises(ValueError, match="bad CSV row"):
+        parse_csv(CSV_HEADER + "\nv3,3,none\n")
+    with pytest.raises(ValueError, match="header"):
+        parse_csv("solver,order\n")
 
 
 def test_csv_header_exact_string():

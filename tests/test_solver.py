@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emsolve import (
     DomainError,
     EvalCounter,
+    GaussianMixture,
+    Schedule,
     SolverConfig,
     build_integral_table,
     ddim_sample,
@@ -21,8 +24,8 @@ from emsolve import (
 )
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, estimate_table
 from emsolve.integrals import g_map
-from emsolve.schedule import UNIFORM_LAMBDA
-from emsolve.solver import explicit_vandermonde_solution
+from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
+from emsolve.solver import _snap_grid, explicit_vandermonde_solution
 
 from test_models import closed_form_trajectory
 
@@ -499,6 +502,58 @@ def test_ddim_step_point_mass_exact(vp, pg4):
 def test_ddim_step_rejects_increasing_time(vp):
     with pytest.raises(ValueError):
         ddim_step(vp, np.zeros(2), np.zeros(2), 0.3, 0.7)
+
+
+@st.composite
+def _ddim_cases(draw):
+    """A schedule, a Gaussian mixture of dimension 1-5, a batch size and an NFE of 1-12."""
+    kind = draw(st.sampled_from([VP_LINEAR, VP_COSINE, EDM]))
+    params = {}
+    if kind == VP_LINEAR:
+        params = {"beta0": draw(st.floats(0.01, 1.0)), "beta1": draw(st.floats(5.0, 30.0))}
+    dim, comps = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=comps, max_size=comps)))
+    model = GaussianMixture(
+        weights=raw / raw.sum(),
+        means=draw(hnp.arrays(np.float64, (comps, dim), elements=st.floats(-2.0, 2.0))),
+        stds=draw(hnp.arrays(np.float64, comps, elements=st.floats(0.0, 1.5))),
+    )
+    return dict(
+        sched=Schedule(kind, params),
+        model=model,
+        rows=draw(st.integers(1, 4)),
+        nfe=draw(st.integers(1, 12)),
+        trim=(draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, 0.1))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=50)
+@given(case=_ddim_cases())
+def test_noise_pred_first_order_equals_ddim(case):
+    """Criterion 4 over whole runs: order 1 on the noise-prediction table is DDIM.
+
+    The sampling grid is trimmed inside the table's range, so its points
+    snap, and DDIM runs on the snapped times.  Errors are relative to the
+    larger of the result and the initial state carried to the end, since
+    a few large steps can cancel most of it.
+    """
+    sched, model = case["sched"], case["model"]
+    t_hi, t_lo = sched.t_domain[1], max(sched.t_domain[0], 1e-3)
+    lam_lo, lam_hi = float(sched.lambda_of_t(t_hi)), float(sched.lambda_of_t(t_lo))
+    table = degenerate_table(NOISE_PRED, sched, 240, (lam_lo, lam_hi), model.dim)
+    tab = build_integral_table(table)
+    width = lam_hi - lam_lo
+    t_start = float(sched.t_of_lambda(lam_lo + case["trim"][0] * width))
+    t_end = float(sched.t_of_lambda(lam_hi - case["trim"][1] * width))
+    grid = make_time_grid(sched, case["nfe"], UNIFORM_LAMBDA, t_start, t_end)
+    rng = np.random.default_rng(case["seed"])
+    x0 = sched.sigma_lambda(lam_lo) * rng.standard_normal((case["rows"], model.dim))
+    got, _ = multistep_sample(model, sched, tab, SolverConfig(order=1, grid=grid), x0)
+    ts = _snap_grid(table, sched, grid).ts
+    want = ddim_sample(model, sched, ts, x0)
+    scale = max(np.max(np.abs(want)), np.max(np.abs(x0)) * sched.alpha(ts[-1]) / sched.alpha(ts[0]))
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
 def test_ddim_sample_counts_evaluations(vp, mix4):
