@@ -294,7 +294,7 @@ def cmd_bench_compare(args) -> int:
                 tabs[kind] = build_integral_table(
                     degenerate_table(kind, table.schedule, n_intervals, lam_range, table.dim)
                 )
-        names = ["v3"] + [k for k in args.baselines if k != "ddim"]
+        names = ["v3"] + [k for k in dict.fromkeys(args.baselines) if k != "ddim"]
         out = []
         for nfe in args.nfe:
             cfg = SolverConfig(order=args.order, grid=grids[nfe], corrector=args.corrector)

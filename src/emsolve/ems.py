@@ -134,12 +134,12 @@ def diag_probe_terms(model: ModelSpec, sched: Schedule, lam, datapoints, probe_v
     return (sigma * model.jvp(sched, xs, lam, probe_vectors)) * probe_vectors
 
 
-def estimate_l(model, sched, lam, datapoints, rng, probes: int = 1):
-    """Estimate E[diag(sigma * grad_x eps)] at one lambda over diffused datapoints."""
+def estimate_l(model, sched, lam, datapoints, rng):
+    """Estimate E[diag(sigma * grad_x eps)] at one lambda, one +-1 probe per datapoint."""
     xs = np.asarray(datapoints, dtype=float)
     if xs.ndim != 2 or xs.shape[0] < 1:
         raise ValueError("datapoints must be a nonempty (K, D) array")
-    v = rng.integers(0, 2, size=(probes,) + xs.shape) * 2 - 1
+    v = rng.integers(0, 2, size=(1,) + xs.shape) * 2 - 1
     terms = diag_probe_terms(model, sched, lam, xs, v.astype(float))
     return terms.mean(axis=(0, 1))
 

@@ -54,14 +54,13 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def build_integral_table(ems: EmsTable, detect_constant: bool = True) -> IntegralTable:
+def build_integral_table(ems: EmsTable) -> IntegralTable:
     """Cumulative trapezoid of the five integrals over the (uniform) grid.
 
-    ``detect_constant=False`` suppresses the constant-field detection, forcing
-    downstream coefficient computation through the quadrature path (used by
-    the grid-refinement accuracy checks).  Raises :class:`DomainError` when
-    an integral has a non-finite entry: fields too large for the grid
-    overflow ``exp(L + S)``.
+    Constant fields are recorded in ``const_lsb``; with it set to None the
+    coefficients of any table go through the quadrature path.  Raises
+    :class:`DomainError` when an integral has a non-finite entry: fields too
+    large for the grid overflow ``exp(L + S)``.
     """
     h0 = ems.spacing
     with np.errstate(over="ignore", invalid="ignore"):
@@ -75,7 +74,7 @@ def build_integral_table(ems: EmsTable, detect_constant: bool = True) -> Integra
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"integral {name} has non-finite entries; the fields overflow")
     const = None
-    if detect_constant and ems.is_constant():
+    if ems.is_constant():
         const = (ems.l[0].copy(), ems.s[0].copy(), ems.b[0].copy())
     return IntegralTable(ems=ems, L=L, S=S, B=B, C=C, I=I, const_lsb=const)
 

@@ -382,36 +382,21 @@ def model_id(model: ModelSpec) -> str:
     return f"{model.kind}-d{model.dim}-{hashlib.sha1(blob).hexdigest()[:8]}"
 
 
-class EvalCounter(ModelSpec):
-    """Delegating wrapper that counts noise-prediction calls (the NFE)."""
+class EvalCounter:
+    """Delegate that counts noise-prediction calls (the NFE); every other member is the model's."""
 
     def __init__(self, inner: ModelSpec):
         self.inner = inner
         self.calls = 0
 
-    @property
-    def kind(self):  # type: ignore[override]
-        return self.inner.kind
-
-    @property
-    def dim(self):
-        return self.inner.dim
+    def __getattr__(self, name):
+        if name == "inner":  # not set yet while copy or pickle rebuilds the object
+            raise AttributeError(name)
+        return getattr(self.inner, name)
 
     def eps(self, sched, x, lam):
         self.calls += 1
         return self.inner.eps(sched, x, lam)
-
-    def jvp(self, sched, x, lam, v):
-        return self.inner.jvp(sched, x, lam, v)
-
-    def eps_along_ode(self, sched, x, lam):
-        return self.inner.eps_along_ode(sched, x, lam)
-
-    def sample_data(self, rng, n):
-        return self.inner.sample_data(rng, n)
-
-    def to_dict(self):
-        return self.inner.to_dict()
 
 
 def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):

@@ -202,12 +202,9 @@ class Schedule:
             raise ValueError(f"schedule dict missing key {exc}") from exc
 
 
-def schedules_equal(a: Schedule, b: Schedule, tol: float = 0.0) -> bool:
-    if a.kind != b.kind or set(a.params) != set(b.params):
-        return False
-    params_ok = all(abs(a.params[k] - b.params[k]) <= tol for k in a.params)
-    domain_ok = all(abs(x - y) <= tol for x, y in zip(a.t_domain, b.t_domain))
-    return params_ok and domain_ok
+def schedules_equal(a: Schedule, b: Schedule) -> bool:
+    """Same kind, parameters and time domain, compared exactly."""
+    return a.kind == b.kind and a.params == b.params and a.t_domain == b.t_domain
 
 
 UNIFORM_LAMBDA = "uniform-lambda"
@@ -224,7 +221,6 @@ class TimeGrid:
 
     timesteps: np.ndarray
     lambdas: np.ndarray
-    kind: str
 
     @property
     def num_steps(self) -> int:
@@ -232,11 +228,7 @@ class TimeGrid:
 
 
 def make_time_grid(
-    sched: Schedule,
-    num_steps: int,
-    kind: str = UNIFORM_LAMBDA,
-    t_start: float | None = None,
-    t_end: float | None = None,
+    sched: Schedule, num_steps: int, kind: str, t_start: float, t_end: float
 ) -> TimeGrid:
     """Build a sampling grid of ``num_steps`` intervals from t_start down to t_end.
 
@@ -247,11 +239,6 @@ def make_time_grid(
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
     if kind not in (UNIFORM_LAMBDA, UNIFORM_T):
         raise ValueError(f"unknown grid kind {kind!r}")
-    lo, hi = sched.t_domain
-    if t_start is None:
-        t_start = hi
-    if t_end is None:
-        t_end = lo if lo > 0 else 1e-3
     if not t_start > t_end:
         raise ValueError(f"need t_start > t_end, got {t_start} <= {t_end}")
     lam_start = float(sched.lambda_of_t(t_start))
@@ -263,4 +250,4 @@ def make_time_grid(
     else:
         timesteps = np.linspace(t_start, t_end, num_steps + 1)
         lambdas = np.asarray(sched.lambda_of_t(timesteps), dtype=float)
-    return TimeGrid(timesteps=timesteps, lambdas=lambdas, kind=kind)
+    return TimeGrid(timesteps=timesteps, lambdas=lambdas)

@@ -30,7 +30,7 @@ from .ems import EmsTable
 from .errors import DomainError
 from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
-from .schedule import Schedule, TimeGrid
+from .schedule import Schedule, TimeGrid, schedules_equal
 
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
@@ -139,19 +139,13 @@ def explicit_vandermonde_solution(deltas, g_diffs):
     return total
 
 
-def lupdate(
-    tab: IntegralTable,
-    anchor: tuple,
-    extras: list,
-    j_t: int,
-    pseudo: bool = False,
-):
+def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     """One local transition from the anchor grid point to grid point ``j_t``.
 
     ``anchor`` is (grid index, state, g value); ``extras`` is a
     nearest-first list of (grid index, g value) pairs supplying the higher
-    derivative estimates.  All g values must be expressed against this
-    anchor.  Returns the approximated state at ``j_t``.
+    derivative estimates, solved exactly (full order).  All g values must be
+    expressed against this anchor.  Returns the approximated state at ``j_t``.
     """
     j_s, x_s, g_s = anchor
     grid = tab.lambda_grid
@@ -159,7 +153,7 @@ def lupdate(
     if lam_t < lam_s:
         raise ValueError(f"target lambda {lam_t} precedes anchor lambda {lam_s}")
     coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
-    return _update(coeffs, x_s, g_s, [(grid[j] - grid[j_s], g) for j, g in extras], pseudo)
+    return _update(coeffs, x_s, g_s, [(grid[j] - grid[j_s], g) for j, g in extras], False)
 
 
 def _update(coeffs: Transition, x_s, g_s, history, pseudo: bool):
@@ -186,7 +180,11 @@ class _Grid(NamedTuple):
 
 
 def _snap_grid(table: EmsTable, sched: Schedule, grid: TimeGrid) -> _Grid:
-    """Snap sampling lambdas to table indices; they must stay strictly increasing."""
+    """Snap sampling lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
+    if not (sched is table.schedule or schedules_equal(sched, table.schedule)):
+        raise ValueError(
+            f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
+        )
     idx = [table.index_of(lam) for lam in grid.lambdas]
     if np.any(np.diff(idx) <= 0):
         raise ValueError(
@@ -310,6 +308,7 @@ def multistep_sample(
     corrector reuses the step's evaluation instead of adding one).  Early
     steps ramp the order up as history becomes available.  ``x_init`` may be
     ``(D,)`` or ``(B, D)``.  Returns the final state and a per-step trace.
+    Raises ValueError unless ``sched`` equals ``tab.ems.schedule``.
 
     Each trace row holds the target's ``t`` and ``lambda``, its state ``x``
     and noise prediction ``eps`` as float64 arrays of the state's shape (the
@@ -353,7 +352,8 @@ def singlestep_sample(
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
     order.  Corrector and pseudo flags do not apply to this path.  ``x_init``
-    may be ``(D,)`` or ``(B, D)``; returns the final state.
+    may be ``(D,)`` or ``(B, D)``; returns the final state.  Raises
+    ValueError unless ``sched`` equals ``tab.ems.schedule``.
     """
     grid = _snap_grid(tab.ems, sched, cfg.grid)
     total = len(grid.idx) - 1
@@ -380,7 +380,12 @@ def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
 
 
 def ddim_sample(model: ModelSpec, sched: Schedule, timesteps, x_init):
-    """Run the first-order baseline over a decreasing sequence of timesteps."""
+    """Run the first-order baseline over a decreasing sequence of timesteps.
+
+    Steps between the given times as they are, with no snapping to any
+    table.  The CLI passes the sampling grid's times snapped to the table,
+    so its DDIM runs see the same times as the table-driven samplers.
+    """
     ts = np.asarray(timesteps, dtype=float)
     x = np.asarray(x_init, dtype=float)
     for i in range(len(ts) - 1):

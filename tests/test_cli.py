@@ -313,6 +313,27 @@ def test_bench_compare_deterministic(cli_files, mix_ems_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_bench_compare_repeated_baselines_run_once(cli_files, mix_ems_file):
+    def csv_bytes(baselines, name):
+        out = cli_files["root"] / name
+        code = main(
+            [
+                "bench-compare",
+                "--model", str(cli_files["mix"]),
+                "--ems", str(mix_ems_file),
+                "--baselines", *baselines,
+                "--nfe", "5",
+                "--seeds", "2", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        return out.read_bytes()
+
+    once = csv_bytes(["noise-pred", "ddim"], "once.csv")
+    assert csv_bytes(["noise-pred", "noise-pred", "ddim", "ddim"], "repeated.csv") == once
+
+
 def test_bench_compare_seed_batch_equals_single_seed_runs(cli_files, mix_ems_file):
     def per_seed_rows(seeds, name):
         out = cli_files["root"] / name

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -26,6 +27,11 @@ from emsolve.integrals import (
 )
 
 LAM_RANGE = (-4.0, 4.0)
+
+
+def quadrature_table(table):
+    """The integral table of ``table`` with its coefficients on the quadrature path."""
+    return dataclasses.replace(build_integral_table(table), const_lsb=None)
 
 
 def make_constant_table(sched, n, c_l, c_s, c_b, dim=None):
@@ -60,7 +66,7 @@ def smooth_table(vp):
 
 def test_build_zero_fields(vp):
     table = make_constant_table(vp, 40, [0.0], [0.0], [0.0])
-    tab = build_integral_table(table, detect_constant=False)
+    tab = quadrature_table(table)
     for name in ("L", "S", "B", "C"):
         assert np.max(np.abs(getattr(tab, name))) < 1e-14
     want = table.lambda_grid - table.lambda_grid[0]
@@ -72,7 +78,7 @@ def test_build_unit_l_refines_to_exponential(vp):
     errs = []
     for n in (40, 80):
         table = make_constant_table(vp, n, [1.0], [0.0], [0.0])
-        tab = build_integral_table(table, detect_constant=False)
+        tab = quadrature_table(table)
         span = table.lambda_grid - table.lambda_grid[0]
         assert np.max(np.abs(tab.L[:, 0] - span)) < 1e-12
         errs.append(np.max(np.abs(tab.I[:, 0] - np.expm1(span))))
@@ -82,7 +88,7 @@ def test_build_unit_l_refines_to_exponential(vp):
 def test_build_constant_b_polynomial_exact(vp):
     beta = 0.75
     table = make_constant_table(vp, 64, [0.0], [0.0], [beta])
-    tab = build_integral_table(table, detect_constant=False)
+    tab = quadrature_table(table)
     span = table.lambda_grid - table.lambda_grid[0]
     assert np.max(np.abs(tab.B[:, 0] - beta * span)) < 1e-12
     # C integrates a degree-1 polynomial: the trapezoid is exact
@@ -113,8 +119,8 @@ def test_build_rejects_fields_that_overflow(vp, fields, name):
 
 
 def test_coeff_A_examples(vp):
-    unit = build_integral_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0]), False)
-    zero = build_integral_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]), False)
+    unit = quadrature_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0]))
+    zero = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]))
     lam = unit.lambda_grid
     assert np.allclose(coeff_A(unit, 12, 12), 1.0)
     assert np.allclose(coeff_A(unit, 10, 50), np.exp(lam[10] - lam[50]), atol=1e-12)
@@ -122,26 +128,26 @@ def test_coeff_A_examples(vp):
 
 
 def test_coeff_int_EB_examples(vp):
-    zero_b = build_integral_table(make_constant_table(vp, 64, [0.4], [-0.2], [0.0]), False)
+    zero_b = quadrature_table(make_constant_table(vp, 64, [0.4], [-0.2], [0.0]))
     assert np.allclose(coeff_int_EB(zero_b, 5, 40), 0.0, atol=1e-14)
     assert np.allclose(coeff_int_EB(zero_b, 7, 7), 0.0)
     # with l = s = 0 every integrand involved is polynomial of degree <= 1,
     # so the hand value beta h^2 / 2 is reproduced exactly
     beta = 0.6
-    tab = build_integral_table(make_constant_table(vp, 64, [0.0], [0.0], [beta]), False)
+    tab = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [beta]))
     j_s, j_t = 16, 48
     h = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
     assert float(coeff_int_EB(tab, j_s, j_t)[0]) == pytest.approx(beta * h**2 / 2.0, rel=1e-12)
 
 
 def test_coeff_E0_examples(vp):
-    flat = build_integral_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]), False)
+    flat = quadrature_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]))
     h = flat.lambda_grid[40] - flat.lambda_grid[8]
     assert np.allclose(coeff_E0(flat, 8, 40), h, atol=1e-12)
     assert np.allclose(coeff_E0(flat, 9, 9), 0.0)
     errs = []
     for n in (64, 128):
-        tab = build_integral_table(make_constant_table(vp, n, [0.0], [-1.0], [0.0]), False)
+        tab = quadrature_table(make_constant_table(vp, n, [0.0], [-1.0], [0.0]))
         j_s, j_t = n // 4, 3 * n // 4
         h = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
         errs.append(abs(float(coeff_E0(tab, j_s, j_t)[0]) - (1.0 - np.exp(-h))))
@@ -165,13 +171,13 @@ def test_coeff_E0_identity_matches_direct_trapezoid(smooth_table):
 
 
 def test_coeff_Ek_flat_cases(vp):
-    flat = build_integral_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]), False)
+    flat = quadrature_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]))
     h = flat.lambda_grid[48] - flat.lambda_grid[16]
     # degree-1 integrand: trapezoid exact
     assert np.allclose(coeff_Ek(flat, 16, 48, 1), h**2 / 2.0, atol=1e-12)
     errs = []
     for n in (64, 128):
-        tab = build_integral_table(make_constant_table(vp, n, [0.3], [-0.3], [0.0]), False)
+        tab = quadrature_table(make_constant_table(vp, n, [0.3], [-0.3], [0.0]))
         j_s, j_t = n // 4, 3 * n // 4
         hh = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
         errs.append(abs(float(coeff_Ek(tab, j_s, j_t, 2)[0]) - hh**3 / 6.0))
@@ -189,7 +195,7 @@ def test_coeff_Ek_is_deterministic(smooth_table):
 
 
 def test_g_coefficients_examples(vp, edm):
-    zero = build_integral_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]), False)
+    zero = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]))
     lam = float(zero.lambda_grid[30])
     a, b, c = g_coefficients(zero, 30, 30)
     assert np.allclose(a, 0.0) and np.allclose(c, 0.0)
@@ -197,7 +203,7 @@ def test_g_coefficients_examples(vp, edm):
 
 
 def test_g_coefficients_data_pred_is_negative_data_prediction(vp):
-    tab = build_integral_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0], dim=3), False)
+    tab = quadrature_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0], dim=3))
     j_a, j_l = 20, 44
     lam = float(tab.lambda_grid[j_l])
     a, b, c = g_coefficients(tab, j_a, j_l)
@@ -242,7 +248,7 @@ def test_closed_forms_are_refinement_limits(vp):
     errs = {"E0": [], "E2": [], "intEB": [], "g_c": []}
     for n in (80, 160):
         table = make_constant_table(vp, n, c_l, c_s, c_b)
-        tab = build_integral_table(table, detect_constant=False)
+        tab = quadrature_table(table)
         j_s, j_t = n // 4, 3 * n // 4
         lam_s, lam_t = float(table.lambda_grid[j_s]), float(table.lambda_grid[j_t])
         errs["E0"].append(

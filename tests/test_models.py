@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,13 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp as scipy_logsumexp
 
 from emsolve import (
+    EmsConfig,
+    EvalCounter,
     GaussianMixture,
     Guided,
     PointGaussian,
     Schedule,
+    estimate_table,
     forward_diffuse,
     model_from_dict,
     model_id,
@@ -333,6 +338,31 @@ def test_model_serialization_round_trip(mix4, pg4):
         again = model_from_dict(model.to_dict())
         assert again.to_dict() == model.to_dict()
         assert model_id(again) == model_id(model)
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_eval_counter_delegates_and_counts_only_eps(vp, mix4, pg4, guided):
+    model = Guided(cond=mix4, uncond=pg4, scale=2.5) if guided else mix4
+    counted = EvalCounter(model)
+    assert (counted.dim, counted.kind) == (model.dim, model.kind)
+    assert counted.to_dict() == model.to_dict() and model_id(counted) == model_id(model)
+    rng = np.random.default_rng(3)
+    x, v, lam = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), 0.4
+    assert np.array_equal(counted.jvp(vp, x, lam, v), model.jvp(vp, x, lam, v))
+    for got, want in zip(counted.eps_along_ode(vp, x, lam), model.eps_along_ode(vp, x, lam)):
+        assert np.array_equal(got, want)
+    draws = [m.sample_data(np.random.default_rng(5), 7) for m in (counted, model)]
+    assert np.array_equal(*draws)
+    cfg = EmsConfig(num_timesteps=16, num_datapoints=64, lam_range=(-2.0, 2.0), seed=1)
+    got, want = estimate_table(counted, vp, cfg), estimate_table(model, vp, cfg)
+    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.meta == want.meta
+    assert counted.calls == 0  # only eps counts
+    assert np.array_equal(counted.eps(vp, x, lam), model.eps(vp, x, lam))
+    assert counted.calls == 1
+    again = pickle.loads(pickle.dumps(counted))
+    assert (again.calls, again.to_dict()) == (1, model.to_dict())
 
 
 def test_model_from_dict_errors():

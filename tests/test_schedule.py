@@ -115,6 +115,11 @@ def test_schedule_serialization_round_trip():
         again = Schedule.from_dict(sched.to_dict())
         assert schedules_equal(sched, again)
     assert not schedules_equal(Schedule("vp-linear"), Schedule("edm"))
+    # exact comparison: the smallest change to a parameter or the domain differs
+    vp = Schedule("vp-linear")
+    assert not schedules_equal(vp, Schedule("vp-linear", params={"beta1": 20.0 + 1e-12}))
+    assert not schedules_equal(vp, Schedule("vp-linear", t_domain=(0.0, 1.0 - 1e-12)))
+    assert schedules_equal(vp, Schedule("vp-linear", params={"beta0": 0.1}, t_domain=(0, 1)))
 
 
 def test_schedule_validation():

@@ -231,6 +231,24 @@ def test_multistep_point_mass_data_pred_order2(vp, pg4, vp_lam_range):
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+def test_samplers_reject_a_table_for_another_schedule(vp, edm, mix4, sampler):
+    # lambdas inside both schedules' ranges: only the check stops the edm run
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 200, (-3.0, 3.0), 4))
+    t_start, t_end = float(vp.t_of_lambda(-3.0)), float(vp.t_of_lambda(3.0))
+    cfg = SolverConfig(order=2, grid=make_time_grid(vp, 6, UNIFORM_LAMBDA, t_start, t_end))
+    x0 = vp.sigma_lambda(-3.0) * np.random.default_rng(4).standard_normal(4)
+
+    def final(sched):
+        out = sampler(mix4, sched, tab, cfg, x0)
+        return out[0] if sampler is multistep_sample else out
+
+    with pytest.raises(ValueError, match="the table is for schedule"):
+        final(edm)
+    # an equal schedule held in another object samples the same bits
+    assert np.array_equal(final(Schedule(VP_LINEAR)), final(vp))
+
+
 @pytest.mark.parametrize("corrector,pseudo_c", [("none", False), ("full", False), ("full", True), ("half", False)])
 def test_multistep_nfe_is_step_count(vp, mix4, mix_tab, corrector, pseudo_c):
     grid = make_time_grid(vp, 12, UNIFORM_LAMBDA, 1.0, 1e-3)
