@@ -4,7 +4,6 @@ from .ems import (
     EmsConfig,
     EmsTable,
     degenerate_table,
-    estimate_l,
     estimate_sb,
     estimate_table,
     eval_f,

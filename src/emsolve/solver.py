@@ -1,21 +1,28 @@
 """High-order exponential-integrator sampling on a precomputed step plan.
 
 The local update transits from an anchor state to a later lambda by Taylor
-expansion of the reparameterized model output g; the needed lambda-derivatives
-of g are estimated from previous function values, either by solving the small
-polynomial-matching linear system exactly (full order) or by a
+expansion of the reparameterized model output g.  The needed
+lambda-derivatives of g are estimated from previous function values, either
+by matching a polynomial through all of them (full order) or by a
 divided-difference recurrence that uses only the nearest k+1 values for the
-k-th derivative ("pseudo" order, more stable at very few steps).
+k-th derivative ("pseudo" order, more stable at very few steps).  Both
+estimates are linear in the g values, with scalar weights that depend only
+on the step's lambda offsets, so they are computed in closed form when the
+plan is built and folded with the E^k weights into one ``(D,)`` vector per g
+value: a step makes no linear solve.  :func:`estimate_derivatives` (by
+elimination) and :func:`estimate_derivatives_pseudo` (by the recurrence)
+remain as independent references.
 
 A sampler lists its transitions over the snapped grid as (anchor, target,
 history, corrector) tuples.  The plan built from them once per call holds
-each transition's coefficients and the g-map of every position it reads, so
-one loop runs every sampler: it makes the model calls, re-expresses the kept
-states and noise predictions against each step's anchor, and applies the
-update.  The multistep corrector reuses the step's model evaluation (no extra
-NFE).  States may be ``(D,)`` or ``(B, D)``: rows never mix, so a batch gives
-the same bits as its rows run one at a time.  A sampling run is strictly
-sequential; independent runs can share the immutable tables.
+each transition's coefficients, its Taylor weights and the g-map of every
+position it reads, so one loop runs every sampler: it makes the model calls,
+re-expresses the kept states and noise predictions against each step's
+anchor, and applies the update.  The multistep corrector reuses the step's
+model evaluation (no extra NFE).  States may be ``(D,)`` or ``(B, D)``: rows
+never mix, so a batch gives the same bits as its rows run one at a time.  A
+sampling run is strictly sequential; independent runs can share the
+immutable tables.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ CORRECTOR_HALF = "half"
 CORRECTORS = (CORRECTOR_NONE, CORRECTOR_FULL, CORRECTOR_HALF)
 
 _MAX_PREDICTOR_ORDER = 3
+_FACTORIALS = np.array([math.factorial(k) for k in range(_MAX_PREDICTOR_ORDER + 1)], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +82,15 @@ class SolverConfig:
             raise ValueError("pseudo_corrector requires a corrector strategy")
 
 
-def _check_deltas(deltas):
-    deltas = np.asarray(deltas, dtype=float)
+def _check_deltas(deltas) -> list:
+    """The offsets as floats; raises ValueError unless 1..3 finite, nonzero and distinct."""
+    deltas = [float(d) for d in deltas]
     n = len(deltas)
     if n < 1 or n > _MAX_PREDICTOR_ORDER:
         raise ValueError(f"need 1..{_MAX_PREDICTOR_ORDER} offsets, got {n}")
-    if np.any(deltas == 0.0) or len(np.unique(deltas)) != n:
+    if not all(map(math.isfinite, deltas)):
+        raise ValueError(f"lambda offsets must be finite, got {deltas}")
+    if 0.0 in deltas or len(set(deltas)) != n:
         raise ValueError(f"lambda offsets must be nonzero and distinct, got {deltas}")
     return deltas
 
@@ -116,7 +127,7 @@ def estimate_derivatives_pseudo(deltas, g_values):
         raise ValueError(f"need {n + 1} g values (anchor first), got {len(g_values)}")
     if n == 1:
         return [(np.asarray(g_values[1]) - np.asarray(g_values[0])) / deltas[0]]
-    offsets = np.concatenate([[0.0], deltas])
+    offsets = [0.0] + deltas
     table = [np.asarray(g, dtype=float) for g in g_values]
     out = []
     for k in range(1, n + 1):
@@ -128,15 +139,53 @@ def estimate_derivatives_pseudo(deltas, g_values):
     return out
 
 
+def taylor_rows(deltas, pseudo: bool) -> list:
+    """Scalar weights ``w[p][k]`` with g^(k)/k! estimated as ``sum_p w[p][k] g_p``.
+
+    The nodes are the anchor's offset 0 and then ``deltas``, and ``g_p`` is
+    the g value at node p.  Full order gives the coefficients of each node's
+    Lagrange basis polynomial: the exact solution that
+    :func:`estimate_derivatives` finds by elimination.  Pseudo order gives
+    the divided-difference weights ``1 / prod_{q <= k, q != p} (x_p - x_q)``
+    for p <= k (zero above), those of :func:`estimate_derivatives_pseudo`.
+    No offsets gives ``[[1.0]]``.
+    """
+    nodes = [0.0] + (_check_deltas(deltas) if len(deltas) else [])
+    n = len(nodes)
+    rows = []
+    for p, x_p in enumerate(nodes):
+        denom = 1.0
+        if pseudo:
+            row = [0.0] * n
+            for k, x_k in enumerate(nodes):
+                if k != p:
+                    denom *= x_p - x_k
+                if k >= p:
+                    row[k] = 1.0 / denom
+        else:
+            row = [1.0]  # prod_{q != p} (x - x_q), increasing powers
+            for x_q in nodes:
+                if x_q != x_p:
+                    row.insert(0, 0.0)
+                    for i in range(len(row) - 1):
+                        row[i] -= x_q * row[i + 1]
+                    denom *= x_p - x_q
+            row = [c / denom for c in row]
+        rows.append(row)
+    return rows
+
+
 def explicit_vandermonde_solution(deltas, g_diffs):
-    """Closed-form top coefficient g^(n)/n! from the partial-fraction inverse row."""
-    deltas = _check_deltas(deltas)
-    offsets = np.concatenate([[0.0], deltas])
-    total = 0.0
-    for p in range(1, len(offsets)):
-        denom = np.prod([offsets[p] - offsets[q] for q in range(len(offsets)) if q != p])
-        total = total + np.asarray(g_diffs[p - 1]) / denom
-    return total
+    """Closed-form top coefficient g^(n)/n!, read off the full-order rows' last column."""
+    rows = taylor_rows(deltas, False)
+    return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
+
+
+def _taylor_weights(coeffs: Transition, deltas, pseudo: bool) -> np.ndarray:
+    """Anchor-first ``(n + 1, D)`` weights ``V_p = sum_k k! w[p][k] E^k`` of the g values read."""
+    rows = taylor_rows(deltas, pseudo)
+    n = len(rows)
+    return np.array(rows) @ (np.array(coeffs.E[:n]) * _FACTORIALS[:n, None])
 
 
 def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
@@ -144,7 +193,7 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
 
     ``anchor`` is (grid index, state, g value); ``extras`` is a
     nearest-first list of (grid index, g value) pairs supplying the higher
-    derivative estimates, solved exactly (full order).  All g values must be
+    derivative estimates, matched exactly (full order).  All g values must be
     expressed against this anchor.  Returns the approximated state at ``j_t``.
     """
     j_s, x_s, g_s = anchor
@@ -153,21 +202,15 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     if lam_t < lam_s:
         raise ValueError(f"target lambda {lam_t} precedes anchor lambda {lam_s}")
     coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
-    return _update(coeffs, x_s, g_s, [(grid[j] - grid[j_s], g) for j, g in extras], False)
+    weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
+    return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])
 
 
-def _update(coeffs: Transition, x_s, g_s, history, pseudo: bool):
-    """The Taylor-expanded update; ``history`` is nearest-first (lambda offset, g) pairs."""
-    g_hat = [np.asarray(g_s, dtype=float)]
-    if history:
-        deltas = np.array([d for d, _ in history])
-        if pseudo:
-            g_hat += estimate_derivatives_pseudo(deltas, [g_s] + [g for _, g in history])
-        else:
-            g_hat += estimate_derivatives(deltas, [g - g_s for _, g in history])
-    total = np.zeros_like(np.asarray(x_s, dtype=float))
-    for k, g_hat_k in enumerate(g_hat):
-        total = total + math.factorial(k) * g_hat_k * coeffs.E[k]
+def _update(coeffs: Transition, x_s, weights, gs):
+    """The Taylor-expanded update: x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p)."""
+    total = weights[0] * gs[0]
+    for v, g in zip(weights[1:], gs[1:]):
+        total += v * g
     return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
 
 
@@ -202,7 +245,10 @@ class _Step:
     ``history`` and ``corrector`` are nearest-first positions whose g values
     feed the predictor and (after the target's own value) the corrector;
     ``corrector`` is None when the step is not corrected.  ``g_maps`` holds
-    the (a, b, c) map against the anchor of every position the step reads.
+    the (a, b, c) map against the anchor of every position it reads.
+    ``weights`` are the predictor's Taylor weights for the g values at
+    ``(anchor,) + history``, ``corrector_weights`` the corrector's for
+    ``(anchor, target) + corrector``.
     """
 
     anchor: int
@@ -211,28 +257,39 @@ class _Step:
     corrector: tuple | None
     coeffs: Transition
     g_maps: dict
+    weights: np.ndarray
+    corrector_weights: np.ndarray | None
 
 
-def _plan(tab: IntegralTable, idx, transitions) -> list:
-    """Attach the coefficients of each (anchor, target, history, corrector) tuple."""
+def _plan(
+    tab: IntegralTable, grid: _Grid, transitions, pseudo_predictor=False, pseudo_corrector=False
+) -> list:
+    """Attach coefficients and Taylor weights to each (anchor, target, history, corrector) tuple."""
+    lams = grid.lams.tolist()
     steps = []
     maps = {}  # (anchor, position) -> g-map; singlestep substeps share an anchor
     for anchor, target, history, corrector in transitions:
         # the corrector also reads the target's own g value, so it needs one more E^k
         n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
-        coeffs = transition_coefficients(tab, idx[anchor], idx[target], n)
+        coeffs = transition_coefficients(tab, grid.idx[anchor], grid.idx[target], n)
         reads = (anchor, target) + history + (corrector or ())
         for p in reads:
             if (anchor, p) not in maps:
-                maps[anchor, p] = g_map(tab, idx[anchor], idx[p])
+                maps[anchor, p] = g_map(tab, grid.idx[anchor], grid.idx[p])
         g_maps = {p: maps[anchor, p] for p in reads}
-        steps.append(_Step(anchor, target, history, corrector, coeffs, g_maps))
+        lam_a = lams[anchor]
+        weights = _taylor_weights(coeffs, [lams[p] - lam_a for p in history], pseudo_predictor)
+        corrector_weights = None
+        if corrector is not None:
+            deltas = [lams[p] - lam_a for p in (target,) + corrector]
+            corrector_weights = _taylor_weights(coeffs, deltas, pseudo_corrector)
+        steps.append(
+            _Step(anchor, target, history, corrector, coeffs, g_maps, weights, corrector_weights)
+        )
     return steps
 
 
-def _run(
-    model, sched, tab, grid, plan, x_init, pseudo_predictor=False, pseudo_corrector=False, trace=None
-):
+def _run(model, sched, tab, grid, plan, x_init, trace=None):
     """Run ``plan`` over the snapped ``grid`` from ``x_init``; returns the final state.
 
     One model call on the initial state and one per step except the last.
@@ -250,9 +307,8 @@ def _run(
         a_pos, t_pos = step.anchor, step.target
         reads = (a_pos,) + step.history + (step.corrector or ())
         g = {p: _g_value(step.g_maps[p], *pairs[p]) for p in reads}
-        x_s, lam_s = pairs[a_pos][0], lams[a_pos]
-        history = [(lams[p] - lam_s, g[p]) for p in step.history]
-        x = _update(step.coeffs, x_s, g[a_pos], history, pseudo_predictor)
+        x_s = pairs[a_pos][0]
+        x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
         if i == len(plan) - 1:
             if trace is not None:
                 trace.append(_trace_row(ts[t_pos], lams[t_pos], x, None, None))
@@ -261,8 +317,8 @@ def _run(
         eps = model.eps(sched, x, lams[t_pos])
         g[t_pos] = _g_value(step.g_maps[t_pos], x, eps)
         if step.corrector is not None:
-            history = [(lams[p] - lam_s, g[p]) for p in (t_pos,) + step.corrector]
-            x_corr = _update(step.coeffs, x_s, g[a_pos], history, pseudo_corrector)
+            gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
+            x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
             # adjust the noise prediction so the corrected pair maps to the
             # same g value: a*dx + b*(l/sigma)*dx = 0 by construction
             eps = eps + tab.ems.l[grid.idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
@@ -331,11 +387,9 @@ def multistep_sample(
         history = tuple(range(m - 2, m - 1 - n_m, -1))
         corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
         transitions.append((m - 1, m, history, corrector))
-    plan = _plan(tab, grid.idx, transitions)
+    plan = _plan(tab, grid, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
     trace = []
-    x = _run(
-        model, sched, tab, grid, plan, x_init, cfg.pseudo_predictor, cfg.pseudo_corrector, trace
-    )
+    x = _run(model, sched, tab, grid, plan, x_init, trace)
     return x, trace
 
 
@@ -362,7 +416,7 @@ def singlestep_sample(
         for start in range(0, total, cfg.order)
         for target in range(start + 1, min(start + cfg.order, total) + 1)
     ]
-    return _run(model, sched, tab, grid, _plan(tab, grid.idx, transitions), x_init)
+    return _run(model, sched, tab, grid, _plan(tab, grid, transitions), x_init)
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):

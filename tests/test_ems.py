@@ -13,7 +13,6 @@ from emsolve import (
     TableFormatError,
     UnsupportedVersionError,
     degenerate_table,
-    estimate_l,
     estimate_sb,
     estimate_table,
     eval_f,
@@ -46,6 +45,16 @@ class ConstantModel(ModelSpec):
     def jvp(self, sched, x, lam, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
+    def eps_along_ode(self, sched, x, lam):
+        eps = self.eps(sched, x, lam)
+        return eps, np.zeros_like(eps)
+
+    def sample_data(self, rng, n):
+        return rng.standard_normal((n, self.dim))
+
+    def to_dict(self):
+        return {"kind": self.kind, "value": self.value.tolist()}
+
 
 def exact_diag(model, sched, lam, xs):
     """sigma * diagonal of grad eps via basis-vector JVPs (independent oracle)."""
@@ -62,19 +71,29 @@ def exact_diag(model, sched, lam, xs):
 # -- stochastic diagonal estimator ------------------------------------------------
 
 
+def table_datapoints(model, sched, cfg, lam):
+    """The diffused points ``estimate_table`` transports to ``lam`` (its common random numbers)."""
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x0 = model.sample_data(rng, cfg.num_datapoints)
+    z = rng.standard_normal(x0.shape)
+    return sched.alpha_lambda(lam) * x0 + sched.sigma_lambda(lam) * z
+
+
 def test_estimate_l_point_gaussian_exact(vp, pg4):
-    rng = np.random.default_rng(0)
-    xs = forward_diffuse(vp, pg4.sample_data(rng, 32), 0.7, rng)
-    got = estimate_l(pg4, vp, 0.7, xs, rng)
+    cfg = EmsConfig(num_timesteps=8, num_datapoints=32, lam_range=(-1.0, 0.7), seed=0)
+    table = estimate_table(pg4, vp, cfg)
     # sigma * grad eps = I, so every Rademacher probe contributes exactly 1
-    assert np.max(np.abs(got - 1.0)) < 1e-14
+    assert np.max(np.abs(table.l - 1.0)) < 1e-14
 
 
 def test_estimate_l_zero_jacobian(vp):
     model = ConstantModel([0.5, -1.0, 2.0])
-    rng = np.random.default_rng(1)
-    xs = rng.standard_normal((16, 3))
-    assert np.array_equal(estimate_l(model, vp, 0.0, xs, rng), np.zeros(3))
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=16, lam_range=(-1.0, 1.0), seed=1)
+    table = estimate_table(model, vp, cfg)
+    assert np.array_equal(table.l, np.zeros((5, 3)))
+    probes = np.where(np.random.default_rng(1).random((2, 16, 3)) < 0.5, -1.0, 1.0)
+    terms = diag_probe_terms(model, vp, 0.0, np.ones((16, 3)), probes)
+    assert np.array_equal(terms, np.zeros((2, 16, 3)))
 
 
 def test_estimate_l_within_three_standard_errors(vp, mix4):
@@ -93,12 +112,11 @@ def test_estimate_l_within_three_standard_errors(vp, mix4):
 
 def test_estimate_l_unbiased_over_seeds(vp, mix4):
     lam = -0.5
-    k = 256
     diffs = []
-    for seed in range(50):
-        rng = np.random.default_rng(100 + seed)
-        xs = forward_diffuse(vp, mix4.sample_data(rng, k), lam, rng)
-        est = estimate_l(mix4, vp, lam, xs, rng)
+    for seed in range(400):
+        cfg = EmsConfig(num_timesteps=1, num_datapoints=256, lam_range=(lam, 0.0), seed=100 + seed)
+        est = estimate_table(mix4, vp, cfg).l[0]
+        xs = table_datapoints(mix4, vp, cfg, lam)
         diffs.append(est - exact_diag(mix4, vp, lam, xs).mean(axis=0))
     diffs = np.array(diffs)
     se = diffs.std(axis=0, ddof=1) / np.sqrt(len(diffs))
@@ -106,8 +124,8 @@ def test_estimate_l_unbiased_over_seeds(vp, mix4):
 
 
 def test_estimate_l_empty_datapoints(vp, mix4):
-    with pytest.raises(ValueError):
-        estimate_l(mix4, vp, 0.0, np.empty((0, 4)), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="num_datapoints"):
+        EmsConfig(num_timesteps=4, num_datapoints=0, lam_range=(-1.0, 1.0))
 
 
 def test_chunked_reduction_matches_serial(vp, mix4):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,9 +25,9 @@ from emsolve import (
     singlestep_sample,
 )
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, estimate_table
-from emsolve.integrals import g_map
+from emsolve.integrals import Transition, g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
-from emsolve.solver import _snap_grid, explicit_vandermonde_solution
+from emsolve.solver import _snap_grid, _taylor_weights, explicit_vandermonde_solution, taylor_rows
 
 from test_models import closed_form_trajectory
 
@@ -139,6 +141,80 @@ def test_vandermonde_explicit_inverse_matches_elimination():
         closed = explicit_vandermonde_solution(deltas, diffs)
         worst = max(worst, float(np.max(np.abs(sol[-1] - closed))))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_non_finite_offsets_raise(bad, position):
+    deltas = [-0.3, -0.6]
+    deltas[position] = bad
+    with pytest.raises(ValueError, match="finite"):
+        estimate_derivatives(deltas, [np.ones(2), np.ones(2)])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_derivatives_pseudo(deltas, [np.zeros(2), np.ones(2), np.ones(2)])
+    for pseudo in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            taylor_rows(deltas, pseudo)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_derivatives([bad], [np.ones(2)])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_derivatives_pseudo([bad], [np.zeros(2), np.ones(2)])
+
+
+def test_taylor_rows_by_hand():
+    # nodes (0, -1, 1): Lagrange bases 1 - x^2, (x^2 - x)/2, (x^2 + x)/2
+    assert taylor_rows([-1.0, 1.0], False) == [[1.0, 0.0, -1.0], [0.0, -0.5, 0.5], [0.0, 0.5, 0.5]]
+    # divided differences: f[x0, x1] = g0 - g1, f[x0, x1, x2] = -g0 + g1/2 + g2/2
+    assert taylor_rows([-1.0, 1.0], True) == [[1.0, 1.0, -1.0], [0.0, -1.0, 0.5], [0.0, 0.0, 0.5]]
+    assert taylor_rows([], False) == taylor_rows([], True) == [[1.0]]
+    with pytest.raises(ValueError):
+        taylor_rows([0.5, 0.5], False)
+
+
+@st.composite
+def _taylor_cases(draw):
+    n = draw(st.integers(1, 3))
+    deltas = draw(st.lists(st.floats(-2.0, -0.1), min_size=n, max_size=n))
+    gaps = [abs(a - b) for i, a in enumerate(deltas) for b in deltas[i + 1 :]]
+    assume(all(gap > 0.05 for gap in gaps))
+    values = st.floats(-10.0, 10.0)
+    gs = draw(hnp.arrays(float, (n + 1, 2, 3), elements=values))
+    E = draw(hnp.arrays(float, (n + 1, 3), elements=st.floats(0.01, 1.0)))
+    return deltas, gs, E, draw(st.booleans())
+
+
+@settings(max_examples=200)
+@given(case=_taylor_cases())
+def test_plan_weights_equal_estimators_then_taylor_sum(case):
+    """The plan's weights on g values give the estimators' Taylor sum, to 1e-12 of its max."""
+    deltas, gs, E, pseudo = case
+    coeffs = Transition(1.0, 1.0, np.ones(3), np.zeros(3), tuple(E))
+    got = sum(v * g for v, g in zip(_taylor_weights(coeffs, deltas, pseudo), gs))
+    if pseudo:
+        g_hat = estimate_derivatives_pseudo(deltas, list(gs))
+    else:
+        g_hat = estimate_derivatives(deltas, [g - gs[0] for g in gs[1:]])
+    want = gs[0] * E[0] + sum(math.factorial(k) * g_k * E[k] for k, g_k in enumerate(g_hat, 1))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+def test_samplers_make_no_linear_solve(vp, mix4, mix_tab, monkeypatch, pseudo):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called on the sampling path")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    with pytest.raises(AssertionError):
+        estimate_derivatives([-0.3, -0.6], [np.ones(2), np.ones(2)])
+    grid = make_time_grid(vp, 8, UNIFORM_LAMBDA, 1.0, 1e-3)
+    noise = np.array([[0.3, -1.2, 0.8, 0.1], [1.5, 0.2, -0.4, -0.9]])
+    x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * noise
+    cfg = SolverConfig(
+        order=3, grid=grid, corrector="full", pseudo_predictor=pseudo, pseudo_corrector=pseudo
+    )
+    x, _ = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.isfinite(singlestep_sample(mix4, vp, mix_tab, cfg, x0)))
 
 
 # -- local update -----------------------------------------------------------------
