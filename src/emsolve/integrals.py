@@ -130,8 +130,8 @@ def coeff_Ek(tab: IntegralTable, j_s: int, j_t: int, k: int) -> np.ndarray:
 def g_coefficients(tab: IntegralTable, j_anchor: int, j_l: int):
     """Affine map (a, b, c) with g = a*x + b*eps + c at grid point j_l, anchored at j_anchor.
 
-    The anchor sets the zero point of the S and B integrals, so kept states
-    and noise predictions can be re-expressed against each step's anchor.
+    The anchor sets the zero point of the S and B integrals; moving it scales
+    and offsets g by the same (D,) vectors at every grid point.
     """
     n = len(tab.lambda_grid)
     if not (0 <= j_anchor < n and 0 <= j_l < n):

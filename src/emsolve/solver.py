@@ -13,16 +13,14 @@ value: a step makes no linear solve.  :func:`estimate_derivatives` (by
 elimination) and :func:`estimate_derivatives_pseudo` (by the recurrence)
 remain as independent references.
 
-A sampler lists its transitions over the snapped grid as (anchor, target,
-history, corrector) tuples.  The plan built from them once per call holds
-each transition's coefficients, its Taylor weights and the g-map of every
-position it reads, so one loop runs every sampler: it makes the model calls,
-re-expresses the kept states and noise predictions against each step's
-anchor, and applies the update.  The multistep corrector reuses the step's
-model evaluation (no extra NFE).  States may be ``(D,)`` or ``(B, D)``: rows
-never mix, so a batch gives the same bits as its rows run one at a time.  A
-sampling run is strictly sequential; independent runs can share the
-immutable tables.
+g's zero point is the anchor, but moving it scales and offsets g by the same
+``(D,)`` vectors at every position, and a step's weights sum to E^0.  So the
+plan of a sampler's (anchor, target, history, corrector) transitions folds
+each step's re-anchoring into its weights and bias, and one loop forms each
+position's g once, against the run's first grid point.  The multistep
+corrector reuses the step's model evaluation (no extra NFE).  States may be
+``(D,)`` or ``(B, D)``: rows never mix, so a batch gives the same bits as its
+rows run one at a time.  Runs are sequential and can share the tables.
 """
 
 from __future__ import annotations
@@ -244,11 +242,11 @@ class _Step:
 
     ``history`` and ``corrector`` are nearest-first positions whose g values
     feed the predictor and (after the target's own value) the corrector;
-    ``corrector`` is None when the step is not corrected.  ``g_maps`` holds
-    the (a, b, c) map against the anchor of every position it reads.
-    ``weights`` are the predictor's Taylor weights for the g values at
-    ``(anchor,) + history``, ``corrector_weights`` the corrector's for
-    ``(anchor, target) + corrector``.
+    ``corrector`` is None when the step is not corrected.  ``weights`` are
+    the predictor's Taylor weights for the g values at ``(anchor,) +
+    history``, ``corrector_weights`` the corrector's for ``(anchor, target) +
+    corrector``.  Both act on g against the run's first grid point:
+    they and ``coeffs.int_EB`` hold the step's re-anchoring.
     """
 
     anchor: int
@@ -256,77 +254,82 @@ class _Step:
     history: tuple
     corrector: tuple | None
     coeffs: Transition
-    g_maps: dict
     weights: np.ndarray
     corrector_weights: np.ndarray | None
 
 
 def _plan(
     tab: IntegralTable, grid: _Grid, transitions, pseudo_predictor=False, pseudo_corrector=False
-) -> list:
-    """Attach coefficients and Taylor weights to each (anchor, target, history, corrector) tuple."""
+):
+    """The g-maps against the first grid position, and one step per transition.
+
+    Raises DomainError when a map, weight or bias is non-finite: the
+    re-anchoring scale exp(S_anchor - S_first) spans the whole run.
+    """
     lams = grid.lams.tolist()
     steps = []
-    maps = {}  # (anchor, position) -> g-map; singlestep substeps share an anchor
-    for anchor, target, history, corrector in transitions:
-        # the corrector also reads the target's own g value, so it needs one more E^k
-        n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
-        coeffs = transition_coefficients(tab, grid.idx[anchor], grid.idx[target], n)
-        reads = (anchor, target) + history + (corrector or ())
-        for p in reads:
-            if (anchor, p) not in maps:
-                maps[anchor, p] = g_map(tab, grid.idx[anchor], grid.idx[p])
-        g_maps = {p: maps[anchor, p] for p in reads}
-        lam_a = lams[anchor]
-        weights = _taylor_weights(coeffs, [lams[p] - lam_a for p in history], pseudo_predictor)
-        corrector_weights = None
-        if corrector is not None:
-            deltas = [lams[p] - lam_a for p in (target,) + corrector]
-            corrector_weights = _taylor_weights(coeffs, deltas, pseudo_corrector)
-        steps.append(
-            _Step(anchor, target, history, corrector, coeffs, g_maps, weights, corrector_weights)
-        )
-    return steps
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        maps = [g_map(tab, grid.idx[0], j) for j in grid.idx]
+        for anchor, target, history, corrector in transitions:
+            # the corrector also reads the target's own g value, so it needs one more E^k
+            n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
+            coeffs = transition_coefficients(tab, grid.idx[anchor], grid.idx[target], n)
+            # against itself the anchor's map has b = exp(-lambda) and c = 0
+            scale = np.exp(-lams[anchor]) / maps[anchor][1]
+            deltas = [lams[p] - lams[anchor] for p in history]
+            weights = scale * _taylor_weights(coeffs, deltas, pseudo_predictor)
+            corrector_weights = None
+            if corrector is not None:
+                deltas = [lams[p] - lams[anchor] for p in (target,) + corrector]
+                corrector_weights = scale * _taylor_weights(coeffs, deltas, pseudo_corrector)
+            coeffs = coeffs._replace(int_EB=coeffs.int_EB - scale * maps[anchor][2] * coeffs.E[0])
+            steps.append(_Step(anchor, target, history, corrector, coeffs, weights, corrector_weights))
+    finite = [np.isfinite(v).all() for abc in maps for v in abc]
+    finite += [np.isfinite(s.weights).all() and np.isfinite(s.coeffs.int_EB).all() for s in steps]
+    if not all(finite):
+        raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
+    return maps, steps
 
 
 def _run(model, sched, tab, grid, plan, x_init, trace=None):
     """Run ``plan`` over the snapped ``grid`` from ``x_init``; returns the final state.
 
-    One model call on the initial state and one per step except the last.
-    Appends one row per step to ``trace`` when a list is given.  Only the
-    (state, noise) pairs the next step reads are kept: each plan here reads a
-    run of positions whose start never moves back, so the next step reads
-    every earlier position that any later step needs.
+    One model call on the initial state and one per step except the last,
+    each followed by its position's g.  Appends one row per step to
+    ``trace`` when a list is given.  Only the g values the next step reads
+    and its anchor's state are kept: each plan here reads a run of positions
+    whose start never moves back, and anchors each step at the previous
+    step's anchor or target.
     """
+    maps, steps = plan
     x = np.asarray(x_init, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("initial sampler state has non-finite entries")
     lams, ts = grid.lams, grid.ts
-    pairs = {0: (x, model.eps(sched, x, lams[0]))}
-    for i, step in enumerate(plan):
+    x_s = x
+    g = {0: _g_value(maps[0], x, model.eps(sched, x, lams[0]))}
+    for i, step in enumerate(steps):
         a_pos, t_pos = step.anchor, step.target
-        reads = (a_pos,) + step.history + (step.corrector or ())
-        g = {p: _g_value(step.g_maps[p], *pairs[p]) for p in reads}
-        x_s = pairs[a_pos][0]
         x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
-        if i == len(plan) - 1:
+        if i == len(steps) - 1:
             if trace is not None:
                 trace.append(_trace_row(ts[t_pos], lams[t_pos], x, None, None))
             break
 
         eps = model.eps(sched, x, lams[t_pos])
-        g[t_pos] = _g_value(step.g_maps[t_pos], x, eps)
+        g[t_pos] = _g_value(maps[t_pos], x, eps)
         if step.corrector is not None:
             gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
             x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
-            # adjust the noise prediction so the corrected pair maps to the
-            # same g value: a*dx + b*(l/sigma)*dx = 0 by construction
+            # the trace's noise prediction for the corrected state, which keeps
+            # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
             eps = eps + tab.ems.l[grid.idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
             x = x_corr
         if trace is not None:
             trace.append(_trace_row(ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
-        pairs[t_pos] = (x, eps)
-        pairs = {p: pairs[p] for p in plan[i + 1].g_maps if p in pairs}
+        following = steps[i + 1]
+        x_s = x if following.anchor == t_pos else x_s
+        g = {p: g[p] for p in (following.anchor,) + following.history + (following.corrector or ())}
 
     if not np.all(np.isfinite(x)):
         raise DomainError("sampler state became non-finite")
@@ -351,11 +354,7 @@ def _trace_row(t, lam, x, eps, g):
 
 
 def multistep_sample(
-    model: ModelSpec,
-    sched: Schedule,
-    tab: IntegralTable,
-    cfg: SolverConfig,
-    x_init,
+    model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
     """Multistep predictor-corrector sampling over the configured grid.
 
@@ -369,7 +368,9 @@ def multistep_sample(
     Each trace row holds the target's ``t`` and ``lambda``, its state ``x``
     and noise prediction ``eps`` as float64 arrays of the state's shape (the
     row's own copies; ``eps`` is None on the last row), and ``eps_norm`` and
-    ``g_norm``, the 2-norms over the whole state, batch included.
+    ``g_norm``, the 2-norms over the whole state, batch included.  ``g`` is
+    taken against the run's first grid point, so ``g_norm`` is comparable
+    across steps.
     """
     grid = _snap_grid(tab.ems, sched, cfg.grid)
     num_steps = len(grid.idx) - 1
@@ -389,16 +390,11 @@ def multistep_sample(
         transitions.append((m - 1, m, history, corrector))
     plan = _plan(tab, grid, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
     trace = []
-    x = _run(model, sched, tab, grid, plan, x_init, trace)
-    return x, trace
+    return _run(model, sched, tab, grid, plan, x_init, trace), trace
 
 
 def singlestep_sample(
-    model: ModelSpec,
-    sched: Schedule,
-    tab: IntegralTable,
-    cfg: SolverConfig,
-    x_init,
+    model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
     """Singlestep sampling: independent macro steps of ``order`` substeps each.
 
@@ -427,10 +423,8 @@ def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
     alpha_t = sched.alpha(t_t)
     sigma_s = sched.sigma(t_s)
     sigma_t = sched.sigma(t_t)
-    x_s = np.asarray(x_s, dtype=float)
-    return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * np.asarray(
-        eps_s, dtype=float
-    )
+    x_s, eps_s = np.asarray(x_s, dtype=float), np.asarray(eps_s, dtype=float)
+    return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * eps_s
 
 
 def ddim_sample(model: ModelSpec, sched: Schedule, timesteps, x_init):
@@ -439,10 +433,15 @@ def ddim_sample(model: ModelSpec, sched: Schedule, timesteps, x_init):
     Steps between the given times as they are, with no snapping to any
     table.  The CLI passes the sampling grid's times snapped to the table,
     so its DDIM runs see the same times as the table-driven samplers.
+    Raises DomainError when the initial or final state is non-finite.
     """
     ts = np.asarray(timesteps, dtype=float)
     x = np.asarray(x_init, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("initial sampler state has non-finite entries")
     for i in range(len(ts) - 1):
         eps = model.eps(sched, x, sched.lambda_of_t(ts[i]))
         x = ddim_step(sched, x, eps, float(ts[i]), float(ts[i + 1]))
+    if not np.all(np.isfinite(x)):
+        raise DomainError("sampler state became non-finite")
     return x

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -24,11 +25,13 @@ from emsolve import (
     reference_solve,
     singlestep_sample,
 )
-from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, estimate_table
+import emsolve.solver
+from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import Transition, g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
 from emsolve.solver import _snap_grid, _taylor_weights, explicit_vandermonde_solution, taylor_rows
 
+import sampler_golden
 from test_models import closed_form_trajectory
 
 
@@ -215,6 +218,75 @@ def test_samplers_make_no_linear_solve(vp, mix4, mix_tab, monkeypatch, pseudo):
     x, _ = multistep_sample(mix4, vp, mix_tab, cfg, x0)
     assert np.all(np.isfinite(x))
     assert np.all(np.isfinite(singlestep_sample(mix4, vp, mix_tab, cfg, x0)))
+
+
+# built once, outside the property's arguments: a failing example's report stays short
+golden_tabs = functools.cache(sampler_golden.integral_tables)
+
+
+@settings(max_examples=150)
+@given(
+    table=st.sampled_from(sampler_golden.TABLES),
+    idx=st.lists(st.integers(0, 60), min_size=3, max_size=3),
+    pair=hnp.arrays(float, (2, 4), elements=st.floats(-10.0, 10.0)),
+)
+def test_g_against_any_anchor_is_affine_in_g_against_the_first(table, idx, pair):
+    """g at p against A = scale * (g at p against j0) + offset, one (scale, offset) for all p.
+
+    scale = exp(-lambda_A) / b and offset = -scale * c from A's own map
+    against j0, as the step plan takes them; to 1e-12 of the largest term.
+    """
+    tab = golden_tabs()[table]
+    j0 = min(idx)
+    anchor, p = idx[1], idx[2]
+    x, eps = pair
+    _, b_a, c_a = g_map(tab, j0, anchor)
+    scale = np.exp(-tab.lambda_grid[anchor]) / b_a
+    a0, b0, c0 = g_map(tab, j0, p)
+    scaled = scale * (a0 * x + b0 * eps + c0)
+    got = scaled - scale * c_a
+    a, b, c = g_map(tab, anchor, p)
+    want = a * x + b * eps + c
+    size = np.max(np.abs([a * x, b * eps, c, scale * c_a]))
+    assert np.max(np.abs(got - want)) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler):
+    """M + 1 g-maps for an M-step grid, and one g value per model call."""
+    counts = {"g_map": 0, "_g_value": 0}
+
+    def counting(name):
+        original = getattr(emsolve.solver, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(emsolve.solver, name, counting(name))
+    grid = make_time_grid(vp, 8, UNIFORM_LAMBDA, 1.0, 1e-3)
+    x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * np.array([[0.3, -1.2, 0.8, 0.1]] * 2)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
+    counted = EvalCounter(mix4)
+    sampler(counted, vp, mix_tab, cfg, x0)
+    assert counts == {"g_map": 9, "_g_value": 8} and counted.calls == 8
+
+
+@pytest.mark.parametrize("ripple", [0.0, 10.0])
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+def test_plan_rejects_g_maps_that_overflow_over_the_run(vp, mix4, vp_lam_range, sampler, ripple):
+    """s ~ 100 over a lambda span of ~11: exp(S_anchor - S_first) overflows, each step does not."""
+    lam = np.linspace(*vp_lam_range, 241)
+    s = np.repeat((100.0 + ripple * np.sin(lam))[:, None], 4, axis=1)
+    zeros = np.zeros_like(s)
+    tab = build_integral_table(EmsTable(lam, -s, s, zeros, zeros, vp))
+    assert (tab.const_lsb is None) == (ripple > 0)
+    grid = make_time_grid(vp, 10, UNIFORM_LAMBDA, 1.0, 1e-3)
+    with pytest.raises(DomainError, match="step plan"):
+        sampler(mix4, vp, tab, SolverConfig(order=2, grid=grid), np.zeros(4))
 
 
 # -- local update -----------------------------------------------------------------
@@ -443,6 +515,16 @@ def test_samplers_reject_non_finite_final_state(vp, mix4, mix_tab, sampler):
     grid = make_time_grid(vp, 6, UNIFORM_LAMBDA, 1.0, 1e-3)
     with pytest.raises(DomainError, match="non-finite"), np.errstate(all="ignore"):
         sampler(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), np.full(4, 1e200))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ddim_sample_rejects_non_finite_states(vp, mix4, bad):
+    ts = np.linspace(1.0, 1e-3, 7)
+    with pytest.raises(DomainError, match="initial"):
+        ddim_sample(mix4, vp, ts, np.array([0.1, bad, -0.2, 0.3]))
+    # a finite but huge initial state overflows the model's posterior to nan
+    with pytest.raises(DomainError, match="became non-finite"), np.errstate(all="ignore"):
+        ddim_sample(mix4, vp, ts, np.full(4, 1e200))
 
 
 # -- batch contract ---------------------------------------------------------------------
