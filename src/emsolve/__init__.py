@@ -35,7 +35,6 @@ from .models import (
 from .schedule import Schedule, TimeGrid, make_time_grid, schedules_equal
 from .solver import (
     SolverConfig,
-    ddim_sample,
     ddim_step,
     estimate_derivatives,
     estimate_derivatives_pseudo,

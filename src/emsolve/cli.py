@@ -8,7 +8,8 @@ Subcommands:
 * ``bench-convergence``: error versus step count against the adaptive
   reference integrator, with fitted log-log slopes appended.
 * ``bench-compare``: estimated statistics versus the degenerate
-  noise-/data-prediction baselines and DDIM on shared initial noise.
+  noise-/data-prediction baselines and DDIM (order 1 on the noise-prediction
+  table) on shared initial noise.
 
 All commands are deterministic functions of their flags and seeds; outputs
 are byte-identical across runs (pass ``--timing`` to record wall-clock times,
@@ -42,7 +43,6 @@ from .solver import (
     CORRECTORS,
     SolverConfig,
     _snap_grid,
-    ddim_sample,
     multistep_sample,
 )
 
@@ -200,31 +200,27 @@ def _seed_batch(model, table, seeds) -> _Seeds:
 
 
 class _Config(NamedTuple):
-    """One bench configuration: multistep sampling on ``tab``, or DDIM if ``tab`` is None."""
+    """One bench configuration: multistep sampling on ``tab``."""
 
     name: str
-    tab: IntegralTable | None
+    tab: IntegralTable
     cfg: SolverConfig
 
 
-def _run_seeds(batch: _Seeds, model, table, config: _Config, timing) -> list:
+def _run_seeds(batch: _Seeds, model, config: _Config, timing) -> list:
     """Run one configuration once on the whole seed batch; one row per seed, in seed order.
 
-    DDIM steps between the sampling grid's times snapped to ``table``.  The
-    model-call count must equal the grid's step count.  Under ``timing``,
+    The model-call count must equal the grid's step count.  Under ``timing``,
     each row's ``seconds`` is the batch call's wall time divided by the
     number of seeds.
     """
     name, tab, cfg = config
-    sched = table.schedule
-    snapped = _snap_grid(table if tab is None else tab.ems, sched, cfg.grid)
+    sched = tab.ems.schedule
+    snapped = _snap_grid(tab.ems, sched, cfg.grid)
     nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(snapped.lams)))
     counted = EvalCounter(model)
     start = time.perf_counter()
-    if tab is None:
-        x_final = ddim_sample(counted, sched, snapped.ts, batch.x_init)
-    else:
-        x_final = multistep_sample(counted, sched, tab, cfg, batch.x_init)[0]
+    x_final = multistep_sample(counted, sched, tab, cfg, batch.x_init)[0]
     seconds = (time.perf_counter() - start) / len(batch.seeds) if timing else 0.0
     if counted.calls != nfe:
         raise RuntimeError(f"model-call accounting broke: {counted.calls} calls for {nfe} steps")
@@ -250,7 +246,7 @@ def _bench(args, configs, summary) -> int:
     }
     listed = configs(table, grids)
     batch = _seed_batch(model, table, args.seeds)
-    runs = [_run_seeds(batch, model, table, config, args.timing) for config in listed]
+    runs = [_run_seeds(batch, model, config, args.timing) for config in listed]
     rows = [row for seed_rows in zip(*runs) for row in seed_rows]
     out_rows = sorted(rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed)) + summary(rows)
     with open(args.out, "w") as fh:
@@ -289,18 +285,18 @@ def cmd_bench_compare(args) -> int:
         lam_range = (float(table.lambda_grid[0]), float(table.lambda_grid[-1]))
         n_intervals = len(table.lambda_grid) - 1
         tabs = {"v3": build_integral_table(table)}
-        for kind in args.baselines:
-            if kind in (NOISE_PRED, DATA_PRED):
-                tabs[kind] = build_integral_table(
-                    degenerate_table(kind, table.schedule, n_intervals, lam_range, table.dim)
-                )
+        # DDIM is order 1 on the noise-prediction table
+        for kind in dict.fromkeys(NOISE_PRED if k == "ddim" else k for k in args.baselines):
+            tabs[kind] = build_integral_table(
+                degenerate_table(kind, table.schedule, n_intervals, lam_range, table.dim)
+            )
         names = ["v3"] + [k for k in dict.fromkeys(args.baselines) if k != "ddim"]
         out = []
         for nfe in args.nfe:
             cfg = SolverConfig(order=args.order, grid=grids[nfe], corrector=args.corrector)
             out += [_Config(name, tabs[name], cfg) for name in names]
             if "ddim" in args.baselines:
-                out.append(_Config("ddim", None, SolverConfig(order=1, grid=cfg.grid)))
+                out.append(_Config("ddim", tabs[NOISE_PRED], SolverConfig(order=1, grid=cfg.grid)))
         return out
 
     def means(rows):

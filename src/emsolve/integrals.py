@@ -82,10 +82,14 @@ def build_integral_table(ems: EmsTable) -> IntegralTable:
 # -- quadrature-backed coefficients -------------------------------------------
 
 
-def _check_pair(tab: IntegralTable, j_s: int, j_t: int):
+def _check_indices(tab: IntegralTable, j_a: int, j_b: int):
     n = len(tab.lambda_grid)
-    if not (0 <= j_s < n and 0 <= j_t < n):
-        raise IndexError(f"grid indices ({j_s}, {j_t}) out of range [0, {n})")
+    if not (0 <= j_a < n and 0 <= j_b < n):
+        raise IndexError(f"grid indices ({j_a}, {j_b}) out of range [0, {n})")
+
+
+def _check_pair(tab: IntegralTable, j_s: int, j_t: int):
+    _check_indices(tab, j_s, j_t)
     if j_t < j_s:
         raise ValueError(f"need j_t >= j_s, got {j_t} < {j_s}")
 
@@ -133,9 +137,7 @@ def g_coefficients(tab: IntegralTable, j_anchor: int, j_l: int):
     The anchor sets the zero point of the S and B integrals; moving it scales
     and offsets g by the same (D,) vectors at every grid point.
     """
-    n = len(tab.lambda_grid)
-    if not (0 <= j_anchor < n and 0 <= j_l < n):
-        raise IndexError(f"grid indices ({j_anchor}, {j_l}) out of range [0, {n})")
+    _check_indices(tab, j_anchor, j_l)
     sched = tab.ems.schedule
     lam_l = tab.lambda_grid[j_l]
     ds = tab.S[j_l] - tab.S[j_anchor]
@@ -226,6 +228,7 @@ class Transition(NamedTuple):
 
 def transition_coefficients(tab: IntegralTable, j_s: int, j_t: int, n: int) -> Transition:
     """The coefficients of the update j_s -> j_t, with weights E^0 up to E^n."""
+    _check_pair(tab, j_s, j_t)
     lam_s, lam_t = float(tab.lambda_grid[j_s]), float(tab.lambda_grid[j_t])
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
@@ -242,6 +245,7 @@ def transition_coefficients(tab: IntegralTable, j_s: int, j_t: int, n: int) -> T
 
 def g_map(tab: IntegralTable, j_anchor: int, j_l: int):
     """The affine map (a, b, c) of :func:`g_coefficients`, closed-form on constant tables."""
+    _check_indices(tab, j_anchor, j_l)
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
         lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])

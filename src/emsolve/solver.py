@@ -416,7 +416,10 @@ def singlestep_sample(
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
-    """Classical first-order deterministic update from t_s down to t_t."""
+    """Classical first-order deterministic update from t_s down to t_t.
+
+    Order 1 on the noise-prediction table is this update; it stays as that path's reference.
+    """
     if t_t > t_s:
         raise ValueError(f"need t_t <= t_s, got {t_t} > {t_s}")
     alpha_s = sched.alpha(t_s)
@@ -426,22 +429,3 @@ def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
     x_s, eps_s = np.asarray(x_s, dtype=float), np.asarray(eps_s, dtype=float)
     return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * eps_s
 
-
-def ddim_sample(model: ModelSpec, sched: Schedule, timesteps, x_init):
-    """Run the first-order baseline over a decreasing sequence of timesteps.
-
-    Steps between the given times as they are, with no snapping to any
-    table.  The CLI passes the sampling grid's times snapped to the table,
-    so its DDIM runs see the same times as the table-driven samplers.
-    Raises DomainError when the initial or final state is non-finite.
-    """
-    ts = np.asarray(timesteps, dtype=float)
-    x = np.asarray(x_init, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("initial sampler state has non-finite entries")
-    for i in range(len(ts) - 1):
-        eps = model.eps(sched, x, sched.lambda_of_t(ts[i]))
-        x = ddim_step(sched, x, eps, float(ts[i]), float(ts[i + 1]))
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sampler state became non-finite")
-    return x

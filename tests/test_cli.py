@@ -290,7 +290,8 @@ def test_bench_compare_ddim_equals_degenerate_first_order(cli_files, mix_ems_fil
             ddim = [r for r in rows if r.solver == "ddim" and r.nfe == nfe and r.seed == seed]
             noise = [r for r in rows if r.solver == "noise-pred" and r.nfe == nfe and r.seed == seed]
             assert len(ddim) == 1 and len(noise) == 1
-            assert abs(ddim[0].l2_error - noise[0].l2_error) <= 1e-9
+            assert ddim[0].l2_error == noise[0].l2_error
+            assert ddim[0].linf_error == noise[0].linf_error
     means = [r for r in rows if r.seed == -1]
     assert {(r.solver, r.nfe) for r in means} == {
         (s, n) for s in ("v3", "noise-pred", "ddim") for n in (5, 8)
@@ -363,7 +364,6 @@ PATCH_POINTS = (
     "build_integral_table",
     "reference_solve",
     "multistep_sample",
-    "ddim_sample",
     "model_from_dict",
 )
 
@@ -386,12 +386,11 @@ def test_bench_commands_call_the_patch_points(cli_files, mix_ems_file, monkeypat
     common += ["--seeds", "0", "1", "2"]
     out = str(cli_files["root"] / "patched.csv")
     commands = {
-        "bench-convergence": (["--orders", "1", "2", "--nfe", "5", "8", "10"], 1, 6, 0),
-        "bench-compare": (
-            ["--baselines", NOISE_PRED, DATA_PRED, "ddim", "--nfe", "5", "8"], 3, 6, 2
-        ),
+        "bench-convergence": (["--orders", "1", "2", "--nfe", "5", "8", "10"], 1, 6),
+        # DDIM runs on the noise-prediction table: no build of its own
+        "bench-compare": (["--baselines", NOISE_PRED, DATA_PRED, "ddim", "--nfe", "5", "8"], 3, 8),
     }
-    for command, (extra, builds, multisteps, ddims) in commands.items():
+    for command, (extra, builds, multisteps) in commands.items():
         for name in PATCH_POINTS:
             calls[name].clear()
         assert main([command, *common, *extra, "--out", out]) == 0
@@ -401,7 +400,6 @@ def test_bench_commands_call_the_patch_points(cli_files, mix_ems_file, monkeypat
             "build_integral_table": builds,
             "reference_solve": 3,  # one per seed
             "multistep_sample": multisteps,
-            "ddim_sample": ddims,
         }
         assert {name: len(args) for name, args in calls.items()} == want
         model, sched = returned["model_from_dict"], returned["load_table"].schedule
@@ -409,8 +407,6 @@ def test_bench_commands_call_the_patch_points(cli_files, mix_ems_file, monkeypat
             assert len(args) == 5 and args[0] is model and args[1] is sched
         for args in calls["multistep_sample"]:
             assert len(args) == 5 and args[1] is sched and isinstance(args[3], SolverConfig)
-        for args in calls["ddim_sample"]:
-            assert len(args) == 4 and args[1] is sched and len(args[2]) in (6, 9)
 
 
 @pytest.mark.parametrize(

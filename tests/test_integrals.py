@@ -14,7 +14,9 @@ from emsolve import (
     coeff_E0,
     coeff_Ek,
     coeff_int_EB,
+    degenerate_table,
     g_coefficients,
+    lupdate,
 )
 from emsolve.integrals import (
     const_coeff_A,
@@ -25,6 +27,7 @@ from emsolve.integrals import (
     poly_exp_integral,
     transition_coefficients,
 )
+from emsolve.ems import NOISE_PRED
 
 LAM_RANGE = (-4.0, 4.0)
 
@@ -301,3 +304,23 @@ def test_index_errors(smooth_table):
         coeff_A(tab, 0, 500)
     with pytest.raises(ValueError):
         coeff_E0(tab, 50, 10)
+
+
+@pytest.mark.parametrize("path", ["closed-form", "quadrature"])
+def test_index_errors_on_both_coefficient_paths(vp, path):
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 20, LAM_RANGE, 2))
+    assert tab.const_lsb is not None
+    if path == "quadrature":
+        tab = dataclasses.replace(tab, const_lsb=None)
+    x = np.ones(2)
+    for j_s, j_t in ((-1, 5), (0, 21), (21, 21)):
+        with pytest.raises(IndexError):
+            transition_coefficients(tab, j_s, j_t, 1)
+        with pytest.raises(IndexError):
+            g_map(tab, j_s, j_t)
+    with pytest.raises(IndexError):
+        g_map(tab, 0, -1)
+    with pytest.raises(ValueError):
+        transition_coefficients(tab, 5, 2, 1)
+    with pytest.raises(IndexError):
+        lupdate(tab, (-1, x, x), [], -1)

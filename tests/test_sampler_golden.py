@@ -1,7 +1,9 @@
 """The tolerance contract: sampler outputs stay within 1e-12 of max|x| of the golden states.
 
-The golden file (``tests/data/golden_states.npz``) is written by
-``tests/sampler_golden.py``; a change that moves a state beyond the tolerance
+Re-estimating the golden table (``tests/data/golden_table.json``) gives the
+same lambda grid, and its l, l_dot, s and b within 1e-12 of each field's
+largest entry.  The golden file (``tests/data/golden_states.npz``) is written
+by ``tests/sampler_golden.py``; a change that moves a state beyond the tolerance
 either is wrong or regenerates the file on purpose and says so in CHANGES.md.
 A restatement of the estimated-table predictor in long double bounds the
 float64 rounding that the golden states themselves carry.
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 
 import sampler_golden as golden
-from emsolve import make_time_grid
+from emsolve import load_table, make_time_grid
 from emsolve.schedule import UNIFORM_LAMBDA
 from emsolve.solver import taylor_rows
 
 TOLERANCE = 1e-12
+# the estimation half of the contract: each field within this share of its largest entry
+TABLE_TOLERANCE = 1e-12
 # the predictor's own rounding reaches ~5e-12 of max|x| on the estimated table at NFE 3
 LONG_DOUBLE_TOLERANCE = 1e-11
 
@@ -31,6 +35,15 @@ def states():
 @pytest.fixture(scope="module")
 def tabs():
     return golden.integral_tables()
+
+
+def test_estimation_matches_golden_table():
+    got, want = golden.estimate_golden_table(), load_table(golden.TABLE_PATH)
+    assert np.array_equal(got.lambda_grid, want.lambda_grid)
+    for name in ("l", "l_dot", "s", "b"):
+        ref = getattr(want, name)
+        moved = float(np.max(np.abs(getattr(got, name) - ref)))
+        assert moved <= TABLE_TOLERANCE * np.max(np.abs(ref)), (name, moved)
 
 
 def test_golden_file_covers_the_matrix(states):

@@ -14,7 +14,6 @@ from emsolve import (
     Schedule,
     SolverConfig,
     build_integral_table,
-    ddim_sample,
     ddim_step,
     degenerate_table,
     estimate_derivatives,
@@ -517,16 +516,6 @@ def test_samplers_reject_non_finite_final_state(vp, mix4, mix_tab, sampler):
         sampler(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), np.full(4, 1e200))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_ddim_sample_rejects_non_finite_states(vp, mix4, bad):
-    ts = np.linspace(1.0, 1e-3, 7)
-    with pytest.raises(DomainError, match="initial"):
-        ddim_sample(mix4, vp, ts, np.array([0.1, bad, -0.2, 0.3]))
-    # a finite but huge initial state overflows the model's posterior to nan
-    with pytest.raises(DomainError, match="became non-finite"), np.errstate(all="ignore"):
-        ddim_sample(mix4, vp, ts, np.full(4, 1e200))
-
-
 # -- batch contract ---------------------------------------------------------------------
 
 
@@ -704,20 +693,25 @@ def _ddim_cases(draw):
     )
 
 
-@settings(max_examples=50)
-@given(case=_ddim_cases())
-def test_noise_pred_first_order_equals_ddim(case):
-    """Criterion 4 over whole runs: order 1 on the noise-prediction table is DDIM.
+def _dpm_solver_pp_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
+    """DPM-Solver++(1) (arXiv 2211.01095): the first-order data-prediction update."""
+    h = sched.lambda_of_t(t_t) - sched.lambda_of_t(t_s)
+    alpha_s, sigma_s = sched.alpha(t_s), sched.sigma(t_s)
+    alpha_t, sigma_t = sched.alpha(t_t), sched.sigma(t_t)
+    return (sigma_t / sigma_s) * x_s - alpha_t * np.expm1(-h) * (x_s - sigma_s * eps_s) / alpha_s
+
+
+def _check_first_order_run(case, kind, step):
+    """Order 1 on the ``kind`` degenerate table equals ``step`` looped over the snapped times.
 
     The sampling grid is trimmed inside the table's range, so its points
-    snap, and DDIM runs on the snapped times.  Errors are relative to the
-    larger of the result and the initial state carried to the end, since
-    a few large steps can cancel most of it.
+    snap.  Errors are relative to the larger of the result and the initial
+    state carried to the end, since a few large steps can cancel most of it.
     """
     sched, model = case["sched"], case["model"]
     t_hi, t_lo = sched.t_domain[1], max(sched.t_domain[0], 1e-3)
     lam_lo, lam_hi = float(sched.lambda_of_t(t_hi)), float(sched.lambda_of_t(t_lo))
-    table = degenerate_table(NOISE_PRED, sched, 240, (lam_lo, lam_hi), model.dim)
+    table = degenerate_table(kind, sched, 240, (lam_lo, lam_hi), model.dim)
     tab = build_integral_table(table)
     width = lam_hi - lam_lo
     t_start = float(sched.t_of_lambda(lam_lo + case["trim"][0] * width))
@@ -726,17 +720,26 @@ def test_noise_pred_first_order_equals_ddim(case):
     rng = np.random.default_rng(case["seed"])
     x0 = sched.sigma_lambda(lam_lo) * rng.standard_normal((case["rows"], model.dim))
     got, _ = multistep_sample(model, sched, tab, SolverConfig(order=1, grid=grid), x0)
-    ts = _snap_grid(table, sched, grid).ts
-    want = ddim_sample(model, sched, ts, x0)
+    ts = _snap_grid(table, sched, grid).ts.tolist()
+    want = x0
+    for t_s, t_t in zip(ts[:-1], ts[1:]):
+        want = step(sched, want, model.eps(sched, want, sched.lambda_of_t(t_s)), t_s, t_t)
     scale = max(np.max(np.abs(want)), np.max(np.abs(x0)) * sched.alpha(ts[-1]) / sched.alpha(ts[0]))
     assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
-def test_ddim_sample_counts_evaluations(vp, mix4):
-    ts = np.linspace(1.0, 1e-3, 9)
-    counted = EvalCounter(mix4)
-    ddim_sample(counted, vp, ts, np.zeros(4))
-    assert counted.calls == 8
+@settings(max_examples=50)
+@given(case=_ddim_cases())
+def test_noise_pred_first_order_equals_ddim(case):
+    """Criterion 4 over whole runs: order 1 on the noise-prediction table is DDIM."""
+    _check_first_order_run(case, NOISE_PRED, ddim_step)
+
+
+@settings(max_examples=50)
+@given(case=_ddim_cases())
+def test_data_pred_first_order_equals_dpm_solver_pp(case):
+    """Order 1 on the data-prediction table is DPM-Solver++(1)."""
+    _check_first_order_run(case, DATA_PRED, _dpm_solver_pp_step)
 
 
 def test_guided_model_end_to_end(vp, mix4, pg4):
