@@ -90,6 +90,16 @@ class ModelSpec:
         """
         raise NotImplementedError
 
+    def eps_along_ode_jvp(self, sched: Schedule, x, lam, v):
+        """``eps_along_ode`` and ``jvp`` at one point: ``(eps, d_eps, (grad_x eps) @ v)``.
+
+        ``v`` may carry extra leading axes, as a stack of probes does.  The
+        statistics estimator's one model call per grid point; a model that can
+        share work between the two overrides it, with bit-identical results.
+        """
+        eps, d_eps = self.eps_along_ode(sched, x, lam)
+        return eps, d_eps, self.jvp(sched, x, lam, v)
+
     def sample_data(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. points from the clean-data distribution q0."""
         raise NotImplementedError
@@ -243,11 +253,24 @@ class GaussianMixture(ModelSpec):
         alpha, sigma, var = self._moments(sched, lam)
         pi, comp_score, _ = self._posterior(x, alpha, var)
         mean_score = _short_sum(pi[..., None] * comp_score, axis=-2)  # (..., D)
+        return self._jvp(sigma, var, pi, comp_score, mean_score, v)
+
+    def _jvp(self, sigma, var, pi, comp_score, mean_score, v):
+        """-sigma H v from a posterior; ``v`` may add leading axes, such as probes."""
         dots = _short_sum(comp_score * v[..., None, :])  # (..., C)
         return -sigma * self._hessian_terms(pi, comp_score, mean_score, var, v, pi * dots)
 
     def eps_along_ode(self, sched, x, lam):
+        return self._along_ode(sched, self._check_x(x), lam)[:2]
+
+    def eps_along_ode_jvp(self, sched, x, lam, v):
         x = self._check_x(x)
+        v = self._check_x(v)
+        eps, d_eps, posterior = self._along_ode(sched, x, lam)
+        return eps, d_eps, self._jvp(*posterior, v)
+
+    def _along_ode(self, sched, x, lam):
+        """eps, d_eps and the posterior ``(sigma, var, pi, comp_score, mean_score)`` behind them."""
         alpha, sigma, var = self._moments(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         pi, comp_score, sq = self._posterior(x, alpha, var)
@@ -273,7 +296,7 @@ class GaussianMixture(ModelSpec):
         hv = self._hessian_terms(pi, comp_score, mean_score, var, v, weights)
         pi_over_var = _short_sum(pi / var, keepdims=True)
         d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
-        return eps, d_eps
+        return eps, d_eps, (sigma, var, pi, comp_score, mean_score)
 
     def sample_data(self, rng, n):
         if n < 1:
@@ -304,6 +327,8 @@ class Guided(ModelSpec):
     def __post_init__(self):
         if self.cond.dim != self.uncond.dim:
             raise ValueError("cond and uncond models must share dimension")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
 
     @property
     def dim(self) -> int:

@@ -44,6 +44,16 @@ def mix4():
 
 
 @pytest.fixture(scope="session")
+def mix4b():
+    """A second 4-D mixture, with three components, for guided pairs."""
+    return GaussianMixture(
+        weights=[0.3, 0.5, 0.2],
+        means=[[0.2, 0.5, -0.4, 0.1], [-0.6, -0.1, 0.3, 0.2], [0.1, 0.3, 0.6, -0.7]],
+        stds=[0.5, 0.9, 0.3],
+    )
+
+
+@pytest.fixture(scope="session")
 def vp_lam_range(vp):
     return float(vp.lambda_of_t(1.0)), float(vp.lambda_of_t(T_END))
 

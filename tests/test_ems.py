@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emsolve import (
     DomainError,
     EmsConfig,
     EmsTable,
+    Guided,
     TableFormatError,
     UnsupportedVersionError,
     degenerate_table,
@@ -92,7 +94,8 @@ def test_estimate_l_zero_jacobian(vp):
     table = estimate_table(model, vp, cfg)
     assert np.array_equal(table.l, np.zeros((5, 3)))
     probes = np.where(np.random.default_rng(1).random((2, 16, 3)) < 0.5, -1.0, 1.0)
-    terms = diag_probe_terms(model, vp, 0.0, np.ones((16, 3)), probes)
+    x = np.ones((16, 3))
+    terms = diag_probe_terms(vp.sigma_lambda(0.0), model.jvp(vp, x, 0.0, probes), probes)
     assert np.array_equal(terms, np.zeros((2, 16, 3)))
 
 
@@ -103,7 +106,7 @@ def test_estimate_l_within_three_standard_errors(vp, mix4):
     xs = forward_diffuse(vp, mix4.sample_data(rng, k), lam, rng)
     probe_rng = np.random.default_rng(3)
     v = (probe_rng.integers(0, 2, size=(1,) + xs.shape) * 2 - 1).astype(float)
-    terms = diag_probe_terms(mix4, vp, lam, xs, v)[0]
+    terms = diag_probe_terms(vp.sigma_lambda(lam), mix4.jvp(vp, xs, lam, v), v)[0]
     oracle = exact_diag(mix4, vp, lam, xs)
     resid = terms - oracle  # probe noise only: the datapoints are shared
     se = resid.std(axis=0, ddof=1) / np.sqrt(k)
@@ -132,7 +135,7 @@ def test_chunked_reduction_matches_serial(vp, mix4):
     rng = np.random.default_rng(4)
     xs = forward_diffuse(vp, mix4.sample_data(rng, 512), 0.2, rng)
     v = (rng.integers(0, 2, size=(2,) + xs.shape) * 2 - 1).astype(float)
-    terms = diag_probe_terms(mix4, vp, 0.2, xs, v)
+    terms = diag_probe_terms(vp.sigma_lambda(0.2), mix4.jvp(vp, xs, 0.2, v), v)
     serial = terms.mean(axis=(0, 1))
     chunks = [terms[:, i : i + 128] for i in range(0, 512, 128)]
     partial = sum(c.sum(axis=(0, 1)) for c in reversed(chunks))
@@ -291,6 +294,95 @@ def test_estimate_sb_shape_errors():
 # -- full pipeline ---------------------------------------------------------------------
 
 
+class CallCounter(ModelSpec):
+    """Delegate that counts every model method called on it, by name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def _call(self, name, *args):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(*args)
+
+    def eps(self, sched, x, lam):
+        return self._call("eps", sched, x, lam)
+
+    def jvp(self, sched, x, lam, v):
+        return self._call("jvp", sched, x, lam, v)
+
+    def eps_along_ode(self, sched, x, lam):
+        return self._call("eps_along_ode", sched, x, lam)
+
+    def eps_along_ode_jvp(self, sched, x, lam, v):
+        return self._call("eps_along_ode_jvp", sched, x, lam, v)
+
+    def sample_data(self, rng, n):
+        return self.inner.sample_data(rng, n)
+
+    def to_dict(self):
+        return self.inner.to_dict()
+
+
+def two_sweep_table(model, sched, cfg):
+    """The two-sweep estimator (independent oracle): (grid, l, l_dot, s, b).
+
+    A first sweep takes l from one ``jvp`` per grid point; after l's finite
+    difference, a second sweep fits s and b to f and f1 samples from one
+    ``eps_along_ode`` per grid point.
+    """
+    grid = np.linspace(*cfg.lam_range, cfg.num_timesteps + 1)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x0 = model.sample_data(rng, cfg.num_datapoints)
+    z = rng.standard_normal(x0.shape)
+    probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
+    points = [sched.alpha_lambda(lam) * x0 + sched.sigma_lambda(lam) * z for lam in grid]
+    l = np.array([
+        diag_probe_terms(sched.sigma_lambda(lam), model.jvp(sched, xs, lam, probes), probes)
+        .mean(axis=(0, 1))
+        for lam, xs in zip(grid, points)
+    ])
+    l_dot = estimate_l_dot(l, float(grid[1] - grid[0]))
+    s, b = np.empty_like(l), np.empty_like(l)
+    for j, (lam, xs) in enumerate(zip(grid, points)):
+        alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+        eps, d_eps = model.eps_along_ode(sched, xs, lam)
+        f = (sigma * eps - l[j] * xs) / alpha
+        f1 = np.exp(-lam) * ((l[j] - 1.0) * eps + d_eps) - l_dot[j] * xs / alpha
+        s[j], b[j] = estimate_sb(f, f1)
+    return grid, l, l_dot, s, b
+
+
+@pytest.mark.parametrize("model_name", ["point-mass", "mixture"])
+def test_estimate_table_makes_one_model_call_per_grid_point(vp, pg4, mix4, model_name):
+    counted = CallCounter({"point-mass": pg4, "mixture": mix4}[model_name])
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=32, lam_range=(-2.0, 2.0), seed=3)
+    estimate_table(counted, vp, cfg)
+    assert counted.calls == {"eps_along_ode_jvp": 13}
+
+
+@pytest.mark.parametrize("case", ["point-mass", "guided", "two-probes"])
+def test_estimate_table_matches_two_sweep_oracle(vp, vp_lam_range, pg4, mix4, mix4b, case):
+    guided = Guided(cond=mix4, uncond=mix4b, scale=2.5)
+    model, cfg, floor = {
+        # criterion 5's config; s and b are rounding noise there (|s| ~1e-18,
+        # |b| ~1e-15), so they are held to 1e-12 of that criterion's 1e-6 bound
+        "point-mass": (pg4, EmsConfig(48, 256, vp_lam_range, seed=21), 1e-6),
+        "guided": (guided, EmsConfig(30, 128, vp_lam_range, seed=5), 0.0),
+        "two-probes": (mix4, EmsConfig(30, 128, vp_lam_range, probes_per_point=2, seed=6), 0.0),
+    }[case]
+    table = estimate_table(model, vp, cfg)
+    grid, l, l_dot, s, b = two_sweep_table(model, vp, cfg)
+    assert table.lambda_grid.tobytes() == grid.tobytes()
+    assert table.l.tobytes() == l.tobytes() and table.l_dot.tobytes() == l_dot.tobytes()
+    for got, want in ((table.s, s), (table.b, b)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), floor)
+
+
 def test_estimate_table_point_gaussian(vp, pg4, vp_lam_range):
     cfg = EmsConfig(num_timesteps=24, num_datapoints=64, lam_range=vp_lam_range, seed=13)
     table = estimate_table(pg4, vp, cfg)
@@ -369,6 +461,14 @@ def test_index_of_snapping(vp, vp_lam_range):
     assert table.index_of(float(table.lambda_grid[17] + 0.4 * h0)) == 17
     with pytest.raises(ValueError):
         table.index_of(float(table.lambda_grid[-1] + h0))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308])
+def test_index_of_rejects_non_finite_lambda(vp, vp_lam_range, lam):
+    """Non-finite lambdas, and finite ones whose grid offset overflows."""
+    table = degenerate_table(DATA_PRED, vp, 10, vp_lam_range, 2)
+    with pytest.raises(ValueError, match="outside the table range"):
+        table.index_of(lam)
 
 
 @st.composite
@@ -479,3 +579,5 @@ def test_ems_config_validation():
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(1.0, -1.0))
     with pytest.raises(ValueError):
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), probes_per_point=0)
+    with pytest.raises(ValueError, match="seed"):
+        EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), seed=-1)

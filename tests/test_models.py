@@ -330,6 +330,36 @@ def test_mixture_validation():
         GaussianMixture(weights=[1.0], means=[[0.0, 1.0]], stds=[1.0, 2.0])
 
 
+# -- the estimator's fused call -----------------------------------------------------
+
+
+@settings(max_examples=80)
+@given(
+    which=st.sampled_from(["point", "mixture", "mixture-b", "guided"]),
+    num_probes=st.sampled_from([1, 3]),
+    lam=st.floats(-4.5, 4.5),
+    scale=st.floats(-1.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eps_along_ode_jvp_is_eps_along_ode_and_jvp_bit_for_bit(
+    vp, pg4, mix4, mix4b, which, num_probes, lam, scale, seed
+):
+    model = {
+        "point": pg4,
+        "mixture": mix4,
+        "mixture-b": mix4b,
+        "guided": Guided(cond=mix4, uncond=mix4b, scale=scale),
+    }[which]
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal((6, 4))
+    probes = (rng.integers(0, 2, size=(num_probes, 6, 4)) * 2 - 1).astype(float)
+    got = model.eps_along_ode_jvp(vp, x, lam, probes)
+    want = (*model.eps_along_ode(vp, x, lam), model.jvp(vp, x, lam, probes))
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 # -- serialization ---------------------------------------------------------------
 
 
@@ -370,6 +400,16 @@ def test_model_from_dict_errors():
         model_from_dict({"x0": [0.0]})
     with pytest.raises(ValueError):
         model_from_dict({"kind": "neural-net"})
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_guided_rejects_non_finite_scale(mix4, pg4, scale):
+    with pytest.raises(ValueError, match="scale"):
+        Guided(cond=mix4, uncond=pg4, scale=scale)
+    data = Guided(cond=mix4, uncond=pg4, scale=2.0).to_dict()
+    data["scale"] = scale
+    with pytest.raises(ValueError, match="scale"):
+        model_from_dict(data)
 
 
 # -- reference solver -------------------------------------------------------------
