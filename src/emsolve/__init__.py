@@ -4,10 +4,7 @@ from .ems import (
     EmsConfig,
     EmsTable,
     degenerate_table,
-    estimate_sb,
     estimate_table,
-    eval_f,
-    eval_f1,
     load_table,
     save_table,
 )
@@ -27,7 +24,6 @@ from .models import (
     Guided,
     ModelSpec,
     PointGaussian,
-    forward_diffuse,
     model_from_dict,
     model_id,
     reference_solve,
@@ -35,9 +31,6 @@ from .models import (
 from .schedule import Schedule, TimeGrid, make_time_grid, schedules_equal
 from .solver import (
     SolverConfig,
-    ddim_step,
-    estimate_derivatives,
-    estimate_derivatives_pseudo,
     lupdate,
     multistep_sample,
     singlestep_sample,

@@ -168,47 +168,18 @@ def _f_and_r(sched, l_row, x, lam, eps, d_eps):
     return f, r
 
 
-def _f_and_f1(model, sched, l_row, l_dot_row, x, lam):
-    """f and f1, its total lambda-derivative along the ODE, from one ``eps_along_ode`` call."""
-    f, r = _f_and_r(sched, l_row, x, lam, *model.eps_along_ode(sched, x, lam))
-    return f, r - l_dot_row * x / sched.alpha_lambda(lam)
-
-
-def eval_f(model, sched, table: EmsTable, x, lam):
-    """The approximated nonlinearity f = (sigma eps - l * x) / alpha at a grid lambda."""
-    j = table.index_of(lam)
-    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[0]
-
-
-def eval_f1(model, sched, table: EmsTable, x, lam):
-    """Total lambda-derivative of f along the ODE at a grid lambda."""
-    j = table.index_of(lam)
-    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[1]
-
-
 def _fit_sb(mf, mf1, mff, mff1, eps_floor=None):
-    """The least-squares (s, b) of :func:`estimate_sb` from the means of f, f1, f*f and f*f1."""
+    """Least-squares slope and intercept of f1 against f, from the means of f, f1, f*f and f*f1.
+
+    s = cov(f, f1) / (var(f) + eps_floor) and b = mean(f1) - s * mean(f),
+    element-wise.  When ``eps_floor`` is None, a relative floor of
+    1e-8 * mean(f*f) plus a tiny absolute term regularizes the zero-variance
+    case, as happens for a point-mass data distribution.
+    """
     if eps_floor is None:
         eps_floor = 1e-8 * mff + _ABS_FLOOR
     s = (mff1 - mf * mf1) / (mff - mf * mf + eps_floor)
     return s, mf1 - s * mf
-
-
-def estimate_sb(f_samples, f1_samples, eps_floor=None):
-    """Closed-form least-squares slope/intercept of f1 against f, element-wise.
-
-    Returns (s, b) with s = cov(f, f1) / (var(f) + eps_floor) and
-    b = mean(f1) - s * mean(f).  When ``eps_floor`` is None, a relative floor
-    of 1e-8 * mean(f*f) plus a tiny absolute term regularizes the
-    zero-variance case, as happens for a point-mass data distribution.
-    """
-    f = np.asarray(f_samples, dtype=float)
-    f1 = np.asarray(f1_samples, dtype=float)
-    if f.shape != f1.shape or f.ndim != 2 or f.shape[0] < 1:
-        raise ValueError("f_samples and f1_samples must be matching nonempty (K, D) arrays")
-    return _fit_sb(
-        f.mean(axis=0), f1.mean(axis=0), (f * f).mean(axis=0), (f * f1).mean(axis=0), eps_floor
-    )
 
 
 def _point_stats(model, sched, lam, x0, z, probes):
@@ -220,7 +191,9 @@ def _point_stats(model, sched, lam, x0, z, probes):
     """
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
     xs = alpha * x0 + sigma * z
-    eps, d_eps, jvps = model.eps_along_ode_jvp(sched, xs, lam, probes)
+    eps, d_eps, jvp = model.linearize(sched, xs, lam)
+    jvps = jvp(probes)
+    del jvp  # frees the model's posterior before the reductions
     l_row = diag_probe_terms(sigma, jvps, probes).mean(axis=(0, 1))
     f, r = _f_and_r(sched, l_row, xs, lam, eps, d_eps)
     parts = (f, r, xs / alpha)
@@ -240,14 +213,15 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     rely on; independently re-drawn points per grid lambda would leave
     grid-scale jitter in the fields and cap the observable convergence order.
 
-    One sweep makes one ``eps_along_ode_jvp`` call per grid point.  It gives
-    l at that point, and f and r (see :func:`_f_and_r`), of which six means
-    are kept: f, r, x/alpha, f*f, f*r and f*x/alpha.  After the sweep, l's
-    slope is taken by finite differences, and since f1 = r - l_dot x / alpha
-    is linear in l_dot, the means of f1 and f*f1, and with them the
-    least-squares s and b, follow in closed form.  Bit-identical output for a
-    fixed config.  Raises :class:`DomainError` when ``cfg.lam_range`` leaves
-    the schedule's lambda domain.
+    One sweep makes one ``linearize`` call per grid point and applies its
+    ``jvp`` to the probe stack once.  That gives l at that point, and f and r
+    (see :func:`_f_and_r`), of which six means are kept: f, r, x/alpha, f*f,
+    f*r and f*x/alpha.  After the sweep, l's slope is taken by finite
+    differences, and since f1 = r - l_dot x / alpha is linear in l_dot, the
+    means of f1 and f*f1, and with them the least-squares s and b, follow in
+    closed form.  Bit-identical output for a fixed config.  Raises
+    :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's lambda
+    domain.
     """
     lam_lo, lam_hi = cfg.lam_range
     dom_lo, dom_hi = sched.lam_domain

@@ -2,8 +2,8 @@
 
 Every model here has a closed-form marginal density under forward diffusion,
 so the noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x) is
-exact, and so are its Jacobian-vector products and its lambda-derivative
-along the probability-flow ODE (``eps_along_ode``).  That makes these models
+exact, and so are its lambda-derivative along the probability-flow ODE and
+its Jacobian-vector products (``linearize``).  That makes these models
 usable as ground truth for solver-accuracy measurements: the probability-flow
 ODE can be integrated to near machine precision with an adaptive
 embedded Runge-Kutta pair (``reference_solve``).
@@ -77,28 +77,16 @@ class ModelSpec:
         """Noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x)."""
         raise NotImplementedError
 
-    def jvp(self, sched: Schedule, x, lam, v):
-        """Exact Jacobian-vector product (grad_x eps) @ v."""
-        raise NotImplementedError
+    def linearize(self, sched: Schedule, x, lam):
+        """eps at (x, lambda), its rate along the ODE, and its Jacobian: ``(eps, d_eps, jvp)``.
 
-    def eps_along_ode(self, sched: Schedule, x, lam):
-        """eps and its total lambda-derivative along the probability-flow ODE.
-
-        Returns ``(eps, d_eps)`` with d_eps = (d/dlambda) eps + J (c x - sigma eps),
-        where J = grad_x eps and c = dlog alpha/dlambda: the rate at which eps
-        changes on the trajectory through (x, lambda).  Closed form.
+        d_eps = (d/dlambda) eps + J (c x - sigma eps), where J = grad_x eps
+        and c = dlog alpha/dlambda: the rate at which eps changes on the
+        probability-flow trajectory through (x, lambda).  ``jvp(v)`` is the
+        exact product J v; ``v`` may carry extra leading axes, as a stack of
+        probes does.  All closed form, from one evaluation of the model.
         """
         raise NotImplementedError
-
-    def eps_along_ode_jvp(self, sched: Schedule, x, lam, v):
-        """``eps_along_ode`` and ``jvp`` at one point: ``(eps, d_eps, (grad_x eps) @ v)``.
-
-        ``v`` may carry extra leading axes, as a stack of probes does.  The
-        statistics estimator's one model call per grid point; a model that can
-        share work between the two overrides it, with bit-identical results.
-        """
-        eps, d_eps = self.eps_along_ode(sched, x, lam)
-        return eps, d_eps, self.jvp(sched, x, lam, v)
 
     def sample_data(self, rng: np.random.Generator, n: int):
         """Draw n i.i.d. points from the clean-data distribution q0."""
@@ -131,6 +119,8 @@ class PointGaussian(ModelSpec):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if x0.ndim != 1 or x0.size < 1:
             raise ValueError("x0 must be a vector of dimension >= 1")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -143,15 +133,15 @@ class PointGaussian(ModelSpec):
         sigma = sched.sigma_lambda(lam)
         return (x - alpha * self.x0) / sigma
 
-    def jvp(self, sched, x, lam, v):
-        self._check_x(x)
-        v = self._check_x(v)
-        return v / sched.sigma_lambda(lam)
-
-    def eps_along_ode(self, sched, x, lam):
+    def linearize(self, sched, x, lam):
         # (x - alpha x0) / sigma is constant along every trajectory
         eps = self.eps(sched, x, lam)
-        return eps, np.zeros_like(eps)
+        sigma = sched.sigma_lambda(lam)
+
+        def apply_jacobian(v):
+            return self._check_x(v) / sigma
+
+        return eps, np.zeros_like(eps), apply_jacobian
 
     def sample_data(self, rng, n):
         if n < 1:
@@ -183,6 +173,9 @@ class GaussianMixture(ModelSpec):
         s = np.atleast_1d(np.asarray(self.stds, dtype=float))
         if not (len(w) == len(mu) == len(s)):
             raise ValueError("weights, means, stds must have the same number of components")
+        for name, value in (("weights", w), ("means", mu), ("stds", s)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {w.sum()}, expected 1 within 1e-12")
         if np.any(w <= 0):
@@ -247,30 +240,14 @@ class GaussianMixture(ModelSpec):
         score = _short_sum(pi[..., None] * comp_score, axis=-2)
         return -sigma * score
 
-    def jvp(self, sched, x, lam, v):
-        x = self._check_x(x)
-        v = self._check_x(v)
-        alpha, sigma, var = self._moments(sched, lam)
-        pi, comp_score, _ = self._posterior(x, alpha, var)
-        mean_score = _short_sum(pi[..., None] * comp_score, axis=-2)  # (..., D)
-        return self._jvp(sigma, var, pi, comp_score, mean_score, v)
-
     def _jvp(self, sigma, var, pi, comp_score, mean_score, v):
         """-sigma H v from a posterior; ``v`` may add leading axes, such as probes."""
         dots = _short_sum(comp_score * v[..., None, :])  # (..., C)
         return -sigma * self._hessian_terms(pi, comp_score, mean_score, var, v, pi * dots)
 
-    def eps_along_ode(self, sched, x, lam):
-        return self._along_ode(sched, self._check_x(x), lam)[:2]
-
-    def eps_along_ode_jvp(self, sched, x, lam, v):
+    def linearize(self, sched, x, lam):
+        # apply_jacobian closes over this call's posterior, which it keeps alive
         x = self._check_x(x)
-        v = self._check_x(v)
-        eps, d_eps, posterior = self._along_ode(sched, x, lam)
-        return eps, d_eps, self._jvp(*posterior, v)
-
-    def _along_ode(self, sched, x, lam):
-        """eps, d_eps and the posterior ``(sigma, var, pi, comp_score, mean_score)`` behind them."""
         alpha, sigma, var = self._moments(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         pi, comp_score, sq = self._posterior(x, alpha, var)
@@ -296,7 +273,11 @@ class GaussianMixture(ModelSpec):
         hv = self._hessian_terms(pi, comp_score, mean_score, var, v, weights)
         pi_over_var = _short_sum(pi / var, keepdims=True)
         d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
-        return eps, d_eps, (sigma, var, pi, comp_score, mean_score)
+
+        def apply_jacobian(v):
+            return self._jvp(sigma, var, pi, comp_score, mean_score, self._check_x(v))
+
+        return eps, d_eps, apply_jacobian
 
     def sample_data(self, rng, n):
         if n < 1:
@@ -338,26 +319,21 @@ class Guided(ModelSpec):
         s = self.scale
         return s * self.cond.eps(sched, x, lam) + (1.0 - s) * self.uncond.eps(sched, x, lam)
 
-    def jvp(self, sched, x, lam, v):
+    def linearize(self, sched, x, lam):
         s = self.scale
-        return s * self.cond.jvp(sched, x, lam, v) + (1.0 - s) * self.uncond.jvp(sched, x, lam, v)
-
-    def eps_along_ode(self, sched, x, lam):
-        s = self.scale
-        eps_c, d_c = self.cond.eps_along_ode(sched, x, lam)
-        eps_u, d_u = self.uncond.eps_along_ode(sched, x, lam)
+        eps_c, d_c, jvp_c = self.cond.linearize(sched, x, lam)
+        eps_u, d_u, jvp_u = self.uncond.linearize(sched, x, lam)
         eps = s * eps_c + (1.0 - s) * eps_u
         # Each part's d_eps follows that part's own ODE.  The guided velocity
         # differs from it by sigma (eps_part - eps), which the parts' Jacobians
         # carry into d_eps: sigma s (1 - s) (J_c - J_u) (eps_c - eps_u).
         gap = (sched.sigma_lambda(lam) * s * (1.0 - s)) * (eps_c - eps_u)
-        d_eps = (
-            s * d_c
-            + (1.0 - s) * d_u
-            + self.cond.jvp(sched, x, lam, gap)
-            - self.uncond.jvp(sched, x, lam, gap)
-        )
-        return eps, d_eps
+        d_eps = s * d_c + (1.0 - s) * d_u + jvp_c(gap) - jvp_u(gap)
+
+        def apply_jacobian(v):
+            return s * jvp_c(v) + (1.0 - s) * jvp_u(v)
+
+        return eps, d_eps, apply_jacobian
 
     def sample_data(self, rng, n):
         return self.cond.sample_data(rng, n)
@@ -379,26 +355,26 @@ _MODEL_KINDS = {
 
 
 def model_from_dict(data: dict) -> ModelSpec:
-    """Rebuild a model from its JSON dict form."""
+    """Rebuild a model from its JSON dict form; a missing key raises ValueError."""
     try:
         kind = data["kind"]
-    except KeyError:
-        raise ValueError("model dict missing 'kind'") from None
-    if kind not in _MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if kind == "point-gaussian":
-        return PointGaussian(x0=np.asarray(data["x0"], dtype=float))
-    if kind == "gaussian-mixture":
-        return GaussianMixture(
-            weights=np.asarray(data["weights"], dtype=float),
-            means=np.asarray(data["means"], dtype=float),
-            stds=np.asarray(data["stds"], dtype=float),
+        if kind not in _MODEL_KINDS:
+            raise ValueError(f"unknown model kind {kind!r}")
+        if kind == "point-gaussian":
+            return PointGaussian(x0=np.asarray(data["x0"], dtype=float))
+        if kind == "gaussian-mixture":
+            return GaussianMixture(
+                weights=np.asarray(data["weights"], dtype=float),
+                means=np.asarray(data["means"], dtype=float),
+                stds=np.asarray(data["stds"], dtype=float),
+            )
+        return Guided(
+            cond=model_from_dict(data["cond"]),
+            uncond=model_from_dict(data["uncond"]),
+            scale=float(data["scale"]),
         )
-    return Guided(
-        cond=model_from_dict(data["cond"]),
-        uncond=model_from_dict(data["uncond"]),
-        scale=float(data["scale"]),
-    )
+    except KeyError as exc:
+        raise ValueError(f"model dict missing key {exc}") from None
 
 
 def model_id(model: ModelSpec) -> str:
@@ -408,7 +384,7 @@ def model_id(model: ModelSpec) -> str:
 
 
 class EvalCounter:
-    """Delegate that counts noise-prediction calls (the NFE); every other member is the model's."""
+    """Delegate that counts ``eps`` calls (the NFE); it forwards ``linearize`` and all else."""
 
     def __init__(self, inner: ModelSpec):
         self.inner = inner
@@ -422,14 +398,6 @@ class EvalCounter:
     def eps(self, sched, x, lam):
         self.calls += 1
         return self.inner.eps(sched, x, lam)
-
-
-def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):
-    """Apply the forward noising transition: alpha * x0 + sigma * z, z ~ N(0, I)."""
-    x0 = np.asarray(x0, dtype=float)
-    alpha = sched.alpha_lambda(lam)
-    sigma = sched.sigma_lambda(lam)
-    return alpha * x0 + sigma * rng.standard_normal(x0.shape)
 
 
 def reference_solve(

@@ -9,9 +9,7 @@ k-th derivative ("pseudo" order, more stable at very few steps).  Both
 estimates are linear in the g values, with scalar weights that depend only
 on the step's lambda offsets, so they are computed in closed form when the
 plan is built and folded with the E^k weights into one ``(D,)`` vector per g
-value: a step makes no linear solve.  :func:`estimate_derivatives` (by
-elimination) and :func:`estimate_derivatives_pseudo` (by the recurrence)
-remain as independent references.
+value: a step makes no linear solve.
 
 g's zero point is the anchor, but moving it scales and offsets g by the same
 ``(D,)`` vectors at every position, and a step's weights sum to E^0.  So the
@@ -93,60 +91,16 @@ def _check_deltas(deltas) -> list:
     return deltas
 
 
-def estimate_derivatives(deltas, g_diffs):
-    """Solve the polynomial-matching system for (g^(1), g^(2)/2!, ..., g^(n)/n!).
-
-    ``deltas[k]`` is the lambda offset of extra point k from the anchor and
-    ``g_diffs[k]`` the difference of its g value from the anchor's.  The n x n
-    system is solved by elimination with partial pivoting.
-    """
-    deltas = _check_deltas(deltas)
-    n = len(deltas)
-    if n == 1:
-        return [np.asarray(g_diffs[0]) / deltas[0]]
-    rhs = np.stack([np.asarray(g, dtype=float) for g in g_diffs])
-    tail = rhs.shape[1:]
-    matrix = np.vander(deltas, n + 1, increasing=True)[:, 1:]
-    sol = np.linalg.solve(matrix, rhs.reshape(n, -1))
-    return [sol[k].reshape(tail) for k in range(n)]
-
-
-def estimate_derivatives_pseudo(deltas, g_values):
-    """Divided-difference estimates matching :func:`estimate_derivatives` output.
-
-    ``g_values`` holds the anchor's g first, then the g at each delta.  The
-    k-th returned entry (g^(k)/k!) uses only the first k+1 points, via the
-    triangular recurrence of divided differences, so it equals the exact
-    solve only for k = n or on exactly-polynomial data.
-    """
-    deltas = _check_deltas(deltas)
-    n = len(deltas)
-    if len(g_values) != n + 1:
-        raise ValueError(f"need {n + 1} g values (anchor first), got {len(g_values)}")
-    if n == 1:
-        return [(np.asarray(g_values[1]) - np.asarray(g_values[0])) / deltas[0]]
-    offsets = [0.0] + deltas
-    table = [np.asarray(g, dtype=float) for g in g_values]
-    out = []
-    for k in range(1, n + 1):
-        table = [
-            (table[i + 1] - table[i]) / (offsets[i + k] - offsets[i])
-            for i in range(len(table) - 1)
-        ]
-        out.append(table[0])
-    return out
-
-
 def taylor_rows(deltas, pseudo: bool) -> list:
     """Scalar weights ``w[p][k]`` with g^(k)/k! estimated as ``sum_p w[p][k] g_p``.
 
     The nodes are the anchor's offset 0 and then ``deltas``, and ``g_p`` is
     the g value at node p.  Full order gives the coefficients of each node's
-    Lagrange basis polynomial: the exact solution that
-    :func:`estimate_derivatives` finds by elimination.  Pseudo order gives
-    the divided-difference weights ``1 / prod_{q <= k, q != p} (x_p - x_q)``
-    for p <= k (zero above), those of :func:`estimate_derivatives_pseudo`.
-    No offsets gives ``[[1.0]]``.
+    Lagrange basis polynomial: the exact solution of the polynomial-matching
+    (Vandermonde) system.  Pseudo order gives the divided-difference weights
+    ``1 / prod_{q <= k, q != p} (x_p - x_q)`` for p <= k (zero above): the
+    k-th derivative uses only the nearest k+1 values.  No offsets gives
+    ``[[1.0]]``; offsets must be 1..3 finite, nonzero and distinct.
     """
     nodes = [0.0] + (_check_deltas(deltas) if len(deltas) else [])
     n = len(nodes)
@@ -171,12 +125,6 @@ def taylor_rows(deltas, pseudo: bool) -> list:
             row = [c / denom for c in row]
         rows.append(row)
     return rows
-
-
-def explicit_vandermonde_solution(deltas, g_diffs):
-    """Closed-form top coefficient g^(n)/n!, read off the full-order rows' last column."""
-    rows = taylor_rows(deltas, False)
-    return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
 
 
 def _taylor_weights(coeffs: Transition, deltas, pseudo: bool) -> np.ndarray:
@@ -413,19 +361,3 @@ def singlestep_sample(
         for target in range(start + 1, min(start + cfg.order, total) + 1)
     ]
     return _run(model, sched, tab, grid, _plan(tab, grid, transitions), x_init)
-
-
-def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
-    """Classical first-order deterministic update from t_s down to t_t.
-
-    Order 1 on the noise-prediction table is this update; it stays as that path's reference.
-    """
-    if t_t > t_s:
-        raise ValueError(f"need t_t <= t_s, got {t_t} > {t_s}")
-    alpha_s = sched.alpha(t_s)
-    alpha_t = sched.alpha(t_t)
-    sigma_s = sched.sigma(t_s)
-    sigma_t = sched.sigma(t_t)
-    x_s, eps_s = np.asarray(x_s, dtype=float), np.asarray(eps_s, dtype=float)
-    return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * eps_s
-

@@ -1,0 +1,161 @@
+"""Independent restatements that the tests check the library against.
+
+No library path calls any of these.  Each restates a quantity the library
+computes another way: derivative estimates by elimination and by the
+divided-difference recurrence (against the plan's closed-form Taylor
+weights), the classical DDIM update (against order 1 on the
+noise-prediction table), f and f1 one point at a time and the per-sample
+least-squares fit (against the one-sweep table), and a model's
+derivatives from separate calls, part by part for a guided model (against
+``linearize``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from emsolve.ems import EmsTable, _f_and_r, _fit_sb
+from emsolve.models import Guided
+from emsolve.schedule import Schedule
+from emsolve.solver import _check_deltas, taylor_rows
+
+# -- model evaluation ------------------------------------------------------------
+
+
+def jvp(model, sched, x, lam, v):
+    """(grad_x eps) @ v at (x, lambda), from one ``linearize`` call."""
+    return model.linearize(sched, x, lam)[2](v)
+
+
+def eps_along_ode(model, sched, x, lam):
+    """``(eps, d_eps)`` at (x, lambda), from one ``linearize`` call."""
+    return model.linearize(sched, x, lam)[:2]
+
+
+def composed_linearize(model, sched, x, lam, v):
+    """``(eps, d_eps, J v)`` with every quantity from a ``linearize`` call of its own.
+
+    A guided model's come from its parts: each part's eps and d_eps, its
+    JVP on the guidance gap and its JVP on ``v``, six part calls where
+    ``Guided.linearize`` makes two.
+    """
+    if not isinstance(model, Guided):
+        return (*eps_along_ode(model, sched, x, lam), jvp(model, sched, x, lam, v))
+    s = model.scale
+    eps_c, d_c = eps_along_ode(model.cond, sched, x, lam)
+    eps_u, d_u = eps_along_ode(model.uncond, sched, x, lam)
+    eps = s * eps_c + (1.0 - s) * eps_u
+    gap = (sched.sigma_lambda(lam) * s * (1.0 - s)) * (eps_c - eps_u)
+    d_eps = (
+        s * d_c
+        + (1.0 - s) * d_u
+        + jvp(model.cond, sched, x, lam, gap)
+        - jvp(model.uncond, sched, x, lam, gap)
+    )
+    jv = s * jvp(model.cond, sched, x, lam, v) + (1.0 - s) * jvp(model.uncond, sched, x, lam, v)
+    return eps, d_eps, jv
+
+
+def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):
+    """Apply the forward noising transition: alpha * x0 + sigma * z, z ~ N(0, I)."""
+    x0 = np.asarray(x0, dtype=float)
+    alpha = sched.alpha_lambda(lam)
+    sigma = sched.sigma_lambda(lam)
+    return alpha * x0 + sigma * rng.standard_normal(x0.shape)
+
+
+# -- the statistics, one point at a time --------------------------------------------
+
+
+def _f_and_f1(model, sched, l_row, l_dot_row, x, lam):
+    """f and f1, its total lambda-derivative along the ODE, from one ``linearize`` call."""
+    f, r = _f_and_r(sched, l_row, x, lam, *eps_along_ode(model, sched, x, lam))
+    return f, r - l_dot_row * x / sched.alpha_lambda(lam)
+
+
+def eval_f(model, sched, table: EmsTable, x, lam):
+    """The approximated nonlinearity f = (sigma eps - l * x) / alpha at a grid lambda."""
+    j = table.index_of(lam)
+    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[0]
+
+
+def eval_f1(model, sched, table: EmsTable, x, lam):
+    """Total lambda-derivative of f along the ODE at a grid lambda."""
+    j = table.index_of(lam)
+    return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[1]
+
+
+def estimate_sb(f_samples, f1_samples, eps_floor=None):
+    """The library's least-squares fit of f1 against f, from (K, D) samples of each."""
+    f = np.asarray(f_samples, dtype=float)
+    f1 = np.asarray(f1_samples, dtype=float)
+    if f.shape != f1.shape or f.ndim != 2 or f.shape[0] < 1:
+        raise ValueError("f_samples and f1_samples must be matching nonempty (K, D) arrays")
+    return _fit_sb(
+        f.mean(axis=0), f1.mean(axis=0), (f * f).mean(axis=0), (f * f1).mean(axis=0), eps_floor
+    )
+
+
+# -- derivative estimation and the first-order step ------------------------------------
+
+
+def estimate_derivatives(deltas, g_diffs):
+    """Solve the polynomial-matching system for (g^(1), g^(2)/2!, ..., g^(n)/n!).
+
+    ``deltas[k]`` is the lambda offset of extra point k from the anchor and
+    ``g_diffs[k]`` the difference of its g value from the anchor's.  The n x n
+    system is solved by elimination with partial pivoting.
+    """
+    deltas = _check_deltas(deltas)
+    n = len(deltas)
+    if n == 1:
+        return [np.asarray(g_diffs[0]) / deltas[0]]
+    rhs = np.stack([np.asarray(g, dtype=float) for g in g_diffs])
+    tail = rhs.shape[1:]
+    matrix = np.vander(deltas, n + 1, increasing=True)[:, 1:]
+    sol = np.linalg.solve(matrix, rhs.reshape(n, -1))
+    return [sol[k].reshape(tail) for k in range(n)]
+
+
+def estimate_derivatives_pseudo(deltas, g_values):
+    """Divided-difference estimates matching :func:`estimate_derivatives` output.
+
+    ``g_values`` holds the anchor's g first, then the g at each delta.  The
+    k-th returned entry (g^(k)/k!) uses only the first k+1 points, via the
+    triangular recurrence of divided differences, so it equals the exact
+    solve only for k = n or on exactly-polynomial data.
+    """
+    deltas = _check_deltas(deltas)
+    n = len(deltas)
+    if len(g_values) != n + 1:
+        raise ValueError(f"need {n + 1} g values (anchor first), got {len(g_values)}")
+    if n == 1:
+        return [(np.asarray(g_values[1]) - np.asarray(g_values[0])) / deltas[0]]
+    offsets = [0.0] + deltas
+    table = [np.asarray(g, dtype=float) for g in g_values]
+    out = []
+    for k in range(1, n + 1):
+        table = [
+            (table[i + 1] - table[i]) / (offsets[i + k] - offsets[i])
+            for i in range(len(table) - 1)
+        ]
+        out.append(table[0])
+    return out
+
+
+def explicit_vandermonde_solution(deltas, g_diffs):
+    """Closed-form top coefficient g^(n)/n!, read off the library's full-order rows' last column."""
+    rows = taylor_rows(deltas, False)
+    return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
+
+
+def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
+    """Classical first-order deterministic update from t_s down to t_t."""
+    if t_t > t_s:
+        raise ValueError(f"need t_t <= t_s, got {t_t} > {t_s}")
+    alpha_s = sched.alpha(t_s)
+    alpha_t = sched.alpha(t_t)
+    sigma_s = sched.sigma(t_s)
+    sigma_t = sched.sigma(t_t)
+    x_s, eps_s = np.asarray(x_s, dtype=float), np.asarray(eps_s, dtype=float)
+    return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * eps_s

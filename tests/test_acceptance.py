@@ -17,12 +17,8 @@ from emsolve import (
     Schedule,
     SolverConfig,
     build_integral_table,
-    ddim_step,
     degenerate_table,
-    estimate_derivatives,
-    estimate_derivatives_pseudo,
     estimate_table,
-    forward_diffuse,
     g_coefficients,
     lupdate,
     make_time_grid,
@@ -44,8 +40,14 @@ from emsolve.integrals import (
 )
 from emsolve.models import ModelSpec
 from emsolve.schedule import UNIFORM_LAMBDA
-from emsolve.solver import explicit_vandermonde_solution
 
+from oracles import (
+    ddim_step,
+    estimate_derivatives,
+    estimate_derivatives_pseudo,
+    explicit_vandermonde_solution,
+    forward_diffuse,
+)
 from test_solver import draw_separated, g_value
 
 
@@ -70,8 +72,8 @@ class RecordingModel(ModelSpec):
         self.calls.append((np.array(x, dtype=float), float(lam), np.array(out)))
         return out
 
-    def jvp(self, sched, x, lam, v):
-        return self.inner.jvp(sched, x, lam, v)
+    def linearize(self, sched, x, lam):
+        return self.inner.linearize(sched, x, lam)
 
 
 def test_criterion_1_global_convergence_order(vp, mix4, mix_table, mix_tab, vp_lam_range):

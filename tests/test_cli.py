@@ -123,6 +123,32 @@ def test_missing_model_file_is_runtime_error(cli_files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"kind": "point-gaussian"}, "x0"),
+        ({"kind": "gaussian-mixture", "weights": [1.0], "stds": [1.0]}, "means"),
+        ({"kind": "guided", "cond": {"kind": "point-gaussian", "x0": [0.0]}, "scale": 2}, "uncond"),
+    ],
+    ids=["x0", "means", "uncond"],
+)
+def test_model_file_missing_a_key_is_runtime_error(cli_files, capsys, data, key):
+    path = cli_files["root"] / f"missing_{key}.json"
+    path.write_text(json.dumps(data))
+    code = main(
+        [
+            "ems",
+            "--model", str(path),
+            "--schedule", str(cli_files["schedule"]),
+            "--lam-min", "-1.0",
+            "--lam-max", "1.0",
+            "--out", str(cli_files["root"] / "x.json"),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: model dict missing key '{key}'\n"
+
+
 # -- solve command -----------------------------------------------------------------
 
 

@@ -15,11 +15,7 @@ from emsolve import (
     TableFormatError,
     UnsupportedVersionError,
     degenerate_table,
-    estimate_sb,
     estimate_table,
-    eval_f,
-    eval_f1,
-    forward_diffuse,
     load_table,
     reference_solve,
     save_table,
@@ -27,6 +23,8 @@ from emsolve import (
 from emsolve.ems import DATA_PRED, NOISE_PRED, diag_probe_terms, estimate_l_dot
 from emsolve.models import ModelSpec
 from emsolve.schedule import EDM, VP_COSINE, VP_LINEAR, Schedule
+
+from oracles import eps_along_ode, estimate_sb, eval_f, eval_f1, forward_diffuse, jvp
 
 
 class ConstantModel(ModelSpec):
@@ -44,12 +42,9 @@ class ConstantModel(ModelSpec):
     def eps(self, sched, x, lam):
         return np.broadcast_to(self.value, np.shape(x)).copy()
 
-    def jvp(self, sched, x, lam, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
-
-    def eps_along_ode(self, sched, x, lam):
+    def linearize(self, sched, x, lam):
         eps = self.eps(sched, x, lam)
-        return eps, np.zeros_like(eps)
+        return eps, np.zeros_like(eps), lambda v: np.zeros_like(np.asarray(v, dtype=float))
 
     def sample_data(self, rng, n):
         return rng.standard_normal((n, self.dim))
@@ -66,7 +61,7 @@ def exact_diag(model, sched, lam, xs):
     for d in range(dim):
         e = np.zeros(dim)
         e[d] = 1.0
-        cols.append(sigma * model.jvp(sched, xs, lam, np.broadcast_to(e, xs.shape))[..., d])
+        cols.append(sigma * jvp(model, sched, xs, lam, np.broadcast_to(e, xs.shape))[..., d])
     return np.stack(cols, axis=-1)
 
 
@@ -95,7 +90,7 @@ def test_estimate_l_zero_jacobian(vp):
     assert np.array_equal(table.l, np.zeros((5, 3)))
     probes = np.where(np.random.default_rng(1).random((2, 16, 3)) < 0.5, -1.0, 1.0)
     x = np.ones((16, 3))
-    terms = diag_probe_terms(vp.sigma_lambda(0.0), model.jvp(vp, x, 0.0, probes), probes)
+    terms = diag_probe_terms(vp.sigma_lambda(0.0), jvp(model, vp, x, 0.0, probes), probes)
     assert np.array_equal(terms, np.zeros((2, 16, 3)))
 
 
@@ -106,7 +101,7 @@ def test_estimate_l_within_three_standard_errors(vp, mix4):
     xs = forward_diffuse(vp, mix4.sample_data(rng, k), lam, rng)
     probe_rng = np.random.default_rng(3)
     v = (probe_rng.integers(0, 2, size=(1,) + xs.shape) * 2 - 1).astype(float)
-    terms = diag_probe_terms(vp.sigma_lambda(lam), mix4.jvp(vp, xs, lam, v), v)[0]
+    terms = diag_probe_terms(vp.sigma_lambda(lam), jvp(mix4, vp, xs, lam, v), v)[0]
     oracle = exact_diag(mix4, vp, lam, xs)
     resid = terms - oracle  # probe noise only: the datapoints are shared
     se = resid.std(axis=0, ddof=1) / np.sqrt(k)
@@ -135,7 +130,7 @@ def test_chunked_reduction_matches_serial(vp, mix4):
     rng = np.random.default_rng(4)
     xs = forward_diffuse(vp, mix4.sample_data(rng, 512), 0.2, rng)
     v = (rng.integers(0, 2, size=(2,) + xs.shape) * 2 - 1).astype(float)
-    terms = diag_probe_terms(vp.sigma_lambda(0.2), mix4.jvp(vp, xs, 0.2, v), v)
+    terms = diag_probe_terms(vp.sigma_lambda(0.2), jvp(mix4, vp, xs, 0.2, v), v)
     serial = terms.mean(axis=(0, 1))
     chunks = [terms[:, i : i + 128] for i in range(0, 512, 128)]
     partial = sum(c.sum(axis=(0, 1)) for c in reversed(chunks))
@@ -295,7 +290,7 @@ def test_estimate_sb_shape_errors():
 
 
 class CallCounter(ModelSpec):
-    """Delegate that counts every model method called on it, by name."""
+    """Delegate that counts every model method called on it, by name, and each ``jvp`` applied."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -312,14 +307,14 @@ class CallCounter(ModelSpec):
     def eps(self, sched, x, lam):
         return self._call("eps", sched, x, lam)
 
-    def jvp(self, sched, x, lam, v):
-        return self._call("jvp", sched, x, lam, v)
+    def linearize(self, sched, x, lam):
+        eps, d_eps, apply_jacobian = self._call("linearize", sched, x, lam)
 
-    def eps_along_ode(self, sched, x, lam):
-        return self._call("eps_along_ode", sched, x, lam)
+        def counted_jvp(v):
+            self.calls["jvp"] += 1
+            return apply_jacobian(v)
 
-    def eps_along_ode_jvp(self, sched, x, lam, v):
-        return self._call("eps_along_ode_jvp", sched, x, lam, v)
+        return eps, d_eps, counted_jvp
 
     def sample_data(self, rng, n):
         return self.inner.sample_data(rng, n)
@@ -331,9 +326,9 @@ class CallCounter(ModelSpec):
 def two_sweep_table(model, sched, cfg):
     """The two-sweep estimator (independent oracle): (grid, l, l_dot, s, b).
 
-    A first sweep takes l from one ``jvp`` per grid point; after l's finite
-    difference, a second sweep fits s and b to f and f1 samples from one
-    ``eps_along_ode`` per grid point.
+    A first sweep takes l from the model's JVPs at each grid point; after
+    l's finite difference, a second sweep fits s and b to f and f1 samples
+    from a second ``linearize`` call per grid point.
     """
     grid = np.linspace(*cfg.lam_range, cfg.num_timesteps + 1)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
@@ -342,7 +337,7 @@ def two_sweep_table(model, sched, cfg):
     probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
     points = [sched.alpha_lambda(lam) * x0 + sched.sigma_lambda(lam) * z for lam in grid]
     l = np.array([
-        diag_probe_terms(sched.sigma_lambda(lam), model.jvp(sched, xs, lam, probes), probes)
+        diag_probe_terms(sched.sigma_lambda(lam), jvp(model, sched, xs, lam, probes), probes)
         .mean(axis=(0, 1))
         for lam, xs in zip(grid, points)
     ])
@@ -350,7 +345,7 @@ def two_sweep_table(model, sched, cfg):
     s, b = np.empty_like(l), np.empty_like(l)
     for j, (lam, xs) in enumerate(zip(grid, points)):
         alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
-        eps, d_eps = model.eps_along_ode(sched, xs, lam)
+        eps, d_eps = eps_along_ode(model, sched, xs, lam)
         f = (sigma * eps - l[j] * xs) / alpha
         f1 = np.exp(-lam) * ((l[j] - 1.0) * eps + d_eps) - l_dot[j] * xs / alpha
         s[j], b[j] = estimate_sb(f, f1)
@@ -362,7 +357,7 @@ def test_estimate_table_makes_one_model_call_per_grid_point(vp, pg4, mix4, model
     counted = CallCounter({"point-mass": pg4, "mixture": mix4}[model_name])
     cfg = EmsConfig(num_timesteps=12, num_datapoints=32, lam_range=(-2.0, 2.0), seed=3)
     estimate_table(counted, vp, cfg)
-    assert counted.calls == {"eps_along_ode_jvp": 13}
+    assert counted.calls == {"linearize": 13, "jvp": 13}
 
 
 @pytest.mark.parametrize("case", ["point-mass", "guided", "two-probes"])

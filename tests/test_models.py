@@ -15,12 +15,13 @@ from emsolve import (
     PointGaussian,
     Schedule,
     estimate_table,
-    forward_diffuse,
     model_from_dict,
     model_id,
     reference_solve,
 )
 from emsolve.models import _logsumexp, _short_sum
+
+from oracles import composed_linearize, eps_along_ode, forward_diffuse, jvp
 
 
 def closed_form_trajectory(sched, pg, x_start, lam_start, lam_end):
@@ -79,7 +80,7 @@ def test_jvp_point_gaussian(vp, pg4):
     rng = np.random.default_rng(3)
     x, v = rng.standard_normal(4), rng.standard_normal(4)
     lam = 1.1
-    assert np.allclose(pg4.jvp(vp, x, lam, v), v / vp.sigma_lambda(lam), atol=1e-14)
+    assert np.allclose(jvp(pg4, vp, x, lam, v), v / vp.sigma_lambda(lam), atol=1e-14)
 
 
 def test_jvp_matches_finite_difference(vp, mix4):
@@ -90,12 +91,12 @@ def test_jvp_matches_finite_difference(vp, mix4):
         x = rng.standard_normal(4)
         v = rng.standard_normal(4)
         fd = (mix4.eps(vp, x + h * v, lam) - mix4.eps(vp, x - h * v, lam)) / (2 * h)
-        got = mix4.jvp(vp, x, lam, v)
+        got = jvp(mix4, vp, x, lam, v)
         assert np.max(np.abs(got - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-5
 
 
 def test_jvp_zero_vector(vp, mix4):
-    assert np.allclose(mix4.jvp(vp, np.ones(4), 0.5, np.zeros(4)), 0.0)
+    assert np.allclose(jvp(mix4, vp, np.ones(4), 0.5, np.zeros(4)), 0.0)
 
 
 def test_jvp_linearity(vp, mix4):
@@ -105,8 +106,8 @@ def test_jvp_linearity(vp, mix4):
         x = rng.standard_normal(4)
         v, w = rng.standard_normal(4), rng.standard_normal(4)
         a, b = rng.standard_normal(2)
-        combined = mix4.jvp(vp, x, lam, a * v + b * w)
-        split = a * mix4.jvp(vp, x, lam, v) + b * mix4.jvp(vp, x, lam, w)
+        combined = jvp(mix4, vp, x, lam, a * v + b * w)
+        split = a * jvp(mix4, vp, x, lam, v) + b * jvp(mix4, vp, x, lam, w)
         assert np.max(np.abs(combined - split)) < 1e-9
 
 
@@ -115,9 +116,9 @@ def test_jvp_linearity(vp, mix4):
 
 def eps_dlambda(model, sched, x, lam):
     """The lambda-partial of eps at fixed x: d_eps minus the Jacobian term."""
-    eps, d_eps = model.eps_along_ode(sched, x, lam)
+    eps, d_eps = eps_along_ode(model, sched, x, lam)
     flow = sched.dlog_alpha_dlambda(lam) * x - sched.sigma_lambda(lam) * eps
-    return d_eps - model.jvp(sched, x, lam, flow)
+    return d_eps - jvp(model, sched, x, lam, flow)
 
 
 def richardson_eps_dlambda(model, sched, x, lam, h):
@@ -169,11 +170,11 @@ def test_mixture_d_eps_matches_richardson_difference(kind, mix4):
         for _ in range(10):
             lam = rng.uniform(lo, hi)
             x = 1.5 * rng.standard_normal((3, 4))
-            eps, d_eps = model.eps_along_ode(sched, x, lam)
+            eps, d_eps = eps_along_ode(model, sched, x, lam)
             assert np.array_equal(eps, model.eps(sched, x, lam))
             flow = sched.dlog_alpha_dlambda(lam) * x - sched.sigma_lambda(lam) * eps
-            want = richardson_eps_dlambda(model, sched, x, lam, 4e-3) + model.jvp(
-                sched, x, lam, flow
+            want = richardson_eps_dlambda(model, sched, x, lam, 4e-3) + jvp(
+                model, sched, x, lam, flow
             )
             assert np.max(np.abs(d_eps - want)) <= 1e-7 * np.max(np.abs(want))
 
@@ -182,7 +183,7 @@ def test_point_mass_d_eps_is_zero(vp, edm, pg4):
     rng = np.random.default_rng(21)
     for sched in (vp, edm):
         x = rng.standard_normal((5, 4))
-        eps, d_eps = pg4.eps_along_ode(sched, x, 0.7)
+        eps, d_eps = eps_along_ode(pg4, sched, x, 0.7)
         assert np.array_equal(eps, pg4.eps(sched, x, 0.7))
         assert np.array_equal(d_eps, np.zeros((5, 4)))
 
@@ -194,7 +195,7 @@ def test_guided_lambda_partial_is_linear(vp, mix4, pg4, scale):
     rng = np.random.default_rng(22)
     for lam in (-2.0, 0.3, 2.5):
         x = rng.standard_normal((3, 4))
-        eps, d_eps = guided.eps_along_ode(vp, x, lam)
+        eps, d_eps = eps_along_ode(guided, vp, x, lam)
         assert np.array_equal(eps, guided.eps(vp, x, lam))
         want = scale * eps_dlambda(mix4, vp, x, lam) + (1.0 - scale) * eps_dlambda(
             pg4, vp, x, lam
@@ -203,7 +204,7 @@ def test_guided_lambda_partial_is_linear(vp, mix4, pg4, scale):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         fd = richardson_eps_dlambda(guided, vp, x, lam, 4e-3)
         flow = vp.dlog_alpha_dlambda(lam) * x - vp.sigma_lambda(lam) * eps
-        assert np.max(np.abs(d_eps - fd - guided.jvp(vp, x, lam, flow))) <= 1e-7 * np.max(
+        assert np.max(np.abs(d_eps - fd - jvp(guided, vp, x, lam, flow))) <= 1e-7 * np.max(
             np.abs(d_eps)
         )
 
@@ -308,8 +309,8 @@ def test_guided_combination_and_sampling(vp, mix4, pg4):
     x, v = rng.standard_normal(4), rng.standard_normal(4)
     want = 2.5 * mix4.eps(vp, x, 0.2) - 1.5 * pg4.eps(vp, x, 0.2)
     assert np.allclose(guided.eps(vp, x, 0.2), want, atol=1e-14)
-    want_jvp = 2.5 * mix4.jvp(vp, x, 0.2, v) - 1.5 * pg4.jvp(vp, x, 0.2, v)
-    assert np.allclose(guided.jvp(vp, x, 0.2, v), want_jvp, atol=1e-14)
+    want_jvp = 2.5 * jvp(mix4, vp, x, 0.2, v) - 1.5 * jvp(pg4, vp, x, 0.2, v)
+    assert np.allclose(jvp(guided, vp, x, 0.2, v), want_jvp, atol=1e-14)
     data = guided.sample_data(np.random.default_rng(16), 20)
     assert np.array_equal(data, mix4.sample_data(np.random.default_rng(16), 20))
 
@@ -330,34 +331,74 @@ def test_mixture_validation():
         GaussianMixture(weights=[1.0], means=[[0.0, 1.0]], stds=[1.0, 2.0])
 
 
-# -- the estimator's fused call -----------------------------------------------------
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["weights", "means", "stds", "x0"])
+def test_models_reject_non_finite_parameters(field, bad):
+    # a NaN weight passed the sum check: abs(nan - 1) > 1e-12 is False
+    value = {
+        "weights": [bad, 1.0],
+        "means": [[0.0, bad], [1.0, 0.0]],
+        "stds": [1.0, bad],
+        "x0": [0.0, bad, 1.0],
+    }[field]
+    good = {"weights": [0.5, 0.5], "means": [[0.0, 1.0], [1.0, 0.0]], "stds": [1.0, 1.0]}
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        if field == "x0":
+            PointGaussian(x0=value)
+        else:
+            GaussianMixture(**{**good, field: value})
+
+
+# -- one call per model: linearize ---------------------------------------------------
 
 
 @settings(max_examples=80)
 @given(
-    which=st.sampled_from(["point", "mixture", "mixture-b", "guided"]),
+    which=st.sampled_from(["point", "mixture", "mixture-b", "guided", "guided-nested"]),
     num_probes=st.sampled_from([1, 3]),
     lam=st.floats(-4.5, 4.5),
     scale=st.floats(-1.0, 3.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_eps_along_ode_jvp_is_eps_along_ode_and_jvp_bit_for_bit(
+def test_linearize_equals_composition_from_separate_calls_bit_for_bit(
     vp, pg4, mix4, mix4b, which, num_probes, lam, scale, seed
 ):
+    guided = Guided(cond=mix4, uncond=mix4b, scale=scale)
     model = {
         "point": pg4,
         "mixture": mix4,
         "mixture-b": mix4b,
-        "guided": Guided(cond=mix4, uncond=mix4b, scale=scale),
+        "guided": guided,
+        "guided-nested": Guided(cond=guided, uncond=Guided(mix4b, pg4, 1.5), scale=0.5 - scale),
     }[which]
     rng = np.random.default_rng(seed)
     x = 2.0 * rng.standard_normal((6, 4))
     probes = (rng.integers(0, 2, size=(num_probes, 6, 4)) * 2 - 1).astype(float)
-    got = model.eps_along_ode_jvp(vp, x, lam, probes)
-    want = (*model.eps_along_ode(vp, x, lam), model.jvp(vp, x, lam, probes))
+    eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+    got = (eps, d_eps, apply_jacobian(probes))
+    want = composed_linearize(model, vp, x, lam, probes)
     assert len(got) == 3
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert eps.tobytes() == model.eps(vp, x, lam).tobytes()
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_table_build_makes_one_posterior_per_mixture_per_grid_point(
+    vp, mix4, mix4b, monkeypatch, guided
+):
+    model = Guided(cond=mix4, uncond=mix4b, scale=2.5) if guided else mix4
+    posterior = GaussianMixture._posterior
+    calls = []
+
+    def counted(self, *args):
+        calls.append(self)
+        return posterior(self, *args)
+
+    monkeypatch.setattr(GaussianMixture, "_posterior", counted)
+    estimate_table(model, vp, EmsConfig(num_timesteps=10, num_datapoints=32, lam_range=(-2.0, 2.0)))
+    want = [mix4, mix4b] * 11 if guided else [mix4] * 11
+    assert calls == want  # models compare by identity
 
 
 # -- serialization ---------------------------------------------------------------
@@ -378,8 +419,8 @@ def test_eval_counter_delegates_and_counts_only_eps(vp, mix4, pg4, guided):
     assert counted.to_dict() == model.to_dict() and model_id(counted) == model_id(model)
     rng = np.random.default_rng(3)
     x, v, lam = rng.standard_normal((5, 4)), rng.standard_normal((5, 4)), 0.4
-    assert np.array_equal(counted.jvp(vp, x, lam, v), model.jvp(vp, x, lam, v))
-    for got, want in zip(counted.eps_along_ode(vp, x, lam), model.eps_along_ode(vp, x, lam)):
+    assert np.array_equal(jvp(counted, vp, x, lam, v), jvp(model, vp, x, lam, v))
+    for got, want in zip(eps_along_ode(counted, vp, x, lam), eps_along_ode(model, vp, x, lam)):
         assert np.array_equal(got, want)
     draws = [m.sample_data(np.random.default_rng(5), 7) for m in (counted, model)]
     assert np.array_equal(*draws)
@@ -395,11 +436,18 @@ def test_eval_counter_delegates_and_counts_only_eps(vp, mix4, pg4, guided):
     assert (again.calls, again.to_dict()) == (1, model.to_dict())
 
 
-def test_model_from_dict_errors():
+def test_model_from_dict_errors(mix4, pg4):
     with pytest.raises(ValueError):
         model_from_dict({"x0": [0.0]})
     with pytest.raises(ValueError):
         model_from_dict({"kind": "neural-net"})
+    mixture = mix4.to_dict()
+    del mixture["means"]
+    guided = Guided(cond=mix4, uncond=pg4, scale=2.0).to_dict()
+    del guided["uncond"]
+    for data, key in [({"kind": "point-gaussian"}, "x0"), (mixture, "means"), (guided, "uncond")]:
+        with pytest.raises(ValueError, match=f"^model dict missing key '{key}'$"):
+            model_from_dict(data)
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])

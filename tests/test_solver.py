@@ -14,10 +14,7 @@ from emsolve import (
     Schedule,
     SolverConfig,
     build_integral_table,
-    ddim_step,
     degenerate_table,
-    estimate_derivatives,
-    estimate_derivatives_pseudo,
     lupdate,
     make_time_grid,
     multistep_sample,
@@ -28,9 +25,15 @@ import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import Transition, g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
-from emsolve.solver import _snap_grid, _taylor_weights, explicit_vandermonde_solution, taylor_rows
+from emsolve.solver import _snap_grid, _taylor_weights, taylor_rows
 
 import sampler_golden
+from oracles import (
+    ddim_step,
+    estimate_derivatives,
+    estimate_derivatives_pseudo,
+    explicit_vandermonde_solution,
+)
 from test_models import closed_form_trajectory
 
 
@@ -169,8 +172,24 @@ def test_taylor_rows_by_hand():
     # divided differences: f[x0, x1] = g0 - g1, f[x0, x1, x2] = -g0 + g1/2 + g2/2
     assert taylor_rows([-1.0, 1.0], True) == [[1.0, 1.0, -1.0], [0.0, -1.0, 0.5], [0.0, 0.0, 0.5]]
     assert taylor_rows([], False) == taylor_rows([], True) == [[1.0]]
-    with pytest.raises(ValueError):
-        taylor_rows([0.5, 0.5], False)
+
+
+@pytest.mark.parametrize("pseudo", [False, True])
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        ([0.0], "nonzero"),
+        ([-0.5, 0.0], "nonzero"),
+        ([0.5, 0.5], "distinct"),
+        ([-0.1, -0.3, -0.1], "distinct"),
+        ([-0.1, -0.2, -0.3, -0.4], "1..3 offsets"),
+        ([-0.2, np.nan], "finite"),
+        ([np.inf], "finite"),
+    ],
+)
+def test_taylor_rows_rejects_bad_offsets(deltas, message, pseudo):
+    with pytest.raises(ValueError, match=message):
+        taylor_rows(deltas, pseudo)
 
 
 @st.composite
