@@ -12,11 +12,8 @@ from .errors import ConvergenceError, DomainError, TableFormatError, Unsupported
 from .integrals import (
     IntegralTable,
     build_integral_table,
-    coeff_A,
-    coeff_E0,
-    coeff_Ek,
-    coeff_int_EB,
-    g_coefficients,
+    g_map,
+    transition_coefficients,
 )
 from .models import (
     EvalCounter,

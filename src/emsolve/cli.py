@@ -258,8 +258,10 @@ def _bench(args, configs, summary) -> int:
 def cmd_bench_convergence(args) -> int:
     def configs(table, grids):
         tab = build_integral_table(table)
+        # a corrector has order >= 2: order 1 runs uncorrected, as bench-compare's DDIM does
+        corrector = {order: args.corrector if order >= 2 else CORRECTOR_NONE for order in args.orders}
         return [
-            _Config("v3", tab, SolverConfig(order=order, grid=grids[nfe], corrector=args.corrector))
+            _Config("v3", tab, SolverConfig(order=order, grid=grids[nfe], corrector=corrector[order]))
             for order in args.orders
             for nfe in args.nfe
         ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,6 +53,10 @@ class EmsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_timesteps", "num_datapoints", "probes_per_point", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")
         if self.num_datapoints < 1:
@@ -168,16 +173,15 @@ def _f_and_r(sched, l_row, x, lam, eps, d_eps):
     return f, r
 
 
-def _fit_sb(mf, mf1, mff, mff1, eps_floor=None):
+def _fit_sb(mf, mf1, mff, mff1):
     """Least-squares slope and intercept of f1 against f, from the means of f, f1, f*f and f*f1.
 
     s = cov(f, f1) / (var(f) + eps_floor) and b = mean(f1) - s * mean(f),
-    element-wise.  When ``eps_floor`` is None, a relative floor of
-    1e-8 * mean(f*f) plus a tiny absolute term regularizes the zero-variance
-    case, as happens for a point-mass data distribution.
+    element-wise.  The floor, 1e-8 * mean(f*f) plus a tiny absolute term,
+    regularizes the zero-variance case, as happens for a point-mass data
+    distribution.
     """
-    if eps_floor is None:
-        eps_floor = 1e-8 * mff + _ABS_FLOOR
+    eps_floor = 1e-8 * mff + _ABS_FLOOR
     s = (mff1 - mf * mf1) / (mff - mf * mf + eps_floor)
     return s, mf1 - s * mf
 

@@ -6,17 +6,18 @@ integrals over the table grid (all zero at the first grid point):
     L = int l           S = int s           B = int exp(-S) b
     C = int exp(L+S) B                      I = int exp(L+S)
 
-Every coefficient of the exponential-integrator update is then an O(1)
-combination of these: the linear damping A = exp(L_s - L_t), the bias term
-int E*B, the zeroth-order weight E0, and the polynomial-weighted weights E^k
-for the higher derivative terms.  E^k for k >= 1 has no cumulative shortcut
-and is integrated per transition pair; a sampler's step plan computes the
-coefficients of each of its transitions once.
+Two functions give every coefficient the samplers use.
+:func:`transition_coefficients` gives one update's linear damping
+A = exp(L_s - L_t), its bias term int E*B and its weights E^0 .. E^n; all
+but E^k for k >= 1 are O(1) combinations of the cumulatives, and E^k is
+integrated per transition pair (a sampler's step plan computes each of its
+transitions once).  :func:`g_map` gives the affine map from (x, eps) to the
+reparameterized model output g at one grid point.
 
 When all three fields are constant across the grid (the degenerate
 noise-prediction / data-prediction tables), every coefficient has a closed
-form; :func:`transition_coefficients` and :func:`g_map` use those so that the
-degenerate baselines are exact rather than quadrature-limited.
+form, which both functions use so that the degenerate baselines are exact
+rather than quadrature-limited.
 """
 
 from __future__ import annotations
@@ -79,76 +80,10 @@ def build_integral_table(ems: EmsTable) -> IntegralTable:
     return IntegralTable(ems=ems, L=L, S=S, B=B, C=C, I=I, const_lsb=const)
 
 
-# -- quadrature-backed coefficients -------------------------------------------
-
-
 def _check_indices(tab: IntegralTable, j_a: int, j_b: int):
     n = len(tab.lambda_grid)
     if not (0 <= j_a < n and 0 <= j_b < n):
         raise IndexError(f"grid indices ({j_a}, {j_b}) out of range [0, {n})")
-
-
-def _check_pair(tab: IntegralTable, j_s: int, j_t: int):
-    _check_indices(tab, j_s, j_t)
-    if j_t < j_s:
-        raise ValueError(f"need j_t >= j_s, got {j_t} < {j_s}")
-
-
-def coeff_A(tab: IntegralTable, j_s: int, j_t: int) -> np.ndarray:
-    """Linear damping exp(L_s - L_t), element-wise."""
-    _check_pair(tab, j_s, j_t)
-    return np.exp(tab.L[j_s] - tab.L[j_t])
-
-
-def coeff_int_EB(tab: IntegralTable, j_s: int, j_t: int) -> np.ndarray:
-    """The bias integral int_s^t E(lam) B(lam) dlam from the cumulatives."""
-    _check_pair(tab, j_s, j_t)
-    return np.exp(-tab.L[j_s]) * (
-        tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * (tab.I[j_t] - tab.I[j_s])
-    )
-
-
-def coeff_E0(tab: IntegralTable, j_s: int, j_t: int) -> np.ndarray:
-    """Zeroth-order weight exp(-L_s - S_s) (I_t - I_s).
-
-    Identical (to rounding) to a direct trapezoid of the scaling factor over
-    the same grid points, because I is its cumulative trapezoid.
-    """
-    _check_pair(tab, j_s, j_t)
-    return np.exp(-tab.L[j_s] - tab.S[j_s]) * (tab.I[j_t] - tab.I[j_s])
-
-
-def coeff_Ek(tab: IntegralTable, j_s: int, j_t: int, k: int) -> np.ndarray:
-    """Trapezoid of exp((L+S) - (L+S)_s) (lam - lam_s)^k / k! over [j_s, j_t]."""
-    if not 1 <= k <= 3:
-        raise ValueError(f"k must be in [1, 3], got {k}")
-    _check_pair(tab, j_s, j_t)
-    lam = tab.lambda_grid[j_s : j_t + 1]
-    ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
-    w = np.exp(ls - ls[0]) * (lam - lam[0])[:, None] ** k / math.factorial(k)
-    if len(w) < 2:
-        return np.zeros(tab.ems.dim)
-    return np.trapezoid(w, dx=tab.ems.spacing, axis=0)
-
-
-def g_coefficients(tab: IntegralTable, j_anchor: int, j_l: int):
-    """Affine map (a, b, c) with g = a*x + b*eps + c at grid point j_l, anchored at j_anchor.
-
-    The anchor sets the zero point of the S and B integrals; moving it scales
-    and offsets g by the same (D,) vectors at every grid point.
-    """
-    _check_indices(tab, j_anchor, j_l)
-    sched = tab.ems.schedule
-    lam_l = tab.lambda_grid[j_l]
-    ds = tab.S[j_l] - tab.S[j_anchor]
-    alpha_l = sched.alpha_lambda(lam_l)
-    a = -np.exp(-ds) * tab.ems.l[j_l] / alpha_l
-    b = np.exp(-ds - lam_l)  # exp(-ds) * sigma_l / alpha_l
-    c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
-    return a, b, c
-
-
-# -- closed forms for constant fields -------------------------------------------
 
 
 def poly_exp_integral(a, h: float, k: int):
@@ -174,19 +109,8 @@ def poly_exp_integral(a, h: float, k: int):
     return np.where(small, series, exact)
 
 
-def const_coeff_A(c_l, lam_s: float, lam_t: float):
-    return np.exp(-np.asarray(c_l) * (lam_t - lam_s))
-
-
-def const_coeff_Ek(c_l, c_s, lam_s: float, lam_t: float, k: int):
-    return poly_exp_integral(np.asarray(c_l) + np.asarray(c_s), lam_t - lam_s, k)
-
-
-def const_coeff_int_EB(c_l, c_s, c_b, lam_s: float, lam_t: float):
-    c_l = np.atleast_1d(np.asarray(c_l, dtype=float))
-    c_s = np.atleast_1d(np.asarray(c_s, dtype=float))
-    c_b = np.atleast_1d(np.asarray(c_b, dtype=float))
-    h = lam_t - lam_s
+def _const_int_EB(c_l, c_s, c_b, h: float):
+    """Closed form of int E*B over a step of length ``h`` with constant fields."""
     a = c_l + c_s
     small = np.abs(c_s) * max(1.0, abs(h)) < 1e-3
     # int exp(a d) (1 - exp(-c_s d)) / c_s dd; series in c_s when it is small
@@ -201,18 +125,6 @@ def const_coeff_int_EB(c_l, c_s, c_b, lam_s: float, lam_t: float):
     return c_b * np.where(small, series, exact)
 
 
-def const_g_coefficients(c_l, c_s, c_b, sched, lam_anchor: float, lam_l: float):
-    ds = np.asarray(c_s) * (lam_l - lam_anchor)
-    alpha_l = sched.alpha_lambda(lam_l)
-    a = -np.exp(-ds) * np.asarray(c_l) / alpha_l
-    b = np.exp(-ds - lam_l)
-    c = -np.asarray(c_b) * poly_exp_integral(-np.asarray(c_s), lam_l - lam_anchor, 0)
-    return a, b, c
-
-
-# -- dispatch: closed forms on constant tables, quadrature otherwise ------------
-
-
 class Transition(NamedTuple):
     """Every coefficient of one update from grid point j_s to grid point j_t.
 
@@ -221,33 +133,68 @@ class Transition(NamedTuple):
 
     alpha_s: float
     alpha_t: float
-    A: np.ndarray
-    int_EB: np.ndarray
+    A: np.ndarray  # linear damping exp(L_s - L_t)
+    int_EB: np.ndarray  # the bias integral int_s^t E(lam) B(lam) dlam
     E: tuple  # E^0 .. E^n
 
 
 def transition_coefficients(tab: IntegralTable, j_s: int, j_t: int, n: int) -> Transition:
-    """The coefficients of the update j_s -> j_t, with weights E^0 up to E^n."""
-    _check_pair(tab, j_s, j_t)
+    """The coefficients of the update j_s -> j_t, with weights E^0 up to E^n (0 <= n <= 3).
+
+    E^k is the integral of exp((L+S) - (L+S)_s) (lam - lam_s)^k / k! over
+    [lam_s, lam_t].  Closed forms on constant tables; otherwise A, int_EB and
+    E^0 come from the cumulatives (E^0 equals, to rounding, a direct
+    trapezoid over the same grid points, because I is its cumulative
+    trapezoid) and E^k for k >= 1 from a trapezoid over the pair's points.
+    """
+    _check_indices(tab, j_s, j_t)
+    if j_t < j_s:
+        raise ValueError(f"need j_t >= j_s, got {j_t} < {j_s}")
+    if not 0 <= n <= 3:
+        raise ValueError(f"n must be in [0, 3], got {n}")
     lam_s, lam_t = float(tab.lambda_grid[j_s]), float(tab.lambda_grid[j_t])
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
-        A = const_coeff_A(c_l, lam_s, lam_t)
-        int_EB = const_coeff_int_EB(c_l, c_s, c_b, lam_s, lam_t)
-        E = tuple(const_coeff_Ek(c_l, c_s, lam_s, lam_t, k) for k in range(n + 1))
+        h = lam_t - lam_s
+        A = np.exp(-c_l * h)
+        int_EB = _const_int_EB(c_l, c_s, c_b, h)
+        E = tuple(poly_exp_integral(c_l + c_s, h, k) for k in range(n + 1))
     else:
-        A = coeff_A(tab, j_s, j_t)
-        int_EB = coeff_int_EB(tab, j_s, j_t)
-        E = (coeff_E0(tab, j_s, j_t),) + tuple(coeff_Ek(tab, j_s, j_t, k) for k in range(1, n + 1))
+        L_s, L_t = tab.L[j_s], tab.L[j_t]
+        dI = tab.I[j_t] - tab.I[j_s]
+        A = np.exp(L_s - L_t)
+        int_EB = np.exp(-L_s) * (tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * dI)
+        E = (np.exp(-L_s - tab.S[j_s]) * dI,)
+        if n:
+            lam = tab.lambda_grid[j_s : j_t + 1]
+            ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
+            scale, dlam = np.exp(ls - ls[0]), (lam - lam[0])[:, None]
+            for k in range(1, n + 1):
+                # a single point (j_s == j_t) integrates to zeros
+                w = scale * dlam**k / math.factorial(k)
+                E += (np.trapezoid(w, dx=tab.ems.spacing, axis=0),)
     sched = tab.ems.schedule
     return Transition(sched.alpha_lambda(lam_s), sched.alpha_lambda(lam_t), A, int_EB, E)
 
 
 def g_map(tab: IntegralTable, j_anchor: int, j_l: int):
-    """The affine map (a, b, c) of :func:`g_coefficients`, closed-form on constant tables."""
+    """Affine map (a, b, c) with g = a*x + b*eps + c at grid point j_l, anchored at j_anchor.
+
+    The anchor sets the zero point of the S and B integrals; moving it scales
+    and offsets g by the same (D,) vectors at every grid point.  Closed form
+    on constant tables.
+    """
     _check_indices(tab, j_anchor, j_l)
+    lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
-        lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])
-        return const_g_coefficients(c_l, c_s, c_b, tab.ems.schedule, lam_anchor, lam_l)
-    return g_coefficients(tab, j_anchor, j_l)
+        ds = c_s * (lam_l - lam_anchor)
+        l_l = c_l
+        c = -c_b * poly_exp_integral(-c_s, lam_l - lam_anchor, 0)
+    else:
+        ds = tab.S[j_l] - tab.S[j_anchor]
+        l_l = tab.ems.l[j_l]
+        c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
+    a = -np.exp(-ds) * l_l / tab.ems.schedule.alpha_lambda(lam_l)
+    b = np.exp(-ds - lam_l)  # exp(-ds) * sigma_l / alpha_l
+    return a, b, c

@@ -24,6 +24,7 @@ rows run one at a time.  Runs are sequential and can share the tables.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,9 +66,10 @@ class SolverConfig:
     pseudo_corrector: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.order <= _MAX_PREDICTOR_ORDER:
+        integral = isinstance(self.order, numbers.Integral)
+        if not (integral and 1 <= self.order <= _MAX_PREDICTOR_ORDER):
             raise ValueError(
-                f"order must be in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order}); "
+                f"order must be an integer in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order!r}); "
                 "4th order is available as the pseudo corrector on an order-3 run"
             )
         if self.corrector not in CORRECTORS:
@@ -251,6 +253,8 @@ def _run(model, sched, tab, grid, plan, x_init, trace=None):
     """
     maps, steps = plan
     x = np.asarray(x_init, dtype=float)
+    if x.shape[-1:] != (tab.ems.dim,):
+        raise ValueError(f"state of shape {x.shape} for a table of dimension {tab.ems.dim}")
     if not np.all(np.isfinite(x)):
         raise DomainError("initial sampler state has non-finite entries")
     lams, ts = grid.lams, grid.ts
@@ -311,7 +315,8 @@ def multistep_sample(
     corrector reuses the step's evaluation instead of adding one).  Early
     steps ramp the order up as history becomes available.  ``x_init`` may be
     ``(D,)`` or ``(B, D)``.  Returns the final state and a per-step trace.
-    Raises ValueError unless ``sched`` equals ``tab.ems.schedule``.
+    Raises ValueError unless ``sched`` equals ``tab.ems.schedule`` and D is
+    the table's dimension.
 
     Each trace row holds the target's ``t`` and ``lambda``, its state ``x``
     and noise prediction ``eps`` as float64 arrays of the state's shape (the
@@ -351,7 +356,8 @@ def singlestep_sample(
     of the order, the final macro step runs at the remainder's (lower)
     order.  Corrector and pseudo flags do not apply to this path.  ``x_init``
     may be ``(D,)`` or ``(B, D)``; returns the final state.  Raises
-    ValueError unless ``sched`` equals ``tab.ems.schedule``.
+    ValueError unless ``sched`` equals ``tab.ems.schedule`` and D is the
+    table's dimension.
     """
     grid = _snap_grid(tab.ems, sched, cfg.grid)
     total = len(grid.idx) - 1

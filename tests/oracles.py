@@ -85,15 +85,13 @@ def eval_f1(model, sched, table: EmsTable, x, lam):
     return _f_and_f1(model, sched, table.l[j], table.l_dot[j], x, table.lambda_grid[j])[1]
 
 
-def estimate_sb(f_samples, f1_samples, eps_floor=None):
+def estimate_sb(f_samples, f1_samples):
     """The library's least-squares fit of f1 against f, from (K, D) samples of each."""
     f = np.asarray(f_samples, dtype=float)
     f1 = np.asarray(f1_samples, dtype=float)
     if f.shape != f1.shape or f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("f_samples and f1_samples must be matching nonempty (K, D) arrays")
-    return _fit_sb(
-        f.mean(axis=0), f1.mean(axis=0), (f * f).mean(axis=0), (f * f1).mean(axis=0), eps_floor
-    )
+    return _fit_sb(f.mean(axis=0), f1.mean(axis=0), (f * f).mean(axis=0), (f * f1).mean(axis=0))
 
 
 # -- derivative estimation and the first-order step ------------------------------------

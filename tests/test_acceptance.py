@@ -19,25 +19,15 @@ from emsolve import (
     build_integral_table,
     degenerate_table,
     estimate_table,
-    g_coefficients,
+    g_map,
     lupdate,
     make_time_grid,
     multistep_sample,
     reference_solve,
+    transition_coefficients,
 )
 from emsolve.cli import main, parse_csv
 from emsolve.ems import DATA_PRED, NOISE_PRED
-from emsolve.integrals import (
-    coeff_A,
-    coeff_E0,
-    coeff_Ek,
-    coeff_int_EB,
-    const_coeff_A,
-    const_coeff_Ek,
-    const_coeff_int_EB,
-    const_g_coefficients,
-    g_map,
-)
 from emsolve.models import ModelSpec
 from emsolve.schedule import UNIFORM_LAMBDA
 
@@ -300,23 +290,17 @@ def test_criterion_8_quadrature_order(vp):
             lambda_grid=grid, l=ones * c_l, s=ones * c_s, b=ones * c_b,
             l_dot=np.zeros((n + 1, 2)), schedule=vp, meta={},
         )
-        tab = dataclasses.replace(build_integral_table(table), const_lsb=None)
+        exact = build_integral_table(table)
+        assert exact.const_lsb is not None
+        tab = dataclasses.replace(exact, const_lsb=None)  # the quadrature path
         j_s, j_t = n // 4, 3 * n // 4
-        lam_s, lam_t = float(grid[j_s]), float(grid[j_t])
-        a_exact &= bool(
-            np.max(np.abs(coeff_A(tab, j_s, j_t) - const_coeff_A(c_l, lam_s, lam_t))) < 1e-11
-        )
-        errs["E0"].append(np.max(np.abs(coeff_E0(tab, j_s, j_t) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 0))))
-        for k in (1, 2, 3):
-            errs[f"E{k}"].append(
-                np.max(np.abs(coeff_Ek(tab, j_s, j_t, k) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, k)))
-            )
-        errs["intEB"].append(
-            np.max(np.abs(coeff_int_EB(tab, j_s, j_t) - const_coeff_int_EB(c_l, c_s, c_b, lam_s, lam_t)))
-        )
-        errs["g_c"].append(
-            np.max(np.abs(g_coefficients(tab, j_s, j_t)[2] - const_g_coefficients(c_l, c_s, c_b, vp, lam_s, lam_t)[2]))
-        )
+        got = transition_coefficients(tab, j_s, j_t, 3)
+        want = transition_coefficients(exact, j_s, j_t, 3)
+        a_exact &= bool(np.max(np.abs(got.A - want.A)) < 1e-11)
+        for k in (0, 1, 2, 3):
+            errs[f"E{k}"].append(np.max(np.abs(got.E[k] - want.E[k])))
+        errs["intEB"].append(np.max(np.abs(got.int_EB - want.int_EB)))
+        errs["g_c"].append(np.max(np.abs(g_map(tab, j_s, j_t)[2] - g_map(exact, j_s, j_t)[2])))
     ratios = {q: [e[i] / e[i + 1] for i in range(2)] for q, e in errs.items()}
     ok = a_exact and all(abs(r - 4.0) <= 0.5 for rs in ratios.values() for r in rs)
     summary = "; ".join(f"{q}: {rs[0]:.2f},{rs[1]:.2f}" for q, rs in ratios.items())
@@ -345,7 +329,7 @@ def test_criterion_9_corrector_g_invariance(vp, mix4, mix_table, mix_tab):
         x_pred, _, eps_pred = recorder.calls[m]
         x_corr = np.array(trace[m - 1]["x"])
         eps_corr = np.array(trace[m - 1]["eps"])
-        a, b, c = g_coefficients(mix_tab, idx[m - 1], idx[m])
+        a, b, c = g_map(mix_tab, idx[m - 1], idx[m])
         g_pred = a * x_pred + b * eps_pred + c
         g_corr = a * x_corr + b * eps_corr + c
         worst = max(worst, float(np.max(np.abs(g_corr - g_pred))))

@@ -293,6 +293,30 @@ def test_bench_convergence_deterministic(cli_files, mix_ems_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("corrector", ["full", "half"])
+def test_bench_convergence_corrector_with_default_orders(cli_files, mix_ems_file, corrector):
+    out = cli_files["root"] / f"conv_{corrector}.csv"
+    code = main(
+        [
+            "bench-convergence",
+            "--model", str(cli_files["mix"]),
+            "--ems", str(mix_ems_file),
+            "--corrector", corrector,
+            "--nfe", "8", "16", "32",
+            "--seeds", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = parse_csv(out.read_text())
+    # a corrector has order >= 2, so the order-1 runs go uncorrected
+    assert {(r.order, r.corrector) for r in rows if r.solver == "v3"} == {
+        (1, "none"), (2, corrector), (3, corrector)
+    }
+    slope_rows = [r for r in rows if r.solver == "slope"]
+    assert [(r.order, r.corrector) for r in slope_rows] == [(1, "fit"), (2, "fit"), (3, "fit")]
+
+
 def test_bench_compare_ddim_equals_degenerate_first_order(cli_files, mix_ems_file):
     out = cli_files["root"] / "cmp.csv"
     code = main(

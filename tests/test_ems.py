@@ -236,9 +236,13 @@ def test_estimate_sb_exact_linear_fit():
     rng = np.random.default_rng(10)
     f = rng.standard_normal((64, 3))
     c, d = np.array([1.5, -2.0, 0.25]), np.array([0.1, 0.0, -3.0])
-    s, b = estimate_sb(f, c * f + d, eps_floor=0.0)
-    assert np.max(np.abs(s - c)) < 1e-10
-    assert np.max(np.abs(b - d)) < 1e-10
+    s, b = estimate_sb(f, c * f + d)
+    # hand evaluation of the floored fit: s = c var f / (var f + floor)
+    var_f = f.var(axis=0)
+    floor = 1e-8 * (f * f).mean(axis=0) + 1e-20
+    want_s = c * var_f / (var_f + floor)
+    assert np.max(np.abs(s - want_s)) < 1e-10
+    assert np.max(np.abs(b - (d + (c - want_s) * f.mean(axis=0)))) < 1e-10
 
 
 def test_estimate_sb_degenerate_constant_f():
@@ -576,3 +580,15 @@ def test_ems_config_validation():
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), probes_per_point=0)
     with pytest.raises(ValueError, match="seed"):
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), seed=-1)
+    good = {"num_timesteps": 4, "num_datapoints": 8, "probes_per_point": 1, "seed": 0}
+    for name, bad in (
+        ("num_timesteps", 2.5),
+        ("num_timesteps", 4.0),
+        ("num_datapoints", 8.0),
+        ("probes_per_point", 1.5),
+        ("seed", 3.0),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EmsConfig(lam_range=(-1.0, 1.0), **{**good, name: bad})
+    numpy_ints = {name: np.int64(value) for name, value in good.items()}
+    assert EmsConfig(lam_range=(-1.0, 1.0), **numpy_ints).num_timesteps == 4

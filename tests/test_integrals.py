@@ -10,23 +10,12 @@ from emsolve import (
     DomainError,
     EmsTable,
     build_integral_table,
-    coeff_A,
-    coeff_E0,
-    coeff_Ek,
-    coeff_int_EB,
     degenerate_table,
-    g_coefficients,
-    lupdate,
-)
-from emsolve.integrals import (
-    const_coeff_A,
-    const_coeff_Ek,
-    const_coeff_int_EB,
-    const_g_coefficients,
     g_map,
-    poly_exp_integral,
+    lupdate,
     transition_coefficients,
 )
+from emsolve.integrals import poly_exp_integral
 from emsolve.ems import NOISE_PRED
 
 LAM_RANGE = (-4.0, 4.0)
@@ -125,35 +114,38 @@ def test_coeff_A_examples(vp):
     unit = quadrature_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0]))
     zero = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]))
     lam = unit.lambda_grid
-    assert np.allclose(coeff_A(unit, 12, 12), 1.0)
-    assert np.allclose(coeff_A(unit, 10, 50), np.exp(lam[10] - lam[50]), atol=1e-12)
-    assert np.allclose(coeff_A(zero, 3, 60), 1.0, atol=1e-14)
+    assert np.allclose(transition_coefficients(unit, 12, 12, 0).A, 1.0)
+    A = transition_coefficients(unit, 10, 50, 0).A
+    assert np.allclose(A, np.exp(lam[10] - lam[50]), atol=1e-12)
+    assert np.allclose(transition_coefficients(zero, 3, 60, 0).A, 1.0, atol=1e-14)
 
 
 def test_coeff_int_EB_examples(vp):
     zero_b = quadrature_table(make_constant_table(vp, 64, [0.4], [-0.2], [0.0]))
-    assert np.allclose(coeff_int_EB(zero_b, 5, 40), 0.0, atol=1e-14)
-    assert np.allclose(coeff_int_EB(zero_b, 7, 7), 0.0)
+    assert np.allclose(transition_coefficients(zero_b, 5, 40, 0).int_EB, 0.0, atol=1e-14)
+    assert np.allclose(transition_coefficients(zero_b, 7, 7, 0).int_EB, 0.0)
     # with l = s = 0 every integrand involved is polynomial of degree <= 1,
     # so the hand value beta h^2 / 2 is reproduced exactly
     beta = 0.6
     tab = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [beta]))
     j_s, j_t = 16, 48
     h = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
-    assert float(coeff_int_EB(tab, j_s, j_t)[0]) == pytest.approx(beta * h**2 / 2.0, rel=1e-12)
+    int_EB = transition_coefficients(tab, j_s, j_t, 0).int_EB
+    assert float(int_EB[0]) == pytest.approx(beta * h**2 / 2.0, rel=1e-12)
 
 
 def test_coeff_E0_examples(vp):
     flat = quadrature_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]))
     h = flat.lambda_grid[40] - flat.lambda_grid[8]
-    assert np.allclose(coeff_E0(flat, 8, 40), h, atol=1e-12)
-    assert np.allclose(coeff_E0(flat, 9, 9), 0.0)
+    assert np.allclose(transition_coefficients(flat, 8, 40, 0).E[0], h, atol=1e-12)
+    assert np.allclose(transition_coefficients(flat, 9, 9, 0).E[0], 0.0)
     errs = []
     for n in (64, 128):
         tab = quadrature_table(make_constant_table(vp, n, [0.0], [-1.0], [0.0]))
         j_s, j_t = n // 4, 3 * n // 4
         h = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
-        errs.append(abs(float(coeff_E0(tab, j_s, j_t)[0]) - (1.0 - np.exp(-h))))
+        E0 = transition_coefficients(tab, j_s, j_t, 0).E[0]
+        errs.append(abs(float(E0[0]) - (1.0 - np.exp(-h))))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
 
 
@@ -170,37 +162,38 @@ def test_coeff_E0_identity_matches_direct_trapezoid(smooth_table):
             if len(lam) >= 2
             else np.zeros(2)
         )
-        assert np.max(np.abs(coeff_E0(tab, j_s, j_t) - direct)) < 1e-12
+        assert np.max(np.abs(transition_coefficients(tab, j_s, j_t, 0).E[0] - direct)) < 1e-12
 
 
 def test_coeff_Ek_flat_cases(vp):
     flat = quadrature_table(make_constant_table(vp, 64, [0.5], [-0.5], [0.0]))
     h = flat.lambda_grid[48] - flat.lambda_grid[16]
     # degree-1 integrand: trapezoid exact
-    assert np.allclose(coeff_Ek(flat, 16, 48, 1), h**2 / 2.0, atol=1e-12)
+    assert np.allclose(transition_coefficients(flat, 16, 48, 1).E[1], h**2 / 2.0, atol=1e-12)
     errs = []
     for n in (64, 128):
         tab = quadrature_table(make_constant_table(vp, n, [0.3], [-0.3], [0.0]))
         j_s, j_t = n // 4, 3 * n // 4
         hh = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
-        errs.append(abs(float(coeff_Ek(tab, j_s, j_t, 2)[0]) - hh**3 / 6.0))
+        errs.append(abs(float(transition_coefficients(tab, j_s, j_t, 2).E[2][0]) - hh**3 / 6.0))
     assert errs[0] / errs[1] == pytest.approx(4.0, abs=0.5)
     with pytest.raises(ValueError):
-        coeff_Ek(flat, 0, 10, 4)
+        transition_coefficients(flat, 0, 10, 4)
     with pytest.raises(ValueError):
-        coeff_Ek(flat, 10, 5, 1)
+        transition_coefficients(flat, 10, 5, 1)
 
 
 def test_coeff_Ek_is_deterministic(smooth_table):
     # a step plan computes each E^k once; recomputing it must give the same bits
     tab = build_integral_table(smooth_table)
-    assert np.array_equal(coeff_Ek(tab, 10, 90, 2), coeff_Ek(tab, 10, 90, 2))
+    first, again = (transition_coefficients(tab, 10, 90, 2).E[2] for _ in range(2))
+    assert np.array_equal(first, again)
 
 
 def test_g_coefficients_examples(vp, edm):
     zero = quadrature_table(make_constant_table(vp, 64, [0.0], [0.0], [0.0]))
     lam = float(zero.lambda_grid[30])
-    a, b, c = g_coefficients(zero, 30, 30)
+    a, b, c = g_map(zero, 30, 30)
     assert np.allclose(a, 0.0) and np.allclose(c, 0.0)
     assert np.allclose(b, np.exp(-lam), atol=1e-14)
 
@@ -209,7 +202,7 @@ def test_g_coefficients_data_pred_is_negative_data_prediction(vp):
     tab = quadrature_table(make_constant_table(vp, 64, [1.0], [0.0], [0.0], dim=3))
     j_a, j_l = 20, 44
     lam = float(tab.lambda_grid[j_l])
-    a, b, c = g_coefficients(tab, j_a, j_l)
+    a, b, c = g_map(tab, j_a, j_l)
     assert np.allclose(c, 0.0, atol=1e-14)
     rng = np.random.default_rng(1)
     x, eps = rng.standard_normal(3), rng.standard_normal(3)
@@ -229,7 +222,7 @@ def test_g_coefficients_zero_b_gives_zero_intercept(smooth_table, vp):
         meta={},
     )
     tab = build_integral_table(table)
-    _, _, c = g_coefficients(tab, 15, 100)
+    _, _, c = g_map(tab, 15, 100)
     assert np.allclose(c, 0.0, atol=1e-14)
 
 
@@ -251,24 +244,16 @@ def test_closed_forms_are_refinement_limits(vp):
     errs = {"E0": [], "E2": [], "intEB": [], "g_c": []}
     for n in (80, 160):
         table = make_constant_table(vp, n, c_l, c_s, c_b)
-        tab = quadrature_table(table)
+        exact, tab = build_integral_table(table), quadrature_table(table)
+        assert exact.const_lsb is not None
         j_s, j_t = n // 4, 3 * n // 4
-        lam_s, lam_t = float(table.lambda_grid[j_s]), float(table.lambda_grid[j_t])
-        errs["E0"].append(
-            np.max(np.abs(coeff_E0(tab, j_s, j_t) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 0)))
-        )
-        errs["E2"].append(
-            np.max(np.abs(coeff_Ek(tab, j_s, j_t, 2) - const_coeff_Ek(c_l, c_s, lam_s, lam_t, 2)))
-        )
-        errs["intEB"].append(
-            np.max(
-                np.abs(coeff_int_EB(tab, j_s, j_t) - const_coeff_int_EB(c_l, c_s, c_b, lam_s, lam_t))
-            )
-        )
-        g_c = g_coefficients(tab, j_s, j_t)[2]
-        g_c_exact = const_g_coefficients(c_l, c_s, c_b, vp, lam_s, lam_t)[2]
-        errs["g_c"].append(np.max(np.abs(g_c - g_c_exact)))
-        assert np.max(np.abs(coeff_A(tab, j_s, j_t) - const_coeff_A(c_l, lam_s, lam_t))) < 1e-12
+        got = transition_coefficients(tab, j_s, j_t, 2)
+        want = transition_coefficients(exact, j_s, j_t, 2)
+        errs["E0"].append(np.max(np.abs(got.E[0] - want.E[0])))
+        errs["E2"].append(np.max(np.abs(got.E[2] - want.E[2])))
+        errs["intEB"].append(np.max(np.abs(got.int_EB - want.int_EB)))
+        errs["g_c"].append(np.max(np.abs(g_map(tab, j_s, j_t)[2] - g_map(exact, j_s, j_t)[2])))
+        assert np.max(np.abs(got.A - want.A)) < 1e-12
     for name, (e1, e2) in errs.items():
         assert e1 / e2 == pytest.approx(4.0, abs=0.5), name
 
@@ -282,28 +267,43 @@ def test_dispatch_uses_closed_forms_on_constant_tables(vp):
     h = float(table.lambda_grid[20] - table.lambda_grid[4])
     assert E0 == pytest.approx(1.0 - np.exp(-h), rel=1e-14)
     # quadrature at this resolution would be off by ~h0^2, far beyond 1e-14
-    assert float(coeff_E0(tab, 4, 20)[0]) != pytest.approx(1.0 - np.exp(-h), rel=1e-10)
+    quad_E0 = transition_coefficients(quadrature_table(table), 4, 20, 0).E[0]
+    assert float(quad_E0[0]) != pytest.approx(1.0 - np.exp(-h), rel=1e-10)
 
 
 def test_dispatch_matches_functions_on_varying_tables(smooth_table):
     tab = build_integral_table(smooth_table)
     assert tab.const_lsb is None
-    tr = transition_coefficients(tab, 10, 60, 2)
-    assert np.array_equal(tr.A, coeff_A(tab, 10, 60))
-    assert np.array_equal(tr.int_EB, coeff_int_EB(tab, 10, 60))
-    assert np.array_equal(tr.E[0], coeff_E0(tab, 10, 60))
-    assert np.array_equal(tr.E[2], coeff_Ek(tab, 10, 60, 2))
+    j_s, j_t = 10, 60
+    L, S, B, C, I = tab.L, tab.S, tab.B, tab.C, tab.I
+    tr = transition_coefficients(tab, j_s, j_t, 2)
+    # the quadrature formulas, restated
+    assert np.array_equal(tr.A, np.exp(L[j_s] - L[j_t]))
+    want_EB = np.exp(-L[j_s]) * (C[j_t] - C[j_s] - B[j_s] * (I[j_t] - I[j_s]))
+    assert np.array_equal(tr.int_EB, want_EB)
+    assert np.array_equal(tr.E[0], np.exp(-L[j_s] - S[j_s]) * (I[j_t] - I[j_s]))
+    lam = tab.lambda_grid[j_s : j_t + 1]
+    ls = L[j_s : j_t + 1] + S[j_s : j_t + 1]
+    w = np.exp(ls - ls[0]) * (lam - lam[0])[:, None] ** 2 / math.factorial(2)
+    assert np.array_equal(tr.E[2], np.trapezoid(w, dx=smooth_table.spacing, axis=0))
     assert len(tr.E) == 3
-    for got, want in zip(g_map(tab, 10, 60), g_coefficients(tab, 10, 60)):
+    lam_t = tab.lambda_grid[j_t]
+    ds = S[j_t] - S[j_s]
+    want_g = (
+        -np.exp(-ds) * smooth_table.l[j_t] / smooth_table.schedule.alpha_lambda(lam_t),
+        np.exp(-ds - lam_t),
+        -np.exp(S[j_s]) * (B[j_t] - B[j_s]),
+    )
+    for got, want in zip(g_map(tab, j_s, j_t), want_g):
         assert np.array_equal(got, want)
 
 
 def test_index_errors(smooth_table):
     tab = build_integral_table(smooth_table)
     with pytest.raises(IndexError):
-        coeff_A(tab, 0, 500)
+        transition_coefficients(tab, 0, 500, 0)
     with pytest.raises(ValueError):
-        coeff_E0(tab, 50, 10)
+        transition_coefficients(tab, 50, 10, 0)
 
 
 @pytest.mark.parametrize("path", ["closed-form", "quadrature"])
@@ -322,5 +322,8 @@ def test_index_errors_on_both_coefficient_paths(vp, path):
         g_map(tab, 0, -1)
     with pytest.raises(ValueError):
         transition_coefficients(tab, 5, 2, 1)
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match="n must be in"):
+            transition_coefficients(tab, 2, 5, n)
     with pytest.raises(IndexError):
         lupdate(tab, (-1, x, x), [], -1)

@@ -415,6 +415,19 @@ def test_samplers_reject_a_table_for_another_schedule(vp, edm, mix4, sampler):
     assert np.array_equal(final(Schedule(VP_LINEAR)), final(vp))
 
 
+@pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
+@pytest.mark.parametrize("table_dim", [1, 2])
+def test_samplers_reject_a_table_of_another_dimension(vp, mix4, sampler, table_dim):
+    # the table's (table_dim,) fields would broadcast against the (4,) state
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 200, (-3.0, 3.0), table_dim))
+    t_start, t_end = float(vp.t_of_lambda(-3.0)), float(vp.t_of_lambda(3.0))
+    cfg = SolverConfig(order=2, grid=make_time_grid(vp, 6, UNIFORM_LAMBDA, t_start, t_end))
+    x0 = vp.sigma_lambda(-3.0) * np.random.default_rng(4).standard_normal(4)
+    for x in (x0, np.stack([x0, -x0])):
+        with pytest.raises(ValueError, match=f"for a table of dimension {table_dim}"):
+            sampler(mix4, vp, tab, cfg, x)
+
+
 @pytest.mark.parametrize("corrector,pseudo_c", [("none", False), ("full", False), ("full", True), ("half", False)])
 def test_multistep_nfe_is_step_count(vp, mix4, mix_tab, corrector, pseudo_c):
     grid = make_time_grid(vp, 12, UNIFORM_LAMBDA, 1.0, 1e-3)
@@ -506,6 +519,10 @@ def test_solver_config_validation(vp):
         SolverConfig(order=2, grid=grid, pseudo_corrector=True)
     with pytest.raises(ValueError):
         SolverConfig(order=2, grid=grid, corrector="sometimes")
+    for order in (3.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            SolverConfig(order=order, grid=grid)
+    assert SolverConfig(order=np.int64(2), grid=grid).order == 2
 
 
 def test_multistep_rejects_grid_finer_than_table(vp, mix4, vp_lam_range):
