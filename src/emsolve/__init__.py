@@ -25,7 +25,7 @@ from .models import (
     model_id,
     reference_solve,
 )
-from .schedule import Schedule, TimeGrid, make_time_grid, schedules_equal
+from .schedule import Schedule, TimeGrid, make_time_grid
 from .solver import (
     SolverConfig,
     lupdate,

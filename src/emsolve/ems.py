@@ -23,20 +23,21 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, TableFormatError, UnsupportedVersionError
 from .models import ModelSpec, model_id
-from .schedule import Schedule, schedules_equal
+from .schedule import Schedule
 
 NOISE_PRED = "noise-pred"
 DATA_PRED = "data-pred"
 
 _FILE_VERSION = 1
 _ABS_FLOOR = 1e-20
+# the table's arrays in file order: the (rows,) lambda grid, then the (rows, D) fields
+_ARRAYS = ("lambda_grid", "l", "s", "b", "l_dot")
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class EmsConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.lam_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"lam_range must be finite, got {self.lam_range}")
         if not lo < hi:
             raise ValueError(f"lam_range must be increasing, got {self.lam_range}")
 
@@ -86,15 +89,17 @@ class EmsTable:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        grid = np.asarray(self.lambda_grid, dtype=float)
-        object.__setattr__(self, "lambda_grid", grid)
-        for name in ("l", "s", "b", "l_dot"):
+        grid_shape = (len(self.lambda_grid),)
+        field_shape = grid_shape + np.shape(self.l)[-1:]
+        for name in _ARRAYS:
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (len(grid), self.dim):
-                raise ValueError(f"{name} has shape {arr.shape}, expected {(len(grid), self.dim)}")
+            expected = grid_shape if name == "lambda_grid" else field_shape
+            if arr.shape != expected:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
+        grid = self.lambda_grid
         if len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise ValueError("lambda_grid must be strictly increasing with >= 2 points")
         h = np.diff(grid)
@@ -250,7 +255,8 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     l_dot = estimate_l_dot(l, float(grid[1] - grid[0]))
     s, b = _fit_sb(mf, mr - l_dot * my, mff, mfr - l_dot * mfy)
 
-    meta = {"K": cfg.num_datapoints, "seed": cfg.seed, "model": model_id(model)}
+    # Python ints: numpy integers from the config are not JSON-serializable
+    meta = {"K": int(cfg.num_datapoints), "seed": int(cfg.seed), "model": model_id(model)}
     return EmsTable(
         lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta
     )
@@ -292,11 +298,7 @@ def save_table(table: EmsTable, path) -> None:
     payload = {
         "version": _FILE_VERSION,
         "schedule": table.schedule.to_dict(),
-        "lambda_grid": table.lambda_grid.tolist(),
-        "l": table.l.tolist(),
-        "s": table.s.tolist(),
-        "b": table.b.tolist(),
-        "l_dot": table.l_dot.tolist(),
+        **{name: getattr(table, name).tolist() for name in _ARRAYS},
         "meta": table.meta,
     }
     with open(path, "w") as fh:
@@ -304,13 +306,14 @@ def save_table(table: EmsTable, path) -> None:
         fh.write("\n")
 
 
-def load_table(path, expected_schedule: Schedule | None = None) -> EmsTable:
+def load_table(path) -> EmsTable:
     """Read a table written by :func:`save_table`.
 
     Raises :class:`TableFormatError` on malformed files (with line context
-    where available) and :class:`UnsupportedVersionError` on version
-    mismatch.  If ``expected_schedule`` is given and differs from the stored
-    one, a warning is emitted.
+    where available) and on contents :class:`EmsTable` rejects, and
+    :class:`UnsupportedVersionError` on version mismatch.  The table carries
+    the stored schedule; the samplers raise ``ValueError`` when asked to
+    sample it with another one.
     """
     try:
         with open(path) as fh:
@@ -326,26 +329,14 @@ def load_table(path, expected_schedule: Schedule | None = None) -> EmsTable:
         raise UnsupportedVersionError(
             f"{path}: unsupported table version {version!r} (supported: {_FILE_VERSION})"
         )
-    missing = {"schedule", "lambda_grid", "l", "s", "b", "l_dot"} - set(payload)
+    missing = {"schedule", *_ARRAYS} - set(payload)
     if missing:
         raise TableFormatError(f"{path}: missing keys {sorted(missing)}")
     try:
-        sched = Schedule.from_dict(payload["schedule"])
-        table = EmsTable(
-            lambda_grid=np.asarray(payload["lambda_grid"], dtype=float),
-            l=np.asarray(payload["l"], dtype=float),
-            s=np.asarray(payload["s"], dtype=float),
-            b=np.asarray(payload["b"], dtype=float),
-            l_dot=np.asarray(payload["l_dot"], dtype=float),
-            schedule=sched,
+        return EmsTable(
+            schedule=Schedule.from_dict(payload["schedule"]),
             meta=dict(payload.get("meta", {})),
+            **{name: payload[name] for name in _ARRAYS},
         )
     except (ValueError, TypeError) as exc:
         raise TableFormatError(f"{path}: inconsistent table contents: {exc}") from exc
-    if expected_schedule is not None and not schedules_equal(sched, expected_schedule):
-        warnings.warn(
-            f"{path}: table schedule {sched.to_dict()} does not match "
-            f"the requested schedule {expected_schedule.to_dict()}",
-            stacklevel=2,
-        )
-    return table

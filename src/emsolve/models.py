@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +421,9 @@ def reference_solve(
     returns an array of states of shape ``(len(lam_eval),) + x_start.shape``;
     otherwise returns the final state.
     """
+    # solve_ivp never returns on a non-finite tolerance or span
+    if not all(map(math.isfinite, (tol, lam_start, lam_end))):
+        raise ValueError(f"tol and span must be finite, got {tol} and [{lam_start}, {lam_end}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if lam_end < lam_start:

@@ -9,6 +9,7 @@ Schedules and time grids are immutable; share them freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,11 +203,6 @@ class Schedule:
             raise ValueError(f"schedule dict missing key {exc}") from exc
 
 
-def schedules_equal(a: Schedule, b: Schedule) -> bool:
-    """Same kind, parameters and time domain, compared exactly."""
-    return a.kind == b.kind and a.params == b.params and a.t_domain == b.t_domain
-
-
 UNIFORM_LAMBDA = "uniform-lambda"
 UNIFORM_T = "uniform-t"
 
@@ -235,8 +231,8 @@ def make_time_grid(
     ``uniform-lambda`` spaces the half-logSNR values evenly (the usual choice
     for exponential-integrator solvers); ``uniform-t`` spaces time evenly.
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    if not (isinstance(num_steps, numbers.Integral) and num_steps >= 1):
+        raise ValueError(f"num_steps must be an integer >= 1, got {num_steps!r}")
     if kind not in (UNIFORM_LAMBDA, UNIFORM_T):
         raise ValueError(f"unknown grid kind {kind!r}")
     if not t_start > t_end:

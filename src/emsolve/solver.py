@@ -34,7 +34,7 @@ from .ems import EmsTable
 from .errors import DomainError
 from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
-from .schedule import Schedule, TimeGrid, schedules_equal
+from .schedule import Schedule, TimeGrid
 
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
@@ -172,7 +172,8 @@ class _Grid(NamedTuple):
 
 def _snap_grid(table: EmsTable, sched: Schedule, grid: TimeGrid) -> _Grid:
     """Snap sampling lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
-    if not (sched is table.schedule or schedules_equal(sched, table.schedule)):
+    # `is` first: a delegate wrapping the table's own schedule is not == to it
+    if not (sched is table.schedule or sched == table.schedule):
         raise ValueError(
             f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
         )
@@ -354,11 +355,13 @@ def singlestep_sample(
     Derivatives are built only from values inside the current macro step,
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
-    order.  Corrector and pseudo flags do not apply to this path.  ``x_init``
-    may be ``(D,)`` or ``(B, D)``; returns the final state.  Raises
-    ValueError unless ``sched`` equals ``tab.ems.schedule`` and D is the
-    table's dimension.
+    order.  ``x_init`` may be ``(D,)`` or ``(B, D)``; returns the final
+    state.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
+    which this path has no use for, and unless ``sched`` equals
+    ``tab.ems.schedule`` and D is the table's dimension.
     """
+    if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
+        raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
     grid = _snap_grid(tab.ems, sched, cfg.grid)
     total = len(grid.idx) - 1
     transitions = [

@@ -108,6 +108,26 @@ def test_cmd_ems_missing_out_is_usage_error(cli_files, capsys):
     capsys.readouterr()
 
 
+def test_cmd_ems_infinite_lam_max_is_runtime_error(cli_files, capsys):
+    # vp-linear's lambda domain reaches +inf, so only the config check stops this run
+    out = cli_files["root"] / "inf.json"
+    code = main(
+        [
+            "ems",
+            "--model", str(cli_files["pg"]),
+            "--schedule", str(cli_files["schedule"]),
+            "--num-timesteps", "4",
+            "--num-datapoints", "8",
+            "--lam-min", "-1.0",
+            "--lam-max", "inf",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "lam_range must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_model_file_is_runtime_error(cli_files, capsys):
     code = main(
         [

@@ -12,17 +12,22 @@ from emsolve import (
     EmsConfig,
     EmsTable,
     Guided,
+    SolverConfig,
     TableFormatError,
     UnsupportedVersionError,
+    build_integral_table,
     degenerate_table,
     estimate_table,
     load_table,
+    make_time_grid,
+    multistep_sample,
     reference_solve,
     save_table,
+    singlestep_sample,
 )
 from emsolve.ems import DATA_PRED, NOISE_PRED, diag_probe_terms, estimate_l_dot
 from emsolve.models import ModelSpec
-from emsolve.schedule import EDM, VP_COSINE, VP_LINEAR, Schedule
+from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR, Schedule
 
 from oracles import eps_along_ode, estimate_sb, eval_f, eval_f1, forward_diffuse, jvp
 
@@ -451,6 +456,19 @@ def test_table_validation(vp):
             lambda_grid=np.array([0.0, 0.1, 0.3, 0.6, 1.0]),
             l=ones, s=ones, b=ones, l_dot=ones, schedule=vp,
         )
+    # a scalar field is a shape error, not an IndexError
+    with pytest.raises(ValueError, match="l has shape"):
+        EmsTable(lambda_grid=grid, l=1.0, s=ones, b=ones, l_dot=ones, schedule=vp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_table_rejects_non_finite_lambda_grid(vp, bad, where):
+    grid = np.linspace(0.0, 1.0, 5)
+    grid[where] = bad
+    ones = np.ones((5, 2))
+    with pytest.raises(ValueError, match="lambda_grid contains non-finite"):
+        EmsTable(lambda_grid=grid, l=ones, s=ones, b=ones, l_dot=ones, schedule=vp)
 
 
 def test_index_of_snapping(vp, vp_lam_range):
@@ -495,7 +513,7 @@ def _tables(draw):
 def test_save_load_round_trips_every_bit(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("round_trip") / "table.json"
     save_table(table, path)
-    again = load_table(path, expected_schedule=table.schedule)
+    again = load_table(path)
     for name in ("lambda_grid", "l", "s", "b", "l_dot"):
         want, got = getattr(table, name), getattr(again, name)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -527,6 +545,20 @@ def test_save_load_round_trip(tmp_path, vp, mix4):
         assert np.array_equal(getattr(table, name), getattr(again, name))
     assert again.meta == table.meta
     assert again.schedule.to_dict() == vp.to_dict()
+
+
+def test_save_load_table_from_numpy_integer_config(tmp_path, vp, mix4):
+    ints = dict(num_timesteps=6, num_datapoints=16, probes_per_point=1, seed=15)
+    python_table = estimate_table(mix4, vp, EmsConfig(lam_range=(-1.0, 1.5), **ints))
+    numpy_ints = {name: np.int64(value) for name, value in ints.items()}
+    table = estimate_table(mix4, vp, EmsConfig(lam_range=(-1.0, 1.5), **numpy_ints))
+    save_table(python_table, tmp_path / "python.json")
+    save_table(table, tmp_path / "numpy.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    again = load_table(tmp_path / "numpy.json")
+    assert again.meta == table.meta == {"K": 16, "seed": 15, "model": table.meta["model"]}
+    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
+        assert np.array_equal(getattr(again, name), getattr(table, name))
 
 
 def test_load_truncated_file(tmp_path, vp, vp_lam_range):
@@ -561,12 +593,29 @@ def test_load_missing_key(tmp_path, vp, vp_lam_range):
         load_table(path)
 
 
-def test_load_schedule_mismatch_warns(tmp_path, vp, edm, vp_lam_range):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_non_finite_lambda_grid(tmp_path, vp, vp_lam_range, bad):
     table = degenerate_table(DATA_PRED, vp, 4, vp_lam_range, 2)
     path = tmp_path / "table.json"
     save_table(table, path)
-    with pytest.warns(UserWarning, match="schedule"):
-        load_table(path, expected_schedule=edm)
+    payload = json.loads(path.read_text())
+    payload["lambda_grid"][-1] = bad
+    path.write_text(json.dumps(payload))  # NaN and Infinity tokens, which json reads back
+    with pytest.raises(TableFormatError, match="lambda_grid contains non-finite"):
+        load_table(path)
+
+
+def test_load_schedule_mismatch_raises_when_sampled(tmp_path, vp, edm, mix4):
+    # lambdas inside both schedules' ranges: only the schedule check stops the edm run
+    table = degenerate_table(DATA_PRED, vp, 200, (-3.0, 3.0), 4)
+    path = tmp_path / "table.json"
+    save_table(table, path)
+    tab = build_integral_table(load_table(path))
+    grid = make_time_grid(edm, 6, UNIFORM_LAMBDA, float(np.exp(3.0)), float(np.exp(-3.0)))
+    x0 = edm.sigma_lambda(-3.0) * np.ones(4)
+    for sampler in (multistep_sample, singlestep_sample):
+        with pytest.raises(ValueError, match="the table is for schedule"):
+            sampler(mix4, edm, tab, SolverConfig(order=2, grid=grid), x0)
 
 
 def test_ems_config_validation():
@@ -576,6 +625,9 @@ def test_ems_config_validation():
         EmsConfig(num_timesteps=4, num_datapoints=0, lam_range=(-1.0, 1.0))
     with pytest.raises(ValueError):
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(1.0, -1.0))
+    for lam_range in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="lam_range must be finite"):
+            EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=lam_range)
     with pytest.raises(ValueError):
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), probes_per_point=0)
     with pytest.raises(ValueError, match="seed"):

@@ -506,3 +506,20 @@ def test_reference_argument_errors(vp, pg4):
         reference_solve(pg4, vp, np.zeros(4), 1.0, 0.0)
     with pytest.raises(ValueError):
         reference_solve(pg4, vp, np.zeros(4), 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "lam_start, lam_end, tol",
+    [
+        (0.0, 1.0, np.nan),
+        (0.0, 1.0, np.inf),
+        (0.0, np.inf, 1e-8),
+        (np.nan, 1.0, 1e-8),
+        (-np.inf, 1.0, 1e-8),
+        (0.0, np.nan, 1e-8),
+    ],
+)
+def test_reference_rejects_non_finite_arguments(vp, mix4, lam_start, lam_end, tol):
+    # each of these ran solve_ivp without end
+    with pytest.raises(ValueError, match="finite"):
+        reference_solve(mix4, vp, np.zeros(4), lam_start, lam_end, tol=tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emsolve import DomainError, Schedule, make_time_grid, schedules_equal
+from emsolve import DomainError, Schedule, make_time_grid
 from emsolve.schedule import UNIFORM_LAMBDA, UNIFORM_T
 
 
@@ -107,19 +107,23 @@ def test_make_time_grid_errors(vp):
         make_time_grid(vp, 4, UNIFORM_LAMBDA, 0.1, 1.0)
     with pytest.raises(ValueError):
         make_time_grid(vp, 4, "geometric", 1.0, 0.1)
+    for bad in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="num_steps must be an integer"):
+            make_time_grid(vp, bad, UNIFORM_LAMBDA, 1.0, 0.1)
+    assert make_time_grid(vp, np.int64(4), UNIFORM_LAMBDA, 1.0, 0.1).num_steps == 4
 
 
 def test_schedule_serialization_round_trip():
     for kind, params in [("vp-linear", {"beta0": 0.05, "beta1": 15.0}), ("edm", {})]:
         sched = Schedule(kind, params=params)
         again = Schedule.from_dict(sched.to_dict())
-        assert schedules_equal(sched, again)
-    assert not schedules_equal(Schedule("vp-linear"), Schedule("edm"))
+        assert sched == again
+    assert Schedule("vp-linear") != Schedule("edm")
     # exact comparison: the smallest change to a parameter or the domain differs
     vp = Schedule("vp-linear")
-    assert not schedules_equal(vp, Schedule("vp-linear", params={"beta1": 20.0 + 1e-12}))
-    assert not schedules_equal(vp, Schedule("vp-linear", t_domain=(0.0, 1.0 - 1e-12)))
-    assert schedules_equal(vp, Schedule("vp-linear", params={"beta0": 0.1}, t_domain=(0, 1)))
+    assert vp != Schedule("vp-linear", params={"beta1": 20.0 + 1e-12})
+    assert vp != Schedule("vp-linear", t_domain=(0.0, 1.0 - 1e-12))
+    assert vp == Schedule("vp-linear", params={"beta0": 0.1}, t_domain=(0, 1))
 
 
 def test_schedule_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -35,6 +36,13 @@ from oracles import (
     explicit_vandermonde_solution,
 )
 from test_models import closed_form_trajectory
+
+
+def without_corrector(cfg):
+    """``cfg`` with no corrector and no pseudo flags, which singlestep sampling rejects."""
+    return dataclasses.replace(
+        cfg, corrector="none", pseudo_predictor=False, pseudo_corrector=False
+    )
 
 
 def draw_separated(rng, n, lo=-2.0, hi=-0.1, min_gap=0.05):
@@ -235,7 +243,7 @@ def test_samplers_make_no_linear_solve(vp, mix4, mix_tab, monkeypatch, pseudo):
     )
     x, _ = multistep_sample(mix4, vp, mix_tab, cfg, x0)
     assert np.all(np.isfinite(x))
-    assert np.all(np.isfinite(singlestep_sample(mix4, vp, mix_tab, cfg, x0)))
+    assert np.all(np.isfinite(singlestep_sample(mix4, vp, mix_tab, without_corrector(cfg), x0)))
 
 
 # built once, outside the property's arguments: a failing example's report stays short
@@ -288,6 +296,8 @@ def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler
     grid = make_time_grid(vp, 8, UNIFORM_LAMBDA, 1.0, 1e-3)
     x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * np.array([[0.3, -1.2, 0.8, 0.1]] * 2)
     cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
+    if sampler is singlestep_sample:
+        cfg = without_corrector(cfg)
     counted = EvalCounter(mix4)
     sampler(counted, vp, mix_tab, cfg, x0)
     assert counts == {"g_map": 9, "_g_value": 8} and counted.calls == 8
@@ -610,6 +620,7 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
         for step, want in zip(batch_trace, row_trace):
             got = _trace_row_of(step, i)
             assert all(np.array_equal(got[key], want[key]) for key in got)
+    cfg = without_corrector(cfg)
     batch = singlestep_sample(mix4, vp, tab, cfg, x0)
     rows = np.stack([singlestep_sample(mix4, vp, tab, cfg, x) for x in x0])
     assert np.array_equal(batch, rows)
@@ -617,6 +628,23 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
 
 # -- singlestep sampler ---------------------------------------------------------------
 
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"corrector": "full"},
+        {"corrector": "half"},
+        {"corrector": "full", "pseudo_corrector": True},
+        {"pseudo_predictor": True},
+    ],
+)
+def test_singlestep_rejects_corrector_and_pseudo_flags(vp, mix4, mix_tab, flags):
+    # these settings used to be ignored, giving the plain run's bits
+    cfg = SolverConfig(order=3, grid=make_time_grid(vp, 6, UNIFORM_LAMBDA, 1.0, 1e-3), **flags)
+    x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * np.ones(4)
+    with pytest.raises(ValueError, match="singlestep sampling takes no corrector"):
+        singlestep_sample(mix4, vp, mix_tab, cfg, x0)
+    multistep_sample(mix4, vp, mix_tab, cfg, x0)  # the same config is fine for multistep
 
 def test_singlestep_order1_equals_multistep(vp, mix4, mix_tab):
     grid = make_time_grid(vp, 12, UNIFORM_LAMBDA, 1.0, 1e-3)
