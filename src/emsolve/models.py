@@ -27,7 +27,7 @@ from .errors import ConvergenceError
 from .schedule import Schedule
 
 
-def _short_sum(a, axis=-1, keepdims=False):
+def _short_sum(a, axis=-1):
     """``np.sum(a, axis)`` over a short axis, as left-to-right slice additions.
 
     ``axis`` is negative.  Below 8 terms np.sum adds in this order too, so the
@@ -41,7 +41,7 @@ def _short_sum(a, axis=-1, keepdims=False):
     out = out.copy() if n == 1 else out + a[(..., 1) + tail]
     for k in range(2, n):
         out += a[(..., k) + tail]
-    return np.expand_dims(out, axis) if keepdims else out
+    return out
 
 
 def _logsumexp(a, keepdims=False):
@@ -55,13 +55,13 @@ def _logsumexp(a, keepdims=False):
     """
     a_max = np.max(a, axis=-1, keepdims=True)
     tied = a == a_max
-    count = _short_sum(tied.astype(float), keepdims=True)
+    count = _short_sum(tied.astype(float))[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = _short_sum(np.exp(np.where(tied, -np.inf, a) - a_max), keepdims=True)
+        rest = _short_sum(np.exp(np.where(tied, -np.inf, a) - a_max))[..., None]
         out = np.log1p(rest / count) + np.log(count) + a_max
         finite = np.isfinite(out)
         if not finite.all():
-            out = np.where(finite, out, np.log(_short_sum(np.exp(a), keepdims=True)))
+            out = np.where(finite, out, np.log(_short_sum(np.exp(a))[..., None]))
     return out if keepdims else out[..., 0]
 
 
@@ -224,8 +224,8 @@ class GaussianMixture(ModelSpec):
         """
         return (
             _short_sum(weights[..., None] * comp_score, axis=-2)
-            - mean_score * _short_sum(mean_score * v, keepdims=True)
-            - _short_sum(pi / var, keepdims=True) * v
+            - mean_score * _short_sum(mean_score * v)[..., None]
+            - _short_sum(pi / var)[..., None] * v
         )
 
     def log_density(self, sched, x, lam):
@@ -267,12 +267,12 @@ class GaussianMixture(ModelSpec):
         a = -(sigma**2) * sq / var**2 - 0.5 * self.dim * rate
         weights = pi * (
             sigma**2 * _short_sum(comp_score * mean_score[..., None, :])
-            + (a - _short_sum(pi * a, keepdims=True))
-            + c * _short_sum(mean_score * x, keepdims=True)
+            + (a - _short_sum(pi * a)[..., None])
+            + c * _short_sum(mean_score * x)[..., None]
             - rate
         )
         hv = self._hessian_terms(pi, comp_score, mean_score, var, v, weights)
-        pi_over_var = _short_sum(pi / var, keepdims=True)
+        pi_over_var = _short_sum(pi / var)[..., None]
         d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
 
         def apply_jacobian(v):

@@ -239,9 +239,7 @@ def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
     shape = (50, 3, terms) if axis == -1 else (50, terms, 4)
     # magnitudes over 16 decades make any change of summation order visible
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    for keepdims in (False, True):
-        want = np.sum(a, axis=axis, keepdims=keepdims)
-        assert np.array_equal(_short_sum(a, axis=axis, keepdims=keepdims), want)
+    assert np.array_equal(_short_sum(a, axis=axis), np.sum(a, axis=axis))
     row = a[0, 0] if axis == -1 else a[0, :, 0]
     assert np.array_equal(_short_sum(row), np.sum(row))
 
