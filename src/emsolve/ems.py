@@ -112,7 +112,7 @@ class EmsTable:
 
     @property
     def spacing(self) -> float:
-        return float((self.lambda_grid[-1] - self.lambda_grid[0]) / (len(self.lambda_grid) - 1))
+        return _spacing(self.lambda_grid)
 
     def index_of(self, lam: float) -> int:
         """Snap a lambda to the nearest grid index; error if off the grid's range."""
@@ -133,6 +133,11 @@ class EmsTable:
             and np.all(self.s == self.s[0])
             and np.all(self.b == self.b[0])
         )
+
+
+def _spacing(grid) -> float:
+    """The step of a uniform lambda grid: its span over its number of intervals."""
+    return float((grid[-1] - grid[0]) / (len(grid) - 1))
 
 
 # -- estimators ---------------------------------------------------------------
@@ -252,7 +257,7 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
         l[j], means[:, j] = _point_stats(model, sched, lam, x0, z, probes)
     mf, mr, my, mff, mfr, mfy = means
 
-    l_dot = estimate_l_dot(l, float(grid[1] - grid[0]))
+    l_dot = estimate_l_dot(l, _spacing(grid))
     s, b = _fit_sb(mf, mr - l_dot * my, mff, mfr - l_dot * mfy)
 
     # Python ints: numpy integers from the config are not JSON-serializable

@@ -350,7 +350,7 @@ def two_sweep_table(model, sched, cfg):
         .mean(axis=(0, 1))
         for lam, xs in zip(grid, points)
     ])
-    l_dot = estimate_l_dot(l, float(grid[1] - grid[0]))
+    l_dot = estimate_l_dot(l, float((grid[-1] - grid[0]) / cfg.num_timesteps))
     s, b = np.empty_like(l), np.empty_like(l)
     for j, (lam, xs) in enumerate(zip(grid, points)):
         alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
