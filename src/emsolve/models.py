@@ -44,27 +44,6 @@ def _short_sum(a, axis=-1):
     return out
 
 
-def _logsumexp(a, keepdims=False):
-    """``scipy.special.logsumexp(a, axis=-1)`` of a real array, restated in numpy.
-
-    The same arithmetic as scipy 1.17, without its array-API dispatch: every
-    entry tied with the maximum leaves the sum and is counted instead, the
-    result is log1p(sum of the others' exp(a - max) / count) + log(count) +
-    max, and where that is not finite (all -inf, an inf, a NaN) it is the
-    direct log(sum(exp(a))).
-    """
-    a_max = np.max(a, axis=-1, keepdims=True)
-    tied = a == a_max
-    count = _short_sum(tied.astype(float))[..., None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = _short_sum(np.exp(np.where(tied, -np.inf, a) - a_max))[..., None]
-        out = np.log1p(rest / count) + np.log(count) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(_short_sum(np.exp(a))[..., None]))
-    return out if keepdims else out[..., 0]
-
-
 class ModelSpec:
     """Base class for analytic noise predictors."""
 
@@ -209,8 +188,8 @@ class GaussianMixture(ModelSpec):
     def _posterior(self, x, alpha, var):
         """Posterior component weights pi_i(x), score terms grad log N_i, and |x - alpha mu_i|^2."""
         diff, sq, log_comp = self._log_components(x, alpha, var)
-        log_pi = log_comp - _logsumexp(log_comp, keepdims=True)
-        pi = np.exp(log_pi)
+        w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
+        pi = w / _short_sum(w)[..., None]
         # grad log N_i = -diff / var_i, (..., C, D), formed in diff's memory
         comp_score = np.divide(diff, -var[:, None], out=diff)
         return pi, comp_score, sq
@@ -232,7 +211,9 @@ class GaussianMixture(ModelSpec):
         """log q_lambda(x) of the diffused mixture."""
         x = self._check_x(x)
         alpha, _, var = self._moments(sched, lam)
-        return _logsumexp(self._log_components(x, alpha, var)[2])
+        log_comp = self._log_components(x, alpha, var)[2]
+        top = np.max(log_comp, axis=-1)
+        return np.log(_short_sum(np.exp(log_comp - top[..., None]))) + top
 
     def eps(self, sched, x, lam):
         x = self._check_x(x)

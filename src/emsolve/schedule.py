@@ -38,6 +38,10 @@ _DEFAULT_T_DOMAIN = {
 }
 
 
+def _is_finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Noise schedule: alpha/sigma as functions of time, invertible in logSNR.
@@ -66,10 +70,20 @@ class Schedule:
         if unknown:
             raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
         merged.update(self.params)
+        for name, value in merged.items():
+            if not _is_finite_real(value):
+                raise ValueError(f"{self.kind} param {name} must be finite and real, got {value!r}")
+        if self.kind == VP_LINEAR:
+            b0, b1 = merged["beta0"], merged["beta1"]
+            if not (b0 >= 0 and b1 >= 0 and b0 + b1 > 0):
+                raise ValueError(f"vp-linear needs beta0, beta1 >= 0, not both 0, got {merged}")
+        if self.kind == VP_COSINE and merged["offset"] < 0:
+            raise ValueError(f"vp-cosine needs offset >= 0, got {merged['offset']}")
         object.__setattr__(self, "params", merged)
         domain = tuple(self.t_domain) or _DEFAULT_T_DOMAIN[self.kind]
-        if not (0.0 <= domain[0] < domain[1]):
-            raise ValueError(f"invalid t_domain {domain}")
+        valid = len(domain) == 2 and all(map(_is_finite_real, domain))
+        if not (valid and 0 <= domain[0] < domain[1]):
+            raise ValueError(f"t_domain must be two finite numbers with 0 <= lo < hi, got {domain}")
         object.__setattr__(self, "t_domain", (float(domain[0]), float(domain[1])))
 
     # -- t-domain quantities ------------------------------------------------
@@ -121,10 +135,10 @@ class Schedule:
 
     @property
     def lam_domain(self) -> tuple[float, float]:
-        """(lambda(t_max), lambda(t_min)) as an increasing pair; +inf at t_min=0 on vp."""
+        """(lambda(t_max), lambda(t_min)) as an increasing pair; +inf at t_min = 0 (sigma = 0)."""
         lo, hi = self.t_domain
         lam_min = float(self.lambda_of_t(hi))
-        if self.kind != EDM and lo == 0.0:
+        if lo == 0.0:
             return lam_min, math.inf
         return lam_min, float(self.lambda_of_t(lo))
 
@@ -145,8 +159,10 @@ class Schedule:
         two_log_alpha = -np.logaddexp(-2.0 * lam, 0.0)
         if self.kind == VP_LINEAR:
             b0, b1 = self.params["beta0"], self.params["beta1"]
+            # the root of (b1 - b0) t^2 / 2 + b0 t = -two_log_alpha, with
+            # b1 - b0 cancelled so that a constant beta (b1 = b0) works too
             tmp = -2.0 * two_log_alpha * (b1 - b0)
-            return tmp / (np.sqrt(b0**2 + tmp) + b0) / (b1 - b0)
+            return -2.0 * two_log_alpha / (np.sqrt(b0**2 + tmp) + b0)
         s = self.params["offset"]
         log_alpha0 = math.log(math.cos(s / (1.0 + s) * math.pi / 2.0))
         return (

@@ -146,9 +146,6 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     """
     j_s, x_s, g_s = anchor
     grid = tab.lambda_grid
-    lam_s, lam_t = float(grid[j_s]), float(grid[j_t])
-    if lam_t < lam_s:
-        raise ValueError(f"target lambda {lam_t} precedes anchor lambda {lam_s}")
     coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
     weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
     return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])

@@ -7,7 +7,8 @@ weights), the classical DDIM update (against order 1 on the
 noise-prediction table), f and f1 one point at a time and the per-sample
 least-squares fit (against the one-sweep table), and a model's
 derivatives from separate calls, part by part for a guided model (against
-``linearize``).
+``linearize``), and a mixture's eps in long double (against its float64
+rounding).
 """
 
 from __future__ import annotations
@@ -54,6 +55,26 @@ def composed_linearize(model, sched, x, lam, v):
     )
     jv = s * jvp(model.cond, sched, x, lam, v) + (1.0 - s) * jvp(model.uncond, sched, x, lam, v)
     return eps, d_eps, jv
+
+
+def mixture_eps_longdouble(model, sched, x, lam):
+    """``GaussianMixture.eps`` in ``np.longdouble``, from the schedule's float64 alpha and sigma.
+
+    Posterior weights by a max-shifted softmax of log w_i N_i(x) (the
+    (2 pi)^(D/2) factor, common to every component, is left out), then
+    eps = sigma sum_i pi_i (x - alpha mu_i) / var_i.
+    """
+    ld = np.longdouble
+    alpha, sigma = ld(sched.alpha_lambda(lam)), ld(sched.sigma_lambda(lam))
+    x = np.asarray(x, dtype=float).astype(ld)
+    var = alpha**2 * model.stds.astype(ld) ** 2 + sigma**2
+    diff = x[..., None, :] - alpha * model.means.astype(ld)
+    log_comp = np.log(model.weights.astype(ld)) - 0.5 * (
+        model.dim * np.log(var) + np.sum(diff**2, axis=-1) / var
+    )
+    w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
+    pi = w / np.sum(w, axis=-1, keepdims=True)
+    return sigma * np.sum(pi[..., None] * diff / var[:, None], axis=-2)
 
 
 def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):

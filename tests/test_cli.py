@@ -276,6 +276,28 @@ def test_bench_convergence_slope_row(cli_files, mix_ems_file):
     assert slope_rows[0].l2_error == pytest.approx(1.0, abs=0.35)
 
 
+def test_bench_convergence_two_step_sizes_give_no_slope(cli_files, mix_ems_file):
+    # a slope needs three distinct h_max; two give an "na" row
+    out = cli_files["root"] / "conv_na.csv"
+    code = main(
+        [
+            "bench-convergence",
+            "--model", str(cli_files["mix"]),
+            "--ems", str(mix_ems_file),
+            "--orders", "1",
+            "--nfe", "10", "20",
+            "--seeds", "0",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = parse_csv(out.read_text())
+    assert len({r.h_max for r in rows if r.solver == "v3"}) == 2
+    slope_rows = [r for r in rows if r.solver == "slope"]
+    assert len(slope_rows) == 1 and slope_rows[0].corrector == "na"
+    assert slope_rows[0].l2_error == 0.0
+
+
 def test_bench_convergence_floor_flag(cli_files, pg_floor_ems_file):
     out = cli_files["root"] / "floor.csv"
     code = main(

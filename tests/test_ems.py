@@ -593,6 +593,27 @@ def test_load_missing_key(tmp_path, vp, vp_lam_range):
         load_table(path)
 
 
+def test_load_top_level_list(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(TableFormatError, match="expected a JSON object at top level"):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("params", {"beta0": np.nan}), ("t_domain", [0.0, np.inf])]
+)
+def test_load_invalid_schedule(tmp_path, vp, vp_lam_range, key, value):
+    table = degenerate_table(DATA_PRED, vp, 4, vp_lam_range, 2)
+    path = tmp_path / "table.json"
+    save_table(table, path)
+    payload = json.loads(path.read_text())
+    payload["schedule"][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TableFormatError, match="finite"):
+        load_table(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_non_finite_lambda_grid(tmp_path, vp, vp_lam_range, bad):
     table = degenerate_table(DATA_PRED, vp, 4, vp_lam_range, 2)

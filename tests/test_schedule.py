@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,48 @@ def test_schedule_validation():
         Schedule("vp-linear", params={"gamma": 1.0})
     with pytest.raises(ValueError):
         Schedule("edm", t_domain=(5.0, 1.0))
+    with pytest.raises(ValueError, match="schedule dict missing key 'kind'"):
+        Schedule.from_dict({"params": {}, "t_domain": [0.0, 1.0]})
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("vp-linear", {"beta0": np.nan}),
+        ("vp-linear", {"beta1": np.inf}),
+        ("vp-linear", {"beta0": -5.0, "beta1": 1.0}),
+        ("vp-linear", {"beta0": 0.0, "beta1": 0.0}),
+        ("vp-linear", {"beta0": "0.1"}),
+        ("vp-cosine", {"offset": -1.0}),
+        ("vp-cosine", {"offset": None}),
+    ],
+    ids=["nan", "inf", "negative-beta", "zero-betas", "string", "negative-offset", "none"],
+)
+def test_schedule_rejects_bad_params(kind, params):
+    with pytest.raises(ValueError, match="param|needs"):
+        Schedule(kind, params=params)
+
+
+@pytest.mark.parametrize(
+    "t_domain",
+    [(0.002, np.inf), (np.nan, 1.0), (0.002, 1.0, 2.0), (0.002,), ("0", 1.0), (-1.0, 1.0)],
+    ids=["inf", "nan", "three-entries", "one-entry", "string", "negative"],
+)
+def test_schedule_rejects_bad_t_domain(t_domain):
+    with pytest.raises(ValueError, match="t_domain must be two finite numbers"):
+        Schedule("edm", t_domain=t_domain)
+
+
+def test_lam_domain_is_open_at_t_zero_on_every_kind():
+    # sigma(0) = 0 makes lambda(0) = +inf, without taking log(0)
+    assert Schedule("edm", t_domain=(0.0, 80.0)).lam_domain == (-math.log(80.0), math.inf)
+    assert Schedule("vp-linear").lam_domain[1] == math.inf
+
+
+def test_constant_beta_inverts_lambda():
+    # beta1 = beta0: log alpha is linear in t, and the inverse's quadratic degenerates
+    sched = Schedule("vp-linear", params={"beta0": 1.0, "beta1": 1.0})
+    assert sched.t_of_lambda(0.0) == math.log(2.0)  # alpha^2 = e^{-t} = 1/2
+    ts = np.linspace(1e-3, 1.0, 1000)
+    back = np.asarray(sched.t_of_lambda(sched.lambda_of_t(ts)))
+    assert np.max(np.abs(back - ts)) <= 1e-15
