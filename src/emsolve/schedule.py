@@ -77,13 +77,13 @@ class Schedule:
             b0, b1 = merged["beta0"], merged["beta1"]
             if not (b0 >= 0 and b1 >= 0 and b0 + b1 > 0):
                 raise ValueError(f"vp-linear needs beta0, beta1 >= 0, not both 0, got {merged}")
-        if self.kind == VP_COSINE and merged["offset"] < 0:
-            raise ValueError(f"vp-cosine needs offset >= 0, got {merged['offset']}")
         object.__setattr__(self, "params", merged)
         domain = tuple(self.t_domain) or _DEFAULT_T_DOMAIN[self.kind]
         valid = len(domain) == 2 and all(map(_is_finite_real, domain))
         if not (valid and 0 <= domain[0] < domain[1]):
             raise ValueError(f"t_domain must be two finite numbers with 0 <= lo < hi, got {domain}")
+        if self.kind == VP_COSINE and not (merged["offset"] >= 0 and domain[1] <= 1):
+            raise ValueError(f"vp-cosine needs offset >= 0 and t <= 1, got {merged}, {domain}")
         object.__setattr__(self, "t_domain", (float(domain[0]), float(domain[1])))
 
     # -- t-domain quantities ------------------------------------------------

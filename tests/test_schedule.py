@@ -167,6 +167,13 @@ def test_schedule_rejects_bad_t_domain(t_domain):
         Schedule("edm", t_domain=t_domain)
 
 
+def test_vp_cosine_rejects_t_domain_past_one():
+    # alpha's cosine turns negative past t = 1
+    with pytest.raises(ValueError, match="t <= 1"):
+        Schedule("vp-cosine", t_domain=(0.0, 1.5))
+    assert Schedule("vp-cosine", t_domain=(0.0, 1.0)).lam_domain[1] == math.inf
+
+
 def test_lam_domain_is_open_at_t_zero_on_every_kind():
     # sigma(0) = 0 makes lambda(0) = +inf, without taking log(0)
     assert Schedule("edm", t_domain=(0.0, 80.0)).lam_domain == (-math.log(80.0), math.inf)
