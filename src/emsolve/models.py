@@ -9,8 +9,24 @@ ODE can be integrated to near machine precision with an adaptive
 embedded Runge-Kutta pair (``reference_solve``).
 
 All evaluation functions broadcast over leading axes: ``x`` may be shaped
-``(D,)`` or ``(batch, D)``.  Evaluations are pure; RNG state is only consumed
-by the sampling helpers, which take an explicit ``numpy.random.Generator``.
+``(D,)``, ``(batch, D)`` or ``(..., D)``, and a Jacobian-vector product's
+``v`` may add leading axes to ``x``'s shape, as a stack of probes does.  A 0-d
+``x`` or a non-finite lambda raises ValueError.  Evaluations are pure; RNG
+state is only consumed by the sampling helpers, which take an explicit
+``numpy.random.Generator``.
+
+Layout.  ``GaussianMixture`` computes coordinate-major: the N rows of ``x``
+are read as a ``(D, N)`` strided view (no copy), the offsets x - alpha mu_i
+and the component scores are ``(C, D, N)``, per-component terms ``(C, N)``
+and a probe stack ``(P, D, N)``.  With D and C at 2-4, the long N axis is
+then the inner loop of every numpy call.  Sums over C or D add whole
+leading-axis slices left to right (``_short_sum``, ``_short_dot``), in the
+order of a row-major ``np.sum`` over the short axis, and the softmax's max
+takes ``np.maximum`` over component slices (``_short_max``), so the bits are
+those of the row-major arithmetic.  Every output is a fresh C-contiguous
+float64 array of the caller's ``(..., D)`` shape, written through its
+transposed view: the estimator's einsum reductions read these arrays, and
+another memory order could change their summation order.
 """
 
 from __future__ import annotations
@@ -27,21 +43,44 @@ from .errors import ConvergenceError
 from .schedule import Schedule
 
 
-def _short_sum(a, axis=-1):
-    """``np.sum(a, axis)`` over a short axis, as left-to-right slice additions.
+def _short_sum(a):
+    """``np.sum(a, axis=0)`` bit for bit, as left-to-right additions of leading-axis slices.
 
-    ``axis`` is negative.  Below 8 terms np.sum adds in this order too, so the
-    bits match; the slices skip np.sum's reduction set-up, which dominates on
-    the mixture's short component and coordinate axes.  From 8 terms on the
-    two differ by reassociation only.
+    Below 8 terms this also matches ``np.sum`` over the same axis laid out
+    last.  The slices skip np.sum's reduction set-up, which dominates on the
+    mixture's short component and coordinate axes.
     """
-    tail = (slice(None),) * (-axis - 1)
-    n = a.shape[axis]
-    out = a[(..., 0) + tail]
-    out = out.copy() if n == 1 else out + a[(..., 1) + tail]
-    for k in range(2, n):
-        out += a[(..., k) + tail]
+    out = a[0] + a[1] if len(a) > 1 else a[0].copy()
+    for k in range(2, len(a)):
+        out += a[k]
     return out
+
+
+def _short_max(a):
+    """``np.max(a, axis=0)`` as ``np.maximum`` over leading-axis slices (``a[0]`` if only one)."""
+    out = a[0]
+    for k in range(1, len(a)):
+        out = np.maximum(out, a[k])
+    return out
+
+
+def _short_dot(a, b):
+    """sum_k a[k] * b[k] over the leading axis, added left to right as ``_short_sum`` adds."""
+    out = a[0] * b[0]
+    for k in range(1, len(a)):
+        out += a[k] * b[k]
+    return out
+
+
+def _columns(a, lead, n):
+    """A ``lead + (n..., D)`` array with its n rows of D as a ``lead + (D, n)`` view."""
+    return a.reshape(lead + (n, a.shape[-1])).swapaxes(-1, -2)
+
+
+def _row_buffer(shape, lead, n):
+    """An empty C-contiguous float64 array of ``shape``, and its ``_columns`` view to write into."""
+    out = np.empty(shape)
+    return out, _columns(out, lead, n)
 
 
 class ModelSpec:
@@ -73,10 +112,19 @@ class ModelSpec:
         raise NotImplementedError
 
     def _check_x(self, x):
+        """``x`` as a float array of shape ``(..., dim)``; anything else raises ValueError."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            raise ValueError(f"x must have shape (..., {self.dim}), got a 0-d array")
         if x.shape[-1] != self.dim:
             raise ValueError(f"x has dimension {x.shape[-1]}, model expects {self.dim}")
         return x
+
+    def _check_input(self, x, lam):
+        """The argument check every evaluation makes: a finite lambda and ``_check_x(x)``."""
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
+        return self._check_x(x)
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -108,7 +156,7 @@ class PointGaussian(ModelSpec):
         return self.x0.size
 
     def eps(self, sched, x, lam):
-        x = self._check_x(x)
+        x = self._check_input(x, lam)
         alpha = sched.alpha_lambda(lam)
         sigma = sched.sigma_lambda(lam)
         return (x - alpha * self.x0) / sigma
@@ -167,6 +215,10 @@ class GaussianMixture(ModelSpec):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stds", s)
+        # the coordinate-major constants of the arithmetic
+        object.__setattr__(self, "_means", mu[:, :, None])
+        object.__setattr__(self, "_log_weights", np.log(w)[:, None])
+        object.__setattr__(self, "_stds_sq", (s**2)[:, None])
 
     @property
     def dim(self) -> int:
@@ -175,67 +227,72 @@ class GaussianMixture(ModelSpec):
     def _moments(self, sched, lam):
         alpha = float(sched.alpha_lambda(lam))
         sigma = float(sched.sigma_lambda(lam))
-        var = alpha**2 * self.stds**2 + sigma**2  # per-component marginal variance
+        var = alpha**2 * self._stds_sq + sigma**2  # per-component marginal variance, (C, 1)
         return alpha, sigma, var
 
-    def _log_components(self, x, alpha, var):
-        """Offsets x - alpha mu_i, their squared norms, and log w_i N_i(x)."""
-        diff = x[..., None, :] - alpha * self.means  # (..., C, D)
-        sq = _short_sum(diff**2)  # (..., C)
-        log_comp = np.log(self.weights) - 0.5 * (self.dim * np.log(2.0 * np.pi * var) + sq / var)
+    def _log_components(self, xt, alpha, var):
+        """Offsets x - alpha mu_i, their squared norms and log w_i N_i(x), for the (D, N) x.T."""
+        # order="C": by default a ufunc's output would follow the strided x.T
+        diff = np.subtract(xt, alpha * self._means, order="C")
+        # the squares laid out (D, C, N), so that the sum over D adds contiguous
+        # slices; this temporary ends below each call's later peak
+        sq = _short_sum(np.square(diff.swapaxes(0, 1), order="C"))  # (C, N)
+        log_comp = self._log_weights - 0.5 * (self.dim * np.log(2.0 * np.pi * var) + sq / var)
         return diff, sq, log_comp
 
-    def _posterior(self, x, alpha, var):
+    def _posterior(self, xt, alpha, var):
         """Posterior component weights pi_i(x), score terms grad log N_i, and |x - alpha mu_i|^2."""
-        diff, sq, log_comp = self._log_components(x, alpha, var)
-        w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
-        pi = w / _short_sum(w)[..., None]
-        # grad log N_i = -diff / var_i, (..., C, D), formed in diff's memory
+        diff, sq, log_comp = self._log_components(xt, alpha, var)
+        w = np.exp(log_comp - _short_max(log_comp))
+        pi = w / _short_sum(w)
+        # grad log N_i = -diff / var_i, (C, D, N), formed in diff's memory
         comp_score = np.divide(diff, -var[:, None], out=diff)
         return pi, comp_score, sq
 
     @staticmethod
-    def _hessian_terms(pi, comp_score, mean_score, var, v, weights):
+    def _hessian_terms(comp_score, mean_score, pi_over_var, v, weights, out=None):
         """sum_i weights_i g_i - gbar (gbar . v) - (sum_i pi_i / var_i) v.
 
         With g_i = grad log N_i, gbar = sum_i pi_i g_i and weights_i =
-        pi_i (g_i . v) this is the Hessian-vector product H v of log q.
+        pi_i (g_i . v) this is the Hessian-vector product H v of log q.  ``v``
+        is (D, N) or a (P, D, N) probe stack, and ``weights`` (C, N) or (P, C, N).
         """
-        return (
-            _short_sum(weights[..., None] * comp_score, axis=-2)
-            - mean_score * _short_sum(mean_score * v)[..., None]
-            - _short_sum(pi / var)[..., None] * v
-        )
+        # swapaxes(0, -2) brings the component or coordinate axis to the front
+        hv = _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score)
+        hv -= mean_score * _short_dot(mean_score, v.swapaxes(0, -2))[..., None, :]
+        return np.subtract(hv, pi_over_var * v, out=out)
 
     def log_density(self, sched, x, lam):
         """log q_lambda(x) of the diffused mixture."""
-        x = self._check_x(x)
+        x = self._check_input(x, lam)
         alpha, _, var = self._moments(sched, lam)
-        log_comp = self._log_components(x, alpha, var)[2]
-        top = np.max(log_comp, axis=-1)
-        return np.log(_short_sum(np.exp(log_comp - top[..., None]))) + top
+        n = x.size // self.dim
+        log_comp = self._log_components(_columns(x, (), n), alpha, var)[2]
+        top = _short_max(log_comp)
+        out = np.log(_short_sum(np.exp(log_comp - top))) + top
+        return out.reshape(x.shape[:-1])[()]
 
     def eps(self, sched, x, lam):
-        x = self._check_x(x)
+        x = self._check_input(x, lam)
         alpha, sigma, var = self._moments(sched, lam)
-        pi, comp_score, _ = self._posterior(x, alpha, var)
-        score = _short_sum(pi[..., None] * comp_score, axis=-2)
-        return -sigma * score
-
-    def _jvp(self, sigma, var, pi, comp_score, mean_score, v):
-        """-sigma H v from a posterior; ``v`` may add leading axes, such as probes."""
-        dots = _short_sum(comp_score * v[..., None, :])  # (..., C)
-        return -sigma * self._hessian_terms(pi, comp_score, mean_score, var, v, pi * dots)
+        n = x.size // self.dim
+        pi, comp_score, _ = self._posterior(_columns(x, (), n), alpha, var)
+        score = _short_dot(pi[:, None], comp_score)
+        out, out_t = _row_buffer(x.shape, (), n)
+        np.multiply(score, -sigma, out=out_t)
+        return out
 
     def linearize(self, sched, x, lam):
         # apply_jacobian closes over this call's posterior, which it keeps alive
-        x = self._check_x(x)
+        x = self._check_input(x, lam)
         alpha, sigma, var = self._moments(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
-        pi, comp_score, sq = self._posterior(x, alpha, var)
-        mean_score = _short_sum(pi[..., None] * comp_score, axis=-2)
-        eps = -sigma * mean_score
-        v = c * x - sigma * eps  # dx/dlambda on the ODE
+        n = x.size // self.dim
+        xt = _columns(x, (), n)
+        pi, comp_score, sq = self._posterior(xt, alpha, var)
+        mean_score = _short_dot(pi[:, None], comp_score)
+        eps, eps_t = _row_buffer(x.shape, (), n)
+        np.multiply(mean_score, -sigma, out=eps_t)
         # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
         # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
         #   dlog N_i = a_i - c g_i . x,  a_i = -sigma^2 |g_i|^2 - rate_i D / 2,
@@ -247,17 +304,32 @@ class GaussianMixture(ModelSpec):
         rate = 2.0 * c - 2.0 * sigma**2 / var
         a = -(sigma**2) * sq / var**2 - 0.5 * self.dim * rate
         weights = pi * (
-            sigma**2 * _short_sum(comp_score * mean_score[..., None, :])
-            + (a - _short_sum(pi * a)[..., None])
-            + c * _short_sum(mean_score * x)[..., None]
+            sigma**2 * _short_dot(comp_score.swapaxes(0, 1), mean_score[:, None])
+            + (a - _short_dot(pi, a))
+            + c * _short_dot(mean_score, xt)
             - rate
         )
-        hv = self._hessian_terms(pi, comp_score, mean_score, var, v, weights)
-        pi_over_var = _short_sum(pi / var)[..., None]
-        d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
+        pi_over_var = _short_sum(pi / var)
+        hv = self._hessian_terms(  # H applied to the ODE's velocity dx/dlambda = c x - sigma eps
+            comp_score, mean_score, pi_over_var, c * xt - sigma * eps_t, weights
+        )
+        d_eps, d_eps_t = _row_buffer(x.shape, (), n)
+        np.multiply(eps_t, c - 1.0, out=d_eps_t)
+        d_eps_t -= sigma * (hv + c * (mean_score + pi_over_var * xt))
 
         def apply_jacobian(v):
-            return self._jvp(sigma, var, pi, comp_score, mean_score, self._check_x(v))
+            """-sigma H v from this posterior; ``v`` may add leading axes, such as probes."""
+            v = self._check_x(v)
+            shape = np.broadcast_shapes(v.shape, x.shape)
+            if shape[len(shape) - x.ndim :] != x.shape:
+                raise ValueError(f"v of shape {v.shape} does not end in x's shape {x.shape}")
+            probes = (math.prod(shape[: len(shape) - x.ndim]),)
+            vt = _columns(np.broadcast_to(v, shape), probes, n)  # (P, D, N)
+            dots = _short_dot(comp_score.swapaxes(0, 1), vt.swapaxes(0, 1)[:, :, None])
+            out, out_t = _row_buffer(shape, probes, n)
+            self._hessian_terms(comp_score, mean_score, pi_over_var, vt, pi * dots, out=out_t)
+            np.multiply(out_t, -sigma, out=out_t)
+            return out
 
         return eps, d_eps, apply_jacobian
 

@@ -7,8 +7,9 @@ weights), the classical DDIM update (against order 1 on the
 noise-prediction table), f and f1 one point at a time and the per-sample
 least-squares fit (against the one-sweep table), and a model's
 derivatives from separate calls, part by part for a guided model (against
-``linearize``), and a mixture's eps in long double (against its float64
-rounding).
+``linearize``), a mixture's eps in long double (against its float64
+rounding), and a mixture's eps, d_eps and J v in row-major arithmetic
+(against the library's coordinate-major arithmetic, bit for bit).
 """
 
 from __future__ import annotations
@@ -75,6 +76,65 @@ def mixture_eps_longdouble(model, sched, x, lam):
     w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
     pi = w / np.sum(w, axis=-1, keepdims=True)
     return sigma * np.sum(pi[..., None] * diff / var[:, None], axis=-2)
+
+
+def _rowmajor_sum(a, axis=-1):
+    """Sum over a short axis of a row-major array, as left-to-right slice additions."""
+    tail = (slice(None),) * (-axis - 1)
+    n = a.shape[axis]
+    out = a[(..., 0) + tail]
+    out = out.copy() if n == 1 else out + a[(..., 1) + tail]
+    for k in range(2, n):
+        out += a[(..., k) + tail]
+    return out
+
+
+def mixture_linearize_rowmajor(model, sched, x, lam, v):
+    """``GaussianMixture.linearize``'s ``(eps, d_eps, J v)`` on row-major ``(..., C, D)`` arrays.
+
+    The arithmetic the library ran before it went coordinate-major, step for
+    step: every sum over the components or coordinates adds slices left to
+    right along the last or second-last axis.  ``v`` may add leading axes to
+    ``x``'s shape, as a probe stack does.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    alpha = float(sched.alpha_lambda(lam))
+    sigma = float(sched.sigma_lambda(lam))
+    c = float(sched.dlog_alpha_dlambda(lam))
+    dim = model.dim
+    var = alpha**2 * model.stds**2 + sigma**2
+    diff = x[..., None, :] - alpha * model.means  # (..., C, D)
+    sq = _rowmajor_sum(diff**2)  # (..., C)
+    log_comp = np.log(model.weights) - 0.5 * (dim * np.log(2.0 * np.pi * var) + sq / var)
+    w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
+    pi = w / _rowmajor_sum(w)[..., None]
+    g = diff / -var[:, None]
+    mean_score = _rowmajor_sum(pi[..., None] * g, axis=-2)
+
+    def hessian_terms(v, weights):
+        return (
+            _rowmajor_sum(weights[..., None] * g, axis=-2)
+            - mean_score * _rowmajor_sum(mean_score * v)[..., None]
+            - _rowmajor_sum(pi / var)[..., None] * v
+        )
+
+    eps = -sigma * mean_score
+    flow = c * x - sigma * eps
+    rate = 2.0 * c - 2.0 * sigma**2 / var
+    a = -(sigma**2) * sq / var**2 - 0.5 * dim * rate
+    weights = pi * (
+        sigma**2 * _rowmajor_sum(g * mean_score[..., None, :])
+        + (a - _rowmajor_sum(pi * a)[..., None])
+        + c * _rowmajor_sum(mean_score * x)[..., None]
+        - rate
+    )
+    hv = hessian_terms(flow, weights)
+    pi_over_var = _rowmajor_sum(pi / var)[..., None]
+    d_eps = (c - 1.0) * eps - sigma * (hv + c * (mean_score + pi_over_var * x))
+    dots = _rowmajor_sum(g * v[..., None, :])
+    jv = -sigma * hessian_terms(v, pi * dots)
+    return eps, d_eps, jv
 
 
 def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):

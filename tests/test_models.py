@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from emsolve import (
     model_id,
     reference_solve,
 )
-from emsolve.models import _short_sum
+from emsolve.models import _short_dot, _short_max, _short_sum
 
 from oracles import (
     composed_linearize,
@@ -25,6 +26,7 @@ from oracles import (
     forward_diffuse,
     jvp,
     mixture_eps_longdouble,
+    mixture_linearize_rowmajor,
 )
 
 
@@ -244,13 +246,75 @@ def test_mixture_eps_matches_long_double(request, kind, model_name):
 @pytest.mark.parametrize("axis", [-1, -2])
 @pytest.mark.parametrize("terms", range(1, 8))
 def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
+    """Leading-axis slice sums add in np.sum's order over a short last or second-last axis."""
     rng = np.random.default_rng(terms)
     shape = (50, 3, terms) if axis == -1 else (50, terms, 4)
     # magnitudes over 16 decades make any change of summation order visible
     a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
-    assert np.array_equal(_short_sum(a, axis=axis), np.sum(a, axis=axis))
+    a_bytes, leading = a.tobytes(), np.moveaxis(a, axis, 0)
+    assert np.array_equal(_short_sum(leading), np.sum(a, axis=axis))
+    assert np.array_equal(_short_max(leading), np.max(a, axis=axis))
+    b = rng.standard_normal(shape)
+    assert np.array_equal(_short_dot(leading, np.moveaxis(b, axis, 0)), np.sum(a * b, axis=axis))
     row = a[0, 0] if axis == -1 else a[0, :, 0]
     assert np.array_equal(_short_sum(row), np.sum(row))
+    assert a.tobytes() == a_bytes  # the first slice is copied, not summed into
+
+
+# -- the coordinate-major arithmetic against the row-major one ------------------------
+
+
+@settings(max_examples=150)
+@given(
+    num_comp=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    layout=st.sampled_from(["(D,)", "(B, D)", "(B1, B2, D)", "(0, D)"]),
+    rows=st.tuples(st.integers(1, 5), st.integers(1, 4)),
+    num_probes=st.integers(1, 3),
+    lam=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_matches_rowmajor_oracle_bit_for_bit(
+    vp, num_comp, dim, layout, rows, num_probes, lam, seed
+):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, num_comp)
+    model = GaussianMixture(
+        weights=weights / weights.sum(),
+        means=rng.uniform(-2.0, 2.0, (num_comp, dim)),
+        stds=rng.uniform(0.0, 1.5, num_comp),
+    )
+    lead = {"(D,)": (), "(B, D)": rows[:1], "(B1, B2, D)": rows, "(0, D)": (0,)}[layout]
+    x = 2.0 * rng.standard_normal(lead + (dim,))
+    v = rng.standard_normal((num_probes,) + x.shape)
+    x_bytes, v_bytes = x.tobytes(), v.tobytes()
+    x.flags.writeable = False  # a write into an input raises
+    v.flags.writeable = False
+    eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+    got = (model.eps(vp, x, lam), eps, d_eps, apply_jacobian(v))
+    want_eps, want_d_eps, want_jv = mixture_linearize_rowmajor(model, vp, x, lam, v)
+    for g, w in zip(got, (want_eps, want_eps, want_d_eps, want_jv)):
+        assert g.dtype == np.float64 and g.flags.c_contiguous
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert x.tobytes() == x_bytes and v.tobytes() == v_bytes
+
+
+# eps's peak allocation on sample-batch's state, in units of the state's bytes:
+# the row-major arithmetic reached 6.25 by this measurement
+EPS_PEAK_ALLOCATION = 6.25
+
+
+def test_mixture_eps_peak_allocation(vp, mix4):
+    x = np.random.default_rng(0).standard_normal((16384, 4))
+    mix4.eps(vp, x, 0.3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        mix4.eps(vp, x, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= EPS_PEAK_ALLOCATION * x.nbytes, peak / x.nbytes
 
 
 # -- data sampling and diffusion ------------------------------------------------
@@ -352,6 +416,51 @@ def test_sample_data_rejects_no_draws(mix4, pg4):
     for model in (mix4, pg4):
         with pytest.raises(ValueError, match="n must be >= 1"):
             model.sample_data(np.random.default_rng(0), 0)
+
+
+BAD_INPUT_CALLS = [
+    ("mix4", "eps"),
+    ("mix4", "linearize"),
+    ("mix4", "log_density"),
+    ("pg4", "eps"),
+    ("pg4", "linearize"),
+    ("guided", "eps"),
+    ("guided", "linearize"),
+]
+
+
+def model_method(request, name, method):
+    if name == "guided":
+        model = Guided(request.getfixturevalue("mix4"), request.getfixturevalue("pg4"), 2.0)
+    else:
+        model = request.getfixturevalue(name)
+    return getattr(model, method)
+
+
+@pytest.mark.parametrize("name, method", BAD_INPUT_CALLS)
+def test_models_reject_0d_x(request, vp, name, method):
+    # a 0-d x raised a bare IndexError from x.shape[-1]
+    with pytest.raises(ValueError, match=r"x must have shape \(\.\.\., 4\), got a 0-d array"):
+        model_method(request, name, method)(vp, np.float64(0.5), 0.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, method", BAD_INPUT_CALLS)
+def test_models_reject_non_finite_lambda(request, vp, name, method, lam):
+    # a NaN lambda warned in logaddexp and returned NaN; +inf returned quietly
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        model_method(request, name, method)(vp, np.zeros((3, 4)), lam)
+
+
+def test_jvp_rejects_probes_that_do_not_end_in_x_shape(vp, mix4):
+    apply_jacobian = mix4.linearize(vp, np.zeros((1, 4)), 0.0)[2]
+    with pytest.raises(ValueError, match="x must have shape"):
+        apply_jacobian(np.float64(1.0))
+    with pytest.raises(ValueError, match="does not end in x's shape"):
+        apply_jacobian(np.zeros((3, 4)))  # would broadcast x, not v
+    # v still broadcasts against x: a (D,) v, or one with length-1 axes
+    assert apply_jacobian(np.ones(4)).shape == (1, 4)
+    assert apply_jacobian(np.ones((2, 1, 4))).shape == (2, 1, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
