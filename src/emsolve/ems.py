@@ -73,11 +73,24 @@ class EmsConfig:
             raise ValueError(f"lam_range must be increasing, got {self.lam_range}")
 
 
+def read_only(value) -> np.ndarray:
+    """``value`` as a read-only float64 array: a writable array is copied first, a read-only one kept.
+
+    Keeping read-only arrays lets ``dataclasses.replace`` share a table's arrays.
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class EmsTable:
     """Coefficient vectors l, s, b and the finite-difference slope of l.
 
     Rows are indexed by a strictly increasing, uniformly spaced lambda grid.
+    The arrays are read-only (see ``read_only``).
     """
 
     lambda_grid: np.ndarray
@@ -92,7 +105,7 @@ class EmsTable:
         grid_shape = (len(self.lambda_grid),)
         field_shape = grid_shape + np.shape(self.l)[-1:]
         for name in _ARRAYS:
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = read_only(getattr(self, name))
             expected = grid_shape if name == "lambda_grid" else field_shape
             if arr.shape != expected:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")

@@ -11,7 +11,12 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The adaptive reference integrator failed to reach the requested tolerance."""
+    """The adaptive reference integrator failed to reach the requested tolerance.
+
+    Raised when a row's step falls below ten spacings of the floats at its
+    lambda, when a row hits the step cap, and when a state or right-hand
+    side turns non-finite.
+    """
 
 
 class TableFormatError(ValueError):

@@ -28,13 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ems import EmsTable
+from .ems import EmsTable, read_only
 from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
 class IntegralTable:
-    """Cumulative integrals of one EMS table, plus detected constant fields."""
+    """Cumulative integrals of one EMS table, plus detected constant fields; arrays read-only."""
 
     ems: EmsTable
     L: np.ndarray
@@ -43,6 +43,12 @@ class IntegralTable:
     C: np.ndarray
     I: np.ndarray
     const_lsb: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("L", "S", "B", "C", "I"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        if self.const_lsb is not None:
+            object.__setattr__(self, "const_lsb", tuple(map(read_only, self.const_lsb)))
 
     @property
     def lambda_grid(self) -> np.ndarray:
@@ -76,7 +82,7 @@ def build_integral_table(ems: EmsTable) -> IntegralTable:
             raise DomainError(f"integral {name} has non-finite entries; the fields overflow")
     const = None
     if ems.is_constant():
-        const = (ems.l[0].copy(), ems.s[0].copy(), ems.b[0].copy())
+        const = (ems.l[0], ems.s[0], ems.b[0])
     return IntegralTable(ems=ems, L=L, S=S, B=B, C=C, I=I, const_lsb=const)
 
 

@@ -5,15 +5,18 @@ so the noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x) is
 exact, and so are its lambda-derivative along the probability-flow ODE and
 its Jacobian-vector products (``linearize``).  That makes these models
 usable as ground truth for solver-accuracy measurements: the probability-flow
-ODE can be integrated to near machine precision with an adaptive
-embedded Runge-Kutta pair (``reference_solve``).
+ODE can be integrated to near machine precision with DOP853, an adaptive
+embedded Runge-Kutta pair (``reference_solve``), whose rows all share one
+model call per stage while each keeps its own step control.
 
 All evaluation functions broadcast over leading axes: ``x`` may be shaped
 ``(D,)``, ``(batch, D)`` or ``(..., D)``, and a Jacobian-vector product's
-``v`` may add leading axes to ``x``'s shape, as a stack of probes does.  A 0-d
-``x`` or a non-finite lambda raises ValueError.  Evaluations are pure; RNG
-state is only consumed by the sampling helpers, which take an explicit
-``numpy.random.Generator``.
+``v`` may add leading axes to ``x``'s shape, as a stack of probes does.
+``eps`` takes lambda as a scalar or as one value per row, an array of shape
+``x.shape[:-1]``; ``linearize`` takes a scalar only.  A 0-d ``x``, a
+non-finite lambda or a lambda array of the wrong shape raises ValueError.
+Evaluations are pure; RNG state is only consumed by the sampling helpers,
+which take an explicit ``numpy.random.Generator``.
 
 Layout.  ``GaussianMixture`` computes coordinate-major: the N rows of ``x``
 are read as a ``(D, N)`` strided view (no copy), the offsets x - alpha mu_i
@@ -37,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import ConvergenceError
 from .schedule import Schedule
@@ -93,7 +96,12 @@ class ModelSpec:
         raise NotImplementedError
 
     def eps(self, sched: Schedule, x, lam):
-        """Noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x)."""
+        """Noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x).
+
+        ``lam`` is a scalar or has shape ``x.shape[:-1]``, one lambda per
+        row.  Rows never mix: row i of ``eps(x, lams)`` is ``eps(x[i],
+        lams[i])`` bit for bit.
+        """
         raise NotImplementedError
 
     def linearize(self, sched: Schedule, x, lam):
@@ -104,6 +112,7 @@ class ModelSpec:
         probability-flow trajectory through (x, lambda).  ``jvp(v)`` is the
         exact product J v; ``v`` may carry extra leading axes, as a stack of
         probes does.  All closed form, from one evaluation of the model.
+        ``lam`` must be a scalar.
         """
         raise NotImplementedError
 
@@ -120,11 +129,24 @@ class ModelSpec:
             raise ValueError(f"x has dimension {x.shape[-1]}, model expects {self.dim}")
         return x
 
-    def _check_input(self, x, lam):
-        """The argument check every evaluation makes: a finite lambda and ``_check_x(x)``."""
-        if not math.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
-        return self._check_x(x)
+    def _check_input(self, x, lam, per_row=True):
+        """The argument check every evaluation makes: a finite lambda and ``_check_x(x)``.
+
+        With ``per_row``, ``lam`` may also be an array of shape ``x.shape[:-1]``.
+        """
+        if np.ndim(lam) == 0:
+            if not math.isfinite(lam):
+                raise ValueError(f"lambda must be finite, got {lam}")
+            return self._check_x(x)
+        if not per_row:
+            raise ValueError(f"lambda must be a scalar here, got shape {np.shape(lam)}")
+        x = self._check_x(x)
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != x.shape[:-1]:
+            raise ValueError(f"lambda has shape {lam.shape}, expected a scalar or {x.shape[:-1]}")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("lambda must be finite")
+        return x
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -157,13 +179,13 @@ class PointGaussian(ModelSpec):
 
     def eps(self, sched, x, lam):
         x = self._check_input(x, lam)
-        alpha = sched.alpha_lambda(lam)
-        sigma = sched.sigma_lambda(lam)
+        alpha = sched.alpha_lambda(lam)[..., None]
+        sigma = sched.sigma_lambda(lam)[..., None]
         return (x - alpha * self.x0) / sigma
 
     def linearize(self, sched, x, lam):
         # (x - alpha x0) / sigma is constant along every trajectory
-        eps = self.eps(sched, x, lam)
+        eps = self.eps(sched, self._check_input(x, lam, per_row=False), lam)
         sigma = sched.sigma_lambda(lam)
 
         def apply_jacobian(v):
@@ -225,9 +247,22 @@ class GaussianMixture(ModelSpec):
         return self.means.shape[1]
 
     def _moments(self, sched, lam):
-        alpha = float(sched.alpha_lambda(lam))
-        sigma = float(sched.sigma_lambda(lam))
-        var = alpha**2 * self._stds_sq + sigma**2  # per-component marginal variance, (C, 1)
+        """alpha, sigma and the per-component marginal variances: floats and (C, 1), or per row.
+
+        For a lambda per row, alpha and sigma are (N,) and the variances
+        (C, N); they broadcast against the (C, D, N) and (C, N) arrays as the
+        floats do.  ``np.float_power`` squares with the C library's ``pow``,
+        as Python's float ``**`` does, so a row's bits are the scalar
+        path's; ``np.square`` differs from ``pow`` in the last bit for about
+        0.1% of inputs.
+        """
+        if np.ndim(lam) == 0:
+            alpha = float(sched.alpha_lambda(lam))
+            sigma = float(sched.sigma_lambda(lam))
+            return alpha, sigma, alpha**2 * self._stds_sq + sigma**2
+        alpha = sched.alpha_lambda(lam).reshape(-1)
+        sigma = sched.sigma_lambda(lam).reshape(-1)
+        var = np.float_power(alpha, 2.0) * self._stds_sq + np.float_power(sigma, 2.0)
         return alpha, sigma, var
 
     def _log_components(self, xt, alpha, var):
@@ -284,7 +319,7 @@ class GaussianMixture(ModelSpec):
 
     def linearize(self, sched, x, lam):
         # apply_jacobian closes over this call's posterior, which it keeps alive
-        x = self._check_input(x, lam)
+        x = self._check_input(x, lam, per_row=False)
         alpha, sigma, var = self._moments(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         n = x.size // self.dim
@@ -454,6 +489,59 @@ class EvalCounter:
         return self.inner.eps(sched, x, lam)
 
 
+# DOP853, the 8th-order embedded Runge-Kutta pair of Hairer, Norsett & Wanner,
+# "Solving Ordinary Differential Equations I" (Ch. II), with the step-size
+# control of its Sec. II.4.  The tableau is scipy's; the controller and the
+# initial step restate scipy.integrate's rk.py and select_initial_step.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def _terms(coefficients):
+    """The (stage, coefficient) pairs of a tableau row with a nonzero coefficient."""
+    return [(k, float(c)) for k, c in enumerate(coefficients) if c != 0]
+
+
+_A_TERMS = [_terms(row) for row in DOP853.A]
+_B_TERMS, _E3_TERMS, _E5_TERMS = _terms(DOP853.B), _terms(DOP853.E3), _terms(DOP853.E5)
+
+# The cap on a row's attempted steps.  A tol-1e-13 solve of the test mixture
+# over vp-linear's or edm's sampling span takes 51 or 65.
+REFERENCE_MAX_STEPS = 10_000
+
+
+def _combine(terms, stages):
+    """sum_k c_k stages[k] over ``terms``, added left to right (row by row, as ``_short_sum``)."""
+    (k, c), rest = terms[0], terms[1:]
+    out = c * stages[k]
+    for k, c in rest:
+        out += c * stages[k]
+    return out
+
+
+def _row_sq(a):
+    """The squared norm of each row of an (R, D) array, summed over D left to right."""
+    return _short_dot(a.T, a.T)
+
+
+def _initial_step(rhs, lam, y, f, span, tol):
+    """Each row's first step, by the formula of scipy's ``select_initial_step``."""
+    scale = tol + np.abs(y) * tol
+    root_dim = math.sqrt(y.shape[-1])
+    d0 = np.sqrt(_row_sq(y / scale)) / root_dim
+    d1 = np.sqrt(_row_sq(f / scale)) / root_dim
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, span)
+    f1 = rhs(lam + h0, y + h0[:, None] * f)
+    d2 = np.sqrt(_row_sq((f1 - f) / scale)) / root_dim / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (-_ERROR_EXPONENT),
+    )
+    return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+
 def reference_solve(
     model: ModelSpec,
     sched: Schedule,
@@ -461,20 +549,33 @@ def reference_solve(
     lam_start: float,
     lam_end: float,
     tol: float = 1e-10,
-    lam_eval=None,
 ):
-    """Integrate the probability-flow ODE from lam_start up to lam_end.
+    """Integrate the probability-flow ODE from lam_start up to lam_end, each row on its own.
 
-    Solves dx/dlambda = (dlog alpha/dlambda) x - sigma * eps(x, lambda) with
-    an adaptive 8th-order embedded Runge-Kutta pair at absolute and relative
-    tolerance ``tol``.  This is the ground-truth oracle for all solver-error
-    measurements.
+    Solves dx/dlambda = (dlog alpha/dlambda) x - sigma * eps(x, lambda) for
+    every row of ``x_start``, shaped ``(..., D)``, with DOP853 at absolute
+    and relative tolerance ``tol``, and returns the end states in
+    ``x_start``'s shape.  This is the ground-truth oracle for all
+    solver-error measurements.
 
-    If ``lam_eval`` is given (an increasing array of lambdas inside the span),
-    returns an array of states of shape ``(len(lam_eval),) + x_start.shape``;
-    otherwise returns the final state.
+    Each row has its own lambda, step size and accept/reject state, and
+    leaves the active set at lam_end; the active rows share one ``eps`` call
+    per stage, with a lambda per row.  Rows never mix, so a row's result is
+    the same bits alone or in any batch.  Each accepted step keeps the row's
+    local error estimate below tol * (1 + |x|) in DOP853's norm.  Accuracy
+    contract: at tol 1e-10 over a schedule's sampling span, each row's end
+    state lies within 10 * tol * max(1, max|x|) of a tol-1e-13 solve, with
+    max|x| over that row's end state.  The tests gate it on mixtures and
+    guided pairs under vp-linear, vp-cosine and edm (measured up to 2.6),
+    and on the point mass's closed-form trajectory.
+
+    Raises ValueError for a non-finite or non-positive ``tol``, a non-finite
+    or decreasing span, or a non-finite ``x_start``.  Raises
+    ConvergenceError when a row's step falls below ten spacings of the
+    floats at its lambda, when a row attempts more than
+    ``REFERENCE_MAX_STEPS`` steps, or when a state or right-hand side turns
+    non-finite.
     """
-    # solve_ivp never returns on a non-finite tolerance or span
     if not all(map(math.isfinite, (tol, lam_start, lam_end))):
         raise ValueError(f"tol and span must be finite, got {tol} and [{lam_start}, {lam_end}]")
     if tol <= 0:
@@ -482,27 +583,78 @@ def reference_solve(
     if lam_end < lam_start:
         raise ValueError(f"need lam_end >= lam_start, got {lam_end} < {lam_start}")
     x_start = np.asarray(x_start, dtype=float)
-    if lam_end == lam_start and lam_eval is None:
+    if x_start.ndim == 0:
+        raise ValueError("x_start must have shape (..., D), got a 0-d array")
+    if not np.all(np.isfinite(x_start)):
+        raise ValueError("x_start must be finite")
+    if lam_end == lam_start or x_start.size == 0:
         return x_start.copy()
-    shape = x_start.shape
 
-    def rhs(lam, y):
-        x = y.reshape(shape)
-        c = sched.dlog_alpha_dlambda(lam)
-        sigma = sched.sigma_lambda(lam)
-        return (c * x - sigma * model.eps(sched, x, lam)).ravel()
+    def rhs(lam, x):
+        if not np.all(np.isfinite(x)):
+            raise ConvergenceError("reference integration reached a non-finite state")
+        c = sched.dlog_alpha_dlambda(lam)[:, None]
+        sigma = sched.sigma_lambda(lam)[:, None]
+        out = c * x - sigma * model.eps(sched, x, lam)
+        if not np.all(np.isfinite(out)):
+            raise ConvergenceError("reference integration reached a non-finite right-hand side")
+        return out
 
-    sol = solve_ivp(
-        rhs,
-        (lam_start, lam_end),
-        x_start.ravel(),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        t_eval=None if lam_eval is None else np.asarray(lam_eval, dtype=float),
-    )
-    if not sol.success:
-        raise ConvergenceError(f"reference integration failed: {sol.message}")
-    if lam_eval is None:
-        return sol.y[:, -1].reshape(shape)
-    return sol.y.T.reshape((-1,) + shape)
+    y = x_start.reshape(-1, x_start.shape[-1])
+    out = np.empty_like(y)
+    rows = np.arange(len(y))  # the active rows' indices into out
+    lam = np.full(len(y), float(lam_start))
+    rejected = np.zeros(len(y), dtype=bool)  # the row's last attempt was rejected
+    # non-finite values are caught by the checks, not reported as warnings
+    with np.errstate(all="ignore"):
+        f = rhs(lam, y)
+        h_abs = _initial_step(rhs, lam, y, f, lam_end - lam_start, tol)
+        for _ in range(REFERENCE_MAX_STEPS):
+            min_step = 10.0 * np.abs(np.nextafter(lam, np.inf) - lam)
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            if np.any(h_abs < min_step):
+                at = np.argmax(h_abs < min_step)
+                raise ConvergenceError(
+                    f"reference step fell below {min_step[at]:.3g} at lambda={lam[at]!r}"
+                    f" on row {rows[at]}"
+                )
+            lam_new = np.minimum(lam + h_abs, lam_end)
+            h = lam_new - lam
+            stages = [f]
+            for a_terms, c in zip(_A_TERMS[1:], DOP853.C[1:]):
+                dy = h[:, None] * _combine(a_terms, stages)
+                stages.append(rhs(lam + c * h, y + dy))
+            y_new = y + h[:, None] * _combine(_B_TERMS, stages)
+            f_new = rhs(lam_new, y_new)
+            stages.append(f_new)
+
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            err5 = _row_sq(_combine(_E5_TERMS, stages) / scale)
+            err3 = _row_sq(_combine(_E3_TERMS, stages) / scale)
+            error_norm = np.where(
+                (err5 == 0) & (err3 == 0), 0.0, h * err5 / np.sqrt((err5 + 0.01 * err3) * y.shape[1])
+            )
+            if not np.all(np.isfinite(error_norm)):
+                raise ConvergenceError("reference integration's error estimate is not finite")
+            accept = error_norm < 1
+            growth = _SAFETY * error_norm**_ERROR_EXPONENT  # inf where the error is 0
+            factor = np.where(
+                accept, np.minimum(_MAX_FACTOR, growth), np.maximum(_MIN_FACTOR, growth)
+            )
+            # no growth on the step that follows a rejection
+            h_abs = h * np.where(accept & rejected, np.minimum(1.0, factor), factor)
+            rejected = ~accept
+            lam = np.where(accept, lam_new, lam)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], f_new, f)
+
+            done = accept & (lam_new == lam_end)
+            if done.any():
+                out[rows[done]] = y[done]
+                keep = ~done
+                if not keep.any():
+                    return out.reshape(x_start.shape)
+                rows, lam, y, f, h_abs, rejected = (
+                    a[keep] for a in (rows, lam, y, f, h_abs, rejected)
+                )
+    raise ConvergenceError(f"reference integration took more than {REFERENCE_MAX_STEPS} steps")

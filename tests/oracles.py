@@ -8,16 +8,21 @@ noise-prediction table), f and f1 one point at a time and the per-sample
 least-squares fit (against the one-sweep table), and a model's
 derivatives from separate calls, part by part for a guided model (against
 ``linearize``), a mixture's eps in long double (against its float64
-rounding), and a mixture's eps, d_eps and J v in row-major arithmetic
-(against the library's coordinate-major arithmetic, bit for bit).
+rounding), a mixture's eps, d_eps and J v in row-major arithmetic
+(against the library's coordinate-major arithmetic, bit for bit), and the
+probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
+(against the lockstep reference integrator).  ``reference_states`` is a
+helper, not an oracle: it chains reference segments to give the states at
+several lambdas.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from emsolve.ems import EmsTable, _f_and_r, _fit_sb
-from emsolve.models import Guided
+from emsolve.models import Guided, reference_solve
 from emsolve.schedule import Schedule
 from emsolve.solver import _check_deltas, taylor_rows
 
@@ -143,6 +148,35 @@ def forward_diffuse(sched: Schedule, x0, lam, rng: np.random.Generator):
     alpha = sched.alpha_lambda(lam)
     sigma = sched.sigma_lambda(lam)
     return alpha * x0 + sigma * rng.standard_normal(x0.shape)
+
+
+# -- the reference integrator ---------------------------------------------------------
+
+
+def reference_solve_ivp(model, sched: Schedule, x_start, lam_start, lam_end, tol):
+    """``reference_solve``'s end states by ``solve_ivp``'s DOP853, one ``(D,)`` row at a time."""
+    x_start = np.asarray(x_start, dtype=float)
+    rows = x_start.reshape(-1, x_start.shape[-1])
+
+    def rhs(lam, x):
+        return sched.dlog_alpha_dlambda(lam) * x - sched.sigma_lambda(lam) * model.eps(sched, x, lam)
+
+    out = []
+    for row in rows:
+        sol = solve_ivp(rhs, (lam_start, lam_end), row, method="DOP853", rtol=tol, atol=tol)
+        assert sol.success, sol.message
+        out.append(sol.y[:, -1])
+    return np.stack(out).reshape(x_start.shape)
+
+
+def reference_states(model, sched: Schedule, x_start, lam_start, lams, tol):
+    """The reference states at each of the increasing ``lams``, as chained segment solves."""
+    states, x = [], x_start
+    for lam in map(float, lams):
+        x = reference_solve(model, sched, x, lam_start, lam, tol=tol)
+        states.append(x)
+        lam_start = lam
+    return np.stack(states)
 
 
 # -- the statistics, one point at a time --------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     estimate_derivatives_pseudo,
     explicit_vandermonde_solution,
     forward_diffuse,
+    reference_states,
 )
 from test_solver import draw_separated, g_value
 
@@ -127,9 +128,8 @@ def test_criterion_2_local_order(vp, mix4):
             j_hist = [j_s - k * cells for k in range(1, n + 1)]
             j_t = j_s + cells
             lam_pts = np.sort(table.lambda_grid[j_hist + [j_s, j_t]])
-            states = reference_solve(
-                mix4, vp, x_far, float(table.lambda_grid[0]), float(lam_pts[-1]),
-                tol=1e-12, lam_eval=lam_pts,
+            states = reference_states(
+                mix4, vp, x_far, float(table.lambda_grid[0]), lam_pts, tol=1e-12
             )
             state_at = {int(round((l - table.lambda_grid[0]) / table.spacing)): s
                         for l, s in zip(lam_pts, states)}

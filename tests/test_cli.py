@@ -490,13 +490,14 @@ def test_bench_commands_call_the_patch_points(cli_files, mix_ems_file, monkeypat
             "load_table": 1,
             "model_from_dict": 1,
             "build_integral_table": builds,
-            "reference_solve": 3,  # one per seed
+            "reference_solve": 1,  # one for the whole seed batch
             "multistep_sample": multisteps,
         }
         assert {name: len(args) for name, args in calls.items()} == want
         model, sched = returned["model_from_dict"], returned["load_table"].schedule
         for args in calls["reference_solve"]:
             assert len(args) == 5 and args[0] is model and args[1] is sched
+            assert len(args[2]) == 3  # one row per seed
         for args in calls["multistep_sample"]:
             assert len(args) == 5 and args[1] is sched and isinstance(args[3], SolverConfig)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -21,7 +22,6 @@ from emsolve import (
     load_table,
     make_time_grid,
     multistep_sample,
-    reference_solve,
     save_table,
     singlestep_sample,
 )
@@ -29,7 +29,15 @@ from emsolve.ems import DATA_PRED, NOISE_PRED, diag_probe_terms, estimate_l_dot
 from emsolve.models import ModelSpec
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR, Schedule
 
-from oracles import eps_along_ode, estimate_sb, eval_f, eval_f1, forward_diffuse, jvp
+from oracles import (
+    eps_along_ode,
+    estimate_sb,
+    eval_f,
+    eval_f1,
+    forward_diffuse,
+    jvp,
+    reference_states,
+)
 
 
 class ConstantModel(ModelSpec):
@@ -222,9 +230,8 @@ def test_eval_f1_matches_trajectory_finite_difference(vp, mix4):
     lam_lo = float(table.lambda_grid[j - 1])
     rng = np.random.default_rng(9)
     x_lo = forward_diffuse(vp, mix4.sample_data(rng, 1)[0], lam_lo, rng)
-    states = reference_solve(
-        mix4, vp, x_lo, lam_lo, float(table.lambda_grid[j + 1]), tol=1e-12,
-        lam_eval=table.lambda_grid[j - 1 : j + 2],
+    states = reference_states(
+        mix4, vp, x_lo, lam_lo, table.lambda_grid[j - 1 : j + 2], tol=1e-12
     )
     fd = (
         eval_f(mix4, vp, table, states[2], float(table.lambda_grid[j + 1]))
@@ -459,6 +466,33 @@ def test_table_validation(vp):
     # a scalar field is a shape error, not an IndexError
     with pytest.raises(ValueError, match="l has shape"):
         EmsTable(lambda_grid=grid, l=1.0, s=ones, b=ones, l_dot=ones, schedule=vp)
+
+
+def test_tables_are_read_only(vp, vp_lam_range, mix_table, tmp_path):
+    save_table(mix_table, tmp_path / "table.json")
+    tables = [mix_table, load_table(tmp_path / "table.json")]
+    tables.append(degenerate_table(DATA_PRED, vp, 20, vp_lam_range, 4))
+    arrays = [getattr(t, name) for t in tables for name in ("lambda_grid", "l", "s", "b", "l_dot")]
+    for ems in tables:
+        tab = build_integral_table(ems)
+        arrays += [tab.L, tab.S, tab.B, tab.C, tab.I, *(tab.const_lsb or ())]
+    assert len(arrays) == 15 + 15 + 3  # the degenerate table's constant fields too
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_tables_copy_writable_arrays_and_share_read_only_ones(vp):
+    grid, ones = np.linspace(0.0, 1.0, 5), np.ones((5, 2))
+    table = EmsTable(lambda_grid=grid, l=ones, s=ones, b=ones, l_dot=ones, schedule=vp)
+    ones[0, 0] = 7.0  # the caller's array stays writable and the table's copy unchanged
+    assert table.l[0, 0] == 1.0 and table.l is not ones
+    again = dataclasses.replace(table, meta={"copy": False})
+    assert all(getattr(again, n) is getattr(table, n) for n in ("lambda_grid", "l", "s", "b", "l_dot"))
+    tab = build_integral_table(table)
+    quadrature = dataclasses.replace(tab, const_lsb=None)
+    assert all(getattr(quadrature, n) is getattr(tab, n) for n in "LSBCI")
+    assert tab.const_lsb[0].base is table.l  # a row of the table, not a copy
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

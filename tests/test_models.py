@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emsolve import (
+    ConvergenceError,
     EmsConfig,
     EvalCounter,
     GaussianMixture,
@@ -18,7 +19,8 @@ from emsolve import (
     model_id,
     reference_solve,
 )
-from emsolve.models import _short_dot, _short_max, _short_sum
+from emsolve import models
+from emsolve.models import ModelSpec, _short_dot, _short_max, _short_sum
 
 from oracles import (
     composed_linearize,
@@ -27,6 +29,8 @@ from oracles import (
     jvp,
     mixture_eps_longdouble,
     mixture_linearize_rowmajor,
+    reference_solve_ivp,
+    reference_states,
 )
 
 
@@ -297,6 +301,61 @@ def test_mixture_matches_rowmajor_oracle_bit_for_bit(
         assert g.dtype == np.float64 and g.flags.c_contiguous
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert x.tobytes() == x_bytes and v.tobytes() == v_bytes
+
+
+# -- one lambda per row -----------------------------------------------------------------
+
+
+def per_row_models(mix4, mix4b, pg4):
+    return {"point": pg4, "mixture": mix4, "guided": Guided(mix4, mix4b, 2.5)}
+
+
+@settings(max_examples=100)
+@given(
+    name=st.sampled_from(["point", "mixture", "guided"]),
+    kind=st.sampled_from(["vp-linear", "vp-cosine", "edm"]),
+    lead=st.sampled_from([(1,), (5,), (2, 3)]),
+    lam=st.floats(-8.0, 8.0),
+    spread=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eps_per_row_lambda_matches_scalar_calls_bit_for_bit(
+    mix4, mix4b, pg4, name, kind, lead, lam, spread, seed
+):
+    model, sched = per_row_models(mix4, mix4b, pg4)[name], Schedule(kind)
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal(lead + (4,))
+    same = model.eps(sched, x, np.full(lead, lam))
+    assert same.shape == x.shape and same.tobytes() == model.eps(sched, x, lam).tobytes()
+    lams = lam + spread * rng.uniform(-1.0, 1.0, lead)
+    got = model.eps(sched, x, lams)
+    for i in np.ndindex(lead):
+        assert got[i].tobytes() == model.eps(sched, x[i], lams[i]).tobytes()
+
+
+def test_mixture_per_row_moments_are_the_scalar_path_bits(vp, mix4):
+    # squaring the per-row alpha and sigma with np.square, not Python's float
+    # ** 2, moves 19 of these 20001 lambdas' variances by an ulp
+    lams = np.linspace(-8.0, 8.0, 20001)
+    got = mix4._moments(vp, lams)
+    scalar = [mix4._moments(vp, lam) for lam in lams]
+    assert got[0].tobytes() == np.array([m[0] for m in scalar]).tobytes()
+    assert got[1].tobytes() == np.array([m[1] for m in scalar]).tobytes()
+    assert got[2].tobytes() == np.concatenate([m[2] for m in scalar], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("name", ["point", "mixture", "guided"])
+def test_eps_rejects_bad_per_row_lambda(vp, mix4, mix4b, pg4, name):
+    model = per_row_models(mix4, mix4b, pg4)[name]
+    x = np.zeros((3, 4))
+    for lams in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="lambda has shape"):
+            model.eps(vp, x, lams)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            model.eps(vp, x, np.array([0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="lambda must be a scalar"):
+        model.linearize(vp, x, np.zeros(3))
 
 
 # eps's peak allocation on sample-batch's state, in units of the state's bytes:
@@ -625,12 +684,116 @@ def test_reference_invariant_drift(vp, pg4):
     rng = np.random.default_rng(19)
     x_start = rng.standard_normal(4)
     lams = np.linspace(-3.0, 3.5, 9)
-    states = reference_solve(pg4, vp, x_start, -3.0, 3.5, tol=1e-10, lam_eval=lams)
+    states = reference_states(pg4, vp, x_start, -3.0, lams, tol=1e-10)
     ks = [
         (s - vp.alpha_lambda(l) * pg4.x0) / vp.sigma_lambda(l) for s, l in zip(states, lams)
     ]
     drift = max(np.max(np.abs(k - ks[0])) for k in ks)
     assert drift < 1e-9
+
+
+def test_reference_rows_match_the_point_mass_closed_form(vp, pg4):
+    x_start = np.random.default_rng(20).standard_normal((8, 4))
+    tol = 1e-10
+    got = reference_solve(pg4, vp, x_start, -2.0, 3.0, tol=tol)
+    want = closed_form_trajectory(vp, pg4, x_start, -2.0, 3.0)
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1))
+    assert np.all(np.max(np.abs(got - want), axis=-1) < REFERENCE_TOL_MULTIPLE * tol * scale)
+
+
+# reference_solve's accuracy contract: each row within this many tol * max(1,
+# max|x|) of a tol-1e-13 solve; the rows measured here came within 2.6
+REFERENCE_TOL_MULTIPLE = 10.0
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("mix4", "vp-linear"), ("mix4", "edm"), ("guided", "vp-linear"), ("guided_point", "vp-cosine")],
+)
+def test_reference_rows_match_per_row_solve_ivp(request, name, kind):
+    mix4 = request.getfixturevalue("mix4")
+    model = {
+        "mix4": mix4,
+        "guided": Guided(mix4, request.getfixturevalue("mix4b"), 2.5),
+        "guided_point": Guided(mix4, request.getfixturevalue("pg4"), 2.5),
+    }[name]
+    sched = Schedule(kind)
+    t_start = 80.0 if kind == "edm" else 0.99
+    lam0, lam1 = float(sched.lambda_of_t(t_start)), float(sched.lambda_of_t(sched.t_domain[0] + 1e-3))
+    x_start = sched.sigma_lambda(lam0) * np.random.default_rng(21).standard_normal((4, 4))
+    tol = 1e-10
+    got = reference_solve(model, sched, x_start, lam0, lam1, tol=tol)
+    want = reference_solve_ivp(model, sched, x_start, lam0, lam1, 1e-13)
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=-1))
+    assert np.all(np.max(np.abs(got - want), axis=-1) < REFERENCE_TOL_MULTIPLE * tol * scale)
+
+
+@settings(max_examples=15)
+@given(
+    name=st.sampled_from(["point", "mixture", "guided"]),
+    n_rows=st.integers(1, 5),
+    picks=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reference_row_is_the_same_bits_alone_and_in_any_batch(
+    vp, mix4, mix4b, pg4, name, n_rows, picks, seed
+):
+    model = per_row_models(mix4, mix4b, pg4)[name]
+    rng = np.random.default_rng(seed)
+    x = vp.sigma_lambda(-2.0) * rng.standard_normal((n_rows, 4))
+    rows = [p % n_rows for p in picks]  # rows in any order, repeats included
+    got = reference_solve(model, vp, x[rows], -2.0, 1.0, tol=1e-6)
+    alone = {i: reference_solve(model, vp, x[i], -2.0, 1.0, tol=1e-6) for i in set(rows)}
+    for i, state in zip(rows, got):
+        assert state.tobytes() == alone[i].tobytes()
+    grid = reference_solve(model, vp, x[rows].reshape(1, -1, 4), -2.0, 1.0, tol=1e-6)
+    assert grid.shape == (1, len(rows), 4) and grid.tobytes() == got.tobytes()
+
+
+class _Stub(ModelSpec):
+    """A 4-D model whose eps is ``fn(x, lam)`` with lam broadcast per row."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    @property
+    def dim(self):
+        return 4
+
+    def eps(self, sched, x, lam):
+        x = self._check_input(x, lam)
+        return self.fn(x, np.broadcast_to(lam, x.shape[:-1])[..., None])
+
+
+def test_reference_non_finite_rhs_raises(vp, mix4):
+    # eps turns inf past lambda 0.5, partway through the span
+    model = _Stub(lambda x, lam: np.where(lam > 0.5, np.inf, mix4.eps(vp, x, lam[..., 0])))
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        reference_solve(model, vp, np.ones((3, 4)), -1.0, 2.0)
+
+
+def test_reference_step_below_min_step_raises(vp):
+    # a jump of 1e12 at lambda 0.5 needs steps near tol / 1e12, far below the floats' spacing
+    model = _Stub(lambda x, lam: np.where(lam > 0.5, 1e12, 0.0) + 0.0 * x)
+    with pytest.raises(ConvergenceError, match="step fell below"):
+        reference_solve(model, vp, np.ones((2, 4)), -1.0, 2.0)
+
+
+def test_reference_step_cap_raises(vp, mix4, monkeypatch):
+    assert models.REFERENCE_MAX_STEPS == 10_000
+    x = np.ones((2, 4))
+    monkeypatch.setattr(models, "REFERENCE_MAX_STEPS", 200)
+    assert np.all(np.isfinite(reference_solve(mix4, vp, x, -1.0, 2.0)))
+    monkeypatch.setattr(models, "REFERENCE_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="more than 3 steps"):
+        reference_solve(mix4, vp, x, -1.0, 2.0)
+
+
+def test_reference_rejects_non_finite_or_0d_start(vp, mix4):
+    with pytest.raises(ValueError, match="x_start must be finite"):
+        reference_solve(mix4, vp, np.array([[0.0, 1.0, np.nan, 0.0]]), 0.0, 1.0)
+    with pytest.raises(ValueError, match="0-d"):
+        reference_solve(mix4, vp, np.float64(1.0), 0.0, 1.0)
 
 
 def test_reference_argument_errors(vp, pg4):
