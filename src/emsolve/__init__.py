@@ -27,9 +27,12 @@ from .models import (
 )
 from .schedule import Schedule, TimeGrid, make_time_grid
 from .solver import (
+    SamplerPlan,
     SolverConfig,
     lupdate,
     multistep_sample,
+    plan_multistep,
+    plan_singlestep,
     singlestep_sample,
 )
 

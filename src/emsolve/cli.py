@@ -42,8 +42,8 @@ from .solver import (
     CORRECTOR_NONE,
     CORRECTORS,
     SolverConfig,
-    _snap_grid,
     multistep_sample,
+    plan_multistep,
 )
 
 REFERENCE_TOL = 1e-10
@@ -166,11 +166,12 @@ def cmd_solve(args) -> int:
         pseudo_corrector=args.pseudo_corrector,
     )
     tab = build_integral_table(table)
-    lam0 = _snap_grid(table, sched, grid).lams[0]
-    x_init = _initial_noise(sched, lam0, table.dim, args.noise_seed)
-    x_final, trace = multistep_sample(model, sched, tab, cfg, x_init)
+    plan = plan_multistep(sched, tab, cfg)
+    x_init = _initial_noise(sched, plan.lams[0], table.dim, args.noise_seed)
+    trace = [] if args.trace else None
+    x_final = plan.run(model, x_init, trace)
     payload = {
-        "grid": [row["t"] for row in trace],
+        "grid": plan.ts[1:].tolist(),
         "x_final": np.asarray(x_final).tolist(),
     }
     if args.trace:
@@ -217,8 +218,8 @@ def _run_seeds(batch: _Seeds, model, config: _Config, timing) -> list:
     """
     name, tab, cfg = config
     sched = tab.ems.schedule
-    snapped = _snap_grid(tab.ems, sched, cfg.grid)
-    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(snapped.lams)))
+    lams = tab.lambda_grid[[tab.ems.index_of(lam) for lam in cfg.grid.lambdas]]
+    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(lams)))
     counted = EvalCounter(model)
     start = time.perf_counter()
     x_final = multistep_sample(counted, sched, tab, cfg, batch.x_init)[0]

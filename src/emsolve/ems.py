@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class EmsTable:
     """Coefficient vectors l, s, b and the finite-difference slope of l.
 
     Rows are indexed by a strictly increasing, uniformly spaced lambda grid.
-    The arrays are read-only (see ``read_only``).
+    The arrays are read-only (see ``read_only``), and ``meta`` a read-only copy.
     """
 
     lambda_grid: np.ndarray
@@ -99,7 +100,7 @@ class EmsTable:
     b: np.ndarray
     l_dot: np.ndarray
     schedule: Schedule
-    meta: dict = field(default_factory=dict)
+    meta: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         grid_shape = (len(self.lambda_grid),)
@@ -118,6 +119,11 @@ class EmsTable:
         h = np.diff(grid)
         if np.max(np.abs(h - h[0])) > 1e-12 * max(1.0, abs(grid[-1] - grid[0])):
             raise ValueError("lambda_grid must be uniformly spaced")
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+
+    def __reduce__(self):
+        # through the constructor, so a copy or an unpickled table is read-only and checked too
+        return type(self), (*(getattr(self, name) for name in _ARRAYS), self.schedule, dict(self.meta))
 
     @property
     def dim(self) -> int:
@@ -317,7 +323,7 @@ def save_table(table: EmsTable, path) -> None:
         "version": _FILE_VERSION,
         "schedule": table.schedule.to_dict(),
         **{name: getattr(table, name).tolist() for name in _ARRAYS},
-        "meta": table.meta,
+        "meta": dict(table.meta),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh)

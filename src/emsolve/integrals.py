@@ -50,6 +50,10 @@ class IntegralTable:
         if self.const_lsb is not None:
             object.__setattr__(self, "const_lsb", tuple(map(read_only, self.const_lsb)))
 
+    def __reduce__(self):
+        # through the constructor, as EmsTable's: a copy's arrays are read-only too
+        return type(self), (self.ems, self.L, self.S, self.B, self.C, self.I, self.const_lsb)
+
     @property
     def lambda_grid(self) -> np.ndarray:
         return self.ems.lambda_grid

@@ -8,8 +8,8 @@ divided-difference recurrence that uses only the nearest k+1 values for the
 k-th derivative ("pseudo" order, more stable at very few steps).  Both
 estimates are linear in the g values, with scalar weights that depend only
 on the step's lambda offsets, so they are computed in closed form when the
-plan is built and folded with the E^k weights into one ``(D,)`` vector per g
-value: a step makes no linear solve.
+:class:`SamplerPlan` is built and folded with the E^k weights into one
+``(D,)`` vector per g value: a step makes no linear solve.
 
 g's zero point is the anchor, but moving it scales and offsets g by the same
 ``(D,)`` vectors at every position, and a step's weights sum to E^0.  So the
@@ -26,11 +26,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .ems import EmsTable
+from .ems import EmsTable, read_only
 from .errors import DomainError
 from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
@@ -136,21 +135,6 @@ def _taylor_weights(coeffs: Transition, deltas, pseudo: bool) -> np.ndarray:
     return np.array(rows) @ (np.array(coeffs.E[:n]) * _FACTORIALS[:n, None])
 
 
-def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
-    """One local transition from the anchor grid point to grid point ``j_t``.
-
-    ``anchor`` is (grid index, state, g value); ``extras`` is a
-    nearest-first list of (grid index, g value) pairs supplying the higher
-    derivative estimates, matched exactly (full order).  All g values must be
-    expressed against this anchor.  Returns the approximated state at ``j_t``.
-    """
-    j_s, x_s, g_s = anchor
-    grid = tab.lambda_grid
-    coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
-    weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
-    return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])
-
-
 def _update(coeffs: Transition, x_s, weights, gs):
     """The Taylor-expanded update: x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p)."""
     total = weights[0] * gs[0]
@@ -159,34 +143,9 @@ def _update(coeffs: Transition, x_s, weights, gs):
     return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
 
 
-class _Grid(NamedTuple):
-    """The sampling grid snapped to table indices, with its lambdas and times."""
-
-    idx: list
-    lams: np.ndarray
-    ts: np.ndarray
-
-
-def _snap_grid(table: EmsTable, sched: Schedule, grid: TimeGrid) -> _Grid:
-    """Snap sampling lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
-    # `is` first: a delegate wrapping the table's own schedule is not == to it
-    if not (sched is table.schedule or sched == table.schedule):
-        raise ValueError(
-            f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
-        )
-    idx = [table.index_of(lam) for lam in grid.lambdas]
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError(
-            "sampling grid is finer than the coefficient table; "
-            "increase the table's timestep count"
-        )
-    lams = table.lambda_grid[idx]
-    return _Grid(idx, lams, np.asarray(sched.t_of_lambda(lams), dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class _Step:
-    """One planned transition; positions index the snapped grid.
+    """One planned transition; positions index the plan's ``idx``.
 
     ``history`` and ``corrector`` are nearest-first positions whose g values
     feed the predictor and (after the target's own value) the corrector;
@@ -206,22 +165,82 @@ class _Step:
     corrector_weights: np.ndarray | None
 
 
-def _plan(
-    tab: IntegralTable, grid: _Grid, transitions, pseudo_predictor=False, pseudo_corrector=False
-):
-    """The g-maps against the first grid position, and one step per transition.
+@dataclass(frozen=True, eq=False)
+class SamplerPlan:
+    """One sampler run's coefficients, from :func:`plan_multistep` or :func:`plan_singlestep`."""
 
-    Raises DomainError when a map, weight or bias is non-finite: the
+    sched: Schedule
+    tab: IntegralTable
+    idx: tuple  # the run's positions, as indices of ``tab``
+    lams: np.ndarray  # their lambdas and times, read-only
+    ts: np.ndarray
+    maps: tuple  # their g-maps against the first position
+    steps: tuple
+
+    def run(self, model: ModelSpec, x_init, trace: list | None = None):
+        """Run from ``x_init``, ``(D,)`` or ``(B, D)``; returns the final state.
+
+        One model call on the initial state and one per step but the last,
+        each followed by its position's g.  Raises ValueError unless D is the
+        table's.  Appends one row per step to a ``trace`` list: the target's
+        ``t`` and ``lambda``, its state ``x`` and noise prediction ``eps`` as
+        float64 arrays of the state's shape (the row's own copies; ``eps`` is
+        None on the last row), and ``eps_norm`` and ``g_norm``, 2-norms over
+        the whole state, batch included (g is against the first position).
+        """
+        # reads never start earlier, anchors stay or move to the target: keep the next step's reads
+        sched, tab, idx, lams, maps = self.sched, self.tab, self.idx, self.lams, self.maps
+        x = np.asarray(x_init, dtype=float)
+        if x.shape[-1:] != (tab.ems.dim,):
+            raise ValueError(f"state of shape {x.shape} for a table of dimension {tab.ems.dim}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("initial sampler state has non-finite entries")
+        x_s = x
+        g = {0: _g_value(maps[0], x, model.eps(sched, x, lams[0]))}
+        for i, step in enumerate(self.steps):
+            a_pos, t_pos = step.anchor, step.target
+            x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
+            if i == len(self.steps) - 1:
+                if trace is not None:
+                    trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, None, None))
+                break
+
+            eps = model.eps(sched, x, lams[t_pos])
+            g[t_pos] = _g_value(maps[t_pos], x, eps)
+            if step.corrector is not None:
+                gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
+                x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
+                # the trace's noise prediction for the corrected state, which keeps
+                # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
+                eps = eps + tab.ems.l[idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
+                x = x_corr
+            if trace is not None:
+                trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
+            nxt = self.steps[i + 1]
+            x_s = x if nxt.anchor == t_pos else x_s
+            g = {p: g[p] for p in (nxt.anchor,) + nxt.history + (nxt.corrector or ())}
+
+        if not np.all(np.isfinite(x)):
+            raise DomainError("sampler state became non-finite")
+        return x
+
+
+def _plan(sched, tab, idx: list, transitions, pseudo_predictor=False, pseudo_corrector=False):
+    """The plan over table indices ``idx``, a step per transition that ``transitions(ts)`` yields.
+
+    A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
+    are ``ts``.  Raises DomainError when a map, weight or bias is non-finite: the
     re-anchoring scale exp(S_anchor - S_first) spans the whole run.
     """
-    lams = grid.lams.tolist()
+    lams = read_only(tab.lambda_grid[idx])
+    ts = read_only(sched.t_of_lambda(lams))
     steps = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        maps = [g_map(tab, grid.idx[0], j) for j in grid.idx]
-        for anchor, target, history, corrector in transitions:
+        maps = tuple(g_map(tab, idx[0], j) for j in idx)
+        for anchor, target, history, corrector in transitions(ts):
             # the corrector also reads the target's own g value, so it needs one more E^k
             n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
-            coeffs = transition_coefficients(tab, grid.idx[anchor], grid.idx[target], n)
+            coeffs = transition_coefficients(tab, idx[anchor], idx[target], n)
             # against itself the anchor's map has b = exp(-lambda) and c = 0
             scale = np.exp(-lams[anchor]) / maps[anchor][1]
             deltas = [lams[p] - lams[anchor] for p in history]
@@ -236,54 +255,89 @@ def _plan(
     finite += [np.isfinite(s.weights).all() and np.isfinite(s.coeffs.int_EB).all() for s in steps]
     if not all(finite):
         raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
-    return maps, steps
+    return SamplerPlan(sched, tab, tuple(idx), lams, ts, maps, tuple(steps))
 
 
-def _run(model, sched, tab, grid, plan, x_init, trace=None):
-    """Run ``plan`` over the snapped ``grid`` from ``x_init``; returns the final state.
+def _grid_indices(sched: Schedule, table: EmsTable, grid: TimeGrid) -> list:
+    """Snap ``grid``'s lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
+    # `is` first: a delegate wrapping the table's own schedule is not == to it
+    if not (sched is table.schedule or sched == table.schedule):
+        raise ValueError(
+            f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
+        )
+    idx = [table.index_of(lam) for lam in grid.lambdas]
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError(
+            "sampling grid is finer than the coefficient table; "
+            "increase the table's timestep count"
+        )
+    return idx
 
-    One model call on the initial state and one per step except the last,
-    each followed by its position's g.  Appends one row per step to
-    ``trace`` when a list is given.  Only the g values the next step reads
-    and its anchor's state are kept: each plan here reads a run of positions
-    whose start never moves back, and anchors each step at the previous
-    step's anchor or target.
+
+def plan_multistep(sched: Schedule, tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
+    """The plan of multistep predictor-corrector sampling over the configured grid.
+
+    Its run makes exactly ``M`` noise-prediction calls for an ``M``-interval
+    grid: one on the initial state and one per step except the last (the
+    corrector reuses the step's evaluation instead of adding one).  Early
+    steps ramp the order up as history becomes available.  Raises ValueError
+    unless ``sched`` equals ``tab.ems.schedule``.
     """
-    maps, steps = plan
-    x = np.asarray(x_init, dtype=float)
-    if x.shape[-1:] != (tab.ems.dim,):
-        raise ValueError(f"state of shape {x.shape} for a table of dimension {tab.ems.dim}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("initial sampler state has non-finite entries")
-    lams, ts = grid.lams, grid.ts
-    x_s = x
-    g = {0: _g_value(maps[0], x, model.eps(sched, x, lams[0]))}
-    for i, step in enumerate(steps):
-        a_pos, t_pos = step.anchor, step.target
-        x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
-        if i == len(steps) - 1:
-            if trace is not None:
-                trace.append(_trace_row(ts[t_pos], lams[t_pos], x, None, None))
-            break
+    half_threshold = 0.5 * sched.t_domain[1]
 
-        eps = model.eps(sched, x, lams[t_pos])
-        g[t_pos] = _g_value(maps[t_pos], x, eps)
-        if step.corrector is not None:
-            gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
-            x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
-            # the trace's noise prediction for the corrected state, which keeps
-            # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
-            eps = eps + tab.ems.l[grid.idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
-            x = x_corr
-        if trace is not None:
-            trace.append(_trace_row(ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
-        following = steps[i + 1]
-        x_s = x if following.anchor == t_pos else x_s
-        g = {p: g[p] for p in (following.anchor,) + following.history + (following.corrector or ())}
+    def transitions(ts):
+        num_steps = len(ts) - 1
+        for m in range(1, num_steps + 1):
+            n_m = min(cfg.order, m)
+            n_c = n_m + 1 if cfg.pseudo_corrector else n_m
+            corrected = (
+                m < num_steps
+                and cfg.corrector != CORRECTOR_NONE
+                and n_c >= 2
+                and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
+            )
+            history = tuple(range(m - 2, m - 1 - n_m, -1))
+            corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
+            yield m - 1, m, history, corrector
 
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sampler state became non-finite")
-    return x
+    idx = _grid_indices(sched, tab.ems, cfg.grid)
+    return _plan(sched, tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
+
+
+def plan_singlestep(sched: Schedule, tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
+    """The plan of singlestep sampling: independent macro steps of ``order`` substeps each.
+
+    Derivatives are built only from values inside the current macro step,
+    all anchored at its first point.  When the grid length is not a multiple
+    of the order, the final macro step runs at the remainder's (lower)
+    order.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
+    which this path has no use for, and unless ``sched`` is the table's.
+    """
+    if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
+        raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
+    idx = _grid_indices(sched, tab.ems, cfg.grid)
+    total = len(idx) - 1
+    transitions = [
+        (start, target, tuple(range(target - 1, start, -1)), None)
+        for start in range(0, total, cfg.order)
+        for target in range(start + 1, min(start + cfg.order, total) + 1)
+    ]
+    return _plan(sched, tab, idx, lambda ts: transitions)
+
+
+def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
+    """One local transition from the anchor grid point to grid point ``j_t``.
+
+    ``anchor`` is (grid index, state, g value) and ``extras`` a nearest-first list of (grid
+    index, g value) pairs for the higher derivative estimates, matched exactly (full order),
+    all g values against this anchor.  Returns the state at ``j_t`` from the single step of a
+    plan whose first position, and so g's zero point, is the anchor.
+    """
+    j_s, x_s, g_s = anchor
+    history = tuple(range(2, len(extras) + 2))
+    idx = [j_s, j_t] + [j for j, _ in extras]
+    (step,) = _plan(tab.ems.schedule, tab, idx, lambda ts: [(0, 1, history, None)]).steps
+    return _update(step.coeffs, x_s, step.weights, [g_s] + [g for _, g in extras])
 
 
 def _g_value(abc, x, eps):
@@ -292,7 +346,6 @@ def _g_value(abc, x, eps):
 
 
 def _trace_row(t, lam, x, eps, g):
-    """One trace row; ``x`` and ``eps`` are float64 copies the caller cannot alias."""
     return {
         "t": float(t),
         "lambda": float(lam),
@@ -306,64 +359,13 @@ def _trace_row(t, lam, x, eps, g):
 def multistep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
-    """Multistep predictor-corrector sampling over the configured grid.
-
-    Runs exactly ``M`` noise-prediction calls for an ``M``-interval grid:
-    one on the initial state and one per step except the last (the
-    corrector reuses the step's evaluation instead of adding one).  Early
-    steps ramp the order up as history becomes available.  ``x_init`` may be
-    ``(D,)`` or ``(B, D)``.  Returns the final state and a per-step trace.
-    Raises ValueError unless ``sched`` equals ``tab.ems.schedule`` and D is
-    the table's dimension.
-
-    Each trace row holds the target's ``t`` and ``lambda``, its state ``x``
-    and noise prediction ``eps`` as float64 arrays of the state's shape (the
-    row's own copies; ``eps`` is None on the last row), and ``eps_norm`` and
-    ``g_norm``, the 2-norms over the whole state, batch included.  ``g`` is
-    taken against the run's first grid point, so ``g_norm`` is comparable
-    across steps.
-    """
-    grid = _snap_grid(tab.ems, sched, cfg.grid)
-    num_steps = len(grid.idx) - 1
-    half_threshold = 0.5 * sched.t_domain[1]
-    transitions = []
-    for m in range(1, num_steps + 1):
-        n_m = min(cfg.order, m)
-        n_c = n_m + 1 if cfg.pseudo_corrector else n_m
-        corrected = (
-            m < num_steps
-            and cfg.corrector != CORRECTOR_NONE
-            and n_c >= 2
-            and (cfg.corrector == CORRECTOR_FULL or grid.ts[m] <= half_threshold)
-        )
-        history = tuple(range(m - 2, m - 1 - n_m, -1))
-        corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
-        transitions.append((m - 1, m, history, corrector))
-    plan = _plan(tab, grid, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
+    """Plan with :func:`plan_multistep`, run from ``x_init``; returns the final state and trace."""
     trace = []
-    return _run(model, sched, tab, grid, plan, x_init, trace), trace
+    return plan_multistep(sched, tab, cfg).run(model, x_init, trace), trace
 
 
 def singlestep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
-    """Singlestep sampling: independent macro steps of ``order`` substeps each.
-
-    Derivatives are built only from values inside the current macro step,
-    all anchored at its first point.  When the grid length is not a multiple
-    of the order, the final macro step runs at the remainder's (lower)
-    order.  ``x_init`` may be ``(D,)`` or ``(B, D)``; returns the final
-    state.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
-    which this path has no use for, and unless ``sched`` equals
-    ``tab.ems.schedule`` and D is the table's dimension.
-    """
-    if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
-        raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
-    grid = _snap_grid(tab.ems, sched, cfg.grid)
-    total = len(grid.idx) - 1
-    transitions = [
-        (start, target, tuple(range(target - 1, start, -1)), None)
-        for start in range(0, total, cfg.order)
-        for target in range(start + 1, min(start + cfg.order, total) + 1)
-    ]
-    return _run(model, sched, tab, grid, _plan(tab, grid, transitions), x_init)
+    """Plan with :func:`plan_singlestep`, run from ``x_init``; returns the final state."""
+    return plan_singlestep(sched, tab, cfg).run(model, x_init)

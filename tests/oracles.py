@@ -9,7 +9,9 @@ least-squares fit (against the one-sweep table), and a model's
 derivatives from separate calls, part by part for a guided model (against
 ``linearize``), a mixture's eps in long double (against its float64
 rounding), a mixture's eps, d_eps and J v in row-major arithmetic
-(against the library's coordinate-major arithmetic, bit for bit), and the
+(against the library's coordinate-major arithmetic, bit for bit), the
+local update straight from its transition's coefficients and Taylor
+weights (against ``lupdate``'s one-step plan, bit for bit), and the
 probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
 (against the lockstep reference integrator).  ``reference_states`` is a
 helper, not an oracle: it chains reference segments to give the states at
@@ -24,7 +26,8 @@ from scipy.integrate import solve_ivp
 from emsolve.ems import EmsTable, _f_and_r, _fit_sb
 from emsolve.models import Guided, reference_solve
 from emsolve.schedule import Schedule
-from emsolve.solver import _check_deltas, taylor_rows
+from emsolve.integrals import transition_coefficients
+from emsolve.solver import _check_deltas, _taylor_weights, _update, taylor_rows
 
 # -- model evaluation ------------------------------------------------------------
 
@@ -260,6 +263,15 @@ def explicit_vandermonde_solution(deltas, g_diffs):
     """Closed-form top coefficient g^(n)/n!, read off the library's full-order rows' last column."""
     rows = taylor_rows(deltas, False)
     return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
+
+
+def direct_lupdate(tab, anchor: tuple, extras: list, j_t: int):
+    """``lupdate`` straight from the transition's coefficients and full-order Taylor weights."""
+    j_s, x_s, g_s = anchor
+    grid = tab.lambda_grid
+    coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
+    weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
+    return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):

@@ -250,6 +250,27 @@ def test_cmd_solve_trace_and_determinism(cli_files, mix_ems_file):
     assert rows[-1]["x"] == payload["x_final"]
 
 
+@pytest.mark.parametrize("corrector", ["none", "half"])
+def test_cmd_solve_without_trace_writes_the_traced_payload_less_its_rows(
+    cli_files, mix_ems_file, corrector
+):
+    args = [
+        "solve",
+        "--ems", str(mix_ems_file),
+        "--model", str(cli_files["mix"]),
+        "--corrector", corrector,
+        "--steps", "7",
+        "--noise-seed", "4",
+    ]
+    plain = cli_files["root"] / f"plain-{corrector}.json"
+    traced = cli_files["root"] / f"traced-{corrector}.json"
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--trace", "--out", str(traced)]) == 0
+    payload = json.loads(traced.read_text())
+    assert [row["t"] for row in payload.pop("trace")] == payload["grid"]
+    assert plain.read_text() == json.dumps(payload) + "\n"
+
+
 # -- benchmark commands ----------------------------------------------------------------
 
 

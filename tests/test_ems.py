@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -493,6 +495,30 @@ def test_tables_copy_writable_arrays_and_share_read_only_ones(vp):
     quadrature = dataclasses.replace(tab, const_lsb=None)
     assert all(getattr(quadrature, n) is getattr(tab, n) for n in "LSBCI")
     assert tab.const_lsb[0].base is table.l  # a row of the table, not a copy
+
+
+COPIES = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)), "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("protocol", sorted(COPIES))
+def test_copied_tables_stay_read_only(vp, vp_lam_range, mix_table, tmp_path, protocol):
+    """A copy rebuilds through the constructor: read-only arrays and meta, equal values and file."""
+    for ems in (mix_table, degenerate_table(DATA_PRED, vp, 20, vp_lam_range, 4)):
+        tab = build_integral_table(ems)
+        tab_copy, ems_copy = COPIES[protocol](tab), COPIES[protocol](ems)
+        names = ("lambda_grid", "l", "s", "b", "l_dot")
+        pairs = [(getattr(t, n), getattr(ems, n)) for t in (ems_copy, tab_copy.ems) for n in names]
+        pairs += [(getattr(tab_copy, n), getattr(tab, n)) for n in "LSBCI"]
+        pairs += list(zip(tab_copy.const_lsb or (), tab.const_lsb or (), strict=True))
+        for got, want in pairs:
+            assert not got.flags.writeable and np.array_equal(got, want)
+        save_table(ems, tmp_path / "original.json")
+        for table in (ems, ems_copy, tab_copy.ems):
+            assert table.schedule == ems.schedule and table.meta == ems.meta
+            with pytest.raises(TypeError):
+                table.meta["note"] = "edited"
+            save_table(table, tmp_path / "copy.json")
+            assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "original.json").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

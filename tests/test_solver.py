@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,6 +19,8 @@ from emsolve import (
     lupdate,
     make_time_grid,
     multistep_sample,
+    plan_multistep,
+    plan_singlestep,
     reference_solve,
     singlestep_sample,
 )
@@ -26,11 +28,12 @@ import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import Transition, g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
-from emsolve.solver import _snap_grid, _taylor_weights, taylor_rows
+from emsolve.solver import _taylor_weights, taylor_rows
 
 import sampler_golden
 from oracles import (
     ddim_step,
+    direct_lupdate,
     estimate_derivatives,
     estimate_derivatives_pseudo,
     explicit_vandermonde_solution,
@@ -359,6 +362,47 @@ def test_lupdate_first_order_equals_ddim(kind):
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
 
 
+def _lupdate_outcome(fn, tab, anchor, extras, j_t):
+    try:
+        return fn(tab, anchor, extras, j_t)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=50)
+@given(
+    table=st.sampled_from(sampler_golden.TABLES),
+    j_s=st.integers(-1, 61),
+    span=st.integers(-3, 30),
+    extras=st.lists(st.integers(0, 60), max_size=3),
+    values=hnp.arrays(float, (5, 4), elements=st.floats(-10.0, 10.0)),
+)
+@example(table="estimated", j_s=10, span=0, extras=[], values=np.ones((5, 4)))
+@example(table="estimated", j_s=10, span=0, extras=[8, 13], values=np.ones((5, 4)))
+@example(table=NOISE_PRED, j_s=-1, span=0, extras=[], values=np.ones((5, 4)))
+@example(table=DATA_PRED, j_s=10, span=-5, extras=[], values=np.ones((5, 4)))
+@example(table=DATA_PRED, j_s=20, span=10, extras=[19, 23, 14], values=np.ones((5, 4)))
+@example(table=NOISE_PRED, j_s=20, span=10, extras=[17, 20], values=np.ones((5, 4)))
+@example(table="estimated", j_s=20, span=10, extras=[23, 23], values=np.ones((5, 4)))
+@example(table=NOISE_PRED, j_s=60, span=1, extras=[], values=np.ones((5, 4)))
+def test_lupdate_equals_the_direct_update_bit_for_bit(table, j_s, span, extras, values):
+    """The one-step plan gives the direct update's bits, or raises what the direct update raises.
+
+    Extras lie before or after the anchor; a zero span, indices off the
+    grid, a backward target and offsets that are zero or repeated cover
+    the IndexError and ValueError cases.
+    """
+    tab = golden_tabs()[table]
+    x_s, g_s, *gs = values
+    anchor, pairs = (j_s, x_s, g_s), list(zip(extras, gs))
+    want = _lupdate_outcome(direct_lupdate, tab, anchor, pairs, j_s + span)
+    got = _lupdate_outcome(lupdate, tab, anchor, pairs, j_s + span)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got, want)
+
+
 def test_lupdate_point_mass_exact_with_estimated_stats(vp, pg4):
     # fine, narrow grid keeps the coefficient quadrature error below 1e-8
     cfg = EmsConfig(num_timesteps=2000, num_datapoints=8, lam_range=(0.0, 0.5), seed=6)
@@ -626,6 +670,35 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
     assert np.array_equal(batch, rows)
 
 
+@pytest.mark.parametrize("planner", [plan_multistep, plan_singlestep])
+def test_one_plan_runs_rows_and_batches_as_the_samplers_do(vp, mix4, mix_tab, planner):
+    """A plan run twice, on (D,) then (B, D), gives the samplers' bits; its trace is opt-in."""
+    cfg = SolverConfig(
+        order=3, grid=make_time_grid(vp, 9, UNIFORM_LAMBDA, 1.0, 1e-3), corrector="half"
+    )
+    if planner is plan_singlestep:
+        cfg = without_corrector(cfg)
+    plan = planner(vp, mix_tab, cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.steps = ()
+    assert not plan.lams.flags.writeable and not plan.ts.flags.writeable
+    rng = np.random.default_rng(22)
+    sigma0 = vp.sigma_lambda(mix_tab.lambda_grid[0])
+    for x0 in (sigma0 * rng.standard_normal(4), sigma0 * rng.standard_normal((3, 4))):
+        trace = []
+        got = plan.run(mix4, x0, trace)
+        assert np.array_equal(plan.run(mix4, x0), got)
+        assert [row["t"] for row in trace] == plan.ts[1:].tolist()
+        assert [row["lambda"] for row in trace] == plan.lams[1:].tolist()
+        if planner is plan_singlestep:
+            assert np.array_equal(singlestep_sample(mix4, vp, mix_tab, cfg, x0), got)
+            continue
+        want, want_trace = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+        assert np.array_equal(got, want)
+        for row, want_row in zip(trace, want_trace, strict=True):
+            assert all(np.array_equal(row[key], want_row[key]) for key in row)
+
+
 # -- singlestep sampler ---------------------------------------------------------------
 
 
@@ -784,7 +857,7 @@ def _check_first_order_run(case, kind, step):
     rng = np.random.default_rng(case["seed"])
     x0 = sched.sigma_lambda(lam_lo) * rng.standard_normal((case["rows"], model.dim))
     got, _ = multistep_sample(model, sched, tab, SolverConfig(order=1, grid=grid), x0)
-    ts = _snap_grid(table, sched, grid).ts.tolist()
+    ts = plan_multistep(sched, tab, SolverConfig(order=1, grid=grid)).ts.tolist()
     want = x0
     for t_s, t_t in zip(ts[:-1], ts[1:]):
         want = step(sched, want, model.eps(sched, want, sched.lambda_of_t(t_s)), t_s, t_t)
