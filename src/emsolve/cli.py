@@ -218,7 +218,7 @@ def _run_seeds(batch: _Seeds, model, config: _Config, timing) -> list:
     """
     name, tab, cfg = config
     sched = tab.ems.schedule
-    lams = tab.lambda_grid[[tab.ems.index_of(lam) for lam in cfg.grid.lambdas]]
+    lams = tab.lambda_grid[tab.ems.index_of(cfg.grid.lambdas)]
     nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(lams)))
     counted = EvalCounter(model)
     start = time.perf_counter()

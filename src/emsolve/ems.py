@@ -133,17 +133,23 @@ class EmsTable:
     def spacing(self) -> float:
         return _spacing(self.lambda_grid)
 
-    def index_of(self, lam: float) -> int:
-        """Snap a lambda to the nearest grid index; error if off the grid's range."""
-        h0 = self.spacing
-        offset = (float(lam) - float(self.lambda_grid[0])) / h0  # Python floats: inf, not a warning
-        j = round(offset) if math.isfinite(offset) else -1
-        if j < 0 or j >= len(self.lambda_grid) or abs(lam - self.lambda_grid[j]) > 0.5 * h0 + 1e-12:
-            raise ValueError(
-                f"lambda={lam} outside the table range "
-                f"[{self.lambda_grid[0]}, {self.lambda_grid[-1]}]"
-            )
-        return j
+    def index_of(self, lam):
+        """Snap a lambda, or an array of them, to the nearest grid index; error if off the grid's range.
+
+        Ties round half to even.  Returns an int for a scalar, an index array
+        for an array.
+        """
+        grid, h0 = self.lambda_grid, self.spacing
+        lams = np.asarray(lam, dtype=float)
+        with np.errstate(over="ignore"):  # inf, not a warning
+            offset = np.rint((lams - grid[0]) / h0)
+        inside = (offset >= 0) & (offset < len(grid))  # False for NaN
+        j = np.where(inside, offset, 0).astype(int)
+        inside &= np.abs(lams - grid[j]) <= 0.5 * h0 + 1e-12
+        if not inside.all():
+            bad = lams.flat[np.argmin(inside)]
+            raise ValueError(f"lambda={bad} outside the table range [{grid[0]}, {grid[-1]}]")
+        return j if j.ndim else int(j)
 
     def is_constant(self) -> bool:
         """True when l, s, b are the same vector at every grid point."""

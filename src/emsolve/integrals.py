@@ -6,13 +6,14 @@ integrals over the table grid (all zero at the first grid point):
     L = int l           S = int s           B = int exp(-S) b
     C = int exp(L+S) B                      I = int exp(L+S)
 
-Two functions give every coefficient the samplers use.
-:func:`transition_coefficients` gives one update's linear damping
+Two functions give every coefficient the samplers use, for one index pair
+or for arrays of them in one call (a sampler's step plan makes one call of
+each).  :func:`transition_coefficients` gives each update's linear damping
 A = exp(L_s - L_t), its bias term int E*B and its weights E^0 .. E^n; all
-but E^k for k >= 1 are O(1) combinations of the cumulatives, and E^k is
-integrated per transition pair (a sampler's step plan computes each of its
-transitions once).  :func:`g_map` gives the affine map from (x, eps) to the
-reparameterized model output g at one grid point.
+but E^k for k >= 1 are fancy-indexed reads of the cumulatives, and E^k is a
+trapezoid over each pair's grid points, one block for all pairs of a span.
+:func:`g_map` gives the affine map from (x, eps) to the reparameterized
+model output g at grid points.
 
 When all three fields are constant across the grid (the degenerate
 noise-prediction / data-prediction tables), every coefficient has a closed
@@ -90,39 +91,49 @@ def build_integral_table(ems: EmsTable) -> IntegralTable:
     return IntegralTable(ems=ems, L=L, S=S, B=B, C=C, I=I, const_lsb=const)
 
 
-def _check_indices(tab: IntegralTable, j_a: int, j_b: int):
+def _check_indices(tab: IntegralTable, j_a: np.ndarray, j_b: np.ndarray):
+    """Raise IndexError unless the 1-D index arrays ``j_a`` and ``j_b`` are on the grid."""
     n = len(tab.lambda_grid)
-    if not (0 <= j_a < n and 0 <= j_b < n):
-        raise IndexError(f"grid indices ({j_a}, {j_b}) out of range [0, {n})")
+    both = np.concatenate([j_a, j_b])
+    if both.min() < 0 or both.max() >= n:
+        j_a, j_b = np.broadcast_arrays(j_a, j_b)
+        k = np.argmax((j_a < 0) | (j_a >= n) | (j_b < 0) | (j_b >= n))
+        raise IndexError(f"grid indices ({j_a[k]}, {j_b[k]}) out of range [0, {n})")
 
 
-def poly_exp_integral(a, h: float, k: int):
+def poly_exp_integral(a, h, k: int):
     """int_0^h exp(a d) d^k / k! dd, element-wise in ``a``; ``h`` may be negative.
 
-    Series evaluation for small |a h| (where the recurrence cancels), exact
-    integration-by-parts recurrence otherwise.
+    ``h`` is one step length, or an ``(S,)`` array of them, which gives the
+    result a leading step axis.  Series evaluation for small |a h| (where the
+    recurrence cancels), exact integration-by-parts recurrence otherwise.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    small = np.abs(a) * max(1.0, abs(h)) < 1e-3
+    steps = np.ravel(h).tolist()
+    # Python's float power: numpy's array ** rounds some powers differently
+    powers = np.array([[v**m for m in range(k + 9)] for v in steps])[:, :, None]
+    h_col = np.array(steps)[:, None]
+    small = np.abs(a) * np.maximum(1.0, np.abs(h_col)) < 1e-3
 
-    series = np.zeros_like(a)
+    series = np.zeros(small.shape)
     for j in range(7, -1, -1):
-        series = series * a + h ** (k + j + 1) / (
+        series = series * a + powers[:, k + j + 1] / (
             math.factorial(j) * math.factorial(k) * (k + j + 1)
         )
 
     a_safe = np.where(small, 1.0, a)
-    exact = np.expm1(a_safe * h) / a_safe
+    exact = np.expm1(a_safe * h_col) / a_safe
     for m in range(1, k + 1):
-        exact = (np.exp(a_safe * h) * h**m / math.factorial(m) - exact) / a_safe
+        exact = (np.exp(a_safe * h_col) * powers[:, m] / math.factorial(m) - exact) / a_safe
 
-    return np.where(small, series, exact)
+    out = np.where(small, series, exact)
+    return out if np.ndim(h) else out[0]
 
 
-def _const_int_EB(c_l, c_s, c_b, h: float):
-    """Closed form of int E*B over a step of length ``h`` with constant fields."""
+def _const_int_EB(c_l, c_s, c_b, h: np.ndarray):
+    """Closed form of int E*B over steps of lengths ``h``, ``(S,)``, with constant fields."""
     a = c_l + c_s
-    small = np.abs(c_s) * max(1.0, abs(h)) < 1e-3
+    small = np.abs(c_s) * np.maximum(1.0, np.abs(h))[:, None] < 1e-3
     # int exp(a d) (1 - exp(-c_s d)) / c_s dd; series in c_s when it is small
     series = (
         poly_exp_integral(a, h, 1)
@@ -135,10 +146,35 @@ def _const_int_EB(c_l, c_s, c_b, h: float):
     return c_b * np.where(small, series, exact)
 
 
+def _trapezoid_moments(tab: IntegralTable, j_s: np.ndarray, j_t: np.ndarray, n: int) -> tuple:
+    """E^1 .. E^n of each pair j_s -> j_t, ``(S, D)`` each: a trapezoid over the pair's grid points.
+
+    The pairs of one span share a ``(G, span + 1, D)`` block of their points.
+    Its trapezoid terms ``h (w[1:] + w[:-1]) / 2.0``, summed along the span
+    axis, are ``np.trapezoid``'s over one pair's points, so every row has the
+    bits of a one-pair call.  (A block zero-padded to the longest span would
+    change numpy's pairwise sum of a one-column table.)
+    """
+    E = np.zeros((n, len(j_s), tab.ems.dim))
+    span = j_t - j_s
+    for m in np.unique(span) if n else ():
+        rows = np.flatnonzero(span == m)
+        points = j_s[rows, None] + np.arange(m + 1)
+        lam = tab.lambda_grid[points]
+        ls = tab.L[points] + tab.S[points]
+        scale, dlam = np.exp(ls - ls[:, :1]), (lam - lam[:, :1])[:, :, None]
+        for k in range(1, n + 1):
+            # a single point (j_s == j_t) integrates to zeros
+            w = scale * dlam**k / math.factorial(k)
+            E[k - 1, rows] = (tab.ems.spacing * (w[:, 1:] + w[:, :-1]) / 2.0).sum(axis=1)
+    return tuple(E)
+
+
 class Transition(NamedTuple):
     """Every coefficient of one update from grid point j_s to grid point j_t.
 
     The update is x_t = alpha_t A (x_s / alpha_s - int_EB - sum_k k! g_k E[k]).
+    A batched call's fields carry a leading step axis.
     """
 
     alpha_s: float
@@ -148,63 +184,72 @@ class Transition(NamedTuple):
     E: tuple  # E^0 .. E^n
 
 
-def transition_coefficients(tab: IntegralTable, j_s: int, j_t: int, n: int) -> Transition:
-    """The coefficients of the update j_s -> j_t, with weights E^0 up to E^n (0 <= n <= 3).
+def transition_coefficients(tab: IntegralTable, j_s, j_t, n: int) -> Transition:
+    """The coefficients of the updates j_s -> j_t, with weights E^0 up to E^n (0 <= n <= 3).
 
+    ``j_s`` and ``j_t`` are grid indices, or equal-length ``(S,)`` index
+    arrays, which make ``alpha_s``/``alpha_t`` ``(S,)`` and ``A``,
+    ``int_EB`` and each ``E^k`` ``(S, D)``; an index pair is a batch of one.
     E^k is the integral of exp((L+S) - (L+S)_s) (lam - lam_s)^k / k! over
     [lam_s, lam_t].  Closed forms on constant tables; otherwise A, int_EB and
-    E^0 come from the cumulatives (E^0 equals, to rounding, a direct
+    E^0 are read off the cumulatives (E^0 equals, to rounding, a direct
     trapezoid over the same grid points, because I is its cumulative
-    trapezoid) and E^k for k >= 1 from a trapezoid over the pair's points.
+    trapezoid) and E^k for k >= 1 is a trapezoid over each pair's points.
+    Raises IndexError for an index off the grid, then ValueError for a pair
+    with j_t < j_s or an ``n`` outside [0, 3].
     """
+    batched = np.ndim(j_s) > 0
+    j_s, j_t = np.atleast_1d(j_s), np.atleast_1d(j_t)
     _check_indices(tab, j_s, j_t)
-    if j_t < j_s:
-        raise ValueError(f"need j_t >= j_s, got {j_t} < {j_s}")
+    backward = j_t < j_s
+    if backward.any():
+        k = np.argmax(backward)
+        raise ValueError(f"need j_t >= j_s, got {j_t[k]} < {j_s[k]}")
     if not 0 <= n <= 3:
         raise ValueError(f"n must be in [0, 3], got {n}")
-    lam_s, lam_t = float(tab.lambda_grid[j_s]), float(tab.lambda_grid[j_t])
+    lam_s, lam_t = tab.lambda_grid[j_s], tab.lambda_grid[j_t]
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
         h = lam_t - lam_s
-        A = np.exp(-c_l * h)
+        A = np.exp(-c_l * h[:, None])
         int_EB = _const_int_EB(c_l, c_s, c_b, h)
         E = tuple(poly_exp_integral(c_l + c_s, h, k) for k in range(n + 1))
     else:
-        L_s, L_t = tab.L[j_s], tab.L[j_t]
+        L_s = tab.L[j_s]
         dI = tab.I[j_t] - tab.I[j_s]
-        A = np.exp(L_s - L_t)
+        A = np.exp(L_s - tab.L[j_t])
         int_EB = np.exp(-L_s) * (tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * dI)
-        E = (np.exp(-L_s - tab.S[j_s]) * dI,)
-        if n:
-            lam = tab.lambda_grid[j_s : j_t + 1]
-            ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
-            scale, dlam = np.exp(ls - ls[0]), (lam - lam[0])[:, None]
-            for k in range(1, n + 1):
-                # a single point (j_s == j_t) integrates to zeros
-                w = scale * dlam**k / math.factorial(k)
-                E += (np.trapezoid(w, dx=tab.ems.spacing, axis=0),)
-    sched = tab.ems.schedule
-    return Transition(sched.alpha_lambda(lam_s), sched.alpha_lambda(lam_t), A, int_EB, E)
+        E = (np.exp(-L_s - tab.S[j_s]) * dI,) + _trapezoid_moments(tab, j_s, j_t, n)
+    alphas = tab.ems.schedule.alpha_lambda(np.concatenate([lam_s, lam_t]))
+    coeffs = Transition(alphas[: len(j_s)], alphas[len(j_s) :], A, int_EB, E)
+    if batched:
+        return coeffs
+    return Transition(*(field[0] for field in coeffs[:4]), tuple(e[0] for e in E))
 
 
-def g_map(tab: IntegralTable, j_anchor: int, j_l: int):
+def g_map(tab: IntegralTable, j_anchor: int, j_l):
     """Affine map (a, b, c) with g = a*x + b*eps + c at grid point j_l, anchored at j_anchor.
 
-    The anchor sets the zero point of the S and B integrals; moving it scales
-    and offsets g by the same (D,) vectors at every grid point.  Closed form
-    on constant tables.
+    ``j_l`` is a grid index or a ``(P,)`` index array, which gives ``(P, D)``
+    ``a``, ``b`` and ``c``.  The anchor sets the zero point of the S and B
+    integrals; moving it scales and offsets g by the same (D,) vectors at
+    every grid point.  Closed form on constant tables.
     """
-    _check_indices(tab, j_anchor, j_l)
-    lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])
+    batched = np.ndim(j_l) > 0
+    j_l = np.atleast_1d(j_l)
+    _check_indices(tab, np.atleast_1d(j_anchor), j_l)
+    lam_l = tab.lambda_grid[j_l]
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
-        ds = c_s * (lam_l - lam_anchor)
+        dlam = lam_l - tab.lambda_grid[j_anchor]
+        ds = c_s * dlam[:, None]
         l_l = c_l
-        c = -c_b * poly_exp_integral(-c_s, lam_l - lam_anchor, 0)
+        c = -c_b * poly_exp_integral(-c_s, dlam, 0)
     else:
         ds = tab.S[j_l] - tab.S[j_anchor]
         l_l = tab.ems.l[j_l]
         c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
+    lam_l = lam_l[:, None]
     a = -np.exp(-ds) * l_l / tab.ems.schedule.alpha_lambda(lam_l)
     b = np.exp(-ds - lam_l)  # exp(-ds) * sigma_l / alpha_l
-    return a, b, c
+    return (a, b, c) if batched else (a[0], b[0], c[0])

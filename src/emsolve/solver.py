@@ -172,8 +172,9 @@ class SamplerPlan:
     sched: Schedule
     tab: IntegralTable
     idx: tuple  # the run's positions, as indices of ``tab``
-    lams: np.ndarray  # their lambdas and times, read-only
+    lams: np.ndarray  # their lambdas, times and sigmas, read-only
     ts: np.ndarray
+    sigmas: np.ndarray
     maps: tuple  # their g-maps against the first position
     steps: tuple
 
@@ -210,9 +211,10 @@ class SamplerPlan:
             if step.corrector is not None:
                 gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
                 x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
-                # the trace's noise prediction for the corrected state, which keeps
-                # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
-                eps = eps + tab.ems.l[idx[t_pos]] * (x_corr - x) / sched.sigma_lambda(lams[t_pos])
+                if trace is not None:
+                    # the trace's noise prediction for the corrected state, which keeps
+                    # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
+                    eps = eps + tab.ems.l[idx[t_pos]] * (x_corr - x) / self.sigmas[t_pos]
                 x = x_corr
             if trace is not None:
                 trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
@@ -225,47 +227,56 @@ class SamplerPlan:
         return x
 
 
-def _plan(sched, tab, idx: list, transitions, pseudo_predictor=False, pseudo_corrector=False):
+def _plan(sched, tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False):
     """The plan over table indices ``idx``, a step per transition that ``transitions(ts)`` yields.
 
     A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
-    are ``ts``.  Raises DomainError when a map, weight or bias is non-finite: the
-    re-anchoring scale exp(S_anchor - S_first) spans the whole run.
+    are ``ts``.  Every g-map comes from one :func:`g_map` call and every step's coefficients
+    from one :func:`transition_coefficients` call.  Raises DomainError when a map, weight or
+    bias is non-finite: the re-anchoring scale exp(S_anchor - S_first) spans the whole run.
     """
+    idx = np.asarray(idx)
     lams = read_only(tab.lambda_grid[idx])
     ts = read_only(sched.t_of_lambda(lams))
-    steps = []
+    planned = list(transitions(ts))
+    anchors = np.array([anchor for anchor, *_ in planned])
+    # the corrector also reads the target's own g value, so it needs one more E^k
+    ns = [len(h) if c is None else max(len(h), len(c) + 1) for *_, h, c in planned]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        maps = tuple(g_map(tab, idx[0], j) for j in idx)
-        for anchor, target, history, corrector in transitions(ts):
-            # the corrector also reads the target's own g value, so it needs one more E^k
-            n = len(history) if corrector is None else max(len(history), len(corrector) + 1)
-            coeffs = transition_coefficients(tab, idx[anchor], idx[target], n)
-            # against itself the anchor's map has b = exp(-lambda) and c = 0
-            scale = np.exp(-lams[anchor]) / maps[anchor][1]
-            deltas = [lams[p] - lams[anchor] for p in history]
-            weights = scale * _taylor_weights(coeffs, deltas, pseudo_predictor)
+        a, b, c = g_map(tab, idx[0], idx)
+        targets = idx[[target for _, target, *_ in planned]]
+        coeffs = transition_coefficients(tab, idx[anchors], targets, max(ns))
+        # against itself the anchor's map has b = exp(-lambda) and c = 0
+        scales = np.exp(-lams[anchors])[:, None] / b[anchors]
+        int_EB = coeffs.int_EB - scales * c[anchors] * coeffs.E[0]
+        lam, steps = lams.tolist(), []
+        for i, (anchor, target, history, corrector) in enumerate(planned):
+            E = tuple(e[i] for e in coeffs.E[: ns[i] + 1])
+            step = Transition(coeffs.alpha_s[i], coeffs.alpha_t[i], coeffs.A[i], int_EB[i], E)
+            deltas = [lam[p] - lam[anchor] for p in history]
+            weights = scales[i] * _taylor_weights(step, deltas, pseudo_predictor)
             corrector_weights = None
             if corrector is not None:
-                deltas = [lams[p] - lams[anchor] for p in (target,) + corrector]
-                corrector_weights = scale * _taylor_weights(coeffs, deltas, pseudo_corrector)
-            coeffs = coeffs._replace(int_EB=coeffs.int_EB - scale * maps[anchor][2] * coeffs.E[0])
-            steps.append(_Step(anchor, target, history, corrector, coeffs, weights, corrector_weights))
-    finite = [np.isfinite(v).all() for abc in maps for v in abc]
-    finite += [np.isfinite(s.weights).all() and np.isfinite(s.coeffs.int_EB).all() for s in steps]
+                deltas = [lam[p] - lam[anchor] for p in (target,) + corrector]
+                corrector_weights = scales[i] * _taylor_weights(step, deltas, pseudo_corrector)
+            steps.append(_Step(anchor, target, history, corrector, step, weights, corrector_weights))
+    finite = [np.isfinite(v).all() for v in (a, b, c, int_EB)]
+    finite.append(np.isfinite(np.concatenate([s.weights for s in steps])).all())
     if not all(finite):
         raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
-    return SamplerPlan(sched, tab, tuple(idx), lams, ts, maps, tuple(steps))
+    sigmas = read_only(sched.sigma_lambda(lams))
+    maps = tuple(zip(a, b, c))
+    return SamplerPlan(sched, tab, tuple(idx.tolist()), lams, ts, sigmas, maps, tuple(steps))
 
 
-def _grid_indices(sched: Schedule, table: EmsTable, grid: TimeGrid) -> list:
+def _grid_indices(sched: Schedule, table: EmsTable, grid: TimeGrid) -> np.ndarray:
     """Snap ``grid``'s lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
     # `is` first: a delegate wrapping the table's own schedule is not == to it
     if not (sched is table.schedule or sched == table.schedule):
         raise ValueError(
             f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
         )
-    idx = [table.index_of(lam) for lam in grid.lambdas]
+    idx = table.index_of(grid.lambdas)
     if np.any(np.diff(idx) <= 0):
         raise ValueError(
             "sampling grid is finer than the coefficient table; "

@@ -20,13 +20,15 @@ several lambdas.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from emsolve.ems import EmsTable, _f_and_r, _fit_sb
 from emsolve.models import Guided, reference_solve
 from emsolve.schedule import Schedule
-from emsolve.integrals import transition_coefficients
+from emsolve.integrals import Transition
 from emsolve.solver import _check_deltas, _taylor_weights, _update, taylor_rows
 
 # -- model evaluation ------------------------------------------------------------
@@ -265,11 +267,97 @@ def explicit_vandermonde_solution(deltas, g_diffs):
     return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
 
 
+def _poly_exp_integral(a, h: float, k: int):
+    """int_0^h exp(a d) d^k / k! dd for one step length ``h``, element-wise in ``a``."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    small = np.abs(a) * max(1.0, abs(h)) < 1e-3
+    series = np.zeros_like(a)
+    for j in range(7, -1, -1):
+        series = series * a + h ** (k + j + 1) / (
+            math.factorial(j) * math.factorial(k) * (k + j + 1)
+        )
+    a_safe = np.where(small, 1.0, a)
+    exact = np.expm1(a_safe * h) / a_safe
+    for m in range(1, k + 1):
+        exact = (np.exp(a_safe * h) * h**m / math.factorial(m) - exact) / a_safe
+    return np.where(small, series, exact)
+
+
+def _const_int_EB(c_l, c_s, c_b, h: float):
+    """int E*B over one step of length ``h`` with constant fields."""
+    a = c_l + c_s
+    small = np.abs(c_s) * max(1.0, abs(h)) < 1e-3
+    series = (
+        _poly_exp_integral(a, h, 1)
+        - c_s * _poly_exp_integral(a, h, 2)
+        + c_s**2 * _poly_exp_integral(a, h, 3)
+        - c_s**3 * _poly_exp_integral(a, h, 4)
+    )
+    c_s_safe = np.where(small, 1.0, c_s)
+    exact = (_poly_exp_integral(a, h, 0) - _poly_exp_integral(c_l, h, 0)) / c_s_safe
+    return c_b * np.where(small, series, exact)
+
+
+def _check_pair(tab, j_a: int, j_b: int):
+    n = len(tab.lambda_grid)
+    if not (0 <= j_a < n and 0 <= j_b < n):
+        raise IndexError(f"grid indices ({j_a}, {j_b}) out of range [0, {n})")
+
+
+def pair_transition_coefficients(tab, j_s: int, j_t: int, n: int) -> Transition:
+    """``transition_coefficients`` of one pair: closed forms, cumulative reads, one trapezoid per E^k."""
+    _check_pair(tab, j_s, j_t)
+    if j_t < j_s:
+        raise ValueError(f"need j_t >= j_s, got {j_t} < {j_s}")
+    if not 0 <= n <= 3:
+        raise ValueError(f"n must be in [0, 3], got {n}")
+    lam_s, lam_t = float(tab.lambda_grid[j_s]), float(tab.lambda_grid[j_t])
+    if tab.const_lsb is not None:
+        c_l, c_s, c_b = tab.const_lsb
+        h = lam_t - lam_s
+        A = np.exp(-c_l * h)
+        int_EB = _const_int_EB(c_l, c_s, c_b, h)
+        E = tuple(_poly_exp_integral(c_l + c_s, h, k) for k in range(n + 1))
+    else:
+        L_s, L_t = tab.L[j_s], tab.L[j_t]
+        dI = tab.I[j_t] - tab.I[j_s]
+        A = np.exp(L_s - L_t)
+        int_EB = np.exp(-L_s) * (tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * dI)
+        E = (np.exp(-L_s - tab.S[j_s]) * dI,)
+        if n:
+            lam = tab.lambda_grid[j_s : j_t + 1]
+            ls = tab.L[j_s : j_t + 1] + tab.S[j_s : j_t + 1]
+            scale, dlam = np.exp(ls - ls[0]), (lam - lam[0])[:, None]
+            for k in range(1, n + 1):
+                w = scale * dlam**k / math.factorial(k)
+                E += (np.trapezoid(w, dx=tab.ems.spacing, axis=0),)
+    sched = tab.ems.schedule
+    return Transition(sched.alpha_lambda(lam_s), sched.alpha_lambda(lam_t), A, int_EB, E)
+
+
+def pair_g_map(tab, j_anchor: int, j_l: int):
+    """``g_map`` at one grid point: (a, b, c) with g = a*x + b*eps + c, anchored at ``j_anchor``."""
+    _check_pair(tab, j_anchor, j_l)
+    lam_anchor, lam_l = float(tab.lambda_grid[j_anchor]), float(tab.lambda_grid[j_l])
+    if tab.const_lsb is not None:
+        c_l, c_s, c_b = tab.const_lsb
+        ds = c_s * (lam_l - lam_anchor)
+        l_l = c_l
+        c = -c_b * _poly_exp_integral(-c_s, lam_l - lam_anchor, 0)
+    else:
+        ds = tab.S[j_l] - tab.S[j_anchor]
+        l_l = tab.ems.l[j_l]
+        c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
+    a = -np.exp(-ds) * l_l / tab.ems.schedule.alpha_lambda(lam_l)
+    b = np.exp(-ds - lam_l)
+    return a, b, c
+
+
 def direct_lupdate(tab, anchor: tuple, extras: list, j_t: int):
-    """``lupdate`` straight from the transition's coefficients and full-order Taylor weights."""
+    """``lupdate`` straight from the pair's coefficients and full-order Taylor weights."""
     j_s, x_s, g_s = anchor
     grid = tab.lambda_grid
-    coeffs = transition_coefficients(tab, j_s, j_t, len(extras))
+    coeffs = pair_transition_coefficients(tab, j_s, j_t, len(extras))
     weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
     return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])
 

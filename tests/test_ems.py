@@ -540,6 +540,13 @@ def test_index_of_snapping(vp, vp_lam_range):
         table.index_of(float(table.lambda_grid[-1] + h0))
 
 
+def test_index_of_rounds_ties_half_to_even(vp):
+    table = degenerate_table(DATA_PRED, vp, 8, (-4.0, 4.0), 2)  # unit spacing, exact ties
+    lams = [-3.5, -2.5, -1.5, 3.5]
+    assert [table.index_of(lam) for lam in lams] == [0, 2, 2, 8]
+    assert table.index_of(np.array(lams)).tolist() == [0, 2, 2, 8]
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 1.7e308, -1.7e308])
 def test_index_of_rejects_non_finite_lambda(vp, vp_lam_range, lam):
     """Non-finite lambdas, and finite ones whose grid offset overflows."""
@@ -593,6 +600,30 @@ def test_index_of_snaps_within_half_a_cell(table, u, beyond):
     for outside in (grid[0] - (0.5 + beyond) * h, grid[-1] + (0.5 + beyond) * h):
         with pytest.raises(ValueError, match="outside the table range"):
             table.index_of(float(outside))
+
+
+@settings(max_examples=100)
+@given(
+    table=_tables(),
+    us=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=12),
+    odd=st.sampled_from([None, np.nan, np.inf, -np.inf, 1.7e308]),
+)
+def test_index_of_snaps_an_array_as_each_lambda(table, us, odd):
+    """The array form gives each lambda's index, or the ValueError one of them raises."""
+    grid = table.lambda_grid
+    lams = [float(grid[0] + u * (grid[-1] - grid[0])) for u in us]
+    if odd is not None:
+        lams[len(lams) // 2] = odd
+    want = []
+    for lam in lams:
+        try:
+            want.append(table.index_of(lam))
+        except ValueError:
+            with pytest.raises(ValueError, match="outside the table range"):
+                table.index_of(np.array(lams))
+            return
+    got = table.index_of(np.array(lams))
+    assert got.shape == (len(lams),) and got.tolist() == want
 
 
 def test_save_load_round_trip(tmp_path, vp, mix4):

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from emsolve import (
@@ -16,7 +19,10 @@ from emsolve import (
     transition_coefficients,
 )
 from emsolve.integrals import poly_exp_integral
-from emsolve.ems import NOISE_PRED
+from emsolve.ems import DATA_PRED, NOISE_PRED
+
+import sampler_golden
+from oracles import pair_g_map, pair_transition_coefficients
 
 LAM_RANGE = (-4.0, 4.0)
 
@@ -327,3 +333,106 @@ def test_index_errors_on_both_coefficient_paths(vp, path):
             transition_coefficients(tab, 2, 5, n)
     with pytest.raises(IndexError):
         lupdate(tab, (-1, x, x), [], -1)
+
+
+# -- batched calls against the per-pair oracle ------------------------------------
+
+@functools.cache
+def golden_tabs():
+    """The golden integral tables, and the estimated one's first column as a one-column table.
+
+    numpy sums a lone column pairwise and wider rows in order, so the one-column
+    table checks that each pair's E^k still sums exactly its own points.
+    """
+    tabs = sampler_golden.integral_tables()
+    ems = tabs["estimated"].ems
+    columns = {name: getattr(ems, name)[:, :1] for name in ("l", "s", "b", "l_dot")}
+    tabs["estimated-1d"] = build_integral_table(dataclasses.replace(ems, **columns))
+    return tabs
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()  # tells -0.0 from 0.0
+
+
+@st.composite
+def _index_batches(draw):
+    """A table's name, index arrays ``j_s``/``j_t`` of mixed spans (0 included), and n.
+
+    Some batches hold an off-grid or a backward pair, or an n outside [0, 3].
+    """
+    table = draw(st.sampled_from(sorted(golden_tabs())))
+    size = len(golden_tabs()[table].lambda_grid)
+    starts = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+    spans = draw(st.lists(st.integers(0, size - 1), min_size=len(starts), max_size=len(starts)))
+    j_s = starts
+    j_t = [min(j + m, size - 1) for j, m in zip(starts, spans)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(j_s) - 1))
+        j_s[k], j_t[k] = draw(
+            st.sampled_from([(-1, j_t[k]), (j_s[k], size), (size, size), (j_t[k] + 1, j_t[k])])
+        )
+    n = draw(st.integers(-1, 4) if draw(st.booleans()) else st.integers(0, 3))
+    return table, j_s, j_t, n
+
+
+def _expected_error(calls):
+    """The error a batch raises when the per-pair oracle fails on some pair: IndexError first."""
+    errors = set()
+    for call in calls:
+        try:
+            call()
+        except (IndexError, ValueError) as exc:
+            errors.add(type(exc))
+    return IndexError if IndexError in errors else (ValueError if errors else None)
+
+
+@settings(max_examples=150)
+@given(case=_index_batches())
+@example(case=("estimated", [7, 7, 0, 30], [7, 40, 60, 31], 3))
+# steps whose h ** 3 numpy rounds differently from Python, on both closed forms
+@example(case=(NOISE_PRED, [0, 5, 11, 12], [5, 5, 16, 60], 3))
+@example(case=(DATA_PRED, [0, 0, 3, 7], [31, 5, 3, 40], 3))
+# spans from 0 to 60 in one batch of the one-column table
+@example(case=("estimated-1d", [0, 0, 0, 2, 9], [6, 7, 60, 12, 9], 3))
+def test_batched_coefficients_equal_the_per_pair_oracle(case):
+    """Each row of a batched call has the per-pair oracle's bits, and the batch its error type."""
+    table, j_s, j_t, n = case
+    tab = golden_tabs()[table]
+    pairs = list(zip(j_s, j_t))
+    error = _expected_error([functools.partial(pair_transition_coefficients, tab, a, b, n) for a, b in pairs])
+    if error is not None:
+        with pytest.raises(error):
+            transition_coefficients(tab, np.array(j_s), np.array(j_t), n)
+        return
+    got = transition_coefficients(tab, np.array(j_s), np.array(j_t), n)
+    assert len(got.E) == n + 1
+    for i, (a, b) in enumerate(pairs):
+        want = pair_transition_coefficients(tab, a, b, n)
+        for got_row in (
+            (*(field[i] for field in got[:4]), tuple(e[i] for e in got.E)),
+            transition_coefficients(tab, a, b, n),  # the scalar call: a batch of one
+        ):
+            assert all(same_bits(x, y) for x, y in zip(got_row[:4], want[:4])), (i, a, b)
+            assert len(got_row[4]) == len(want.E)
+            assert all(same_bits(x, y) for x, y in zip(got_row[4], want.E)), (i, a, b)
+
+
+@settings(max_examples=100)
+@given(case=_index_batches())
+def test_batched_g_maps_equal_the_per_pair_oracle(case):
+    """Each row of a batched g_map has the per-pair oracle's bits; an off-grid index raises IndexError."""
+    table, j_s, j_t, _ = case
+    tab = golden_tabs()[table]
+    anchor, points = j_s[0], np.array(j_t)
+    error = _expected_error([functools.partial(pair_g_map, tab, anchor, j) for j in j_t])
+    if error is not None:
+        with pytest.raises(error):
+            g_map(tab, anchor, points)
+        return
+    got = g_map(tab, anchor, points)
+    for i, j in enumerate(j_t):
+        want = pair_g_map(tab, anchor, j)
+        assert all(same_bits(x[i], y) for x, y in zip(got, want)), (i, j)
+        assert all(same_bits(x, y) for x, y in zip(g_map(tab, anchor, j), want)), (i, j)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from emsolve import (
 import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import Transition, g_map
-from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR
+from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
 from emsolve.solver import _taylor_weights, taylor_rows
 
 import sampler_golden
@@ -282,19 +283,19 @@ def test_g_against_any_anchor_is_affine_in_g_against_the_first(table, idx, pair)
 
 @pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
 def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler):
-    """M + 1 g-maps for an M-step grid, and one g value per model call."""
-    counts = {"g_map": 0, "_g_value": 0}
+    """One g_map call of M + 1 rows and one coefficient call per plan, one g value per model call."""
+    calls = {"g_map": [], "transition_coefficients": [], "_g_value": []}
 
     def counting(name):
         original = getattr(emsolve.solver, name)
 
         def wrapper(*args):
-            counts[name] += 1
+            calls[name].append(args)
             return original(*args)
 
         return wrapper
 
-    for name in counts:
+    for name in calls:
         monkeypatch.setattr(emsolve.solver, name, counting(name))
     grid = make_time_grid(vp, 8, UNIFORM_LAMBDA, 1.0, 1e-3)
     x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * np.array([[0.3, -1.2, 0.8, 0.1]] * 2)
@@ -303,7 +304,32 @@ def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler
         cfg = without_corrector(cfg)
     counted = EvalCounter(mix4)
     sampler(counted, vp, mix_tab, cfg, x0)
-    assert counts == {"g_map": 9, "_g_value": 8} and counted.calls == 8
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"g_map": 1, "transition_coefficients": 1, "_g_value": 8}
+    assert np.shape(calls["g_map"][0][2]) == (9,) and counted.calls == 8
+    assert np.shape(calls["transition_coefficients"][0][1]) == (8,)
+
+
+# Peak allocation of planning an order-3, full pseudo-corrector NFE-80 run on the 960-interval
+# table, numpy 2.4.6: 185 KiB on uniform-t (spans 1..168, one block per span) and 253 KiB on
+# uniform-lambda (spans 12 and 13, two blocks of ~40 pairs); the finished plan holds ~173 KiB.
+# One block zero-padded to the longest span would hold 80 x 169 x 4 floats, 423 KiB, per array.
+PLAN_PEAK_ALLOCATION = 384 * 1024
+
+
+@pytest.mark.parametrize("kind", [UNIFORM_T, UNIFORM_LAMBDA])
+def test_plan_peak_allocation(vp, mix_tab, kind):
+    grid = make_time_grid(vp, 80, kind, 1.0, 1e-3)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
+    plan_multistep(vp, mix_tab, cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan_multistep(vp, mix_tab, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= PLAN_PEAK_ALLOCATION, peak / 1024
 
 
 @pytest.mark.parametrize("ripple", [0.0, 10.0])
