@@ -166,7 +166,7 @@ def cmd_solve(args) -> int:
         pseudo_corrector=args.pseudo_corrector,
     )
     tab = build_integral_table(table)
-    plan = plan_multistep(sched, tab, cfg)
+    plan = plan_multistep(tab, cfg)
     x_init = _initial_noise(sched, plan.lams[0], table.dim, args.noise_seed)
     trace = [] if args.trace else None
     x_final = plan.run(model, x_init, trace)
@@ -217,13 +217,11 @@ def _run_seeds(batch: _Seeds, model, config: _Config, timing) -> list:
     number of seeds.
     """
     name, tab, cfg = config
-    sched = tab.ems.schedule
-    lams = tab.lambda_grid[tab.ems.index_of(cfg.grid.lambdas)]
-    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(lams)))
     counted = EvalCounter(model)
     start = time.perf_counter()
-    x_final = multistep_sample(counted, sched, tab, cfg, batch.x_init)[0]
+    x_final, plan = multistep_sample(counted, tab.ems.schedule, tab, cfg, batch.x_init)
     seconds = (time.perf_counter() - start) / len(batch.seeds) if timing else 0.0
+    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(plan.lams)))
     if counted.calls != nfe:
         raise RuntimeError(f"model-call accounting broke: {counted.calls} calls for {nfe} steps")
     return [

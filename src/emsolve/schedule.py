@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,10 @@ _DEFAULT_T_DOMAIN = {
 
 def _is_finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _cosine_log_alpha0(offset: float) -> float:
+    return math.log(math.cos(offset / (1.0 + offset) * math.pi / 2.0))
 
 
 @dataclass(frozen=True)
@@ -107,8 +112,7 @@ class Schedule:
             return -0.25 * t**2 * (b1 - b0) - 0.5 * t * b0
         if self.kind == VP_COSINE:
             s = self.params["offset"]
-            log_alpha0 = math.log(math.cos(s / (1.0 + s) * math.pi / 2.0))
-            return np.log(np.cos((t + s) / (1.0 + s) * math.pi / 2.0)) - log_alpha0
+            return np.log(np.cos((t + s) / (1.0 + s) * math.pi / 2.0)) - _cosine_log_alpha0(s)
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def alpha(self, t):
@@ -133,7 +137,7 @@ class Schedule:
 
     # -- lambda-domain quantities -------------------------------------------
 
-    @property
+    @cached_property
     def lam_domain(self) -> tuple[float, float]:
         """(lambda(t_max), lambda(t_min)) as an increasing pair; +inf at t_min = 0 (sigma = 0)."""
         lo, hi = self.t_domain
@@ -164,9 +168,8 @@ class Schedule:
             tmp = -2.0 * two_log_alpha * (b1 - b0)
             return -2.0 * two_log_alpha / (np.sqrt(b0**2 + tmp) + b0)
         s = self.params["offset"]
-        log_alpha0 = math.log(math.cos(s / (1.0 + s) * math.pi / 2.0))
         return (
-            np.arccos(np.exp(0.5 * two_log_alpha + log_alpha0))
+            np.arccos(np.exp(0.5 * two_log_alpha + _cosine_log_alpha0(s)))
             * 2.0
             * (1.0 + s)
             / math.pi

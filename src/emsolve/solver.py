@@ -18,7 +18,8 @@ each step's re-anchoring into its weights and bias, and one loop forms each
 position's g once, against the run's first grid point.  The multistep
 corrector reuses the step's model evaluation (no extra NFE).  States may be
 ``(D,)`` or ``(B, D)``: rows never mix, so a batch gives the same bits as its
-rows run one at a time.  Runs are sequential and can share the tables.
+rows run one at a time.  A plan reads its schedule from the table; its runs
+are sequential, can share the tables, and record a trace only when given a list.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ class _Step:
 class SamplerPlan:
     """One sampler run's coefficients, from :func:`plan_multistep` or :func:`plan_singlestep`."""
 
-    sched: Schedule
     tab: IntegralTable
     idx: tuple  # the run's positions, as indices of ``tab``
     lams: np.ndarray  # their lambdas, times and sigmas, read-only
@@ -190,14 +190,14 @@ class SamplerPlan:
         the whole state, batch included (g is against the first position).
         """
         # reads never start earlier, anchors stay or move to the target: keep the next step's reads
-        sched, tab, idx, lams, maps = self.sched, self.tab, self.idx, self.lams, self.maps
+        ems, idx, lams, maps = self.tab.ems, self.idx, self.lams, self.maps
         x = np.asarray(x_init, dtype=float)
-        if x.shape[-1:] != (tab.ems.dim,):
-            raise ValueError(f"state of shape {x.shape} for a table of dimension {tab.ems.dim}")
+        if x.shape[-1:] != (ems.dim,):
+            raise ValueError(f"state of shape {x.shape} for a table of dimension {ems.dim}")
         if not np.all(np.isfinite(x)):
             raise DomainError("initial sampler state has non-finite entries")
         x_s = x
-        g = {0: _g_value(maps[0], x, model.eps(sched, x, lams[0]))}
+        g = {0: _g_value(maps[0], x, model.eps(ems.schedule, x, lams[0]))}
         for i, step in enumerate(self.steps):
             a_pos, t_pos = step.anchor, step.target
             x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
@@ -206,7 +206,7 @@ class SamplerPlan:
                     trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, None, None))
                 break
 
-            eps = model.eps(sched, x, lams[t_pos])
+            eps = model.eps(ems.schedule, x, lams[t_pos])
             g[t_pos] = _g_value(maps[t_pos], x, eps)
             if step.corrector is not None:
                 gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
@@ -214,7 +214,7 @@ class SamplerPlan:
                 if trace is not None:
                     # the trace's noise prediction for the corrected state, which keeps
                     # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
-                    eps = eps + tab.ems.l[idx[t_pos]] * (x_corr - x) / self.sigmas[t_pos]
+                    eps = eps + ems.l[idx[t_pos]] * (x_corr - x) / self.sigmas[t_pos]
                 x = x_corr
             if trace is not None:
                 trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
@@ -227,7 +227,7 @@ class SamplerPlan:
         return x
 
 
-def _plan(sched, tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False):
+def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False):
     """The plan over table indices ``idx``, a step per transition that ``transitions(ts)`` yields.
 
     A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
@@ -235,7 +235,7 @@ def _plan(sched, tab, idx, transitions, pseudo_predictor=False, pseudo_corrector
     from one :func:`transition_coefficients` call.  Raises DomainError when a map, weight or
     bias is non-finite: the re-anchoring scale exp(S_anchor - S_first) spans the whole run.
     """
-    idx = np.asarray(idx)
+    idx, sched = np.asarray(idx), tab.ems.schedule
     lams = read_only(tab.lambda_grid[idx])
     ts = read_only(sched.t_of_lambda(lams))
     planned = list(transitions(ts))
@@ -266,16 +266,11 @@ def _plan(sched, tab, idx, transitions, pseudo_predictor=False, pseudo_corrector
         raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
     sigmas = read_only(sched.sigma_lambda(lams))
     maps = tuple(zip(a, b, c))
-    return SamplerPlan(sched, tab, tuple(idx.tolist()), lams, ts, sigmas, maps, tuple(steps))
+    return SamplerPlan(tab, tuple(idx.tolist()), lams, ts, sigmas, maps, tuple(steps))
 
 
-def _grid_indices(sched: Schedule, table: EmsTable, grid: TimeGrid) -> np.ndarray:
-    """Snap ``grid``'s lambdas to indices of ``sched``'s table; they must stay strictly increasing."""
-    # `is` first: a delegate wrapping the table's own schedule is not == to it
-    if not (sched is table.schedule or sched == table.schedule):
-        raise ValueError(
-            f"the table is for schedule {table.schedule.to_dict()}, not {sched.to_dict()}"
-        )
+def _grid_indices(table: EmsTable, grid: TimeGrid) -> np.ndarray:
+    """Snap ``grid``'s lambdas to indices of ``table``; they must stay strictly increasing."""
     idx = table.index_of(grid.lambdas)
     if np.any(np.diff(idx) <= 0):
         raise ValueError(
@@ -285,16 +280,15 @@ def _grid_indices(sched: Schedule, table: EmsTable, grid: TimeGrid) -> np.ndarra
     return idx
 
 
-def plan_multistep(sched: Schedule, tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
+def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     """The plan of multistep predictor-corrector sampling over the configured grid.
 
     Its run makes exactly ``M`` noise-prediction calls for an ``M``-interval
     grid: one on the initial state and one per step except the last (the
     corrector reuses the step's evaluation instead of adding one).  Early
-    steps ramp the order up as history becomes available.  Raises ValueError
-    unless ``sched`` equals ``tab.ems.schedule``.
+    steps ramp the order up as history becomes available.
     """
-    half_threshold = 0.5 * sched.t_domain[1]
+    half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
 
     def transitions(ts):
         num_steps = len(ts) - 1
@@ -311,29 +305,29 @@ def plan_multistep(sched: Schedule, tab: IntegralTable, cfg: SolverConfig) -> Sa
             corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
             yield m - 1, m, history, corrector
 
-    idx = _grid_indices(sched, tab.ems, cfg.grid)
-    return _plan(sched, tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
+    idx = _grid_indices(tab.ems, cfg.grid)
+    return _plan(tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
 
 
-def plan_singlestep(sched: Schedule, tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
+def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     """The plan of singlestep sampling: independent macro steps of ``order`` substeps each.
 
     Derivatives are built only from values inside the current macro step,
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
     order.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
-    which this path has no use for, and unless ``sched`` is the table's.
+    which this path has no use for.
     """
     if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
         raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
-    idx = _grid_indices(sched, tab.ems, cfg.grid)
+    idx = _grid_indices(tab.ems, cfg.grid)
     total = len(idx) - 1
     transitions = [
         (start, target, tuple(range(target - 1, start, -1)), None)
         for start in range(0, total, cfg.order)
         for target in range(start + 1, min(start + cfg.order, total) + 1)
     ]
-    return _plan(sched, tab, idx, lambda ts: transitions)
+    return _plan(tab, idx, lambda ts: transitions)
 
 
 def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
@@ -347,7 +341,7 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     j_s, x_s, g_s = anchor
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
-    (step,) = _plan(tab.ems.schedule, tab, idx, lambda ts: [(0, 1, history, None)]).steps
+    (step,) = _plan(tab, idx, lambda ts: [(0, 1, history, None)]).steps
     return _update(step.coeffs, x_s, step.weights, [g_s] + [g for _, g in extras])
 
 
@@ -367,16 +361,26 @@ def _trace_row(t, lam, x, eps, g):
     }
 
 
+def _check_schedule(sched: Schedule, tab: IntegralTable):
+    """Raise ValueError unless ``sched`` is, or equals, the schedule ``tab`` was built for."""
+    # `is` first: a delegate wrapping the table's own schedule is not == to it
+    if not (sched is tab.ems.schedule or sched == tab.ems.schedule):
+        want, got = tab.ems.schedule.to_dict(), sched.to_dict()
+        raise ValueError(f"the table is for schedule {want}, not {got}")
+
+
 def multistep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
-    """Plan with :func:`plan_multistep`, run from ``x_init``; returns the final state and trace."""
-    trace = []
-    return plan_multistep(sched, tab, cfg).run(model, x_init, trace), trace
+    """Plan with :func:`plan_multistep`, run from ``x_init``; returns the final state and plan."""
+    _check_schedule(sched, tab)
+    plan = plan_multistep(tab, cfg)
+    return plan.run(model, x_init), plan
 
 
 def singlestep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
     """Plan with :func:`plan_singlestep`, run from ``x_init``; returns the final state."""
-    return plan_singlestep(sched, tab, cfg).run(model, x_init)
+    _check_schedule(sched, tab)
+    return plan_singlestep(tab, cfg).run(model, x_init)

@@ -23,6 +23,7 @@ from emsolve import (
     lupdate,
     make_time_grid,
     multistep_sample,
+    plan_multistep,
     reference_solve,
     transition_coefficients,
 )
@@ -312,12 +313,10 @@ def test_criterion_9_corrector_g_invariance(vp, mix4, mix_table, mix_tab):
     recorder = RecordingModel(mix4)
     rng = np.random.default_rng(51)
     x0 = vp.sigma_lambda(mix_table.lambda_grid[0]) * rng.standard_normal(4)
-    _, trace = multistep_sample(
-        mix4, vp, mix_tab, SolverConfig(order=3, grid=grid, corrector="full"), x0
-    )
-    _, trace_rec = multistep_sample(
-        recorder, vp, mix_tab, SolverConfig(order=3, grid=grid, corrector="full"), x0
-    )
+    plan = plan_multistep(mix_tab, SolverConfig(order=3, grid=grid, corrector="full"))
+    trace, trace_rec = [], []
+    plan.run(mix4, x0, trace)
+    plan.run(recorder, x0, trace_rec)
     assert len(trace) == len(trace_rec)  # the recorder must not perturb the run
     for row, row_rec in zip(trace, trace_rec):
         assert row.keys() == row_rec.keys()

@@ -1,10 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from emsolve import DomainError, Schedule, make_time_grid
-from emsolve.schedule import UNIFORM_LAMBDA, UNIFORM_T
+from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
 
 
 def test_alpha_edm_is_one(edm):
@@ -178,6 +179,32 @@ def test_lam_domain_is_open_at_t_zero_on_every_kind():
     # sigma(0) = 0 makes lambda(0) = +inf, without taking log(0)
     assert Schedule("edm", t_domain=(0.0, 80.0)).lam_domain == (-math.log(80.0), math.inf)
     assert Schedule("vp-linear").lam_domain[1] == math.inf
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [Schedule(VP_LINEAR), Schedule(VP_COSINE), Schedule(EDM), Schedule(EDM, t_domain=(0.0, 80.0))],
+    ids=["vp-linear", "vp-cosine", "edm", "edm-from-0"],
+)
+def test_lam_domain_is_computed_once(sched, monkeypatch):
+    calls = []
+    original = Schedule.lambda_of_t
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(Schedule, "lambda_of_t", counting)
+    fresh = Schedule.from_dict(sched.to_dict())  # a copy with no cached domain
+    first = fresh.t_of_lambda(0.5)
+    assert 1 <= len(calls) <= 2
+    calls.clear()
+    assert fresh.t_of_lambda(0.5) == first
+    assert calls == []
+    monkeypatch.undo()
+    assert fresh.lam_domain == sched.lam_domain
+    assert fresh == sched and repr(fresh) == repr(sched) and fresh.to_dict() == sched.to_dict()
+    assert pickle.loads(pickle.dumps(fresh)) == sched
 
 
 def test_constant_beta_inverts_lambda():

@@ -13,6 +13,7 @@ from emsolve import (
     DomainError,
     EvalCounter,
     GaussianMixture,
+    SamplerPlan,
     Schedule,
     SolverConfig,
     build_integral_table,
@@ -321,15 +322,48 @@ PLAN_PEAK_ALLOCATION = 384 * 1024
 def test_plan_peak_allocation(vp, mix_tab, kind):
     grid = make_time_grid(vp, 80, kind, 1.0, 1e-3)
     cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
-    plan_multistep(vp, mix_tab, cfg)
+    plan_multistep(mix_tab, cfg)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        plan_multistep(vp, mix_tab, cfg)
+        plan_multistep(mix_tab, cfg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert peak <= PLAN_PEAK_ALLOCATION, peak / 1024
+
+
+# Peak allocation of multistep_sample on a (4096, 4) state, order 3, full corrector, NFE 20,
+# 960-interval table, numpy 2.4.6: 1516 KiB, the mixture's per-call (C, D, N) intermediates
+# included.  A trace recorded along the way would add 20 rows of x and eps, ~5 MiB, on top.
+SAMPLE_PEAK_ALLOCATION = 2048 * 1024
+
+
+def test_multistep_sample_peak_allocation(vp, mix4, mix_tab):
+    grid = make_time_grid(vp, 20, UNIFORM_LAMBDA, 1.0, 1e-3)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full")
+    rng = np.random.default_rng(30)
+    x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * rng.standard_normal((4096, 4))
+    multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        multistep_sample(mix4, vp, mix_tab, cfg, x0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= SAMPLE_PEAK_ALLOCATION, peak / 1024
+
+
+def test_multistep_sample_returns_the_plan_it_ran(vp, mix4, mix_tab):
+    grid = make_time_grid(vp, 9, UNIFORM_LAMBDA, 1.0, 1e-3)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
+    rng = np.random.default_rng(31)
+    x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * rng.standard_normal((3, 4))
+    x_final, plan = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    assert isinstance(plan, SamplerPlan) and plan.tab is mix_tab
+    assert np.array_equal(plan.run(mix4, x0), x_final)
+    assert np.array_equal(plan.lams, mix_tab.lambda_grid[mix_tab.ems.index_of(grid.lambdas)])
 
 
 @pytest.mark.parametrize("ripple", [0.0, 10.0])
@@ -457,7 +491,8 @@ def test_multistep_single_step_equals_first_order_update(vp, mix4, mix_tab):
     grid = make_time_grid(vp, 1, UNIFORM_LAMBDA, 1.0, 1e-3)
     rng = np.random.default_rng(8)
     x0 = vp.sigma_lambda(table.lambda_grid[0]) * rng.standard_normal(4)
-    got, trace = multistep_sample(mix4, vp, mix_tab, SolverConfig(order=3, grid=grid), x0)
+    trace = []
+    got = plan_multistep(mix_tab, SolverConfig(order=3, grid=grid)).run(mix4, x0, trace)
     g0 = g_value(mix_tab, vp, mix4, 0, 0, x0)
     want = lupdate(mix_tab, (0, x0, g0), [], len(table.lambda_grid) - 1)
     assert np.array_equal(got, want)
@@ -539,10 +574,11 @@ def test_multistep_half_corrector_matches_full_late_only(vp, mix4, mix_tab):
     grid = make_time_grid(vp, 10, UNIFORM_LAMBDA, 1.0, 1e-3)
     rng = np.random.default_rng(12)
     x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * rng.standard_normal(4)
-    half, tr_half = multistep_sample(
-        mix4, vp, mix_tab, SolverConfig(order=2, grid=grid, corrector="half"), x0
+    tr_half, tr_none = [], []
+    half = plan_multistep(mix_tab, SolverConfig(order=2, grid=grid, corrector="half")).run(
+        mix4, x0, tr_half
     )
-    none, tr_none = multistep_sample(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), x0)
+    none = plan_multistep(mix_tab, SolverConfig(order=2, grid=grid)).run(mix4, x0, tr_none)
     full, _ = multistep_sample(
         mix4, vp, mix_tab, SolverConfig(order=2, grid=grid, corrector="full"), x0
     )
@@ -558,7 +594,8 @@ def test_multistep_trace_contents(vp, mix4, mix_tab):
     grid = make_time_grid(vp, 5, UNIFORM_LAMBDA, 1.0, 1e-3)
     rng = np.random.default_rng(13)
     x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * rng.standard_normal(4)
-    _, trace = multistep_sample(mix4, vp, mix_tab, SolverConfig(order=2, grid=grid), x0)
+    trace = []
+    plan_multistep(mix_tab, SolverConfig(order=2, grid=grid)).run(mix4, x0, trace)
     assert len(trace) == 5
     assert [r["t"] for r in trace] == sorted((r["t"] for r in trace), reverse=True)
     for row in trace[:-1]:
@@ -572,7 +609,8 @@ def test_trace_rows_own_their_arrays(vp, mix4, mix_tab, shape):
     rng = np.random.default_rng(15)
     x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * rng.standard_normal(shape)
     cfg = SolverConfig(order=3, grid=grid, corrector="full")
-    x_final, trace = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    trace = []
+    x_final = plan_multistep(mix_tab, cfg).run(mix4, x0, trace)
     for row in trace[:-1]:
         assert row["x"].shape == row["eps"].shape == shape
         assert row["x"].dtype == row["eps"].dtype == np.float64
@@ -682,10 +720,13 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
     )
     rng = np.random.default_rng(case["seed"])
     x0 = vp.sigma_lambda(tab.lambda_grid[0]) * rng.standard_normal((case["rows"], 4))
-    batch, batch_trace = multistep_sample(mix4, vp, tab, cfg, x0)
-    row_runs = [multistep_sample(mix4, vp, tab, cfg, x) for x in x0]
-    assert np.array_equal(batch, np.stack([x for x, _ in row_runs]))
-    for i, (_, row_trace) in enumerate(row_runs):
+    plan, batch_trace = plan_multistep(tab, cfg), []
+    batch = plan.run(mix4, x0, batch_trace)
+    row_traces = [[] for _ in x0]
+    rows = [plan.run(mix4, x, trace) for x, trace in zip(x0, row_traces)]
+    assert np.array_equal(batch, np.stack(rows))
+    assert np.array_equal(multistep_sample(mix4, vp, tab, cfg, x0)[0], batch)
+    for i, row_trace in enumerate(row_traces):
         assert len(batch_trace) == len(row_trace)
         for step, want in zip(batch_trace, row_trace):
             got = _trace_row_of(step, i)
@@ -704,7 +745,7 @@ def test_one_plan_runs_rows_and_batches_as_the_samplers_do(vp, mix4, mix_tab, pl
     )
     if planner is plan_singlestep:
         cfg = without_corrector(cfg)
-    plan = planner(vp, mix_tab, cfg)
+    plan = planner(mix_tab, cfg)
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.steps = ()
     assert not plan.lams.flags.writeable and not plan.ts.flags.writeable
@@ -719,8 +760,10 @@ def test_one_plan_runs_rows_and_batches_as_the_samplers_do(vp, mix4, mix_tab, pl
         if planner is plan_singlestep:
             assert np.array_equal(singlestep_sample(mix4, vp, mix_tab, cfg, x0), got)
             continue
-        want, want_trace = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+        want, want_plan = multistep_sample(mix4, vp, mix_tab, cfg, x0)
         assert np.array_equal(got, want)
+        want_trace = []
+        want_plan.run(mix4, x0, want_trace)
         for row, want_row in zip(trace, want_trace, strict=True):
             assert all(np.array_equal(row[key], want_row[key]) for key in row)
 
@@ -882,8 +925,8 @@ def _check_first_order_run(case, kind, step):
     grid = make_time_grid(sched, case["nfe"], UNIFORM_LAMBDA, t_start, t_end)
     rng = np.random.default_rng(case["seed"])
     x0 = sched.sigma_lambda(lam_lo) * rng.standard_normal((case["rows"], model.dim))
-    got, _ = multistep_sample(model, sched, tab, SolverConfig(order=1, grid=grid), x0)
-    ts = plan_multistep(sched, tab, SolverConfig(order=1, grid=grid)).ts.tolist()
+    got, plan = multistep_sample(model, sched, tab, SolverConfig(order=1, grid=grid), x0)
+    ts = plan.ts.tolist()
     want = x0
     for t_s, t_t in zip(ts[:-1], ts[1:]):
         want = step(sched, want, model.eps(sched, want, sched.lambda_of_t(t_s)), t_s, t_t)
