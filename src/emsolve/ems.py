@@ -13,8 +13,7 @@ integrator:
 
 Estimation is one sweep over the grid: each grid point's one model call
 reduces to l and six means over the diffused datapoints, and s and b follow
-in closed form once l's slope is known.  Per-datapoint terms can be summed in
-any chunking (results agree to floating-point reassociation).
+in closed form once l's slope is known.
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, TableFormatError, UnsupportedVersionError
 from .models import ModelSpec, model_id
-from .schedule import Schedule
+from .schedule import Schedule, read_only
 
 NOISE_PRED = "noise-pred"
 DATA_PRED = "data-pred"
@@ -67,23 +66,14 @@ class EmsConfig:
             raise ValueError("probes_per_point must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        lo, hi = self.lam_range
+        pair = tuple(self.lam_range) if isinstance(self.lam_range, (tuple, list)) else ()
+        if not (len(pair) == 2 and all(isinstance(v, numbers.Real) for v in pair)):
+            raise ValueError(f"lam_range must be a pair of real numbers, got {self.lam_range!r}")
+        lo, hi = pair
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"lam_range must be finite, got {self.lam_range}")
         if not lo < hi:
             raise ValueError(f"lam_range must be increasing, got {self.lam_range}")
-
-
-def read_only(value) -> np.ndarray:
-    """``value`` as a read-only float64 array: a writable array is copied first, a read-only one kept.
-
-    Keeping read-only arrays lets ``dataclasses.replace`` share a table's arrays.
-    """
-    arr = np.asarray(value, dtype=float)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +103,8 @@ class EmsTable:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, arr)
+        if self.dim < 1:
+            raise ValueError(f"the fields need at least one column, got shape {field_shape}")
         grid = self.lambda_grid
         if len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise ValueError("lambda_grid must be strictly increasing with >= 2 points")
@@ -153,11 +145,7 @@ class EmsTable:
 
     def is_constant(self) -> bool:
         """True when l, s, b are the same vector at every grid point."""
-        return bool(
-            np.all(self.l == self.l[0])
-            and np.all(self.s == self.s[0])
-            and np.all(self.b == self.b[0])
-        )
+        return all(np.all(f == f[0]) for f in (self.l, self.s, self.b))
 
 
 def _spacing(grid) -> float:
@@ -173,8 +161,7 @@ def diag_probe_terms(sigma, jvps, probe_vectors):
 
     ``jvps`` holds the model's Jacobian-vector products at the probe vectors
     ``probe_vectors``, shape (probes, K, D) with +-1 entries.  The mean of the
-    returned array over its first two axes is the diagonal estimate; the
-    terms may be summed in chunks of any size.
+    returned array over its first two axes is the diagonal estimate.
     """
     return (sigma * jvps) * probe_vectors
 
@@ -287,9 +274,7 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     # Python ints: numpy integers from the config are not JSON-serializable
     meta = {"K": int(cfg.num_datapoints), "seed": int(cfg.seed), "model": model_id(model)}
-    return EmsTable(
-        lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta
-    )
+    return EmsTable(lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta)
 
 
 def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, dim: int) -> EmsTable:

@@ -24,36 +24,56 @@ rather than quadrature-limited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .ems import EmsTable, read_only
+from .ems import EmsTable
 from .errors import DomainError
 
 
 @dataclass(frozen=True, eq=False)
 class IntegralTable:
-    """Cumulative integrals of one EMS table, plus detected constant fields; arrays read-only."""
+    """The cumulative trapezoids L, S, B, C, I of one EMS table, computed from it; read-only.
+
+    With ``closed_form`` set and constant fields, ``const_lsb`` holds their
+    values and the coefficients take closed forms; otherwise it is None and
+    they take the quadrature path.  Raises :class:`DomainError` when an
+    integral has a non-finite entry: fields too large for the grid overflow
+    ``exp(L + S)``.
+    """
 
     ems: EmsTable
-    L: np.ndarray
-    S: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    I: np.ndarray
-    const_lsb: tuple | None = None
+    closed_form: bool = True
+    L: np.ndarray = field(init=False)
+    S: np.ndarray = field(init=False)
+    B: np.ndarray = field(init=False)
+    C: np.ndarray = field(init=False)
+    I: np.ndarray = field(init=False)
+    const_lsb: tuple | None = field(init=False)
 
     def __post_init__(self):
-        for name in ("L", "S", "B", "C", "I"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
-        if self.const_lsb is not None:
-            object.__setattr__(self, "const_lsb", tuple(map(read_only, self.const_lsb)))
+        if not isinstance(self.closed_form, bool):
+            raise ValueError(f"closed_form must be a bool, got {self.closed_form!r}")
+        ems, h0 = self.ems, self.ems.spacing
+        with np.errstate(over="ignore", invalid="ignore"):
+            L, S = _cumtrapz(ems.l, h0), _cumtrapz(ems.s, h0)
+            B = _cumtrapz(np.exp(-S) * ems.b, h0)
+            weight = np.exp(L + S)
+            ints = dict(L=L, S=S, B=B, C=_cumtrapz(weight * B, h0), I=_cumtrapz(weight, h0))
+        for name, arr in ints.items():
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"integral {name} has non-finite entries; the fields overflow")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # views of the table's read-only rows, not copies
+        const = (ems.l[0], ems.s[0], ems.b[0]) if self.closed_form and ems.is_constant() else None
+        object.__setattr__(self, "const_lsb", const)
 
     def __reduce__(self):
-        # through the constructor, as EmsTable's: a copy's arrays are read-only too
-        return type(self), (self.ems, self.L, self.S, self.B, self.C, self.I, self.const_lsb)
+        # through the constructor, as EmsTable's: a copy recomputes the same read-only integrals
+        return type(self), (self.ems, self.closed_form)
 
     @property
     def lambda_grid(self) -> np.ndarray:
@@ -67,28 +87,8 @@ def _cumtrapz(y: np.ndarray, h: float) -> np.ndarray:
 
 
 def build_integral_table(ems: EmsTable) -> IntegralTable:
-    """Cumulative trapezoid of the five integrals over the (uniform) grid.
-
-    Constant fields are recorded in ``const_lsb``; with it set to None the
-    coefficients of any table go through the quadrature path.  Raises
-    :class:`DomainError` when an integral has a non-finite entry: fields too
-    large for the grid overflow ``exp(L + S)``.
-    """
-    h0 = ems.spacing
-    with np.errstate(over="ignore", invalid="ignore"):
-        L = _cumtrapz(ems.l, h0)
-        S = _cumtrapz(ems.s, h0)
-        B = _cumtrapz(np.exp(-S) * ems.b, h0)
-        ls_weight = np.exp(L + S)
-        C = _cumtrapz(ls_weight * B, h0)
-        I = _cumtrapz(ls_weight, h0)
-    for name, arr in (("L", L), ("S", S), ("B", B), ("C", C), ("I", I)):
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"integral {name} has non-finite entries; the fields overflow")
-    const = None
-    if ems.is_constant():
-        const = (ems.l[0], ems.s[0], ems.b[0])
-    return IntegralTable(ems=ems, L=L, S=S, B=B, C=C, I=I, const_lsb=const)
+    """``IntegralTable(ems)``: the integrals of ``ems``, closed forms on constant fields."""
+    return IntegralTable(ems)
 
 
 def _check_indices(tab: IntegralTable, j_a: np.ndarray, j_b: np.ndarray):
@@ -224,7 +224,7 @@ def transition_coefficients(tab: IntegralTable, j_s, j_t, n: int) -> Transition:
     coeffs = Transition(alphas[: len(j_s)], alphas[len(j_s) :], A, int_EB, E)
     if batched:
         return coeffs
-    return Transition(*(field[0] for field in coeffs[:4]), tuple(e[0] for e in E))
+    return Transition(*(value[0] for value in coeffs[:4]), tuple(e[0] for e in E))
 
 
 def g_map(tab: IntegralTable, j_anchor: int, j_l):

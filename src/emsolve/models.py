@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -397,7 +398,7 @@ class Guided(ModelSpec):
     def __post_init__(self):
         if self.cond.dim != self.uncond.dim:
             raise ValueError("cond and uncond models must share dimension")
-        if not np.isfinite(self.scale):
+        if not (isinstance(self.scale, numbers.Real) and math.isfinite(self.scale)):
             raise ValueError(f"scale must be finite, got {self.scale}")
 
     @property

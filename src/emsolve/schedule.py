@@ -222,24 +222,42 @@ class Schedule:
             raise ValueError(f"schedule dict missing key {exc}") from exc
 
 
+def read_only(value) -> np.ndarray:
+    """``value`` as a read-only float64 array: a writable array is copied first, a read-only one kept.
+
+    Keeping read-only arrays lets ``dataclasses.replace`` share them.
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 UNIFORM_LAMBDA = "uniform-lambda"
 UNIFORM_T = "uniform-t"
 
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Sampling timesteps t_0 = t_start > ... > t_M = t_end with their lambdas.
+    """The lambdas a sampler visits, from ``lambdas[0]`` (high noise) to ``lambdas[-1]``.
 
-    ``lambdas`` is strictly increasing; both endpoints of ``timesteps`` are
-    exact (not reconstructed through the lambda inversion).
+    ``lambdas`` is a read-only array of at least 2 finite, strictly increasing
+    values.  A plan snaps them to its table's grid and samples at those points' times.
     """
 
-    timesteps: np.ndarray
     lambdas: np.ndarray
+
+    def __post_init__(self):
+        lambdas = read_only(self.lambdas)
+        valid = lambdas.ndim == 1 and len(lambdas) >= 2 and np.isfinite(lambdas).all()
+        if not (valid and (np.diff(lambdas) > 0).all()):
+            raise ValueError(f"lambdas must be >= 2 finite, increasing values, got {lambdas}")
+        object.__setattr__(self, "lambdas", lambdas)
 
     @property
     def num_steps(self) -> int:
-        return len(self.timesteps) - 1
+        return len(self.lambdas) - 1
 
 
 def make_time_grid(
@@ -256,13 +274,7 @@ def make_time_grid(
         raise ValueError(f"unknown grid kind {kind!r}")
     if not t_start > t_end:
         raise ValueError(f"need t_start > t_end, got {t_start} <= {t_end}")
-    lam_start = float(sched.lambda_of_t(t_start))
-    lam_end = float(sched.lambda_of_t(t_end))
     if kind == UNIFORM_LAMBDA:
-        lambdas = np.linspace(lam_start, lam_end, num_steps + 1)
-        timesteps = np.asarray(sched.t_of_lambda(lambdas), dtype=float).copy()
-        timesteps[0], timesteps[-1] = t_start, t_end
-    else:
-        timesteps = np.linspace(t_start, t_end, num_steps + 1)
-        lambdas = np.asarray(sched.lambda_of_t(timesteps), dtype=float)
-    return TimeGrid(timesteps=timesteps, lambdas=lambdas)
+        lam_start, lam_end = float(sched.lambda_of_t(t_start)), float(sched.lambda_of_t(t_end))
+        return TimeGrid(np.linspace(lam_start, lam_end, num_steps + 1))
+    return TimeGrid(sched.lambda_of_t(np.linspace(t_start, t_end, num_steps + 1)))

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ems import EmsTable, read_only
+from .ems import EmsTable
 from .errors import DomainError
 from .integrals import IntegralTable, Transition, g_map, transition_coefficients
 from .models import ModelSpec
-from .schedule import Schedule, TimeGrid
+from .schedule import Schedule, TimeGrid, read_only
 
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
@@ -72,6 +72,8 @@ class SolverConfig:
                 f"order must be an integer in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order!r}); "
                 "4th order is available as the pseudo corrector on an order-3 run"
             )
+        if not isinstance(self.grid, TimeGrid):
+            raise ValueError(f"grid must be a TimeGrid, got {type(self.grid).__name__}")
         if self.corrector not in CORRECTORS:
             raise ValueError(f"unknown corrector {self.corrector!r}")
         if self.corrector != CORRECTOR_NONE and self.order < 2:

@@ -25,11 +25,11 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from emsolve.ems import EmsTable, _f_and_r, _fit_sb
+from emsolve.ems import EmsTable
 from emsolve.models import Guided, reference_solve
 from emsolve.schedule import Schedule
 from emsolve.integrals import Transition
-from emsolve.solver import _check_deltas, _taylor_weights, _update, taylor_rows
+from emsolve.solver import taylor_rows
 
 # -- model evaluation ------------------------------------------------------------
 
@@ -188,9 +188,15 @@ def reference_states(model, sched: Schedule, x_start, lam_start, lams, tol):
 
 
 def _f_and_f1(model, sched, l_row, l_dot_row, x, lam):
-    """f and f1, its total lambda-derivative along the ODE, from one ``linearize`` call."""
-    f, r = _f_and_r(sched, l_row, x, lam, *eps_along_ode(model, sched, x, lam))
-    return f, r - l_dot_row * x / sched.alpha_lambda(lam)
+    """f and f1, its total lambda-derivative along the ODE, from one ``linearize`` call.
+
+    f = (sigma eps - l x) / alpha and f1 = e^{-lambda} ((l - 1) eps + d_eps) - l_dot x / alpha.
+    """
+    eps, d_eps = eps_along_ode(model, sched, x, lam)
+    alpha = sched.alpha_lambda(lam)
+    f = (sched.sigma_lambda(lam) * eps - l_row * x) / alpha
+    r = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps)
+    return f, r - l_dot_row * x / alpha
 
 
 def eval_f(model, sched, table: EmsTable, x, lam):
@@ -211,10 +217,26 @@ def estimate_sb(f_samples, f1_samples):
     f1 = np.asarray(f1_samples, dtype=float)
     if f.shape != f1.shape or f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("f_samples and f1_samples must be matching nonempty (K, D) arrays")
-    return _fit_sb(f.mean(axis=0), f1.mean(axis=0), (f * f).mean(axis=0), (f * f1).mean(axis=0))
+    mf, mf1, mff, mff1 = (arr.mean(axis=0) for arr in (f, f1, f * f, f * f1))
+    # s = cov(f, f1) / (var(f) + floor), b = mean(f1) - s mean(f)
+    s = (mff1 - mf * mf1) / (mff - mf * mf + (1e-8 * mff + 1e-20))
+    return s, mf1 - s * mf
 
 
 # -- derivative estimation and the first-order step ------------------------------------
+
+
+def _check_deltas(deltas) -> list:
+    """The offsets as floats; raises ValueError unless 1..3 finite, nonzero and distinct."""
+    deltas = [float(d) for d in deltas]
+    n = len(deltas)
+    if not 1 <= n <= 3:
+        raise ValueError(f"need 1..3 offsets, got {n}")
+    if not all(map(math.isfinite, deltas)):
+        raise ValueError(f"lambda offsets must be finite, got {deltas}")
+    if 0.0 in deltas or len(set(deltas)) != n:
+        raise ValueError(f"lambda offsets must be nonzero and distinct, got {deltas}")
+    return deltas
 
 
 def estimate_derivatives(deltas, g_diffs):
@@ -354,12 +376,23 @@ def pair_g_map(tab, j_anchor: int, j_l: int):
 
 
 def direct_lupdate(tab, anchor: tuple, extras: list, j_t: int):
-    """``lupdate`` straight from the pair's coefficients and full-order Taylor weights."""
+    """``lupdate`` straight from the pair's coefficients and full-order Taylor weights.
+
+    x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p), with the anchor's
+    g first and ``V_p = sum_k k! w[p][k] E^k`` from ``taylor_rows``.
+    """
     j_s, x_s, g_s = anchor
     grid = tab.lambda_grid
     coeffs = pair_transition_coefficients(tab, j_s, j_t, len(extras))
-    weights = _taylor_weights(coeffs, [grid[j] - grid[j_s] for j, _ in extras], False)
-    return _update(coeffs, x_s, weights, [g_s] + [g for _, g in extras])
+    deltas = [grid[j] - grid[j_s] for j, _ in extras]
+    rows = taylor_rows(_check_deltas(deltas) if deltas else [], False)
+    factorials = np.array([math.factorial(k) for k in range(len(rows))], dtype=float)
+    weights = np.array(rows) @ (np.array(coeffs.E[: len(rows)]) * factorials[:, None])
+    gs = [g_s] + [g for _, g in extras]
+    total = weights[0] * gs[0]
+    for v, g in zip(weights[1:], gs[1:]):
+        total += v * g
+    return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):

@@ -293,7 +293,7 @@ def test_criterion_8_quadrature_order(vp):
         )
         exact = build_integral_table(table)
         assert exact.const_lsb is not None
-        tab = dataclasses.replace(exact, const_lsb=None)  # the quadrature path
+        tab = dataclasses.replace(exact, closed_form=False)  # the quadrature path
         j_s, j_t = n // 4, 3 * n // 4
         got = transition_coefficients(tab, j_s, j_t, 3)
         want = transition_coefficients(exact, j_s, j_t, 3)

@@ -446,6 +446,8 @@ def test_degenerate_tables(vp, vp_lam_range):
         assert t.is_constant()
     with pytest.raises(ValueError):
         degenerate_table("v-pred", vp, 10, vp_lam_range, 3)
+    with pytest.raises(ValueError, match="at least one column"):
+        degenerate_table(DATA_PRED, vp, 10, vp_lam_range, 0)
 
 
 # -- table type and persistence -----------------------------------------------------
@@ -492,8 +494,10 @@ def test_tables_copy_writable_arrays_and_share_read_only_ones(vp):
     again = dataclasses.replace(table, meta={"copy": False})
     assert all(getattr(again, n) is getattr(table, n) for n in ("lambda_grid", "l", "s", "b", "l_dot"))
     tab = build_integral_table(table)
-    quadrature = dataclasses.replace(tab, const_lsb=None)
-    assert all(getattr(quadrature, n) is getattr(tab, n) for n in "LSBCI")
+    quadrature = dataclasses.replace(tab, closed_form=False)
+    for n in "LSBCI":  # recomputed from the same table: equal, read-only values
+        got = getattr(quadrature, n)
+        assert not got.flags.writeable and np.array_equal(got, getattr(tab, n))
     assert tab.const_lsb[0].base is table.l  # a row of the table, not a copy
 
 
@@ -739,6 +743,9 @@ def test_ems_config_validation():
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(1.0, -1.0))
     for lam_range in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
         with pytest.raises(ValueError, match="lam_range must be finite"):
+            EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=lam_range)
+    for lam_range in (("a", "b"), (-1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="lam_range must be a pair of real numbers"):
             EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=lam_range)
     with pytest.raises(ValueError):
         EmsConfig(num_timesteps=4, num_datapoints=8, lam_range=(-1.0, 1.0), probes_per_point=0)

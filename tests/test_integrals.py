@@ -11,11 +11,17 @@ from scipy.integrate import quad
 
 from emsolve import (
     DomainError,
+    EmsConfig,
     EmsTable,
+    IntegralTable,
+    SolverConfig,
     build_integral_table,
     degenerate_table,
+    estimate_table,
     g_map,
     lupdate,
+    make_time_grid,
+    plan_multistep,
     transition_coefficients,
 )
 from emsolve.integrals import poly_exp_integral
@@ -29,7 +35,7 @@ LAM_RANGE = (-4.0, 4.0)
 
 def quadrature_table(table):
     """The integral table of ``table`` with its coefficients on the quadrature path."""
-    return dataclasses.replace(build_integral_table(table), const_lsb=None)
+    return dataclasses.replace(build_integral_table(table), closed_form=False)
 
 
 def make_constant_table(sched, n, c_l, c_s, c_b, dim=None):
@@ -111,6 +117,31 @@ def test_build_rejects_fields_that_overflow(vp, fields, name):
         warnings.simplefilter("error")  # the DomainError is the only signal
         with pytest.raises(DomainError, match=f"integral {name} has non-finite"):
             build_integral_table(table)
+
+
+def test_integral_table_takes_only_ems_and_closed_form(smooth_table):
+    assert [f.name for f in dataclasses.fields(IntegralTable) if f.init] == ["ems", "closed_form"]
+    tab = IntegralTable(smooth_table)
+    with pytest.raises(TypeError):
+        IntegralTable(smooth_table, True, tab.L)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(tab, L=tab.L)
+    with pytest.raises(ValueError, match="closed_form must be a bool"):
+        IntegralTable(smooth_table, closed_form="no")
+
+
+def test_a_replaced_table_samples_as_one_built_from_it(vp, mix4, vp_lam_range):
+    """``replace(tab, ems=other)`` recomputes the integrals, so it samples as a fresh table."""
+    cfg = EmsConfig(num_timesteps=60, num_datapoints=64, lam_range=vp_lam_range, seed=3)
+    estimated = build_integral_table(estimate_table(mix4, vp, cfg))
+    data_pred = degenerate_table(DATA_PRED, vp, 60, vp_lam_range, 4)
+    swapped, built = dataclasses.replace(estimated, ems=data_pred), build_integral_table(data_pred)
+    assert all(same_bits(getattr(swapped, n), getattr(built, n)) for n in "LSBCI")
+    assert swapped.const_lsb is not None
+    solver_cfg = SolverConfig(order=2, grid=make_time_grid(vp, 6, "uniform-lambda", 1.0, 1e-3))
+    x_init = np.ones(4)
+    got = plan_multistep(swapped, solver_cfg).run(mix4, x_init)
+    assert same_bits(got, plan_multistep(built, solver_cfg).run(mix4, x_init))
 
 
 # -- update coefficients ---------------------------------------------------------
@@ -317,7 +348,7 @@ def test_index_errors_on_both_coefficient_paths(vp, path):
     tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 20, LAM_RANGE, 2))
     assert tab.const_lsb is not None
     if path == "quadrature":
-        tab = dataclasses.replace(tab, const_lsb=None)
+        tab = dataclasses.replace(tab, closed_form=False)
     x = np.ones(2)
     for j_s, j_t in ((-1, 5), (0, 21), (21, 21)):
         with pytest.raises(IndexError):

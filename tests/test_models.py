@@ -450,6 +450,8 @@ def test_dimension_mismatch_raises(vp, mix4):
         mix4.eps(vp, np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         Guided(cond=mix4, uncond=PointGaussian(x0=np.zeros(2)), scale=1.0)
+    with pytest.raises(ValueError, match="scale must be finite"):
+        Guided(mix4, mix4, "2")
 
 
 def test_mixture_validation():

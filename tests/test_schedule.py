@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from emsolve import DomainError, Schedule, make_time_grid
+from emsolve import DomainError, Schedule, TimeGrid, make_time_grid
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
 
 
@@ -82,17 +83,18 @@ def test_dlog_alpha_dlambda(vp, edm):
 
 def test_make_time_grid_single_step(vp):
     g = make_time_grid(vp, 1, UNIFORM_LAMBDA, 1.0, 0.1)
-    assert g.timesteps.tolist() == [1.0, 0.1]
+    assert g.lambdas.tolist() == [float(vp.lambda_of_t(1.0)), float(vp.lambda_of_t(0.1))]
+    assert np.allclose(vp.t_of_lambda(g.lambdas), [1.0, 0.1], rtol=1e-12, atol=0.0)
 
 
 def test_make_time_grid_edm_geometric_mean(edm):
     g = make_time_grid(edm, 2, UNIFORM_LAMBDA, 80.0, 0.002)
-    assert g.timesteps[1] == pytest.approx(np.sqrt(80.0 * 0.002), rel=1e-12)
+    assert edm.t_of_lambda(g.lambdas)[1] == pytest.approx(np.sqrt(80.0 * 0.002), rel=1e-12)
 
 
 def test_make_time_grid_uniform_t(vp):
     g = make_time_grid(vp, 4, UNIFORM_T, 1.0, 0.2)
-    assert np.allclose(g.timesteps, [1.0, 0.8, 0.6, 0.4, 0.2])
+    assert np.allclose(vp.t_of_lambda(g.lambdas), [1.0, 0.8, 0.6, 0.4, 0.2])
 
 
 def test_uniform_lambda_spacing(vp):
@@ -100,7 +102,21 @@ def test_uniform_lambda_spacing(vp):
     diffs = np.diff(g.lambdas)
     assert np.max(np.abs(diffs - diffs[0])) < 1e-12
     assert np.all(diffs > 0)
-    assert g.timesteps[0] == 1.0 and g.timesteps[-1] == 1e-3
+    assert g.lambdas[0] == vp.lambda_of_t(1.0) and g.lambdas[-1] == vp.lambda_of_t(1e-3)
+
+
+def test_time_grid_holds_read_only_increasing_lambdas():
+    assert [f.name for f in dataclasses.fields(TimeGrid)] == ["lambdas"]
+    lambdas = np.array([-1.0, 0.0, 2.0])
+    g = TimeGrid(lambdas)
+    lambdas[0] = 5.0  # the grid holds its own copy
+    assert g.lambdas.tolist() == [-1.0, 0.0, 2.0] and g.num_steps == 2
+    with pytest.raises(ValueError, match="read-only"):
+        g.lambdas[0] = 0.0
+    reversed_, repeated = [2.0, 0.0, -1.0], [0.0, 0.0, 1.0]
+    for bad in (reversed_, repeated, [0.0, np.nan], [-np.inf, 0.0], [1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="lambdas must be"):
+            TimeGrid(np.array(bad))
 
 
 def test_make_time_grid_errors(vp):

@@ -640,6 +640,8 @@ def test_solver_config_validation(vp):
     for order in (3.0, 2.5, "2"):
         with pytest.raises(ValueError, match="order must be an integer"):
             SolverConfig(order=order, grid=grid)
+    with pytest.raises(ValueError, match="grid must be a TimeGrid"):
+        SolverConfig(order=2, grid=grid.lambdas)
     assert SolverConfig(order=np.int64(2), grid=grid).order == 2
 
 
