@@ -56,7 +56,7 @@ class EmsConfig:
     def __post_init__(self):
         for name in ("num_timesteps", "num_datapoints", "probes_per_point", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_timesteps < 1:
             raise ValueError("num_timesteps must be >= 1")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import DOP853
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .schedule import Schedule
 
 
@@ -571,7 +571,8 @@ def reference_solve(
     and on the point mass's closed-form trajectory.
 
     Raises ValueError for a non-finite or non-positive ``tol``, a non-finite
-    or decreasing span, or a non-finite ``x_start``.  Raises
+    or decreasing span, or a non-finite ``x_start``, and DomainError (a
+    ValueError) for a span outside the schedule's lambda domain.  Raises
     ConvergenceError when a row's step falls below ten spacings of the
     floats at its lambda, when a row attempts more than
     ``REFERENCE_MAX_STEPS`` steps, or when a state or right-hand side turns
@@ -583,6 +584,12 @@ def reference_solve(
         raise ValueError("tol must be positive")
     if lam_end < lam_start:
         raise ValueError(f"need lam_end >= lam_start, got {lam_end} < {lam_start}")
+    dom_lo, dom_hi = sched.lam_domain
+    if lam_start < dom_lo or lam_end > dom_hi:
+        raise DomainError(
+            f"span [{lam_start}, {lam_end}] outside the schedule's lambda domain "
+            f"[{dom_lo}, {dom_hi}]"
+        )
     x_start = np.asarray(x_start, dtype=float)
     if x_start.ndim == 0:
         raise ValueError("x_start must have shape (..., D), got a 0-d array")

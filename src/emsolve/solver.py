@@ -9,7 +9,8 @@ k-th derivative ("pseudo" order, more stable at very few steps).  Both
 estimates are linear in the g values, with scalar weights that depend only
 on the step's lambda offsets, so they are computed in closed form when the
 :class:`SamplerPlan` is built and folded with the E^k weights into one
-``(D,)`` vector per g value: a step makes no linear solve.
+``(D,)`` vector per g value: a step makes no linear solve.  The plan builds
+them per group of steps with the same node count and pseudo flag.
 
 g's zero point is the anchor, but moving it scales and offsets g by the same
 ``(D,)`` vectors at every position, and a step's weights sum to E^0.  So the
@@ -18,8 +19,10 @@ each step's re-anchoring into its weights and bias, and one loop forms each
 position's g once, against the run's first grid point.  The multistep
 corrector reuses the step's model evaluation (no extra NFE).  States may be
 ``(D,)`` or ``(B, D)``: rows never mix, so a batch gives the same bits as its
-rows run one at a time.  A plan reads its schedule from the table; its runs
-are sequential, can share the tables, and record a trace only when given a list.
+rows run one at a time; the loop runs coordinate-major, so the long batch
+axis is every numpy call's inner loop.  A plan reads its schedule from the
+table; its runs are sequential, can share the tables, and record a trace
+only when given a list.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 
 from .ems import EmsTable
 from .errors import DomainError
-from .integrals import IntegralTable, Transition, g_map, transition_coefficients
+from .integrals import IntegralTable, g_map, transition_coefficients
 from .models import ModelSpec
 from .schedule import Schedule, TimeGrid, read_only
 
@@ -66,7 +69,7 @@ class SolverConfig:
     pseudo_corrector: bool = False
 
     def __post_init__(self):
-        integral = isinstance(self.order, numbers.Integral)
+        integral = isinstance(self.order, numbers.Integral) and not isinstance(self.order, bool)
         if not (integral and 1 <= self.order <= _MAX_PREDICTOR_ORDER):
             raise ValueError(
                 f"order must be an integer in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order!r}); "
@@ -82,148 +85,137 @@ class SolverConfig:
             raise ValueError("pseudo_corrector requires a corrector strategy")
 
 
-def _check_deltas(deltas) -> list:
-    """The offsets as floats; raises ValueError unless 1..3 finite, nonzero and distinct."""
-    deltas = [float(d) for d in deltas]
-    n = len(deltas)
-    if n < 1 or n > _MAX_PREDICTOR_ORDER:
-        raise ValueError(f"need 1..{_MAX_PREDICTOR_ORDER} offsets, got {n}")
-    if not all(map(math.isfinite, deltas)):
-        raise ValueError(f"lambda offsets must be finite, got {deltas}")
-    if 0.0 in deltas or len(set(deltas)) != n:
-        raise ValueError(f"lambda offsets must be nonzero and distinct, got {deltas}")
-    return deltas
+def _taylor_rows(offsets, pseudo: bool) -> np.ndarray:
+    """Scalar weights ``w[s, p, k]``: step s estimates g^(k)/k! as ``sum_p w[s, p, k] g_p``.
 
-
-def taylor_rows(deltas, pseudo: bool) -> list:
-    """Scalar weights ``w[p][k]`` with g^(k)/k! estimated as ``sum_p w[p][k] g_p``.
-
-    The nodes are the anchor's offset 0 and then ``deltas``, and ``g_p`` is
-    the g value at node p.  Full order gives the coefficients of each node's
-    Lagrange basis polynomial: the exact solution of the polynomial-matching
-    (Vandermonde) system.  Pseudo order gives the divided-difference weights
-    ``1 / prod_{q <= k, q != p} (x_p - x_q)`` for p <= k (zero above): the
-    k-th derivative uses only the nearest k+1 values.  No offsets gives
-    ``[[1.0]]``; offsets must be 1..3 finite, nonzero and distinct.
+    ``offsets`` is ``(S, n)``: step s's nodes are the anchor's offset 0 and
+    then row s, and ``g_p`` is the g value at node p.  Full order gives the
+    coefficients of each node's Lagrange basis polynomial: the exact
+    solution of the polynomial-matching (Vandermonde) system.  Pseudo order
+    gives the divided-difference weights ``1 / prod_{q <= k, q != p} (x_p -
+    x_q)`` for p <= k (zero above): the k-th derivative uses only the
+    nearest k+1 values.  No offsets (n = 0) gives ``[[1.0]]`` per step;
+    otherwise each row must hold 1..3 finite, nonzero and distinct offsets.
+    Each entry takes the IEEE operations of the one-node-at-a-time
+    recurrence in its order, so it has that recurrence's bits.
     """
-    nodes = [0.0] + (_check_deltas(deltas) if len(deltas) else [])
-    n = len(nodes)
-    rows = []
-    for p, x_p in enumerate(nodes):
-        denom = 1.0
-        if pseudo:
-            row = [0.0] * n
-            for k, x_k in enumerate(nodes):
-                if k != p:
-                    denom *= x_p - x_k
-                if k >= p:
-                    row[k] = 1.0 / denom
-        else:
-            row = [1.0]  # prod_{q != p} (x - x_q), increasing powers
-            for x_q in nodes:
-                if x_q != x_p:
-                    row.insert(0, 0.0)
-                    for i in range(len(row) - 1):
-                        row[i] -= x_q * row[i + 1]
-                    denom *= x_p - x_q
-            row = [c / denom for c in row]
-        rows.append(row)
-    return rows
+    offsets = np.asarray(offsets, dtype=float)
+    if not 0 <= offsets.shape[1] <= _MAX_PREDICTOR_ORDER:
+        raise ValueError(f"need 1..{_MAX_PREDICTOR_ORDER} offsets, got {offsets.shape[1]}")
+    finite = np.isfinite(offsets).all(axis=1)
+    if not finite.all():
+        got = offsets[np.argmin(finite)].tolist()
+        raise ValueError(f"lambda offsets must be finite, got {got}")
+    nodes = np.concatenate([np.zeros((len(offsets), 1)), offsets], axis=1)
+    m = nodes.shape[1]
+    # gaps[s, p, q] = x_p - x_q, and 1.0 for q = p: a product over q skips p exactly
+    gaps = nodes[:, :, None] - nodes[:, None, :] + np.eye(m)
+    apart = gaps.all(axis=(1, 2))
+    if not apart.all():
+        got = offsets[np.argmin(apart)].tolist()
+        raise ValueError(f"lambda offsets must be nonzero and distinct, got {got}")
+    denoms = np.cumprod(gaps, axis=2)  # prod_{q <= k, q != p} (x_p - x_q), in node order
+    if pseudo:
+        return np.triu(1.0 / denoms)
+    # node p's numerator prod_{q != p} (x - x_q), increasing powers, right-aligned in
+    # ``poly`` as it grows by one power per node q; each pass reads the last pass's values
+    j = np.arange(m - 1)
+    x_q = nodes[:, j + (j >= np.arange(m)[:, None])]  # x_q[s, p, j]: the j-th node other than p
+    poly = np.zeros_like(gaps)
+    poly[..., -1] = 1.0
+    for k in range(m - 1):
+        lo = m - 2 - k
+        poly[..., lo:-1] -= x_q[..., k, None] * poly[..., lo + 1 :]
+    return poly / denoms[..., -1:]
 
 
-def _taylor_weights(coeffs: Transition, deltas, pseudo: bool) -> np.ndarray:
-    """Anchor-first ``(n + 1, D)`` weights ``V_p = sum_k k! w[p][k] E^k`` of the g values read."""
-    rows = taylor_rows(deltas, pseudo)
-    n = len(rows)
-    return np.array(rows) @ (np.array(coeffs.E[:n]) * _FACTORIALS[:n, None])
+def _update(scale, x_s, alpha_s, int_EB, weights, g, reads):
+    """The Taylor-expanded update: x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p).
 
-
-def _update(coeffs: Transition, x_s, weights, gs):
-    """The Taylor-expanded update: x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p)."""
-    total = weights[0] * gs[0]
-    for v, g in zip(weights[1:], gs[1:]):
-        total += v * g
-    return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
-
-
-@dataclass(frozen=True, eq=False)
-class _Step:
-    """One planned transition; positions index the plan's ``idx``.
-
-    ``history`` and ``corrector`` are nearest-first positions whose g values
-    feed the predictor and (after the target's own value) the corrector;
-    ``corrector`` is None when the step is not corrected.  ``weights`` are
-    the predictor's Taylor weights for the g values at ``(anchor,) +
-    history``, ``corrector_weights`` the corrector's for ``(anchor, target) +
-    corrector``.  Both act on g against the run's first grid point:
-    they and ``coeffs.int_EB`` hold the step's re-anchoring.
+    ``scale`` is alpha_t A; each (position, row) of ``reads`` adds ``weights[row] * g[position]``.
     """
-
-    anchor: int
-    target: int
-    history: tuple
-    corrector: tuple | None
-    coeffs: Transition
-    weights: np.ndarray
-    corrector_weights: np.ndarray | None
+    (p, row), *rest = reads
+    total = weights[row] * g[p]
+    for p, row in rest:
+        total += weights[row] * g[p]
+    return scale * (np.divide(x_s, alpha_s, order="C") - int_EB - total)
 
 
 @dataclass(frozen=True, eq=False)
 class SamplerPlan:
-    """One sampler run's coefficients, from :func:`plan_multistep` or :func:`plan_singlestep`."""
+    """One sampler run's coefficients, from :func:`plan_multistep` or :func:`plan_singlestep`.
+
+    Its arrays are read-only and stacked: per position, per step, and every
+    step's Taylor weights, folded with its E^k and re-anchoring, as rows of
+    one unpadded array.  A step reads g values as (position, weight row)
+    pairs: the anchor's first, then nearest first.
+    """
 
     tab: IntegralTable
     idx: tuple  # the run's positions, as indices of ``tab``
-    lams: np.ndarray  # their lambdas, times and sigmas, read-only
+    lams: np.ndarray  # their lambdas, times and sigmas
     ts: np.ndarray
     sigmas: np.ndarray
-    maps: tuple  # their g-maps against the first position
-    steps: tuple
+    maps: tuple  # their g-maps (a, b, c) against the first position, (P, D) each
+    targets: tuple  # each step's target position
+    reads: tuple  # each step's predictor reads
+    corrector_reads: tuple  # its corrector's, anchor and target first; None if not corrected
+    scale: np.ndarray  # (S, D) alpha_t A
+    alpha_s: np.ndarray  # (S,)
+    int_EB: np.ndarray  # (S, D), with the step's re-anchoring
+    weights: np.ndarray  # (R, D)
 
     def run(self, model: ModelSpec, x_init, trace: list | None = None):
         """Run from ``x_init``, ``(D,)`` or ``(B, D)``; returns the final state.
 
         One model call on the initial state and one per step but the last,
-        each followed by its position's g.  Raises ValueError unless D is the
-        table's.  Appends one row per step to a ``trace`` list: the target's
-        ``t`` and ``lambda``, its state ``x`` and noise prediction ``eps`` as
-        float64 arrays of the state's shape (the row's own copies; ``eps`` is
-        None on the last row), and ``eps_norm`` and ``g_norm``, 2-norms over
-        the whole state, batch included (g is against the first position).
+        each followed by its position's g.  A ``(B, D)`` state and its g
+        values are held as ``(D, B)`` arrays against ``(D, 1)`` weight
+        columns, reading the caller's state and each eps through their
+        transposes; the final state is transposed back on exit.  Raises
+        ValueError unless D is the table's.  Appends one row per step to a
+        ``trace`` list: the target's ``t`` and ``lambda``, its state ``x`` and
+        noise prediction ``eps`` as C-ordered float64 arrays of the state's
+        shape (the row's own copies; ``eps`` is None on the last row), and
+        ``eps_norm`` and ``g_norm``, each row's 2-norm (g against the first
+        position): a float for a ``(D,)`` state, else an array of its leading
+        shape whose entries have the bits of each row's own run.
         """
-        # reads never start earlier, anchors stay or move to the target: keep the next step's reads
-        ems, idx, lams, maps = self.tab.ems, self.idx, self.lams, self.maps
+        ems, lams, sigmas, last = self.tab.ems, self.lams, self.sigmas, len(self.targets) - 1
         x = np.asarray(x_init, dtype=float)
         if x.shape[-1:] != (ems.dim,):
             raise ValueError(f"state of shape {x.shape} for a table of dimension {ems.dim}")
         if not np.all(np.isfinite(x)):
             raise DomainError("initial sampler state has non-finite entries")
-        x_s = x
-        g = {0: _g_value(maps[0], x, model.eps(ems.schedule, x, lams[0]))}
-        for i, step in enumerate(self.steps):
-            a_pos, t_pos = step.anchor, step.target
-            x = _update(step.coeffs, x_s, step.weights, [g[p] for p in (a_pos,) + step.history])
-            if i == len(self.steps) - 1:
-                if trace is not None:
-                    trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, None, None))
+        # (D, 1) weight columns against (D, B) arrays, or the (D,) rows against a (D,) state
+        col = (Ellipsis,) + (None,) * (x.ndim - 1)
+        stacked = (*self.maps, self.scale, self.int_EB, self.weights, ems.l)
+        a, b, c, scale, int_EB, weights, l = (arr[col] for arr in stacked)
+        x = x_s = x.T  # the caller's array, read through its transpose by the first reads
+        g = {0: _g_value(a[0], b[0], c[0], x, model.eps(ems.schedule, x.T, lams[0]).T)}
+        # reads never start earlier, anchors stay or move to the target: keep the next step's reads
+        for i, t_pos in enumerate(self.targets):
+            step = scale[i], x_s, self.alpha_s[i], int_EB[i], weights, g
+            x = _update(*step, self.reads[i])
+            if i == last:
                 break
-
-            eps = model.eps(ems.schedule, x, lams[t_pos])
-            g[t_pos] = _g_value(maps[t_pos], x, eps)
-            if step.corrector is not None:
-                gs = [g[p] for p in (a_pos, t_pos) + step.corrector]
-                x_corr = _update(step.coeffs, x_s, step.corrector_weights, gs)
+            eps = model.eps(ems.schedule, x.T, lams[t_pos]).T
+            g[t_pos] = _g_value(a[t_pos], b[t_pos], c[t_pos], x, eps)
+            if self.corrector_reads[i] is not None:
+                x_corr = _update(*step, self.corrector_reads[i])
                 if trace is not None:
                     # the trace's noise prediction for the corrected state, which keeps
                     # the target's g value: a*dx + b*(l/sigma)*dx = 0 by construction
-                    eps = eps + ems.l[idx[t_pos]] * (x_corr - x) / self.sigmas[t_pos]
+                    eps = eps + l[self.idx[t_pos]] * (x_corr - x) / sigmas[t_pos]
                 x = x_corr
             if trace is not None:
                 trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, eps, g[t_pos]))
-            nxt = self.steps[i + 1]
-            x_s = x if nxt.anchor == t_pos else x_s
-            g = {p: g[p] for p in (nxt.anchor,) + nxt.history + (nxt.corrector or ())}
-
+            reads = self.reads[i + 1] + (self.corrector_reads[i + 1] or ())
+            x_s = x if reads[0][0] == t_pos else x_s
+            g = {p: g[p] for p, _ in reads if p != self.targets[i + 1]}
+        if trace is not None:
+            trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, None, None))
+        x = np.ascontiguousarray(x.T)
         if not np.all(np.isfinite(x)):
             raise DomainError("sampler state became non-finite")
         return x
@@ -234,41 +226,59 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
 
     A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
     are ``ts``.  Every g-map comes from one :func:`g_map` call and every step's coefficients
-    from one :func:`transition_coefficients` call.  Raises DomainError when a map, weight or
-    bias is non-finite: the re-anchoring scale exp(S_anchor - S_first) spans the whole run.
+    from one :func:`transition_coefficients` call.  The Taylor weights are built per group of
+    sums that share a node count and pseudo flag: one :func:`_taylor_rows` call and one
+    stacked ``np.matmul`` with the k! E^k, which gives each step the bits of its own 2-D
+    product.  Raises DomainError when a map, weight or bias is non-finite: the re-anchoring
+    scale exp(S_anchor - S_first) spans the whole run.
     """
     idx, sched = np.asarray(idx), tab.ems.schedule
     lams = read_only(tab.lambda_grid[idx])
     ts = read_only(sched.t_of_lambda(lams))
     planned = list(transitions(ts))
+    # a Taylor sum's weights are consecutive rows, read as (position, row) pairs, anchor
+    # first; sums are grouped by node count and pseudo flag, as their first rows
+    groups, row_steps, read_at = {}, [], []
+
+    def taylor_sum(i, positions, pseudo):
+        start = len(row_steps)
+        groups.setdefault((len(positions), pseudo), []).append(start)
+        row_steps.extend([i] * len(positions))
+        read_at.extend(positions)
+        return tuple(zip(positions, range(start, len(row_steps))))
+
+    reads, corrector_reads = [], []
+    for i, (anchor, target, history, corrector) in enumerate(planned):
+        reads.append(taylor_sum(i, (anchor,) + history, pseudo_predictor))
+        if corrector is not None:  # the corrector also reads the target's own g value
+            corrector = taylor_sum(i, (anchor, target) + corrector, pseudo_corrector)
+        corrector_reads.append(corrector)
     anchors = np.array([anchor for anchor, *_ in planned])
-    # the corrector also reads the target's own g value, so it needs one more E^k
-    ns = [len(h) if c is None else max(len(h), len(c) + 1) for *_, h, c in planned]
+    targets = tuple(target for _, target, *_ in planned)
+    row_steps = np.array(row_steps)
+    offsets = lams[read_at] - lams[anchors[row_steps]]  # each row's lambda against its anchor
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a, b, c = g_map(tab, idx[0], idx)
-        targets = idx[[target for _, target, *_ in planned]]
-        coeffs = transition_coefficients(tab, idx[anchors], targets, max(ns))
+        n_max = max(size for size, _ in groups) - 1
+        coeffs = transition_coefficients(tab, idx[anchors], idx[list(targets)], n_max)
         # against itself the anchor's map has b = exp(-lambda) and c = 0
         scales = np.exp(-lams[anchors])[:, None] / b[anchors]
         int_EB = coeffs.int_EB - scales * c[anchors] * coeffs.E[0]
-        lam, steps = lams.tolist(), []
-        for i, (anchor, target, history, corrector) in enumerate(planned):
-            E = tuple(e[i] for e in coeffs.E[: ns[i] + 1])
-            step = Transition(coeffs.alpha_s[i], coeffs.alpha_t[i], coeffs.A[i], int_EB[i], E)
-            deltas = [lam[p] - lam[anchor] for p in history]
-            weights = scales[i] * _taylor_weights(step, deltas, pseudo_predictor)
-            corrector_weights = None
-            if corrector is not None:
-                deltas = [lam[p] - lam[anchor] for p in (target,) + corrector]
-                corrector_weights = scales[i] * _taylor_weights(step, deltas, pseudo_corrector)
-            steps.append(_Step(anchor, target, history, corrector, step, weights, corrector_weights))
-    finite = [np.isfinite(v).all() for v in (a, b, c, int_EB)]
-    finite.append(np.isfinite(np.concatenate([s.weights for s in steps])).all())
-    if not all(finite):
+        moments = np.stack(coeffs.E, axis=1) * _FACTORIALS[: n_max + 1, None]  # (S, n + 1, D)
+        folded = np.empty((len(row_steps), tab.ems.dim))
+        for (size, pseudo), starts in groups.items():
+            rows = np.array(starts)[:, None] + np.arange(size)
+            taylor = _taylor_rows(offsets[rows[:, 1:]], pseudo)
+            folded[rows] = np.matmul(taylor, moments[row_steps[starts], :size])
+        weights = scales[row_steps] * folded
+    if not all(np.isfinite(v).all() for v in (a, b, c, int_EB, weights)):
         raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
-    sigmas = read_only(sched.sigma_lambda(lams))
-    maps = tuple(zip(a, b, c))
-    return SamplerPlan(tab, tuple(idx.tolist()), lams, ts, sigmas, maps, tuple(steps))
+    maps, sigmas = tuple(map(read_only, (a, b, c))), read_only(sched.sigma_lambda(lams))
+    stacked = (coeffs.alpha_t[:, None] * coeffs.A, coeffs.alpha_s, int_EB, weights)
+    return SamplerPlan(
+        tab, tuple(idx.tolist()), lams, ts, sigmas, maps, targets, tuple(reads),
+        tuple(corrector_reads), *map(read_only, stacked),
+    )
 
 
 def _grid_indices(table: EmsTable, grid: TimeGrid) -> np.ndarray:
@@ -343,24 +353,39 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     j_s, x_s, g_s = anchor
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
-    (step,) = _plan(tab, idx, lambda ts: [(0, 1, history, None)]).steps
-    return _update(step.coeffs, x_s, step.weights, [g_s] + [g for _, g in extras])
+    plan = _plan(tab, idx, lambda ts: [(0, 1, history, None)])
+    g = dict(zip((0,) + history, [g_s] + [g for _, g in extras]))
+    step = plan.scale[0], x_s, plan.alpha_s[0], plan.int_EB[0], plan.weights, g
+    return _update(*step, plan.reads[0])
 
 
-def _g_value(abc, x, eps):
-    a, b, c = abc
-    return a * x + b * eps + c
+def _g_value(a, b, c, x, eps):
+    """g = a x + b eps + c, C-ordered whatever the memory order of ``x`` and ``eps``."""
+    return np.multiply(a, x, order="C") + np.multiply(b, eps, order="C") + c
 
 
 def _trace_row(t, lam, x, eps, g):
+    """A trace row from the loop's coordinate-major arrays, copied back to the state's layout."""
+    x, eps, g = (None if v is None else np.array(v.T, order="C") for v in (x, eps, g))
     return {
         "t": float(t),
         "lambda": float(lam),
-        "x": np.array(x, dtype=np.float64),
-        "eps": None if eps is None else np.array(eps, dtype=np.float64),
-        "eps_norm": None if eps is None else float(np.linalg.norm(eps)),
-        "g_norm": None if g is None else float(np.linalg.norm(g)),
+        "x": x,
+        "eps": eps,
+        "eps_norm": _row_norms(eps),
+        "g_norm": _row_norms(g),
     }
+
+
+def _row_norms(rows):
+    """Each row's sqrt(row . row), a float for one row, as ``np.linalg.norm`` takes a 1-D array's.
+
+    Stacked ``np.matmul`` forms each C-contiguous row's dot product as ``np.dot`` does.
+    """
+    if rows is None:
+        return None
+    norms = np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
+    return float(norms) if rows.ndim == 1 else norms
 
 
 def _check_schedule(sched: Schedule, tab: IntegralTable):

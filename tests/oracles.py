@@ -11,7 +11,10 @@ derivatives from separate calls, part by part for a guided model (against
 rounding), a mixture's eps, d_eps and J v in row-major arithmetic
 (against the library's coordinate-major arithmetic, bit for bit), the
 local update straight from its transition's coefficients and Taylor
-weights (against ``lupdate``'s one-step plan, bit for bit), and the
+weights (against ``lupdate``'s one-step plan, bit for bit), one step's
+Taylor weights as Python lists (against the plan's weights, built per
+group of steps, bit for bit), a whole sampler run planned step by step and run
+row-major (against the plan's coordinate-major loop, bit for bit), and the
 probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
 (against the lockstep reference integrator).  ``reference_states`` is a
 helper, not an oracle: it chains reference segments to give the states at
@@ -29,7 +32,6 @@ from emsolve.ems import EmsTable
 from emsolve.models import Guided, reference_solve
 from emsolve.schedule import Schedule
 from emsolve.integrals import Transition
-from emsolve.solver import taylor_rows
 
 # -- model evaluation ------------------------------------------------------------
 
@@ -283,6 +285,41 @@ def estimate_derivatives_pseudo(deltas, g_values):
     return out
 
 
+def taylor_rows(deltas, pseudo: bool) -> list:
+    """Scalar weights ``w[p][k]`` with g^(k)/k! estimated as ``sum_p w[p][k] g_p``, as lists.
+
+    One step's weights, one node at a time, in Python floats.  The nodes
+    are the anchor's offset 0 and then ``deltas``, and ``g_p`` is the g
+    value at node p.  Full order multiplies out each node's Lagrange basis
+    polynomial; pseudo order takes the divided-difference weights ``1 /
+    prod_{q <= k, q != p} (x_p - x_q)`` for p <= k (zero above).  No offsets
+    gives ``[[1.0]]``; offsets must be 1..3 finite, nonzero and distinct.
+    """
+    nodes = [0.0] + (_check_deltas(deltas) if len(deltas) else [])
+    n = len(nodes)
+    rows = []
+    for p, x_p in enumerate(nodes):
+        denom = 1.0
+        if pseudo:
+            row = [0.0] * n
+            for k, x_k in enumerate(nodes):
+                if k != p:
+                    denom *= x_p - x_k
+                if k >= p:
+                    row[k] = 1.0 / denom
+        else:
+            row = [1.0]  # prod_{q != p} (x - x_q), increasing powers
+            for x_q in nodes:
+                if x_q != x_p:
+                    row.insert(0, 0.0)
+                    for i in range(len(row) - 1):
+                        row[i] -= x_q * row[i + 1]
+                    denom *= x_p - x_q
+            row = [c / denom for c in row]
+        rows.append(row)
+    return rows
+
+
 def explicit_vandermonde_solution(deltas, g_diffs):
     """Closed-form top coefficient g^(n)/n!, read off the library's full-order rows' last column."""
     rows = taylor_rows(deltas, False)
@@ -393,6 +430,64 @@ def direct_lupdate(tab, anchor: tuple, extras: list, j_t: int):
     for v, g in zip(weights[1:], gs[1:]):
         total += v * g
     return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
+
+
+def rowmajor_run(plan, cfg, model, x_init):
+    """``plan.run(model, x_init)``'s final state, by the row-major loop and per-step planning.
+
+    The sampler as it ran before its plans were stacked and its loop went
+    coordinate-major: each step's coefficients from the per-pair oracles,
+    its Taylor weights from :func:`taylor_rows` folded by one 2-D product,
+    and states and g values ``(..., D)`` throughout, each update's sum added
+    left to right.  Only the plan's positions are read, and the pseudo
+    flags from ``cfg``.
+    """
+    tab, idx = plan.tab, plan.idx
+    sched = tab.ems.schedule
+    lams = tab.lambda_grid[list(idx)]
+    maps = [pair_g_map(tab, idx[0], j) for j in idx]
+
+    def g_value(p, x, eps):
+        a, b, c = maps[p]
+        return a * x + b * eps + c
+
+    def step(anchor, target, sums):
+        """The step's coefficients, with re-anchored int_EB, and each sum's weights."""
+        n = max(len(reads) for reads, _ in sums) - 1
+        coeffs = pair_transition_coefficients(tab, idx[anchor], idx[target], n)
+        scale = np.exp(-lams[anchor]) / maps[anchor][1]  # g against the anchor, from g against j0
+        int_EB = coeffs.int_EB - scale * maps[anchor][2] * coeffs.E[0]
+        weights = []
+        for reads, pseudo in sums:
+            rows = taylor_rows([lams[p] - lams[anchor] for p in reads[1:]], pseudo)
+            factorials = np.array([math.factorial(k) for k in range(len(rows))], dtype=float)
+            moments = np.array(coeffs.E[: len(rows)]) * factorials[:, None]
+            weights.append(scale * (np.array(rows) @ moments))
+        return coeffs, int_EB, weights
+
+    def update(coeffs, int_EB, x_s, weights, gs):
+        total = weights[0] * gs[0]
+        for v, g in zip(weights[1:], gs[1:]):
+            total += v * g
+        return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - int_EB - total)
+
+    x = x_s = np.asarray(x_init, dtype=float)
+    g = {0: g_value(0, x, model.eps(sched, x, lams[0]))}
+    for i, target in enumerate(plan.targets):
+        reads = [p for p, _ in plan.reads[i]]
+        corrector = plan.corrector_reads[i]
+        sums = [(reads, cfg.pseudo_predictor)]
+        if corrector is not None:
+            sums.append(([p for p, _ in corrector], cfg.pseudo_corrector))
+        coeffs, int_EB, weights = step(reads[0], target, sums)
+        x = update(coeffs, int_EB, x_s, weights[0], [g[p] for p in reads])
+        if i == len(plan.targets) - 1:
+            break
+        g[target] = g_value(target, x, model.eps(sched, x, lams[target]))
+        if corrector is not None:
+            x = update(coeffs, int_EB, x_s, weights[1], [g[p] for p in sums[1][0]])
+        x_s = x if plan.reads[i + 1][0][0] == target else x_s
+    return x
 
 
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):

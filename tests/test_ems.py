@@ -758,6 +758,7 @@ def test_ems_config_validation():
         ("num_datapoints", 8.0),
         ("probes_per_point", 1.5),
         ("seed", 3.0),
+        *((name, flag) for name in good for flag in (True, False, np.bool_(True))),
     ):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EmsConfig(lam_range=(-1.0, 1.0), **{**good, name: bad})

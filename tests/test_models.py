@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from emsolve import (
     ConvergenceError,
+    DomainError,
     EmsConfig,
     EvalCounter,
     GaussianMixture,
@@ -803,6 +804,25 @@ def test_reference_argument_errors(vp, pg4):
         reference_solve(pg4, vp, np.zeros(4), 1.0, 0.0)
     with pytest.raises(ValueError):
         reference_solve(pg4, vp, np.zeros(4), 0.0, 1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["vp-linear", "edm"])
+def test_reference_rejects_a_span_outside_the_schedule(kind, mix4):
+    # vp-linear's domain is about [-5.02, inf) and edm's [-4.38, 6.21]; a span 50 below
+    # its lower end used to be integrated as if the schedule extended there
+    sched = Schedule(kind)
+    lo, hi = sched.lam_domain
+    x = np.zeros((2, 4))
+    for span in ((lo - 50.0, min(hi, lo + 1.0)), (np.nextafter(lo, -np.inf), lo + 1.0)):
+        with pytest.raises(DomainError, match="outside the schedule's lambda domain"):
+            reference_solve(mix4, sched, x, *span)
+    if np.isfinite(hi):
+        with pytest.raises(DomainError, match="outside the schedule's lambda domain"):
+            reference_solve(mix4, sched, x, hi - 1.0, hi + 0.1)
+    # the domain's own ends are inside it
+    end = min(hi, lo + 0.5)
+    assert np.all(np.isfinite(reference_solve(mix4, sched, x, lo, end)))
+    assert np.all(np.isfinite(reference_solve(mix4, sched, x, end - 0.5, end)))
 
 
 @pytest.mark.parametrize(

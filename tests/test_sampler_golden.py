@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import sampler_golden as golden
+from oracles import taylor_rows
 from emsolve import load_table, make_time_grid
 from emsolve.schedule import UNIFORM_LAMBDA
-from emsolve.solver import taylor_rows
 
 TOLERANCE = 1e-12
 # the estimation half of the contract: each field within this share of its largest entry
@@ -79,7 +79,7 @@ def longdouble_multistep(ems, order, pseudo, nfe, x0):
     Every g value is formed against the step's own anchor, as in the
     definition; the integrals, coefficients and update run in long double
     from the table's float64 fields, with the Taylor rows of
-    :func:`taylor_rows`.  Only the model is called in float64.
+    the oracles' :func:`taylor_rows`.  Only the model is called in float64.
     """
     ld = np.longdouble
     lam_grid = ems.lambda_grid.astype(ld)

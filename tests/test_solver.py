@@ -28,9 +28,9 @@ from emsolve import (
 )
 import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
-from emsolve.integrals import Transition, g_map
+from emsolve.integrals import g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
-from emsolve.solver import _taylor_weights, taylor_rows
+from emsolve.solver import _taylor_rows
 
 import sampler_golden
 from oracles import (
@@ -39,6 +39,8 @@ from oracles import (
     estimate_derivatives,
     estimate_derivatives_pseudo,
     explicit_vandermonde_solution,
+    rowmajor_run,
+    taylor_rows,
 )
 from test_models import closed_form_trajectory
 
@@ -172,7 +174,7 @@ def test_non_finite_offsets_raise(bad, position):
         estimate_derivatives_pseudo(deltas, [np.zeros(2), np.ones(2), np.ones(2)])
     for pseudo in (False, True):
         with pytest.raises(ValueError, match="finite"):
-            taylor_rows(deltas, pseudo)
+            _taylor_rows(np.array([deltas]), pseudo)
     with pytest.raises(ValueError, match="finite"):
         estimate_derivatives([bad], [np.ones(2)])
     with pytest.raises(ValueError, match="finite"):
@@ -180,11 +182,14 @@ def test_non_finite_offsets_raise(bad, position):
 
 
 def test_taylor_rows_by_hand():
+    def rows(deltas, pseudo):
+        return _taylor_rows(np.array([deltas], dtype=float).reshape(1, -1), pseudo)[0].tolist()
+
     # nodes (0, -1, 1): Lagrange bases 1 - x^2, (x^2 - x)/2, (x^2 + x)/2
-    assert taylor_rows([-1.0, 1.0], False) == [[1.0, 0.0, -1.0], [0.0, -0.5, 0.5], [0.0, 0.5, 0.5]]
+    assert rows([-1.0, 1.0], False) == [[1.0, 0.0, -1.0], [0.0, -0.5, 0.5], [0.0, 0.5, 0.5]]
     # divided differences: f[x0, x1] = g0 - g1, f[x0, x1, x2] = -g0 + g1/2 + g2/2
-    assert taylor_rows([-1.0, 1.0], True) == [[1.0, 1.0, -1.0], [0.0, -1.0, 0.5], [0.0, 0.0, 0.5]]
-    assert taylor_rows([], False) == taylor_rows([], True) == [[1.0]]
+    assert rows([-1.0, 1.0], True) == [[1.0, 1.0, -1.0], [0.0, -1.0, 0.5], [0.0, 0.0, 0.5]]
+    assert rows([], False) == rows([], True) == [[1.0]]
 
 
 @pytest.mark.parametrize("pseudo", [False, True])
@@ -201,6 +206,10 @@ def test_taylor_rows_by_hand():
     ],
 )
 def test_taylor_rows_rejects_bad_offsets(deltas, message, pseudo):
+    good = [-0.7, -0.8, -0.9, -1.0][: len(deltas)]
+    for offsets in ([deltas], [good, deltas]):  # alone, and as a later step's row
+        with pytest.raises(ValueError, match=message):
+            _taylor_rows(np.array(offsets), pseudo)
     with pytest.raises(ValueError, match=message):
         taylor_rows(deltas, pseudo)
 
@@ -222,14 +231,38 @@ def _taylor_cases(draw):
 def test_plan_weights_equal_estimators_then_taylor_sum(case):
     """The plan's weights on g values give the estimators' Taylor sum, to 1e-12 of its max."""
     deltas, gs, E, pseudo = case
-    coeffs = Transition(1.0, 1.0, np.ones(3), np.zeros(3), tuple(E))
-    got = sum(v * g for v, g in zip(_taylor_weights(coeffs, deltas, pseudo), gs))
+    factorials = np.array([math.factorial(k) for k in range(len(E))], dtype=float)
+    # the plan's fold of a step's rows with its k! E^k
+    weights = np.matmul(_taylor_rows(np.array([deltas]), pseudo), E * factorials[:, None])[0]
+    got = sum(v * g for v, g in zip(weights, gs))
     if pseudo:
         g_hat = estimate_derivatives_pseudo(deltas, list(gs))
     else:
         g_hat = estimate_derivatives(deltas, [g - gs[0] for g in gs[1:]])
     want = gs[0] * E[0] + sum(math.factorial(k) * g_k * E[k] for k, g_k in enumerate(g_hat, 1))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@st.composite
+def _offset_rows(draw):
+    """1-6 steps' rows of n = 0..3 distinct nonzero offsets, and a pseudo flag."""
+    n = draw(st.integers(0, 3))
+    offset = st.floats(-20.0, 20.0).filter(lambda v: abs(v) >= 1e-3)
+    row = st.lists(offset, min_size=n, max_size=n, unique=True)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return np.array(rows, dtype=float).reshape(len(rows), n), draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(case=_offset_rows())
+@example(case=(np.array([[-1.0, 1.0], [-0.3, -0.6]]), False))
+@example(case=(np.array([[-0.4, -0.9, -1.3]]), True))
+def test_grouped_taylor_rows_equal_the_list_oracle_bit_for_bit(case):
+    offsets, pseudo = case
+    got = _taylor_rows(offsets, pseudo)
+    assert got.shape == offsets.shape[:1] + (offsets.shape[1] + 1,) * 2
+    for rows, deltas in zip(got, offsets):
+        assert rows.tobytes() == np.array(taylor_rows(deltas.tolist(), pseudo)).tobytes()
 
 
 @pytest.mark.parametrize("pseudo", [False, True])
@@ -600,7 +633,26 @@ def test_multistep_trace_contents(vp, mix4, mix_tab):
     assert [r["t"] for r in trace] == sorted((r["t"] for r in trace), reverse=True)
     for row in trace[:-1]:
         assert row["eps_norm"] > 0 and row["g_norm"] > 0 and len(row["x"]) == 4
+        # a (D,) run's norms stay np.linalg.norm's floats, which solve --trace writes
+        assert type(row["eps_norm"]) is float
+        assert row["eps_norm"] == float(np.linalg.norm(row["eps"]))
     assert trace[-1]["eps_norm"] is None
+
+
+def test_batch_trace_norms_are_each_rows_own_norm(vp, mix4, mix_tab):
+    """Each batch row's ``eps_norm`` is ``np.linalg.norm`` of its ``(D,)`` eps, bit for bit.
+
+    ``np.linalg.norm(eps, axis=-1)`` sums the squares in another order: it
+    differs in the last bit on about 12% of standard-normal ``(4,)`` rows.
+    """
+    grid = make_time_grid(vp, 10, UNIFORM_LAMBDA, 1.0, 1e-3)
+    rng = np.random.default_rng(16)
+    x0 = vp.sigma_lambda(mix_tab.ems.lambda_grid[0]) * rng.standard_normal((64, 4))
+    trace = []
+    plan_multistep(mix_tab, SolverConfig(order=2, grid=grid, corrector="full")).run(mix4, x0, trace)
+    for row in trace[:-1]:
+        assert row["eps_norm"].shape == row["g_norm"].shape == (64,)
+        assert row["eps_norm"].tolist() == [float(np.linalg.norm(eps)) for eps in row["eps"]]
 
 
 @pytest.mark.parametrize("shape", [(4,), (3, 4)])
@@ -637,7 +689,7 @@ def test_solver_config_validation(vp):
         SolverConfig(order=2, grid=grid, pseudo_corrector=True)
     with pytest.raises(ValueError):
         SolverConfig(order=2, grid=grid, corrector="sometimes")
-    for order in (3.0, 2.5, "2"):
+    for order in (3.0, 2.5, "2", True, np.bool_(True)):
         with pytest.raises(ValueError, match="order must be an integer"):
             SolverConfig(order=order, grid=grid)
     with pytest.raises(ValueError, match="grid must be a TimeGrid"):
@@ -693,13 +745,9 @@ def _sampler_cases(draw):
 
 
 def _trace_row_of(step, i):
-    """Row ``i`` of one step of a batched trace, without the norms over the whole batch."""
-    return {
-        "t": step["t"],
-        "lambda": step["lambda"],
-        "x": step["x"][i],
-        "eps": None if step["eps"] is None else step["eps"][i],
-    }
+    """Row ``i`` of one step of a batched trace: every array and norm at row i."""
+    shared = ("t", "lambda")
+    return {k: v if k in shared or v is None else v[i] for k, v in step.items()}
 
 
 @settings(max_examples=20)
@@ -732,7 +780,9 @@ def test_batch_rows_equal_per_row_runs(vp, mix4, mix_tab, case):
         assert len(batch_trace) == len(row_trace)
         for step, want in zip(batch_trace, row_trace):
             got = _trace_row_of(step, i)
-            assert all(np.array_equal(got[key], want[key]) for key in got)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[key], want[key]) for key in want)
+            assert all(type(want[key]) in (float, type(None)) for key in ("eps_norm", "g_norm"))
     cfg = without_corrector(cfg)
     batch = singlestep_sample(mix4, vp, tab, cfg, x0)
     rows = np.stack([singlestep_sample(mix4, vp, tab, cfg, x) for x in x0])
@@ -749,8 +799,9 @@ def test_one_plan_runs_rows_and_batches_as_the_samplers_do(vp, mix4, mix_tab, pl
         cfg = without_corrector(cfg)
     plan = planner(mix_tab, cfg)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        plan.steps = ()
-    assert not plan.lams.flags.writeable and not plan.ts.flags.writeable
+        plan.reads = ()
+    stacked = (plan.lams, plan.ts, plan.sigmas, *plan.maps, plan.scale, plan.alpha_s, plan.int_EB)
+    assert not any(arr.flags.writeable for arr in stacked + (plan.weights,))
     rng = np.random.default_rng(22)
     sigma0 = vp.sigma_lambda(mix_tab.lambda_grid[0])
     for x0 in (sigma0 * rng.standard_normal(4), sigma0 * rng.standard_normal((3, 4))):
@@ -768,6 +819,57 @@ def test_one_plan_runs_rows_and_batches_as_the_samplers_do(vp, mix4, mix_tab, pl
         want_plan.run(mix4, x0, want_trace)
         for row, want_row in zip(trace, want_trace, strict=True):
             assert all(np.array_equal(row[key], want_row[key]) for key in row)
+
+
+@st.composite
+def _rowmajor_cases(draw):
+    """A golden table, a sampler config of either kind on either grid, and a state shape."""
+    case = draw(_sampler_cases())
+    singlestep = draw(st.booleans())
+    if singlestep:
+        case.update(corrector="none", pseudo_predictor=False, pseudo_corrector=False)
+    case.update(
+        singlestep=singlestep,
+        kind=draw(st.sampled_from([UNIFORM_LAMBDA, UNIFORM_T])),
+        nfe=draw(st.integers(1, 15)),
+        shape=draw(st.sampled_from([(4,), (1, 4), (5, 4), (2, 3, 4)])),
+    )
+    return case
+
+
+@settings(max_examples=80)
+@given(case=_rowmajor_cases())
+@example(
+    case=dict(
+        order=3,
+        corrector="full",
+        pseudo_predictor=True,
+        pseudo_corrector=True,
+        table="estimated",
+        seed=1,
+        singlestep=False,
+        kind=UNIFORM_T,
+        nfe=9,
+        shape=(5, 4),
+    )
+)
+def test_runs_equal_the_rowmajor_oracle_bit_for_bit(case):
+    """``plan.run`` gives the bits of the step-by-step, row-major sampler, on rows and batches.
+
+    Planning per group of steps and running coordinate-major reassociate no
+    sum: the golden test's 1e-12 tolerance is near the predictor's own rounding.
+    """
+    tab = golden_tabs()[case["table"]]
+    grid = make_time_grid(sampler_golden.SCHED, case["nfe"], case["kind"], 1.0, 1e-3)
+    keys = ("order", "corrector", "pseudo_predictor", "pseudo_corrector")
+    cfg = SolverConfig(grid=grid, **{key: case[key] for key in keys})
+    plan = (plan_singlestep if case["singlestep"] else plan_multistep)(tab, cfg)
+    rng = np.random.default_rng(case["seed"])
+    x0 = sampler_golden.SCHED.sigma_lambda(tab.lambda_grid[0]) * rng.standard_normal(case["shape"])
+    got = plan.run(sampler_golden.MODEL, x0)
+    want = rowmajor_run(plan, cfg, sampler_golden.MODEL, x0)
+    assert got.shape == x0.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 # -- singlestep sampler ---------------------------------------------------------------
