@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, TableFormatError, UnsupportedVersionError
 from .models import ModelSpec, model_id
-from .schedule import Schedule, read_only
+from .schedule import Schedule, check_schedule, read_only
 
 NOISE_PRED = "noise-pred"
 DATA_PRED = "data-pred"
@@ -82,6 +82,7 @@ class EmsTable:
 
     Rows are indexed by a strictly increasing, uniformly spaced lambda grid.
     The arrays are read-only (see ``read_only``), and ``meta`` a read-only copy.
+    ``schedule`` is a Schedule or a delegate with its members (``check_schedule``).
     """
 
     lambda_grid: np.ndarray
@@ -93,6 +94,7 @@ class EmsTable:
     meta: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
+        check_schedule(self.schedule)
         grid_shape = (len(self.lambda_grid),)
         field_shape = grid_shape + np.shape(self.l)[-1:]
         for name in _ARRAYS:

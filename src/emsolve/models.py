@@ -41,7 +41,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import ConvergenceError, DomainError
 from .schedule import Schedule
@@ -445,7 +444,9 @@ _MODEL_KINDS = {
 
 
 def model_from_dict(data: dict) -> ModelSpec:
-    """Rebuild a model from its JSON dict form; a missing key raises ValueError."""
+    """Rebuild a model from its JSON dict form; a non-dict or a missing key raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a model dict, got {type(data).__name__}")
     try:
         kind = data["kind"]
         if kind not in _MODEL_KINDS:
@@ -477,6 +478,8 @@ class EvalCounter:
     """Delegate that counts ``eps`` calls (the NFE); it forwards ``linearize`` and all else."""
 
     def __init__(self, inner: ModelSpec):
+        if not callable(getattr(inner, "eps", None)):
+            raise ValueError(f"expected a model with an eps method, got a {type(inner).__name__}")
         self.inner = inner
         self.calls = 0
 
@@ -492,19 +495,68 @@ class EvalCounter:
 
 # DOP853, the 8th-order embedded Runge-Kutta pair of Hairer, Norsett & Wanner,
 # "Solving Ordinary Differential Equations I" (Ch. II), with the step-size
-# control of its Sec. II.4.  The tableau is scipy's; the controller and the
-# initial step restate scipy.integrate's rk.py and select_initial_step.
+# control of its Sec. II.4.  The tableau is written out below: each entry is
+# the float64 that scipy.integrate.DOP853 (1.17.1) holds, as the shortest
+# literal that reads back to those bits.  The controller and the initial step
+# restate scipy.integrate's rk.py and select_initial_step.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
+_ERROR_EXPONENT = -1.0 / 8  # -1 / (error estimator order 7 + 1)
 
-
-def _terms(coefficients):
-    """The (stage, coefficient) pairs of a tableau row with a nonzero coefficient."""
-    return [(k, float(c)) for k, c in enumerate(coefficients) if c != 0]
-
-
-_A_TERMS = [_terms(row) for row in DOP853.A]
-_B_TERMS, _E3_TERMS, _E5_TERMS = _terms(DOP853.B), _terms(DOP853.E3), _terms(DOP853.E5)
+# The nodes c_i, then each row's (stage, coefficient) pairs with a nonzero
+# coefficient: the stage matrix a_ij, the weights b_j and the two error
+# estimators' weights (their stage 12 is f at the new state, weight 0).
+_C = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+)
+_A_TERMS = [
+    [],
+    [(0, 0.05260015195876773)],
+    [(0, 0.0197250569845379), (1, 0.0591751709536137)],
+    [(0, 0.02958758547680685), (2, 0.08876275643042054)],
+    [(0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)],
+    [(0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)],
+    [(0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)],
+    [
+        (0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+        (5, -0.015319437748624402), (6, 0.008273789163814023),
+    ],
+    [
+        (0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+        (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996),
+    ],
+    [
+        (0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+        (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+        (8, -0.020331201708508627),
+    ],
+    [
+        (0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+        (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+        (8, 2.4936055526796523), (9, -3.0467644718982196),
+    ],
+    [
+        (0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+        (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+        (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636),
+    ],
+]
+_B_TERMS = [
+    (0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.04471061572777259),
+]
+_E3_TERMS = [
+    (0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+    (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+    (10, 0.20136540080403034), (11, 0.02265179219836082),
+]
+_E5_TERMS = [
+    (0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+    (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+    (10, 0.08192320648511571), (11, -0.022355307863886294),
+]
 
 # The cap on a row's attempted steps.  A tol-1e-13 solve of the test mixture
 # over vp-linear's or edm's sampling span takes 51 or 65.
@@ -629,7 +681,7 @@ def reference_solve(
             lam_new = np.minimum(lam + h_abs, lam_end)
             h = lam_new - lam
             stages = [f]
-            for a_terms, c in zip(_A_TERMS[1:], DOP853.C[1:]):
+            for a_terms, c in zip(_A_TERMS[1:], _C[1:]):
                 dy = h[:, None] * _combine(a_terms, stages)
                 stages.append(rhs(lam + c * h, y + dy))
             y_new = y + h[:, None] * _combine(_B_TERMS, stages)

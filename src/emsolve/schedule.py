@@ -212,6 +212,8 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a schedule dict, got {type(data).__name__}")
         try:
             return cls(
                 kind=data["kind"],
@@ -220,6 +222,23 @@ class Schedule:
             )
         except KeyError as exc:
             raise ValueError(f"schedule dict missing key {exc}") from exc
+
+
+# The schedule methods the package calls.  A delegate that forwards them and
+# the attributes (as a timing wrapper does) stands in for a Schedule.  The
+# check reads ``t_domain`` but not ``lam_domain``, which reading would compute.
+_SCHEDULE_METHODS = (
+    "alpha_lambda", "sigma_lambda", "dlog_alpha_dlambda", "lambda_of_t", "t_of_lambda", "to_dict"
+)
+
+
+def check_schedule(sched) -> None:
+    """Raise ValueError unless ``sched`` has the schedule members the package reads; calls none."""
+    missing = [name for name in _SCHEDULE_METHODS if not callable(getattr(sched, name, None))]
+    if not hasattr(sched, "t_domain"):
+        missing.append("t_domain")
+    if missing:
+        raise ValueError(f"expected a Schedule, got a {type(sched).__name__} without {missing}")
 
 
 def read_only(value) -> np.ndarray:

@@ -470,6 +470,10 @@ def test_table_validation(vp):
     # a scalar field is a shape error, not an IndexError
     with pytest.raises(ValueError, match="l has shape"):
         EmsTable(lambda_grid=grid, l=1.0, s=ones, b=ones, l_dot=ones, schedule=vp)
+    # planning reads the table's schedule, so a table without one is refused when built
+    for sched, named in [(None, "NoneType"), ("vp-linear", "str"), (vp.to_dict(), "dict")]:
+        with pytest.raises(ValueError, match=f"^expected a Schedule, got a {named} without"):
+            EmsTable(lambda_grid=grid, l=ones, s=ones, b=ones, l_dot=ones, schedule=sched)
 
 
 def test_tables_are_read_only(vp, vp_lam_range, mix_table, tmp_path):
@@ -706,6 +710,16 @@ def test_load_invalid_schedule(tmp_path, vp, vp_lam_range, key, value):
     payload["schedule"][key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(TableFormatError, match="finite"):
+        load_table(path)
+
+
+def test_load_schedule_that_is_not_a_dict(tmp_path, vp, vp_lam_range):
+    path = tmp_path / "table.json"
+    save_table(degenerate_table(DATA_PRED, vp, 4, vp_lam_range, 2), path)
+    payload = json.loads(path.read_text())
+    payload["schedule"] = [1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(TableFormatError, match="expected a schedule dict, got list"):
         load_table(path)
 
 

@@ -1,10 +1,15 @@
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853
 
 from emsolve import (
     ConvergenceError,
@@ -630,11 +635,21 @@ def test_eval_counter_delegates_and_counts_only_eps(vp, mix4, pg4, guided):
     assert (again.calls, again.to_dict()) == (1, model.to_dict())
 
 
+@pytest.mark.parametrize("inner", [None, "mixture", {"kind": "point-gaussian", "x0": [0.0]}])
+def test_eval_counter_rejects_a_non_model(inner):
+    with pytest.raises(ValueError, match="^expected a model with an eps method"):
+        EvalCounter(inner)
+
+
 def test_model_from_dict_errors(mix4, pg4):
     with pytest.raises(ValueError):
         model_from_dict({"x0": [0.0]})
     with pytest.raises(ValueError):
         model_from_dict({"kind": "neural-net"})
+    with pytest.raises(ValueError, match="^expected a model dict, got list$"):
+        model_from_dict([1])
+    with pytest.raises(ValueError, match="^expected a model dict, got list$"):
+        model_from_dict({**Guided(cond=mix4, uncond=pg4, scale=2.0).to_dict(), "cond": [1]})
     mixture = mix4.to_dict()
     del mixture["means"]
     guided = Guided(cond=mix4, uncond=pg4, scale=2.0).to_dict()
@@ -840,3 +855,41 @@ def test_reference_rejects_non_finite_arguments(vp, mix4, lam_start, lam_end, to
     # each of these ran solve_ivp without end
     with pytest.raises(ValueError, match="finite"):
         reference_solve(mix4, vp, np.zeros(4), lam_start, lam_end, tol=tol)
+
+
+def test_reference_tableau_is_scipys_dop853_bit_for_bit():
+    def dense(rows, width):
+        out = np.zeros((len(rows), width))
+        for i, terms in enumerate(rows):
+            stages = [k for k, _ in terms]
+            assert stages == sorted(set(stages)), f"row {i} lists a stage twice or out of order"
+            assert all(type(c) is float and c != 0 for _, c in terms), f"row {i}"
+            out[i, stages] = [c for _, c in terms]
+        return out
+
+    # every entry is compared, so a missing or extra nonzero coefficient fails too
+    n = DOP853.n_stages
+    assert dense(models._A_TERMS, n).tobytes() == DOP853.A.tobytes()
+    assert dense([models._B_TERMS], n)[0].tobytes() == DOP853.B.tobytes()
+    assert dense([models._E3_TERMS], n + 1)[0].tobytes() == DOP853.E3.tobytes()
+    assert dense([models._E5_TERMS], n + 1)[0].tobytes() == DOP853.E5.tobytes()
+    assert np.array(models._C).tobytes() == DOP853.C.tobytes()
+    assert models._ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
+
+
+def test_the_package_imports_without_scipy():
+    src = str(Path(models.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, emsolve, emsolve.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

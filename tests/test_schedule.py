@@ -154,6 +154,8 @@ def test_schedule_validation():
         Schedule("edm", t_domain=(5.0, 1.0))
     with pytest.raises(ValueError, match="schedule dict missing key 'kind'"):
         Schedule.from_dict({"params": {}, "t_domain": [0.0, 1.0]})
+    with pytest.raises(ValueError, match="^expected a schedule dict, got list$"):
+        Schedule.from_dict([1])
 
 
 @pytest.mark.parametrize(
