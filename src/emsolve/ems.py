@@ -12,8 +12,10 @@ integrator:
   first-order discretization error of the resulting solver.
 
 Estimation is one sweep over the grid: each grid point's one model call
-reduces to l and six means over the diffused datapoints, and s and b follow
-in closed form once l's slope is known.
+reduces to l and six centred moments over the diffused datapoints (three
+means, a variance and two covariances), and s and b follow in closed form
+once l's slope is known.  The sweep keeps its (K, D) sample arrays
+coordinate-major, laid out (D, K), so each moment is a contiguous row sum.
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -163,9 +165,11 @@ def diag_probe_terms(sigma, jvps, probe_vectors):
 
     ``jvps`` holds the model's Jacobian-vector products at the probe vectors
     ``probe_vectors``, shape (probes, K, D) with +-1 entries.  The mean of the
-    returned array over its first two axes is the diagonal estimate.
+    returned array over its first two axes is the diagonal estimate.  The
+    result is C-contiguous whatever the inputs' memory order, so that mean
+    adds the same terms in the same order for either layout.
     """
-    return (sigma * jvps) * probe_vectors
+    return np.multiply(sigma * jvps, probe_vectors, order="C")
 
 
 def estimate_l_dot(l_values, spacing: float):
@@ -197,25 +201,16 @@ def _f_and_r(sched, l_row, x, lam, eps, d_eps):
     return f, r
 
 
-def _fit_sb(mf, mf1, mff, mff1):
-    """Least-squares slope and intercept of f1 against f, from the means of f, f1, f*f and f*f1.
-
-    s = cov(f, f1) / (var(f) + eps_floor) and b = mean(f1) - s * mean(f),
-    element-wise.  The floor, 1e-8 * mean(f*f) plus a tiny absolute term,
-    regularizes the zero-variance case, as happens for a point-mass data
-    distribution.
-    """
-    eps_floor = 1e-8 * mff + _ABS_FLOOR
-    s = (mff1 - mf * mf1) / (mff - mf * mf + eps_floor)
-    return s, mf1 - s * mf
-
-
 def _point_stats(model, sched, lam, x0, z, probes):
     """One grid point's share of the sweep, from one model call.
 
-    Returns l and the six (D,) means over the K diffused points of f, r,
-    x/alpha, f*f, f*r and f*x/alpha.  The means are einsum sums: on (K, D)
-    arrays with a short D they are 2-4 times faster than ``mean(axis=0)``.
+    Returns l and six (D,) moments over the K diffused points: the means of
+    f, r and y = x/alpha, the variance of f and its covariances with r and
+    y.  The moments are centred (each sample less its mean before the
+    products), which keeps their digits where a coordinate's spread is far
+    below its mean.  ``x0``, ``z`` and each probe are (K, D) transposes of
+    C-contiguous (D, K) arrays, so every sample array here is too, and each
+    moment is a contiguous row reduction.
     """
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
     xs = alpha * x0 + sigma * z
@@ -223,12 +218,13 @@ def _point_stats(model, sched, lam, x0, z, probes):
     jvps = jvp(probes)
     del jvp  # frees the model's posterior before the reductions
     l_row = diag_probe_terms(sigma, jvps, probes).mean(axis=(0, 1))
-    f, r = _f_and_r(sched, l_row, xs, lam, eps, d_eps)
-    parts = (f, r, xs / alpha)
+    f, r = _f_and_r(sched, l_row[:, None], xs.T, lam, eps.T, d_eps.T)  # (D, K) rows
     k = len(xs)
-    means = [np.einsum("kd->d", g) / k for g in parts]
-    means += [np.einsum("kd,kd->d", f, g) / k for g in parts]
-    return l_row, means
+    samples = (f, r, xs.T / alpha)
+    means = [np.einsum("dk->d", g) / k for g in samples]
+    for g, m in zip(samples, means):
+        g -= m[:, None]  # centred in place; f is centred before the products read it
+    return l_row, means + [np.einsum("dk,dk->d", f, g) / k for g in samples]
 
 
 def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTable:
@@ -243,14 +239,28 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     One sweep makes one ``linearize`` call per grid point and applies its
     ``jvp`` to the probe stack once.  That gives l at that point, and f and r
-    (see :func:`_f_and_r`), of which six means are kept: f, r, x/alpha, f*f,
-    f*r and f*x/alpha.  After the sweep, l's slope is taken by finite
-    differences, and since f1 = r - l_dot x / alpha is linear in l_dot, the
-    means of f1 and f*f1, and with them the least-squares s and b, follow in
-    closed form.  Bit-identical output for a fixed config.  Raises
-    :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's lambda
-    domain.
+    (see :func:`_f_and_r`), of which six centred moments are kept: the means
+    of f, r and y = x/alpha, var f, cov(f, r) and cov(f, y).  After the
+    sweep, l's slope is taken by finite differences, and since f1 = r -
+    l_dot y is linear in l_dot, the least-squares fit of f1 against f
+    follows in closed form:
+
+        s = (cov(f, r) - l_dot cov(f, y)) / (var f + floor),
+        b = (mean r - l_dot mean y) - s mean f,
+
+    element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
+    term, regularizes the zero-variance case, as happens for a point-mass
+    data distribution.  Bit-identical output for a fixed config.  Raises
+    ValueError when ``model`` or ``sched`` lacks the members the sweep reads,
+    and :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's
+    lambda domain.
     """
+    check_schedule(sched)
+    missing = [
+        name for name in ("linearize", "sample_data") if not callable(getattr(model, name, None))
+    ]
+    if missing:
+        raise ValueError(f"expected a model, got a {type(model).__name__} without {missing}")
     lam_lo, lam_hi = cfg.lam_range
     dom_lo, dom_hi = sched.lam_domain
     if lam_lo < dom_lo or lam_hi > dom_hi:
@@ -264,15 +274,20 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     x0 = model.sample_data(rng, cfg.num_datapoints)
     z = rng.standard_normal(x0.shape)
     probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
+    # coordinate-major: each (K, D) array the transpose of a C-contiguous (D, K) one
+    x0, z, probes = (
+        np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)
+    )
 
     l = np.empty((n_pts, model.dim))
-    means = np.empty((6, n_pts, model.dim))
+    moments = np.empty((6, n_pts, model.dim))
     for j, lam in enumerate(grid):
-        l[j], means[:, j] = _point_stats(model, sched, lam, x0, z, probes)
-    mf, mr, my, mff, mfr, mfy = means
+        l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes)
+    mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))
-    s, b = _fit_sb(mf, mr - l_dot * my, mff, mfr - l_dot * mfy)
+    s = (cfr - l_dot * cfy) / (vf + 1e-8 * (vf + mf * mf) + _ABS_FLOOR)
+    b = (mr - l_dot * my) - s * mf
 
     # Python ints: numpy integers from the config are not JSON-serializable
     meta = {"K": int(cfg.num_datapoints), "seed": int(cfg.seed), "model": model_id(model)}

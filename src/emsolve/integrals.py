@@ -54,6 +54,8 @@ class IntegralTable:
     const_lsb: tuple | None = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.ems, EmsTable):
+            raise ValueError(f"expected an EmsTable, got a {type(self.ems).__name__}")
         if not isinstance(self.closed_form, bool):
             raise ValueError(f"closed_form must be a bool, got {self.closed_form!r}")
         ems, h0 = self.ems, self.ems.spacing

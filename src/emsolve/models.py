@@ -19,17 +19,19 @@ Evaluations are pure; RNG state is only consumed by the sampling helpers,
 which take an explicit ``numpy.random.Generator``.
 
 Layout.  ``GaussianMixture`` computes coordinate-major: the N rows of ``x``
-are read as a ``(D, N)`` strided view (no copy), the offsets x - alpha mu_i
-and the component scores are ``(C, D, N)``, per-component terms ``(C, N)``
-and a probe stack ``(P, D, N)``.  With D and C at 2-4, the long N axis is
-then the inner loop of every numpy call.  Sums over C or D add whole
-leading-axis slices left to right (``_short_sum``, ``_short_dot``), in the
-order of a row-major ``np.sum`` over the short axis, and the softmax's max
-takes ``np.maximum`` over component slices (``_short_max``), so the bits are
-those of the row-major arithmetic.  Every output is a fresh C-contiguous
-float64 array of the caller's ``(..., D)`` shape, written through its
-transposed view: the estimator's einsum reductions read these arrays, and
-another memory order could change their summation order.
+are read as a ``(D, N)`` view (no copy), the offsets x - alpha mu_i and the
+component scores are ``(C, D, N)``, per-component terms ``(C, N)`` and a
+probe stack ``(P, D, N)``.  With D and C at 2-4, the long N axis is then the
+inner loop of every numpy call.  Sums over C or D add whole leading-axis
+slices left to right (``_short_sum``, ``_short_dot``), in the order of a
+row-major ``np.sum`` over the short axis, and the softmax's max takes
+``np.maximum`` over component slices (``_short_max``), so the bits are those
+of the row-major arithmetic.  Every output is a fresh float64 array of the
+caller's ``(..., D)`` shape that follows the input's layout: the transpose
+of a C-contiguous ``(..., D, N)`` array for an input laid out so (such as
+``a.T`` of a C-contiguous ``(D, N)`` array ``a``, as the sampler's state and
+the estimator's samples are), C-contiguous otherwise.  The arithmetic is
+element-wise, so both layouts give the same bits.
 """
 
 from __future__ import annotations
@@ -80,10 +82,19 @@ def _columns(a, lead, n):
     return a.reshape(lead + (n, a.shape[-1])).swapaxes(-1, -2)
 
 
-def _row_buffer(shape, lead, n):
-    """An empty C-contiguous float64 array of ``shape``, and its ``_columns`` view to write into."""
+def _row_buffer(cols, shape):
+    """An empty float64 array of ``shape`` to return, and its ``(..., D, n)`` view to write into.
+
+    ``cols`` is the input's ``_columns`` view.  When it is C-contiguous, the
+    buffer is laid out as ``cols`` is and the returned array is its
+    transpose, so the output keeps the input's layout; otherwise the
+    returned array is C-contiguous.
+    """
+    if cols.flags.c_contiguous:
+        buf = np.empty(cols.shape)
+        return buf.swapaxes(-1, -2).reshape(shape), buf  # the reshape only splits axes: a view
     out = np.empty(shape)
-    return out, _columns(out, lead, n)
+    return out, _columns(out, cols.shape[:-2], cols.shape[-1])
 
 
 class ModelSpec:
@@ -311,9 +322,10 @@ class GaussianMixture(ModelSpec):
         x = self._check_input(x, lam)
         alpha, sigma, var = self._moments(sched, lam)
         n = x.size // self.dim
-        pi, comp_score, _ = self._posterior(_columns(x, (), n), alpha, var)
+        xt = _columns(x, (), n)
+        pi, comp_score, _ = self._posterior(xt, alpha, var)
         score = _short_dot(pi[:, None], comp_score)
-        out, out_t = _row_buffer(x.shape, (), n)
+        out, out_t = _row_buffer(xt, x.shape)
         np.multiply(score, -sigma, out=out_t)
         return out
 
@@ -326,7 +338,7 @@ class GaussianMixture(ModelSpec):
         xt = _columns(x, (), n)
         pi, comp_score, sq = self._posterior(xt, alpha, var)
         mean_score = _short_dot(pi[:, None], comp_score)
-        eps, eps_t = _row_buffer(x.shape, (), n)
+        eps, eps_t = _row_buffer(xt, x.shape)
         np.multiply(mean_score, -sigma, out=eps_t)
         # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
         # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
@@ -348,7 +360,7 @@ class GaussianMixture(ModelSpec):
         hv = self._hessian_terms(  # H applied to the ODE's velocity dx/dlambda = c x - sigma eps
             comp_score, mean_score, pi_over_var, c * xt - sigma * eps_t, weights
         )
-        d_eps, d_eps_t = _row_buffer(x.shape, (), n)
+        d_eps, d_eps_t = _row_buffer(xt, x.shape)
         np.multiply(eps_t, c - 1.0, out=d_eps_t)
         d_eps_t -= sigma * (hv + c * (mean_score + pi_over_var * xt))
 
@@ -361,7 +373,7 @@ class GaussianMixture(ModelSpec):
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
             vt = _columns(np.broadcast_to(v, shape), probes, n)  # (P, D, N)
             dots = _short_dot(comp_score.swapaxes(0, 1), vt.swapaxes(0, 1)[:, :, None])
-            out, out_t = _row_buffer(shape, probes, n)
+            out, out_t = _row_buffer(vt, shape)
             self._hessian_terms(comp_score, mean_score, pi_over_var, vt, pi * dots, out=out_t)
             np.multiply(out_t, -sigma, out=out_t)
             return out

@@ -214,14 +214,20 @@ def eval_f1(model, sched, table: EmsTable, x, lam):
 
 
 def estimate_sb(f_samples, f1_samples):
-    """The library's least-squares fit of f1 against f, from (K, D) samples of each."""
+    """The library's least-squares fit of f1 against f, from (K, D) samples of each.
+
+    The same closed form as ``estimate_table``'s, with f1 formed first: the
+    table takes cov(f, r) - l_dot cov(f, y) where this takes cov(f, f1).
+    """
     f = np.asarray(f_samples, dtype=float)
     f1 = np.asarray(f1_samples, dtype=float)
     if f.shape != f1.shape or f.ndim != 2 or f.shape[0] < 1:
         raise ValueError("f_samples and f1_samples must be matching nonempty (K, D) arrays")
-    mf, mf1, mff, mff1 = (arr.mean(axis=0) for arr in (f, f1, f * f, f * f1))
-    # s = cov(f, f1) / (var(f) + floor), b = mean(f1) - s mean(f)
-    s = (mff1 - mf * mf1) / (mff - mf * mf + (1e-8 * mff + 1e-20))
+    mf, mf1 = f.mean(axis=0), f1.mean(axis=0)
+    df, df1 = f - mf, f1 - mf1
+    var_f, cov = (df * df).mean(axis=0), (df * df1).mean(axis=0)
+    # s = cov(f, f1) / (var(f) + floor), b = mean(f1) - s mean(f), from centred moments
+    s = cov / (var_f + (1e-8 * (var_f + mf * mf) + 1e-20))
     return s, mf1 - s * mf
 
 

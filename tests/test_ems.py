@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,7 @@ from emsolve import (
     save_table,
     singlestep_sample,
 )
-from emsolve.ems import DATA_PRED, NOISE_PRED, diag_probe_terms, estimate_l_dot
+from emsolve.ems import DATA_PRED, NOISE_PRED, _point_stats, diag_probe_terms, estimate_l_dot
 from emsolve.models import ModelSpec
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR, Schedule
 
@@ -396,6 +397,97 @@ def test_estimate_table_matches_two_sweep_oracle(vp, vp_lam_range, pg4, mix4, mi
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), floor)
 
 
+def longdouble_sb(model, sched, cfg, table):
+    """s and b fitted in ``np.longdouble`` to the samples of ``table``'s sweep.
+
+    f, r and y = x/alpha are formed in float64 from the table's own l, as
+    the sweep forms them, so only the fit's arithmetic differs: centred
+    moments and f1 = r - l_dot y, all in long double.
+    """
+    s = np.empty(table.l.shape, dtype=np.longdouble)
+    b = np.empty_like(s)
+    for j, lam in enumerate(table.lambda_grid):
+        alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+        xs = table_datapoints(model, sched, cfg, lam)
+        eps, d_eps, _ = model.linearize(sched, xs, lam)
+        l_row = table.l[j]
+        f = (sigma * eps - l_row * xs) / alpha
+        r = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps)
+        f, r, y = (a.astype(np.longdouble) for a in (f, r, xs / alpha))
+        f1 = r - table.l_dot[j].astype(np.longdouble) * y
+        df, df1 = f - f.mean(axis=0), f1 - f1.mean(axis=0)
+        var_f = (df * df).mean(axis=0)
+        s[j] = (df * df1).mean(axis=0) / (var_f + 1e-8 * (var_f + f.mean(axis=0) ** 2) + 1e-20)
+        b[j] = f1.mean(axis=0) - s[j] * f.mean(axis=0)
+    return s, b
+
+
+@pytest.mark.parametrize("case", ["golden", "guided", "guided-point-mass", "bench"])
+def test_estimate_table_fit_matches_a_long_double_fit(vp, vp_lam_range, pg4, mix4, mix4b, case):
+    # the golden table's config, the two-sweep oracle's guided case, a guided
+    # pair whose f has a spread ~1e-4 of its mean at high lambda, and the
+    # benchmark's table size; a fit from raw means, mean f^2 - (mean f)^2,
+    # loses digits where f's spread is far below its mean (2.2e-8 of max|s|
+    # on the third case)
+    short = EmsConfig(30, 128, vp_lam_range, seed=5)
+    model, cfg = {
+        "golden": (mix4, EmsConfig(60, 256, vp_lam_range, seed=11)),
+        "guided": (Guided(cond=mix4, uncond=mix4b, scale=2.5), short),
+        "guided-point-mass": (Guided(cond=mix4, uncond=pg4, scale=2.5), short),
+        "bench": (mix4, EmsConfig(240, 4096, vp_lam_range, seed=1)),
+    }[case]
+    table = estimate_table(model, vp, cfg)
+    for name, got, want in zip("sb", (table.s, table.b), longdouble_sb(model, vp, cfg, table)):
+        rel = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert rel <= 1e-12, (name, rel)
+
+
+@pytest.mark.parametrize("lam", [-2.0, 1.0, 4.56, 6.5])
+def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
+    # at high lambda this guided pair's f and r spread ~1e-4 of their means;
+    # a covariance with an uncentred r is then up to 6e-12 of std f * std r off
+    model = Guided(cond=mix4, uncond=pg4, scale=2.5)
+    rng = np.random.default_rng(3)
+    x0 = model.sample_data(rng, 256)
+    z = rng.standard_normal(x0.shape)
+    probes = np.where(rng.random((1,) + x0.shape) < 0.5, -1.0, 1.0)
+    inputs = [np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)]
+    l_row, got = _point_stats(model, vp, lam, *inputs)
+    alpha, sigma = vp.alpha_lambda(lam), vp.sigma_lambda(lam)
+    xs = alpha * x0 + sigma * z
+    eps, d_eps, _ = model.linearize(vp, xs, lam)
+    f = (sigma * eps - l_row * xs) / alpha
+    r = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps)
+    samples = [a.astype(np.longdouble) for a in (f, r, xs / alpha)]
+    centred = [a - a.mean(axis=0) for a in samples]
+    spread = [np.sqrt((d * d).mean(axis=0)) for d in centred]
+    want = [a.mean(axis=0) for a in samples] + [(centred[0] * d).mean(axis=0) for d in centred]
+    # each mean on the scale |mean| + std, each (co)variance on std f * std
+    scale = [np.abs(w) + s for w, s in zip(want, spread)] + [spread[0] * s for s in spread]
+    for name, g, w, sc in zip(("mf", "mr", "my", "vf", "cfr", "cfy"), got, want, scale):
+        assert np.all(np.abs(g - w) <= 1e-14 * sc), (name, float(np.max(np.abs(g - w) / sc)))
+
+
+# one estimate_table's peak allocation at K=4096, in units of a (K, D) sample
+# array's bytes: 14.56 by this measurement (14.80 before the sweep was
+# coordinate-major), so a copy of the samples per grid point would break it
+ESTIMATE_PEAK_ALLOCATION = 14.75
+
+
+def test_estimate_table_peak_allocation(vp, mix4, vp_lam_range):
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=4096, lam_range=vp_lam_range, seed=1)
+    estimate_table(mix4, vp, cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        estimate_table(mix4, vp, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    sample_bytes = cfg.num_datapoints * mix4.dim * 8
+    assert peak <= ESTIMATE_PEAK_ALLOCATION * sample_bytes, peak / sample_bytes
+
+
 def test_estimate_table_point_gaussian(vp, pg4, vp_lam_range):
     cfg = EmsConfig(num_timesteps=24, num_datapoints=64, lam_range=vp_lam_range, seed=13)
     table = estimate_table(pg4, vp, cfg)
@@ -748,7 +840,17 @@ def test_load_schedule_mismatch_raises_when_sampled(tmp_path, vp, edm, mix4):
             sampler(mix4, edm, tab, SolverConfig(order=2, grid=grid), x0)
 
 
-def test_ems_config_validation():
+class Forwarding:
+    """Forwards every attribute to a model or a schedule, as the benchmark's timing wrappers do."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_ems_config_validation(vp, mix4):
     with pytest.raises(ValueError):
         EmsConfig(num_timesteps=0, num_datapoints=8, lam_range=(-1.0, 1.0))
     with pytest.raises(ValueError):
@@ -778,3 +880,15 @@ def test_ems_config_validation():
             EmsConfig(lam_range=(-1.0, 1.0), **{**good, name: bad})
     numpy_ints = {name: np.int64(value) for name, value in good.items()}
     assert EmsConfig(lam_range=(-1.0, 1.0), **numpy_ints).num_timesteps == 4
+    # estimation refuses a missing model or schedule before it reads either
+    cfg = EmsConfig(lam_range=(-1.0, 1.0), **good)
+    with pytest.raises(ValueError, match="^expected a model, got a NoneType without"):
+        estimate_table(None, vp, cfg)
+    with pytest.raises(ValueError, match="^expected a model, got a Schedule without"):
+        estimate_table(vp, vp, cfg)
+    with pytest.raises(ValueError, match="^expected a Schedule, got a NoneType without"):
+        estimate_table(mix4, None, cfg)
+    # the checks are structural: delegates that forward every member pass
+    want = estimate_table(mix4, vp, cfg)
+    got = estimate_table(Forwarding(mix4), Forwarding(vp), cfg)
+    assert got.s.tobytes() == want.s.tobytes() and got.l.tobytes() == want.l.tobytes()

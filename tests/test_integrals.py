@@ -128,6 +128,11 @@ def test_integral_table_takes_only_ems_and_closed_form(smooth_table):
         dataclasses.replace(tab, L=tab.L)
     with pytest.raises(ValueError, match="closed_form must be a bool"):
         IntegralTable(smooth_table, closed_form="no")
+    # what is not a table is refused when built, not when a field is first read
+    with pytest.raises(ValueError, match="^expected an EmsTable, got a NoneType$"):
+        IntegralTable(None)
+    with pytest.raises(ValueError, match="^expected an EmsTable, got a str$"):
+        build_integral_table("x")
 
 
 def test_a_replaced_table_samples_as_one_built_from_it(vp, mix4, vp_lam_range):

@@ -20,13 +20,17 @@ from emsolve import (
     Guided,
     PointGaussian,
     Schedule,
+    SolverConfig,
     estimate_table,
+    make_time_grid,
     model_from_dict,
     model_id,
+    plan_multistep,
     reference_solve,
 )
 from emsolve import models
 from emsolve.models import ModelSpec, _short_dot, _short_max, _short_sum
+from emsolve.schedule import UNIFORM_LAMBDA
 
 from oracles import (
     composed_linearize,
@@ -307,6 +311,48 @@ def test_mixture_matches_rowmajor_oracle_bit_for_bit(
         assert g.dtype == np.float64 and g.flags.c_contiguous
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert x.tobytes() == x_bytes and v.tobytes() == v_bytes
+
+
+def laid_out(a, layout):
+    """``a``'s values as a coordinate-major or a strided array."""
+    if layout == "coordinate-major":  # each (N, D) the transpose of a C-contiguous (D, N)
+        return np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2)
+    wide = np.zeros(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]))  # every other row of it
+    wide[..., ::2, :] = a
+    return wide[..., ::2, :]
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(["point", "mixture", "guided"]),
+    layout=st.sampled_from(["coordinate-major", "strided"]),
+    rows=st.integers(1, 40),
+    num_probes=st.integers(1, 3),
+    lam=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_outputs_follow_the_input_layout_with_the_same_bytes(
+    vp, mix4, mix4b, pg4, mix_tab, name, layout, rows, num_probes, lam, seed
+):
+    model = per_row_models(mix4, mix4b, pg4)[name]
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal((rows, 4))
+    v = rng.standard_normal((num_probes, rows, 4))
+    x_in, v_in = laid_out(x, layout), laid_out(v, layout)
+    eps, d_eps, apply_jacobian = model.linearize(vp, x_in, lam)
+    got = (model.eps(vp, x_in, lam), eps, d_eps, apply_jacobian(v_in))
+    eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+    want = (model.eps(vp, x, lam), eps, d_eps, apply_jacobian(v))
+    for g, w in zip(got, want):
+        assert w.flags.c_contiguous
+        assert g.shape == w.shape and np.ascontiguousarray(g).tobytes() == w.tobytes()
+        if layout == "coordinate-major":
+            assert g.swapaxes(-1, -2).flags.c_contiguous
+    # the sampler reads the state and each eps through their transposes
+    cfg = SolverConfig(order=3, grid=make_time_grid(vp, 6, UNIFORM_LAMBDA, 1.0, 1e-3))
+    plan = plan_multistep(mix_tab, cfg)
+    x0 = vp.sigma_lambda(plan.lams[0]) * x
+    assert plan.run(mix4, laid_out(x0, layout)).tobytes() == plan.run(mix4, x0).tobytes()
 
 
 # -- one lambda per row -----------------------------------------------------------------
