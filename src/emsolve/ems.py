@@ -261,14 +261,9 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     ]
     if missing:
         raise ValueError(f"expected a model, got a {type(model).__name__} without {missing}")
-    lam_lo, lam_hi = cfg.lam_range
-    dom_lo, dom_hi = sched.lam_domain
-    if lam_lo < dom_lo or lam_hi > dom_hi:
-        raise DomainError(
-            f"lam_range {cfg.lam_range} outside the schedule's lambda domain [{dom_lo}, {dom_hi}]"
-        )
+    _check_lam_range(sched, cfg.lam_range)
     n_pts = cfg.num_timesteps + 1
-    grid = np.linspace(lam_lo, lam_hi, n_pts)
+    grid = np.linspace(*cfg.lam_range, n_pts)
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     x0 = model.sample_data(rng, cfg.num_datapoints)
@@ -294,12 +289,22 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     return EmsTable(lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta)
 
 
+def _check_lam_range(sched: Schedule, lam_range) -> None:
+    """Raise DomainError unless the (lo, hi) ``lam_range`` lies in the schedule's lambda domain."""
+    dom_lo, dom_hi = sched.lam_domain
+    if lam_range[0] < dom_lo or lam_range[1] > dom_hi:
+        raise DomainError(
+            f"lam_range {lam_range} outside the schedule's lambda domain [{dom_lo}, {dom_hi}]"
+        )
+
+
 def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, dim: int) -> EmsTable:
     """Constant table recovering a classical parameterization.
 
     ``noise-pred`` (l=0, s=-1, b=0) reproduces plain noise-prediction
     exponential integrators; ``data-pred`` (l=1, s=0, b=0) reproduces
-    data-prediction ones.
+    data-prediction ones.  Raises :class:`DomainError` when ``lam_range``
+    leaves the schedule's lambda domain, as :func:`estimate_table` does.
     """
     if kind == NOISE_PRED:
         l_val, s_val = 0.0, -1.0
@@ -307,7 +312,9 @@ def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, 
         l_val, s_val = 1.0, 0.0
     else:
         raise ValueError(f"unknown degenerate kind {kind!r}")
+    check_schedule(sched)
     lam_lo, lam_hi = lam_range
+    _check_lam_range(sched, lam_range)
     n_pts = num_timesteps + 1
     grid = np.linspace(lam_lo, lam_hi, n_pts)
     ones = np.ones((n_pts, dim))

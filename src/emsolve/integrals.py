@@ -6,14 +6,20 @@ integrals over the table grid (all zero at the first grid point):
     L = int l           S = int s           B = int exp(-S) b
     C = int exp(L+S) B                      I = int exp(L+S)
 
+and, next to them, the schedule's t, alpha and sigma at every grid point,
+one vectorized call each, which the samplers read instead of calling the
+schedule.
+
 Two functions give every coefficient the samplers use, for one index pair
 or for arrays of them in one call (a sampler's step plan makes one call of
 each).  :func:`transition_coefficients` gives each update's linear damping
 A = exp(L_s - L_t), its bias term int E*B and its weights E^0 .. E^n; all
-but E^k for k >= 1 are fancy-indexed reads of the cumulatives, and E^k is a
-trapezoid over each pair's grid points, one block for all pairs of a span.
-:func:`g_map` gives the affine map from (x, eps) to the reparameterized
-model output g at grid points.
+but E^k for k >= 1 are row reads of the cumulatives (``take``, at a
+fraction of the cost of fancy indexing a 2-D array), and E^k is a
+trapezoid over each pair's grid points, one block of every power for all
+pairs of a span (all pairs, on a uniform grid whose step count divides the
+table's).  :func:`g_map` gives the affine map from (x, eps) to the
+reparameterized model output g at grid points.
 
 When all three fields are constant across the grid (the degenerate
 noise-prediction / data-prediction tables), every coefficient has a closed
@@ -31,17 +37,24 @@ import numpy as np
 
 from .ems import EmsTable
 from .errors import DomainError
+from .schedule import read_only
+
+_FACTORIALS = np.array([math.factorial(k) for k in range(4)], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
 class IntegralTable:
     """The cumulative trapezoids L, S, B, C, I of one EMS table, computed from it; read-only.
 
-    With ``closed_form`` set and constant fields, ``const_lsb`` holds their
-    values and the coefficients take closed forms; otherwise it is None and
-    they take the quadrature path.  Raises :class:`DomainError` when an
-    integral has a non-finite entry: fields too large for the grid overflow
-    ``exp(L + S)``.
+    ``t``, ``alpha`` and ``sigma`` hold the table's schedule at every grid
+    point, with the bits of its own ``t_of_lambda``, ``alpha_lambda`` and
+    ``sigma_lambda`` at any of them.  With ``closed_form`` set and constant
+    fields, ``const_lsb`` holds their values and the coefficients take
+    closed forms; otherwise it is None and they take the quadrature path.
+    Raises :class:`DomainError` when the grid leaves the schedule's lambda
+    domain (whatever built the EMS table: :func:`~emsolve.ems.load_table`
+    does not check it), and when an integral has a non-finite entry: fields
+    too large for the grid overflow ``exp(L + S)``.
     """
 
     ems: EmsTable
@@ -51,6 +64,9 @@ class IntegralTable:
     B: np.ndarray = field(init=False)
     C: np.ndarray = field(init=False)
     I: np.ndarray = field(init=False)
+    t: np.ndarray = field(init=False)
+    alpha: np.ndarray = field(init=False)
+    sigma: np.ndarray = field(init=False)
     const_lsb: tuple | None = field(init=False)
 
     def __post_init__(self):
@@ -58,7 +74,11 @@ class IntegralTable:
             raise ValueError(f"expected an EmsTable, got a {type(self.ems).__name__}")
         if not isinstance(self.closed_form, bool):
             raise ValueError(f"closed_form must be a bool, got {self.closed_form!r}")
-        ems, h0 = self.ems, self.ems.spacing
+        ems, h0, sched = self.ems, self.ems.spacing, self.ems.schedule
+        # the schedule at the grid points; t_of_lambda raises DomainError off its domain
+        at_grid = (sched.t_of_lambda, sched.alpha_lambda, sched.sigma_lambda)
+        for name, at in zip(("t", "alpha", "sigma"), at_grid):
+            object.__setattr__(self, name, read_only(at(ems.lambda_grid)))
         with np.errstate(over="ignore", invalid="ignore"):
             L, S = _cumtrapz(ems.l, h0), _cumtrapz(ems.s, h0)
             B = _cumtrapz(np.exp(-S) * ems.b, h0)
@@ -108,27 +128,34 @@ def poly_exp_integral(a, h, k: int):
 
     ``h`` is one step length, or an ``(S,)`` array of them, which gives the
     result a leading step axis.  Series evaluation for small |a h| (where the
-    recurrence cancels), exact integration-by-parts recurrence otherwise.
+    recurrence cancels), exact integration-by-parts recurrence otherwise;
+    each branch is evaluated only when some entry takes it.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     steps = np.ravel(h).tolist()
-    # Python's float power: numpy's array ** rounds some powers differently
-    powers = np.array([[v**m for m in range(k + 9)] for v in steps])[:, :, None]
     h_col = np.array(steps)[:, None]
     small = np.abs(a) * np.maximum(1.0, np.abs(h_col)) < 1e-3
+    some_small = small.any()
+    # h^0 .. h^(k + 8) for the series, h^0 .. h^k for the recurrence alone; Python's float
+    # power, as numpy's array ** rounds some powers differently
+    top = k + 9 if some_small else k + 1
+    powers = np.array([[v**m for m in range(top)] for v in steps])[:, :, None]
 
-    series = np.zeros(small.shape)
-    for j in range(7, -1, -1):
-        series = series * a + powers[:, k + j + 1] / (
-            math.factorial(j) * math.factorial(k) * (k + j + 1)
-        )
-
-    a_safe = np.where(small, 1.0, a)
-    exact = np.expm1(a_safe * h_col) / a_safe
-    for m in range(1, k + 1):
-        exact = (np.exp(a_safe * h_col) * powers[:, m] / math.factorial(m) - exact) / a_safe
-
-    out = np.where(small, series, exact)
+    if some_small:
+        series = np.zeros(small.shape)
+        for j in range(7, -1, -1):
+            series = series * a + powers[:, k + j + 1] / (
+                math.factorial(j) * math.factorial(k) * (k + j + 1)
+            )
+    if small.all():
+        out = series
+    else:
+        a_safe = np.where(small, 1.0, a) if some_small else a
+        out = np.expm1(a_safe * h_col) / a_safe
+        for m in range(1, k + 1):
+            out = (np.exp(a_safe * h_col) * powers[:, m] / math.factorial(m) - out) / a_safe
+        if some_small:
+            out = np.where(small, series, out)
     return out if np.ndim(h) else out[0]
 
 
@@ -136,40 +163,68 @@ def _const_int_EB(c_l, c_s, c_b, h: np.ndarray):
     """Closed form of int E*B over steps of lengths ``h``, ``(S,)``, with constant fields."""
     a = c_l + c_s
     small = np.abs(c_s) * np.maximum(1.0, np.abs(h))[:, None] < 1e-3
+    some_small = small.any()
     # int exp(a d) (1 - exp(-c_s d)) / c_s dd; series in c_s when it is small
-    series = (
-        poly_exp_integral(a, h, 1)
-        - c_s * poly_exp_integral(a, h, 2)
-        + c_s**2 * poly_exp_integral(a, h, 3)
-        - c_s**3 * poly_exp_integral(a, h, 4)
-    )
-    c_s_safe = np.where(small, 1.0, c_s)
+    if some_small:
+        series = (
+            poly_exp_integral(a, h, 1)
+            - c_s * poly_exp_integral(a, h, 2)
+            + c_s**2 * poly_exp_integral(a, h, 3)
+            - c_s**3 * poly_exp_integral(a, h, 4)
+        )
+        if small.all():
+            return c_b * series
+    c_s_safe = np.where(small, 1.0, c_s) if some_small else c_s
     exact = (poly_exp_integral(a, h, 0) - poly_exp_integral(c_l, h, 0)) / c_s_safe
-    return c_b * np.where(small, series, exact)
+    return c_b * (np.where(small, series, exact) if some_small else exact)
 
 
-def _trapezoid_moments(tab: IntegralTable, j_s: np.ndarray, j_t: np.ndarray, n: int) -> tuple:
-    """E^1 .. E^n of each pair j_s -> j_t, ``(S, D)`` each: a trapezoid over the pair's grid points.
+def _trapezoid_moments(tab: IntegralTable, j_s: np.ndarray, j_t: np.ndarray, n: int) -> np.ndarray:
+    """E^1 .. E^n of each pair j_s -> j_t, ``(n, S, D)``: a trapezoid over the pair's grid points.
 
-    The pairs of one span share a ``(G, span + 1, D)`` block of their points.
-    Its trapezoid terms ``h (w[1:] + w[:-1]) / 2.0``, summed along the span
-    axis, are ``np.trapezoid``'s over one pair's points, so every row has the
-    bits of a one-pair call.  (A block zero-padded to the longest span would
-    change numpy's pairwise sum of a one-column table.)
+    The pairs of one span share one block, and when every pair has the same
+    span (a uniform grid whose step count divides the table's interval
+    count) that block is all of them.  (A block zero-padded to the longest
+    span would change numpy's pairwise sum of a one-column table.)
     """
-    E = np.zeros((n, len(j_s), tab.ems.dim))
+    if n == 0:
+        return np.empty((0, len(j_s), tab.ems.dim))
     span = j_t - j_s
-    for m in np.unique(span) if n else ():
+    if (span == span[0]).all():
+        return _span_moments(tab, j_s, span[0], n)
+    E = np.empty((n, len(j_s), tab.ems.dim))
+    for m in np.unique(span):
         rows = np.flatnonzero(span == m)
-        points = j_s[rows, None] + np.arange(m + 1)
-        lam = tab.lambda_grid[points]
-        ls = tab.L[points] + tab.S[points]
-        scale, dlam = np.exp(ls - ls[:, :1]), (lam - lam[:, :1])[:, :, None]
-        for k in range(1, n + 1):
-            # a single point (j_s == j_t) integrates to zeros
-            w = scale * dlam**k / math.factorial(k)
-            E[k - 1, rows] = (tab.ems.spacing * (w[:, 1:] + w[:, :-1]) / 2.0).sum(axis=1)
-    return tuple(E)
+        E[:, rows] = _span_moments(tab, j_s[rows], m, n)
+    return E
+
+
+def _span_moments(tab: IntegralTable, j_s: np.ndarray, m: int, n: int) -> np.ndarray:
+    """E^1 .. E^n, ``(n, G, D)``, of the pairs j_s -> j_s + m, from one point-major block.
+
+    The block ``w`` is ``(n, m + 1, G, D)``: each power's integrand at the
+    pairs' points.  Its trapezoid terms ``h (w[1:] + w[:-1]) / 2.0`` along
+    the point axis, summed over it, are ``np.trapezoid``'s over one pair's
+    points, so every row has the bits of a one-pair call: numpy adds a
+    ``(m, D)`` array's rows in order, as the sum over the point axis does,
+    but a one-column array's entries pairwise, as a sum along contiguous
+    rows does.  A single point (m = 0) integrates to zeros.
+    """
+    points = np.arange(m + 1)[:, None] + j_s
+    lam = tab.lambda_grid[points]
+    ls = tab.L.take(points, axis=0) + tab.S.take(points, axis=0)
+    scale, dlam = np.exp(ls - ls[0]), (lam - lam[0])[:, :, None]
+    w = np.empty((n,) + scale.shape)
+    for k in range(1, n + 1):
+        np.multiply(scale, dlam**k, out=w[k - 1])
+    del ls, scale  # a lower peak: the terms below are as large as w
+    w /= _FACTORIALS[1 : n + 1, None, None, None]
+    terms = w[:, 1:] + w[:, :-1]
+    terms *= tab.ems.spacing
+    terms /= 2.0
+    if tab.ems.dim == 1:
+        return np.ascontiguousarray(np.moveaxis(terms, 1, -2)).sum(axis=-2)
+    return terms.sum(axis=1)
 
 
 class Transition(NamedTuple):
@@ -209,21 +264,20 @@ def transition_coefficients(tab: IntegralTable, j_s, j_t, n: int) -> Transition:
         raise ValueError(f"need j_t >= j_s, got {j_t[k]} < {j_s[k]}")
     if not 0 <= n <= 3:
         raise ValueError(f"n must be in [0, 3], got {n}")
-    lam_s, lam_t = tab.lambda_grid[j_s], tab.lambda_grid[j_t]
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb
-        h = lam_t - lam_s
+        h = tab.lambda_grid[j_t] - tab.lambda_grid[j_s]
         A = np.exp(-c_l * h[:, None])
         int_EB = _const_int_EB(c_l, c_s, c_b, h)
         E = tuple(poly_exp_integral(c_l + c_s, h, k) for k in range(n + 1))
     else:
-        L_s = tab.L[j_s]
-        dI = tab.I[j_t] - tab.I[j_s]
-        A = np.exp(L_s - tab.L[j_t])
-        int_EB = np.exp(-L_s) * (tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * dI)
-        E = (np.exp(-L_s - tab.S[j_s]) * dI,) + _trapezoid_moments(tab, j_s, j_t, n)
-    alphas = tab.ems.schedule.alpha_lambda(np.concatenate([lam_s, lam_t]))
-    coeffs = Transition(alphas[: len(j_s)], alphas[len(j_s) :], A, int_EB, E)
+        L_s, S_s, B_s = (arr.take(j_s, axis=0) for arr in (tab.L, tab.S, tab.B))
+        dI = tab.I.take(j_t, axis=0) - tab.I.take(j_s, axis=0)
+        dC = tab.C.take(j_t, axis=0) - tab.C.take(j_s, axis=0)
+        A = np.exp(L_s - tab.L.take(j_t, axis=0))
+        int_EB = np.exp(-L_s) * (dC - B_s * dI)
+        E = (np.exp(-L_s - S_s) * dI, *_trapezoid_moments(tab, j_s, j_t, n))
+    coeffs = Transition(tab.alpha[j_s], tab.alpha[j_t], A, int_EB, E)
     if batched:
         return coeffs
     return Transition(*(value[0] for value in coeffs[:4]), tuple(e[0] for e in E))
@@ -248,10 +302,10 @@ def g_map(tab: IntegralTable, j_anchor: int, j_l):
         l_l = c_l
         c = -c_b * poly_exp_integral(-c_s, dlam, 0)
     else:
-        ds = tab.S[j_l] - tab.S[j_anchor]
-        l_l = tab.ems.l[j_l]
-        c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
+        ds = tab.S.take(j_l, axis=0) - tab.S[j_anchor]
+        l_l = tab.ems.l.take(j_l, axis=0)
+        c = -np.exp(tab.S[j_anchor]) * (tab.B.take(j_l, axis=0) - tab.B[j_anchor])
     lam_l = lam_l[:, None]
-    a = -np.exp(-ds) * l_l / tab.ems.schedule.alpha_lambda(lam_l)
+    a = -np.exp(-ds) * l_l / tab.alpha[j_l][:, None]
     b = np.exp(-ds - lam_l)  # exp(-ds) * sigma_l / alpha_l
     return (a, b, c) if batched else (a[0], b[0], c[0])

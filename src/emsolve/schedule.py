@@ -150,8 +150,11 @@ class Schedule:
         lam = np.asarray(lam, dtype=float)
         lo, hi = self.lam_domain
         tol = 1e-9 * max(1.0, abs(lo))
-        if np.any(lam < lo - tol) or np.any(lam > hi + tol):
-            raise DomainError(f"lambda={lam} outside schedule range [{lo}, {hi}]")
+        below, above = lam < lo - tol, lam > hi + tol
+        if np.any(below) or np.any(above):
+            # the farthest value, not a whole grid
+            bad = lam[below].min() if np.any(below) else lam[above].max()
+            raise DomainError(f"lambda={bad} outside schedule range [{lo}, {hi}]")
         return lam
 
     def t_of_lambda(self, lam):

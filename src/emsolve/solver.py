@@ -20,13 +20,14 @@ position's g once, against the run's first grid point.  The multistep
 corrector reuses the step's model evaluation (no extra NFE).  States may be
 ``(D,)`` or ``(B, D)``: rows never mix, so a batch gives the same bits as its
 rows run one at a time; the loop runs coordinate-major, so the long batch
-axis is every numpy call's inner loop.  A plan reads its schedule from the
-table; its runs are sequential, can share the tables, and record a trace
-only when given a list.
+axis is every numpy call's inner loop.  A plan reads its schedule's values
+off the table's grid; its runs are sequential, can share the tables, and
+record a trace only when given a list.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .ems import EmsTable
 from .errors import DomainError
 from .integrals import IntegralTable, g_map, transition_coefficients
 from .models import ModelSpec
-from .schedule import Schedule, TimeGrid, read_only
+from .schedule import Schedule, TimeGrid
 
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
@@ -102,31 +103,41 @@ def _taylor_rows(offsets, pseudo: bool) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=float)
     if not 0 <= offsets.shape[1] <= _MAX_PREDICTOR_ORDER:
         raise ValueError(f"need 1..{_MAX_PREDICTOR_ORDER} offsets, got {offsets.shape[1]}")
-    finite = np.isfinite(offsets).all(axis=1)
-    if not finite.all():
-        got = offsets[np.argmin(finite)].tolist()
+    if not np.isfinite(offsets).all():
+        got = offsets[np.argmin(np.isfinite(offsets).all(axis=1))].tolist()
         raise ValueError(f"lambda offsets must be finite, got {got}")
-    nodes = np.concatenate([np.zeros((len(offsets), 1)), offsets], axis=1)
-    m = nodes.shape[1]
+    m = offsets.shape[1] + 1
+    eye, upper, others = _node_layout(m)
+    nodes = np.zeros((len(offsets), m))
+    nodes[:, 1:] = offsets
     # gaps[s, p, q] = x_p - x_q, and 1.0 for q = p: a product over q skips p exactly
-    gaps = nodes[:, :, None] - nodes[:, None, :] + np.eye(m)
-    apart = gaps.all(axis=(1, 2))
-    if not apart.all():
-        got = offsets[np.argmin(apart)].tolist()
+    gaps = nodes[:, :, None] - nodes[:, None, :]
+    gaps += eye
+    if not gaps.all():
+        got = offsets[np.argmin(gaps.all(axis=(1, 2)))].tolist()
         raise ValueError(f"lambda offsets must be nonzero and distinct, got {got}")
     denoms = np.cumprod(gaps, axis=2)  # prod_{q <= k, q != p} (x_p - x_q), in node order
     if pseudo:
-        return np.triu(1.0 / denoms)
+        return np.where(upper, 1.0 / denoms, 0.0)
     # node p's numerator prod_{q != p} (x - x_q), increasing powers, right-aligned in
     # ``poly`` as it grows by one power per node q; each pass reads the last pass's values
-    j = np.arange(m - 1)
-    x_q = nodes[:, j + (j >= np.arange(m)[:, None])]  # x_q[s, p, j]: the j-th node other than p
+    x_q = nodes[:, others]  # x_q[s, p, j]: the j-th node other than p
     poly = np.zeros_like(gaps)
     poly[..., -1] = 1.0
     for k in range(m - 1):
         lo = m - 2 - k
         poly[..., lo:-1] -= x_q[..., k, None] * poly[..., lo + 1 :]
     return poly / denoms[..., -1:]
+
+
+@functools.cache
+def _node_layout(m: int) -> tuple:
+    """For ``m`` nodes: the identity, the upper-triangle mask and, per node p, the other nodes."""
+    j = np.arange(m - 1)
+    layout = np.eye(m), np.triu(np.ones((m, m), dtype=bool)), j + (j >= np.arange(m)[:, None])
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 def _update(scale, x_s, alpha_s, int_EB, weights, g, reads):
@@ -225,16 +236,17 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
     """The plan over table indices ``idx``, a step per transition that ``transitions(ts)`` yields.
 
     A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
-    are ``ts``.  Every g-map comes from one :func:`g_map` call and every step's coefficients
-    from one :func:`transition_coefficients` call.  The Taylor weights are built per group of
-    sums that share a node count and pseudo flag: one :func:`_taylor_rows` call and one
-    stacked ``np.matmul`` with the k! E^k, which gives each step the bits of its own 2-D
-    product.  Raises DomainError when a map, weight or bias is non-finite: the re-anchoring
-    scale exp(S_anchor - S_first) spans the whole run.
+    are ``ts``; times, sigmas and alphas are read off the table's grid values.  Every g-map
+    comes from one :func:`g_map` call and every step's coefficients from one
+    :func:`transition_coefficients` call.  The Taylor weights are built per group of sums
+    that share a node count and pseudo flag: one :func:`_taylor_rows` call and one stacked
+    ``np.matmul`` with the k! E^k, which gives each step the bits of its own 2-D product.  A
+    one-node sum's weight is 1.0, so its row is E^0 itself, with no call.  Raises
+    DomainError when a map, weight or bias is non-finite: the re-anchoring scale
+    exp(S_anchor - S_first) spans the whole run.
     """
-    idx, sched = np.asarray(idx), tab.ems.schedule
-    lams = read_only(tab.lambda_grid[idx])
-    ts = read_only(sched.t_of_lambda(lams))
+    idx = np.asarray(idx)
+    lams, ts = tab.lambda_grid[idx], tab.t[idx]
     planned = list(transitions(ts))
     # a Taylor sum's weights are consecutive rows, read as (position, row) pairs, anchor
     # first; sums are grouped by node count and pseudo flag, as their first rows
@@ -253,38 +265,45 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
         if corrector is not None:  # the corrector also reads the target's own g value
             corrector = taylor_sum(i, (anchor, target) + corrector, pseudo_corrector)
         corrector_reads.append(corrector)
-    anchors = np.array([anchor for anchor, *_ in planned])
-    targets = tuple(target for _, target, *_ in planned)
-    row_steps = np.array(row_steps)
+    anchors, targets, *_ = zip(*planned)
+    anchors, row_steps = np.array(anchors), np.array(row_steps)
     offsets = lams[read_at] - lams[anchors[row_steps]]  # each row's lambda against its anchor
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a, b, c = g_map(tab, idx[0], idx)
         n_max = max(size for size, _ in groups) - 1
         coeffs = transition_coefficients(tab, idx[anchors], idx[list(targets)], n_max)
         # against itself the anchor's map has b = exp(-lambda) and c = 0
-        scales = np.exp(-lams[anchors])[:, None] / b[anchors]
-        int_EB = coeffs.int_EB - scales * c[anchors] * coeffs.E[0]
+        scales = np.exp(-lams[anchors])[:, None] / b.take(anchors, axis=0)
+        int_EB = coeffs.int_EB - scales * c.take(anchors, axis=0) * coeffs.E[0]
         moments = np.stack(coeffs.E, axis=1) * _FACTORIALS[: n_max + 1, None]  # (S, n + 1, D)
         folded = np.empty((len(row_steps), tab.ems.dim))
         for (size, pseudo), starts in groups.items():
-            rows = np.array(starts)[:, None] + np.arange(size)
+            starts = np.array(starts)
+            steps = row_steps[starts]
+            if size == 1:
+                # the product's sum starts from +0.0, which turns a -0.0 into 0.0
+                folded[starts] = moments[steps, 0] + 0.0
+                continue
+            rows = starts[:, None] + np.arange(size)
             taylor = _taylor_rows(offsets[rows[:, 1:]], pseudo)
-            folded[rows] = np.matmul(taylor, moments[row_steps[starts], :size])
-        weights = scales[row_steps] * folded
+            folded[rows] = np.matmul(taylor, moments[steps, :size])
+        weights = scales.take(row_steps, axis=0) * folded
     if not all(np.isfinite(v).all() for v in (a, b, c, int_EB, weights)):
         raise DomainError("the step plan has non-finite entries; the fields overflow over the grid")
-    maps, sigmas = tuple(map(read_only, (a, b, c))), read_only(sched.sigma_lambda(lams))
     stacked = (coeffs.alpha_t[:, None] * coeffs.A, coeffs.alpha_s, int_EB, weights)
+    sigmas = tab.sigma[idx]
+    for arr in (lams, ts, sigmas, a, b, c, *stacked):
+        arr.setflags(write=False)  # fresh arrays that only the plan holds: no read-only copies
     return SamplerPlan(
-        tab, tuple(idx.tolist()), lams, ts, sigmas, maps, targets, tuple(reads),
-        tuple(corrector_reads), *map(read_only, stacked),
+        tab, tuple(idx.tolist()), lams, ts, sigmas, (a, b, c), targets, tuple(reads),
+        tuple(corrector_reads), *stacked,
     )
 
 
 def _grid_indices(table: EmsTable, grid: TimeGrid) -> np.ndarray:
     """Snap ``grid``'s lambdas to indices of ``table``; they must stay strictly increasing."""
     idx = table.index_of(grid.lambdas)
-    if np.any(np.diff(idx) <= 0):
+    if (idx[1:] <= idx[:-1]).any():
         raise ValueError(
             "sampling grid is finer than the coefficient table; "
             "increase the table's timestep count"
@@ -348,11 +367,16 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     ``anchor`` is (grid index, state, g value) and ``extras`` a nearest-first list of (grid
     index, g value) pairs for the higher derivative estimates, matched exactly (full order),
     all g values against this anchor.  Returns the state at ``j_t`` from the single step of a
-    plan whose first position, and so g's zero point, is the anchor.
+    plan whose first position, and so g's zero point, is the anchor.  Raises IndexError for an
+    anchor, target or extra index off the grid, before any other check.
     """
     j_s, x_s, g_s = anchor
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
+    size = len(tab.lambda_grid)
+    off_grid = [j for j in idx if not 0 <= j < size]
+    if off_grid:
+        raise IndexError(f"grid indices ({j_s}, {off_grid[0]}) out of range [0, {size})")
     plan = _plan(tab, idx, lambda ts: [(0, 1, history, None)])
     g = dict(zip((0,) + history, [g_s] + [g for _, g in extras]))
     step = plan.scale[0], x_s, plan.alpha_s[0], plan.int_EB[0], plan.weights, g

@@ -14,7 +14,11 @@ local update straight from its transition's coefficients and Taylor
 weights (against ``lupdate``'s one-step plan, bit for bit), one step's
 Taylor weights as Python lists (against the plan's weights, built per
 group of steps, bit for bit), a whole sampler run planned step by step and run
-row-major (against the plan's coordinate-major loop, bit for bit), and the
+row-major (against the plan's coordinate-major loop, bit for bit), a step
+plan formed with the schedule's own calls, a Taylor-row call for every group
+and one trapezoid block per span (against the plan read off the table's grid
+values, bit for bit), the closed forms with both branches evaluated (against
+the ones that evaluate only the branches they take, bit for bit), and the
 probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
 (against the lockstep reference integrator).  ``reference_states`` is a
 helper, not an oracle: it chains reference segments to give the states at
@@ -332,8 +336,12 @@ def explicit_vandermonde_solution(deltas, g_diffs):
     return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
 
 
-def _poly_exp_integral(a, h: float, k: int):
-    """int_0^h exp(a d) d^k / k! dd for one step length ``h``, element-wise in ``a``."""
+def poly_exp_integral_two_branch(a, h: float, k: int):
+    """int_0^h exp(a d) d^k / k! dd for one step length ``h``, element-wise in ``a``.
+
+    Both the series and the recurrence are evaluated for every entry, and
+    ``np.where`` keeps one of them.
+    """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     small = np.abs(a) * max(1.0, abs(h)) < 1e-3
     series = np.zeros_like(a)
@@ -348,18 +356,19 @@ def _poly_exp_integral(a, h: float, k: int):
     return np.where(small, series, exact)
 
 
-def _const_int_EB(c_l, c_s, c_b, h: float):
-    """int E*B over one step of length ``h`` with constant fields."""
+def const_int_EB_two_branch(c_l, c_s, c_b, h: float):
+    """int E*B over one step of length ``h`` with constant fields, both branches evaluated."""
     a = c_l + c_s
     small = np.abs(c_s) * max(1.0, abs(h)) < 1e-3
     series = (
-        _poly_exp_integral(a, h, 1)
-        - c_s * _poly_exp_integral(a, h, 2)
-        + c_s**2 * _poly_exp_integral(a, h, 3)
-        - c_s**3 * _poly_exp_integral(a, h, 4)
+        poly_exp_integral_two_branch(a, h, 1)
+        - c_s * poly_exp_integral_two_branch(a, h, 2)
+        + c_s**2 * poly_exp_integral_two_branch(a, h, 3)
+        - c_s**3 * poly_exp_integral_two_branch(a, h, 4)
     )
     c_s_safe = np.where(small, 1.0, c_s)
-    exact = (_poly_exp_integral(a, h, 0) - _poly_exp_integral(c_l, h, 0)) / c_s_safe
+    exact = poly_exp_integral_two_branch(a, h, 0) - poly_exp_integral_two_branch(c_l, h, 0)
+    exact = exact / c_s_safe
     return c_b * np.where(small, series, exact)
 
 
@@ -381,8 +390,8 @@ def pair_transition_coefficients(tab, j_s: int, j_t: int, n: int) -> Transition:
         c_l, c_s, c_b = tab.const_lsb
         h = lam_t - lam_s
         A = np.exp(-c_l * h)
-        int_EB = _const_int_EB(c_l, c_s, c_b, h)
-        E = tuple(_poly_exp_integral(c_l + c_s, h, k) for k in range(n + 1))
+        int_EB = const_int_EB_two_branch(c_l, c_s, c_b, h)
+        E = tuple(poly_exp_integral_two_branch(c_l + c_s, h, k) for k in range(n + 1))
     else:
         L_s, L_t = tab.L[j_s], tab.L[j_t]
         dI = tab.I[j_t] - tab.I[j_s]
@@ -408,7 +417,7 @@ def pair_g_map(tab, j_anchor: int, j_l: int):
         c_l, c_s, c_b = tab.const_lsb
         ds = c_s * (lam_l - lam_anchor)
         l_l = c_l
-        c = -c_b * _poly_exp_integral(-c_s, lam_l - lam_anchor, 0)
+        c = -c_b * poly_exp_integral_two_branch(-c_s, lam_l - lam_anchor, 0)
     else:
         ds = tab.S[j_l] - tab.S[j_anchor]
         l_l = tab.ems.l[j_l]
@@ -436,6 +445,158 @@ def direct_lupdate(tab, anchor: tuple, extras: list, j_t: int):
     for v, g in zip(weights[1:], gs[1:]):
         total += v * g
     return coeffs.alpha_t * coeffs.A * (x_s / coeffs.alpha_s - coeffs.int_EB - total)
+
+
+def _stacked_closed_forms(tab, h, n: int):
+    """The closed-form (A, int_EB, E) of steps of lengths ``h``, stacked from one step at a time."""
+    c_l, c_s, c_b = tab.const_lsb
+    steps = [float(v) for v in h]
+    A = np.exp(-c_l * h[:, None])
+    int_EB = np.stack([const_int_EB_two_branch(c_l, c_s, c_b, v) for v in steps])
+    E = tuple(
+        np.stack([poly_exp_integral_two_branch(c_l + c_s, v, k) for v in steps])
+        for k in range(n + 1)
+    )
+    return A, int_EB, E
+
+
+def stacked_transition_coefficients(tab, j_s, j_t, n: int) -> Transition:
+    """``transition_coefficients`` of index arrays, as the planner's one call formed them.
+
+    The schedule's ``alpha_lambda`` on the pairs' lambdas; on other than
+    constant tables, E^k for k >= 1 from one block per span (``np.unique``),
+    summed per power.  No argument checks.
+    """
+    lam_s, lam_t = tab.lambda_grid[j_s], tab.lambda_grid[j_t]
+    if tab.const_lsb is not None:
+        A, int_EB, E = _stacked_closed_forms(tab, lam_t - lam_s, n)
+    else:
+        L_s = tab.L[j_s]
+        dI = tab.I[j_t] - tab.I[j_s]
+        A = np.exp(L_s - tab.L[j_t])
+        int_EB = np.exp(-L_s) * (tab.C[j_t] - tab.C[j_s] - tab.B[j_s] * dI)
+        moments = np.zeros((n, len(j_s), tab.ems.dim))
+        span = j_t - j_s
+        for m in np.unique(span) if n else ():
+            rows = np.flatnonzero(span == m)
+            points = j_s[rows, None] + np.arange(m + 1)
+            lam = tab.lambda_grid[points]
+            ls = tab.L[points] + tab.S[points]
+            scale, dlam = np.exp(ls - ls[:, :1]), (lam - lam[:, :1])[:, :, None]
+            for k in range(1, n + 1):
+                w = scale * dlam**k / math.factorial(k)
+                moments[k - 1, rows] = (tab.ems.spacing * (w[:, 1:] + w[:, :-1]) / 2.0).sum(axis=1)
+        E = (np.exp(-L_s - tab.S[j_s]) * dI, *moments)
+    alphas = tab.ems.schedule.alpha_lambda(np.concatenate([lam_s, lam_t]))
+    return Transition(alphas[: len(j_s)], alphas[len(j_s) :], A, int_EB, E)
+
+
+def stacked_g_map(tab, j_anchor: int, j_l):
+    """``g_map`` of an index array, as the planner's one call formed it: the schedule's alpha."""
+    lam_l = tab.lambda_grid[j_l]
+    if tab.const_lsb is not None:
+        c_l, c_s, c_b = tab.const_lsb
+        dlam = lam_l - tab.lambda_grid[j_anchor]
+        ds = c_s * dlam[:, None]
+        l_l = c_l
+        c = -c_b * np.stack([poly_exp_integral_two_branch(-c_s, float(v), 0) for v in dlam])
+    else:
+        ds = tab.S[j_l] - tab.S[j_anchor]
+        l_l = tab.ems.l[j_l]
+        c = -np.exp(tab.S[j_anchor]) * (tab.B[j_l] - tab.B[j_anchor])
+    lam_l = lam_l[:, None]
+    a = -np.exp(-ds) * l_l / tab.ems.schedule.alpha_lambda(lam_l)
+    return a, np.exp(-ds - lam_l), c
+
+
+def planned_arrays(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False) -> dict:
+    """A step plan's arrays by name, formed as before the integral table held t, alpha and sigma.
+
+    ``idx`` and ``transitions`` are the planner's: table indices, and a
+    function of the positions' times that gives (anchor, target, history,
+    corrector) per step.  The times and sigmas come from the schedule's own
+    calls, the coefficients from :func:`stacked_transition_coefficients` and
+    :func:`stacked_g_map`, and every Taylor sum's rows from
+    :func:`taylor_rows`, a one-node sum's ``[[1.0]]`` included, folded with
+    the k! E^k by one stacked ``np.matmul`` per (node count, pseudo flag)
+    group.  Also gives the reads, as (position, row) pairs per step.
+    """
+    sched = tab.ems.schedule
+    idx = np.asarray(idx)
+    lams = tab.lambda_grid[idx]
+    ts = sched.t_of_lambda(lams)
+    planned = list(transitions(ts))
+    sums, reads, corrector_reads = [], [], []  # sums: (step, positions, pseudo flag) in row order
+
+    def taylor_sum(i, positions, pseudo):
+        start = sum(len(positions) for _, positions, _ in sums)
+        sums.append((i, positions, pseudo))
+        return tuple(zip(positions, range(start, start + len(positions))))
+
+    for i, (anchor, target, history, corrector) in enumerate(planned):
+        reads.append(taylor_sum(i, (anchor,) + history, pseudo_predictor))
+        if corrector is not None:
+            corrector = taylor_sum(i, (anchor, target) + corrector, pseudo_corrector)
+        corrector_reads.append(corrector)
+    anchors = np.array([anchor for anchor, *_ in planned])
+    targets = [target for _, target, *_ in planned]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b, c = stacked_g_map(tab, idx[0], idx)
+        n_max = max(len(positions) for _, positions, _ in sums) - 1
+        coeffs = stacked_transition_coefficients(tab, idx[anchors], idx[targets], n_max)
+        scales = np.exp(-lams[anchors])[:, None] / b[anchors]
+        int_EB = coeffs.int_EB - scales * c[anchors] * coeffs.E[0]
+        factorials = np.array([math.factorial(k) for k in range(n_max + 1)], dtype=float)
+        moments = np.stack(coeffs.E, axis=1) * factorials[:, None]
+        groups = {}
+        for row, (i, positions, pseudo) in enumerate(sums):
+            groups.setdefault((len(positions), pseudo), []).append(row)
+        folded = [None] * len(sums)
+        for (size, pseudo), members in groups.items():
+            steps = [sums[row][0] for row in members]
+            rows = np.array([
+                taylor_rows([lams[p] - lams[planned[i][0]] for p in sums[row][1][1:]], pseudo)
+                for row, i in zip(members, steps)
+            ])
+            for row, block in zip(members, np.matmul(rows, moments[steps, :size])):
+                folded[row] = scales[sums[row][0]] * block
+    return {
+        "lams": lams, "ts": ts, "sigmas": sched.sigma_lambda(lams), "maps": (a, b, c),
+        "scale": coeffs.alpha_t[:, None] * coeffs.A, "alpha_s": coeffs.alpha_s,
+        "int_EB": int_EB, "weights": np.concatenate(folded), "targets": tuple(targets),
+        "reads": tuple(reads), "corrector_reads": tuple(corrector_reads),
+    }
+
+
+def multistep_transitions(cfg, t_max: float):
+    """The multistep planner's ``transitions`` for ``cfg``, on a schedule whose t ends at t_max."""
+
+    def transitions(ts):
+        num_steps = len(ts) - 1
+        for m in range(1, num_steps + 1):
+            n_m = min(cfg.order, m)
+            n_c = n_m + 1 if cfg.pseudo_corrector else n_m
+            corrected = (
+                m < num_steps
+                and cfg.corrector != "none"
+                and n_c >= 2
+                and (cfg.corrector == "full" or ts[m] <= 0.5 * t_max)
+            )
+            history = tuple(range(m - 2, m - 1 - n_m, -1))
+            corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
+            yield m - 1, m, history, corrector
+
+    return transitions
+
+
+def singlestep_transitions(order: int, num_steps: int):
+    """The singlestep planner's ``transitions`` over ``num_steps`` intervals."""
+    steps = [
+        (start, target, tuple(range(target - 1, start, -1)), None)
+        for start in range(0, num_steps, order)
+        for target in range(start + 1, min(start + order, num_steps) + 1)
+    ]
+    return lambda ts: steps
 
 
 def rowmajor_run(plan, cfg, model, x_init):

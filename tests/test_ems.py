@@ -516,6 +516,22 @@ def test_estimate_table_rejects_lam_range_outside_schedule(vp, edm, pg4):
     assert table.lambda_grid[0] == lo and table.lambda_grid[-1] == hi
 
 
+def test_degenerate_table_rejects_lam_range_outside_schedule(vp, edm):
+    """As estimate_table: vp-linear's domain is (-5.02, inf), so (-30, 2) fails when built."""
+    with pytest.raises(DomainError, match="lam_range"):
+        degenerate_table(NOISE_PRED, vp, 20, (-30.0, 2.0), 4)
+    lo, hi = edm.lam_domain
+    with pytest.raises(DomainError, match="lam_range"):
+        degenerate_table(DATA_PRED, edm, 8, (lo - 0.1, hi), 2)
+    with pytest.raises(DomainError, match="lam_range"):
+        degenerate_table(DATA_PRED, edm, 8, (lo, hi + 0.1), 2)
+    table = degenerate_table(DATA_PRED, edm, 8, (lo, hi), 2)  # the domain's own ends are in it
+    assert table.lambda_grid[0] == lo and table.lambda_grid[-1] == hi
+    build_integral_table(table)
+    with pytest.raises(ValueError, match="expected a Schedule"):
+        degenerate_table(DATA_PRED, None, 8, (lo, hi), 2)
+
+
 def test_estimate_table_standard_error_scaling(vp, mix4):
     def l_values(k, seed):
         cfg = EmsConfig(num_timesteps=2, num_datapoints=k, lam_range=(-0.5, 0.5), seed=seed)

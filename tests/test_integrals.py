@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -20,15 +22,23 @@ from emsolve import (
     estimate_table,
     g_map,
     lupdate,
+    load_table,
     make_time_grid,
     plan_multistep,
+    save_table,
     transition_coefficients,
 )
-from emsolve.integrals import poly_exp_integral
+from emsolve.integrals import _const_int_EB, poly_exp_integral
 from emsolve.ems import DATA_PRED, NOISE_PRED
+from emsolve.schedule import EDM, VP_COSINE, VP_LINEAR, Schedule
 
 import sampler_golden
-from oracles import pair_g_map, pair_transition_coefficients
+from oracles import (
+    const_int_EB_two_branch,
+    pair_g_map,
+    pair_transition_coefficients,
+    poly_exp_integral_two_branch,
+)
 
 LAM_RANGE = (-4.0, 4.0)
 
@@ -133,6 +143,52 @@ def test_integral_table_takes_only_ems_and_closed_form(smooth_table):
         IntegralTable(None)
     with pytest.raises(ValueError, match="^expected an EmsTable, got a str$"):
         build_integral_table("x")
+
+
+@pytest.mark.parametrize("kind", [VP_LINEAR, VP_COSINE, EDM])
+def test_grid_values_are_the_schedules_own_calls(kind):
+    """t, alpha and sigma have the bits of the schedule's calls, on the grid and at its points.
+
+    So do a replaced, deep-copied or unpickled table's; one built on another
+    grid has that grid's.  The arrays are read-only.
+    """
+    sched = Schedule(kind)
+    lo = sched.lam_domain[0]
+    ems = degenerate_table(NOISE_PRED, sched, 40, (lo, lo + 8.0), 2)
+    ems = dataclasses.replace(ems, l=ems.l + 0.1 * np.sin(ems.lambda_grid)[:, None])
+    tab = build_integral_table(ems)
+    shifted = degenerate_table(DATA_PRED, sched, 24, (lo + 0.5, lo + 6.0), 2)
+    tables = [
+        tab,
+        dataclasses.replace(tab, closed_form=False),
+        copy.deepcopy(tab),
+        pickle.loads(pickle.dumps(tab)),
+        dataclasses.replace(tab, ems=shifted),
+    ]
+    points = np.array([0, 3, 3, 17, 24])
+    for table in tables:
+        grid = table.lambda_grid
+        for name in ("t", "alpha", "sigma"):
+            method = "t_of_lambda" if name == "t" else f"{name}_lambda"
+            got, call = getattr(table, name), getattr(sched, method)
+            assert same_bits(got, call(grid)) and not got.flags.writeable, name
+            assert same_bits(got[points], call(grid[points])), name
+            assert all(same_bits(got[j], call(float(grid[j]))) for j in points), name
+    assert len(tables[-1].t) == 25
+
+
+def test_integral_table_rejects_a_grid_off_the_schedule_domain(vp, tmp_path):
+    """Built directly or loaded from a file, a table whose grid leaves the domain fails to build."""
+    grid = np.linspace(-30.0, 2.0, 21)  # vp-linear's lambda domain is (-5.02, inf)
+    zeros = np.zeros((21, 2))
+    ems = EmsTable(grid, zeros, zeros - 1.0, zeros, zeros, vp)
+    for build in (IntegralTable, build_integral_table):
+        with pytest.raises(DomainError, match=r"lambda=-30\.0 outside schedule range"):
+            build(ems)
+    save_table(ems, tmp_path / "off.json")
+    loaded = load_table(tmp_path / "off.json")  # the file itself is well formed
+    with pytest.raises(DomainError, match=r"lambda=-30\.0 outside schedule range"):
+        build_integral_table(loaded)
 
 
 def test_a_replaced_table_samples_as_one_built_from_it(vp, mix4, vp_lam_range):
@@ -279,6 +335,55 @@ def test_poly_exp_integral_against_quadrature(a, h, k):
     got = float(poly_exp_integral(np.array([a]), h, k)[0])
     want, _ = quad(lambda d: np.exp(a * d) * d**k / math.factorial(k), 0.0, h)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+CLOSED_FORM_COLUMNS = {
+    "all-small": [1e-5, -2e-4, 0.0],
+    "all-large": [0.5, -1.0, 2.0],
+    "mixed": [1e-5, -1.0, 0.0],
+}
+
+
+@pytest.mark.parametrize("columns", CLOSED_FORM_COLUMNS, ids=str)
+def test_closed_forms_have_the_two_branch_bits(vp, columns, monkeypatch):
+    """Each closed form evaluates only the branches its entries take, with the two-branch bits.
+
+    ``c_s`` columns all below the series threshold, all above it, and mixed;
+    steps of both signs and of length 0.  With every column small no
+    ``expm1`` runs (the recurrence is skipped), and with every column large
+    no ``zeros`` (the series is).
+    """
+    c_s = np.array(CLOSED_FORM_COLUMNS[columns])
+    c_l, c_b = np.array([0.3, -0.7, 1.0]), np.array([0.2, -0.1, 0.5])
+    h = np.array([0.0, 0.05, -0.3, 1.7, 4.0])
+    calls = []
+
+    def counting(name):
+        original = getattr(np, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("expm1", "zeros"):
+        monkeypatch.setattr(np, name, counting(name))
+    powers = [poly_exp_integral(c_s, h, k) for k in range(4)]
+    monkeypatch.undo()
+    assert ("expm1" not in calls) == (columns == "all-small")
+    assert ("zeros" not in calls) == (columns == "all-large")
+    for k, got in enumerate(powers):
+        for row, v in zip(got, h):
+            assert same_bits(row, poly_exp_integral_two_branch(c_s, float(v), k)), (k, v)
+    got = _const_int_EB(c_l, c_s, c_b, h)
+    for row, v in zip(got, h):
+        assert same_bits(row, const_int_EB_two_branch(c_l, c_s, c_b, float(v))), v
+    # and through a constant table's coefficients
+    tab = build_integral_table(make_constant_table(vp, 30, c_l, c_s, c_b))
+    j_s, j_t = np.array([0, 4, 9, 9, 20]), np.array([30, 5, 9, 12, 28])
+    batch = transition_coefficients(tab, j_s, j_t, 3)
+    maps = g_map(tab, 7, j_t)
+    for i, (a, b) in enumerate(zip(j_s, j_t)):
+        want = pair_transition_coefficients(tab, a, b, 3)
+        assert all(same_bits(x[i], y) for x, y in zip(batch[:4], want[:4]))
+        assert all(same_bits(x[i], y) for x, y in zip(batch.E, want.E))
+        assert all(same_bits(x[i], y) for x, y in zip(maps, pair_g_map(tab, 7, b)))
 
 
 def test_closed_forms_are_refinement_limits(vp):

@@ -30,7 +30,7 @@ import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
-from emsolve.solver import _taylor_rows
+from emsolve.solver import CORRECTORS, _plan, _taylor_rows
 
 import sampler_golden
 from oracles import (
@@ -39,7 +39,10 @@ from oracles import (
     estimate_derivatives,
     estimate_derivatives_pseudo,
     explicit_vandermonde_solution,
+    multistep_transitions,
+    planned_arrays,
     rowmajor_run,
+    singlestep_transitions,
     taylor_rows,
 )
 from test_models import closed_form_trajectory
@@ -344,6 +347,164 @@ def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler
     assert np.shape(calls["transition_coefficients"][0][1]) == (8,)
 
 
+# -- the planner against its stacked restatement ----------------------------------------
+
+
+@functools.cache
+def planner_tables():
+    """Estimated and constant tables on vp-linear, vp-cosine and edm, by "schedule/table" name.
+
+    vp-linear has the golden tables (60 intervals) and the estimated one's
+    first column as a one-column table, whose sums numpy adds pairwise; the
+    others have 48 intervals over their whole lambda domain (from t = 1e-3
+    on vp-cosine).
+    """
+    tabs = {f"{VP_LINEAR}/{name}": tab for name, tab in golden_tabs().items()}
+    ems = golden_tabs()["estimated"].ems
+    columns = {name: getattr(ems, name)[:, :1] for name in ("l", "s", "b", "l_dot")}
+    tabs[f"{VP_LINEAR}/estimated-1d"] = build_integral_table(dataclasses.replace(ems, **columns))
+    for kind in (VP_COSINE, EDM):
+        sched = Schedule(kind)
+        t_lo, t_hi = sched.t_domain
+        lam_range = (float(sched.lambda_of_t(t_hi)), float(sched.lambda_of_t(max(t_lo, 1e-3))))
+        cfg = EmsConfig(num_timesteps=48, num_datapoints=64, lam_range=lam_range, seed=5)
+        tabs[f"{kind}/estimated"] = build_integral_table(
+            estimate_table(sampler_golden.MODEL, sched, cfg)
+        )
+        for name in (NOISE_PRED, DATA_PRED):
+            table = degenerate_table(name, sched, 48, lam_range, 4)
+            tabs[f"{kind}/{name}"] = build_integral_table(table)
+    return tabs
+
+
+def assert_plan_bits(plan, want):
+    """Every array of ``plan`` has the restatement's bytes and shape, and the reads are the same."""
+    for name in ("lams", "ts", "sigmas", "scale", "alpha_s", "int_EB", "weights"):
+        got = getattr(plan, name)
+        assert got.shape == want[name].shape and got.tobytes() == want[name].tobytes(), name
+    for got, expected in zip(plan.maps, want["maps"], strict=True):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), "maps"
+    assert plan.targets == want["targets"]
+    assert (plan.reads, plan.corrector_reads) == (want["reads"], want["corrector_reads"])
+
+
+@st.composite
+def _plan_cases(draw):
+    """A table, a sampler, its settings, a grid kind and an NFE (often dividing the table's)."""
+    table = draw(st.sampled_from(sorted(planner_tables())))
+    intervals = len(planner_tables()[table].lambda_grid) - 1
+    divisors = [k for k in range(1, 21) if intervals % k == 0]
+    nfe = draw(st.sampled_from(divisors) | st.integers(1, 20))
+    kind = draw(st.sampled_from([UNIFORM_LAMBDA, UNIFORM_T]))
+    multistep = draw(st.booleans())
+    order = draw(st.integers(1, 3))
+    corrector = draw(st.sampled_from(CORRECTORS)) if multistep and order >= 2 else "none"
+    kwargs = {
+        "order": order,
+        "corrector": corrector,
+        "pseudo_predictor": multistep and draw(st.booleans()),
+        "pseudo_corrector": corrector != "none" and draw(st.booleans()),
+    }
+    return table, multistep, kind, nfe, kwargs
+
+
+FULL_PSEUDO = {"order": 3, "corrector": "full", "pseudo_predictor": True, "pseudo_corrector": True}
+SINGLESTEP = {"order": 3, "corrector": "none", "pseudo_predictor": False, "pseudo_corrector": False}
+
+
+@settings(max_examples=300)
+@given(case=_plan_cases())
+# one span of 6 on 60 intervals, spans 6 and 7 on 48, and the one-column table on uniform t
+@example(case=(f"{VP_LINEAR}/estimated", True, UNIFORM_LAMBDA, 10, FULL_PSEUDO))
+@example(case=(f"{EDM}/estimated", True, UNIFORM_LAMBDA, 7, {**FULL_PSEUDO, "corrector": "half"}))
+@example(case=(f"{VP_LINEAR}/estimated-1d", True, UNIFORM_T, 12, FULL_PSEUDO))
+@example(case=(f"{VP_COSINE}/{NOISE_PRED}", False, UNIFORM_LAMBDA, 16, SINGLESTEP))
+@example(case=(f"{VP_LINEAR}/{DATA_PRED}", False, UNIFORM_T, 11, {**SINGLESTEP, "order": 2}))
+def test_plans_have_the_stacked_planners_bits(case):
+    """Every plan array has the bytes of the planner restated with schedule calls and span blocks.
+
+    Multistep orders 1-3 with every corrector and both pseudo flags, and
+    singlestep orders 1-3, on uniform-lambda and uniform-t grids whose
+    NFE divides the table's interval count or not, over estimated and
+    constant tables on three schedules.  Grids finer than the table are
+    rejected as before.
+    """
+    table, multistep, kind, nfe, kwargs = case
+    tab = planner_tables()[table]
+    sched = tab.ems.schedule
+    t_start, t_end = (float(sched.t_of_lambda(tab.lambda_grid[j])) for j in (0, -1))
+    cfg = SolverConfig(grid=make_time_grid(sched, nfe, kind, t_start, t_end), **kwargs)
+    idx = tab.ems.index_of(cfg.grid.lambdas)
+    if np.any(np.diff(idx) <= 0):
+        with pytest.raises(ValueError, match="finer than the coefficient table"):
+            (plan_multistep if multistep else plan_singlestep)(tab, cfg)
+        return
+    if multistep:
+        plan = plan_multistep(tab, cfg)
+        transitions = multistep_transitions(cfg, sched.t_domain[1])
+        want = planned_arrays(tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
+    else:
+        plan = plan_singlestep(tab, cfg)
+        want = planned_arrays(tab, idx, singlestep_transitions(cfg.order, len(idx) - 1))
+    assert_plan_bits(plan, want)
+
+
+@settings(max_examples=150)
+@given(
+    table=st.sampled_from(sorted(planner_tables())),
+    j_s=st.integers(0, 60),
+    span=st.integers(0, 20),
+    extras=st.lists(st.integers(0, 60), max_size=3, unique=True),
+)
+def test_lupdate_plans_have_the_stacked_planners_bits(table, j_s, span, extras):
+    """``lupdate``'s one-step plan, extras before or after the anchor, has the same bits."""
+    tab = planner_tables()[table]
+    last = len(tab.lambda_grid) - 1
+    j_s, j_t, extras = min(j_s, last), min(j_s + span, last), [min(j, last) for j in extras]
+    assume(len(set(extras)) == len(extras) and j_s not in extras)
+    idx, history = [j_s, j_t, *extras], tuple(range(2, len(extras) + 2))
+
+    def transitions(ts):
+        return [(0, 1, history, None)]
+
+    assert_plan_bits(_plan(tab, idx, transitions), planned_arrays(tab, idx, transitions))
+
+
+def test_one_span_plans_skip_one_node_sums_and_span_sorting(monkeypatch):
+    """A uniform-lambda plan whose NFE divides the table forms each group's Taylor rows once.
+
+    Order 3 with a full pseudo corrector, NFE 10 on 60 intervals: one
+    ``_taylor_rows`` call for each (node count, pseudo flag) group with two
+    or more nodes, none for the first step's one-node sum, and no
+    ``np.unique``: every step spans 6 intervals.
+    """
+    tab = golden_tabs()["estimated"]
+    grid = make_time_grid(sampler_golden.SCHED, 10, UNIFORM_LAMBDA, 1.0, 1e-3)
+    cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
+    assert set(np.diff(tab.ems.index_of(grid.lambdas))) == {6}
+    calls, original = [], emsolve.solver._taylor_rows
+
+    def counting(offsets, pseudo):
+        calls.append((np.shape(offsets), pseudo))
+        return original(offsets, pseudo)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called on a one-span plan")
+
+    monkeypatch.setattr(emsolve.solver, "_taylor_rows", counting)
+    monkeypatch.setattr(np, "unique", refuse)
+    plan = plan_multistep(tab, cfg)
+    monkeypatch.undo()
+    # predictor sums of 1, 2 and 3 nodes (1, 1 and 8 steps), pseudo corrector sums of 2, 3
+    # and 4 (1, 1 and 7 steps): one call per group with 2 or more nodes
+    assert sorted(calls) == sorted([
+        ((1, 1), False), ((8, 2), False), ((1, 1), True), ((1, 2), True), ((7, 3), True),
+    ])
+    transitions = multistep_transitions(cfg, 1.0)
+    want = planned_arrays(tab, tab.ems.index_of(grid.lambdas), transitions, False, True)
+    assert_plan_bits(plan, want)
+
+
 # Peak allocation of planning an order-3, full pseudo-corrector NFE-80 run on the 960-interval
 # table, numpy 2.4.6: 185 KiB on uniform-t (spans 1..168, one block per span) and 253 KiB on
 # uniform-lambda (spans 12 and 13, two blocks of ~40 pairs); the finished plan holds ~173 KiB.
@@ -427,6 +588,23 @@ def test_lupdate_rejects_backward_target(vp, vp_lam_range):
     tab = build_integral_table(degenerate_table(DATA_PRED, vp, 50, vp_lam_range, 3))
     with pytest.raises(ValueError):
         lupdate(tab, (10, np.zeros(3), np.zeros(3)), [], 5)
+
+
+@pytest.mark.parametrize("position", ["anchor", "target", "extra"])
+@pytest.mark.parametrize("bad", [-1, -21, 21, 25])
+def test_lupdate_checks_every_index_before_using_it(vp, vp_lam_range, position, bad):
+    """An off-grid anchor, target or extra raises the package's IndexError, negative ones too.
+
+    Before, ``-1`` wrapped to the last grid point and ``25`` reached numpy's bare
+    IndexError.
+    """
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 20, vp_lam_range, 2))
+    x = np.ones(2)
+    j = {"anchor": 2, "target": 5, "extra": 1}
+    j[position] = bad
+    message = rf"^grid indices \({j['anchor']}, {bad}\) out of range \[0, 21\)$"
+    with pytest.raises(IndexError, match=message):
+        lupdate(tab, (j["anchor"], x, x), [(j["extra"], x)], j["target"])
 
 
 @pytest.mark.parametrize("kind", ["vp-linear", "edm"])
