@@ -22,16 +22,16 @@ Tables are immutable once built and serialize to a versioned JSON file.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, TableFormatError, UnsupportedVersionError
+from .errors import (
+    TableFormatError, UnsupportedVersionError, check_instance, check_int, check_members, check_span
+)
 from .models import ModelSpec, model_id
-from .schedule import Schedule, check_schedule, read_only
+from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 NOISE_PRED = "noise-pred"
 DATA_PRED = "data-pred"
@@ -56,26 +56,10 @@ class EmsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_timesteps", "num_datapoints", "probes_per_point", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.num_timesteps < 1:
-            raise ValueError("num_timesteps must be >= 1")
-        if self.num_datapoints < 1:
-            raise ValueError("num_datapoints must be >= 1")
-        if self.probes_per_point < 1:
-            raise ValueError("probes_per_point must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        pair = tuple(self.lam_range) if isinstance(self.lam_range, (tuple, list)) else ()
-        if not (len(pair) == 2 and all(isinstance(v, numbers.Real) for v in pair)):
-            raise ValueError(f"lam_range must be a pair of real numbers, got {self.lam_range!r}")
-        lo, hi = pair
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"lam_range must be finite, got {self.lam_range}")
-        if not lo < hi:
-            raise ValueError(f"lam_range must be increasing, got {self.lam_range}")
+        for name in ("num_timesteps", "num_datapoints", "probes_per_point"):
+            check_int(getattr(self, name), name, 1)
+        check_int(self.seed, "seed", 0)
+        check_span(self.lam_range, "lam_range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +84,7 @@ class EmsTable:
         grid_shape = (len(self.lambda_grid),)
         field_shape = grid_shape + np.shape(self.l)[-1:]
         for name in _ARRAYS:
-            arr = read_only(getattr(self, name))
+            arr = read_only(getattr(self, name), name)
             expected = grid_shape if name == "lambda_grid" else field_shape
             if arr.shape != expected:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
@@ -251,17 +235,14 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
     data distribution.  Bit-identical output for a fixed config.  Raises
-    ValueError when ``model`` or ``sched`` lacks the members the sweep reads,
-    and :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's
-    lambda domain.
+    ValueError when ``model`` or ``sched`` lacks the members the sweep reads
+    or ``cfg`` is not an :class:`EmsConfig`, and :class:`DomainError` when
+    ``cfg.lam_range`` leaves the schedule's lambda domain.
     """
     check_schedule(sched)
-    missing = [
-        name for name in ("linearize", "sample_data") if not callable(getattr(model, name, None))
-    ]
-    if missing:
-        raise ValueError(f"expected a model, got a {type(model).__name__} without {missing}")
-    _check_lam_range(sched, cfg.lam_range)
+    check_members(model, "model", ("linearize", "sample_data"))
+    check_instance(cfg, EmsConfig)
+    check_lam_span(sched, *cfg.lam_range, "lam_range")
     n_pts = cfg.num_timesteps + 1
     grid = np.linspace(*cfg.lam_range, n_pts)
 
@@ -289,22 +270,13 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     return EmsTable(lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta)
 
 
-def _check_lam_range(sched: Schedule, lam_range) -> None:
-    """Raise DomainError unless the (lo, hi) ``lam_range`` lies in the schedule's lambda domain."""
-    dom_lo, dom_hi = sched.lam_domain
-    if lam_range[0] < dom_lo or lam_range[1] > dom_hi:
-        raise DomainError(
-            f"lam_range {lam_range} outside the schedule's lambda domain [{dom_lo}, {dom_hi}]"
-        )
-
-
 def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, dim: int) -> EmsTable:
     """Constant table recovering a classical parameterization.
 
     ``noise-pred`` (l=0, s=-1, b=0) reproduces plain noise-prediction
     exponential integrators; ``data-pred`` (l=1, s=0, b=0) reproduces
-    data-prediction ones.  Raises :class:`DomainError` when ``lam_range``
-    leaves the schedule's lambda domain, as :func:`estimate_table` does.
+    data-prediction ones.  Raises ValueError for a malformed argument, and
+    :class:`DomainError` when ``lam_range`` leaves the schedule's lambda domain.
     """
     if kind == NOISE_PRED:
         l_val, s_val = 0.0, -1.0
@@ -313,8 +285,10 @@ def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, 
     else:
         raise ValueError(f"unknown degenerate kind {kind!r}")
     check_schedule(sched)
-    lam_lo, lam_hi = lam_range
-    _check_lam_range(sched, lam_range)
+    check_int(num_timesteps, "num_timesteps", 1)
+    check_int(dim, "dim", 0)  # a table with no column is EmsTable's to refuse
+    lam_lo, lam_hi = check_span(lam_range, "lam_range")
+    check_lam_span(sched, lam_lo, lam_hi, "lam_range")
     n_pts = num_timesteps + 1
     grid = np.linspace(lam_lo, lam_hi, n_pts)
     ones = np.ones((n_pts, dim))
@@ -333,7 +307,8 @@ def degenerate_table(kind: str, sched: Schedule, num_timesteps: int, lam_range, 
 
 
 def save_table(table: EmsTable, path) -> None:
-    """Write the table as versioned JSON with full float precision."""
+    """Write an :class:`EmsTable` as versioned JSON with full float precision."""
+    check_instance(table, EmsTable)
     payload = {
         "version": _FILE_VERSION,
         "schedule": table.schedule.to_dict(),

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ems import EmsTable
-from .errors import DomainError
+from .errors import DomainError, check_instance
 from .schedule import read_only
 
 _FACTORIALS = np.array([math.factorial(k) for k in range(4)], dtype=float)
@@ -70,10 +70,8 @@ class IntegralTable:
     const_lsb: tuple | None = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.ems, EmsTable):
-            raise ValueError(f"expected an EmsTable, got a {type(self.ems).__name__}")
-        if not isinstance(self.closed_form, bool):
-            raise ValueError(f"closed_form must be a bool, got {self.closed_form!r}")
+        check_instance(self.ems, EmsTable)
+        check_instance(self.closed_form, bool, "closed_form")
         ems, h0, sched = self.ems, self.ems.spacing, self.ems.schedule
         # the schedule at the grid points; t_of_lambda raises DomainError off its domain
         at_grid = (sched.t_of_lambda, sched.alpha_lambda, sched.sigma_lambda)
@@ -113,7 +111,7 @@ def build_integral_table(ems: EmsTable) -> IntegralTable:
     return IntegralTable(ems)
 
 
-def _check_indices(tab: IntegralTable, j_a: np.ndarray, j_b: np.ndarray):
+def check_grid_indices(tab: IntegralTable, j_a: np.ndarray, j_b: np.ndarray):
     """Raise IndexError unless the 1-D index arrays ``j_a`` and ``j_b`` are on the grid."""
     n = len(tab.lambda_grid)
     both = np.concatenate([j_a, j_b])
@@ -257,7 +255,7 @@ def transition_coefficients(tab: IntegralTable, j_s, j_t, n: int) -> Transition:
     """
     batched = np.ndim(j_s) > 0
     j_s, j_t = np.atleast_1d(j_s), np.atleast_1d(j_t)
-    _check_indices(tab, j_s, j_t)
+    check_grid_indices(tab, j_s, j_t)
     backward = j_t < j_s
     if backward.any():
         k = np.argmax(backward)
@@ -293,7 +291,7 @@ def g_map(tab: IntegralTable, j_anchor: int, j_l):
     """
     batched = np.ndim(j_l) > 0
     j_l = np.atleast_1d(j_l)
-    _check_indices(tab, np.atleast_1d(j_anchor), j_l)
+    check_grid_indices(tab, np.atleast_1d(j_anchor), j_l)
     lam_l = tab.lambda_grid[j_l]
     if tab.const_lsb is not None:
         c_l, c_s, c_b = tab.const_lsb

@@ -39,13 +39,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .schedule import Schedule
+from .errors import ConvergenceError, check_floats, check_members, check_real
+from .schedule import Schedule, check_lam_span, check_schedule
 
 
 def _short_sum(a):
@@ -177,7 +176,7 @@ class PointGaussian(ModelSpec):
     kind = "point-gaussian"
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        x0 = np.atleast_1d(check_floats(self.x0, "x0"))
         if x0.ndim != 1 or x0.size < 1:
             raise ValueError("x0 must be a vector of dimension >= 1")
         if not np.all(np.isfinite(x0)):
@@ -229,11 +228,12 @@ class GaussianMixture(ModelSpec):
     kind = "gaussian-mixture"
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        mu = np.atleast_2d(np.asarray(self.means, dtype=float))
-        s = np.atleast_1d(np.asarray(self.stds, dtype=float))
-        if not (len(w) == len(mu) == len(s)):
-            raise ValueError("weights, means, stds must have the same number of components")
+        w = np.atleast_1d(check_floats(self.weights, "weights"))
+        mu = np.atleast_2d(check_floats(self.means, "means"))
+        s = np.atleast_1d(check_floats(self.stds, "stds"))
+        if not (w.ndim == s.ndim == 1 and mu.ndim == 2 and len(w) == len(mu) == len(s)):
+            shapes = f"{w.shape}, {mu.shape} and {s.shape}"
+            raise ValueError(f"weights, means, stds must be (C,), (C, D) and (C,), got {shapes}")
         for name, value in (("weights", w), ("means", mu), ("stds", s)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
@@ -307,16 +307,6 @@ class GaussianMixture(ModelSpec):
         hv = _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score)
         hv -= mean_score * _short_dot(mean_score, v.swapaxes(0, -2))[..., None, :]
         return np.subtract(hv, pi_over_var * v, out=out)
-
-    def log_density(self, sched, x, lam):
-        """log q_lambda(x) of the diffused mixture."""
-        x = self._check_input(x, lam)
-        alpha, _, var = self._moments(sched, lam)
-        n = x.size // self.dim
-        log_comp = self._log_components(_columns(x, (), n), alpha, var)[2]
-        top = _short_max(log_comp)
-        out = np.log(_short_sum(np.exp(log_comp - top))) + top
-        return out.reshape(x.shape[:-1])[()]
 
     def eps(self, sched, x, lam):
         x = self._check_input(x, lam)
@@ -407,10 +397,11 @@ class Guided(ModelSpec):
     kind = "guided"
 
     def __post_init__(self):
+        for part in (self.cond, self.uncond):
+            check_members(part, "model", ("eps", "linearize"), ("dim",))
         if self.cond.dim != self.uncond.dim:
             raise ValueError("cond and uncond models must share dimension")
-        if not (isinstance(self.scale, numbers.Real) and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite, got {self.scale}")
+        check_real(self.scale, "scale")
 
     @property
     def dim(self) -> int:
@@ -448,15 +439,11 @@ class Guided(ModelSpec):
         }
 
 
-_MODEL_KINDS = {
-    "point-gaussian": PointGaussian,
-    "gaussian-mixture": GaussianMixture,
-    "guided": Guided,
-}
+_MODEL_KINDS = (PointGaussian.kind, GaussianMixture.kind, Guided.kind)  # ``in`` hashes nothing
 
 
 def model_from_dict(data: dict) -> ModelSpec:
-    """Rebuild a model from its JSON dict form; a non-dict or a missing key raises ValueError."""
+    """Rebuild a model from its JSON dict form; ValueError for a malformed one."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a model dict, got {type(data).__name__}")
     try:
@@ -464,18 +451,11 @@ def model_from_dict(data: dict) -> ModelSpec:
         if kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
         if kind == "point-gaussian":
-            return PointGaussian(x0=np.asarray(data["x0"], dtype=float))
+            return PointGaussian(x0=data["x0"])
         if kind == "gaussian-mixture":
-            return GaussianMixture(
-                weights=np.asarray(data["weights"], dtype=float),
-                means=np.asarray(data["means"], dtype=float),
-                stds=np.asarray(data["stds"], dtype=float),
-            )
-        return Guided(
-            cond=model_from_dict(data["cond"]),
-            uncond=model_from_dict(data["uncond"]),
-            scale=float(data["scale"]),
-        )
+            return GaussianMixture(weights=data["weights"], means=data["means"], stds=data["stds"])
+        cond, uncond = model_from_dict(data["cond"]), model_from_dict(data["uncond"])
+        return Guided(cond, uncond, scale=float(check_real(data["scale"], "scale")))
     except KeyError as exc:
         raise ValueError(f"model dict missing key {exc}") from None
 
@@ -490,8 +470,7 @@ class EvalCounter:
     """Delegate that counts ``eps`` calls (the NFE); it forwards ``linearize`` and all else."""
 
     def __init__(self, inner: ModelSpec):
-        if not callable(getattr(inner, "eps", None)):
-            raise ValueError(f"expected a model with an eps method, got a {type(inner).__name__}")
+        check_members(inner, "model", ("eps",))
         self.inner = inner
         self.calls = 0
 
@@ -634,27 +613,23 @@ def reference_solve(
     guided pairs under vp-linear, vp-cosine and edm (measured up to 2.6),
     and on the point mass's closed-form trajectory.
 
-    Raises ValueError for a non-finite or non-positive ``tol``, a non-finite
-    or decreasing span, or a non-finite ``x_start``, and DomainError (a
-    ValueError) for a span outside the schedule's lambda domain.  Raises
+    Raises ValueError for a malformed argument (``tol`` must be positive,
+    ``lam_end`` at least ``lam_start``) or a non-finite ``x_start``, and
+    DomainError (a ValueError) for a span outside the schedule's lambda
+    domain.  Raises
     ConvergenceError when a row's step falls below ten spacings of the
     floats at its lambda, when a row attempts more than
     ``REFERENCE_MAX_STEPS`` steps, or when a state or right-hand side turns
     non-finite.
     """
-    if not all(map(math.isfinite, (tol, lam_start, lam_end))):
-        raise ValueError(f"tol and span must be finite, got {tol} and [{lam_start}, {lam_end}]")
-    if tol <= 0:
+    check_members(model, "model", ("eps",))
+    check_schedule(sched)
+    if check_real(tol, "tol") <= 0:
         raise ValueError("tol must be positive")
-    if lam_end < lam_start:
+    if check_real(lam_end, "lam_end") < check_real(lam_start, "lam_start"):
         raise ValueError(f"need lam_end >= lam_start, got {lam_end} < {lam_start}")
-    dom_lo, dom_hi = sched.lam_domain
-    if lam_start < dom_lo or lam_end > dom_hi:
-        raise DomainError(
-            f"span [{lam_start}, {lam_end}] outside the schedule's lambda domain "
-            f"[{dom_lo}, {dom_hi}]"
-        )
-    x_start = np.asarray(x_start, dtype=float)
+    check_lam_span(sched, lam_start, lam_end, "span")
+    x_start = check_floats(x_start, "x_start")
     if x_start.ndim == 0:
         raise ValueError("x_start must have shape (..., D), got a 0-d array")
     if not np.all(np.isfinite(x_start)):

@@ -9,13 +9,14 @@ Schedules and time grids are immutable; share them freely across threads.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (
+    DomainError, check_floats, check_instance, check_int, check_members, check_real, check_span
+)
 
 VP_LINEAR = "vp-linear"
 VP_COSINE = "vp-cosine"
@@ -37,10 +38,6 @@ _DEFAULT_T_DOMAIN = {
     VP_COSINE: (0.0, 0.9946),
     EDM: (0.002, 80.0),
 }
-
-
-def _is_finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _cosine_log_alpha0(offset: float) -> float:
@@ -71,25 +68,24 @@ class Schedule:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {_KINDS}")
         merged = dict(_DEFAULT_PARAMS[self.kind])
-        unknown = set(self.params) - set(merged)
+        unknown = set(check_instance(self.params, dict, "params")) - set(merged)
         if unknown:
             raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
         merged.update(self.params)
         for name, value in merged.items():
-            if not _is_finite_real(value):
-                raise ValueError(f"{self.kind} param {name} must be finite and real, got {value!r}")
+            check_real(value, f"{self.kind} param {name}")
         if self.kind == VP_LINEAR:
             b0, b1 = merged["beta0"], merged["beta1"]
             if not (b0 >= 0 and b1 >= 0 and b0 + b1 > 0):
                 raise ValueError(f"vp-linear needs beta0, beta1 >= 0, not both 0, got {merged}")
         object.__setattr__(self, "params", merged)
-        domain = tuple(self.t_domain) or _DEFAULT_T_DOMAIN[self.kind]
-        valid = len(domain) == 2 and all(map(_is_finite_real, domain))
-        if not (valid and 0 <= domain[0] < domain[1]):
-            raise ValueError(f"t_domain must be two finite numbers with 0 <= lo < hi, got {domain}")
-        if self.kind == VP_COSINE and not (merged["offset"] >= 0 and domain[1] <= 1):
-            raise ValueError(f"vp-cosine needs offset >= 0 and t <= 1, got {merged}, {domain}")
-        object.__setattr__(self, "t_domain", (float(domain[0]), float(domain[1])))
+        default = isinstance(self.t_domain, (tuple, list)) and not self.t_domain
+        lo, hi = check_span(_DEFAULT_T_DOMAIN[self.kind] if default else self.t_domain, "t_domain")
+        if lo < 0:
+            raise ValueError(f"t_domain must be two finite numbers with 0 <= lo < hi, got {lo, hi}")
+        if self.kind == VP_COSINE and not (merged["offset"] >= 0 and hi <= 1):
+            raise ValueError(f"vp-cosine needs offset >= 0 and t <= 1, got {merged}, {lo, hi}")
+        object.__setattr__(self, "t_domain", (float(lo), float(hi)))
 
     # -- t-domain quantities ------------------------------------------------
 
@@ -114,18 +110,6 @@ class Schedule:
             s = self.params["offset"]
             return np.log(np.cos((t + s) / (1.0 + s) * math.pi / 2.0)) - _cosine_log_alpha0(s)
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def alpha(self, t):
-        """alpha(t); 1 for edm, exp of the closed-form exponent for vp kinds."""
-        return np.exp(self.log_alpha(t))
-
-    def sigma(self, t):
-        """sigma(t); sqrt(1 - alpha^2) for vp kinds, t for edm."""
-        t = self._check_t(t)
-        if self.kind == EDM:
-            return np.asarray(t, dtype=float)
-        # -expm1(2 log alpha) = 1 - alpha^2, accurate for alpha near 1
-        return np.sqrt(-np.expm1(2.0 * self.log_alpha(t)))
 
     def lambda_of_t(self, t):
         """Half-logSNR lambda(t) = log alpha(t) - log sigma(t)."""
@@ -217,14 +201,9 @@ class Schedule:
     def from_dict(cls, data: dict) -> "Schedule":
         if not isinstance(data, dict):
             raise ValueError(f"expected a schedule dict, got {type(data).__name__}")
-        try:
-            return cls(
-                kind=data["kind"],
-                params=dict(data.get("params", {})),
-                t_domain=tuple(data.get("t_domain", ())),
-            )
-        except KeyError as exc:
-            raise ValueError(f"schedule dict missing key {exc}") from exc
+        if "kind" not in data:
+            raise ValueError("schedule dict missing key 'kind'")
+        return cls(data["kind"], data.get("params", {}), data.get("t_domain", ()))
 
 
 # The schedule methods the package calls.  A delegate that forwards them and
@@ -237,19 +216,23 @@ _SCHEDULE_METHODS = (
 
 def check_schedule(sched) -> None:
     """Raise ValueError unless ``sched`` has the schedule members the package reads; calls none."""
-    missing = [name for name in _SCHEDULE_METHODS if not callable(getattr(sched, name, None))]
-    if not hasattr(sched, "t_domain"):
-        missing.append("t_domain")
-    if missing:
-        raise ValueError(f"expected a Schedule, got a {type(sched).__name__} without {missing}")
+    check_members(sched, "Schedule", _SCHEDULE_METHODS, ("t_domain",))
 
 
-def read_only(value) -> np.ndarray:
+def check_lam_span(sched, lo, hi, name: str) -> None:
+    """Raise DomainError unless [``lo``, ``hi``] lies in the schedule's lambda domain."""
+    dom_lo, dom_hi = sched.lam_domain
+    if lo < dom_lo or hi > dom_hi:
+        span = f"[{lo}, {hi}] outside the schedule's lambda domain [{dom_lo}, {dom_hi}]"
+        raise DomainError(f"{name} {span}")
+
+
+def read_only(value, name: str = "value") -> np.ndarray:
     """``value`` as a read-only float64 array: a writable array is copied first, a read-only one kept.
 
-    Keeping read-only arrays lets ``dataclasses.replace`` share them.
+    Keeping read-only arrays lets ``dataclasses.replace`` share them.  ValueError names ``name``.
     """
-    arr = np.asarray(value, dtype=float)
+    arr = check_floats(value, name)
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
@@ -271,7 +254,7 @@ class TimeGrid:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        lambdas = read_only(self.lambdas)
+        lambdas = read_only(self.lambdas, "lambdas")
         valid = lambdas.ndim == 1 and len(lambdas) >= 2 and np.isfinite(lambdas).all()
         if not (valid and (np.diff(lambdas) > 0).all()):
             raise ValueError(f"lambdas must be >= 2 finite, increasing values, got {lambdas}")
@@ -290,11 +273,11 @@ def make_time_grid(
     ``uniform-lambda`` spaces the half-logSNR values evenly (the usual choice
     for exponential-integrator solvers); ``uniform-t`` spaces time evenly.
     """
-    if not (isinstance(num_steps, numbers.Integral) and num_steps >= 1):
-        raise ValueError(f"num_steps must be an integer >= 1, got {num_steps!r}")
+    check_schedule(sched)
+    check_int(num_steps, "num_steps", 1)
     if kind not in (UNIFORM_LAMBDA, UNIFORM_T):
         raise ValueError(f"unknown grid kind {kind!r}")
-    if not t_start > t_end:
+    if not check_real(t_start, "t_start") > check_real(t_end, "t_end"):
         raise ValueError(f"need t_start > t_end, got {t_start} <= {t_end}")
     if kind == UNIFORM_LAMBDA:
         lam_start, lam_end = float(sched.lambda_of_t(t_start)), float(sched.lambda_of_t(t_end))

@@ -29,16 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ems import EmsTable
-from .errors import DomainError
-from .integrals import IntegralTable, g_map, transition_coefficients
+from .errors import DomainError, check_floats, check_instance, check_int, check_members
+from .integrals import IntegralTable, check_grid_indices, g_map, transition_coefficients
 from .models import ModelSpec
-from .schedule import Schedule, TimeGrid
+from .schedule import Schedule, TimeGrid, check_schedule
 
 CORRECTOR_NONE = "none"
 CORRECTOR_FULL = "full"
@@ -70,14 +68,10 @@ class SolverConfig:
     pseudo_corrector: bool = False
 
     def __post_init__(self):
-        integral = isinstance(self.order, numbers.Integral) and not isinstance(self.order, bool)
-        if not (integral and 1 <= self.order <= _MAX_PREDICTOR_ORDER):
-            raise ValueError(
-                f"order must be an integer in [1, {_MAX_PREDICTOR_ORDER}] (got {self.order!r}); "
-                "4th order is available as the pseudo corrector on an order-3 run"
-            )
-        if not isinstance(self.grid, TimeGrid):
-            raise ValueError(f"grid must be a TimeGrid, got {type(self.grid).__name__}")
+        check_int(self.order, "order", 1, _MAX_PREDICTOR_ORDER)
+        check_instance(self.grid, TimeGrid, "grid")
+        for name in ("pseudo_predictor", "pseudo_corrector"):
+            check_instance(getattr(self, name), bool, name)
         if self.corrector not in CORRECTORS:
             raise ValueError(f"unknown corrector {self.corrector!r}")
         if self.corrector != CORRECTOR_NONE and self.order < 2:
@@ -184,16 +178,18 @@ class SamplerPlan:
         values are held as ``(D, B)`` arrays against ``(D, 1)`` weight
         columns, reading the caller's state and each eps through their
         transposes; the final state is transposed back on exit.  Raises
-        ValueError unless D is the table's.  Appends one row per step to a
-        ``trace`` list: the target's ``t`` and ``lambda``, its state ``x`` and
-        noise prediction ``eps`` as C-ordered float64 arrays of the state's
-        shape (the row's own copies; ``eps`` is None on the last row), and
-        ``eps_norm`` and ``g_norm``, each row's 2-norm (g against the first
-        position): a float for a ``(D,)`` state, else an array of its leading
-        shape whose entries have the bits of each row's own run.
+        ValueError for a ``model`` without ``eps`` or a state whose D is not
+        the table's.  Appends one row per step to a ``trace`` list: the
+        target's ``t`` and ``lambda``, its state ``x`` and noise prediction
+        ``eps`` as C-ordered float64 arrays of the state's shape (the row's
+        own copies; ``eps`` is None on the last row), and ``eps_norm`` and
+        ``g_norm``, each row's 2-norm (g against the first position): a float
+        for a ``(D,)`` state, else an array of its leading shape whose entries
+        have the bits of each row's own run.
         """
+        check_members(model, "model", ("eps",))
         ems, lams, sigmas, last = self.tab.ems, self.lams, self.sigmas, len(self.targets) - 1
-        x = np.asarray(x_init, dtype=float)
+        x = check_floats(x_init, "x_init")
         if x.shape[-1:] != (ems.dim,):
             raise ValueError(f"state of shape {x.shape} for a table of dimension {ems.dim}")
         if not np.all(np.isfinite(x)):
@@ -300,9 +296,11 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
     )
 
 
-def _grid_indices(table: EmsTable, grid: TimeGrid) -> np.ndarray:
-    """Snap ``grid``'s lambdas to indices of ``table``; they must stay strictly increasing."""
-    idx = table.index_of(grid.lambdas)
+def _grid_indices(tab: IntegralTable, cfg: SolverConfig) -> np.ndarray:
+    """Check ``tab`` and ``cfg``; snap the grid to ``tab``'s indices, which must stay increasing."""
+    check_instance(tab, IntegralTable)
+    check_instance(cfg, SolverConfig)
+    idx = tab.ems.index_of(cfg.grid.lambdas)
     if (idx[1:] <= idx[:-1]).any():
         raise ValueError(
             "sampling grid is finer than the coefficient table; "
@@ -319,6 +317,7 @@ def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     corrector reuses the step's evaluation instead of adding one).  Early
     steps ramp the order up as history becomes available.
     """
+    idx = _grid_indices(tab, cfg)
     half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
 
     def transitions(ts):
@@ -336,7 +335,6 @@ def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
             corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
             yield m - 1, m, history, corrector
 
-    idx = _grid_indices(tab.ems, cfg.grid)
     return _plan(tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
 
 
@@ -349,9 +347,9 @@ def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     order.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
     which this path has no use for.
     """
+    idx = _grid_indices(tab, cfg)
     if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
         raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
-    idx = _grid_indices(tab.ems, cfg.grid)
     total = len(idx) - 1
     transitions = [
         (start, target, tuple(range(target - 1, start, -1)), None)
@@ -370,13 +368,11 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     plan whose first position, and so g's zero point, is the anchor.  Raises IndexError for an
     anchor, target or extra index off the grid, before any other check.
     """
+    check_instance(tab, IntegralTable)
     j_s, x_s, g_s = anchor
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
-    size = len(tab.lambda_grid)
-    off_grid = [j for j in idx if not 0 <= j < size]
-    if off_grid:
-        raise IndexError(f"grid indices ({j_s}, {off_grid[0]}) out of range [0, {size})")
+    check_grid_indices(tab, np.array(idx[:1]), np.array(idx))
     plan = _plan(tab, idx, lambda ts: [(0, 1, history, None)])
     g = dict(zip((0,) + history, [g_s] + [g for _, g in extras]))
     step = plan.scale[0], x_s, plan.alpha_s[0], plan.int_EB[0], plan.weights, g
@@ -414,6 +410,7 @@ def _row_norms(rows):
 
 def _check_schedule(sched: Schedule, tab: IntegralTable):
     """Raise ValueError unless ``sched`` is, or equals, the schedule ``tab`` was built for."""
+    check_schedule(sched)
     # `is` first: a delegate wrapping the table's own schedule is not == to it
     if not (sched is tab.ems.schedule or sched == tab.ems.schedule):
         want, got = tab.ems.schedule.to_dict(), sched.to_dict()
@@ -424,8 +421,8 @@ def multistep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
     """Plan with :func:`plan_multistep`, run from ``x_init``; returns the final state and plan."""
-    _check_schedule(sched, tab)
     plan = plan_multistep(tab, cfg)
+    _check_schedule(sched, tab)
     return plan.run(model, x_init), plan
 
 
@@ -433,5 +430,6 @@ def singlestep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
     """Plan with :func:`plan_singlestep`, run from ``x_init``; returns the final state."""
+    plan = plan_singlestep(tab, cfg)
     _check_schedule(sched, tab)
-    return plan_singlestep(tab, cfg).run(model, x_init)
+    return plan.run(model, x_init)

@@ -3,8 +3,8 @@
 No library path calls any of these.  Each restates a quantity the library
 computes another way: derivative estimates by elimination and by the
 divided-difference recurrence (against the plan's closed-form Taylor
-weights), the classical DDIM update (against order 1 on the
-noise-prediction table), f and f1 one point at a time and the per-sample
+weights), the classical DDIM update, with alpha and sigma as functions of
+t (against order 1 on the noise-prediction table), f and f1 one point at a time and the per-sample
 least-squares fit (against the one-sweep table), and a model's
 derivatives from separate calls, part by part for a guided model (against
 ``linearize``), a mixture's eps in long double (against its float64
@@ -92,6 +92,20 @@ def mixture_eps_longdouble(model, sched, x, lam):
     w = np.exp(log_comp - np.max(log_comp, axis=-1, keepdims=True))
     pi = w / np.sum(w, axis=-1, keepdims=True)
     return sigma * np.sum(pi[..., None] * diff / var[:, None], axis=-2)
+
+
+def mixture_log_density(model, sched, x, lam):
+    """log q_lambda(x) of a diffused ``GaussianMixture``, a logsumexp over its components.
+
+    Component i is N(alpha mu_i, (alpha^2 s_i^2 + sigma^2) I); the score of
+    this density, times -sigma, is the mixture's eps.
+    """
+    alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+    var = alpha**2 * model.stds**2 + sigma**2
+    sq = np.sum((np.asarray(x, dtype=float)[..., None, :] - alpha * model.means) ** 2, axis=-1)
+    log_comp = np.log(model.weights) - 0.5 * (model.dim * np.log(2.0 * np.pi * var) + sq / var)
+    top = np.max(log_comp, axis=-1)
+    return np.log(np.sum(np.exp(log_comp - top[..., None]), axis=-1)) + top
 
 
 def _rowmajor_sum(a, axis=-1):
@@ -657,13 +671,26 @@ def rowmajor_run(plan, cfg, model, x_init):
     return x
 
 
+def alpha_of_t(sched: Schedule, t):
+    """alpha(t), the exponential of the schedule's closed-form log alpha(t)."""
+    return np.exp(sched.log_alpha(t))
+
+
+def sigma_of_t(sched: Schedule, t):
+    """sigma(t): t on edm, sqrt(1 - alpha(t)^2) on the vp kinds, from log alpha(t)."""
+    if sched.kind == "edm":
+        return np.asarray(t, dtype=float)
+    # -expm1(2 log alpha) = 1 - alpha^2, accurate for alpha near 1
+    return np.sqrt(-np.expm1(2.0 * sched.log_alpha(t)))
+
+
 def ddim_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
     """Classical first-order deterministic update from t_s down to t_t."""
     if t_t > t_s:
         raise ValueError(f"need t_t <= t_s, got {t_t} > {t_s}")
-    alpha_s = sched.alpha(t_s)
-    alpha_t = sched.alpha(t_t)
-    sigma_s = sched.sigma(t_s)
-    sigma_t = sched.sigma(t_t)
+    alpha_s = alpha_of_t(sched, t_s)
+    alpha_t = alpha_of_t(sched, t_t)
+    sigma_s = sigma_of_t(sched, t_s)
+    sigma_t = sigma_of_t(sched, t_t)
     x_s, eps_s = np.asarray(x_s, dtype=float), np.asarray(eps_s, dtype=float)
     return (alpha_t / alpha_s) * x_s - alpha_t * (sigma_s / alpha_s - sigma_t / alpha_t) * eps_s

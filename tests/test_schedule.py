@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,21 +10,30 @@ from emsolve import DomainError, Schedule, TimeGrid, make_time_grid
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
 
 
+def alpha_at(sched, t):
+    return sched.alpha_lambda(sched.lambda_of_t(t))
+
+
+def sigma_at(sched, t):
+    return sched.sigma_lambda(sched.lambda_of_t(t))
+
+
 def test_alpha_edm_is_one(edm):
-    assert edm.alpha(80.0) == 1.0
-    assert edm.alpha(0.002) == 1.0
+    assert alpha_at(edm, 80.0) == 1.0
+    assert alpha_at(edm, 0.002) == 1.0
 
 
 def test_alpha_vp_linear_endpoints(vp):
-    assert vp.alpha(0.0) == pytest.approx(1.0, abs=1e-15)
+    # t = 0 is lambda = +inf, the top of vp-linear's lambda domain
+    assert vp.alpha_lambda(vp.lam_domain[1]) == pytest.approx(1.0, abs=1e-15)
     # closed-form exponent at t=1: -(beta1-beta0)/4 - beta0/2 = -5.025
-    assert vp.alpha(1.0) == pytest.approx(np.exp(-5.025), rel=1e-12)
+    assert alpha_at(vp, 1.0) == pytest.approx(np.exp(-5.025), rel=1e-12)
 
 
 def test_sigma_examples(vp, edm):
-    assert edm.sigma(0.002) == 0.002
-    assert vp.sigma(0.0) == 0.0
-    assert vp.sigma(1.0) == pytest.approx(np.sqrt(1.0 - np.exp(-5.025) ** 2), rel=1e-12)
+    assert sigma_at(edm, 0.002) == pytest.approx(0.002, rel=1e-15)
+    assert vp.sigma_lambda(vp.lam_domain[1]) == 0.0
+    assert sigma_at(vp, 1.0) == pytest.approx(np.sqrt(1.0 - np.exp(-5.025) ** 2), rel=1e-12)
 
 
 def test_lambda_examples(vp, edm):
@@ -31,7 +41,7 @@ def test_lambda_examples(vp, edm):
     assert edm.lambda_of_t(80.0) == pytest.approx(-np.log(80.0), rel=1e-12)
     # symmetry point: alpha = sigma exactly where lambda = 0
     t_mid = float(vp.t_of_lambda(0.0))
-    assert vp.alpha(t_mid) == pytest.approx(vp.sigma(t_mid), rel=1e-9)
+    assert alpha_at(vp, t_mid) == pytest.approx(sigma_at(vp, t_mid), rel=1e-9)
 
 
 def test_t_of_lambda_examples(vp, edm):
@@ -43,9 +53,9 @@ def test_t_of_lambda_examples(vp, edm):
 
 def test_domain_errors(vp, edm):
     with pytest.raises(DomainError):
-        vp.alpha(1.5)
+        vp.log_alpha(1.5)
     with pytest.raises(DomainError):
-        edm.sigma(100.0)
+        edm.lambda_of_t(100.0)
     with pytest.raises(DomainError):
         vp.lambda_of_t(0.0)  # sigma(0) = 0
     with pytest.raises(DomainError):
@@ -67,7 +77,7 @@ def test_lambda_round_trip(kind):
 def test_variance_preserving(kind):
     sched = Schedule(kind)
     ts = np.linspace(1e-4, sched.t_domain[1], 500)
-    total = sched.alpha(ts) ** 2 + sched.sigma(ts) ** 2
+    total = alpha_at(sched, ts) ** 2 + sigma_at(sched, ts) ** 2
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -177,12 +187,20 @@ def test_schedule_rejects_bad_params(kind, params):
 
 
 @pytest.mark.parametrize(
-    "t_domain",
-    [(0.002, np.inf), (np.nan, 1.0), (0.002, 1.0, 2.0), (0.002,), ("0", 1.0), (-1.0, 1.0)],
+    "t_domain, message",
+    [
+        ((0.002, np.inf), "t_domain must be finite, got (0.002, inf)"),
+        ((np.nan, 1.0), "t_domain must be finite, got (nan, 1.0)"),
+        ((0.002, 1.0, 2.0), "t_domain must be a pair of real numbers, got (0.002, 1.0, 2.0)"),
+        ((0.002,), "t_domain must be a pair of real numbers, got (0.002,)"),
+        (("0", 1.0), "t_domain must be a pair of real numbers, got ('0', 1.0)"),
+        ((-1.0, 1.0), "t_domain must be two finite numbers with 0 <= lo < hi, got (-1.0, 1.0)"),
+    ],
     ids=["inf", "nan", "three-entries", "one-entry", "string", "negative"],
 )
-def test_schedule_rejects_bad_t_domain(t_domain):
-    with pytest.raises(ValueError, match="t_domain must be two finite numbers"):
+def test_schedule_rejects_bad_t_domain(t_domain, message):
+    # the shared pair check's messages (errors.check_span), as EmsConfig's lam_range gets them
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Schedule("edm", t_domain=t_domain)
 
 

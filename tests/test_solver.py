@@ -34,6 +34,7 @@ from emsolve.solver import CORRECTORS, _plan, _taylor_rows
 
 import sampler_golden
 from oracles import (
+    alpha_of_t,
     ddim_step,
     direct_lupdate,
     estimate_derivatives,
@@ -42,6 +43,7 @@ from oracles import (
     multistep_transitions,
     planned_arrays,
     rowmajor_run,
+    sigma_of_t,
     singlestep_transitions,
     taylor_rows,
 )
@@ -1184,8 +1186,8 @@ def _ddim_cases(draw):
 def _dpm_solver_pp_step(sched: Schedule, x_s, eps_s, t_s: float, t_t: float):
     """DPM-Solver++(1) (arXiv 2211.01095): the first-order data-prediction update."""
     h = sched.lambda_of_t(t_t) - sched.lambda_of_t(t_s)
-    alpha_s, sigma_s = sched.alpha(t_s), sched.sigma(t_s)
-    alpha_t, sigma_t = sched.alpha(t_t), sched.sigma(t_t)
+    alpha_s, sigma_s = alpha_of_t(sched, t_s), sigma_of_t(sched, t_s)
+    alpha_t, sigma_t = alpha_of_t(sched, t_t), sigma_of_t(sched, t_t)
     return (sigma_t / sigma_s) * x_s - alpha_t * np.expm1(-h) * (x_s - sigma_s * eps_s) / alpha_s
 
 
@@ -1212,7 +1214,8 @@ def _check_first_order_run(case, kind, step):
     want = x0
     for t_s, t_t in zip(ts[:-1], ts[1:]):
         want = step(sched, want, model.eps(sched, want, sched.lambda_of_t(t_s)), t_s, t_t)
-    scale = max(np.max(np.abs(want)), np.max(np.abs(x0)) * sched.alpha(ts[-1]) / sched.alpha(ts[0]))
+    carried = np.max(np.abs(x0)) * alpha_of_t(sched, ts[-1]) / alpha_of_t(sched, ts[0])
+    scale = max(np.max(np.abs(want)), carried)
     assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
