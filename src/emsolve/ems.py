@@ -22,6 +22,7 @@ Tables are immutable once built and serialize to a versioned JSON file.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -81,7 +82,12 @@ class EmsTable:
 
     def __post_init__(self):
         check_schedule(self.schedule)
-        grid_shape = (len(self.lambda_grid),)
+        check_instance(self.meta, Mapping, "meta")
+        grid = read_only(self.lambda_grid, "lambda_grid")
+        if grid.ndim != 1:
+            raise ValueError(f"lambda_grid must be 1-D, got shape {grid.shape}")
+        object.__setattr__(self, "lambda_grid", grid)
+        grid_shape = grid.shape
         field_shape = grid_shape + np.shape(self.l)[-1:]
         for name in _ARRAYS:
             arr = read_only(getattr(self, name), name)
@@ -93,7 +99,6 @@ class EmsTable:
             object.__setattr__(self, name, arr)
         if self.dim < 1:
             raise ValueError(f"the fields need at least one column, got shape {field_shape}")
-        grid = self.lambda_grid
         if len(grid) < 2 or np.any(np.diff(grid) <= 0):
             raise ValueError("lambda_grid must be strictly increasing with >= 2 points")
         h = np.diff(grid)

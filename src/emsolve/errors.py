@@ -80,6 +80,16 @@ def check_span(value, name: str) -> tuple:
     return pair
 
 
+def check_items(value, name: str, length: int | None = None) -> tuple:
+    """``value`` as a tuple, unless it is not a tuple or list (of ``length`` items, when given)."""
+    sequence = isinstance(value, (tuple, list))
+    if not (sequence and length in (None, len(value))):
+        count = "" if length is None else f" of {length} items"
+        got = _a(type(value).__name__) + (f" of {len(value)}" if sequence else "")
+        raise ValueError(f"{name} must be a tuple or list{count}, got {got}")
+    return tuple(value)
+
+
 def check_members(value, what: str, methods, attributes=()) -> None:
     """Raise unless ``value`` has callable ``methods`` and ``attributes``, so a delegate passes."""
     missing = [name for name in methods if not callable(getattr(value, name, None))]

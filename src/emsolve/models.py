@@ -32,6 +32,26 @@ of a C-contiguous ``(..., D, N)`` array for an input laid out so (such as
 ``a.T`` of a C-contiguous ``(D, N)`` array ``a``, as the sampler's state and
 the estimator's samples are), C-contiguous otherwise.  The arithmetic is
 element-wise, so both layouts give the same bits.
+
+Buffers.  A mixture call writes into arrays it owns instead of taking a
+fresh temporary per numpy call: the squared offsets are summed over D as
+products into one ``(C, N)`` array, in which the log-components, the
+softmax and the posterior weights are then formed; the offsets turn into
+the component scores in place; ``eps`` sums the weighted scores straight
+into the returned array and scales them there, and the softmax's max and
+sum borrow one of its rows first.  ``linearize`` takes its temporaries from
+one block allocated per call, and its ``jvp`` writes into the product it
+returns.  Only operations whose bits IEEE arithmetic fixes are reordered:
+``+`` and ``*`` commuted, ``x * x`` for a square, ``out=`` forms of the same
+ufunc.  No buffer outlives its call.
+
+Memo.  The terms that depend on lambda only (sigma, the component
+variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
+schedule object and scalar lambda and kept in a small memo on the model,
+which is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries.  A sampler
+run evaluates the model at the same few lambdas again and again.  The memo
+is a cache, not state: no copy, pickle, ``to_dict`` or comparison sees it.
+A lambda per row computes its terms afresh.
 """
 
 from __future__ import annotations
@@ -47,33 +67,50 @@ from .errors import ConvergenceError, check_floats, check_members, check_real
 from .schedule import Schedule, check_lam_span, check_schedule
 
 
-def _short_sum(a):
+def _short_sum(a, out=None):
     """``np.sum(a, axis=0)`` bit for bit, as left-to-right additions of leading-axis slices.
 
     Below 8 terms this also matches ``np.sum`` over the same axis laid out
     last.  The slices skip np.sum's reduction set-up, which dominates on the
-    mixture's short component and coordinate axes.
+    mixture's short component and coordinate axes.  Written into ``out`` if given.
     """
-    out = a[0] + a[1] if len(a) > 1 else a[0].copy()
+    if len(a) == 1:
+        if out is None:
+            return a[0].copy()
+        np.copyto(out, a[0])
+        return out
+    out = np.add(a[0], a[1], out=out)
     for k in range(2, len(a)):
         out += a[k]
     return out
 
 
-def _short_max(a):
+def _short_max(a, out=None):
     """``np.max(a, axis=0)`` as ``np.maximum`` over leading-axis slices (``a[0]`` if only one)."""
-    out = a[0]
-    for k in range(1, len(a)):
-        out = np.maximum(out, a[k])
+    if len(a) == 1:
+        return a[0]
+    out = np.maximum(a[0], a[1], out=out)
+    for k in range(2, len(a)):
+        np.maximum(out, a[k], out=out)
     return out
 
 
-def _short_dot(a, b):
-    """sum_k a[k] * b[k] over the leading axis, added left to right as ``_short_sum`` adds."""
-    out = a[0] * b[0]
+def _short_dot(a, b, out=None, scratch=None):
+    """sum_k a[k] * b[k] over the leading axis, added left to right as ``_short_sum`` adds.
+
+    Written into ``out`` if given; each later product goes to ``scratch`` if given.
+    """
+    out = np.multiply(a[0], b[0], out=out)
     for k in range(1, len(a)):
-        out += a[k] * b[k]
+        out += np.multiply(a[k], b[k], out=scratch)
     return out
+
+
+def _scalar(lam) -> bool:
+    """``np.ndim(lam) == 0``, without np.ndim's dispatch for an array or a Python or numpy float."""
+    if isinstance(lam, np.ndarray):
+        return lam.ndim == 0
+    return isinstance(lam, float) or np.ndim(lam) == 0
 
 
 def _columns(a, lead, n):
@@ -94,6 +131,15 @@ def _row_buffer(cols, shape):
         return buf.swapaxes(-1, -2).reshape(shape), buf  # the reshape only splits axes: a view
     out = np.empty(shape)
     return out, _columns(out, cols.shape[:-2], cols.shape[-1])
+
+
+# The cap on a mixture's per-lambda memo, which is cleared when full.  A sampler
+# run evaluates at most its NFE lambdas: sample-serial's 32 runs visit 30 in
+# all, and a bench-convergence command up to 80.
+_LAMBDA_MEMO_SIZE = 128
+# The size of the mixture's (C, D, N) offsets up to which a (C, D, N) temporary
+# costs less than the numpy calls that avoid it
+_SMALL_CALL = 4096
 
 
 class ModelSpec:
@@ -144,7 +190,7 @@ class ModelSpec:
 
         With ``per_row``, ``lam`` may also be an array of shape ``x.shape[:-1]``.
         """
-        if np.ndim(lam) == 0:
+        if _scalar(lam):
             if not math.isfinite(lam):
                 raise ValueError(f"lambda must be finite, got {lam}")
             return self._check_x(x)
@@ -252,84 +298,135 @@ class GaussianMixture(ModelSpec):
         object.__setattr__(self, "_means", mu[:, :, None])
         object.__setattr__(self, "_log_weights", np.log(w)[:, None])
         object.__setattr__(self, "_stds_sq", (s**2)[:, None])
+        object.__setattr__(self, "_memo", {})
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_memo"]  # a cache of schedule objects, not part of the model
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _moments(self, sched, lam):
-        """alpha, sigma and the per-component marginal variances: floats and (C, 1), or per row.
+    def _lambda_terms(self, sched, lam):
+        """The lambda-only terms: sigma, var_i, alpha mu_i, D log(2 pi var_i) and -var_i.
 
-        For a lambda per row, alpha and sigma are (N,) and the variances
-        (C, N); they broadcast against the (C, D, N) and (C, N) arrays as the
-        floats do.  ``np.float_power`` squares with the C library's ``pow``,
-        as Python's float ``**`` does, so a row's bits are the scalar
-        path's; ``np.square`` differs from ``pow`` in the last bit for about
-        0.1% of inputs.
+        For a scalar lambda: a float, then arrays of shape (C, 1), (C, D, 1),
+        (C, 1) and (C, 1, 1), read from the model's memo.  Its key is the
+        schedule object's identity and ``float(lam)``, and an entry holds
+        its schedule, so a key never outlives the object it names; a full
+        memo is cleared.  For a lambda per row: sigma (N,), then (C, N), (C,
+        D, N), (C, N) and (C, 1, N) arrays, computed afresh, which broadcast
+        against the (C, D, N) and (C, N) arrays as the scalar terms do.
+        ``np.float_power`` squares with the C library's ``pow``, as Python's
+        float ``**`` does, so a row's bits are the scalar path's;
+        ``np.square`` differs from ``pow`` in the last bit for about 0.1% of
+        inputs.
         """
-        if np.ndim(lam) == 0:
+        scalar = _scalar(lam)
+        if scalar:
+            key = (id(sched), float(lam))
+            hit = self._memo.get(key)
+            if hit is not None and hit[0] is sched:
+                return hit[1]
             alpha = float(sched.alpha_lambda(lam))
             sigma = float(sched.sigma_lambda(lam))
-            return alpha, sigma, alpha**2 * self._stds_sq + sigma**2
-        alpha = sched.alpha_lambda(lam).reshape(-1)
-        sigma = sched.sigma_lambda(lam).reshape(-1)
-        var = np.float_power(alpha, 2.0) * self._stds_sq + np.float_power(sigma, 2.0)
-        return alpha, sigma, var
+            var = alpha**2 * self._stds_sq + sigma**2
+        else:
+            alpha = sched.alpha_lambda(lam).reshape(-1)
+            sigma = sched.sigma_lambda(lam).reshape(-1)
+            var = np.float_power(alpha, 2.0) * self._stds_sq + np.float_power(sigma, 2.0)
+        log_norm = self.dim * np.log(2.0 * np.pi * var)
+        terms = sigma, var, alpha * self._means, log_norm, -var[:, None]
+        if scalar:
+            if len(self._memo) >= _LAMBDA_MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = sched, terms
+        return terms
 
-    def _log_components(self, xt, alpha, var):
-        """Offsets x - alpha mu_i, their squared norms and log w_i N_i(x), for the (D, N) x.T."""
-        # order="C": by default a ufunc's output would follow the strided x.T
-        diff = np.subtract(xt, alpha * self._means, order="C")
-        # the squares laid out (D, C, N), so that the sum over D adds contiguous
-        # slices; this temporary ends below each call's later peak
-        sq = _short_sum(np.square(diff.swapaxes(0, 1), order="C"))  # (C, N)
-        log_comp = self._log_weights - 0.5 * (self.dim * np.log(2.0 * np.pi * var) + sq / var)
-        return diff, sq, log_comp
+    def _posterior(self, sq, var, log_norm, row):
+        """Posterior weights pi_i(x), (C, N), formed in the memory of ``sq`` = |x - alpha mu_i|^2.
 
-    def _posterior(self, xt, alpha, var):
-        """Posterior component weights pi_i(x), score terms grad log N_i, and |x - alpha mu_i|^2."""
-        diff, sq, log_comp = self._log_components(xt, alpha, var)
-        w = np.exp(log_comp - _short_max(log_comp))
-        pi = w / _short_sum(w)
-        # grad log N_i = -diff / var_i, (C, D, N), formed in diff's memory
-        comp_score = np.divide(diff, -var[:, None], out=diff)
-        return pi, comp_score, sq
+        log w_i N_i(x) = log w_i - (D log(2 pi var_i) + sq_i / var_i) / 2, then a
+        softmax over the components, whose max and sum take the (N,) array ``row``.
+        """
+        sq /= var
+        sq += log_norm
+        sq *= 0.5
+        np.subtract(self._log_weights, sq, out=sq)
+        sq -= _short_max(sq, out=row)
+        np.exp(sq, out=sq)
+        sq /= _short_sum(sq, out=row)
+        return sq
 
     @staticmethod
-    def _hessian_terms(comp_score, mean_score, pi_over_var, v, weights, out=None):
-        """sum_i weights_i g_i - gbar (gbar . v) - (sum_i pi_i / var_i) v.
+    def _offsets(xt, alpha_means):
+        """The offsets x - alpha mu_i, (C, D, N), and their squared norms, (C, N).
+
+        The squares are summed over D left to right, as a row-major ``np.sum``
+        adds them.  A large call forms them as products into the norms, with
+        no (C, D, N) temporary; a small one squares the offsets in one call,
+        which costs fewer numpy calls than D products.
+        """
+        # order="C": by default a ufunc's output would follow the strided x.T,
+        # and the squares' would follow diff, whose (C, N) slices are strided
+        diff = np.subtract(xt, alpha_means, order="C")
+        by_coord = diff.swapaxes(0, 1)
+        if diff.size <= _SMALL_CALL:
+            return diff, _short_sum(np.multiply(by_coord, by_coord, order="C"))
+        return diff, _short_dot(by_coord, by_coord, scratch=np.empty(by_coord.shape[1:]))
+
+    @staticmethod
+    def _hessian_terms(comp_score, mean_score, pi_over_var, v, weights, out, work):
+        """sum_i weights_i g_i - gbar (gbar . v) - (sum_i pi_i / var_i) v, written into ``out``.
 
         With g_i = grad log N_i, gbar = sum_i pi_i g_i and weights_i =
         pi_i (g_i . v) this is the Hessian-vector product H v of log q.  ``v``
-        is (D, N) or a (P, D, N) probe stack, and ``weights`` (C, N) or (P, C, N).
+        is (D, N) or a (P, D, N) probe stack, and ``weights`` (C, N) or (P, C,
+        N); ``work`` is a scratch of ``out``'s shape.
         """
         # swapaxes(0, -2) brings the component or coordinate axis to the front
-        hv = _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score)
-        hv -= mean_score * _short_dot(mean_score, v.swapaxes(0, -2))[..., None, :]
-        return np.subtract(hv, pi_over_var * v, out=out)
+        _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score, out=out, scratch=work)
+        gbar_v = _short_dot(mean_score, v.swapaxes(0, -2))[..., None, :]
+        out -= np.multiply(mean_score, gbar_v, out=work)
+        out -= np.multiply(pi_over_var, v, out=work)
+        return out
 
     def eps(self, sched, x, lam):
         x = self._check_input(x, lam)
-        alpha, sigma, var = self._moments(sched, lam)
-        n = x.size // self.dim
-        xt = _columns(x, (), n)
-        pi, comp_score, _ = self._posterior(xt, alpha, var)
-        score = _short_dot(pi[:, None], comp_score)
+        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
+        xt = _columns(x, (), x.size // self.dim)
+        diff, sq = self._offsets(xt, alpha_means)
         out, out_t = _row_buffer(xt, x.shape)
-        np.multiply(score, -sigma, out=out_t)
+        pi = self._posterior(sq, var, log_norm, out_t[0])  # a row of out, written last
+        # diff turns into the component scores grad log N_i = -diff / var_i, then pi_i times them
+        np.divide(diff, neg_var, out=diff)
+        diff *= pi[:, None]
+        _short_sum(diff, out=out_t)
+        out_t *= -sigma
         return out
 
     def linearize(self, sched, x, lam):
         # apply_jacobian closes over this call's posterior, which it keeps alive
         x = self._check_input(x, lam, per_row=False)
-        alpha, sigma, var = self._moments(sched, lam)
+        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         n = x.size // self.dim
         xt = _columns(x, (), n)
-        pi, comp_score, sq = self._posterior(xt, alpha, var)
-        mean_score = _short_dot(pi[:, None], comp_score)
+        # the call's temporaries share one block, allocated before the arrays that outlive it:
+        # two (D, N) arrays of products and of the ODE's velocity, three (C, N) ones
+        num_comp, dim = len(var), self.dim
+        block = np.empty((2 * dim + 3 * num_comp) * n)
+        work, velocity = block[: 2 * dim * n].reshape(2, dim, n)
+        a, scratch, weights = block[2 * dim * n :].reshape(3, num_comp, n)
+        diff, sq = self._offsets(xt, alpha_means)
         eps, eps_t = _row_buffer(xt, x.shape)
-        np.multiply(mean_score, -sigma, out=eps_t)
+        d_eps, d_eps_t = _row_buffer(xt, x.shape)
         # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
         # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
         #   dlog N_i = a_i - c g_i . x,  a_i = -sigma^2 |g_i|^2 - rate_i D / 2,
@@ -339,20 +436,33 @@ class GaussianMixture(ModelSpec):
         # the weights of the g_i, the Jacobian's g_i . v = c g_i . x +
         # sigma^2 g_i . gbar cancels the c g_i . x of dlog N_i.
         rate = 2.0 * c - 2.0 * sigma**2 / var
-        a = -(sigma**2) * sq / var**2 - 0.5 * self.dim * rate
-        weights = pi * (
-            sigma**2 * _short_dot(comp_score.swapaxes(0, 1), mean_score[:, None])
-            + (a - _short_dot(pi, a))
-            + c * _short_dot(mean_score, xt)
-            - rate
-        )
-        pi_over_var = _short_sum(pi / var)
-        hv = self._hessian_terms(  # H applied to the ODE's velocity dx/dlambda = c x - sigma eps
-            comp_score, mean_score, pi_over_var, c * xt - sigma * eps_t, weights
-        )
-        d_eps, d_eps_t = _row_buffer(xt, x.shape)
-        np.multiply(eps_t, c - 1.0, out=d_eps_t)
-        d_eps_t -= sigma * (hv + c * (mean_score + pi_over_var * xt))
+        # |g_i|^2 = sq_i / var_i^2: a_i, before sq turns into pi
+        np.multiply(sq, -(sigma**2), out=a)
+        a /= var**2
+        a -= 0.5 * self.dim * rate
+        pi = self._posterior(sq, var, log_norm, d_eps_t[0])  # a row of d_eps, written last
+        comp_score = np.divide(diff, neg_var, out=diff)
+        mean_score = _short_dot(pi[:, None], comp_score, scratch=work)
+        np.multiply(mean_score, -sigma, out=eps_t)
+        _short_dot(comp_score.swapaxes(0, 1), mean_score[:, None], out=weights, scratch=scratch)
+        weights *= sigma**2
+        a -= _short_dot(pi, a, scratch=scratch[0])
+        weights += a
+        weights += np.multiply(_short_dot(mean_score, xt, scratch=scratch[0]), c, out=scratch[-1])
+        weights -= rate
+        weights *= pi
+        pi_over_var = _short_sum(np.divide(pi, var, out=scratch))
+        # H applied to the ODE's velocity dx/dlambda = c x - sigma eps, into d_eps's memory
+        np.multiply(xt, c, out=velocity)
+        velocity -= np.multiply(eps_t, sigma, out=work)
+        self._hessian_terms(comp_score, mean_score, pi_over_var, velocity, weights, d_eps_t, work)
+        # d_eps = (c - 1) eps - sigma (H v + c (gbar + (sum_i pi_i / var_i) x))
+        rest = np.multiply(xt, pi_over_var, out=velocity)
+        rest += mean_score
+        rest *= c
+        d_eps_t += rest
+        d_eps_t *= sigma
+        np.subtract(np.multiply(eps_t, c - 1.0, out=work), d_eps_t, out=d_eps_t)
 
         def apply_jacobian(v):
             """-sigma H v from this posterior; ``v`` may add leading axes, such as probes."""
@@ -362,10 +472,14 @@ class GaussianMixture(ModelSpec):
                 raise ValueError(f"v of shape {v.shape} does not end in x's shape {x.shape}")
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
             vt = _columns(np.broadcast_to(v, shape), probes, n)  # (P, D, N)
-            dots = _short_dot(comp_score.swapaxes(0, 1), vt.swapaxes(0, 1)[:, :, None])
+            by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, P, 1, N)
+            scratch = np.empty(probes + pi.shape)
+            dots = _short_dot(comp_score.swapaxes(0, 1), by_coord, scratch=scratch)  # (P, C, N)
+            dots *= pi
             out, out_t = _row_buffer(vt, shape)
-            self._hessian_terms(comp_score, mean_score, pi_over_var, vt, pi * dots, out=out_t)
-            np.multiply(out_t, -sigma, out=out_t)
+            work = np.empty(vt.shape)
+            self._hessian_terms(comp_score, mean_score, pi_over_var, vt, dots, out_t, work)
+            out_t *= -sigma
             return out
 
         return eps, d_eps, apply_jacobian

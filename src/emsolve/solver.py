@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_floats, check_instance, check_int, check_members
+from .errors import (
+    DomainError, check_floats, check_instance, check_int, check_items, check_members
+)
 from .integrals import IntegralTable, check_grid_indices, g_map, transition_coefficients
 from .models import ModelSpec
 from .schedule import Schedule, TimeGrid, check_schedule
@@ -138,12 +140,19 @@ def _update(scale, x_s, alpha_s, int_EB, weights, g, reads):
     """The Taylor-expanded update: x_t = alpha_t A (x_s / alpha_s - int_EB - sum_p V_p g_p).
 
     ``scale`` is alpha_t A; each (position, row) of ``reads`` adds ``weights[row] * g[position]``.
+    The sum is the one scratch array; every later product and the result share the returned one.
     """
     (p, row), *rest = reads
     total = weights[row] * g[p]
+    out = None
     for p, row in rest:
-        total += weights[row] * g[p]
-    return scale * (np.divide(x_s, alpha_s, order="C") - int_EB - total)
+        out = np.multiply(weights[row], g[p], out=out)
+        total += out
+    out = np.divide(x_s, alpha_s, out=out, order="C")
+    out -= int_EB
+    out -= total
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +187,8 @@ class SamplerPlan:
         values are held as ``(D, B)`` arrays against ``(D, 1)`` weight
         columns, reading the caller's state and each eps through their
         transposes; the final state is transposed back on exit.  Raises
-        ValueError for a ``model`` without ``eps`` or a state whose D is not
+        ValueError, before any model call, for a ``model`` without ``eps``, a
+        ``trace`` that is neither None nor a list, or a state whose D is not
         the table's.  Appends one row per step to a ``trace`` list: the
         target's ``t`` and ``lambda``, its state ``x`` and noise prediction
         ``eps`` as C-ordered float64 arrays of the state's shape (the row's
@@ -188,6 +198,8 @@ class SamplerPlan:
         have the bits of each row's own run.
         """
         check_members(model, "model", ("eps",))
+        if trace is not None:
+            check_instance(trace, list, "trace")
         ems, lams, sigmas, last = self.tab.ems, self.lams, self.sigmas, len(self.targets) - 1
         x = check_floats(x_init, "x_init")
         if x.shape[-1:] != (ems.dim,):
@@ -365,23 +377,31 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     ``anchor`` is (grid index, state, g value) and ``extras`` a nearest-first list of (grid
     index, g value) pairs for the higher derivative estimates, matched exactly (full order),
     all g values against this anchor.  Returns the state at ``j_t`` from the single step of a
-    plan whose first position, and so g's zero point, is the anchor.  Raises IndexError for an
-    anchor, target or extra index off the grid, before any other check.
+    plan whose first position, and so g's zero point, is the anchor; the state and the g
+    values broadcast together.  Raises ValueError unless ``anchor`` is a triple and each
+    extra a pair, then IndexError for an anchor, target or extra index off the grid, before
+    any other check.
     """
     check_instance(tab, IntegralTable)
-    j_s, x_s, g_s = anchor
+    j_s, x_s, g_s = check_items(anchor, "anchor", 3)
+    extras = [check_items(pair, "each extra", 2) for pair in check_items(extras, "extras")]
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
     check_grid_indices(tab, np.array(idx[:1]), np.array(idx))
     plan = _plan(tab, idx, lambda ts: [(0, 1, history, None)])
-    g = dict(zip((0,) + history, [g_s] + [g for _, g in extras]))
+    # one shape for all, as the in-place update needs
+    x_s, *gs = np.broadcast_arrays(x_s, g_s, *(g for _, g in extras))
+    g = dict(zip((0,) + history, gs))
     step = plan.scale[0], x_s, plan.alpha_s[0], plan.int_EB[0], plan.weights, g
     return _update(*step, plan.reads[0])
 
 
 def _g_value(a, b, c, x, eps):
     """g = a x + b eps + c, C-ordered whatever the memory order of ``x`` and ``eps``."""
-    return np.multiply(a, x, order="C") + np.multiply(b, eps, order="C") + c
+    g = np.multiply(a, x, order="C")
+    g += np.multiply(b, eps, order="C")
+    g += c
+    return g
 
 
 def _trace_row(t, lam, x, eps, g):

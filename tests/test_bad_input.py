@@ -14,12 +14,11 @@ and an off-grid one raises its ValueError, ``outside the table range``.
 
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
 inline checks, tested in ``test_models.py``), non-integer grid indices
-(index lookups, not checked arguments), ``lupdate``'s states and g values,
-``SamplerPlan.run``'s ``trace`` (an output list), ``save_table``'s path,
-and ``EmsTable``, whose ``lambda_grid`` and ``meta`` are not checked yet
-(``len(None)`` and ``dict(None)`` raise TypeError there).
+(index lookups, not checked arguments), ``lupdate``'s states and g values
+(its anchor triple and extra pairs are checked) and ``save_table``'s path.
 """
 
+import dataclasses
 import math
 import os
 
@@ -53,7 +52,7 @@ from emsolve import (
     singlestep_sample,
     transition_coefficients,
 )
-from emsolve.ems import DATA_PRED
+from emsolve.ems import DATA_PRED, EmsTable
 from emsolve.schedule import UNIFORM_LAMBDA
 
 SCHED = Schedule("vp-linear")
@@ -128,6 +127,8 @@ KINDS = {
     "ems_config": _not_a(EMS_CFG),
     "grid": _not_a(GRID),
     "model_dict": st.sampled_from([None, [1], "x", {}, {"kind": "neural-net"}]),
+    "mapping": st.sampled_from([None, [("K", 1)], "x", 1, object()]),
+    "output_list": st.sampled_from(["x", {}, (), 1, np.zeros(2), object()]),
 }
 
 # -- the entry points ---------------------------------------------------------------
@@ -159,6 +160,11 @@ ENTRY_POINTS = [
      {"kind": DATA_PRED, "sched": SCHED, "num_timesteps": 20, "lam_range": LAM_RANGE, "dim": 2},
      {"kind": "choice", "sched": "schedule", "num_timesteps": "count", "lam_range": "span",
       "dim": "dim"}),
+    ("EmsTable", EmsTable,
+     {"lambda_grid": EMS.lambda_grid, "l": EMS.l, "s": EMS.s, "b": EMS.b, "l_dot": EMS.l_dot,
+      "schedule": SCHED, "meta": {"K": 8}},
+     {"lambda_grid": "floats", "l": "floats", "s": "floats", "b": "floats", "l_dot": "floats",
+      "schedule": "schedule", "meta": "mapping"}),
     ("save_table", save_table, {"table": EMS, "path": os.devnull}, {"table": "ems"}),
     ("IntegralTable", IntegralTable, {"ems": EMS, "closed_form": True},
      {"ems": "ems", "closed_form": "flag"}),
@@ -172,8 +178,8 @@ ENTRY_POINTS = [
      {"tab": "tab", "cfg": "solver_config"}),
     ("plan_singlestep", plan_singlestep, {"tab": TAB, "cfg": SOLVER_CFG},
      {"tab": "tab", "cfg": "solver_config"}),
-    ("SamplerPlan.run", PLAN.run, {"model": MIXTURE, "x_init": X},
-     {"model": "model", "x_init": "floats"}),
+    ("SamplerPlan.run", PLAN.run, {"model": MIXTURE, "x_init": X, "trace": []},
+     {"model": "model", "x_init": "floats", "trace": "output_list"}),
     *(
         (fn.__name__, fn,
          {"model": MIXTURE, "sched": SCHED, "tab": TAB, "cfg": SOLVER_CFG, "x_init": X},
@@ -318,6 +324,13 @@ ESCAPED = {
     "guided scale None": lambda: model_from_dict({**GUIDED_DICT, "scale": None}),
     "schedule params a list": lambda: Schedule.from_dict({"kind": "edm", "params": [1]}),
     "Schedule(params=None)": lambda: Schedule(params=None),
+    "EmsTable lambda_grid None": lambda: dataclasses.replace(EMS, lambda_grid=None),
+    "EmsTable meta None": lambda: dataclasses.replace(EMS, meta=None),
+    "TimeGrid lambdas None": lambda: TimeGrid(None),
+    "lupdate anchor None": lambda: lupdate(TAB, None, [], 3),
+    "lupdate anchor pair": lambda: lupdate(TAB, (0, X), [], 3),
+    "lupdate extras None": lambda: lupdate(TAB, (0, X, X), None, 3),
+    "lupdate extra triple": lambda: lupdate(TAB, (0, X, X), [(1, X, X)], 3),
 }
 
 
@@ -325,3 +338,10 @@ ESCAPED = {
 def test_a_call_that_escaped_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_a_plan_run_checks_its_trace_before_any_model_call():
+    counted = EvalCounter(MIXTURE)
+    with pytest.raises(ValueError, match="^trace must be a list, got a str$"):
+        PLAN.run(counted, X, trace="x")
+    assert counted.calls == 0

@@ -1,3 +1,4 @@
+import copy
 import os
 import pickle
 import subprocess
@@ -273,6 +274,13 @@ def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
     row = a[0, 0] if axis == -1 else a[0, :, 0]
     assert np.array_equal(_short_sum(row), np.sum(row))
     assert a.tobytes() == a_bytes  # the first slice is copied, not summed into
+    # the same bits written into given arrays, products through a scratch
+    out, scratch = np.empty(leading.shape[1:]), np.empty(leading.shape[1:])
+    assert _short_sum(leading, out=out) is out and np.array_equal(out, np.sum(a, axis=axis))
+    assert np.array_equal(_short_max(leading, out=out), np.max(a, axis=axis))
+    got = _short_dot(leading, np.moveaxis(b, axis, 0), out=out, scratch=scratch)
+    assert got is out and np.array_equal(out, np.sum(a * b, axis=axis))
+    assert a.tobytes() == a_bytes
 
 
 # -- the coordinate-major arithmetic against the row-major one ------------------------
@@ -282,7 +290,7 @@ def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
 @given(
     num_comp=st.integers(1, 4),
     dim=st.integers(1, 6),
-    layout=st.sampled_from(["(D,)", "(B, D)", "(B1, B2, D)", "(0, D)"]),
+    layout=st.sampled_from(["(D,)", "(B, D)", "(B1, B2, D)", "(0, D)", "(4097, D)"]),
     rows=st.tuples(st.integers(1, 5), st.integers(1, 4)),
     num_probes=st.integers(1, 3),
     lam=st.floats(-6.0, 6.0),
@@ -298,7 +306,11 @@ def test_mixture_matches_rowmajor_oracle_bit_for_bit(
         means=rng.uniform(-2.0, 2.0, (num_comp, dim)),
         stds=rng.uniform(0.0, 1.5, num_comp),
     )
-    lead = {"(D,)": (), "(B, D)": rows[:1], "(B1, B2, D)": rows, "(0, D)": (0,)}[layout]
+    # 4097 rows take the large-call path (more than _SMALL_CALL offsets) at every C and D
+    assert models._SMALL_CALL < 4097
+    lead = {
+        "(D,)": (), "(B, D)": rows[:1], "(B1, B2, D)": rows, "(0, D)": (0,), "(4097, D)": (4097,)
+    }[layout]
     x = 2.0 * rng.standard_normal(lead + (dim,))
     v = rng.standard_normal((num_probes,) + x.shape)
     x_bytes, v_bytes = x.tobytes(), v.tobytes()
@@ -389,11 +401,12 @@ def test_mixture_per_row_moments_are_the_scalar_path_bits(vp, mix4):
     # squaring the per-row alpha and sigma with np.square, not Python's float
     # ** 2, moves 19 of these 20001 lambdas' variances by an ulp
     lams = np.linspace(-8.0, 8.0, 20001)
-    got = mix4._moments(vp, lams)
-    scalar = [mix4._moments(vp, lam) for lam in lams]
+    got = mix4._lambda_terms(vp, lams)
+    scalar = [mix4._lambda_terms(vp, lam) for lam in lams]
     assert got[0].tobytes() == np.array([m[0] for m in scalar]).tobytes()
-    assert got[1].tobytes() == np.array([m[1] for m in scalar]).tobytes()
-    assert got[2].tobytes() == np.concatenate([m[2] for m in scalar], axis=1).tobytes()
+    # var, alpha mu, D log(2 pi var) and -var: the scalar terms' last axis is the rows'
+    for k in range(1, 5):
+        assert got[k].tobytes() == np.concatenate([m[k] for m in scalar], axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("name", ["point", "mixture", "guided"])
@@ -411,8 +424,9 @@ def test_eps_rejects_bad_per_row_lambda(vp, mix4, mix4b, pg4, name):
 
 
 # eps's peak allocation on sample-batch's state, in units of the state's bytes:
-# the row-major arithmetic reached 6.25 by this measurement
-EPS_PEAK_ALLOCATION = 6.25
+# the row-major arithmetic reached 6.25 by this measurement.  The offsets (2),
+# their norms (0.5) and the output (1) measured 3.503 (numpy 2.4.6).
+EPS_PEAK_ALLOCATION = 3.51
 
 
 def test_mixture_eps_peak_allocation(vp, mix4):
@@ -426,6 +440,78 @@ def test_mixture_eps_peak_allocation(vp, mix4):
     finally:
         tracemalloc.stop()
     assert peak <= EPS_PEAK_ALLOCATION * x.nbytes, peak / x.nbytes
+
+
+# -- the per-lambda memo ---------------------------------------------------------
+
+
+def fresh_copy(model):
+    """An equal mixture with an empty memo."""
+    return GaussianMixture(weights=model.weights, means=model.means, stds=model.stds)
+
+
+def evaluate(model, sched, x, lam, v):
+    """eps, then linearize's eps, d_eps and J v: the bytes of each."""
+    eps, d_eps, apply_jacobian = model.linearize(sched, x, lam)
+    return [a.tobytes() for a in (model.eps(sched, x, lam), eps, d_eps, apply_jacobian(v))]
+
+
+def oracle_bytes(model, sched, x, lam, v):
+    """``evaluate``'s bytes from the row-major oracle."""
+    eps, d_eps, jv = mixture_linearize_rowmajor(model, sched, x, lam, v)
+    return [a.tobytes() for a in (eps, eps, d_eps, jv)]
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["vp-linear", "vp-cosine", "edm"]),
+    lam=st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0]),
+    rows=st.sampled_from([(), (3,), (600,)]),  # small calls and a large one
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_memo_keeps_the_bytes(mix4, kind, lam, rows, seed):
+    """Cold, warm, after the cap clears the memo and through an equal schedule: the oracle's bytes.
+
+    lambda and -lambda are two entries, except that +0.0 and -0.0 share one.
+    """
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal(rows + (4,))
+    v = rng.standard_normal((2,) + x.shape)
+    sched, model = Schedule(kind), fresh_copy(mix4)
+    want = oracle_bytes(model, sched, x, lam, v)
+    assert evaluate(model, sched, x, lam, v) == want  # cold
+    assert len(model._memo) == 1
+    assert evaluate(model, sched, x, lam, v) == want  # warm
+    assert evaluate(model, sched, x, -lam, v) == oracle_bytes(model, sched, x, -lam, v)
+    for other in np.linspace(7.0, 8.0, models._LAMBDA_MEMO_SIZE):
+        model.eps(sched, x, other)
+    assert (id(sched), float(lam)) not in model._memo  # cleared once the memo was full
+    assert evaluate(model, sched, x, lam, v) == want
+    assert evaluate(model, Schedule(kind), x, lam, v) == want  # equal, not the same object
+    other = Schedule("edm" if kind != "edm" else "vp-linear")  # at the same lambda
+    assert evaluate(model, other, x, lam, v) == oracle_bytes(model, other, x, lam, v)
+
+
+def test_mixture_memo_never_holds_more_than_its_cap(mix4):
+    model, x = fresh_copy(mix4), np.ones(4)
+    for i in range(3 * models._LAMBDA_MEMO_SIZE + 5):
+        model.eps(Schedule("vp-linear"), x, 0.5)  # a fresh schedule each time
+        assert 1 <= len(model._memo) <= models._LAMBDA_MEMO_SIZE
+    for (ident, _), (sched, _) in model._memo.items():
+        assert ident == id(sched)  # each key's schedule is alive, held by its entry
+
+
+def test_mixture_memo_is_not_state(vp, mix4):
+    """The memo fills on a scalar lambda only, and no copy or pickle carries it."""
+    model, x = fresh_copy(mix4), np.ones((3, 4))
+    model.eps(vp, x, np.array([0.1, 0.2, 0.3]))
+    assert model._memo == {}  # a lambda per row computes its terms afresh
+    model.eps(vp, x, 0.1)
+    assert len(model._memo) == 1
+    for again in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+        assert again._memo == {} and again.to_dict() == model.to_dict()
+        assert again.eps(vp, x, 0.1).tobytes() == model.eps(vp, x, 0.1).tobytes()
+    assert len(model._memo) == 1
 
 
 # -- data sampling and diffusion ------------------------------------------------
