@@ -14,8 +14,9 @@ integrator:
 Estimation is one sweep over the grid: each grid point's one model call
 reduces to l and six centred moments over the diffused datapoints (three
 means, a variance and two covariances), and s and b follow in closed form
-once l's slope is known.  The sweep keeps its (K, D) sample arrays
-coordinate-major, laid out (D, K), so each moment is a contiguous row sum.
+once l's slope is known.  The sweep keeps its (K, D) sample arrays and
+probe terms coordinate-major, laid out (D, K), so l and each moment is a
+contiguous row sum.
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -153,12 +154,27 @@ def diag_probe_terms(sigma, jvps, probe_vectors):
     """Per-sample stochastic-diagonal terms (sigma * jvp(x, v)) * v.
 
     ``jvps`` holds the model's Jacobian-vector products at the probe vectors
-    ``probe_vectors``, shape (probes, K, D) with +-1 entries.  The mean of the
-    returned array over its first two axes is the diagonal estimate.  The
-    result is C-contiguous whatever the inputs' memory order, so that mean
-    adds the same terms in the same order for either layout.
+    ``probe_vectors``, shape (probes, K, D) with +-1 entries.  The result
+    follows ``jvps``' memory layout; :func:`diag_estimate` reduces it to the
+    diagonal estimate.
     """
-    return np.multiply(sigma * jvps, probe_vectors, order="C")
+    terms = sigma * jvps
+    terms *= probe_vectors
+    return terms
+
+
+def diag_estimate(terms):
+    """The stochastic diagonal estimate: the mean of ``terms``, (probes, K, D), over probes and K.
+
+    Each coordinate's K terms under one probe are summed as one contiguous
+    row, which numpy sums pairwise (rounding error O(eps log K), against
+    O(eps K) for a sequential sum), and the probes' row sums are then added
+    in order.  Terms laid out coordinate-major, as the transpose of a
+    C-contiguous (probes, D, K) array, are read in place; any other layout
+    is first copied to that one, so every layout gives the same bits.
+    """
+    rows = np.ascontiguousarray(np.swapaxes(terms, -1, -2))
+    return rows.sum(axis=-1).sum(axis=0) / (rows.shape[0] * rows.shape[-1])
 
 
 def estimate_l_dot(l_values, spacing: float):
@@ -179,14 +195,19 @@ def estimate_l_dot(l_values, spacing: float):
     return out
 
 
-def _f_and_r(sched, l_row, x, lam, eps, d_eps):
+def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps):
     """f = (sigma eps - l x) / alpha and r = e^{-lambda} ((l - 1) eps + d_eps).
 
     The total lambda-derivative of f along the ODE is f1 = r - l_dot x / alpha,
-    so l_dot enters f1 only through its last, linear term.
+    so l_dot enters f1 only through its last, linear term.  Each is formed in
+    one array of its own, with the bits of the expressions above.
     """
-    f = (sched.sigma_lambda(lam) * eps - l_row * x) / sched.alpha_lambda(lam)
-    r = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps)
+    f = eps * sigma
+    f -= x * l_row
+    f /= alpha
+    r = eps * (l_row - 1.0)
+    r += d_eps
+    r *= np.exp(-lam)
     return f, r
 
 
@@ -198,16 +219,17 @@ def _point_stats(model, sched, lam, x0, z, probes):
     y.  The moments are centred (each sample less its mean before the
     products), which keeps their digits where a coordinate's spread is far
     below its mean.  ``x0``, ``z`` and each probe are (K, D) transposes of
-    C-contiguous (D, K) arrays, so every sample array here is too, and each
-    moment is a contiguous row reduction.
+    C-contiguous (D, K) arrays, so every sample array here is too (the
+    probe terms included), and l and each moment is a contiguous row
+    reduction.
     """
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
-    xs = alpha * x0 + sigma * z
+    xs = x0 * alpha
+    xs += z * sigma
     eps, d_eps, jvp = model.linearize(sched, xs, lam)
-    jvps = jvp(probes)
-    del jvp  # frees the model's posterior before the reductions
-    l_row = diag_probe_terms(sigma, jvps, probes).mean(axis=(0, 1))
-    f, r = _f_and_r(sched, l_row[:, None], xs.T, lam, eps.T, d_eps.T)  # (D, K) rows
+    l_row = diag_estimate(diag_probe_terms(sigma, jvp(probes), probes))
+    del jvp  # frees the model's posterior before the moments
+    f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T)  # (D, K) rows
     k = len(xs)
     samples = (f, r, xs.T / alpha)
     means = [np.einsum("dk->d", g) / k for g in samples]
@@ -227,7 +249,8 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     grid-scale jitter in the fields and cap the observable convergence order.
 
     One sweep makes one ``linearize`` call per grid point and applies its
-    ``jvp`` to the probe stack once.  That gives l at that point, and f and r
+    ``jvp`` to the probe stack once.  That gives l at that point (the
+    pairwise mean of :func:`diag_estimate`), and f and r
     (see :func:`_f_and_r`), of which six centred moments are kept: the means
     of f, r and y = x/alpha, var f, cov(f, r) and cov(f, y).  After the
     sweep, l's slope is taken by finite differences, and since f1 = r -

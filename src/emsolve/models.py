@@ -668,13 +668,31 @@ _E5_TERMS = [
 REFERENCE_MAX_STEPS = 10_000
 
 
-def _combine(terms, stages):
-    """sum_k c_k stages[k] over ``terms``, added left to right (row by row, as ``_short_sum``)."""
-    (k, c), rest = terms[0], terms[1:]
-    out = c * stages[k]
-    for k, c in rest:
-        out += c * stages[k]
-    return out
+# The running sums of a step, one row each: A's rows 1-11 (the stage states), then B, E5 and E3
+_SUMS = _A_TERMS[1:] + [_B_TERMS, _E5_TERMS, _E3_TERMS]
+_B_ROW, _E5_ROW, _E3_ROW = range(len(_SUMS) - 3, len(_SUMS))
+_NODES = np.array(_C[1:])[:, None]
+
+
+def _stage_columns():
+    """Per stage k, the rows lo:hi of ``_SUMS`` that weigh K_k, and their coefficients.
+
+    Each stage's nonzero coefficients sit in one contiguous run of rows, and
+    every row begins with stage 0, whose column covers them all.
+    """
+    dense = np.zeros((len(_SUMS), len(_C)))
+    for i, terms in enumerate(_SUMS):
+        for k, c in terms:
+            dense[i, k] = c
+    columns = []
+    for k in range(len(_C)):
+        (nonzero,) = np.nonzero(dense[:, k])
+        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+        columns.append((lo, hi, dense[lo:hi, k, None, None]))
+    return columns
+
+
+_STAGE_COLUMNS = _stage_columns()
 
 
 def _row_sq(a):
@@ -719,7 +737,10 @@ def reference_solve(
     Each row has its own lambda, step size and accept/reject state, and
     leaves the active set at lam_end; the active rows share one ``eps`` call
     per stage, with a lambda per row.  Rows never mix, so a row's result is
-    the same bits alone or in any batch.  Each accepted step keeps the row's
+    the same bits alone or in any batch.  Each stage's derivative is added
+    once into the running sums of the later stages, the new state and the
+    two error estimates that weigh it, so every sum adds its terms in stage
+    order and skips the zero ones.  Each accepted step keeps the row's
     local error estimate below tol * (1 + |x|) in DOP853's norm.  Accuracy
     contract: at tol 1e-10 over a schedule's sampling span, each row's end
     state lies within 10 * tol * max(1, max|x|) of a tol-1e-13 solve, with
@@ -751,13 +772,15 @@ def reference_solve(
     if lam_end == lam_start or x_start.size == 0:
         return x_start.copy()
 
-    def rhs(lam, x):
-        if not np.all(np.isfinite(x)):
+    def rhs(lam, x, out=None):
+        if not np.isfinite(x).all():
             raise ConvergenceError("reference integration reached a non-finite state")
         c = sched.dlog_alpha_dlambda(lam)[:, None]
         sigma = sched.sigma_lambda(lam)[:, None]
-        out = c * x - sigma * model.eps(sched, x, lam)
-        if not np.all(np.isfinite(out)):
+        eps = model.eps(sched, x, lam)
+        out = np.multiply(c, x, out=out)
+        out -= sigma * eps
+        if not np.isfinite(out).all():
             raise ConvergenceError("reference integration reached a non-finite right-hand side")
         return out
 
@@ -773,29 +796,41 @@ def reference_solve(
         for _ in range(REFERENCE_MAX_STEPS):
             min_step = 10.0 * np.abs(np.nextafter(lam, np.inf) - lam)
             h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-            if np.any(h_abs < min_step):
-                at = np.argmax(h_abs < min_step)
+            too_small = h_abs < min_step
+            if too_small.any():
+                at = np.argmax(too_small)
                 raise ConvergenceError(
                     f"reference step fell below {min_step[at]:.3g} at lambda={lam[at]!r}"
                     f" on row {rows[at]}"
                 )
-            lam_new = np.minimum(lam + h_abs, lam_end)
+            # the stages' lambdas, then the step's end
+            stage_lam = np.empty((len(_C), len(lam)))
+            lam_new = np.minimum(lam + h_abs, lam_end, out=stage_lam[-1])
             h = lam_new - lam
-            stages = [f]
-            for a_terms, c in zip(_A_TERMS[1:], _C[1:]):
-                dy = h[:, None] * _combine(a_terms, stages)
-                stages.append(rhs(lam + c * h, y + dy))
-            y_new = y + h[:, None] * _combine(_B_TERMS, stages)
+            h_col = h[:, None]
+            np.multiply(_NODES, h, out=stage_lam[:-1])
+            stage_lam[:-1] += lam
+            sums = np.empty((len(_SUMS),) + y.shape)
+            products, k_stage = np.empty_like(sums), np.empty_like(y)
+            np.multiply(_STAGE_COLUMNS[0][2], f, out=sums)
+            for k, (lo, hi, coef) in enumerate(_STAGE_COLUMNS[1:], start=1):
+                state = sums[k - 1]  # stage k's sum is complete: it turns into y + h sum
+                state *= h_col
+                state += y
+                rhs(stage_lam[k - 1], state, out=k_stage)
+                sums[lo:hi] += np.multiply(coef, k_stage, out=products[lo:hi])
+            y_new = sums[_B_ROW]
+            y_new *= h_col
+            y_new += y
             f_new = rhs(lam_new, y_new)
-            stages.append(f_new)
 
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5 = _row_sq(_combine(_E5_TERMS, stages) / scale)
-            err3 = _row_sq(_combine(_E3_TERMS, stages) / scale)
+            err5 = _row_sq(np.divide(sums[_E5_ROW], scale, out=products[0]))
+            err3 = _row_sq(np.divide(sums[_E3_ROW], scale, out=products[1]))
             error_norm = np.where(
                 (err5 == 0) & (err3 == 0), 0.0, h * err5 / np.sqrt((err5 + 0.01 * err3) * y.shape[1])
             )
-            if not np.all(np.isfinite(error_norm)):
+            if not np.isfinite(error_norm).all():
                 raise ConvergenceError("reference integration's error estimate is not finite")
             accept = error_norm < 1
             growth = _SAFETY * error_norm**_ERROR_EXPONENT  # inf where the error is 0

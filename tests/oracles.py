@@ -18,9 +18,11 @@ row-major (against the plan's coordinate-major loop, bit for bit), a step
 plan formed with the schedule's own calls, a Taylor-row call for every group
 and one trapezoid block per span (against the plan read off the table's grid
 values, bit for bit), the closed forms with both branches evaluated (against
-the ones that evaluate only the branches they take, bit for bit), and the
+the ones that evaluate only the branches they take, bit for bit), the
 probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
-(against the lockstep reference integrator).  ``reference_states`` is a
+(against the lockstep reference integrator), and that integrator with each
+stage's sums formed afresh from a list of the stages (against its running
+sums, bit for bit).  ``reference_states`` is a
 helper, not an oracle: it chains reference segments to give the states at
 several lambdas.
 """
@@ -30,10 +32,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from emsolve.ems import EmsTable
-from emsolve.models import Guided, reference_solve
+from emsolve.models import REFERENCE_MAX_STEPS, Guided, reference_solve
 from emsolve.schedule import Schedule
 from emsolve.integrals import Transition
 
@@ -192,6 +194,117 @@ def reference_solve_ivp(model, sched: Schedule, x_start, lam_start, lam_end, tol
         assert sol.success, sol.message
         out.append(sol.y[:, -1])
     return np.stack(out).reshape(x_start.shape)
+
+
+def _dop853_terms(row):
+    """A tableau row's (stage, coefficient) pairs with a nonzero coefficient, in stage order."""
+    return [(k, float(c)) for k, c in enumerate(row) if c != 0]
+
+
+def _stage_sum(terms, stages):
+    """sum_k c_k stages[k] over ``terms``, added left to right."""
+    (k, c), rest = terms[0], terms[1:]
+    out = c * stages[k]
+    for k, c in rest:
+        out += c * stages[k]
+    return out
+
+
+def _row_sq(a):
+    """Each row's squared norm of an (R, D) array, summed over D left to right."""
+    out = a[:, 0] * a[:, 0]
+    for d in range(1, a.shape[1]):
+        out += a[:, d] * a[:, d]
+    return out
+
+
+def reference_solve_stagewise(model, sched: Schedule, x_start, lam_start, lam_end, tol):
+    """``reference_solve`` with each stage's sum formed afresh from the list of stages.
+
+    The lockstep DOP853 integrator on the tableau of scipy's ``DOP853``,
+    each stage state, the new state and the two error estimates taken as
+    sum_k c_k K_k over a list of the stage derivatives K_k.  Returns the end
+    states, the number of rejected attempts and, for each row, the attempt
+    at which it retired.  Takes well-formed arguments and a run that
+    converges: it restates the arithmetic, not the integrator's checks.
+    """
+    stage_terms = [_dop853_terms(row[:i]) for i, row in enumerate(DOP853.A)]
+    b_terms, e3_terms, e5_terms = map(_dop853_terms, (DOP853.B, DOP853.E3, DOP853.E5))
+    nodes = [float(c) for c in DOP853.C]
+    exponent = -1.0 / (DOP853.error_estimator_order + 1)
+    safety, min_factor, max_factor = 0.9, 0.2, 10.0
+
+    def rhs(lam, x):
+        c = sched.dlog_alpha_dlambda(lam)[:, None]
+        return c * x - sched.sigma_lambda(lam)[:, None] * model.eps(sched, x, lam)
+
+    def initial_step(lam, y, f, span):
+        scale = tol + np.abs(y) * tol
+        root_dim = math.sqrt(y.shape[-1])
+        d0 = np.sqrt(_row_sq(y / scale)) / root_dim
+        d1 = np.sqrt(_row_sq(f / scale)) / root_dim
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        f1 = rhs(lam + h0, y + h0[:, None] * f)
+        d2 = np.sqrt(_row_sq((f1 - f) / scale)) / root_dim / h0
+        h1 = np.where(
+            (d1 <= 1e-15) & (d2 <= 1e-15),
+            np.maximum(1e-6, h0 * 1e-3),
+            (0.01 / np.maximum(d1, d2)) ** (-exponent),
+        )
+        return np.minimum(np.minimum(100.0 * h0, h1), span)
+
+    x_start = np.asarray(x_start, dtype=float)
+    y = x_start.reshape(-1, x_start.shape[-1])
+    out = np.empty_like(y)
+    retired_at = np.zeros(len(y), dtype=int)
+    rejections = 0
+    rows = np.arange(len(y))
+    lam = np.full(len(y), float(lam_start))
+    rejected = np.zeros(len(y), dtype=bool)
+    with np.errstate(all="ignore"):
+        f = rhs(lam, y)
+        h_abs = initial_step(lam, y, f, lam_end - lam_start)
+        for attempt in range(REFERENCE_MAX_STEPS):
+            min_step = 10.0 * np.abs(np.nextafter(lam, np.inf) - lam)
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            lam_new = np.minimum(lam + h_abs, lam_end)
+            h = lam_new - lam
+            stages = [f]
+            for a_terms, c in zip(stage_terms[1:], nodes[1:]):
+                dy = h[:, None] * _stage_sum(a_terms, stages)
+                stages.append(rhs(lam + c * h, y + dy))
+            y_new = y + h[:, None] * _stage_sum(b_terms, stages)
+            f_new = rhs(lam_new, y_new)
+            stages.append(f_new)
+
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            err5 = _row_sq(_stage_sum(e5_terms, stages) / scale)
+            err3 = _row_sq(_stage_sum(e3_terms, stages) / scale)
+            error_norm = np.where(
+                (err5 == 0) & (err3 == 0), 0.0, h * err5 / np.sqrt((err5 + 0.01 * err3) * y.shape[1])
+            )
+            accept = error_norm < 1
+            rejections += int(np.sum(~accept))
+            growth = safety * error_norm**exponent
+            factor = np.where(accept, np.minimum(max_factor, growth), np.maximum(min_factor, growth))
+            h_abs = h * np.where(accept & rejected, np.minimum(1.0, factor), factor)
+            rejected = ~accept
+            lam = np.where(accept, lam_new, lam)
+            y = np.where(accept[:, None], y_new, y)
+            f = np.where(accept[:, None], f_new, f)
+
+            done = accept & (lam_new == lam_end)
+            if done.any():
+                out[rows[done]] = y[done]
+                retired_at[rows[done]] = attempt
+                keep = ~done
+                if not keep.any():
+                    return out.reshape(x_start.shape), rejections, retired_at
+                rows, lam, y, f, h_abs, rejected = (
+                    a[keep] for a in (rows, lam, y, f, h_abs, rejected)
+                )
+    raise AssertionError(f"no end within {REFERENCE_MAX_STEPS} attempts")
 
 
 def reference_states(model, sched: Schedule, x_start, lam_start, lams, tol):

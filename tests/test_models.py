@@ -42,6 +42,7 @@ from oracles import (
     mixture_linearize_rowmajor,
     mixture_log_density,
     reference_solve_ivp,
+    reference_solve_stagewise,
     reference_states,
 )
 
@@ -207,6 +208,26 @@ def test_point_mass_d_eps_is_zero(vp, edm, pg4):
         eps, d_eps = eps_along_ode(pg4, sched, x, 0.7)
         assert np.array_equal(eps, pg4.eps(sched, x, 0.7))
         assert np.array_equal(d_eps, np.zeros((5, 4)))
+
+
+# The mixture's closed-form d_eps cancels terms of size |x| / sigma, so on
+# states off the data it loses digits as sigma falls.  On a zero-std
+# component, whose exact d_eps is 0, the largest |d_eps| over 1024 standard
+# normal states and lambda up to 8 (edm: its domain's end) measured 3.5e-8 of
+# max|eps| on the VP schedules (up to 9.7e-8 on other draws) and 9.2e-10 on
+# edm (up to 3.1e-9), both at the top lambda.
+D_EPS_CANCELLATION_TOLERANCE = {"vp-linear": 2e-7, "vp-cosine": 2e-7, "edm": 1e-8}
+
+
+@pytest.mark.parametrize("kind", ["vp-linear", "vp-cosine", "edm"])
+def test_zero_std_component_d_eps_within_its_cancellation_bound(kind, mix4):
+    sched = Schedule(kind)
+    model = GaussianMixture(weights=[1.0], means=mix4.means[:1], stds=[0.0])
+    x = np.random.default_rng(0).standard_normal((1024, 4))
+    for lam in np.linspace(-4.0, min(sched.lam_domain[1], 8.0), 49):
+        eps, d_eps, _ = model.linearize(sched, x, lam)
+        rel = float(np.max(np.abs(d_eps)) / np.max(np.abs(eps)))
+        assert rel <= D_EPS_CANCELLATION_TOLERANCE[kind], (lam, rel)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.5, -0.5])
@@ -879,6 +900,27 @@ def test_reference_rows_match_per_row_solve_ivp(request, name, kind):
     assert np.all(np.max(np.abs(got - want), axis=-1) < REFERENCE_TOL_MULTIPLE * tol * scale)
 
 
+@pytest.mark.parametrize("kind", ["vp-linear", "edm"])
+@pytest.mark.parametrize("name", ["point", "mixture", "guided"])
+def test_reference_has_the_stagewise_loops_bits(mix4, mix4b, pg4, name, kind):
+    model = per_row_models(mix4, mix4b, pg4)[name]
+    sched = Schedule(kind)
+    t_start = 80.0 if kind == "edm" else 0.99
+    lam0, lam1 = float(sched.lambda_of_t(t_start)), float(sched.lambda_of_t(sched.t_domain[0] + 1e-3))
+    # rows from 0.01 to 30 times the start's noise scale retire at different steps
+    scales = np.array([0.01, 0.1, 1.0, 3.0, 10.0, 30.0])[:, None]
+    x_start = sched.sigma_lambda(lam0) * scales * np.random.default_rng(22).standard_normal((6, 4))
+    for tol in (1e-6, 1e-10):
+        got = reference_solve(model, sched, x_start, lam0, lam1, tol=tol)
+        want, rejections, retired_at = reference_solve_stagewise(
+            model, sched, x_start, lam0, lam1, tol
+        )
+        assert got.tobytes() == want.tobytes(), tol
+        assert len(set(retired_at)) > 1, tol
+        # the point mass's trajectory on edm is smooth enough that no step is rejected
+        assert rejections > 0 or (name, kind) == ("point", "edm"), tol
+
+
 @settings(max_examples=15)
 @given(
     name=st.sampled_from(["point", "mixture", "guided"]),
@@ -1008,6 +1050,13 @@ def test_reference_tableau_is_scipys_dop853_bit_for_bit():
     assert dense([models._E5_TERMS], n + 1)[0].tobytes() == DOP853.E5.tobytes()
     assert np.array(models._C).tobytes() == DOP853.C.tobytes()
     assert models._ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
+    # the running sums add each stage's derivative over one run of rows with no zero
+    # coefficient in it, and stage 0 starts every row
+    sums = dense(models._SUMS, n)
+    for k, (lo, hi, coef) in enumerate(models._STAGE_COLUMNS):
+        assert np.array_equal(np.flatnonzero(sums[:, k]), np.arange(lo, hi)), k
+        assert coef.ravel().tobytes() == sums[lo:hi, k].tobytes(), k
+    assert models._STAGE_COLUMNS[0][:2] == (0, len(models._SUMS))
 
 
 def test_the_package_imports_without_scipy():
