@@ -16,7 +16,9 @@ reduces to l and six centred moments over the diffused datapoints (three
 means, a variance and two covariances), and s and b follow in closed form
 once l's slope is known.  The sweep keeps its (K, D) sample arrays and
 probe terms coordinate-major, laid out (D, K), so l and each moment is a
-contiguous row sum.
+contiguous row sum, and it keeps them in one workspace dict that it passes
+to the model's ``linearize`` too: every grid point after the first reuses
+the first point's arrays (and, for a mixture with one probe, all of them).
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -30,7 +32,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
-    TableFormatError, UnsupportedVersionError, check_instance, check_int, check_members, check_span
+    TableFormatError, UnsupportedVersionError, check_instance, check_int, check_keyword,
+    check_members, check_span,
 )
 from .models import ModelSpec, model_id
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
@@ -42,6 +45,8 @@ _FILE_VERSION = 1
 _ABS_FLOOR = 1e-20
 # the table's arrays in file order: the (rows,) lambda grid, then the (rows, D) fields
 _ARRAYS = ("lambda_grid", "l", "s", "b", "l_dot")
+# the key of the sweep's own arrays in the workspace it shares with the model
+_SWEEP_KEY = "sweep"
 
 
 @dataclass(frozen=True)
@@ -150,15 +155,16 @@ def _spacing(grid) -> float:
 # -- estimators ---------------------------------------------------------------
 
 
-def diag_probe_terms(sigma, jvps, probe_vectors):
+def diag_probe_terms(sigma, jvps, probe_vectors, out=None):
     """Per-sample stochastic-diagonal terms (sigma * jvp(x, v)) * v.
 
     ``jvps`` holds the model's Jacobian-vector products at the probe vectors
     ``probe_vectors``, shape (probes, K, D) with +-1 entries.  The result
-    follows ``jvps``' memory layout; :func:`diag_estimate` reduces it to the
-    diagonal estimate.
+    follows ``jvps``' memory layout, or is written into ``out`` (``jvps``
+    itself, say) if given; :func:`diag_estimate` reduces it to the diagonal
+    estimate.
     """
-    terms = sigma * jvps
+    terms = np.multiply(sigma, jvps, out=out)
     terms *= probe_vectors
     return terms
 
@@ -195,23 +201,23 @@ def estimate_l_dot(l_values, spacing: float):
     return out
 
 
-def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps):
-    """f = (sigma eps - l x) / alpha and r = e^{-lambda} ((l - 1) eps + d_eps).
+def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps, work):
+    """f = (sigma eps - l x) / alpha and r = e^{-lambda} ((l - 1) eps + d_eps), in place.
 
     The total lambda-derivative of f along the ODE is f1 = r - l_dot x / alpha,
-    so l_dot enters f1 only through its last, linear term.  Each is formed in
-    one array of its own, with the bits of the expressions above.
+    so l_dot enters f1 only through its last, linear term.  f is formed in
+    ``eps``'s memory and r in ``d_eps``'s, with ``work`` a scratch of their
+    shape, and the bits are those of the expressions above.
     """
-    f = eps * sigma
-    f -= x * l_row
-    f /= alpha
-    r = eps * (l_row - 1.0)
-    r += d_eps
-    r *= np.exp(-lam)
-    return f, r
+    d_eps += np.multiply(eps, l_row - 1.0, out=work)
+    d_eps *= np.exp(-lam)
+    eps *= sigma
+    eps -= np.multiply(x, l_row, out=work)
+    eps /= alpha
+    return eps, d_eps
 
 
-def _point_stats(model, sched, lam, x0, z, probes):
+def _point_stats(model, sched, lam, x0, z, probes, workspace=None):
     """One grid point's share of the sweep, from one model call.
 
     Returns l and six (D,) moments over the K diffused points: the means of
@@ -222,16 +228,32 @@ def _point_stats(model, sched, lam, x0, z, probes):
     C-contiguous (D, K) arrays, so every sample array here is too (the
     probe terms included), and l and each moment is a contiguous row
     reduction.
+
+    ``workspace`` is the sweep's dict (a fresh one if None), which the model's
+    ``linearize`` shares.  The sweep keeps the diffused points x there and
+    writes every (K, D) array into memory it already has: the probe terms
+    into the ``jvp``'s product, which is then the scratch of f and r, r into
+    ``d_eps``, f into ``eps`` and y into x.  The last point's f is the next
+    point's scratch for z sigma, so from the second point on a sweep of a
+    mixture with one probe allocates no (K, D) array.
     """
+    if workspace is None:
+        workspace = {}
+    slots = workspace.get(_SWEEP_KEY)
+    if slots is None:  # x, and the memory of the last point's f
+        slots = workspace[_SWEEP_KEY] = [np.empty_like(x0), None]
+    xs, spare = slots
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
-    xs = x0 * alpha
-    xs += z * sigma
-    eps, d_eps, jvp = model.linearize(sched, xs, lam)
-    l_row = diag_estimate(diag_probe_terms(sigma, jvp(probes), probes))
-    del jvp  # frees the model's posterior before the moments
-    f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T)  # (D, K) rows
+    np.multiply(x0, alpha, out=xs)
+    xs += np.multiply(z, sigma, out=spare)
+    eps, d_eps, jvp = model.linearize(sched, xs, lam, workspace=workspace)
+    terms = jvp(probes)
+    l_row = diag_estimate(diag_probe_terms(sigma, terms, probes, out=terms))
+    f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T, terms[0].T)
+    slots[1] = eps
+    xs /= alpha  # y, in x's memory: (D, K) rows as f and r are
     k = len(xs)
-    samples = (f, r, xs.T / alpha)
+    samples = (f, r, xs.T)
     means = [np.einsum("dk->d", g) / k for g in samples]
     for g, m in zip(samples, means):
         g -= m[:, None]  # centred in place; f is centred before the products read it
@@ -248,8 +270,12 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     rely on; independently re-drawn points per grid lambda would leave
     grid-scale jitter in the fields and cap the observable convergence order.
 
-    One sweep makes one ``linearize`` call per grid point and applies its
-    ``jvp`` to the probe stack once.  That gives l at that point (the
+    One sweep makes one ``linearize`` call per grid point, all with one
+    workspace dict, and applies its ``jvp`` to the probe stack once; the
+    model must accept the ``workspace`` argument (see
+    ``ModelSpec.linearize``) and may keep its arrays there; the sweep
+    overwrites the arrays each call returns (see :func:`_point_stats`).  The
+    dict is dropped when the table is built.  One call gives l at that point (the
     pairwise mean of :func:`diag_estimate`), and f and r
     (see :func:`_f_and_r`), of which six centred moments are kept: the means
     of f, r and y = x/alpha, var f, cov(f, r) and cov(f, y).  After the
@@ -263,12 +289,14 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
     data distribution.  Bit-identical output for a fixed config.  Raises
-    ValueError when ``model`` or ``sched`` lacks the members the sweep reads
+    ValueError when ``model`` or ``sched`` lacks the members the sweep reads,
+    ``model.linearize`` takes no ``workspace`` argument
     or ``cfg`` is not an :class:`EmsConfig`, and :class:`DomainError` when
     ``cfg.lam_range`` leaves the schedule's lambda domain.
     """
     check_schedule(sched)
     check_members(model, "model", ("linearize", "sample_data"))
+    check_keyword(model.linearize, "workspace", "model.linearize")
     check_instance(cfg, EmsConfig)
     check_lam_span(sched, *cfg.lam_range, "lam_range")
     n_pts = cfg.num_timesteps + 1
@@ -285,8 +313,9 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
+    workspace = {}  # this sweep's, dropped with it
     for j, lam in enumerate(grid):
-        l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes)
+        l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes, workspace)
     mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))

@@ -4,6 +4,7 @@ Public constructors and once-per-run entry points check their arguments with the
 per-call code keeps its own inline checks.  A bool is neither an integer nor a real here.
 """
 
+import inspect
 import math
 import numbers
 
@@ -96,6 +97,16 @@ def check_members(value, what: str, methods, attributes=()) -> None:
     missing += [name for name in attributes if not hasattr(value, name)]
     if missing:
         raise ValueError(f"expected {_a(what)}, got {_a(type(value).__name__)} without {missing}")
+
+
+def check_keyword(func, keyword: str, what: str) -> None:
+    """Raise unless the callable ``func`` takes the argument ``keyword`` by name (or ``**``)."""
+    try:
+        params = inspect.signature(func).parameters.values()
+    except (TypeError, ValueError):  # no signature to read: the call itself decides
+        return
+    if not any(p.kind is p.VAR_KEYWORD or p.name == keyword for p in params):
+        raise ValueError(f"{what} must take a {keyword!r} argument")
 
 
 def check_instance(value, cls: type, name: str | None = None):

@@ -26,7 +26,7 @@ inner loop of every numpy call.  Sums over C or D add whole leading-axis
 slices left to right (``_short_sum``, ``_short_dot``), in the order of a
 row-major ``np.sum`` over the short axis, and the softmax's max takes
 ``np.maximum`` over component slices (``_short_max``), so the bits are those
-of the row-major arithmetic.  Every output is a fresh float64 array of the
+of the row-major arithmetic.  Every output is a float64 array of the
 caller's ``(..., D)`` shape that follows the input's layout: the transpose
 of a C-contiguous ``(..., D, N)`` array for an input laid out so (such as
 ``a.T`` of a C-contiguous ``(D, N)`` array ``a``, as the sampler's state and
@@ -40,10 +40,24 @@ softmax and the posterior weights are then formed; the offsets turn into
 the component scores in place; ``eps`` sums the weighted scores straight
 into the returned array and scales them there, and the softmax's max and
 sum borrow one of its rows first.  ``linearize`` takes its temporaries from
-one block allocated per call, and its ``jvp`` writes into the product it
-returns.  Only operations whose bits IEEE arithmetic fixes are reordered:
-``+`` and ``*`` commuted, ``x * x`` for a square, ``out=`` forms of the same
-ufunc.  No buffer outlives its call.
+one block, and its ``jvp`` writes into the product it returns.  Only
+operations whose bits IEEE arithmetic fixes are reordered: ``+`` and ``*``
+commuted, ``x * x`` for a square, ``out=`` forms of the same ufunc.
+
+Workspaces.  Without a workspace, every output is a fresh array and no
+buffer outlives its call (or, for the arrays a ``jvp`` reads, its ``jvp``).
+A caller that makes a run of ``linearize`` calls, as ``estimate_table``
+does once per grid point, can pass one dict as ``workspace`` to all of
+them.  The mixture keeps its arrays for that input shape there and returns
+them again from each call: eps, d_eps, the arrays its ``jvp`` reads, and
+the temporaries' block, which each ``jvp`` then takes for its product and
+scratch when they fit (a ``jvp`` of more probes than that block holds
+returns a fresh product, as without a workspace).  A run of calls with
+one probe then allocates nothing of the input's size after its first call.
+A ``Guided`` pair gives each part a dict of its own, or none when it was
+given none, and forms its sums in fresh arrays; ``PointGaussian`` ignores
+the workspace.  The dict belongs to one caller and one thread and is
+dropped after the run; nothing is kept on the model.
 
 Memo.  The terms that depend on lambda only (sigma, the component
 variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
@@ -63,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, check_floats, check_members, check_real
+from .errors import ConvergenceError, check_floats, check_instance, check_members, check_real
 from .schedule import Schedule, check_lam_span, check_schedule
 
 
@@ -118,19 +132,75 @@ def _columns(a, lead, n):
     return a.reshape(lead + (n, a.shape[-1])).swapaxes(-1, -2)
 
 
-def _row_buffer(cols, shape):
+def _row_buffer(cols, shape, mem=None):
     """An empty float64 array of ``shape`` to return, and its ``(..., D, n)`` view to write into.
 
     ``cols`` is the input's ``_columns`` view.  When it is C-contiguous, the
     buffer is laid out as ``cols`` is and the returned array is its
     transpose, so the output keeps the input's layout; otherwise the
-    returned array is C-contiguous.
+    returned array is C-contiguous.  The buffer is the flat array ``mem``
+    if given, else fresh.
     """
     if cols.flags.c_contiguous:
-        buf = np.empty(cols.shape)
+        buf = np.empty(cols.shape) if mem is None else mem.reshape(cols.shape)
         return buf.swapaxes(-1, -2).reshape(shape), buf  # the reshape only splits axes: a view
-    out = np.empty(shape)
+    out = np.empty(shape) if mem is None else mem.reshape(shape)
     return out, _columns(out, cols.shape[:-2], cols.shape[-1])
+
+
+def _block_size(shapes):
+    """The length of the flat block in which ``_carve`` lays out arrays of ``shapes``."""
+    return sum(size + size % 2 for size in map(math.prod, shapes))
+
+
+def _carve(shapes, mem=None):
+    """C-contiguous float64 arrays of ``shapes``, laid end to end in the flat array ``mem``.
+
+    Each starts at an even offset, so it keeps a fresh array's 16-byte
+    alignment.  Without ``mem`` they share one fresh block.
+    """
+    if mem is None:
+        mem = np.empty(_block_size(shapes))
+    arrays, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        arrays.append(mem[start : start + size].reshape(shape))
+        start += size + size % 2
+    return arrays
+
+
+def _check_workspace(workspace):
+    """Raise ValueError unless ``workspace`` is None or a dict."""
+    if workspace is not None:
+        check_instance(workspace, dict, "workspace")
+
+
+class _Workspace:
+    """A mixture's ``linearize`` arrays for one input shape and layout, kept in a workspace dict.
+
+    ``owner`` is the token of the last call that took them, so the ``jvp``
+    of an earlier call can tell that its memory was reused.
+    """
+
+    __slots__ = ("key", "arrays", "memory", "owner")
+
+    def __init__(self, key, arrays):
+        self.key, self.arrays = key, arrays
+        # eps, d_eps, the block the jvp reads and the temporaries' memory
+        self.memory = (arrays[0], arrays[2], arrays[4].base, arrays[-1])
+        self.owner = None
+
+    def holds(self, a) -> bool:
+        """Whether ``a`` may share memory with the workspace's arrays."""
+        return any(np.may_share_memory(a, m) for m in self.memory)
+
+    def jvp_memory(self, size, v):
+        """The temporaries' memory for a ``jvp``'s arrays of ``size``, or None.
+
+        None if they do not fit it or its ``v`` lies in it.
+        """
+        mem = self.arrays[-1]
+        return None if size > mem.size or np.may_share_memory(v, mem) else mem
 
 
 # The cap on a mixture's per-lambda memo, which is cleared when full.  A sampler
@@ -140,6 +210,9 @@ _LAMBDA_MEMO_SIZE = 128
 # The size of the mixture's (C, D, N) offsets up to which a (C, D, N) temporary
 # costs less than the numpy calls that avoid it
 _SMALL_CALL = 4096
+# The keys of a mixture's arrays and of a guided pair's parts in a ``linearize`` workspace
+_MIXTURE_KEY = "mixture"
+_GUIDED_KEY = "guided"
 
 
 class ModelSpec:
@@ -160,7 +233,7 @@ class ModelSpec:
         """
         raise NotImplementedError
 
-    def linearize(self, sched: Schedule, x, lam):
+    def linearize(self, sched: Schedule, x, lam, workspace=None):
         """eps at (x, lambda), its rate along the ODE, and its Jacobian: ``(eps, d_eps, jvp)``.
 
         d_eps = (d/dlambda) eps + J (c x - sigma eps), where J = grad_x eps
@@ -169,6 +242,19 @@ class ModelSpec:
         exact product J v; ``v`` may carry extra leading axes, as a stack of
         probes does.  All closed form, from one evaluation of the model.
         ``lam`` must be a scalar.
+
+        The returned ``eps`` and ``d_eps``, and each product ``jvp`` returns,
+        are the caller's to overwrite: ``jvp`` never reads them.
+        ``workspace`` is None or a dict that one caller passes to a run of
+        calls, such as the grid points of one table, and drops after it
+        (anything else raises ValueError).  A model may keep its arrays
+        there and return them again: ``eps`` and ``d_eps`` then hold until
+        the next call with that workspace, and a ``jvp`` product until the
+        next ``jvp`` or ``linearize`` call with it.  A ``jvp`` whose memory a
+        later call reused raises ValueError, and so may an ``x`` that lies
+        in the workspace's memory.  The values do not depend on the
+        workspace.  ``estimate_table`` passes one to every call, so a model
+        it builds a table for must take the argument.
         """
         raise NotImplementedError
 
@@ -239,8 +325,9 @@ class PointGaussian(ModelSpec):
         sigma = sched.sigma_lambda(lam)[..., None]
         return (x - alpha * self.x0) / sigma
 
-    def linearize(self, sched, x, lam):
-        # (x - alpha x0) / sigma is constant along every trajectory
+    def linearize(self, sched, x, lam, workspace=None):
+        # (x - alpha x0) / sigma is constant along every trajectory; a workspace is not needed
+        _check_workspace(workspace)
         eps = self.eps(sched, self._check_input(x, lam, per_row=False), lam)
         sigma = sched.sigma_lambda(lam)
 
@@ -365,35 +452,40 @@ class GaussianMixture(ModelSpec):
         return sq
 
     @staticmethod
-    def _offsets(xt, alpha_means):
+    def _offsets(xt, alpha_means, diff=None, sq=None, scratch=None):
         """The offsets x - alpha mu_i, (C, D, N), and their squared norms, (C, N).
 
         The squares are summed over D left to right, as a row-major ``np.sum``
         adds them.  A large call forms them as products into the norms, with
         no (C, D, N) temporary; a small one squares the offsets in one call,
-        which costs fewer numpy calls than D products.
+        which costs fewer numpy calls than D products.  Written into ``diff``
+        and ``sq`` if given; a large call's products go to the (C, N) array
+        ``scratch`` if given.
         """
         # order="C": by default a ufunc's output would follow the strided x.T,
         # and the squares' would follow diff, whose (C, N) slices are strided
-        diff = np.subtract(xt, alpha_means, order="C")
+        diff = np.subtract(xt, alpha_means, out=diff, order="C")
         by_coord = diff.swapaxes(0, 1)
         if diff.size <= _SMALL_CALL:
-            return diff, _short_sum(np.multiply(by_coord, by_coord, order="C"))
-        return diff, _short_dot(by_coord, by_coord, scratch=np.empty(by_coord.shape[1:]))
+            return diff, _short_sum(np.multiply(by_coord, by_coord, order="C"), out=sq)
+        if scratch is None:
+            scratch = np.empty(by_coord.shape[1:])
+        return diff, _short_dot(by_coord, by_coord, out=sq, scratch=scratch)
 
     @staticmethod
-    def _hessian_terms(comp_score, mean_score, pi_over_var, v, weights, out, work):
+    def _hessian_terms(comp_score, mean_score, pi_over_var, v, weights, out, work, gbar_v):
         """sum_i weights_i g_i - gbar (gbar . v) - (sum_i pi_i / var_i) v, written into ``out``.
 
         With g_i = grad log N_i, gbar = sum_i pi_i g_i and weights_i =
         pi_i (g_i . v) this is the Hessian-vector product H v of log q.  ``v``
         is (D, N) or a (P, D, N) probe stack, and ``weights`` (C, N) or (P, C,
-        N); ``work`` is a scratch of ``out``'s shape.
+        N); ``work`` is a scratch of ``out``'s shape, and ``gbar . v`` is
+        formed in ``gbar_v``, (N,) or (P, N).
         """
         # swapaxes(0, -2) brings the component or coordinate axis to the front
         _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score, out=out, scratch=work)
-        gbar_v = _short_dot(mean_score, v.swapaxes(0, -2))[..., None, :]
-        out -= np.multiply(mean_score, gbar_v, out=work)
+        _short_dot(mean_score, v.swapaxes(0, -2), out=gbar_v, scratch=work[..., 0, :])
+        out -= np.multiply(mean_score, gbar_v[..., None, :], out=work)
         out -= np.multiply(pi_over_var, v, out=work)
         return out
 
@@ -411,22 +503,56 @@ class GaussianMixture(ModelSpec):
         out_t *= -sigma
         return out
 
-    def linearize(self, sched, x, lam):
+    def _linearize_arrays(self, xt, shape):
+        """The arrays of a ``linearize`` call on ``xt``, the ``(D, N)`` view of an ``x`` of ``shape``.
+
+        In order: eps and d_eps, each with its (D, N) view; the offsets (C,
+        D, N), their squared norms (C, N), the mean score (D, N) and sum_i
+        pi_i / var_i (N,), which the call's ``jvp`` reads, from one block;
+        then the temporaries, two (D, N) and three (C, N) arrays, and
+        ``free``, the flat memory they share, which the ``jvp`` takes for its
+        own arrays once the call has returned.  These are four allocations
+        where one would do: a workspace of one block, freed when a table
+        build ends, raised glibc's dynamic trim threshold (twice the largest
+        mapped chunk freed) above all that the build frees, so the heap was
+        never trimmed after a build, and a benchmark process's peak resident
+        memory read 1.5-2% higher.
+        """
+        num_comp, (dim, n) = len(self.weights), xt.shape
+        kept = _carve([(num_comp, dim, n), (num_comp, n), (dim, n), (n,)])
+        temps = [(dim, n)] * 2 + [(num_comp, n)] * 3
+        free = np.empty(_block_size(temps))
+        eps, d_eps = _row_buffer(xt, shape), _row_buffer(xt, shape)
+        return (*eps, *d_eps, *kept, *_carve(temps, free), free)
+
+    def _workspace(self, workspace, xt, shape):
+        """This input's ``_Workspace`` in the dict ``workspace``; a new one for a new shape or layout."""
+        key = (len(self.weights), shape, xt.flags.c_contiguous)
+        ws = workspace.get(_MIXTURE_KEY)
+        if ws is None or ws.key != key:
+            ws = workspace[_MIXTURE_KEY] = _Workspace(key, self._linearize_arrays(xt, shape))
+        elif ws.holds(xt):
+            raise ValueError("x shares memory with the workspace's arrays; pass a copy")
+        return ws
+
+    def linearize(self, sched, x, lam, workspace=None):
         # apply_jacobian closes over this call's posterior, which it keeps alive
         x = self._check_input(x, lam, per_row=False)
+        _check_workspace(workspace)
         sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         n = x.size // self.dim
         xt = _columns(x, (), n)
-        # the call's temporaries share one block, allocated before the arrays that outlive it:
-        # two (D, N) arrays of products and of the ODE's velocity, three (C, N) ones
-        num_comp, dim = len(var), self.dim
-        block = np.empty((2 * dim + 3 * num_comp) * n)
-        work, velocity = block[: 2 * dim * n].reshape(2, dim, n)
-        a, scratch, weights = block[2 * dim * n :].reshape(3, num_comp, n)
-        diff, sq = self._offsets(xt, alpha_means)
-        eps, eps_t = _row_buffer(xt, x.shape)
-        d_eps, d_eps_t = _row_buffer(xt, x.shape)
+        if workspace is None:
+            ws = token = None
+            arrays = self._linearize_arrays(xt, x.shape)
+        else:
+            ws = self._workspace(workspace, xt, x.shape)
+            arrays = ws.arrays
+            ws.owner = token = object()
+        (eps, eps_t, d_eps, d_eps_t, diff, sq, mean_score, pi_over_var,
+         work, velocity, a, scratch, weights, _) = arrays
+        diff, sq = self._offsets(xt, alpha_means, diff, sq, scratch=a)
         # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
         # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
         #   dlog N_i = a_i - c g_i . x,  a_i = -sigma^2 |g_i|^2 - rate_i D / 2,
@@ -442,20 +568,25 @@ class GaussianMixture(ModelSpec):
         a -= 0.5 * self.dim * rate
         pi = self._posterior(sq, var, log_norm, d_eps_t[0])  # a row of d_eps, written last
         comp_score = np.divide(diff, neg_var, out=diff)
-        mean_score = _short_dot(pi[:, None], comp_score, scratch=work)
+        _short_dot(pi[:, None], comp_score, out=mean_score, scratch=work)
         np.multiply(mean_score, -sigma, out=eps_t)
         _short_dot(comp_score.swapaxes(0, 1), mean_score[:, None], out=weights, scratch=scratch)
         weights *= sigma**2
-        a -= _short_dot(pi, a, scratch=scratch[0])
+        # the (N,) dot products go to a row of velocity, which is not in use yet
+        a -= _short_dot(pi, a, out=velocity[0], scratch=scratch[0])
         weights += a
-        weights += np.multiply(_short_dot(mean_score, xt, scratch=scratch[0]), c, out=scratch[-1])
+        weights += np.multiply(
+            _short_dot(mean_score, xt, out=velocity[0], scratch=scratch[0]), c, out=scratch[-1]
+        )
         weights -= rate
         weights *= pi
-        pi_over_var = _short_sum(np.divide(pi, var, out=scratch))
+        _short_sum(np.divide(pi, var, out=scratch), out=pi_over_var)
         # H applied to the ODE's velocity dx/dlambda = c x - sigma eps, into d_eps's memory
         np.multiply(xt, c, out=velocity)
         velocity -= np.multiply(eps_t, sigma, out=work)
-        self._hessian_terms(comp_score, mean_score, pi_over_var, velocity, weights, d_eps_t, work)
+        self._hessian_terms(
+            comp_score, mean_score, pi_over_var, velocity, weights, d_eps_t, work, a[0]
+        )
         # d_eps = (c - 1) eps - sigma (H v + c (gbar + (sum_i pi_i / var_i) x))
         rest = np.multiply(xt, pi_over_var, out=velocity)
         rest += mean_score
@@ -466,6 +597,8 @@ class GaussianMixture(ModelSpec):
 
         def apply_jacobian(v):
             """-sigma H v from this posterior; ``v`` may add leading axes, such as probes."""
+            if ws is not None and ws.owner is not token:
+                raise ValueError("a later linearize call has reused this jvp's workspace")
             v = self._check_x(v)
             shape = np.broadcast_shapes(v.shape, x.shape)
             if shape[len(shape) - x.ndim :] != x.shape:
@@ -473,12 +606,19 @@ class GaussianMixture(ModelSpec):
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
             vt = _columns(np.broadcast_to(v, shape), probes, n)  # (P, D, N)
             by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, P, 1, N)
-            scratch = np.empty(probes + pi.shape)
-            dots = _short_dot(comp_score.swapaxes(0, 1), by_coord, scratch=scratch)  # (P, C, N)
+            # the dot products' scratch (which then holds gbar . v), the dots, a scratch and out
+            shapes = [probes + pi.shape] * 2 + [vt.shape, (vt.size,)]
+            mem = None if ws is None else ws.jvp_memory(_block_size(shapes), v)
+            if mem is None:  # fresh temporaries and a fresh product
+                (scratch, dots, work), out_mem = _carve(shapes[:3]), None
+            else:
+                scratch, dots, work, out_mem = _carve(shapes, mem)
+            _short_dot(comp_score.swapaxes(0, 1), by_coord, out=dots, scratch=scratch)  # (P, C, N)
             dots *= pi
-            out, out_t = _row_buffer(vt, shape)
-            work = np.empty(vt.shape)
-            self._hessian_terms(comp_score, mean_score, pi_over_var, vt, dots, out_t, work)
+            out, out_t = _row_buffer(vt, shape, out_mem)
+            self._hessian_terms(
+                comp_score, mean_score, pi_over_var, vt, dots, out_t, work, scratch[:, 0]
+            )
             out_t *= -sigma
             return out
 
@@ -525,10 +665,17 @@ class Guided(ModelSpec):
         s = self.scale
         return s * self.cond.eps(sched, x, lam) + (1.0 - s) * self.uncond.eps(sched, x, lam)
 
-    def linearize(self, sched, x, lam):
+    def linearize(self, sched, x, lam, workspace=None):
+        _check_workspace(workspace)
+        parts = {}, {}  # keyword arguments: a part is given a workspace only when there is one
+        if workspace is not None:  # each part keeps its arrays in a dict of its own
+            dicts = workspace.get(_GUIDED_KEY)
+            if dicts is None:
+                dicts = workspace[_GUIDED_KEY] = {}, {}
+            parts = [{"workspace": d} for d in dicts]
         s = self.scale
-        eps_c, d_c, jvp_c = self.cond.linearize(sched, x, lam)
-        eps_u, d_u, jvp_u = self.uncond.linearize(sched, x, lam)
+        eps_c, d_c, jvp_c = self.cond.linearize(sched, x, lam, **parts[0])
+        eps_u, d_u, jvp_u = self.uncond.linearize(sched, x, lam, **parts[1])
         eps = s * eps_c + (1.0 - s) * eps_u
         # Each part's d_eps follows that part's own ODE.  The guided velocity
         # differs from it by sigma (eps_part - eps), which the parts' Jacobians

@@ -13,9 +13,11 @@ out of range [0, n)``; ``EmsTable.index_of`` takes lambdas, not indices,
 and an off-grid one raises its ValueError, ``outside the table range``.
 
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
-inline checks, tested in ``test_models.py``), non-integer grid indices
-(index lookups, not checked arguments), ``lupdate``'s states and g values
-(its anchor triple and extra pairs are checked) and ``save_table``'s path.
+inline checks, tested in ``test_models.py``; ``linearize``'s workspace and a
+``jvp`` whose workspace a later call reused are tested here), non-integer
+grid indices (index lookups, not checked arguments), ``lupdate``'s states
+and g values (its anchor triple and extra pairs are checked) and
+``save_table``'s path.
 """
 
 import dataclasses
@@ -53,6 +55,7 @@ from emsolve import (
     transition_coefficients,
 )
 from emsolve.ems import DATA_PRED, EmsTable
+from emsolve.models import ModelSpec
 from emsolve.schedule import UNIFORM_LAMBDA
 
 SCHED = Schedule("vp-linear")
@@ -331,6 +334,15 @@ ESCAPED = {
     "lupdate anchor pair": lambda: lupdate(TAB, (0, X), [], 3),
     "lupdate extras None": lambda: lupdate(TAB, (0, X, X), None, 3),
     "lupdate extra triple": lambda: lupdate(TAB, (0, X, X), [(1, X, X)], 3),
+    **{
+        f"{name} linearize workspace {bad!r}": (
+            lambda model=model, bad=bad: model.linearize(SCHED, X, 0.0, workspace=bad)
+        )
+        for name, model in (
+            ("mixture", MIXTURE), ("point", POINT), ("guided", Guided(MIXTURE, POINT, 2.0))
+        )
+        for bad in ([], (), "x", 1)
+    },
 }
 
 
@@ -338,6 +350,44 @@ ESCAPED = {
 def test_a_call_that_escaped_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_a_jvp_whose_workspace_was_reused_raises_value_error(guided):
+    model = Guided(MIXTURE, MIXTURE, 2.0) if guided else MIXTURE
+    x = np.ones((5, 2))
+    workspace = {}
+    _, _, stale = model.linearize(SCHED, x, 0.0, workspace=workspace)
+    _, _, fresh = model.linearize(SCHED, x, 0.5, workspace=workspace)
+    with pytest.raises(ValueError, match="reused this jvp's workspace"):
+        stale(x)
+    assert fresh(x).tobytes() == model.linearize(SCHED, x, 0.5)[2](x).tobytes()
+
+
+class WithoutWorkspace(ModelSpec):
+    """The mixture behind a ``linearize`` without the workspace argument, as older models had."""
+
+    dim = MIXTURE.dim
+
+    def eps(self, sched, x, lam):
+        return MIXTURE.eps(sched, x, lam)
+
+    def linearize(self, sched, x, lam):
+        return MIXTURE.linearize(sched, x, lam)
+
+    def sample_data(self, rng, n):
+        return MIXTURE.sample_data(rng, n)
+
+
+def test_a_linearize_without_a_workspace_argument():
+    """``estimate_table`` needs the argument and says so; a ``Guided`` pair passes none unasked."""
+    with pytest.raises(ValueError, match="^model.linearize must take a 'workspace' argument$"):
+        estimate_table(WithoutWorkspace(), SCHED, EMS_CFG)
+    x = np.ones((5, 2))
+    eps, d_eps, jvp = Guided(WithoutWorkspace(), MIXTURE, 2.0).linearize(SCHED, x, 0.5)
+    want_eps, want_d_eps, want_jvp = Guided(MIXTURE, MIXTURE, 2.0).linearize(SCHED, x, 0.5)
+    got, want = (eps, d_eps, jvp(x)), (want_eps, want_d_eps, want_jvp(x))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_a_plan_run_checks_its_trace_before_any_model_call():

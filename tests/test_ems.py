@@ -60,7 +60,7 @@ class ConstantModel(ModelSpec):
     def eps(self, sched, x, lam):
         return np.broadcast_to(self.value, np.shape(x)).copy()
 
-    def linearize(self, sched, x, lam):
+    def linearize(self, sched, x, lam, workspace=None):
         eps = self.eps(sched, x, lam)
         return eps, np.zeros_like(eps), lambda v: np.zeros_like(np.asarray(v, dtype=float))
 
@@ -360,15 +360,15 @@ class CallCounter(ModelSpec):
     def dim(self):
         return self.inner.dim
 
-    def _call(self, name, *args):
+    def _call(self, name, *args, **kwargs):
         self.calls[name] += 1
-        return getattr(self.inner, name)(*args)
+        return getattr(self.inner, name)(*args, **kwargs)
 
     def eps(self, sched, x, lam):
         return self._call("eps", sched, x, lam)
 
-    def linearize(self, sched, x, lam):
-        eps, d_eps, apply_jacobian = self._call("linearize", sched, x, lam)
+    def linearize(self, sched, x, lam, workspace=None):
+        eps, d_eps, apply_jacobian = self._call("linearize", sched, x, lam, workspace=workspace)
 
         def counted_jvp(v):
             self.calls["jvp"] += 1
@@ -419,6 +419,42 @@ def test_estimate_table_makes_one_model_call_per_grid_point(vp, pg4, mix4, model
     cfg = EmsConfig(num_timesteps=12, num_datapoints=32, lam_range=(-2.0, 2.0), seed=3)
     estimate_table(counted, vp, cfg)
     assert counted.calls == {"linearize": 13, "jvp": 13}
+
+
+class BlockRecorder(CallCounter):
+    """A counting delegate that records each call's workspace and where its arrays lie."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = []
+
+    def linearize(self, sched, x, lam, workspace=None):
+        eps, d_eps, apply_jacobian = super().linearize(sched, x, lam, workspace=workspace)
+
+        def recorded_jvp(v):
+            out = apply_jacobian(v)
+            arrays = (x, eps, d_eps, out)
+            self.seen.append((id(workspace), *(a.__array_interface__["data"][0] for a in arrays)))
+            return out
+
+        return eps, d_eps, recorded_jvp
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
+    """Each mixture sees one dict and the same x, eps, d_eps and J v memory at all 13 points.
+
+    A guided pair forms its sums in fresh arrays; its parts, recorded here,
+    each keep their own memory through the guidance gap's ``jvp`` and the
+    probes'.
+    """
+    mixtures = [BlockRecorder(mix4), BlockRecorder(mix4b)] if guided else [BlockRecorder(mix4)]
+    model = Guided(*mixtures, 2.5) if guided else mixtures[0]
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
+    estimate_table(model, vp, cfg)
+    for recorder in mixtures:
+        assert len(recorder.seen) == 13 * (2 if guided else 1)
+        assert len(set(recorder.seen)) == 1
 
 
 @pytest.mark.parametrize("case", ["point-mass", "guided", "two-probes"])
@@ -511,7 +547,8 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
 
 
 # one estimate_table's peak allocation at K=4096, in units of a (K, D) sample
-# array's bytes: 14.56 by this measurement (14.80 before the sweep was
+# array's bytes: 13.82 by this measurement since the sweep keeps its arrays in
+# one workspace (14.06 before that, 14.80 before the sweep was
 # coordinate-major), so a copy of the samples per grid point would break it
 ESTIMATE_PEAK_ALLOCATION = 14.75
 

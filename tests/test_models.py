@@ -388,6 +388,85 @@ def test_model_outputs_follow_the_input_layout_with_the_same_bytes(
     assert plan.run(mix4, laid_out(x0, layout)).tobytes() == plan.run(mix4, x0).tobytes()
 
 
+# -- a caller's workspace ------------------------------------------------------------------
+
+
+def addresses(*arrays):
+    """Where each array's data starts."""
+    return tuple(a.__array_interface__["data"][0] for a in arrays)
+
+
+@pytest.mark.parametrize("num_comp", [1, 2, 3])
+@pytest.mark.parametrize("rows", [100, 1500])
+@pytest.mark.parametrize("num_probes", [1, 2, 3])
+def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_probes):
+    """With a workspace reused over several lambdas and without one: the oracle's bytes.
+
+    100 rows take the small-call path and 1500 the large one.  One probe's
+    product fits the memory the call's temporaries leave free, so it lies
+    there at every lambda; two or three do not, and are fresh arrays.
+    """
+    rng = np.random.default_rng(100 * num_comp + rows + num_probes)
+    weights = rng.uniform(0.1, 1.0, num_comp)
+    model = GaussianMixture(
+        weights=weights / weights.sum(),
+        means=rng.uniform(-2.0, 2.0, (num_comp, 4)),
+        stds=rng.uniform(0.0, 1.5, num_comp),
+    )
+    assert (num_comp * 4 * rows <= models._SMALL_CALL) == (rows == 100)
+    workspace, seen = {}, set()
+    for lam in (-2.0, 0.5, 3.0):
+        x = laid_out(2.0 * rng.standard_normal((rows, 4)), "coordinate-major")
+        v = laid_out(rng.standard_normal((num_probes, rows, 4)), "coordinate-major")
+        want = [a.tobytes() for a in mixture_linearize_rowmajor(model, vp, x, lam, v)]
+        for ws in (None, workspace):
+            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam, workspace=ws)
+            got = (eps, d_eps, apply_jacobian(v))
+            assert [a.tobytes() for a in got] == want
+        seen.add(addresses(*got[: 3 if num_probes == 1 else 2]))
+    assert len(seen) == 1  # the workspace's arrays at every lambda
+
+
+@pytest.mark.parametrize("which", ["point", "guided", "guided-nested"])
+@pytest.mark.parametrize("num_probes", [1, 3])
+def test_workspace_keeps_the_bytes_of_separate_calls(vp, pg4, mix4, mix4b, which, num_probes):
+    guided = Guided(cond=mix4, uncond=mix4b, scale=2.5)
+    model = {
+        "point": pg4,
+        "guided": guided,
+        "guided-nested": Guided(cond=guided, uncond=Guided(mix4b, pg4, 1.5), scale=-2.0),
+    }[which]
+    rng = np.random.default_rng(num_probes)
+    workspace = {}
+    for lam in (-2.0, 0.5, 3.0):
+        x = laid_out(2.0 * rng.standard_normal((700, 4)), "coordinate-major")
+        v = laid_out(rng.standard_normal((num_probes, 700, 4)), "coordinate-major")
+        eps, d_eps, apply_jacobian = model.linearize(vp, x, lam, workspace=workspace)
+        got = (eps, d_eps, apply_jacobian(v))
+        want = composed_linearize(model, vp, x, lam, v)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_workspace_arrays_never_feed_their_own_call(vp, mix4):
+    """A product of a product takes fresh memory; an x in the workspace's memory raises."""
+    rng = np.random.default_rng(3)
+    x = laid_out(rng.standard_normal((600, 4)), "coordinate-major")
+    v = laid_out(rng.standard_normal((1, 600, 4)), "coordinate-major")
+    eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5)
+    want = [a.tobytes() for a in (eps, d_eps, apply_jacobian(apply_jacobian(v)))]
+    workspace = {}
+    eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5, workspace=workspace)
+    twice = apply_jacobian(apply_jacobian(v))
+    assert [a.tobytes() for a in (eps, d_eps, twice)] == want
+    for inside in (eps, d_eps, apply_jacobian(v)[0]):
+        with pytest.raises(ValueError, match="shares memory with the workspace"):
+            mix4.linearize(vp, inside, 0.5, workspace=workspace)
+    stacks = [np.stack([v[0]] * num_probes) for num_probes in (2, 3)]
+    too_big = [apply_jacobian(stack) for stack in stacks]  # fresh: they do not fit
+    fresh = mix4.linearize(vp, x, 0.5)[2]
+    assert [a.tobytes() for a in too_big] == [fresh(stack).tobytes() for stack in stacks]
+
+
 # -- one lambda per row -----------------------------------------------------------------
 
 
