@@ -22,7 +22,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,8 @@ from .ems import (
     load_table,
     save_table,
 )
-from .integrals import IntegralTable, build_integral_table
+from .errors import check_int
+from .integrals import build_integral_table
 from .models import EvalCounter, ModelSpec, model_from_dict, reference_solve
 from .schedule import UNIFORM_LAMBDA, UNIFORM_T, Schedule, make_time_grid
 from .solver import (
@@ -112,7 +112,7 @@ def _load_model(path) -> ModelSpec:
 
 
 def _initial_noise(sched, lam_start: float, dim: int, seed: int):
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(check_int(seed, "seed", 0)))
     return sched.sigma_lambda(lam_start) * rng.standard_normal(dim)
 
 
@@ -183,70 +183,43 @@ def cmd_solve(args) -> int:
     return 0
 
 
-class _Seeds(NamedTuple):
-    """Every seed's initial noise as one (S, D) batch, and each row's reference end state."""
-
-    seeds: list
-    x_init: np.ndarray
-    refs: np.ndarray
-
-
-def _seed_batch(model, table, seeds) -> _Seeds:
-    # one reference call for the batch: each row keeps its own step control,
-    # so a seed's reference is the same bits in any batch
-    sched = table.schedule
-    lam0, lam1 = float(table.lambda_grid[0]), float(table.lambda_grid[-1])
-    x_init = np.stack([_initial_noise(sched, lam0, table.dim, seed) for seed in seeds])
-    refs = reference_solve(model, sched, x_init, lam0, lam1, tol=REFERENCE_TOL)
-    return _Seeds(list(seeds), x_init, refs)
-
-
-class _Config(NamedTuple):
-    """One bench configuration: multistep sampling on ``tab``."""
-
-    name: str
-    tab: IntegralTable
-    cfg: SolverConfig
-
-
-def _run_seeds(batch: _Seeds, model, config: _Config, timing) -> list:
-    """Run one configuration once on the whole seed batch; one row per seed, in seed order.
-
-    The model-call count must equal the grid's step count.  Under ``timing``,
-    each row's ``seconds`` is the batch call's wall time divided by the
-    number of seeds.
-    """
-    name, tab, cfg = config
-    counted = EvalCounter(model)
-    start = time.perf_counter()
-    x_final, plan = multistep_sample(counted, tab.ems.schedule, tab, cfg, batch.x_init)
-    seconds = (time.perf_counter() - start) / len(batch.seeds) if timing else 0.0
-    nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(plan.lams)))
-    if counted.calls != nfe:
-        raise RuntimeError(f"model-call accounting broke: {counted.calls} calls for {nfe} steps")
-    return [
-        RunRow(name, cfg.order, cfg.corrector, nfe, h_max, *_error_row(x, ref), seconds, seed)
-        for seed, x, ref in zip(batch.seeds, x_final, batch.refs)
-    ]
-
-
 def _bench(args, configs, summary) -> int:
     """Run every configuration of a bench command on the seed batch and write its CSV.
 
-    ``configs(table, grids)`` lists the configurations, ``grids[nfe]`` being
-    the ``--grid`` time grid over the table's range.  The CSV holds the
-    per-seed rows sorted, then ``summary(rows)``, which sees the rows seed by
-    seed, each seed's in the order the configurations were listed.
+    ``configs(table, grids)`` lists ``(name, tab, cfg)`` triples, ``grids[nfe]`` being the
+    ``--grid`` time grid over the table's range.  Every seed's initial noise is one (S, D)
+    batch with one reference call: each row keeps its own step control, so a seed's
+    reference is the same bits in any batch.  Each configuration runs once on the batch and
+    must make one model call per step.  Under ``--timing``, a row's ``seconds`` is that
+    call's wall time over the number of seeds.  The CSV holds the per-seed rows sorted, then
+    ``summary(rows)``, which sees the rows seed by seed, each seed's in listed order.
     """
     model = _load_model(args.model)
     table = load_table(args.ems)
+    sched = table.schedule
     t_end, t_start = _table_time_range(table)
-    grids = {
-        nfe: make_time_grid(table.schedule, nfe, args.grid, t_start, t_end) for nfe in args.nfe
-    }
+    grids = {nfe: make_time_grid(sched, nfe, args.grid, t_start, t_end) for nfe in args.nfe}
     listed = configs(table, grids)
-    batch = _seed_batch(model, table, args.seeds)
-    runs = [_run_seeds(batch, model, config, args.timing) for config in listed]
+    lam0, lam1 = float(table.lambda_grid[0]), float(table.lambda_grid[-1])
+    x_init = np.stack([_initial_noise(sched, lam0, table.dim, seed) for seed in args.seeds])
+    refs = reference_solve(model, sched, x_init, lam0, lam1, tol=REFERENCE_TOL)
+    runs = []
+    for name, tab, cfg in listed:
+        counted = EvalCounter(model)
+        start = time.perf_counter()
+        x_final, plan = multistep_sample(counted, tab.ems.schedule, tab, cfg, x_init)
+        seconds = (time.perf_counter() - start) / len(args.seeds) if args.timing else 0.0
+        nfe, h_max = cfg.grid.num_steps, float(np.max(np.diff(plan.lams)))
+        if counted.calls != nfe:
+            raise RuntimeError(
+                f"model-call accounting broke: {counted.calls} calls for {nfe} steps"
+            )
+        runs.append(
+            [
+                RunRow(name, cfg.order, cfg.corrector, nfe, h_max, *_error_row(x, ref), seconds, seed)
+                for seed, x, ref in zip(args.seeds, x_final, refs)
+            ]
+        )
     rows = [row for seed_rows in zip(*runs) for row in seed_rows]
     out_rows = sorted(rows, key=lambda r: (r.solver, r.order, r.nfe, r.seed)) + summary(rows)
     with open(args.out, "w") as fh:
@@ -261,7 +234,7 @@ def cmd_bench_convergence(args) -> int:
         # a corrector has order >= 2: order 1 runs uncorrected, as bench-compare's DDIM does
         corrector = {order: args.corrector if order >= 2 else CORRECTOR_NONE for order in args.orders}
         return [
-            _Config("v3", tab, SolverConfig(order=order, grid=grids[nfe], corrector=corrector[order]))
+            ("v3", tab, SolverConfig(order=order, grid=grids[nfe], corrector=corrector[order]))
             for order in args.orders
             for nfe in args.nfe
         ]
@@ -296,9 +269,9 @@ def cmd_bench_compare(args) -> int:
         out = []
         for nfe in args.nfe:
             cfg = SolverConfig(order=args.order, grid=grids[nfe], corrector=args.corrector)
-            out += [_Config(name, tabs[name], cfg) for name in names]
+            out += [(name, tabs[name], cfg) for name in names]
             if "ddim" in args.baselines:
-                out.append(_Config("ddim", tabs[NOISE_PRED], SolverConfig(order=1, grid=cfg.grid)))
+                out.append(("ddim", tabs[NOISE_PRED], SolverConfig(order=1, grid=cfg.grid)))
         return out
 
     def means(rows):

@@ -241,11 +241,11 @@ class SamplerPlan:
 
 
 def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False):
-    """The plan over table indices ``idx``, a step per transition that ``transitions(ts)`` yields.
+    """The plan over table indices ``idx``, a step per entry of the list ``transitions``.
 
-    A transition is (anchor, target, history, corrector) in positions of ``idx``, whose times
-    are ``ts``; times, sigmas and alphas are read off the table's grid values.  Every g-map
-    comes from one :func:`g_map` call and every step's coefficients from one
+    A transition is (anchor, target, history, corrector) in positions of ``idx``; times,
+    sigmas and alphas are read off the table's grid values.  Every g-map comes from one
+    :func:`g_map` call and every step's coefficients from one
     :func:`transition_coefficients` call.  The Taylor weights are built per group of sums
     that share a node count and pseudo flag: one :func:`_taylor_rows` call and one stacked
     ``np.matmul`` with the k! E^k, which gives each step the bits of its own 2-D product.  A
@@ -255,7 +255,6 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
     """
     idx = np.asarray(idx)
     lams, ts = tab.lambda_grid[idx], tab.t[idx]
-    planned = list(transitions(ts))
     # a Taylor sum's weights are consecutive rows, read as (position, row) pairs, anchor
     # first; sums are grouped by node count and pseudo flag, as their first rows
     groups, row_steps, read_at = {}, [], []
@@ -268,12 +267,12 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
         return tuple(zip(positions, range(start, len(row_steps))))
 
     reads, corrector_reads = [], []
-    for i, (anchor, target, history, corrector) in enumerate(planned):
+    for i, (anchor, target, history, corrector) in enumerate(transitions):
         reads.append(taylor_sum(i, (anchor,) + history, pseudo_predictor))
         if corrector is not None:  # the corrector also reads the target's own g value
             corrector = taylor_sum(i, (anchor, target) + corrector, pseudo_corrector)
         corrector_reads.append(corrector)
-    anchors, targets, *_ = zip(*planned)
+    anchors, targets, *_ = zip(*transitions)
     anchors, row_steps = np.array(anchors), np.array(row_steps)
     offsets = lams[read_at] - lams[anchors[row_steps]]  # each row's lambda against its anchor
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -330,23 +329,21 @@ def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     steps ramp the order up as history becomes available.
     """
     idx = _grid_indices(tab, cfg)
+    ts, num_steps = tab.t[idx], len(idx) - 1
     half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
-
-    def transitions(ts):
-        num_steps = len(ts) - 1
-        for m in range(1, num_steps + 1):
-            n_m = min(cfg.order, m)
-            n_c = n_m + 1 if cfg.pseudo_corrector else n_m
-            corrected = (
-                m < num_steps
-                and cfg.corrector != CORRECTOR_NONE
-                and n_c >= 2
-                and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
-            )
-            history = tuple(range(m - 2, m - 1 - n_m, -1))
-            corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
-            yield m - 1, m, history, corrector
-
+    transitions = []
+    for m in range(1, num_steps + 1):
+        n_m = min(cfg.order, m)
+        n_c = n_m + 1 if cfg.pseudo_corrector else n_m
+        corrected = (
+            m < num_steps
+            and cfg.corrector != CORRECTOR_NONE
+            and n_c >= 2
+            and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
+        )
+        history = tuple(range(m - 2, m - 1 - n_m, -1))
+        corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
+        transitions.append((m - 1, m, history, corrector))
     return _plan(tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
 
 
@@ -368,7 +365,7 @@ def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
         for start in range(0, total, cfg.order)
         for target in range(start + 1, min(start + cfg.order, total) + 1)
     ]
-    return _plan(tab, idx, lambda ts: transitions)
+    return _plan(tab, idx, transitions)
 
 
 def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
@@ -388,7 +385,7 @@ def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
     history = tuple(range(2, len(extras) + 2))
     idx = [j_s, j_t] + [j for j, _ in extras]
     check_grid_indices(tab, np.array(idx[:1]), np.array(idx))
-    plan = _plan(tab, idx, lambda ts: [(0, 1, history, None)])
+    plan = _plan(tab, idx, [(0, 1, history, None)])
     # one shape for all, as the in-place update needs
     x_s, *gs = np.broadcast_arrays(x_s, g_s, *(g for _, g in extras))
     g = dict(zip((0,) + history, gs))

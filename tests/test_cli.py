@@ -470,6 +470,28 @@ def test_bench_compare_seed_batch_equals_single_seed_runs(cli_files, mix_ems_fil
     assert batched == sorted(single, key=lambda r: (r.solver, r.order, r.nfe, r.seed))
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", ["--steps", "5", "--noise-seed", "-1"]),
+        ("bench-compare", ["--nfe", "5", "--seeds", "0", "-1"]),
+    ],
+    ids=["solve", "bench-compare"],
+)
+def test_negative_seed_is_runtime_error_naming_the_seed(
+    cli_files, mix_ems_file, capsys, monkeypatch, command, flags
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference_solve called with a bad seed")
+
+    monkeypatch.setattr(cli, "reference_solve", refuse)
+    out = cli_files["root"] / "negative_seed.out"
+    common = ["--model", str(cli_files["mix"]), "--ems", str(mix_ems_file), "--out", str(out)]
+    assert main([command, *common, *flags]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not out.exists()
+
+
 # The module attributes of emsolve.cli that benchmark tracing swaps for timing
 # wrappers: the bench commands must look each up at call time, positionally.
 PATCH_POINTS = (

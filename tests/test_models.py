@@ -304,6 +304,47 @@ def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
     assert a.tobytes() == a_bytes
 
 
+@pytest.mark.parametrize("num_comp, dim", [(9, 3), (3, 9), (12, 10)])
+def test_sums_of_8_or_more_terms_keep_each_rows_bits_in_a_batch(vp, num_comp, dim):
+    """With 8 or more components or coordinates, a batch gives each row its lone call's bits.
+
+    numpy's own reductions (``np.add.reduce``, ``np.maximum.reduce``) take 8 or
+    more contiguous terms in another order than a batch's slice by slice, so a
+    lone row would differ from the same row in a batch; ``_short_sum``,
+    ``_short_max`` and ``_short_dot`` take every length left to right.  Checked
+    for ``eps`` at one lambda and at one lambda per row, for ``linearize``'s eps,
+    d_eps and J v (also against the row-major oracle) and for ``reference_solve``'s
+    rows.
+    """
+    rng = np.random.default_rng(100 * num_comp + dim)
+    weights = rng.uniform(0.1, 1.0, num_comp)
+    model = GaussianMixture(
+        weights=weights / weights.sum(),
+        means=rng.uniform(-2.0, 2.0, (num_comp, dim)),
+        stds=rng.uniform(0.0, 1.5, num_comp),
+    )
+    rows, lam = 5, 0.7
+    x = 2.0 * rng.standard_normal((rows, dim))
+    v = rng.standard_normal((2, rows, dim))
+    lams = rng.uniform(-3.0, 3.0, rows)
+    at_lam, per_row_lam = model.eps(vp, x, lam).copy(), model.eps(vp, x, lams).copy()
+    eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+    batch = [a.copy() for a in (eps, d_eps, apply_jacobian(v))]
+    want = mixture_linearize_rowmajor(model, vp, x, lam, v)
+    assert [a.tobytes() for a in batch] == [a.tobytes() for a in want]
+    for i in range(rows):
+        assert model.eps(vp, x[i], lam).tobytes() == at_lam[i].tobytes()
+        assert model.eps(vp, x[i], lams[i]).tobytes() == per_row_lam[i].tobytes()
+        eps, d_eps, apply_jacobian = model.linearize(vp, x[i], lam)
+        got = [a.tobytes() for a in (eps, d_eps, apply_jacobian(v[:, i]))]
+        assert got == [batch[0][i].tobytes(), batch[1][i].tobytes(), batch[2][:, i].tobytes()]
+    x_ref = vp.sigma_lambda(-2.0) * rng.standard_normal((3, dim))
+    refs = reference_solve(model, vp, x_ref, -2.0, 1.0, tol=1e-6)
+    for i in range(len(x_ref)):
+        alone = reference_solve(model, vp, x_ref[i], -2.0, 1.0, tol=1e-6)
+        assert alone.tobytes() == refs[i].tobytes()
+
+
 # -- the coordinate-major arithmetic against the row-major one ------------------------
 
 

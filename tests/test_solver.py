@@ -465,11 +465,9 @@ def test_lupdate_plans_have_the_stacked_planners_bits(table, j_s, span, extras):
     j_s, j_t, extras = min(j_s, last), min(j_s + span, last), [min(j, last) for j in extras]
     assume(len(set(extras)) == len(extras) and j_s not in extras)
     idx, history = [j_s, j_t, *extras], tuple(range(2, len(extras) + 2))
-
-    def transitions(ts):
-        return [(0, 1, history, None)]
-
-    assert_plan_bits(_plan(tab, idx, transitions), planned_arrays(tab, idx, transitions))
+    transitions = [(0, 1, history, None)]
+    want = planned_arrays(tab, idx, lambda ts: transitions)
+    assert_plan_bits(_plan(tab, idx, transitions), want)
 
 
 def test_one_span_plans_skip_one_node_sums_and_span_sorting(monkeypatch):
