@@ -55,6 +55,10 @@ class IntegralTable:
     domain (whatever built the EMS table: :func:`~emsolve.ems.load_table`
     does not check it), and when an integral has a non-finite entry: fields
     too large for the grid overflow ``exp(L + S)``.
+
+    A table also keeps a private memo of the sampler plans built on it (see
+    :mod:`emsolve.solver`).  The memo is a cache, not state: no copy, pickle
+    or repr sees it, and every copy starts with an empty one.
     """
 
     ems: EmsTable
@@ -90,6 +94,8 @@ class IntegralTable:
         # views of the table's read-only rows, not copies
         const = (ems.l[0], ems.s[0], ems.b[0]) if self.closed_form and ems.is_constant() else None
         object.__setattr__(self, "const_lsb", const)
+        # the solver's plan memo: not a field, so repr skips it and every copy starts empty
+        object.__setattr__(self, "_plans", {})
 
     def __reduce__(self):
         # through the constructor, as EmsTable's: a copy recomputes the same read-only integrals

@@ -23,10 +23,23 @@ rows run one at a time; the loop runs coordinate-major, so the long batch
 axis is every numpy call's inner loop.  A plan reads its schedule's values
 off the table's grid; its runs are sequential, can share the tables, and
 record a trace only when given a list.
+
+Memo.  A plan depends on nothing but its read-only table, the sampler kind,
+the grid's snapped table indices, the order, the corrector and the two
+pseudo flags, so each table keeps the plans built on it in a small memo
+keyed by those values, which is cleared when it holds ``_PLAN_MEMO_SIZE``
+entries.  :func:`plan_multistep` and :func:`plan_singlestep` check the
+table and the settings and snap the grid on every call, and plan only on a
+miss: a new :class:`SolverConfig` with an equal grid hits.  A plan that
+raises is never stored, so it raises again on every call.  The memo holds
+each plan with ``tab=None`` and a hit returns a copy of it that names the
+table, sharing its read-only arrays: no reference cycle runs through the
+table, which refcounting frees as soon as its last user drops it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -47,6 +60,9 @@ CORRECTORS = (CORRECTOR_NONE, CORRECTOR_FULL, CORRECTOR_HALF)
 
 _MAX_PREDICTOR_ORDER = 3
 _FACTORIALS = np.array([math.factorial(k) for k in range(_MAX_PREDICTOR_ORDER + 1)], dtype=float)
+# The cap on a table's plan memo, which is cleared when full.  sample-serial's runs
+# plan 32 (sampler, settings) pairs on one table, bench-convergence's defaults 12.
+_PLAN_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,31 +336,56 @@ def _grid_indices(tab: IntegralTable, cfg: SolverConfig) -> np.ndarray:
     return idx
 
 
+def _memoized_plan(tab, idx, cfg, kind, transitions) -> SamplerPlan:
+    """``tab``'s memoized plan of ``kind`` over ``idx`` and ``cfg``; on a miss, plan it.
+
+    ``transitions`` builds the transition list of a miss.  See the module
+    docstring's "Memo." paragraph.
+    """
+    flags = cfg.order, cfg.corrector, cfg.pseudo_predictor, cfg.pseudo_corrector
+    key = (kind, idx.tobytes(), *flags)
+    memo = tab._plans
+    hit = memo.get(key)
+    if hit is not None:
+        return dataclasses.replace(hit, tab=tab)
+    plan = _plan(tab, idx, transitions(), cfg.pseudo_predictor, cfg.pseudo_corrector)
+    if len(memo) >= _PLAN_MEMO_SIZE:
+        memo.clear()
+    memo[key] = dataclasses.replace(plan, tab=None)
+    return plan
+
+
 def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     """The plan of multistep predictor-corrector sampling over the configured grid.
 
     Its run makes exactly ``M`` noise-prediction calls for an ``M``-interval
     grid: one on the initial state and one per step except the last (the
     corrector reuses the step's evaluation instead of adding one).  Early
-    steps ramp the order up as history becomes available.
+    steps ramp the order up as history becomes available.  Checks ``tab``
+    and ``cfg`` and snaps the grid on every call, then returns ``tab``'s
+    memoized plan for equal settings, planning only on a miss.
     """
     idx = _grid_indices(tab, cfg)
-    ts, num_steps = tab.t[idx], len(idx) - 1
-    half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
-    transitions = []
-    for m in range(1, num_steps + 1):
-        n_m = min(cfg.order, m)
-        n_c = n_m + 1 if cfg.pseudo_corrector else n_m
-        corrected = (
-            m < num_steps
-            and cfg.corrector != CORRECTOR_NONE
-            and n_c >= 2
-            and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
-        )
-        history = tuple(range(m - 2, m - 1 - n_m, -1))
-        corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
-        transitions.append((m - 1, m, history, corrector))
-    return _plan(tab, idx, transitions, cfg.pseudo_predictor, cfg.pseudo_corrector)
+
+    def transitions():
+        ts, num_steps = tab.t[idx], len(idx) - 1
+        half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
+        steps = []
+        for m in range(1, num_steps + 1):
+            n_m = min(cfg.order, m)
+            n_c = n_m + 1 if cfg.pseudo_corrector else n_m
+            corrected = (
+                m < num_steps
+                and cfg.corrector != CORRECTOR_NONE
+                and n_c >= 2
+                and (cfg.corrector == CORRECTOR_FULL or ts[m] <= half_threshold)
+            )
+            history = tuple(range(m - 2, m - 1 - n_m, -1))
+            corrector = tuple(range(m - 2, m - n_c, -1)) if corrected else None
+            steps.append((m - 1, m, history, corrector))
+        return steps
+
+    return _memoized_plan(tab, idx, cfg, "multistep", transitions)
 
 
 def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
@@ -354,18 +395,23 @@ def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
     order.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
-    which this path has no use for.
+    which this path has no use for.  Checks ``tab`` and ``cfg`` and snaps the
+    grid on every call, then returns ``tab``'s memoized plan for equal
+    settings, planning only on a miss.
     """
     idx = _grid_indices(tab, cfg)
     if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
         raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
     total = len(idx) - 1
-    transitions = [
-        (start, target, tuple(range(target - 1, start, -1)), None)
-        for start in range(0, total, cfg.order)
-        for target in range(start + 1, min(start + cfg.order, total) + 1)
-    ]
-    return _plan(tab, idx, transitions)
+
+    def transitions():
+        return [
+            (start, target, tuple(range(target - 1, start, -1)), None)
+            for start in range(0, total, cfg.order)
+            for target in range(start + 1, min(start + cfg.order, total) + 1)
+        ]
+
+    return _memoized_plan(tab, idx, cfg, "singlestep", transitions)
 
 
 def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
@@ -437,7 +483,11 @@ def _check_schedule(sched: Schedule, tab: IntegralTable):
 def multistep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
-    """Plan with :func:`plan_multistep`, run from ``x_init``; returns the final state and plan."""
+    """Plan with :func:`plan_multistep`, check ``sched``, run from ``x_init``.
+
+    Returns the final state and the plan.  A repeated (table, settings) pair
+    reuses the table's memoized plan.
+    """
     plan = plan_multistep(tab, cfg)
     _check_schedule(sched, tab)
     return plan.run(model, x_init), plan
@@ -446,7 +496,11 @@ def multistep_sample(
 def singlestep_sample(
     model: ModelSpec, sched: Schedule, tab: IntegralTable, cfg: SolverConfig, x_init
 ):
-    """Plan with :func:`plan_singlestep`, run from ``x_init``; returns the final state."""
+    """Plan with :func:`plan_singlestep`, check ``sched``, run from ``x_init``.
+
+    Returns the final state.  A repeated (table, settings) pair reuses the
+    table's memoized plan.
+    """
     plan = plan_singlestep(tab, cfg)
     _check_schedule(sched, tab)
     return plan.run(model, x_init)

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import functools
+import gc
 import math
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from emsolve import (
 )
 import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
-from emsolve.integrals import g_map
+from emsolve.integrals import IntegralTable, g_map
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
 from emsolve.solver import CORRECTORS, _plan, _taylor_rows
 
@@ -284,9 +288,10 @@ def test_samplers_make_no_linear_solve(vp, mix4, mix_tab, monkeypatch, pseudo):
     cfg = SolverConfig(
         order=3, grid=grid, corrector="full", pseudo_predictor=pseudo, pseudo_corrector=pseudo
     )
-    x, _ = multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    tab = IntegralTable(mix_tab.ems)  # an empty plan memo: both samplers plan here
+    x, _ = multistep_sample(mix4, vp, tab, cfg, x0)
     assert np.all(np.isfinite(x))
-    assert np.all(np.isfinite(singlestep_sample(mix4, vp, mix_tab, without_corrector(cfg), x0)))
+    assert np.all(np.isfinite(singlestep_sample(mix4, vp, tab, without_corrector(cfg), x0)))
 
 
 # built once, outside the property's arguments: a failing example's report stays short
@@ -322,7 +327,11 @@ def test_g_against_any_anchor_is_affine_in_g_against_the_first(table, idx, pair)
 
 @pytest.mark.parametrize("sampler", [multistep_sample, singlestep_sample])
 def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler):
-    """One g_map call of M + 1 rows and one coefficient call per plan, one g value per model call."""
+    """One g_map call of M + 1 rows and one coefficient call per plan, one g value per model call.
+
+    A fresh table, whose plan memo is empty, so the first call plans; the
+    second call reuses that plan and forms its g values again.
+    """
     calls = {"g_map": [], "transition_coefficients": [], "_g_value": []}
 
     def counting(name):
@@ -342,11 +351,17 @@ def test_samplers_form_each_g_value_once(vp, mix4, mix_tab, monkeypatch, sampler
     if sampler is singlestep_sample:
         cfg = without_corrector(cfg)
     counted = EvalCounter(mix4)
-    sampler(counted, vp, mix_tab, cfg, x0)
+    tab = IntegralTable(mix_tab.ems)
+    sampler(counted, vp, tab, cfg, x0)
     counts = {name: len(args) for name, args in calls.items()}
     assert counts == {"g_map": 1, "transition_coefficients": 1, "_g_value": 8}
     assert np.shape(calls["g_map"][0][2]) == (9,) and counted.calls == 8
     assert np.shape(calls["transition_coefficients"][0][1]) == (8,)
+    for args in calls.values():
+        args.clear()
+    sampler(counted, vp, tab, cfg, x0)
+    counts = {name: len(args) for name, args in calls.items()}
+    assert counts == {"g_map": 0, "transition_coefficients": 0, "_g_value": 8}
 
 
 # -- the planner against its stacked restatement ----------------------------------------
@@ -478,7 +493,7 @@ def test_one_span_plans_skip_one_node_sums_and_span_sorting(monkeypatch):
     or more nodes, none for the first step's one-node sum, and no
     ``np.unique``: every step spans 6 intervals.
     """
-    tab = golden_tabs()["estimated"]
+    tab = IntegralTable(golden_tabs()["estimated"].ems)  # an empty plan memo
     grid = make_time_grid(sampler_golden.SCHED, 10, UNIFORM_LAMBDA, 1.0, 1e-3)
     cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
     assert set(np.diff(tab.ems.index_of(grid.lambdas))) == {6}
@@ -517,10 +532,11 @@ def test_plan_peak_allocation(vp, mix_tab, kind):
     grid = make_time_grid(vp, 80, kind, 1.0, 1e-3)
     cfg = SolverConfig(order=3, grid=grid, corrector="full", pseudo_corrector=True)
     plan_multistep(mix_tab, cfg)
+    tab = IntegralTable(mix_tab.ems)  # an empty plan memo: the measured call plans
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        plan_multistep(mix_tab, cfg)
+        plan_multistep(tab, cfg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -539,10 +555,11 @@ def test_multistep_sample_peak_allocation(vp, mix4, mix_tab):
     rng = np.random.default_rng(30)
     x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * rng.standard_normal((4096, 4))
     multistep_sample(mix4, vp, mix_tab, cfg, x0)
+    tab = IntegralTable(mix_tab.ems)  # an empty plan memo: the measured call plans
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        multistep_sample(mix4, vp, mix_tab, cfg, x0)
+        multistep_sample(mix4, vp, tab, cfg, x0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -558,6 +575,166 @@ def test_multistep_sample_returns_the_plan_it_ran(vp, mix4, mix_tab):
     assert isinstance(plan, SamplerPlan) and plan.tab is mix_tab
     assert np.array_equal(plan.run(mix4, x0), x_final)
     assert np.array_equal(plan.lams, mix_tab.lambda_grid[mix_tab.ems.index_of(grid.lambdas)])
+
+
+# -- the per-table plan memo ------------------------------------------------------------
+
+MEMO_SETTINGS = [
+    ("multistep", dict(order=3)),
+    ("multistep", dict(order=2, corrector="full")),
+    ("multistep", dict(order=3, corrector="half")),
+    ("multistep", dict(order=3, corrector="full", pseudo_predictor=True, pseudo_corrector=True)),
+    ("multistep", dict(order=2, corrector="half", pseudo_corrector=True)),
+    ("singlestep", dict(order=3)),
+]
+PLANNERS = {"multistep": plan_multistep, "singlestep": plan_singlestep}
+SAMPLERS = {"multistep": multistep_sample, "singlestep": singlestep_sample}
+
+
+def memo_cfg(vp, nfe=9, **kwargs):
+    return SolverConfig(grid=make_time_grid(vp, nfe, UNIFORM_LAMBDA, 1.0, 1e-3), **kwargs)
+
+
+def assert_same_plan(got, want):
+    """``got`` has the indices, every array's bytes and every read of ``want``."""
+    assert got.idx == want.idx
+    assert_plan_bits(got, vars(want))
+
+
+def counting_plans(monkeypatch):
+    """Count the planner's ``_plan`` calls, which only a memo miss makes."""
+    calls, original = [], emsolve.solver._plan
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(emsolve.solver, "_plan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, kwargs", MEMO_SETTINGS)
+def test_a_memo_hit_is_a_cold_plan_naming_its_table(vp, mix4, mix_tab, monkeypatch, kind, kwargs):
+    """A hit plans nothing, names the table it was asked for and has a cold plan's bytes."""
+    calls = counting_plans(monkeypatch)
+    tab, cfg = IntegralTable(mix_tab.ems), memo_cfg(vp, **kwargs)
+    cold = PLANNERS[kind](tab, cfg)
+    warm = PLANNERS[kind](tab, cfg)
+    assert len(calls) == 1 and cold.tab is tab and warm.tab is tab
+    fresh = PLANNERS[kind](IntegralTable(tab.ems), cfg)
+    assert len(calls) == 2
+    assert_same_plan(cold, fresh)
+    assert_same_plan(warm, fresh)
+    rng = np.random.default_rng(34)
+    x0 = vp.sigma_lambda(tab.lambda_grid[0]) * rng.standard_normal((3, 4))
+    want = fresh.run(mix4, x0)
+    for plan in (cold, warm):
+        assert plan.run(mix4, x0).tobytes() == want.tobytes()
+    # through the sampler: the first call on a fresh table plans, the second hits
+    tab = IntegralTable(tab.ems)
+    outs = [SAMPLERS[kind](mix4, vp, tab, cfg, x0) for _ in range(2)]
+    assert len(calls) == 3
+    for out in outs:
+        x_final = out[0] if kind == "multistep" else out
+        assert x_final.tobytes() == want.tobytes()
+
+
+def test_the_memo_keys_on_every_setting_a_plan_depends_on(vp, mix_tab, monkeypatch):
+    """An equal grid in a new config hits; a changed setting, grid or sampler kind misses."""
+    calls = counting_plans(monkeypatch)
+    tab = IntegralTable(mix_tab.ems)
+    base = dict(order=3, corrector="full")
+    plan_multistep(tab, memo_cfg(vp, **base))
+    plan_multistep(tab, memo_cfg(vp, **base))  # a new SolverConfig and TimeGrid, equal values
+    assert len(calls) == 1
+    variants = [
+        ("multistep", memo_cfg(vp, **{**base, "order": 2})),
+        ("multistep", memo_cfg(vp, **{**base, "corrector": "half"})),
+        ("multistep", memo_cfg(vp, order=3)),
+        ("multistep", memo_cfg(vp, **base, pseudo_predictor=True)),
+        ("multistep", memo_cfg(vp, **base, pseudo_corrector=True)),
+        ("multistep", memo_cfg(vp, nfe=10, **base)),
+        ("singlestep", memo_cfg(vp, order=3)),
+        ("singlestep", memo_cfg(vp, order=2)),
+    ]
+    plans = [PLANNERS[kind](tab, cfg) for kind, cfg in variants]
+    assert len(calls) == 1 + len(variants)
+    again = [PLANNERS[kind](tab, cfg) for kind, cfg in variants]
+    assert len(calls) == 1 + len(variants)
+    for (kind, cfg), plan, hit in zip(variants, plans, again):
+        assert_same_plan(hit, plan)
+        assert_same_plan(plan, PLANNERS[kind](IntegralTable(tab.ems), cfg))
+    # multistep and singlestep order 3 with no corrector share idx, order and flags
+    multi, single = plans[2], plans[6]
+    assert multi.idx == single.idx and multi.reads != single.reads
+
+
+def test_the_memo_keeps_no_table_alive_and_no_copy_sees_it(vp, mix_tab, monkeypatch):
+    """Refcounting frees a planned table, and its copies start with an empty memo."""
+    tab = IntegralTable(mix_tab.ems)
+    cfg = memo_cfg(vp, order=3, corrector="full")
+    plan_singlestep(tab, memo_cfg(vp, order=3))
+    plan = plan_multistep(tab, cfg)
+    hit = plan_multistep(tab, cfg)
+    assert len(tab._plans) == 2 and "_plans" not in repr(tab)
+    copies = [pickle.loads(pickle.dumps(tab)), copy.copy(tab), copy.deepcopy(tab)]
+    copies.append(dataclasses.replace(tab))
+    calls = counting_plans(monkeypatch)
+    for other in copies:
+        assert other._plans == {}
+        assert_same_plan(plan_multistep(other, cfg), plan)
+    assert len(calls) == len(copies)
+    ref = weakref.ref(tab)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del tab, plan
+        assert ref() is not None  # the hit still names it
+        del hit
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_failing_plan_raises_on_every_call_and_is_never_stored(
+    vp, mix_tab, vp_lam_range, monkeypatch
+):
+    """A DomainError plan, a singlestep corrector and a too-fine grid raise each time."""
+    lam = np.linspace(*vp_lam_range, 241)
+    s = np.full((241, 4), 100.0)
+    overflow = build_integral_table(EmsTable(lam, -s, s, 0 * s, 0 * s, vp))
+    coarse = build_integral_table(degenerate_table(DATA_PRED, vp, 8, vp_lam_range, 4))
+    tab = IntegralTable(mix_tab.ems)
+    cfg = memo_cfg(vp, order=3, corrector="full")
+    plan_multistep(tab, cfg)
+    plan_singlestep(tab, without_corrector(cfg))
+    stored = dict(tab._plans)
+    calls = counting_plans(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="step plan"):
+            plan_multistep(overflow, memo_cfg(vp, order=2))
+        with pytest.raises(ValueError, match="singlestep sampling takes no corrector"):
+            plan_singlestep(tab, cfg)
+        with pytest.raises(ValueError, match="finer"):
+            plan_multistep(coarse, memo_cfg(vp, nfe=40, order=1))
+    assert len(calls) == 2  # only the overflowing table reached the planner
+    assert overflow._plans == {} and coarse._plans == {} and tab._plans == stored
+
+
+def test_the_memo_never_exceeds_its_cap(vp, vp_lam_range, monkeypatch):
+    """A table planned on more distinct grids than the cap clears its memo and stays correct."""
+    cap = emsolve.solver._PLAN_MEMO_SIZE
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 240, vp_lam_range, 4))
+    calls = counting_plans(monkeypatch)
+    sizes = []
+    for nfe in range(1, cap + 6):
+        plan_multistep(tab, memo_cfg(vp, nfe=nfe, order=1))
+        sizes.append(len(tab._plans))
+    assert max(sizes) == cap and sizes[cap] == 1
+    cfg = memo_cfg(vp, nfe=1, order=1)  # cleared with the rest, so planned again
+    assert_same_plan(plan_multistep(tab, cfg), plan_multistep(IntegralTable(tab.ems), cfg))
+    assert len(calls) == cap + 5 + 2
 
 
 @pytest.mark.parametrize("ripple", [0.0, 10.0])
