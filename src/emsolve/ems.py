@@ -66,7 +66,7 @@ class EmsConfig:
         for name in ("num_timesteps", "num_datapoints", "probes_per_point"):
             check_int(getattr(self, name), name, 1)
         check_int(self.seed, "seed", 0)
-        check_span(self.lam_range, "lam_range")
+        object.__setattr__(self, "lam_range", check_span(self.lam_range, "lam_range"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,9 +56,9 @@ class IntegralTable:
     does not check it), and when an integral has a non-finite entry: fields
     too large for the grid overflow ``exp(L + S)``.
 
-    A table also keeps a private memo of the sampler plans built on it (see
-    :mod:`emsolve.solver`).  The memo is a cache, not state: no copy, pickle
-    or repr sees it, and every copy starts with an empty one.
+    A table also keeps a private memo of the sampler plans built on it, which
+    hold ``ems``, not the table (see :mod:`emsolve.solver`).  The memo is a
+    cache: no repr sees it, and every copy, pickle and ``replace`` starts empty.
     """
 
     ems: EmsTable

@@ -63,9 +63,10 @@ Memo.  The terms that depend on lambda only (sigma, the component
 variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
 schedule object and scalar lambda and kept in a small memo on the model,
 which is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries.  A sampler
-run evaluates the model at the same few lambdas again and again.  The memo
-is a cache, not state: no copy, pickle, ``to_dict`` or comparison sees it.
-A lambda per row computes its terms afresh.
+run evaluates the model at the same few lambdas again and again.  The
+parameters are read-only arrays, so no entry goes stale; a copy, pickle
+or ``replace`` rebuilds the model through its constructor with an empty
+memo.  A lambda per row computes its terms afresh.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, check_floats, check_instance, check_members, check_real
-from .schedule import Schedule, check_lam_span, check_schedule
+from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 
 def _short_sum(a, out=None):
@@ -308,12 +309,16 @@ class PointGaussian(ModelSpec):
     kind = "point-gaussian"
 
     def __post_init__(self):
-        x0 = np.atleast_1d(check_floats(self.x0, "x0"))
+        x0 = np.atleast_1d(read_only(self.x0, "x0"))
         if x0.ndim != 1 or x0.size < 1:
             raise ValueError("x0 must be a vector of dimension >= 1")
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
+
+    def __reduce__(self):
+        # through the constructor: an unpickled or deep-copied array comes back writable
+        return type(self), (self.x0,)
 
     @property
     def dim(self) -> int:
@@ -361,9 +366,9 @@ class GaussianMixture(ModelSpec):
     kind = "gaussian-mixture"
 
     def __post_init__(self):
-        w = np.atleast_1d(check_floats(self.weights, "weights"))
-        mu = np.atleast_2d(check_floats(self.means, "means"))
-        s = np.atleast_1d(check_floats(self.stds, "stds"))
+        w = np.atleast_1d(read_only(self.weights, "weights"))
+        mu = np.atleast_2d(read_only(self.means, "means"))
+        s = np.atleast_1d(read_only(self.stds, "stds"))
         if not (w.ndim == s.ndim == 1 and mu.ndim == 2 and len(w) == len(mu) == len(s)):
             shapes = f"{w.shape}, {mu.shape} and {s.shape}"
             raise ValueError(f"weights, means, stds must be (C,), (C, D) and (C,), got {shapes}")
@@ -387,14 +392,9 @@ class GaussianMixture(ModelSpec):
         object.__setattr__(self, "_stds_sq", (s**2)[:, None])
         object.__setattr__(self, "_memo", {})
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_memo"]  # a cache of schedule objects, not part of the model
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        object.__setattr__(self, "_memo", {})
+    def __reduce__(self):
+        # through the constructor, as the tables': a copy starts with an empty memo
+        return type(self), (self.weights, self.means, self.stds)
 
     @property
     def dim(self) -> int:

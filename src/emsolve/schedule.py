@@ -9,8 +9,10 @@ Schedules and time grids are immutable; share them freely across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,14 +63,14 @@ class Schedule:
     """
 
     kind: str = VP_LINEAR
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     t_domain: tuple[float, float] = ()
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}; expected one of {_KINDS}")
         merged = dict(_DEFAULT_PARAMS[self.kind])
-        unknown = set(check_instance(self.params, dict, "params")) - set(merged)
+        unknown = set(check_instance(self.params, Mapping, "params")) - set(merged)
         if unknown:
             raise ValueError(f"unknown params for {self.kind}: {sorted(unknown)}")
         merged.update(self.params)
@@ -78,7 +80,7 @@ class Schedule:
             b0, b1 = merged["beta0"], merged["beta1"]
             if not (b0 >= 0 and b1 >= 0 and b0 + b1 > 0):
                 raise ValueError(f"vp-linear needs beta0, beta1 >= 0, not both 0, got {merged}")
-        object.__setattr__(self, "params", merged)
+        object.__setattr__(self, "params", MappingProxyType(merged))
         default = isinstance(self.t_domain, (tuple, list)) and not self.t_domain
         lo, hi = check_span(_DEFAULT_T_DOMAIN[self.kind] if default else self.t_domain, "t_domain")
         if lo < 0:
@@ -86,6 +88,10 @@ class Schedule:
         if self.kind == VP_COSINE and not (merged["offset"] >= 0 and hi <= 1):
             raise ValueError(f"vp-cosine needs offset >= 0 and t <= 1, got {merged}, {lo, hi}")
         object.__setattr__(self, "t_domain", (float(lo), float(hi)))
+
+    def __reduce__(self):
+        # through the constructor: a mappingproxy does not pickle
+        return type(self), (self.kind, dict(self.params), self.t_domain)
 
     # -- t-domain quantities ------------------------------------------------
 

@@ -24,28 +24,26 @@ axis is every numpy call's inner loop.  A plan reads its schedule's values
 off the table's grid; its runs are sequential, can share the tables, and
 record a trace only when given a list.
 
-Memo.  A plan depends on nothing but its read-only table, the sampler kind,
-the grid's snapped table indices, the order, the corrector and the two
-pseudo flags, so each table keeps the plans built on it in a small memo
-keyed by those values, which is cleared when it holds ``_PLAN_MEMO_SIZE``
-entries.  :func:`plan_multistep` and :func:`plan_singlestep` check the
-table and the settings and snap the grid on every call, and plan only on a
-miss: a new :class:`SolverConfig` with an equal grid hits.  A plan that
-raises is never stored, so it raises again on every call.  The memo holds
-each plan with ``tab=None`` and a hit returns a copy of it that names the
-table, sharing its read-only arrays: no reference cycle runs through the
-table, which refcounting frees as soon as its last user drops it.
+Memo.  A plan is a value of its read-only table, the sampler kind, the
+grid's snapped table indices, the order, the corrector and the two pseudo
+flags, so each table keeps the plans built on it in a memo keyed by those
+values and cleared when it holds ``_PLAN_MEMO_SIZE`` entries.
+:func:`plan_multistep` and :func:`plan_singlestep` check the table and the
+settings and snap the grid on every call; a hit, as from a new
+:class:`SolverConfig` with an equal grid, returns the stored plan itself.
+A plan that raises is never stored.  A plan holds the table's
+:class:`EmsTable`, which holds no integral table: the memo makes no cycle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .ems import EmsTable
 from .errors import (
     DomainError, check_floats, check_instance, check_int, check_items, check_members
 )
@@ -181,8 +179,8 @@ class SamplerPlan:
     pairs: the anchor's first, then nearest first.
     """
 
-    tab: IntegralTable
-    idx: tuple  # the run's positions, as indices of ``tab``
+    ems: EmsTable  # the table's statistics, whose schedule, dim and l the run reads
+    idx: tuple  # the run's positions, as indices of ``ems``
     lams: np.ndarray  # their lambdas, times and sigmas
     ts: np.ndarray
     sigmas: np.ndarray
@@ -216,7 +214,7 @@ class SamplerPlan:
         check_members(model, "model", ("eps",))
         if trace is not None:
             check_instance(trace, list, "trace")
-        ems, lams, sigmas, last = self.tab.ems, self.lams, self.sigmas, len(self.targets) - 1
+        ems, lams, sigmas, last = self.ems, self.lams, self.sigmas, len(self.targets) - 1
         x = check_floats(x_init, "x_init")
         if x.shape[-1:] != (ems.dim,):
             raise ValueError(f"state of shape {x.shape} for a table of dimension {ems.dim}")
@@ -318,7 +316,7 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
     for arr in (lams, ts, sigmas, a, b, c, *stacked):
         arr.setflags(write=False)  # fresh arrays that only the plan holds: no read-only copies
     return SamplerPlan(
-        tab, tuple(idx.tolist()), lams, ts, sigmas, (a, b, c), targets, tuple(reads),
+        tab.ems, tuple(idx.tolist()), lams, ts, sigmas, (a, b, c), targets, tuple(reads),
         tuple(corrector_reads), *stacked,
     )
 
@@ -339,19 +337,15 @@ def _grid_indices(tab: IntegralTable, cfg: SolverConfig) -> np.ndarray:
 def _memoized_plan(tab, idx, cfg, kind, transitions) -> SamplerPlan:
     """``tab``'s memoized plan of ``kind`` over ``idx`` and ``cfg``; on a miss, plan it.
 
-    ``transitions`` builds the transition list of a miss.  See the module
-    docstring's "Memo." paragraph.
+    ``transitions`` builds a miss's transition list (see the module's "Memo." paragraph).
     """
-    flags = cfg.order, cfg.corrector, cfg.pseudo_predictor, cfg.pseudo_corrector
-    key = (kind, idx.tobytes(), *flags)
-    memo = tab._plans
-    hit = memo.get(key)
-    if hit is not None:
-        return dataclasses.replace(hit, tab=tab)
-    plan = _plan(tab, idx, transitions(), cfg.pseudo_predictor, cfg.pseudo_corrector)
-    if len(memo) >= _PLAN_MEMO_SIZE:
-        memo.clear()
-    memo[key] = dataclasses.replace(plan, tab=None)
+    key = kind, idx.tobytes(), cfg.order, cfg.corrector, cfg.pseudo_predictor, cfg.pseudo_corrector
+    plan = tab._plans.get(key)
+    if plan is None:
+        plan = _plan(tab, idx, transitions(), cfg.pseudo_predictor, cfg.pseudo_corrector)
+        if len(tab._plans) >= _PLAN_MEMO_SIZE:
+            tab._plans.clear()
+        tab._plans[key] = plan
     return plan
 
 

@@ -726,7 +726,7 @@ def singlestep_transitions(order: int, num_steps: int):
     return lambda ts: steps
 
 
-def rowmajor_run(plan, cfg, model, x_init):
+def rowmajor_run(tab, plan, cfg, model, x_init):
     """``plan.run(model, x_init)``'s final state, by the row-major loop and per-step planning.
 
     The sampler as it ran before its plans were stacked and its loop went
@@ -734,9 +734,11 @@ def rowmajor_run(plan, cfg, model, x_init):
     its Taylor weights from :func:`taylor_rows` folded by one 2-D product,
     and states and g values ``(..., D)`` throughout, each update's sum added
     left to right.  Only the plan's positions are read, and the pseudo
-    flags from ``cfg``.
+    flags from ``cfg``; the coefficients come from ``tab``, the integral
+    table the plan was built on.
     """
-    tab, idx = plan.tab, plan.idx
+    assert plan.ems is tab.ems
+    idx = plan.idx
     sched = tab.ems.schedule
     lams = tab.lambda_grid[list(idx)]
     maps = [pair_g_map(tab, idx[0], j) for j in idx]

@@ -139,6 +139,13 @@ def test_estimate_l_unbiased_over_seeds(vp, mix4):
     assert np.all(np.abs(diffs.mean(axis=0)) <= 3 * se)
 
 
+def test_ems_config_holds_its_checked_lam_range():
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=16, lam_range=[-1.0, 1.0])
+    assert cfg.lam_range == (-1.0, 1.0) and type(cfg.lam_range) is tuple
+    want = EmsConfig(4, 16, (-1.0, 1.0))
+    assert cfg == want and hash(cfg) == hash(want) and repr(cfg) == repr(want)
+
+
 def test_estimate_l_empty_datapoints(vp, mix4):
     with pytest.raises(ValueError, match="num_datapoints"):
         EmsConfig(num_timesteps=4, num_datapoints=0, lam_range=(-1.0, 1.0))
@@ -714,6 +721,15 @@ def test_copied_tables_stay_read_only(vp, vp_lam_range, mix_table, tmp_path, pro
                 table.meta["note"] = "edited"
             save_table(table, tmp_path / "copy.json")
             assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "original.json").read_bytes()
+
+
+def test_a_loaded_table_has_an_equal_read_only_schedule(tmp_path):
+    sched = Schedule(VP_LINEAR, params={"beta0": 0.05, "beta1": 15.0})
+    save_table(degenerate_table(DATA_PRED, sched, 8, (-3.0, 3.0), 2), tmp_path / "table.json")
+    loaded = load_table(tmp_path / "table.json").schedule
+    assert loaded == sched and loaded.to_dict() == sched.to_dict()
+    with pytest.raises(TypeError):
+        loaded.params["beta0"] = 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -643,16 +644,36 @@ def test_mixture_memo_never_holds_more_than_its_cap(mix4):
 
 
 def test_mixture_memo_is_not_state(vp, mix4):
-    """The memo fills on a scalar lambda only, and no copy or pickle carries it."""
+    """The memo fills on a scalar lambda only, and every copy rebuilds the model without it."""
     model, x = fresh_copy(mix4), np.ones((3, 4))
     model.eps(vp, x, np.array([0.1, 0.2, 0.3]))
     assert model._memo == {}  # a lambda per row computes its terms afresh
     model.eps(vp, x, 0.1)
     assert len(model._memo) == 1
-    for again in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+    copies = [pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)]
+    for again in copies + [dataclasses.replace(model)]:
         assert again._memo == {} and again.to_dict() == model.to_dict()
+        assert not any(getattr(again, n).flags.writeable for n in ("weights", "means", "stds"))
         assert again.eps(vp, x, 0.1).tobytes() == model.eps(vp, x, 0.1).tobytes()
     assert len(model._memo) == 1
+
+
+def test_model_parameters_are_read_only(vp, pg4):
+    """Writes into a model's arrays raise, and a caller's later write to its own array is not seen."""
+    weights, stds = np.array([0.4, 0.6]), np.array([0.8, 1.1])
+    means = np.array([[0.6, -0.3], [-0.5, 0.4]])
+    mix = GaussianMixture(weights=weights, means=means, stds=stds)
+    point = PointGaussian(x0=means[0])
+    x = np.array([0.2, -0.1])
+    want = [m.eps(vp, x, 0.3).tobytes() for m in (mix, point)]
+    arrays = [mix.weights, mix.means, mix.stds, point.x0]
+    arrays += [copy.deepcopy(point).x0, pickle.loads(pickle.dumps(point)).x0, pg4.x0]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.1
+    weights[:], means[:], stds[:] = 0.5, 0.0, 0.1
+    assert [m.eps(vp, x, 0.3).tobytes() for m in (mix, point)] == want
+    assert point.to_dict() == {"kind": "point-gaussian", "x0": [0.6, -0.3]}
 
 
 # -- data sampling and diffusion ------------------------------------------------

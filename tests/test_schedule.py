@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import math
 import pickle
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -153,6 +155,47 @@ def test_schedule_serialization_round_trip():
     assert vp != Schedule("vp-linear", params={"beta1": 20.0 + 1e-12})
     assert vp != Schedule("vp-linear", t_domain=(0.0, 1.0 - 1e-12))
     assert vp == Schedule("vp-linear", params={"beta0": 0.1}, t_domain=(0, 1))
+
+
+def test_schedule_params_are_read_only():
+    """No write reaches a schedule's params, so its cached domain and its values agree."""
+    params = {"beta1": 15.0}
+    sched = Schedule(VP_LINEAR, params=params)
+    lam_domain, lam = sched.lam_domain, sched.lambda_of_t(1.0)
+    with pytest.raises(TypeError):
+        sched.params["beta1"] = 5.0
+    params["beta1"] = 5.0  # the caller's own dict
+    assert sched.params == {"beta0": 0.1, "beta1": 15.0}
+    assert sched.lam_domain == lam_domain and sched.lambda_of_t(1.0) == lam
+    assert type(sched.to_dict()["params"]) is dict
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(sched)
+    with pytest.raises(ValueError, match="^params must be a Mapping, got a list$"):
+        Schedule(EDM, params=[("beta1", 1.0)])
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        Schedule(VP_LINEAR, params={"beta0": 0.05}),
+        Schedule(VP_COSINE),
+        Schedule(EDM, t_domain=(0.0, 8.0)),
+    ],
+    ids=["vp-linear", "vp-cosine", "edm"],
+)
+def test_schedule_copies_are_equal_read_only_schedules(sched):
+    """pickle, copy, deepcopy and ``replace`` rebuild through the constructor."""
+    copies = [
+        pickle.loads(pickle.dumps(sched)),
+        copy.copy(sched),
+        copy.deepcopy(sched),
+        dataclasses.replace(sched),
+        Schedule(sched.kind, MappingProxyType(dict(sched.params)), sched.t_domain),
+    ]
+    for again in copies:
+        assert again == sched and repr(again) == repr(sched) and again.to_dict() == sched.to_dict()
+        assert type(again.params) is MappingProxyType and again.lam_domain == sched.lam_domain
+    assert dataclasses.replace(sched, t_domain=(0.5, 0.9)) != sched
 
 
 def test_schedule_validation():

@@ -572,7 +572,7 @@ def test_multistep_sample_returns_the_plan_it_ran(vp, mix4, mix_tab):
     rng = np.random.default_rng(31)
     x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * rng.standard_normal((3, 4))
     x_final, plan = multistep_sample(mix4, vp, mix_tab, cfg, x0)
-    assert isinstance(plan, SamplerPlan) and plan.tab is mix_tab
+    assert isinstance(plan, SamplerPlan) and plan.ems is mix_tab.ems
     assert np.array_equal(plan.run(mix4, x0), x_final)
     assert np.array_equal(plan.lams, mix_tab.lambda_grid[mix_tab.ems.index_of(grid.lambdas)])
 
@@ -615,12 +615,12 @@ def counting_plans(monkeypatch):
 
 @pytest.mark.parametrize("kind, kwargs", MEMO_SETTINGS)
 def test_a_memo_hit_is_a_cold_plan_naming_its_table(vp, mix4, mix_tab, monkeypatch, kind, kwargs):
-    """A hit plans nothing, names the table it was asked for and has a cold plan's bytes."""
+    """A hit plans nothing, is the plan the miss stored and has a cold plan's bytes."""
     calls = counting_plans(monkeypatch)
     tab, cfg = IntegralTable(mix_tab.ems), memo_cfg(vp, **kwargs)
     cold = PLANNERS[kind](tab, cfg)
     warm = PLANNERS[kind](tab, cfg)
-    assert len(calls) == 1 and cold.tab is tab and warm.tab is tab
+    assert len(calls) == 1 and cold.ems is tab.ems and warm is cold
     fresh = PLANNERS[kind](IntegralTable(tab.ems), cfg)
     assert len(calls) == 2
     assert_same_plan(cold, fresh)
@@ -669,7 +669,7 @@ def test_the_memo_keys_on_every_setting_a_plan_depends_on(vp, mix_tab, monkeypat
     assert multi.idx == single.idx and multi.reads != single.reads
 
 
-def test_the_memo_keeps_no_table_alive_and_no_copy_sees_it(vp, mix_tab, monkeypatch):
+def test_the_memo_keeps_no_table_alive_and_no_copy_sees_it(vp, mix4, mix_tab, monkeypatch):
     """Refcounting frees a planned table, and its copies start with an empty memo."""
     tab = IntegralTable(mix_tab.ems)
     cfg = memo_cfg(vp, order=3, corrector="full")
@@ -689,12 +689,24 @@ def test_the_memo_keeps_no_table_alive_and_no_copy_sees_it(vp, mix_tab, monkeypa
     gc.disable()
     try:
         del tab, plan
-        assert ref() is not None  # the hit still names it
-        del hit
-        assert ref() is None
+        assert ref() is None  # the hit holds the EMS table, not the integral table
+        x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * np.ones(4)
+        assert np.isfinite(hit.run(mix4, x0)).all()
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_memo_hit_is_the_stored_plan(vp, mix4, mix_tab):
+    """Both planners and the samplers hand back the very plan object the miss stored."""
+    tab = IntegralTable(mix_tab.ems)
+    multi, single = memo_cfg(vp, order=3, corrector="full"), memo_cfg(vp, order=3)
+    plan = plan_multistep(tab, multi)
+    assert plan_multistep(tab, multi) is plan and plan.ems is tab.ems
+    assert plan_singlestep(tab, single) is plan_singlestep(tab, single)
+    x0 = vp.sigma_lambda(tab.lambda_grid[0]) * np.ones(4)
+    assert multistep_sample(mix4, vp, tab, multi, x0)[1] is plan
+    assert list(tab._plans.values()) == [plan, plan_singlestep(tab, single)]  # by identity
 
 
 def test_a_failing_plan_raises_on_every_call_and_is_never_stored(
@@ -1222,7 +1234,7 @@ def test_runs_equal_the_rowmajor_oracle_bit_for_bit(case):
     rng = np.random.default_rng(case["seed"])
     x0 = sampler_golden.SCHED.sigma_lambda(tab.lambda_grid[0]) * rng.standard_normal(case["shape"])
     got = plan.run(sampler_golden.MODEL, x0)
-    want = rowmajor_run(plan, cfg, sampler_golden.MODEL, x0)
+    want = rowmajor_run(tab, plan, cfg, sampler_golden.MODEL, x0)
     assert got.shape == x0.shape and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
 
