@@ -74,7 +74,7 @@ class EmsTable:
     """Coefficient vectors l, s, b and the finite-difference slope of l.
 
     Rows are indexed by a strictly increasing, uniformly spaced lambda grid.
-    The arrays are read-only (see ``read_only``), and ``meta`` a read-only copy.
+    The arrays are read-only copies (see ``read_only``), and ``meta`` a read-only copy.
     ``schedule`` is a Schedule or a delegate with its members (``check_schedule``).
     """
 
@@ -92,12 +92,10 @@ class EmsTable:
         grid = read_only(self.lambda_grid, "lambda_grid")
         if grid.ndim != 1:
             raise ValueError(f"lambda_grid must be 1-D, got shape {grid.shape}")
-        object.__setattr__(self, "lambda_grid", grid)
-        grid_shape = grid.shape
-        field_shape = grid_shape + np.shape(self.l)[-1:]
+        field_shape = grid.shape + np.shape(self.l)[-1:]
         for name in _ARRAYS:
-            arr = read_only(getattr(self, name), name)
-            expected = grid_shape if name == "lambda_grid" else field_shape
+            arr = grid if name == "lambda_grid" else read_only(getattr(self, name), name)
+            expected = grid.shape if name == "lambda_grid" else field_shape
             if arr.shape != expected:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
             if not np.all(np.isfinite(arr)):

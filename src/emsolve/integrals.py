@@ -48,9 +48,9 @@ class IntegralTable:
 
     ``t``, ``alpha`` and ``sigma`` hold the table's schedule at every grid
     point, with the bits of its own ``t_of_lambda``, ``alpha_lambda`` and
-    ``sigma_lambda`` at any of them.  With ``closed_form`` set and constant
-    fields, ``const_lsb`` holds their values and the coefficients take
-    closed forms; otherwise it is None and they take the quadrature path.
+    ``sigma_lambda`` at any of them.  On constant fields (``ems.is_constant()``),
+    ``const_lsb`` holds their values and the coefficients take closed forms;
+    otherwise it is None and they take the quadrature path.
     Raises :class:`DomainError` when the grid leaves the schedule's lambda
     domain (whatever built the EMS table: :func:`~emsolve.ems.load_table`
     does not check it), and when an integral has a non-finite entry: fields
@@ -62,7 +62,6 @@ class IntegralTable:
     """
 
     ems: EmsTable
-    closed_form: bool = True
     L: np.ndarray = field(init=False)
     S: np.ndarray = field(init=False)
     B: np.ndarray = field(init=False)
@@ -75,7 +74,6 @@ class IntegralTable:
 
     def __post_init__(self):
         check_instance(self.ems, EmsTable)
-        check_instance(self.closed_form, bool, "closed_form")
         ems, h0, sched = self.ems, self.ems.spacing, self.ems.schedule
         # the schedule at the grid points; t_of_lambda raises DomainError off its domain
         at_grid = (sched.t_of_lambda, sched.alpha_lambda, sched.sigma_lambda)
@@ -92,14 +90,14 @@ class IntegralTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # views of the table's read-only rows, not copies
-        const = (ems.l[0], ems.s[0], ems.b[0]) if self.closed_form and ems.is_constant() else None
+        const = (ems.l[0], ems.s[0], ems.b[0]) if ems.is_constant() else None
         object.__setattr__(self, "const_lsb", const)
         # the solver's plan memo: not a field, so repr skips it and every copy starts empty
         object.__setattr__(self, "_plans", {})
 
     def __reduce__(self):
         # through the constructor, as EmsTable's: a copy recomputes the same read-only integrals
-        return type(self), (self.ems, self.closed_form)
+        return type(self), (self.ems,)
 
     @property
     def lambda_grid(self) -> np.ndarray:

@@ -55,16 +55,17 @@ scratch when they fit (a ``jvp`` of more probes than that block holds
 returns a fresh product, as without a workspace).  A run of calls with
 one probe then allocates nothing of the input's size after its first call.
 A ``Guided`` pair gives each part a dict of its own, or none when it was
-given none, and forms its sums in fresh arrays; ``PointGaussian`` ignores
-the workspace.  The dict belongs to one caller and one thread and is
-dropped after the run; nothing is kept on the model.
+given none, and forms its sums in fresh arrays; given one, it raises
+ValueError for a part whose ``linearize`` takes none before calling either.
+``PointGaussian`` ignores the workspace.  The dict belongs to one caller
+and one thread and is dropped after the run; nothing is kept on the model.
 
 Memo.  The terms that depend on lambda only (sigma, the component
 variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
 schedule object and scalar lambda and kept in a small memo on the model,
 which is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries.  A sampler
 run evaluates the model at the same few lambdas again and again.  The
-parameters are read-only arrays, so no entry goes stale; a copy, pickle
+parameters are read-only copies, so no entry goes stale; a copy, pickle
 or ``replace`` rebuilds the model through its constructor with an empty
 memo.  A lambda per row computes its terms afresh.
 """
@@ -78,7 +79,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, check_floats, check_instance, check_members, check_real
+from .errors import (
+    ConvergenceError, check_floats, check_instance, check_keyword, check_members, check_real
+)
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 
@@ -670,7 +673,9 @@ class Guided(ModelSpec):
         parts = {}, {}  # keyword arguments: a part is given a workspace only when there is one
         if workspace is not None:  # each part keeps its arrays in a dict of its own
             dicts = workspace.get(_GUIDED_KEY)
-            if dicts is None:
+            if dicts is None:  # a new workspace: both parts must take one before either is called
+                for name, part in (("cond", self.cond), ("uncond", self.uncond)):
+                    check_keyword(part.linearize, "workspace", f"Guided {name}.linearize")
                 dicts = workspace[_GUIDED_KEY] = {}, {}
             parts = [{"workspace": d} for d in dicts]
         s = self.scale

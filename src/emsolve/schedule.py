@@ -234,14 +234,9 @@ def check_lam_span(sched, lo, hi, name: str) -> None:
 
 
 def read_only(value, name: str = "value") -> np.ndarray:
-    """``value`` as a read-only float64 array: a writable array is copied first, a read-only one kept.
-
-    Keeping read-only arrays lets ``dataclasses.replace`` share them.  ValueError names ``name``.
-    """
-    arr = check_floats(value, name)
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.setflags(write=False)
+    """A read-only float64 copy of ``value``, even of a read-only one; ValueError names ``name``."""
+    arr = check_floats(value, name).copy()
+    arr.setflags(write=False)
     return arr
 
 
@@ -253,7 +248,7 @@ UNIFORM_T = "uniform-t"
 class TimeGrid:
     """The lambdas a sampler visits, from ``lambdas[0]`` (high noise) to ``lambdas[-1]``.
 
-    ``lambdas`` is a read-only array of at least 2 finite, strictly increasing
+    ``lambdas`` is a read-only copy of at least 2 finite, strictly increasing
     values.  A plan snaps them to its table's grid and samples at those points' times.
     """
 

@@ -22,13 +22,15 @@ the ones that evaluate only the branches they take, bit for bit), the
 probability-flow ODE solved by scipy's ``solve_ivp`` one row at a time
 (against the lockstep reference integrator), and that integrator with each
 stage's sums formed afresh from a list of the stages (against its running
-sums, bit for bit).  ``reference_states`` is a
-helper, not an oracle: it chains reference segments to give the states at
-several lambdas.
+sums, bit for bit).  ``reference_states`` and ``quadrature_table`` are
+helpers, not oracles: the first chains reference segments to give the
+states at several lambdas, the second builds a constant table's integrals
+on the quadrature path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,7 +39,7 @@ from scipy.integrate import DOP853, solve_ivp
 from emsolve.ems import EmsTable
 from emsolve.models import REFERENCE_MAX_STEPS, Guided, reference_solve
 from emsolve.schedule import Schedule
-from emsolve.integrals import Transition
+from emsolve.integrals import IntegralTable, Transition
 
 # -- model evaluation ------------------------------------------------------------
 
@@ -461,6 +463,23 @@ def explicit_vandermonde_solution(deltas, g_diffs):
     """Closed-form top coefficient g^(n)/n!, read off the library's full-order rows' last column."""
     rows = taylor_rows(deltas, False)
     return sum(row[-1] * np.asarray(g) for row, g in zip(rows[1:], g_diffs))
+
+
+# -- the coefficients ---------------------------------------------------------------
+
+
+def quadrature_table(ems: EmsTable) -> IntegralTable:
+    """The integral table of ``ems`` with its last row of ``b`` one ulp higher.
+
+    On constant fields the nudge sends the coefficients to the quadrature
+    path.  That row enters only B and C at the last grid point, so every
+    coefficient between earlier grid points keeps the bits the quadrature
+    path gives on ``ems`` itself, which makes the table the quadrature
+    reference for the closed forms.
+    """
+    b = np.array(ems.b)
+    b[-1] = np.nextafter(b[-1], np.inf)
+    return IntegralTable(dataclasses.replace(ems, b=b))
 
 
 def poly_exp_integral_two_branch(a, h: float, k: int):

@@ -4,7 +4,6 @@ Each test prints a PASS/FAIL line (run with ``pytest -s`` to see them all).
 Criterion 11 is report-only: its outcome is printed but does not gate.
 """
 
-import dataclasses
 import json
 import time
 
@@ -38,6 +37,7 @@ from oracles import (
     estimate_derivatives_pseudo,
     explicit_vandermonde_solution,
     forward_diffuse,
+    quadrature_table,
     reference_states,
 )
 from test_solver import draw_separated, g_value
@@ -293,7 +293,7 @@ def test_criterion_8_quadrature_order(vp):
         )
         exact = build_integral_table(table)
         assert exact.const_lsb is not None
-        tab = dataclasses.replace(exact, closed_form=False)  # the quadrature path
+        tab = quadrature_table(table)
         j_s, j_t = n // 4, 3 * n // 4
         got = transition_coefficients(tab, j_s, j_t, 3)
         want = transition_coefficients(exact, j_s, j_t, 3)

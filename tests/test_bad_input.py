@@ -11,6 +11,9 @@ Off-grid integer indices to ``lupdate``, ``transition_coefficients`` and
 ``g_map`` must raise the package's own IndexError, ``grid indices (a, b)
 out of range [0, n)``; ``EmsTable.index_of`` takes lambdas, not indices,
 and an off-grid one raises its ValueError, ``outside the table range``.
+A constructor owns the arrays it keeps: no later write to an array the
+caller passed, or to the base of a read-only view it passed, changes
+anything built from it.
 
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
 inline checks, tested in ``test_models.py``; ``linearize``'s workspace and a
@@ -169,8 +172,7 @@ ENTRY_POINTS = [
      {"lambda_grid": "floats", "l": "floats", "s": "floats", "b": "floats", "l_dot": "floats",
       "schedule": "schedule", "meta": "mapping"}),
     ("save_table", save_table, {"table": EMS, "path": os.devnull}, {"table": "ems"}),
-    ("IntegralTable", IntegralTable, {"ems": EMS, "closed_form": True},
-     {"ems": "ems", "closed_form": "flag"}),
+    ("IntegralTable", IntegralTable, {"ems": EMS}, {"ems": "ems"}),
     ("build_integral_table", build_integral_table, {"ems": EMS}, {"ems": "ems"}),
     ("SolverConfig", SolverConfig,
      {"order": 2, "grid": GRID, "corrector": "full", "pseudo_predictor": False,
@@ -380,7 +382,10 @@ class WithoutWorkspace(ModelSpec):
 
 
 def test_a_linearize_without_a_workspace_argument():
-    """``estimate_table`` needs the argument and says so; a ``Guided`` pair passes none unasked."""
+    """``estimate_table`` needs the argument and says so; a ``Guided`` pair passes none unasked.
+
+    Given a workspace, a pair with such a part says so too, before it calls either part.
+    """
     with pytest.raises(ValueError, match="^model.linearize must take a 'workspace' argument$"):
         estimate_table(WithoutWorkspace(), SCHED, EMS_CFG)
     x = np.ones((5, 2))
@@ -388,6 +393,15 @@ def test_a_linearize_without_a_workspace_argument():
     want_eps, want_d_eps, want_jvp = Guided(MIXTURE, MIXTURE, 2.0).linearize(SCHED, x, 0.5)
     got, want = (eps, d_eps, jvp(x)), (want_eps, want_d_eps, want_jvp(x))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    old = WithoutWorkspace()
+    for name, pair in (("cond", (old, MIXTURE)), ("uncond", (MIXTURE, old))):
+        message = f"^Guided {name}.linearize must take a 'workspace' argument$"
+        with pytest.raises(ValueError, match=message):
+            estimate_table(Guided(*pair, 2.0), SCHED, EMS_CFG)
+        workspace = {}
+        with pytest.raises(ValueError, match=message):
+            Guided(*pair, 2.0).linearize(SCHED, x, 0.5, workspace=workspace)
+        assert workspace == {}  # neither part was called with a dict of its own
 
 
 def test_a_plan_run_checks_its_trace_before_any_model_call():
@@ -395,3 +409,85 @@ def test_a_plan_run_checks_its_trace_before_any_model_call():
     with pytest.raises(ValueError, match="^trace must be a list, got a str$"):
         PLAN.run(counted, X, trace="x")
     assert counted.calls == 0
+
+
+# -- what a constructor owns ----------------------------------------------------------
+
+
+@st.composite
+def held(draw, values):
+    """``values`` as a caller passes them: ``(passed, bases)``, the array and the bases behind it.
+
+    The passed array is a writable array, a read-only view of one, or a
+    read-only view of a slice of a larger writable base.
+    """
+    arr = np.array(values, dtype=float)
+    how = draw(st.sampled_from(["writable", "read-only view", "read-only slice"]), label="held as")
+    if how == "writable":
+        return arr, []
+    base = arr
+    if how == "read-only slice":
+        base = np.zeros((2,) + arr.shape)
+        base[1] = arr
+    view = base.view() if how == "read-only view" else base[1]
+    view.setflags(write=False)
+    return view, [base]
+
+
+def _owned_values(rng, n, dim, comps):
+    """Valid constructor arguments of each class taking arrays, by class."""
+    weights = rng.uniform(0.5, 1.0, comps)
+    return {
+        TimeGrid: {"lambdas": np.cumsum(rng.uniform(0.1, 1.0, n)) - 2.0},
+        EmsTable: {
+            "lambda_grid": np.linspace(-1.0, 1.0, n),
+            **{name: rng.standard_normal((n, dim)) for name in ("l", "s", "b", "l_dot")},
+        },
+        GaussianMixture: {
+            "weights": weights / weights.sum(),
+            "means": rng.standard_normal((comps, dim)),
+            "stds": rng.uniform(0.2, 1.5, comps),
+        },
+        PointGaussian: {"x0": rng.standard_normal(dim)},
+    }
+
+
+def _outputs(obj, seed):
+    """The bits of a built table's ``index_of`` or a built model's ``eps``; nothing for a grid."""
+    if isinstance(obj, EmsTable):
+        return [obj.index_of(np.linspace(-1.0, 1.0, 7)).tobytes()]
+    if isinstance(obj, ModelSpec):
+        x = np.random.default_rng(seed).standard_normal((3, obj.dim))
+        return [obj.eps(SCHED, x, 0.3).tobytes(), obj.eps(SCHED, x[0], 0.3).tobytes()]
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(), seed=st.integers(0, 2**16), n=st.integers(2, 6), dim=st.integers(1, 3),
+    comps=st.integers(1, 3),
+)
+def test_a_constructor_owns_its_arrays(data, seed, n, dim, comps):
+    """Writes to the arrays a caller passed, and to their bases, change nothing built from them.
+
+    Every array attribute is read-only and shares no memory with a caller's
+    array, and the attributes and the outputs keep their values.
+    """
+    rng = np.random.default_rng(seed)
+    for cls, values in _owned_values(rng, n, dim, comps).items():
+        passed, caller = {}, []
+        for name, value in values.items():
+            passed[name], bases = data.draw(held(value), label=f"{cls.__name__}.{name}")
+            caller += [passed[name], *bases]
+        obj = cls(**passed, **({"schedule": SCHED} if cls is EmsTable else {}))
+        attrs = {name: getattr(obj, name) for name in values}
+        want = {name: arr.copy() for name, arr in attrs.items()}
+        want_outputs = _outputs(obj, seed)
+        for arr in caller:
+            if arr.flags.writeable:
+                arr += 1.0
+        for name, arr in attrs.items():
+            assert not arr.flags.writeable, name
+            assert not any(np.shares_memory(arr, theirs) for theirs in caller), name
+            assert np.array_equal(getattr(obj, name), want[name]), name
+        assert _outputs(obj, seed) == want_outputs, cls.__name__

@@ -684,17 +684,20 @@ def test_tables_are_read_only(vp, vp_lam_range, mix_table, tmp_path):
             arr[0] = 0.0
 
 
-def test_tables_copy_writable_arrays_and_share_read_only_ones(vp):
+def test_tables_copy_every_array(vp):
     grid, ones = np.linspace(0.0, 1.0, 5), np.ones((5, 2))
     table = EmsTable(lambda_grid=grid, l=ones, s=ones, b=ones, l_dot=ones, schedule=vp)
     ones[0, 0] = 7.0  # the caller's array stays writable and the table's copy unchanged
     assert table.l[0, 0] == 1.0 and table.l is not ones
-    again = dataclasses.replace(table, meta={"copy": False})
-    assert all(getattr(again, n) is getattr(table, n) for n in ("lambda_grid", "l", "s", "b", "l_dot"))
+    again = dataclasses.replace(table, meta={"copy": True})
+    for n in ("lambda_grid", "l", "s", "b", "l_dot"):  # read-only arrays are copied too
+        got, was = getattr(again, n), getattr(table, n)
+        assert not got.flags.writeable and np.array_equal(got, was)
+        assert not np.shares_memory(got, was), n
     tab = build_integral_table(table)
-    quadrature = dataclasses.replace(tab, closed_form=False)
+    rebuilt = dataclasses.replace(tab)
     for n in "LSBCI":  # recomputed from the same table: equal, read-only values
-        got = getattr(quadrature, n)
+        got = getattr(rebuilt, n)
         assert not got.flags.writeable and np.array_equal(got, getattr(tab, n))
     assert tab.const_lsb[0].base is table.l  # a row of the table, not a copy
 

@@ -38,14 +38,10 @@ from oracles import (
     pair_g_map,
     pair_transition_coefficients,
     poly_exp_integral_two_branch,
+    quadrature_table,
 )
 
 LAM_RANGE = (-4.0, 4.0)
-
-
-def quadrature_table(table):
-    """The integral table of ``table`` with its coefficients on the quadrature path."""
-    return dataclasses.replace(build_integral_table(table), closed_form=False)
 
 
 def make_constant_table(sched, n, c_l, c_s, c_b, dim=None):
@@ -129,15 +125,13 @@ def test_build_rejects_fields_that_overflow(vp, fields, name):
             build_integral_table(table)
 
 
-def test_integral_table_takes_only_ems_and_closed_form(smooth_table):
-    assert [f.name for f in dataclasses.fields(IntegralTable) if f.init] == ["ems", "closed_form"]
+def test_integral_table_takes_only_ems(smooth_table):
+    assert [f.name for f in dataclasses.fields(IntegralTable) if f.init] == ["ems"]
     tab = IntegralTable(smooth_table)
     with pytest.raises(TypeError):
-        IntegralTable(smooth_table, True, tab.L)
+        IntegralTable(smooth_table, tab.L)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(tab, L=tab.L)
-    with pytest.raises(ValueError, match="closed_form must be a bool"):
-        IntegralTable(smooth_table, closed_form="no")
     # what is not a table is refused when built, not when a field is first read
     with pytest.raises(ValueError, match="^expected an EmsTable, got a NoneType$"):
         IntegralTable(None)
@@ -160,7 +154,6 @@ def test_grid_values_are_the_schedules_own_calls(kind):
     shifted = degenerate_table(DATA_PRED, sched, 24, (lo + 0.5, lo + 6.0), 2)
     tables = [
         tab,
-        dataclasses.replace(tab, closed_form=False),
         copy.deepcopy(tab),
         pickle.loads(pickle.dumps(tab)),
         dataclasses.replace(tab, ems=shifted),
@@ -455,10 +448,9 @@ def test_index_errors(smooth_table):
 
 @pytest.mark.parametrize("path", ["closed-form", "quadrature"])
 def test_index_errors_on_both_coefficient_paths(vp, path):
-    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 20, LAM_RANGE, 2))
-    assert tab.const_lsb is not None
-    if path == "quadrature":
-        tab = dataclasses.replace(tab, closed_form=False)
+    ems = degenerate_table(NOISE_PRED, vp, 20, LAM_RANGE, 2)
+    tab = build_integral_table(ems) if path == "closed-form" else quadrature_table(ems)
+    assert (tab.const_lsb is not None) == (path == "closed-form")
     x = np.ones(2)
     for j_s, j_t in ((-1, 5), (0, 21), (21, 21)):
         with pytest.raises(IndexError):
