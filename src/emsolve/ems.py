@@ -35,7 +35,7 @@ from .errors import (
     TableFormatError, UnsupportedVersionError, check_instance, check_int, check_keyword,
     check_members, check_span,
 )
-from .models import ModelSpec, model_id
+from .models import ModelSpec, model_id, row_buffers
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 NOISE_PRED = "noise-pred"
@@ -286,7 +286,11 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
-    data distribution.  Bit-identical output for a fixed config.  Raises
+    data distribution.  The sweep runs inside ``row_buffers(K)`` (see
+    ``emsolve.models``): from K = 64 up to half of numpy's ufunc buffer, the
+    buffer holds one row of K for the sweep's duration, which saves the
+    copies of packed rows.  Bit-identical output for a fixed config; for
+    the package's models, whatever the caller's buffer size.  Raises
     ValueError when ``model`` or ``sched`` lacks the members the sweep reads,
     ``model.linearize`` takes no ``workspace`` argument
     or ``cfg`` is not an :class:`EmsConfig`, and :class:`DomainError` when
@@ -312,8 +316,9 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
     workspace = {}  # this sweep's, dropped with it
-    for j, lam in enumerate(grid):
-        l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes, workspace)
+    with row_buffers(cfg.num_datapoints):
+        for j, lam in enumerate(grid):
+            l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes, workspace)
     mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))

@@ -68,10 +68,28 @@ run evaluates the model at the same few lambdas again and again.  The
 parameters are read-only copies, so no entry goes stale; a copy, pickle
 or ``replace`` rebuilds the model through its constructor with an empty
 memo.  A lambda per row computes its terms afresh.
+
+Iterator.  numpy 2.x runs a ufunc that broadcasts a ``(R, 1)`` column
+against ``(R, n)`` coordinate-major rows through its buffered iterator.
+When a row holds at most half of the ufunc buffer (8192 elements by
+default), the iterator packs two or more rows into each buffer and copies
+the broadcast column with them, and such a call costs about 3x the
+element time of one whose rows are longer (1.1 against 0.33 ns an element
+on ``(4, 4096)`` float64 rows, numpy 2.4.6, one thread).  So
+``estimate_table``'s loop over grid points runs inside ``row_buffers(K)``,
+which clamps the buffer to one row of K for its duration.  It leaves rows
+shorter than ``_ROW_BUFFER_MIN_ROWS`` alone, whose calls a one-row buffer
+can make slower, and rows longer than half the buffer, which take the fast
+path already.  Buffering splits the work of the sweep's element-wise
+calls, not their arithmetic, so the package's models give the same bits
+under any buffer; a test pins a table's bits under ambient buffers of 16
+to 32768 elements.  ``SamplerPlan.run`` runs unclamped: its batches of 64
+to 4096 rows gained in-process, but no benchmark workload times them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -150,6 +168,36 @@ def _row_buffer(cols, shape, mem=None):
         return buf.swapaxes(-1, -2).reshape(shape), buf  # the reshape only splits axes: a view
     out = np.empty(shape) if mem is None else mem.reshape(shape)
     return out, _columns(out, cols.shape[:-2], cols.shape[-1])
+
+
+# The shortest row that ``row_buffers`` clamps the buffer to.  On plan.run the
+# clamp cost 2-13% below it; on the sweep it moved no time below K = 256
+_ROW_BUFFER_MIN_ROWS = 64
+_NO_SCOPE = contextlib.nullcontext()
+
+
+def row_buffers(n):
+    """A context in which numpy's ufunc buffer holds one coordinate-major row of ``n`` elements.
+
+    Inside it the buffer is ``n`` rounded up to a multiple of 16, when that
+    row is at least ``_ROW_BUFFER_MIN_ROWS`` long and at most half of the
+    current buffer (``np.getbufsize()``); otherwise the context changes
+    nothing.  The clamp is scoped by ``np.errstate``, so the caller's buffer
+    size and error state come back on exit and on raise.  An element-wise
+    call changes only where its buffered loop splits the work, never its
+    arithmetic; a buffered reduction adds in blocks of the clamped size
+    (see the module's "Iterator." paragraph and ``ModelSpec.linearize``).
+    """
+    if n < _ROW_BUFFER_MIN_ROWS or 2 * n > np.getbufsize():
+        return _NO_SCOPE
+    return _clamped_buffer(n + -n % 16)
+
+
+@contextlib.contextmanager
+def _clamped_buffer(size):
+    with np.errstate():
+        np.setbufsize(size)
+        yield
 
 
 def _block_size(shapes):
@@ -258,7 +306,11 @@ class ModelSpec:
         later call reused raises ValueError, and so may an ``x`` that lies
         in the workspace's memory.  The values do not depend on the
         workspace.  ``estimate_table`` passes one to every call, so a model
-        it builds a table for must take the argument.
+        it builds a table for must take the argument.  Its calls run inside
+        ``row_buffers(K)``: a reduction that numpy buffers, such as a sum
+        that casts its input, then adds blocks of K (rounded up to a
+        multiple of 16) instead of the default buffer's, and may differ in
+        its last bits from the same call outside the sweep.
         """
         raise NotImplementedError
 

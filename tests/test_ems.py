@@ -591,6 +591,85 @@ def test_estimate_table_deterministic(vp, mix4):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+# -- numpy's ufunc buffer ------------------------------------------------------------
+
+
+class BufferSpy(CallCounter):
+    """A counting delegate that records ``np.getbufsize()`` at each model call.
+
+    Call number ``fail_at`` (if given) raises RuntimeError instead.
+    """
+
+    def __init__(self, inner, fail_at=None):
+        super().__init__(inner)
+        self.bufsizes = []
+        self.fail_at = fail_at
+
+    def _call(self, name, *args, **kwargs):
+        self.bufsizes.append(np.getbufsize())
+        if len(self.bufsizes) == self.fail_at:
+            raise RuntimeError(f"model call {self.fail_at} fails")
+        return super()._call(name, *args, **kwargs)
+
+
+def under_buffer(bufsize, fn, *args):
+    """``fn(*args)`` with numpy's ufunc buffer set to ``bufsize`` elements for the call."""
+    with np.errstate():
+        np.setbufsize(bufsize)
+        return fn(*args)
+
+
+# a caller's numpy state that differs from the defaults in the buffer and two error modes
+CALLER_BUFSIZE, CALLER_ERR = 16384, {"divide": "raise", "over": "ignore"}
+
+# every ambient buffer from 16 to 32768 elements, and K below, inside and above the
+# range that ``row_buffers`` clamps at one buffer or another
+BUFSIZES = [16 << k for k in range(12)]
+BUFFER_DATAPOINTS = [8, 63, 64, 100, 2048, 4096, 4104, 16400]
+
+
+@settings(max_examples=40)
+@given(num_datapoints=st.sampled_from(BUFFER_DATAPOINTS), bufsize=st.sampled_from(BUFSIZES))
+def test_a_table_has_the_same_bytes_under_any_ufunc_buffer(vp, mix4, num_datapoints, bufsize):
+    cfg = EmsConfig(num_timesteps=3, num_datapoints=num_datapoints, lam_range=(-2.0, 3.0), seed=5)
+    want = estimate_table(mix4, vp, cfg)
+    got = under_buffer(bufsize, estimate_table, mix4, vp, cfg)
+    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_a_sweep_restores_the_callers_buffer_and_error_state(vp, mix4, fail_at):
+    spy = BufferSpy(mix4, fail_at)
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=4096, lam_range=(-2.0, 2.0), seed=1)
+    with np.errstate(**CALLER_ERR):
+        np.setbufsize(CALLER_BUFSIZE)
+        want = np.getbufsize(), np.geterr()
+        if fail_at is None:
+            estimate_table(spy, vp, cfg)
+        else:
+            with pytest.raises(RuntimeError, match="model call 3 fails"):
+                estimate_table(spy, vp, cfg)
+        assert (np.getbufsize(), np.geterr()) == want
+    assert spy.bufsizes == [4096] * (5 if fail_at is None else 3)
+
+
+@pytest.mark.parametrize(
+    "num_datapoints, seen", [(4096, 4096), (100, 112), (32, 8192), (4104, 8192)]
+)
+def test_a_sweep_runs_its_model_calls_under_a_one_row_buffer(vp, mix4, num_datapoints, seen):
+    """K = 4096 runs under a buffer of 4096, K = 100 under 112, a multiple of 16.
+
+    K = 32, too short to pay, and K = 4104, which takes numpy's fast path
+    already, run under the default.
+    """
+    spy = BufferSpy(mix4)
+    cfg = EmsConfig(num_timesteps=2, num_datapoints=num_datapoints, lam_range=(-2.0, 2.0), seed=1)
+    estimate_table(spy, vp, cfg)
+    assert np.getbufsize() == 8192
+    assert spy.bufsizes == [seen] * 3
+
+
 def test_estimate_table_rejects_lam_range_outside_schedule(vp, edm, pg4):
     # vp-linear's lambda domain starts at -5.02; (-20, 30) used to overflow in exp
     with pytest.raises(DomainError, match="lam_range"):
