@@ -138,10 +138,11 @@ def poly_exp_integral(a, h, k: int):
     h_col = np.array(steps)[:, None]
     small = np.abs(a) * np.maximum(1.0, np.abs(h_col)) < 1e-3
     some_small = small.any()
-    # h^0 .. h^(k + 8) for the series, h^0 .. h^k for the recurrence alone; Python's float
-    # power, as numpy's array ** rounds some powers differently
+    # h^0 .. h^(k + 8) for the series, h^0 .. h^k for the recurrence alone.  float_power
+    # calls the C library's pow, as Python's float ** does, so each power has the bits of
+    # ``v**m``; numpy's array ** rounds some powers differently
     top = k + 9 if some_small else k + 1
-    powers = np.array([[v**m for m in range(top)] for v in steps])[:, :, None]
+    powers = np.float_power(h_col, np.arange(top))[:, :, None]
 
     if some_small:
         series = np.zeros(small.shape)

@@ -25,14 +25,16 @@ off the table's grid; its runs are sequential, can share the tables, and
 record a trace only when given a list.
 
 Memo.  A plan is a value of its read-only table, the sampler kind, the
-grid's snapped table indices, the order, the corrector and the two pseudo
-flags, so each table keeps the plans built on it in a memo keyed by those
-values and cleared when it holds ``_PLAN_MEMO_SIZE`` entries.
-:func:`plan_multistep` and :func:`plan_singlestep` check the table and the
-settings and snap the grid on every call; a hit, as from a new
-:class:`SolverConfig` with an equal grid, returns the stored plan itself.
-A plan that raises is never stored.  A plan holds the table's
-:class:`EmsTable`, which holds no integral table: the memo makes no cycle.
+grid's lambdas, the order, the corrector and the two pseudo flags, so each
+table keeps the plans built on it in a memo keyed by those values (the
+lambdas as their bytes) and cleared when it holds ``_PLAN_MEMO_SIZE``
+entries.  :func:`plan_multistep` and :func:`plan_singlestep` check the table
+and the settings on every call, but snap the grid to the table's indices
+only on a miss: a hit, as from a new :class:`SolverConfig` with an equal
+grid, snaps nothing and returns the stored plan itself.  Two grids whose
+different lambdas snap alike get one entry each, with equal plans.  A plan
+that raises is never stored.  A plan holds the table's :class:`EmsTable`,
+which holds no integral table: the memo makes no cycle.
 """
 
 from __future__ import annotations
@@ -218,7 +220,7 @@ class SamplerPlan:
         x = check_floats(x_init, "x_init")
         if x.shape[-1:] != (ems.dim,):
             raise ValueError(f"state of shape {x.shape} for a table of dimension {ems.dim}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("initial sampler state has non-finite entries")
         # (D, 1) weight columns against (D, B) arrays, or the (D,) rows against a (D,) state
         col = (Ellipsis,) + (None,) * (x.ndim - 1)
@@ -249,7 +251,7 @@ class SamplerPlan:
         if trace is not None:
             trace.append(_trace_row(self.ts[t_pos], lams[t_pos], x, None, None))
         x = np.ascontiguousarray(x.T)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DomainError("sampler state became non-finite")
         return x
 
@@ -322,9 +324,7 @@ def _plan(tab, idx, transitions, pseudo_predictor=False, pseudo_corrector=False)
 
 
 def _grid_indices(tab: IntegralTable, cfg: SolverConfig) -> np.ndarray:
-    """Check ``tab`` and ``cfg``; snap the grid to ``tab``'s indices, which must stay increasing."""
-    check_instance(tab, IntegralTable)
-    check_instance(cfg, SolverConfig)
+    """Snap ``cfg``'s grid to ``tab``'s indices, which must stay increasing."""
     idx = tab.ems.index_of(cfg.grid.lambdas)
     if (idx[1:] <= idx[:-1]).any():
         raise ValueError(
@@ -334,15 +334,22 @@ def _grid_indices(tab: IntegralTable, cfg: SolverConfig) -> np.ndarray:
     return idx
 
 
-def _memoized_plan(tab, idx, cfg, kind, transitions) -> SamplerPlan:
-    """``tab``'s memoized plan of ``kind`` over ``idx`` and ``cfg``; on a miss, plan it.
+def _memoized_plan(tab, cfg, kind, transitions) -> SamplerPlan:
+    """``tab``'s memoized plan of ``kind`` over ``cfg``; on a miss, snap the grid and plan it.
 
-    ``transitions`` builds a miss's transition list (see the module's "Memo." paragraph).
+    Checks ``tab`` and ``cfg`` first.  ``transitions(idx)`` builds a miss's transition
+    list over the snapped indices (see the module's "Memo." paragraph).
     """
-    key = kind, idx.tobytes(), cfg.order, cfg.corrector, cfg.pseudo_predictor, cfg.pseudo_corrector
+    check_instance(tab, IntegralTable)
+    check_instance(cfg, SolverConfig)
+    key = (
+        kind, cfg.grid.lambdas.tobytes(), cfg.order, cfg.corrector,
+        cfg.pseudo_predictor, cfg.pseudo_corrector,
+    )
     plan = tab._plans.get(key)
     if plan is None:
-        plan = _plan(tab, idx, transitions(), cfg.pseudo_predictor, cfg.pseudo_corrector)
+        idx = _grid_indices(tab, cfg)
+        plan = _plan(tab, idx, transitions(idx), cfg.pseudo_predictor, cfg.pseudo_corrector)
         if len(tab._plans) >= _PLAN_MEMO_SIZE:
             tab._plans.clear()
         tab._plans[key] = plan
@@ -356,12 +363,11 @@ def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     grid: one on the initial state and one per step except the last (the
     corrector reuses the step's evaluation instead of adding one).  Early
     steps ramp the order up as history becomes available.  Checks ``tab``
-    and ``cfg`` and snaps the grid on every call, then returns ``tab``'s
-    memoized plan for equal settings, planning only on a miss.
+    and ``cfg`` on every call, then returns ``tab``'s memoized plan for an
+    equal grid and settings; only a miss snaps the grid and plans.
     """
-    idx = _grid_indices(tab, cfg)
 
-    def transitions():
+    def transitions(idx):
         ts, num_steps = tab.t[idx], len(idx) - 1
         half_threshold = 0.5 * tab.ems.schedule.t_domain[1]
         steps = []
@@ -379,7 +385,7 @@ def plan_multistep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
             steps.append((m - 1, m, history, corrector))
         return steps
 
-    return _memoized_plan(tab, idx, cfg, "multistep", transitions)
+    return _memoized_plan(tab, cfg, "multistep", transitions)
 
 
 def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
@@ -388,24 +394,24 @@ def plan_singlestep(tab: IntegralTable, cfg: SolverConfig) -> SamplerPlan:
     Derivatives are built only from values inside the current macro step,
     all anchored at its first point.  When the grid length is not a multiple
     of the order, the final macro step runs at the remainder's (lower)
-    order.  Raises ValueError if ``cfg`` sets a corrector or a pseudo flag,
-    which this path has no use for.  Checks ``tab`` and ``cfg`` and snaps the
-    grid on every call, then returns ``tab``'s memoized plan for equal
-    settings, planning only on a miss.
+    order.  Checks ``tab`` and ``cfg`` on every call, then returns ``tab``'s
+    memoized plan for an equal grid and settings; only a miss snaps the grid
+    and plans.  Raises ValueError if ``cfg`` sets a corrector or a pseudo
+    flag, which this path has no use for, after the grid's own error: such a
+    plan is never stored, so the call always misses and snaps.
     """
-    idx = _grid_indices(tab, cfg)
-    if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
-        raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
-    total = len(idx) - 1
 
-    def transitions():
+    def transitions(idx):
+        if cfg.corrector != CORRECTOR_NONE or cfg.pseudo_predictor or cfg.pseudo_corrector:
+            raise ValueError("singlestep sampling takes no corrector and no pseudo flags")
+        total = len(idx) - 1
         return [
             (start, target, tuple(range(target - 1, start, -1)), None)
             for start in range(0, total, cfg.order)
             for target in range(start + 1, min(start + cfg.order, total) + 1)
         ]
 
-    return _memoized_plan(tab, idx, cfg, "singlestep", transitions)
+    return _memoized_plan(tab, cfg, "singlestep", transitions)
 
 
 def lupdate(tab: IntegralTable, anchor: tuple, extras: list, j_t: int):
@@ -467,9 +473,11 @@ def _row_norms(rows):
 
 def _check_schedule(sched: Schedule, tab: IntegralTable):
     """Raise ValueError unless ``sched`` is, or equals, the schedule ``tab`` was built for."""
+    if sched is tab.ems.schedule:  # checked when the table was built
+        return
     check_schedule(sched)
-    # `is` first: a delegate wrapping the table's own schedule is not == to it
-    if not (sched is tab.ems.schedule or sched == tab.ems.schedule):
+    # a delegate wrapping the table's own schedule is not == to it: it passes by identity above
+    if sched != tab.ems.schedule:
         want, got = tab.ems.schedule.to_dict(), sched.to_dict()
         raise ValueError(f"the table is for schedule {want}, not {got}")
 
@@ -480,7 +488,8 @@ def multistep_sample(
     """Plan with :func:`plan_multistep`, check ``sched``, run from ``x_init``.
 
     Returns the final state and the plan.  A repeated (table, settings) pair
-    reuses the table's memoized plan.
+    reuses the table's memoized plan and snaps nothing: a grid of equal
+    lambdas finds it, and the table's own schedule is accepted by identity.
     """
     plan = plan_multistep(tab, cfg)
     _check_schedule(sched, tab)
@@ -493,7 +502,7 @@ def singlestep_sample(
     """Plan with :func:`plan_singlestep`, check ``sched``, run from ``x_init``.
 
     Returns the final state.  A repeated (table, settings) pair reuses the
-    table's memoized plan.
+    table's memoized plan and snaps nothing, as in :func:`multistep_sample`.
     """
     plan = plan_singlestep(tab, cfg)
     _check_schedule(sched, tab)

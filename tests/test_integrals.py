@@ -330,6 +330,38 @@ def test_poly_exp_integral_against_quadrature(a, h, k):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6),
+    k=st.integers(0, 12),
+)
+@example(steps=[0.0, -0.0, 1.0, -1.0, 40.0, -40.0], k=4)
+def test_poly_exp_integral_powers_have_python_float_power_bits(steps, k):
+    """The powers h^m are built at once with the bits of the ``v**m`` list, for m <= 12.
+
+    For k <= 4 a small column runs the series, which reads h^0 .. h^(k + 8);
+    above, every column is large and the recurrence reads h^0 .. h^k.  Each
+    step's result has the bits of the scalar two-branch form.
+    """
+    a = np.array([1e-5, -1.0] if k <= 4 else [0.5, -1.0])
+    top = k + 9 if k <= 4 else k + 1
+    built, original = [], np.float_power
+
+    def spy(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    np.float_power = spy
+    try:
+        got = poly_exp_integral(a, np.array(steps), k)
+    finally:
+        np.float_power = original
+    (powers,) = built
+    assert same_bits(powers, np.array([[v**m for m in range(top)] for v in steps]))
+    for row, v in zip(got, steps):
+        assert same_bits(row, poly_exp_integral_two_branch(a, v, k)), v
+
+
 CLOSED_FORM_COLUMNS = {
     "all-small": [1e-5, -2e-4, 0.0],
     "all-large": [0.5, -1.0, 2.0],

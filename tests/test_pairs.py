@@ -74,7 +74,7 @@ def run_pairs(repo, tmp_path, change, *extra):
     return json.loads(out.read_text())
 
 
-def test_pairs_alternate_sides_and_path_lengths_and_summarize(repo, tmp_path):
+def test_pairs_alternate_sides_and_path_lengths_and_summarize(repo, tmp_path, capsys):
     record = run_pairs(repo, tmp_path, "HEAD", "--seeds", "1-3", "--seeds", "7")
     assert record["launcher"] == [sys.executable]
     assert record["parent"]["given"] == "HEAD~1" and record["change"]["given"] == "HEAD"
@@ -113,7 +113,16 @@ def test_pairs_alternate_sides_and_path_lengths_and_summarize(repo, tmp_path):
     assert summary["err_l2.nfe10"]["ties"] == 3 and summary["err_l2.nfe10"]["lower_in"] == "0/3"
     assert summary["op_s_matched_cal"]["pairs"] == 3
     assert summary["op_s_matched_cal"]["median_ratio"] == pytest.approx(100.02 / 200.02)
+    assert summary["op_s_matched_cal"]["lower_in"] == "3/3"
     assert record["rounds"][1]["workloads"]["ems-build"]["summary"]["op_rel"]["lower_in"] == "1/1"
+    # after each round, one line per workload: each metric's move, lower in k/n and parent IQR
+    logged = capsys.readouterr().err.splitlines()
+    summaries = [line for line in logged if not line.startswith(("seed ", "wrote "))]
+    assert [line.split(":")[0] for line in summaries] == list(WORKLOADS) * 2
+    batch_line = summaries[WORKLOADS.index("sample-batch")]
+    assert "op_rel -50.00% (lower in 3/3, parent IQR 0.00%)" in batch_line
+    assert "err_l2.nfe10 +0.00% (lower in 0/3, 3 ties, parent IQR 50.00%)" in batch_line
+    assert batch_line.endswith("; op_s_matched_cal 0.5000 (lower in 3/3)")
 
 
 def test_pairs_export_a_working_tree_with_its_uncommitted_files(repo, tmp_path):

@@ -33,7 +33,7 @@ from emsolve import (
 import emsolve.solver
 from emsolve.ems import DATA_PRED, NOISE_PRED, EmsConfig, EmsTable, estimate_table
 from emsolve.integrals import IntegralTable, g_map
-from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR
+from emsolve.schedule import EDM, UNIFORM_LAMBDA, UNIFORM_T, VP_COSINE, VP_LINEAR, TimeGrid
 from emsolve.solver import CORRECTORS, _plan, _taylor_rows
 
 import sampler_golden
@@ -601,16 +601,21 @@ def assert_same_plan(got, want):
     assert_plan_bits(got, vars(want))
 
 
-def counting_plans(monkeypatch):
-    """Count the planner's ``_plan`` calls, which only a memo miss makes."""
-    calls, original = [], emsolve.solver._plan
+def counting_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, a function or a method."""
+    calls, original = [], getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(emsolve.solver, "_plan", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def counting_plans(monkeypatch):
+    """Count the planner's ``_plan`` calls, which only a memo miss makes."""
+    return counting_calls(monkeypatch, emsolve.solver, "_plan")
 
 
 @pytest.mark.parametrize("kind, kwargs", MEMO_SETTINGS)
@@ -747,6 +752,103 @@ def test_the_memo_never_exceeds_its_cap(vp, vp_lam_range, monkeypatch):
     cfg = memo_cfg(vp, nfe=1, order=1)  # cleared with the rest, so planned again
     assert_same_plan(plan_multistep(tab, cfg), plan_multistep(IntegralTable(tab.ems), cfg))
     assert len(calls) == cap + 5 + 2
+
+
+@pytest.mark.parametrize("kind, kwargs", MEMO_SETTINGS)
+def test_a_warm_sampling_call_snaps_and_plans_nothing(vp, mix4, mix_tab, monkeypatch, kind, kwargs):
+    """Only the cold call snaps its grid and plans; a new config or grid of equal values hits."""
+    tab, cfg = IntegralTable(mix_tab.ems), memo_cfg(vp, **kwargs)
+    x0 = vp.sigma_lambda(tab.lambda_grid[0]) * np.random.default_rng(35).standard_normal(4)
+    plans = counting_plans(monkeypatch)
+    snaps = counting_calls(monkeypatch, EmsTable, "index_of")
+    checks = counting_calls(monkeypatch, emsolve.solver, "check_schedule")
+
+    def final(cfg):
+        out = SAMPLERS[kind](mix4, vp, tab, cfg, x0)
+        return (out[0] if kind == "multistep" else out).tobytes()
+
+    want = final(cfg)
+    assert len(plans) == 1 and len(snaps) == 1
+    equal_grid = dataclasses.replace(cfg, grid=TimeGrid(np.array(cfg.grid.lambdas)))
+    for warm in (cfg, memo_cfg(vp, **kwargs), equal_grid):
+        assert final(warm) == want
+    assert len(plans) == 1 and len(snaps) == 1 and len(tab._plans) == 1
+    assert checks == []  # the table's own schedule passes by identity
+
+
+def test_grids_that_snap_alike_get_one_entry_each_with_equal_plans(vp, mix_tab, monkeypatch):
+    """The memo keys on the grid's lambdas, so grids of other values on the same indices miss."""
+    tab = IntegralTable(mix_tab.ems)
+    cfg = memo_cfg(vp, order=3, corrector="full")
+    idx = tab.ems.index_of(cfg.grid.lambdas)
+    snapped = dataclasses.replace(cfg, grid=TimeGrid(tab.lambda_grid[idx]))
+    assert snapped.grid.lambdas.tobytes() != cfg.grid.lambdas.tobytes()
+    assert np.array_equal(tab.ems.index_of(snapped.grid.lambdas), idx)
+    calls = counting_plans(monkeypatch)
+    for kind, first, second in [
+        ("multistep", cfg, snapped),
+        ("singlestep", without_corrector(cfg), without_corrector(snapped)),
+    ]:
+        plan, other = PLANNERS[kind](tab, first), PLANNERS[kind](tab, second)
+        assert other is not plan
+        assert_same_plan(other, plan)
+        assert PLANNERS[kind](tab, second) is other and PLANNERS[kind](tab, first) is plan
+    assert len(calls) == 4 and len(tab._plans) == 4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [dict(corrector="full"), dict(pseudo_predictor=True), dict(corrector="half", pseudo_corrector=True)],
+)
+def test_a_singlestep_call_with_a_corrector_names_a_bad_grid_first(
+    vp, mix_tab, vp_lam_range, flags
+):
+    """A grid too fine or off the table raises its own error before the settings' error."""
+    coarse = build_integral_table(degenerate_table(DATA_PRED, vp, 8, vp_lam_range, 4))
+    tab = IntegralTable(mix_tab.ems)
+    off = TimeGrid(tab.lambda_grid[-1] + np.array([1.0, 2.0]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finer"):
+            plan_singlestep(coarse, memo_cfg(vp, nfe=40, order=2, **flags))
+        with pytest.raises(ValueError, match="outside the table range"):
+            plan_singlestep(tab, SolverConfig(order=2, grid=off, **flags))
+        with pytest.raises(ValueError, match="singlestep sampling takes no corrector"):
+            plan_singlestep(tab, memo_cfg(vp, order=2, **flags))
+    assert coarse._plans == {} and tab._plans == {}
+
+
+class ScheduleDelegate:
+    """Forwards every member to a schedule, as a tracing wrapper does; never == to it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_the_schedule_check_takes_the_tables_schedule_by_identity_or_value(
+    vp, edm, vp_lam_range, monkeypatch
+):
+    """A table's own schedule, a delegate included, passes unchecked; an equal one by value.
+
+    Another schedule, a delegate of one and an object with no schedule members raise.
+    """
+    tab = build_integral_table(degenerate_table(NOISE_PRED, vp, 200, vp_lam_range, 4))
+    delegate = ScheduleDelegate(vp)
+    wrapped = dataclasses.replace(tab, ems=dataclasses.replace(tab.ems, schedule=delegate))
+    check = emsolve.solver._check_schedule
+    checks = counting_calls(monkeypatch, emsolve.solver, "check_schedule")
+    check(vp, tab)
+    check(delegate, wrapped)
+    assert checks == []
+    check(Schedule(VP_LINEAR), tab)
+    assert len(checks) == 1
+    for other, table in [(edm, tab), (ScheduleDelegate(edm), tab), (delegate, tab), (vp, wrapped)]:
+        with pytest.raises(ValueError, match="the table is for schedule"):
+            check(other, table)
+    with pytest.raises(ValueError, match="expected a Schedule"):
+        check(object(), tab)
 
 
 @pytest.mark.parametrize("ripple", [0.0, 10.0])

@@ -27,10 +27,11 @@ The output holds, per round and workload, every pair's per-run metrics with
 metric each side's median and quartiles, the parent's interquartile range
 over its median, the change's relative move and the pairs in which the
 change read lower ("lower in k/n", ties counted apart).  ``op_s_matched_cal``
-is the median change/parent ``op_s`` ratio over the pairs whose two
-calibration times differ by at most ``CAL_MATCH``: a reading of the op's
-own time in the pairs the machine's drift did not move.  Standard library
-only.
+is the median change/parent ``op_s`` ratio, and "lower in k/n", over the
+pairs whose two calibration times differ by at most ``CAL_MATCH``: a
+reading of the op's own time in the pairs the machine's drift did not move.
+After each round it logs one line per workload with each metric's relative
+move, "lower in k/n", ties and parent IQR.  Standard library only.
 """
 
 from __future__ import annotations
@@ -197,11 +198,35 @@ def summarize(pairs: list) -> dict:
         if p["parent"].get("cal_s") and p["change"].get("cal_s") and p["parent"]["op_s"]
         and abs(p["change"]["cal_s"] / p["parent"]["cal_s"] - 1.0) <= CAL_MATCH
     ]
+    lower = sum(r < 1.0 for r in matched)
     out["op_s_matched_cal"] = {
         "cal_match": CAL_MATCH, "pairs": len(matched),
         "median_ratio": statistics.median(matched) if matched else None,
+        "change_lower": lower, "lower_in": f"{lower}/{len(matched)}",
     }
     return out
+
+
+def summary_line(workload: str, summary: dict) -> str:
+    """One log line: per metric the relative move, "lower in k/n", any ties and the parent's IQR."""
+
+    def pct(value, spec):
+        return "n/a" if value is None else format(value, spec)
+
+    def lower_in(m):
+        return f"lower in {m['lower_in']}" + (f", {m['ties']} ties" if m.get("ties") else "")
+
+    parts = [
+        f"{name} {pct(m['rel_change'], '+.2%')} ({lower_in(m)},"
+        f" parent IQR {pct(m['parent_iqr_rel'], '.2%')})"
+        for name, m in summary.items() if name != "op_s_matched_cal"
+    ]
+    matched = summary["op_s_matched_cal"]
+    parts.append(
+        f"op_s_matched_cal {pct(matched['median_ratio'], '.4f')}"
+        f" ({lower_in(matched)})"
+    )
+    return f"{workload}: " + "; ".join(parts)
 
 
 def run_round(launcher, pair_trees, seeds, workloads, log) -> tuple:
@@ -221,6 +246,8 @@ def run_round(launcher, pair_trees, seeds, workloads, log) -> tuple:
                     f" peak_rss_mb {done['run']['peak_rss_mb']:.4g}")
             per_workload[workload].append(pair)
     workloads_out = {w: {"summary": summarize(p), "pairs": p} for w, p in per_workload.items()}
+    for workload, done in workloads_out.items():
+        log(summary_line(workload, done["summary"]))
     return {"seeds": seeds, "workloads": workloads_out}, env
 
 
