@@ -16,9 +16,9 @@ reduces to l and six centred moments over the diffused datapoints (three
 means, a variance and two covariances), and s and b follow in closed form
 once l's slope is known.  The sweep keeps its (K, D) sample arrays and
 probe terms coordinate-major, laid out (D, K), so l and each moment is a
-contiguous row sum, and it keeps them in one workspace dict that it passes
-to the model's ``linearize`` too: every grid point after the first reuses
-the first point's arrays (and, for a mixture with one probe, all of them).
+contiguous row sum.  Every grid point after the first reuses the first
+point's arrays: the sweep's own, and the model's in a workspace dict that
+holds only the model's entries (for a mixture with one probe, all of them).
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -45,8 +45,6 @@ _FILE_VERSION = 1
 _ABS_FLOOR = 1e-20
 # the table's arrays in file order: the (rows,) lambda grid, then the (rows, D) fields
 _ARRAYS = ("lambda_grid", "l", "s", "b", "l_dot")
-# the key of the sweep's own arrays in the workspace it shares with the model
-_SWEEP_KEY = "sweep"
 
 
 @dataclass(frozen=True)
@@ -215,47 +213,38 @@ def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps, work):
     return eps, d_eps
 
 
-def _point_stats(model, sched, lam, x0, z, probes, workspace=None):
-    """One grid point's share of the sweep, from one model call.
+def _point_stats(model, sched, lam, x0, z, probes, xs, eps, workspace):
+    """One grid point's share of the sweep, from one model call: ``(l, moments, eps)``.
 
-    Returns l and six (D,) moments over the K diffused points: the means of
-    f, r and y = x/alpha, the variance of f and its covariances with r and
-    y.  The moments are centred (each sample less its mean before the
-    products), which keeps their digits where a coordinate's spread is far
-    below its mean.  ``x0``, ``z`` and each probe are (K, D) transposes of
-    C-contiguous (D, K) arrays, so every sample array here is too (the
-    probe terms included), and l and each moment is a contiguous row
-    reduction.
+    l and six (D,) moments over the K diffused points: the means of f, r and
+    y = x/alpha, the variance of f and its covariances with r and y.  The
+    moments are centred (each sample less its mean before the products),
+    which keeps their digits where a coordinate's spread is far below its
+    mean.  ``x0``, ``z`` and each probe are (K, D) transposes of C-contiguous
+    (D, K) arrays, so every sample array here is too (the probe terms
+    included), and l and each moment is a contiguous row reduction.
 
-    ``workspace`` is the sweep's dict (a fresh one if None), which the model's
-    ``linearize`` shares.  The sweep keeps the diffused points x there and
-    writes every (K, D) array into memory it already has: the probe terms
-    into the ``jvp``'s product, which is then the scratch of f and r, r into
-    ``d_eps``, f into ``eps`` and y into x.  The last point's f is the next
-    point's scratch for z sigma, so from the second point on a sweep of a
-    mixture with one probe allocates no (K, D) array.
+    Every (K, D) array goes into memory the sweep already has: x into
+    ``xs``, z sigma into ``eps`` (the last point's; None allocates it), the
+    probe terms into the ``jvp``'s product, which is then the scratch of f
+    and r, r into ``d_eps``, f into the returned ``eps`` and y into ``xs``.
+    So from the second point on, a sweep of a mixture with one probe
+    allocates no (K, D) array.  ``workspace`` is the model's dict alone.
     """
-    if workspace is None:
-        workspace = {}
-    slots = workspace.get(_SWEEP_KEY)
-    if slots is None:  # x, and the memory of the last point's f
-        slots = workspace[_SWEEP_KEY] = [np.empty_like(x0), None]
-    xs, spare = slots
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
     np.multiply(x0, alpha, out=xs)
-    xs += np.multiply(z, sigma, out=spare)
+    xs += np.multiply(z, sigma, out=eps)
     eps, d_eps, jvp = model.linearize(sched, xs, lam, workspace=workspace)
     terms = jvp(probes)
     l_row = diag_estimate(diag_probe_terms(sigma, terms, probes, out=terms))
     f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T, terms[0].T)
-    slots[1] = eps
     xs /= alpha  # y, in x's memory: (D, K) rows as f and r are
     k = len(xs)
     samples = (f, r, xs.T)
     means = [np.einsum("dk->d", g) / k for g in samples]
     for g, m in zip(samples, means):
         g -= m[:, None]  # centred in place; f is centred before the products read it
-    return l_row, means + [np.einsum("dk,dk->d", f, g) / k for g in samples]
+    return l_row, means + [np.einsum("dk,dk->d", f, g) / k for g in samples], eps
 
 
 def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTable:
@@ -271,15 +260,15 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     One sweep makes one ``linearize`` call per grid point, all with one
     workspace dict, and applies its ``jvp`` to the probe stack once; the
     model must accept the ``workspace`` argument (see
-    ``ModelSpec.linearize``) and may keep its arrays there; the sweep
-    overwrites the arrays each call returns (see :func:`_point_stats`).  The
-    dict is dropped when the table is built.  One call gives l at that point (the
-    pairwise mean of :func:`diag_estimate`), and f and r
-    (see :func:`_f_and_r`), of which six centred moments are kept: the means
-    of f, r and y = x/alpha, var f, cov(f, r) and cov(f, y).  After the
-    sweep, l's slope is taken by finite differences, and since f1 = r -
-    l_dot y is linear in l_dot, the least-squares fit of f1 against f
-    follows in closed form:
+    ``ModelSpec.linearize``) and may keep its arrays there, in a dict that
+    holds only the model's entries and is dropped when the table is built.
+    The sweep overwrites the arrays each call returns (see
+    :func:`_point_stats`).  One call gives l at that point (the pairwise
+    mean of :func:`diag_estimate`), and f and r (see :func:`_f_and_r`), of
+    which six centred moments are kept: the means of f, r and y = x/alpha,
+    var f, cov(f, r) and cov(f, y).  After the sweep, l's slope is taken by
+    finite differences, and since f1 = r - l_dot y is linear in l_dot, the
+    least-squares fit of f1 against f follows in closed form:
 
         s = (cov(f, r) - l_dot cov(f, y)) / (var f + floor),
         b = (mean r - l_dot mean y) - s mean f,
@@ -315,10 +304,11 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
-    workspace = {}  # this sweep's, dropped with it
+    # the diffused points, the last point's eps and the model's workspace, dropped with the sweep
+    xs, eps, workspace = np.empty_like(x0), None, {}
     with row_buffers(cfg.num_datapoints):
         for j, lam in enumerate(grid):
-            l[j], moments[:, j] = _point_stats(model, sched, lam, x0, z, probes, workspace)
+            l[j], moments[:, j], eps = _point_stats(model, sched, lam, x0, z, probes, xs, eps, workspace)
     mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))

@@ -55,10 +55,6 @@ class IntegralTable:
     domain (whatever built the EMS table: :func:`~emsolve.ems.load_table`
     does not check it), and when an integral has a non-finite entry: fields
     too large for the grid overflow ``exp(L + S)``.
-
-    A table also keeps a private memo of the sampler plans built on it, which
-    hold ``ems``, not the table (see :mod:`emsolve.solver`).  The memo is a
-    cache: no repr sees it, and every copy, pickle and ``replace`` starts empty.
     """
 
     ems: EmsTable
@@ -92,8 +88,6 @@ class IntegralTable:
         # views of the table's read-only rows, not copies
         const = (ems.l[0], ems.s[0], ems.b[0]) if ems.is_constant() else None
         object.__setattr__(self, "const_lsb", const)
-        # the solver's plan memo: not a field, so repr skips it and every copy starts empty
-        object.__setattr__(self, "_plans", {})
 
     def __reduce__(self):
         # through the constructor, as EmsTable's: a copy recomputes the same read-only integrals
@@ -134,8 +128,7 @@ def poly_exp_integral(a, h, k: int):
     each branch is evaluated only when some entry takes it.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    steps = np.ravel(h).tolist()
-    h_col = np.array(steps)[:, None]
+    h_col = np.asarray(h, dtype=float).reshape(-1, 1)
     small = np.abs(a) * np.maximum(1.0, np.abs(h_col)) < 1e-3
     some_small = small.any()
     # h^0 .. h^(k + 8) for the series, h^0 .. h^k for the recurrence alone.  float_power

@@ -58,7 +58,8 @@ A ``Guided`` pair gives each part a dict of its own, or none when it was
 given none, and forms its sums in fresh arrays; given one, it raises
 ValueError for a part whose ``linearize`` takes none before calling either.
 ``PointGaussian`` ignores the workspace.  The dict belongs to one caller
-and one thread and is dropped after the run; nothing is kept on the model.
+and one thread, holds only the model's entries (``estimate_table`` puts
+none there) and is dropped after the run; nothing is kept on the model.
 
 Memo.  The terms that depend on lambda only (sigma, the component
 variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
@@ -306,7 +307,8 @@ class ModelSpec:
         later call reused raises ValueError, and so may an ``x`` that lies
         in the workspace's memory.  The values do not depend on the
         workspace.  ``estimate_table`` passes one to every call, so a model
-        it builds a table for must take the argument.  Its calls run inside
+        it builds a table for must take the argument, and may use any key:
+        the sweep puts none there.  Its calls run inside
         ``row_buffers(K)``: a reduction that numpy buffers, such as a sum
         that casts its input, then adds blocks of K (rounded up to a
         multiple of 16) instead of the default buffer's, and may differ in

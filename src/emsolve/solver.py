@@ -25,22 +25,25 @@ off the table's grid; its runs are sequential, can share the tables, and
 record a trace only when given a list.
 
 Memo.  A plan is a value of its read-only table, the sampler kind, the
-grid's lambdas, the order, the corrector and the two pseudo flags, so each
-table keeps the plans built on it in a memo keyed by those values (the
-lambdas as their bytes) and cleared when it holds ``_PLAN_MEMO_SIZE``
-entries.  :func:`plan_multistep` and :func:`plan_singlestep` check the table
-and the settings on every call, but snap the grid to the table's indices
-only on a miss: a hit, as from a new :class:`SolverConfig` with an equal
-grid, snaps nothing and returns the stored plan itself.  Two grids whose
-different lambdas snap alike get one entry each, with equal plans.  A plan
-that raises is never stored.  A plan holds the table's :class:`EmsTable`,
-which holds no integral table: the memo makes no cycle.
+grid's lambdas, the order, the corrector and the two pseudo flags, so this
+module keeps each :class:`IntegralTable`'s plans in a memo keyed by those
+values (the lambdas as their bytes) and cleared when it holds
+``_PLAN_MEMO_SIZE`` entries.  The memos live in a weak mapping keyed on the
+table object, so a copy, pickle or ``replace`` of a table is a new key with
+no plans.  :func:`plan_multistep` and :func:`plan_singlestep` check the
+table and the settings on every call, but snap the grid to the table's
+indices only on a miss: a hit, as from a new :class:`SolverConfig` with an
+equal grid, snaps nothing and returns the stored plan itself.  Two grids whose different
+lambdas snap alike get one entry each, with equal plans.  A plan that raises
+is never stored.  A plan holds the table's :class:`EmsTable`, which holds no
+integral table, so no memo keeps its table alive.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +66,8 @@ _FACTORIALS = np.array([math.factorial(k) for k in range(_MAX_PREDICTOR_ORDER + 
 # The cap on a table's plan memo, which is cleared when full.  sample-serial's runs
 # plan 32 (sampler, settings) pairs on one table, bench-convergence's defaults 12.
 _PLAN_MEMO_SIZE = 64
+# each IntegralTable's plan memo, a dict from key to plan (see the module's "Memo." paragraph)
+_PLANS = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,13 +351,14 @@ def _memoized_plan(tab, cfg, kind, transitions) -> SamplerPlan:
         kind, cfg.grid.lambdas.tobytes(), cfg.order, cfg.corrector,
         cfg.pseudo_predictor, cfg.pseudo_corrector,
     )
-    plan = tab._plans.get(key)
+    plans = _PLANS.setdefault(tab, {})
+    plan = plans.get(key)
     if plan is None:
         idx = _grid_indices(tab, cfg)
         plan = _plan(tab, idx, transitions(idx), cfg.pseudo_predictor, cfg.pseudo_corrector)
-        if len(tab._plans) >= _PLAN_MEMO_SIZE:
-            tab._plans.clear()
-        tab._plans[key] = plan
+        if len(plans) >= _PLAN_MEMO_SIZE:
+            plans.clear()
+        plans[key] = plan
     return plan
 
 

@@ -24,6 +24,7 @@ and g values (its anchor triple and extra pairs are checked) and
 """
 
 import dataclasses
+import inspect
 import math
 import os
 
@@ -58,6 +59,7 @@ from emsolve import (
     transition_coefficients,
 )
 from emsolve.ems import DATA_PRED, EmsTable
+from emsolve.errors import check_keyword
 from emsolve.models import ModelSpec
 from emsolve.schedule import UNIFORM_LAMBDA
 
@@ -402,6 +404,15 @@ def test_a_linearize_without_a_workspace_argument():
         with pytest.raises(ValueError, match=message):
             Guided(*pair, 2.0).linearize(SCHED, x, 0.5, workspace=workspace)
         assert workspace == {}  # neither part was called with a dict of its own
+
+
+def test_a_callable_without_a_signature_passes_the_keyword_check():
+    """``check_keyword`` reads no signature from ``max``, so the call itself decides."""
+    with pytest.raises(ValueError, match="no signature found"):
+        inspect.signature(max)
+    assert check_keyword(max, "workspace", "max") is None
+    with pytest.raises(ValueError, match="^min must take a 'workspace' argument$"):
+        check_keyword(lambda *args: min(args), "workspace", "min")
 
 
 def test_a_plan_run_checks_its_trace_before_any_model_call():

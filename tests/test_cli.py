@@ -492,6 +492,26 @@ def test_negative_seed_is_runtime_error_naming_the_seed(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bench-convergence", "bench-compare"])
+def test_a_bench_run_with_an_extra_model_call_fails(
+    cli_files, mix_ems_file, capsys, monkeypatch, command
+):
+    """A configuration that makes one model call more than its steps stops the bench run."""
+    original = cli.multistep_sample
+
+    def one_call_more(model, sched, tab, cfg, x_init):
+        model.eps(sched, x_init, float(tab.lambda_grid[0]))
+        return original(model, sched, tab, cfg, x_init)
+
+    monkeypatch.setattr(cli, "multistep_sample", one_call_more)
+    out = cli_files["root"] / "extra_call.csv"
+    common = ["--model", str(cli_files["mix"]), "--ems", str(mix_ems_file), "--out", str(out)]
+    assert main([command, *common, "--nfe", "5"]) == 1
+    want = "error: model-call accounting broke: 6 calls for 5 steps\n"
+    assert capsys.readouterr().err == want
+    assert not out.exists()
+
+
 # The module attributes of emsolve.cli that benchmark tracing swaps for timing
 # wrappers: the bench commands must look each up at call time, positionally.
 PATCH_POINTS = (

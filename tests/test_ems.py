@@ -464,6 +464,37 @@ def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
         assert len(set(recorder.seen)) == 1
 
 
+class OwnSweepEntry(CallCounter):
+    """A counting delegate whose ``linearize`` writes an entry of its own under "sweep".
+
+    It records the workspace's entries as each call finds them and as it leaves them.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.entry, self.found, self.left = ("the", "model's", "own"), [], []
+
+    def linearize(self, sched, x, lam, workspace=None):
+        self.found.append(dict(workspace))
+        workspace["sweep"] = self.entry
+        out = super().linearize(sched, x, lam, workspace=workspace)
+        self.left.append(dict(workspace))
+        return out
+
+
+def test_the_sweeps_workspace_holds_only_the_models_entries(vp, mix4):
+    """The sweep puts nothing in the dict it passes, so a model may use any key."""
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
+    model = OwnSweepEntry(mix4)
+    got, want = estimate_table(model, vp, cfg), estimate_table(mix4, vp, cfg)
+    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert model.found[0] == {} and len(model.left) == 13
+    for found, left in zip(model.found[1:], model.left):
+        assert found.keys() == left.keys()
+        assert all(found[key] is left[key] for key in found)
+
+
 @pytest.mark.parametrize("case", ["point-mass", "guided", "two-probes"])
 def test_estimate_table_matches_two_sweep_oracle(vp, vp_lam_range, pg4, mix4, mix4b, case):
     guided = Guided(cond=mix4, uncond=mix4b, scale=2.5)
@@ -537,7 +568,7 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
     z = rng.standard_normal(x0.shape)
     probes = np.where(rng.random((1,) + x0.shape) < 0.5, -1.0, 1.0)
     inputs = [np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)]
-    l_row, got = _point_stats(model, vp, lam, *inputs)
+    l_row, got, _ = _point_stats(model, vp, lam, *inputs, np.empty_like(inputs[0]), None, {})
     alpha, sigma = vp.alpha_lambda(lam), vp.sigma_lambda(lam)
     xs = alpha * x0 + sigma * z
     eps, d_eps, _ = model.linearize(vp, xs, lam)

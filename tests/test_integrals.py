@@ -139,6 +139,16 @@ def test_integral_table_takes_only_ems(smooth_table):
         build_integral_table("x")
 
 
+def test_an_integral_table_holds_only_its_fields(vp, smooth_table):
+    """No other module keeps state on a table: a planned table's attributes are its fields."""
+    tab = IntegralTable(smooth_table)
+    fields = {f.name for f in dataclasses.fields(IntegralTable)}
+    assert set(vars(tab)) == fields
+    grid = make_time_grid(vp, 8, "uniform-lambda", *vp.t_of_lambda(np.array(LAM_RANGE)))
+    plan_multistep(tab, SolverConfig(order=3, grid=grid, corrector="full"))
+    assert set(vars(tab)) == fields
+
+
 @pytest.mark.parametrize("kind", [VP_LINEAR, VP_COSINE, EDM])
 def test_grid_values_are_the_schedules_own_calls(kind):
     """t, alpha and sigma have the bits of the schedule's calls, on the grid and at its points.
@@ -341,7 +351,9 @@ def test_poly_exp_integral_powers_have_python_float_power_bits(steps, k):
 
     For k <= 4 a small column runs the series, which reads h^0 .. h^(k + 8);
     above, every column is large and the recurrence reads h^0 .. h^k.  Each
-    step's result has the bits of the scalar two-branch form.
+    step's result has the bits of the scalar two-branch form, and integer
+    steps, a scalar or an array, have the bits and shape of the same steps
+    as floats.
     """
     a = np.array([1e-5, -1.0] if k <= 4 else [0.5, -1.0])
     top = k + 9 if k <= 4 else k + 1
@@ -360,6 +372,9 @@ def test_poly_exp_integral_powers_have_python_float_power_bits(steps, k):
     assert same_bits(powers, np.array([[v**m for m in range(top)] for v in steps]))
     for row, v in zip(got, steps):
         assert same_bits(row, poly_exp_integral_two_branch(a, v, k)), v
+    for ints in (2, np.array([1, 3])):
+        floats = np.asarray(ints, dtype=float)
+        assert same_bits(poly_exp_integral(a, ints, k), poly_exp_integral(a, floats, k)), ints
 
 
 CLOSED_FORM_COLUMNS = {

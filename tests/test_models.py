@@ -1106,6 +1106,21 @@ def test_reference_non_finite_rhs_raises(vp, mix4):
         reference_solve(model, vp, np.ones((3, 4)), -1.0, 2.0)
 
 
+def test_reference_non_finite_state_raises(vp):
+    # eps of 1e307 everywhere: every stage's right-hand side is finite, but a stage's sum is not
+    model = _Stub(lambda x, lam: np.full(x.shape, 1e307))
+    lam_start, lam_end = (float(vp.lambda_of_t(t)) for t in (1.0, 1e-3))
+    with pytest.raises(ConvergenceError, match="^reference integration reached a non-finite state$"):
+        reference_solve(model, vp, np.ones((2, 4)), lam_start, lam_end)
+
+
+def test_reference_non_finite_error_estimate_raises(vp, mix4):
+    # from the origin, a tolerance of 1e-200 scales the first step's error estimate past the floats
+    lam_start, lam_end = (float(vp.lambda_of_t(t)) for t in (1.0, 1e-3))
+    with pytest.raises(ConvergenceError, match="error estimate is not finite"):
+        reference_solve(mix4, vp, np.zeros((1, 4)), lam_start, lam_end, tol=1e-200)
+
+
 def test_reference_step_below_min_step_raises(vp):
     # a jump of 1e12 at lambda 0.5 needs steps near tol / 1e12, far below the floats' spacing
     model = _Stub(lambda x, lam: np.where(lam > 0.5, 1e12, 0.0) + 0.0 * x)

@@ -618,6 +618,11 @@ def counting_plans(monkeypatch):
     return counting_calls(monkeypatch, emsolve.solver, "_plan")
 
 
+def memo(tab):
+    """The plans the solver keeps for ``tab``, by key; empty for a table it never planned."""
+    return emsolve.solver._PLANS.get(tab, {})
+
+
 @pytest.mark.parametrize("kind, kwargs", MEMO_SETTINGS)
 def test_a_memo_hit_is_a_cold_plan_naming_its_table(vp, mix4, mix_tab, monkeypatch, kind, kwargs):
     """A hit plans nothing, is the plan the miss stored and has a cold plan's bytes."""
@@ -681,20 +686,21 @@ def test_the_memo_keeps_no_table_alive_and_no_copy_sees_it(vp, mix4, mix_tab, mo
     plan_singlestep(tab, memo_cfg(vp, order=3))
     plan = plan_multistep(tab, cfg)
     hit = plan_multistep(tab, cfg)
-    assert len(tab._plans) == 2 and "_plans" not in repr(tab)
+    assert len(memo(tab)) == 2 and "_plans" not in repr(tab)
     copies = [pickle.loads(pickle.dumps(tab)), copy.copy(tab), copy.deepcopy(tab)]
     copies.append(dataclasses.replace(tab))
     calls = counting_plans(monkeypatch)
     for other in copies:
-        assert other._plans == {}
+        assert memo(other) == {}
         assert_same_plan(plan_multistep(other, cfg), plan)
     assert len(calls) == len(copies)
-    ref = weakref.ref(tab)
+    ref, entries = weakref.ref(tab), len(emsolve.solver._PLANS)
     enabled = gc.isenabled()
     gc.disable()
     try:
         del tab, plan
         assert ref() is None  # the hit holds the EMS table, not the integral table
+        assert len(emsolve.solver._PLANS) == entries - 1  # and its memo went with it
         x0 = vp.sigma_lambda(mix_tab.lambda_grid[0]) * np.ones(4)
         assert np.isfinite(hit.run(mix4, x0)).all()
     finally:
@@ -711,7 +717,7 @@ def test_a_memo_hit_is_the_stored_plan(vp, mix4, mix_tab):
     assert plan_singlestep(tab, single) is plan_singlestep(tab, single)
     x0 = vp.sigma_lambda(tab.lambda_grid[0]) * np.ones(4)
     assert multistep_sample(mix4, vp, tab, multi, x0)[1] is plan
-    assert list(tab._plans.values()) == [plan, plan_singlestep(tab, single)]  # by identity
+    assert list(memo(tab).values()) == [plan, plan_singlestep(tab, single)]  # by identity
 
 
 def test_a_failing_plan_raises_on_every_call_and_is_never_stored(
@@ -726,7 +732,7 @@ def test_a_failing_plan_raises_on_every_call_and_is_never_stored(
     cfg = memo_cfg(vp, order=3, corrector="full")
     plan_multistep(tab, cfg)
     plan_singlestep(tab, without_corrector(cfg))
-    stored = dict(tab._plans)
+    stored = dict(memo(tab))
     calls = counting_plans(monkeypatch)
     for _ in range(2):
         with pytest.raises(DomainError, match="step plan"):
@@ -736,7 +742,7 @@ def test_a_failing_plan_raises_on_every_call_and_is_never_stored(
         with pytest.raises(ValueError, match="finer"):
             plan_multistep(coarse, memo_cfg(vp, nfe=40, order=1))
     assert len(calls) == 2  # only the overflowing table reached the planner
-    assert overflow._plans == {} and coarse._plans == {} and tab._plans == stored
+    assert memo(overflow) == {} and memo(coarse) == {} and memo(tab) == stored
 
 
 def test_the_memo_never_exceeds_its_cap(vp, vp_lam_range, monkeypatch):
@@ -747,7 +753,7 @@ def test_the_memo_never_exceeds_its_cap(vp, vp_lam_range, monkeypatch):
     sizes = []
     for nfe in range(1, cap + 6):
         plan_multistep(tab, memo_cfg(vp, nfe=nfe, order=1))
-        sizes.append(len(tab._plans))
+        sizes.append(len(memo(tab)))
     assert max(sizes) == cap and sizes[cap] == 1
     cfg = memo_cfg(vp, nfe=1, order=1)  # cleared with the rest, so planned again
     assert_same_plan(plan_multistep(tab, cfg), plan_multistep(IntegralTable(tab.ems), cfg))
@@ -772,7 +778,7 @@ def test_a_warm_sampling_call_snaps_and_plans_nothing(vp, mix4, mix_tab, monkeyp
     equal_grid = dataclasses.replace(cfg, grid=TimeGrid(np.array(cfg.grid.lambdas)))
     for warm in (cfg, memo_cfg(vp, **kwargs), equal_grid):
         assert final(warm) == want
-    assert len(plans) == 1 and len(snaps) == 1 and len(tab._plans) == 1
+    assert len(plans) == 1 and len(snaps) == 1 and len(memo(tab)) == 1
     assert checks == []  # the table's own schedule passes by identity
 
 
@@ -793,7 +799,7 @@ def test_grids_that_snap_alike_get_one_entry_each_with_equal_plans(vp, mix_tab, 
         assert other is not plan
         assert_same_plan(other, plan)
         assert PLANNERS[kind](tab, second) is other and PLANNERS[kind](tab, first) is plan
-    assert len(calls) == 4 and len(tab._plans) == 4
+    assert len(calls) == 4 and len(memo(tab)) == 4
 
 
 @pytest.mark.parametrize(
@@ -814,7 +820,7 @@ def test_a_singlestep_call_with_a_corrector_names_a_bad_grid_first(
             plan_singlestep(tab, SolverConfig(order=2, grid=off, **flags))
         with pytest.raises(ValueError, match="singlestep sampling takes no corrector"):
             plan_singlestep(tab, memo_cfg(vp, order=2, **flags))
-    assert coarse._plans == {} and tab._plans == {}
+    assert memo(coarse) == {} and memo(tab) == {}
 
 
 class ScheduleDelegate:
