@@ -17,8 +17,8 @@ means, a variance and two covariances), and s and b follow in closed form
 once l's slope is known.  The sweep keeps its (K, D) sample arrays and
 probe terms coordinate-major, laid out (D, K), so l and each moment is a
 contiguous row sum.  Every grid point after the first reuses the first
-point's arrays: the sweep's own, and the model's in a workspace dict that
-holds only the model's entries (for a mixture with one probe, all of them).
+point's arrays: the sweep's own, and a mixture's through the sweep's scope
+(``models.sweep_scope``).
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -32,10 +32,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import (
-    TableFormatError, UnsupportedVersionError, check_instance, check_int, check_keyword,
+    TableFormatError, UnsupportedVersionError, check_floats, check_instance, check_int,
     check_members, check_span,
 )
-from .models import ModelSpec, model_id, row_buffers
+from .models import ModelSpec, model_id, sweep_scope
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 NOISE_PRED = "noise-pred"
@@ -213,7 +213,7 @@ def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps, work):
     return eps, d_eps
 
 
-def _point_stats(model, sched, lam, x0, z, probes, xs, eps, workspace):
+def _point_stats(model, sched, lam, x0, z, probes, xs, eps):
     """One grid point's share of the sweep, from one model call: ``(l, moments, eps)``.
 
     l and six (D,) moments over the K diffused points: the means of f, r and
@@ -229,12 +229,12 @@ def _point_stats(model, sched, lam, x0, z, probes, xs, eps, workspace):
     probe terms into the ``jvp``'s product, which is then the scratch of f
     and r, r into ``d_eps``, f into the returned ``eps`` and y into ``xs``.
     So from the second point on, a sweep of a mixture with one probe
-    allocates no (K, D) array.  ``workspace`` is the model's dict alone.
+    allocates no (K, D) array.
     """
     alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
     np.multiply(x0, alpha, out=xs)
     xs += np.multiply(z, sigma, out=eps)
-    eps, d_eps, jvp = model.linearize(sched, xs, lam, workspace=workspace)
+    eps, d_eps, jvp = model.linearize(sched, xs, lam)
     terms = jvp(probes)
     l_row = diag_estimate(diag_probe_terms(sigma, terms, probes, out=terms))
     f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T, terms[0].T)
@@ -257,12 +257,9 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     rely on; independently re-drawn points per grid lambda would leave
     grid-scale jitter in the fields and cap the observable convergence order.
 
-    One sweep makes one ``linearize`` call per grid point, all with one
-    workspace dict, and applies its ``jvp`` to the probe stack once; the
-    model must accept the ``workspace`` argument (see
-    ``ModelSpec.linearize``) and may keep its arrays there, in a dict that
-    holds only the model's entries and is dropped when the table is built.
-    The sweep overwrites the arrays each call returns (see
+    One sweep makes one ``linearize`` call per grid point, the model's whole
+    protocol (see ``ModelSpec.linearize``), applies its ``jvp`` to the probe
+    stack once and overwrites the arrays the call returns (see
     :func:`_point_stats`).  One call gives l at that point (the pairwise
     mean of :func:`diag_estimate`), and f and r (see :func:`_f_and_r`), of
     which six centred moments are kept: the means of f, r and y = x/alpha,
@@ -275,26 +272,29 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
-    data distribution.  The sweep runs inside ``row_buffers(K)`` (see
-    ``emsolve.models``): from K = 64 up to half of numpy's ufunc buffer, the
-    buffer holds one row of K for the sweep's duration, which saves the
-    copies of packed rows.  Bit-identical output for a fixed config; for
-    the package's models, whatever the caller's buffer size.  Raises
-    ValueError when ``model`` or ``sched`` lacks the members the sweep reads,
-    ``model.linearize`` takes no ``workspace`` argument
-    or ``cfg`` is not an :class:`EmsConfig`, and :class:`DomainError` when
-    ``cfg.lam_range`` leaves the schedule's lambda domain.
+    data distribution.  The sweep runs inside ``models.sweep_scope(K)``,
+    which lends the mixtures their arrays from point to point and, from
+    K = 64 up to half of numpy's ufunc buffer, holds that buffer to one row
+    of K, which saves the copies of packed rows.  Bit-identical output for a
+    fixed config; for the package's models, whatever the caller's buffer
+    size.  Raises ValueError when ``model`` or ``sched`` lacks the members
+    the sweep reads, ``model.sample_data`` returns other than K finite rows
+    of ``model.dim``, or ``cfg`` is not an :class:`EmsConfig`, and
+    :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's lambda
+    domain.
     """
     check_schedule(sched)
-    check_members(model, "model", ("linearize", "sample_data"))
-    check_keyword(model.linearize, "workspace", "model.linearize")
+    check_members(model, "model", ("linearize", "sample_data", "to_dict"), ("dim", "kind"))
     check_instance(cfg, EmsConfig)
     check_lam_span(sched, *cfg.lam_range, "lam_range")
     n_pts = cfg.num_timesteps + 1
     grid = np.linspace(*cfg.lam_range, n_pts)
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    x0 = model.sample_data(rng, cfg.num_datapoints)
+    shape = (cfg.num_datapoints, model.dim)
+    x0 = check_floats(model.sample_data(rng, shape[0]), "sample_data's output")
+    if x0.shape != shape or not np.all(np.isfinite(x0)):
+        raise ValueError(f"sample_data must return finite values of shape {shape}, got {x0.shape}")
     z = rng.standard_normal(x0.shape)
     probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
     # coordinate-major: each (K, D) array the transpose of a C-contiguous (D, K) one
@@ -304,11 +304,12 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
 
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
-    # the diffused points, the last point's eps and the model's workspace, dropped with the sweep
-    xs, eps, workspace = np.empty_like(x0), None, {}
-    with row_buffers(cfg.num_datapoints):
+    # the diffused points and the last point's eps, dropped with the sweep
+    xs, eps = np.empty_like(x0), None
+    with sweep_scope(cfg.num_datapoints) as sweep:
         for j, lam in enumerate(grid):
-            l[j], moments[:, j], eps = _point_stats(model, sched, lam, x0, z, probes, xs, eps, workspace)
+            sweep.next_point()
+            l[j], moments[:, j], eps = _point_stats(model, sched, lam, x0, z, probes, xs, eps)
     mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))

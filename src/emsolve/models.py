@@ -44,22 +44,19 @@ one block, and its ``jvp`` writes into the product it returns.  Only
 operations whose bits IEEE arithmetic fixes are reordered: ``+`` and ``*``
 commuted, ``x * x`` for a square, ``out=`` forms of the same ufunc.
 
-Workspaces.  Without a workspace, every output is a fresh array and no
+Sweeps.  Outside ``sweep_scope``, every output is a fresh array and no
 buffer outlives its call (or, for the arrays a ``jvp`` reads, its ``jvp``).
-A caller that makes a run of ``linearize`` calls, as ``estimate_table``
-does once per grid point, can pass one dict as ``workspace`` to all of
-them.  The mixture keeps its arrays for that input shape there and returns
-them again from each call: eps, d_eps, the arrays its ``jvp`` reads, and
-the temporaries' block, which each ``jvp`` then takes for its product and
-scratch when they fit (a ``jvp`` of more probes than that block holds
-returns a fresh product, as without a workspace).  A run of calls with
-one probe then allocates nothing of the input's size after its first call.
-A ``Guided`` pair gives each part a dict of its own, or none when it was
-given none, and forms its sums in fresh arrays; given one, it raises
-ValueError for a part whose ``linearize`` takes none before calling either.
-``PointGaussian`` ignores the workspace.  The dict belongs to one caller
-and one thread, holds only the model's entries (``estimate_table`` puts
-none there) and is dropped after the run; nothing is kept on the model.
+``estimate_table`` runs its grid points inside ``sweep_scope(K)``, a context
+this module owns as ``np.errstate`` owns numpy's state.  On the thread that
+entered it, the i-th mixture ``linearize`` call of each grid point takes the
+scope's i-th slot, which keeps the arrays of its input's shape and layout
+for the next point: eps, d_eps, the arrays its ``jvp`` reads, and the
+temporaries' block, which the ``jvp`` takes for its product and scratch
+when they fit.  With one probe, no point after the first allocates an array
+of the input's size.  Every call has a slot of its own, so ``Guided(m, m)``
+and a user's wrapper alias nothing; a ``jvp`` whose slot a later call took
+raises ValueError, and so does an ``x`` in the slot its call takes.  The
+slots are dropped when the scope exits; nothing is kept on the model.
 
 Memo.  The terms that depend on lambda only (sigma, the component
 variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
@@ -77,11 +74,11 @@ default), the iterator packs two or more rows into each buffer and copies
 the broadcast column with them, and such a call costs about 3x the
 element time of one whose rows are longer (1.1 against 0.33 ns an element
 on ``(4, 4096)`` float64 rows, numpy 2.4.6, one thread).  So
-``estimate_table``'s loop over grid points runs inside ``row_buffers(K)``,
-which clamps the buffer to one row of K for its duration.  It leaves rows
-shorter than ``_ROW_BUFFER_MIN_ROWS`` alone, whose calls a one-row buffer
-can make slower, and rows longer than half the buffer, which take the fast
-path already.  Buffering splits the work of the sweep's element-wise
+``sweep_scope(K)`` enters ``row_buffers(K)``, which clamps the buffer to one
+row of K for the sweep's duration.  It leaves rows shorter than
+``_ROW_BUFFER_MIN_ROWS`` alone, whose calls a one-row buffer can make
+slower, and rows longer than half the buffer, which take the fast path
+already.  Buffering splits the work of the sweep's element-wise
 calls, not their arithmetic, so the package's models give the same bits
 under any buffer; a test pins a table's bits under ambient buffers of 16
 to 32768 elements.  ``SamplerPlan.run`` runs unclamped: its batches of 64
@@ -91,16 +88,16 @@ to 4096 rows gained in-process, but no benchmark workload times them.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError, check_floats, check_instance, check_keyword, check_members, check_real
-)
+from .errors import ConvergenceError, check_floats, check_members, check_real
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 
@@ -222,14 +219,8 @@ def _carve(shapes, mem=None):
     return arrays
 
 
-def _check_workspace(workspace):
-    """Raise ValueError unless ``workspace`` is None or a dict."""
-    if workspace is not None:
-        check_instance(workspace, dict, "workspace")
-
-
 class _Workspace:
-    """A mixture's ``linearize`` arrays for one input shape and layout, kept in a workspace dict.
+    """A mixture's ``linearize`` arrays for one input shape and layout: a slot of a sweep.
 
     ``owner`` is the token of the last call that took them, so the ``jvp``
     of an earlier call can tell that its memory was reused.
@@ -263,9 +254,42 @@ _LAMBDA_MEMO_SIZE = 128
 # The size of the mixture's (C, D, N) offsets up to which a (C, D, N) temporary
 # costs less than the numpy calls that avoid it
 _SMALL_CALL = 4096
-# The keys of a mixture's arrays and of a guided pair's parts in a ``linearize`` workspace
-_MIXTURE_KEY = "mixture"
-_GUIDED_KEY = "guided"
+
+
+class _Sweep:
+    """One ``sweep_scope``'s ``_Workspace`` slots by index, taken in call order at each point."""
+
+    __slots__ = ("slots", "taken", "thread")
+
+    def __init__(self):
+        self.slots, self.taken, self.thread = {}, 0, threading.get_ident()
+
+    def next_point(self):
+        """A grid point starts: its first ``linearize`` call takes the first slot again."""
+        self.taken = 0
+
+
+# The sweep whose scope this context is in, if any
+_SWEEP = contextvars.ContextVar("emsolve_sweep", default=None)
+
+
+@contextlib.contextmanager
+def sweep_scope(n):
+    """The context of a table build's sweep over its ``n`` samples: yields its ``_Sweep``.
+
+    Inside it, numpy's ufunc buffer is clamped by ``row_buffers(n)``, and
+    each mixture ``linearize`` call on the entering thread takes the next of
+    the scope's slots; the caller calls ``next_point()`` as each grid point
+    starts (see the module's "Sweeps." paragraph).  On exit or raise the
+    slots go and the caller's numpy state comes back.
+    """
+    sweep = _Sweep()
+    token = _SWEEP.set(sweep)
+    try:
+        with row_buffers(n):
+            yield sweep
+    finally:
+        _SWEEP.reset(token)
 
 
 class ModelSpec:
@@ -286,9 +310,10 @@ class ModelSpec:
         """
         raise NotImplementedError
 
-    def linearize(self, sched: Schedule, x, lam, workspace=None):
+    def linearize(self, sched: Schedule, x, lam):
         """eps at (x, lambda), its rate along the ODE, and its Jacobian: ``(eps, d_eps, jvp)``.
 
+        ``estimate_table`` calls it plainly, ``linearize(sched, x, lam)``, once a grid point.
         d_eps = (d/dlambda) eps + J (c x - sigma eps), where J = grad_x eps
         and c = dlog alpha/dlambda: the rate at which eps changes on the
         probability-flow trajectory through (x, lambda).  ``jvp(v)`` is the
@@ -297,22 +322,13 @@ class ModelSpec:
         ``lam`` must be a scalar.
 
         The returned ``eps`` and ``d_eps``, and each product ``jvp`` returns,
-        are the caller's to overwrite: ``jvp`` never reads them.
-        ``workspace`` is None or a dict that one caller passes to a run of
-        calls, such as the grid points of one table, and drops after it
-        (anything else raises ValueError).  A model may keep its arrays
-        there and return them again: ``eps`` and ``d_eps`` then hold until
-        the next call with that workspace, and a ``jvp`` product until the
-        next ``jvp`` or ``linearize`` call with it.  A ``jvp`` whose memory a
-        later call reused raises ValueError, and so may an ``x`` that lies
-        in the workspace's memory.  The values do not depend on the
-        workspace.  ``estimate_table`` passes one to every call, so a model
-        it builds a table for must take the argument, and may use any key:
-        the sweep puts none there.  Its calls run inside
-        ``row_buffers(K)``: a reduction that numpy buffers, such as a sum
-        that casts its input, then adds blocks of K (rounded up to a
-        multiple of 16) instead of the default buffer's, and may differ in
-        its last bits from the same call outside the sweep.
+        are the caller's to overwrite: ``jvp`` never reads them.  Inside
+        ``sweep_scope``, the package's mixtures reuse them at the next grid
+        point, so a wrapper keeps none of them past its own call.  The sweep
+        also clamps numpy's buffer (``row_buffers(K)``): a reduction that
+        numpy buffers, such as a sum that casts its input, then adds blocks
+        of K rounded up to a multiple of 16, and may differ in its last bits
+        from the same call outside the sweep.
         """
         raise NotImplementedError
 
@@ -387,9 +403,8 @@ class PointGaussian(ModelSpec):
         sigma = sched.sigma_lambda(lam)[..., None]
         return (x - alpha * self.x0) / sigma
 
-    def linearize(self, sched, x, lam, workspace=None):
-        # (x - alpha x0) / sigma is constant along every trajectory; a workspace is not needed
-        _check_workspace(workspace)
+    def linearize(self, sched, x, lam):
+        # (x - alpha x0) / sigma is constant along every trajectory
         eps = self.eps(sched, self._check_input(x, lam, per_row=False), lam)
         sigma = sched.sigma_lambda(lam)
 
@@ -582,29 +597,31 @@ class GaussianMixture(ModelSpec):
         eps, d_eps = _row_buffer(xt, shape), _row_buffer(xt, shape)
         return (*eps, *d_eps, *kept, *_carve(temps, free), free)
 
-    def _workspace(self, workspace, xt, shape):
-        """This input's ``_Workspace`` in the dict ``workspace``; a new one for a new shape or layout."""
+    def _workspace(self, sweep, xt, shape):
+        """The sweep's next slot with this input's arrays, refilled for a new shape or layout."""
         key = (len(self.weights), shape, xt.flags.c_contiguous)
-        ws = workspace.get(_MIXTURE_KEY)
+        i = sweep.taken
+        sweep.taken += 1
+        ws = sweep.slots.get(i)
         if ws is None or ws.key != key:
-            ws = workspace[_MIXTURE_KEY] = _Workspace(key, self._linearize_arrays(xt, shape))
+            ws = sweep.slots[i] = _Workspace(key, self._linearize_arrays(xt, shape))
         elif ws.holds(xt):
             raise ValueError("x shares memory with the workspace's arrays; pass a copy")
         return ws
 
-    def linearize(self, sched, x, lam, workspace=None):
+    def linearize(self, sched, x, lam):
         # apply_jacobian closes over this call's posterior, which it keeps alive
         x = self._check_input(x, lam, per_row=False)
-        _check_workspace(workspace)
         sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
         c = float(sched.dlog_alpha_dlambda(lam))
         n = x.size // self.dim
         xt = _columns(x, (), n)
-        if workspace is None:
+        sweep = _SWEEP.get()
+        if sweep is None or sweep.thread != threading.get_ident():
             ws = token = None
             arrays = self._linearize_arrays(xt, x.shape)
         else:
-            ws = self._workspace(workspace, xt, x.shape)
+            ws = self._workspace(sweep, xt, x.shape)
             arrays = ws.arrays
             ws.owner = token = object()
         (eps, eps_t, d_eps, d_eps_t, diff, sq, mean_score, pi_over_var,
@@ -722,19 +739,10 @@ class Guided(ModelSpec):
         s = self.scale
         return s * self.cond.eps(sched, x, lam) + (1.0 - s) * self.uncond.eps(sched, x, lam)
 
-    def linearize(self, sched, x, lam, workspace=None):
-        _check_workspace(workspace)
-        parts = {}, {}  # keyword arguments: a part is given a workspace only when there is one
-        if workspace is not None:  # each part keeps its arrays in a dict of its own
-            dicts = workspace.get(_GUIDED_KEY)
-            if dicts is None:  # a new workspace: both parts must take one before either is called
-                for name, part in (("cond", self.cond), ("uncond", self.uncond)):
-                    check_keyword(part.linearize, "workspace", f"Guided {name}.linearize")
-                dicts = workspace[_GUIDED_KEY] = {}, {}
-            parts = [{"workspace": d} for d in dicts]
+    def linearize(self, sched, x, lam):
         s = self.scale
-        eps_c, d_c, jvp_c = self.cond.linearize(sched, x, lam, **parts[0])
-        eps_u, d_u, jvp_u = self.uncond.linearize(sched, x, lam, **parts[1])
+        eps_c, d_c, jvp_c = self.cond.linearize(sched, x, lam)
+        eps_u, d_u, jvp_u = self.uncond.linearize(sched, x, lam)
         eps = s * eps_c + (1.0 - s) * eps_u
         # Each part's d_eps follows that part's own ODE.  The guided velocity
         # differs from it by sigma (eps_part - eps), which the parts' Jacobians

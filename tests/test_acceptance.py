@@ -64,8 +64,8 @@ class RecordingModel(ModelSpec):
         self.calls.append((np.array(x, dtype=float), float(lam), np.array(out)))
         return out
 
-    def linearize(self, sched, x, lam, workspace=None):
-        return self.inner.linearize(sched, x, lam, workspace=workspace)
+    def linearize(self, sched, x, lam):
+        return self.inner.linearize(sched, x, lam)
 
 
 def test_criterion_1_global_convergence_order(vp, mix4, mix_table, mix_tab, vp_lam_range):

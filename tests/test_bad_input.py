@@ -16,8 +16,9 @@ caller passed, or to the base of a read-only view it passed, changes
 anything built from it.
 
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
-inline checks, tested in ``test_models.py``; ``linearize``'s workspace and a
-``jvp`` whose workspace a later call reused are tested here), non-integer
+inline checks, tested in ``test_models.py``; a ``workspace`` keyword, which
+the protocol ``linearize(sched, x, lam)`` refuses with Python's TypeError,
+and a ``jvp`` whose sweep slot a later call took are tested here), non-integer
 grid indices (index lookups, not checked arguments), ``lupdate``'s states
 and g values (its anchor triple and extra pairs are checked) and
 ``save_table``'s path.
@@ -27,6 +28,7 @@ import dataclasses
 import inspect
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,8 +61,7 @@ from emsolve import (
     transition_coefficients,
 )
 from emsolve.ems import DATA_PRED, EmsTable
-from emsolve.errors import check_keyword
-from emsolve.models import ModelSpec
+from emsolve.models import ModelSpec, sweep_scope
 from emsolve.schedule import UNIFORM_LAMBDA
 
 SCHED = Schedule("vp-linear")
@@ -338,15 +339,6 @@ ESCAPED = {
     "lupdate anchor pair": lambda: lupdate(TAB, (0, X), [], 3),
     "lupdate extras None": lambda: lupdate(TAB, (0, X, X), None, 3),
     "lupdate extra triple": lambda: lupdate(TAB, (0, X, X), [(1, X, X)], 3),
-    **{
-        f"{name} linearize workspace {bad!r}": (
-            lambda model=model, bad=bad: model.linearize(SCHED, X, 0.0, workspace=bad)
-        )
-        for name, model in (
-            ("mixture", MIXTURE), ("point", POINT), ("guided", Guided(MIXTURE, POINT, 2.0))
-        )
-        for bad in ([], (), "x", 1)
-    },
 }
 
 
@@ -356,20 +348,48 @@ def test_a_call_that_escaped_raises_value_error(call):
         call()
 
 
+# the values a ``workspace`` keyword once had to reject; the protocol now has no such argument
+NO_WORKSPACE = {
+    f"{name} linearize workspace {bad!r}": (model, bad)
+    for name, model in (
+        ("mixture", MIXTURE), ("point", POINT), ("guided", Guided(MIXTURE, POINT, 2.0)),
+        ("spec", ModelSpec()),
+    )
+    for bad in ([], (), "x", 1)
+}
+
+
+@pytest.mark.parametrize("model, bad", NO_WORKSPACE.values(), ids=NO_WORKSPACE.keys())
+def test_linearize_takes_no_workspace_argument(model, bad):
+    """Each package model's ``linearize`` is ``(sched, x, lam)``: ``workspace=`` is a TypeError."""
+    assert list(inspect.signature(model.linearize).parameters) == ["sched", "x", "lam"]
+    with pytest.raises(TypeError, match="workspace"):
+        model.linearize(SCHED, X, 0.0, workspace=bad)
+
+
 @pytest.mark.parametrize("guided", [False, True])
 def test_a_jvp_whose_workspace_was_reused_raises_value_error(guided):
+    """Inside a sweep, the jvp of a call whose slot the next point's call took raises."""
     model = Guided(MIXTURE, MIXTURE, 2.0) if guided else MIXTURE
     x = np.ones((5, 2))
-    workspace = {}
-    _, _, stale = model.linearize(SCHED, x, 0.0, workspace=workspace)
-    _, _, fresh = model.linearize(SCHED, x, 0.5, workspace=workspace)
-    with pytest.raises(ValueError, match="reused this jvp's workspace"):
-        stale(x)
-    assert fresh(x).tobytes() == model.linearize(SCHED, x, 0.5)[2](x).tobytes()
+    with sweep_scope(len(x)) as sweep:
+        sweep.next_point()
+        _, _, stale = model.linearize(SCHED, x, 0.0)
+        sweep.next_point()
+        _, _, fresh = model.linearize(SCHED, x, 0.5)
+        with pytest.raises(ValueError, match="reused this jvp's workspace"):
+            stale(x)
+        got = fresh(x)
+    assert got.tobytes() == model.linearize(SCHED, x, 0.5)[2](x).tobytes()
+
+
+def table_bytes(table):
+    """The bytes of a table's arrays."""
+    return [getattr(table, name).tobytes() for name in ("lambda_grid", "l", "s", "b", "l_dot")]
 
 
 class WithoutWorkspace(ModelSpec):
-    """The mixture behind a ``linearize`` without the workspace argument, as older models had."""
+    """The mixture behind a ``linearize`` without a workspace argument, as every model now is."""
 
     dim = MIXTURE.dim
 
@@ -382,37 +402,84 @@ class WithoutWorkspace(ModelSpec):
     def sample_data(self, rng, n):
         return MIXTURE.sample_data(rng, n)
 
+    def to_dict(self):
+        return MIXTURE.to_dict()
+
 
 def test_a_linearize_without_a_workspace_argument():
-    """``estimate_table`` needs the argument and says so; a ``Guided`` pair passes none unasked.
-
-    Given a workspace, a pair with such a part says so too, before it calls either part.
-    """
-    with pytest.raises(ValueError, match="^model.linearize must take a 'workspace' argument$"):
-        estimate_table(WithoutWorkspace(), SCHED, EMS_CFG)
-    x = np.ones((5, 2))
-    eps, d_eps, jvp = Guided(WithoutWorkspace(), MIXTURE, 2.0).linearize(SCHED, x, 0.5)
-    want_eps, want_d_eps, want_jvp = Guided(MIXTURE, MIXTURE, 2.0).linearize(SCHED, x, 0.5)
-    got, want = (eps, d_eps, jvp(x)), (want_eps, want_d_eps, want_jvp(x))
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    old = WithoutWorkspace()
-    for name, pair in (("cond", (old, MIXTURE)), ("uncond", (MIXTURE, old))):
-        message = f"^Guided {name}.linearize must take a 'workspace' argument$"
-        with pytest.raises(ValueError, match=message):
-            estimate_table(Guided(*pair, 2.0), SCHED, EMS_CFG)
-        workspace = {}
-        with pytest.raises(ValueError, match=message):
-            Guided(*pair, 2.0).linearize(SCHED, x, 0.5, workspace=workspace)
-        assert workspace == {}  # neither part was called with a dict of its own
+    """Such a model builds the mixture's table, alone and as either part of a ``Guided`` pair."""
+    want = estimate_table(MIXTURE, SCHED, EMS_CFG)
+    assert table_bytes(estimate_table(WithoutWorkspace(), SCHED, EMS_CFG)) == table_bytes(want)
+    want = estimate_table(Guided(MIXTURE, MIXTURE, 2.0), SCHED, EMS_CFG)
+    for pair in ((WithoutWorkspace(), MIXTURE), (MIXTURE, WithoutWorkspace())):
+        got = estimate_table(Guided(*pair, 2.0), SCHED, EMS_CFG)
+        assert table_bytes(got) == table_bytes(want)
 
 
-def test_a_callable_without_a_signature_passes_the_keyword_check():
-    """``check_keyword`` reads no signature from ``max``, so the call itself decides."""
-    with pytest.raises(ValueError, match="no signature found"):
-        inspect.signature(max)
-    assert check_keyword(max, "workspace", "max") is None
-    with pytest.raises(ValueError, match="^min must take a 'workspace' argument$"):
-        check_keyword(lambda *args: min(args), "workspace", "min")
+class PositionalOnly(WithoutWorkspace):
+    """The mixture behind a ``linearize`` that takes ``*args`` alone and records them."""
+
+    def __init__(self):
+        self.calls = []
+
+    def linearize(self, *args, **kwargs):
+        self.calls.append((len(args), kwargs))
+        return MIXTURE.linearize(*args)
+
+
+def test_a_linearize_taking_only_positional_arguments_builds():
+    """The sweep reads no signature and passes ``(sched, x, lam)`` alone, once per grid point."""
+    model = PositionalOnly()
+    got = estimate_table(model, SCHED, EMS_CFG)
+    assert table_bytes(got) == table_bytes(estimate_table(MIXTURE, SCHED, EMS_CFG))
+    assert model.calls == [(3, {})] * (EMS_CFG.num_timesteps + 1)
+
+
+# what ``estimate_table`` reads off a model: ``model_id`` reads ``to_dict``, ``dim`` and ``kind``
+MEMBERS = {
+    "linearize": MIXTURE.linearize, "sample_data": MIXTURE.sample_data, "to_dict": MIXTURE.to_dict,
+    "dim": MIXTURE.dim, "kind": MIXTURE.kind,
+}
+
+
+@pytest.mark.parametrize("missing", sorted(MEMBERS))
+def test_estimate_table_names_a_member_the_model_lacks(missing):
+    """A duck-typed model with every member builds the mixture's table; one without says which."""
+    assert table_bytes(estimate_table(SimpleNamespace(**MEMBERS), SCHED, EMS_CFG)) == table_bytes(
+        estimate_table(MIXTURE, SCHED, EMS_CFG)
+    )
+    model = SimpleNamespace(**{name: v for name, v in MEMBERS.items() if name != missing})
+    with pytest.raises(ValueError, match=rf"without \['{missing}'\]$"):
+        estimate_table(model, SCHED, EMS_CFG)
+
+
+def _with_nan(rng, n):
+    data = MIXTURE.sample_data(rng, n)
+    data[3, 1] = math.nan
+    return data
+
+
+BAD_DATA = {
+    # the model's dim, its sample_data, the message
+    "one row too many": (
+        2, lambda rng, n: MIXTURE.sample_data(rng, n + 1), r"shape \(8, 2\), got \(9, 2\)$"
+    ),
+    "two columns for three": (3, MIXTURE.sample_data, r"shape \(8, 3\), got \(8, 2\)$"),
+    "a NaN": (2, _with_nan, r"^sample_data must return finite values of shape \(8, 2\), got"),
+    "not numbers": (2, lambda rng, n: [["a", "b"]] * n, "^sample_data's output must be an array"),
+}
+
+
+@pytest.mark.parametrize("dim, sample_data, message", BAD_DATA.values(), ids=BAD_DATA.keys())
+def test_estimate_table_checks_the_models_samples(dim, sample_data, message):
+    """K finite rows of ``model.dim`` or a ValueError naming ``sample_data``, before the sweep."""
+    def linearize(*args):
+        pytest.fail("the sweep started")
+
+    model = SimpleNamespace(**{**MEMBERS, "dim": dim, "sample_data": sample_data})
+    model.linearize = linearize
+    with pytest.raises(ValueError, match=message):
+        estimate_table(model, SCHED, EMS_CFG)
 
 
 def test_a_plan_run_checks_its_trace_before_any_model_call():

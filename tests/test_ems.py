@@ -1,7 +1,9 @@
+import contextvars
 import copy
 import dataclasses
 import json
 import pickle
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +17,7 @@ from emsolve import (
     DomainError,
     EmsConfig,
     EmsTable,
+    GaussianMixture,
     Guided,
     SolverConfig,
     TableFormatError,
@@ -31,6 +34,7 @@ from emsolve import (
 from emsolve.ems import (
     DATA_PRED, NOISE_PRED, _point_stats, diag_estimate, diag_probe_terms, estimate_l_dot
 )
+from emsolve import models
 from emsolve.models import ModelSpec
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR, Schedule
 
@@ -60,7 +64,7 @@ class ConstantModel(ModelSpec):
     def eps(self, sched, x, lam):
         return np.broadcast_to(self.value, np.shape(x)).copy()
 
-    def linearize(self, sched, x, lam, workspace=None):
+    def linearize(self, sched, x, lam):
         eps = self.eps(sched, x, lam)
         return eps, np.zeros_like(eps), lambda v: np.zeros_like(np.asarray(v, dtype=float))
 
@@ -374,8 +378,8 @@ class CallCounter(ModelSpec):
     def eps(self, sched, x, lam):
         return self._call("eps", sched, x, lam)
 
-    def linearize(self, sched, x, lam, workspace=None):
-        eps, d_eps, apply_jacobian = self._call("linearize", sched, x, lam, workspace=workspace)
+    def linearize(self, sched, x, lam):
+        eps, d_eps, apply_jacobian = self._call("linearize", sched, x, lam)
 
         def counted_jvp(v):
             self.calls["jvp"] += 1
@@ -429,19 +433,18 @@ def test_estimate_table_makes_one_model_call_per_grid_point(vp, pg4, mix4, model
 
 
 class BlockRecorder(CallCounter):
-    """A counting delegate that records each call's workspace and where its arrays lie."""
+    """A counting delegate that records where each call's arrays lie."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.seen = []
 
-    def linearize(self, sched, x, lam, workspace=None):
-        eps, d_eps, apply_jacobian = super().linearize(sched, x, lam, workspace=workspace)
+    def linearize(self, sched, x, lam):
+        eps, d_eps, apply_jacobian = super().linearize(sched, x, lam)
 
         def recorded_jvp(v):
             out = apply_jacobian(v)
-            arrays = (x, eps, d_eps, out)
-            self.seen.append((id(workspace), *(a.__array_interface__["data"][0] for a in arrays)))
+            self.seen.append(tuple(a.__array_interface__["data"][0] for a in (x, eps, d_eps, out)))
             return out
 
         return eps, d_eps, recorded_jvp
@@ -449,10 +452,10 @@ class BlockRecorder(CallCounter):
 
 @pytest.mark.parametrize("guided", [False, True])
 def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
-    """Each mixture sees one dict and the same x, eps, d_eps and J v memory at all 13 points.
+    """Each mixture sees the same x, eps, d_eps and J v memory at all 13 points: one slot.
 
     A guided pair forms its sums in fresh arrays; its parts, recorded here,
-    each keep their own memory through the guidance gap's ``jvp`` and the
+    each keep their own slot through the guidance gap's ``jvp`` and the
     probes'.
     """
     mixtures = [BlockRecorder(mix4), BlockRecorder(mix4b)] if guided else [BlockRecorder(mix4)]
@@ -464,35 +467,179 @@ def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
         assert len(set(recorder.seen)) == 1
 
 
-class OwnSweepEntry(CallCounter):
-    """A counting delegate whose ``linearize`` writes an entry of its own under "sweep".
-
-    It records the workspace's entries as each call finds them and as it leaves them.
-    """
+class SlotRecorder(CallCounter):
+    """A counting delegate that records the sweep's slots as each call finds and leaves them."""
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.entry, self.found, self.left = ("the", "model's", "own"), [], []
+        self.found, self.left = [], []
 
-    def linearize(self, sched, x, lam, workspace=None):
-        self.found.append(dict(workspace))
-        workspace["sweep"] = self.entry
-        out = super().linearize(sched, x, lam, workspace=workspace)
-        self.left.append(dict(workspace))
+    def linearize(self, sched, x, lam):
+        sweep = models._SWEEP.get()
+        self.found.append((sweep.taken, list(sweep.slots.values())))
+        out = super().linearize(sched, x, lam)
+        self.left.append((sweep.taken, list(sweep.slots.values())))
         return out
 
 
 def test_the_sweeps_workspace_holds_only_the_models_entries(vp, mix4):
-    """The sweep puts nothing in the dict it passes, so a model may use any key."""
+    """The sweep takes no slot itself: the model's call finds none taken at each point."""
     cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
-    model = OwnSweepEntry(mix4)
-    got, want = estimate_table(model, vp, cfg), estimate_table(mix4, vp, cfg)
-    for name in ("lambda_grid", "l", "s", "b", "l_dot"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert model.found[0] == {} and len(model.left) == 13
-    for found, left in zip(model.found[1:], model.left):
-        assert found.keys() == left.keys()
-        assert all(found[key] is left[key] for key in found)
+    model = SlotRecorder(mix4)
+    assert table_bytes(estimate_table(model, vp, cfg)) == table_bytes(estimate_table(mix4, vp, cfg))
+    assert model.found[0] == (0, []) and len(model.left) == 13
+    (slot,) = model.left[0][1]
+    assert model.found[1:] == [(0, [slot])] * 12 and model.left == [(1, [slot])] * 13
+
+
+def table_bytes(table):
+    """The bytes of a table's arrays."""
+    return [getattr(table, name).tobytes() for name in ("lambda_grid", "l", "s", "b", "l_dot")]
+
+
+class Average:
+    """A user's wrapper: the mean of two models' eps and d_eps, with the second's ``jvp`` alone.
+
+    With ``copies`` it copies the first part's outputs before the second
+    part's call; with ``both_jvps`` its ``jvp`` is the mean of both parts'.
+    """
+
+    kind = "average"
+
+    def __init__(self, first, second, copies=False, both_jvps=False):
+        self.first, self.second, self.copies, self.both_jvps = first, second, copies, both_jvps
+        self.dim = first.dim
+
+    def linearize(self, sched, x, lam):
+        eps_a, d_a, jvp_a = self.first.linearize(sched, x, lam)
+        if self.copies:
+            eps_a, d_a = eps_a.copy(order="K"), d_a.copy(order="K")  # in their layout
+        eps_b, d_b, jvp_b = self.second.linearize(sched, x, lam)
+        if self.both_jvps:
+            return 0.5 * (eps_a + eps_b), 0.5 * (d_a + d_b), lambda v: 0.5 * (jvp_a(v) + jvp_b(v))
+        return 0.5 * (eps_a + eps_b), 0.5 * (d_a + d_b), jvp_b
+
+    def sample_data(self, rng, n):
+        return self.first.sample_data(rng, n)
+
+    def to_dict(self):
+        return {"kind": self.kind, "parts": [self.first.to_dict(), self.second.to_dict()]}
+
+
+# a second two-component mixture: its arrays have the shapes of mix4's
+MIX4_TWIN = GaussianMixture([0.7, 0.3], [[0.1, 0.2, -0.6, 0.3], [0.4, -0.5, 0.0, -0.2]], [0.6, 0.4])
+
+
+@pytest.mark.parametrize("second", ["mix4b", "two-component"])
+def test_a_wrapper_of_two_mixtures_builds_the_table_of_its_copying_twin(vp, mix4, mix4b, second):
+    """Each part's call takes a slot of its own, so no part overwrites the other's outputs."""
+    other = mix4b if second == "mix4b" else MIX4_TWIN
+    cfg = EmsConfig(num_timesteps=8, num_datapoints=256, lam_range=(-2.0, 2.0), seed=1)
+    want = estimate_table(Average(mix4, other, copies=True), vp, cfg)
+    assert table_bytes(estimate_table(Average(mix4, other), vp, cfg)) == table_bytes(want)
+
+
+def test_a_wrapper_that_returns_both_parts_jvps_builds(vp, mix4, mix4b):
+    """Neither part's jvp finds its slot taken; the table is the two-sweep oracle's."""
+    model = Average(mix4, mix4b, both_jvps=True)
+    cfg = EmsConfig(num_timesteps=8, num_datapoints=256, lam_range=(-2.0, 2.0), seed=1)
+    table = estimate_table(model, vp, cfg)
+    grid, l, l_dot, s, b = two_sweep_table(model, vp, cfg)
+    assert table.l.tobytes() == l.tobytes() and table.l_dot.tobytes() == l_dot.tobytes()
+    for got, want in ((table.s, s), (table.b, b)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class Plain:
+    """A delegate with ``linearize(sched, x, lam)`` and nothing of the package's."""
+
+    kind = "plain"
+
+    def __init__(self, inner):
+        self.inner, self.dim = inner, inner.dim
+
+    def linearize(self, sched, x, lam):
+        return self.inner.linearize(sched, x, lam)
+
+    def sample_data(self, rng, n):
+        return self.inner.sample_data(rng, n)
+
+    def to_dict(self):
+        return self.inner.to_dict()
+
+
+def test_a_plain_delegate_builds_the_table_of_its_model(vp, mix4):
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
+    assert table_bytes(estimate_table(Plain(mix4), vp, cfg)) == table_bytes(
+        estimate_table(mix4, vp, cfg)
+    )
+
+
+class OtherThread(Plain):
+    """A delegate whose call at grid point ``point`` first runs its model on another thread.
+
+    With ``copied``, that thread runs in a copy of the sweep's context, as
+    ``asyncio.to_thread`` runs a call.  It records the sweep's slots taken
+    and held around the thread's call, and whether the thread's outputs
+    share memory with the sweep's call's.
+    """
+
+    def __init__(self, inner, point, copied):
+        super().__init__(inner)
+        self.calls, self.point, self.copied = 0, point, copied
+        self.slots, self.shared = None, None
+
+    def linearize(self, sched, x, lam):
+        self.calls += 1
+        if self.calls != self.point:
+            return super().linearize(sched, x, lam)
+        other = []
+
+        def call(x):
+            other.extend(self.inner.linearize(sched, x, lam))
+
+        sweep = models._SWEEP.get()
+        before = sweep.taken, len(sweep.slots)
+        run = contextvars.copy_context().run if self.copied else (lambda fn, arg: fn(arg))
+        thread = threading.Thread(target=run, args=(call, x.copy()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(other) == 3
+        self.slots = before, (sweep.taken, len(sweep.slots))
+        out = super().linearize(sched, x, lam)
+        probe = np.ones((1,) + x.shape)
+        ours, theirs = (out[:2] + (out[2](probe),)), (*other[:2], other[2](probe))
+        self.shared = any(np.shares_memory(a, b) for a in ours for b in theirs)
+        return out
+
+
+@pytest.mark.parametrize("copied", [False, True])
+def test_a_call_on_another_thread_takes_no_slot_of_the_sweep(vp, mix4, copied):
+    """It gets fresh arrays, and the table keeps its bytes."""
+    cfg = EmsConfig(num_timesteps=6, num_datapoints=512, lam_range=(-2.0, 2.0), seed=3)
+    model = OtherThread(mix4, 3, copied)
+    assert table_bytes(estimate_table(model, vp, cfg)) == table_bytes(
+        estimate_table(mix4, vp, cfg)
+    )
+    assert model.slots == ((0, 1), (0, 1)) and model.shared is False
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_calls_after_a_sweep_get_fresh_arrays(vp, mix4, fail_at):
+    """After ``estimate_table`` returns or raises, no call reuses another's memory."""
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=256, lam_range=(-2.0, 2.0), seed=1)
+    if fail_at is None:
+        estimate_table(mix4, vp, cfg)
+    else:
+        with pytest.raises(RuntimeError, match="model call 3 fails"):
+            estimate_table(BufferSpy(mix4, fail_at), vp, cfg)
+    assert models._SWEEP.get() is None
+    x = np.random.default_rng(0).standard_normal((256, 4))
+    first, second = mix4.linearize(vp, x, 0.5), mix4.linearize(vp, x, 0.5)
+    probe = np.ones((1, 256, 4))
+    arrays = [(*out[:2], out[2](probe)) for out in (first, second)]
+    assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
+    assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
 
 
 @pytest.mark.parametrize("case", ["point-mass", "guided", "two-probes"])
@@ -568,7 +715,7 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
     z = rng.standard_normal(x0.shape)
     probes = np.where(rng.random((1,) + x0.shape) < 0.5, -1.0, 1.0)
     inputs = [np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)]
-    l_row, got, _ = _point_stats(model, vp, lam, *inputs, np.empty_like(inputs[0]), None, {})
+    l_row, got, _ = _point_stats(model, vp, lam, *inputs, np.empty_like(inputs[0]), None)
     alpha, sigma = vp.alpha_lambda(lam), vp.sigma_lambda(lam)
     xs = alpha * x0 + sigma * z
     eps, d_eps, _ = model.linearize(vp, xs, lam)

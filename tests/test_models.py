@@ -430,7 +430,7 @@ def test_model_outputs_follow_the_input_layout_with_the_same_bytes(
     assert plan.run(mix4, laid_out(x0, layout)).tobytes() == plan.run(mix4, x0).tobytes()
 
 
-# -- a caller's workspace ------------------------------------------------------------------
+# -- a sweep's workspace slots ------------------------------------------------------------
 
 
 def addresses(*arrays):
@@ -442,11 +442,11 @@ def addresses(*arrays):
 @pytest.mark.parametrize("rows", [100, 1500])
 @pytest.mark.parametrize("num_probes", [1, 2, 3])
 def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_probes):
-    """With a workspace reused over several lambdas and without one: the oracle's bytes.
+    """Outside a sweep and in one slot reused over several grid points: the oracle's bytes.
 
     100 rows take the small-call path and 1500 the large one.  One probe's
     product fits the memory the call's temporaries leave free, so it lies
-    there at every lambda; two or three do not, and are fresh arrays.
+    there at every point; two or three do not, and are fresh arrays.
     """
     rng = np.random.default_rng(100 * num_comp + rows + num_probes)
     weights = rng.uniform(0.1, 1.0, num_comp)
@@ -456,17 +456,23 @@ def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_prob
         stds=rng.uniform(0.0, 1.5, num_comp),
     )
     assert (num_comp * 4 * rows <= models._SMALL_CALL) == (rows == 100)
-    workspace, seen = {}, set()
+    points = []
     for lam in (-2.0, 0.5, 3.0):
         x = laid_out(2.0 * rng.standard_normal((rows, 4)), "coordinate-major")
         v = laid_out(rng.standard_normal((num_probes, rows, 4)), "coordinate-major")
         want = [a.tobytes() for a in mixture_linearize_rowmajor(model, vp, x, lam, v)]
-        for ws in (None, workspace):
-            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam, workspace=ws)
+        eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+        assert [a.tobytes() for a in (eps, d_eps, apply_jacobian(v))] == want
+        points.append((lam, x, v, want))
+    seen = set()
+    with models.sweep_scope(rows) as sweep:
+        for lam, x, v, want in points:
+            sweep.next_point()
+            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
             got = (eps, d_eps, apply_jacobian(v))
             assert [a.tobytes() for a in got] == want
-        seen.add(addresses(*got[: 3 if num_probes == 1 else 2]))
-    assert len(seen) == 1  # the workspace's arrays at every lambda
+            seen.add(addresses(*got[: 3 if num_probes == 1 else 2]))
+    assert len(seen) == 1  # the slot's arrays at every point
 
 
 @pytest.mark.parametrize("which", ["point", "guided", "guided-nested"])
@@ -478,34 +484,39 @@ def test_workspace_keeps_the_bytes_of_separate_calls(vp, pg4, mix4, mix4b, which
         "guided": guided,
         "guided-nested": Guided(cond=guided, uncond=Guided(mix4b, pg4, 1.5), scale=-2.0),
     }[which]
+    """Each grid point of a sweep: the bytes of every quantity from a call of its own."""
     rng = np.random.default_rng(num_probes)
-    workspace = {}
+    points = []
     for lam in (-2.0, 0.5, 3.0):
         x = laid_out(2.0 * rng.standard_normal((700, 4)), "coordinate-major")
         v = laid_out(rng.standard_normal((num_probes, 700, 4)), "coordinate-major")
-        eps, d_eps, apply_jacobian = model.linearize(vp, x, lam, workspace=workspace)
-        got = (eps, d_eps, apply_jacobian(v))
         want = composed_linearize(model, vp, x, lam, v)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        points.append((lam, x, v, [a.tobytes() for a in want]))
+    with models.sweep_scope(700) as sweep:
+        for lam, x, v, want in points:
+            sweep.next_point()
+            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+            assert [a.tobytes() for a in (eps, d_eps, apply_jacobian(v))] == want
 
 
 def test_workspace_arrays_never_feed_their_own_call(vp, mix4):
-    """A product of a product takes fresh memory; an x in the workspace's memory raises."""
+    """A product of a product takes fresh memory; an x in the slot its call takes raises."""
     rng = np.random.default_rng(3)
     x = laid_out(rng.standard_normal((600, 4)), "coordinate-major")
     v = laid_out(rng.standard_normal((1, 600, 4)), "coordinate-major")
-    eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5)
-    want = [a.tobytes() for a in (eps, d_eps, apply_jacobian(apply_jacobian(v)))]
-    workspace = {}
-    eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5, workspace=workspace)
-    twice = apply_jacobian(apply_jacobian(v))
-    assert [a.tobytes() for a in (eps, d_eps, twice)] == want
-    for inside in (eps, d_eps, apply_jacobian(v)[0]):
-        with pytest.raises(ValueError, match="shares memory with the workspace"):
-            mix4.linearize(vp, inside, 0.5, workspace=workspace)
+    eps, d_eps, fresh = mix4.linearize(vp, x, 0.5)
+    want = [a.tobytes() for a in (eps, d_eps, fresh(fresh(v)))]
     stacks = [np.stack([v[0]] * num_probes) for num_probes in (2, 3)]
-    too_big = [apply_jacobian(stack) for stack in stacks]  # fresh: they do not fit
-    fresh = mix4.linearize(vp, x, 0.5)[2]
+    with models.sweep_scope(600) as sweep:
+        sweep.next_point()
+        eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5)
+        twice = apply_jacobian(apply_jacobian(v))
+        assert [a.tobytes() for a in (eps, d_eps, twice)] == want
+        for inside in (eps, d_eps, apply_jacobian(v)[0]):
+            sweep.next_point()  # the call takes the slot that holds its x
+            with pytest.raises(ValueError, match="shares memory with the workspace"):
+                mix4.linearize(vp, inside, 0.5)
+        too_big = [apply_jacobian(stack) for stack in stacks]  # fresh: they do not fit
     assert [a.tobytes() for a in too_big] == [fresh(stack).tobytes() for stack in stacks]
 
 
