@@ -11,14 +11,16 @@ integrator:
   nonlinearity f against f itself (slope and intercept), which minimizes the
   first-order discretization error of the resulting solver.
 
-Estimation is one sweep over the grid: each grid point's one model call
+Estimation is one sweep over the grid in blocks of grid points, one model
+call per block (at most ``_BLOCK_SAMPLES`` samples a call).  Each point
 reduces to l and six centred moments over the diffused datapoints (three
 means, a variance and two covariances), and s and b follow in closed form
-once l's slope is known.  The sweep keeps its (K, D) sample arrays and
-probe terms coordinate-major, laid out (D, K), so l and each moment is a
-contiguous row sum.  Every grid point after the first reuses the first
-point's arrays: the sweep's own, and a mixture's through the sweep's scope
-(``models.sweep_scope``).
+once l's slope is known.  The sweep keeps a block's (P, K, D) sample arrays
+and probe terms coordinate-major, laid out (D, P, K), so l and each moment
+is a contiguous row sum over one point's K samples, with the bits of a
+sweep one point at a time.  Every block after the first of its size reuses
+that block's arrays: the sweep's own, and a mixture's through the sweep's
+scope (``models.sweep_scope``).
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -166,17 +168,19 @@ def diag_probe_terms(sigma, jvps, probe_vectors, out=None):
 
 
 def diag_estimate(terms):
-    """The stochastic diagonal estimate: the mean of ``terms``, (probes, K, D), over probes and K.
+    """The stochastic diagonal estimate: the mean of ``terms``, (probes, ..., K, D), over probes and K.
 
+    Returns the ``(..., D)`` means, one row per grid point of a block.
     Each coordinate's K terms under one probe are summed as one contiguous
     row, which numpy sums pairwise (rounding error O(eps log K), against
     O(eps K) for a sequential sum), and the probes' row sums are then added
-    in order.  Terms laid out coordinate-major, as the transpose of a
-    C-contiguous (probes, D, K) array, are read in place; any other layout
-    is first copied to that one, so every layout gives the same bits.
+    in order.  Terms laid out coordinate-major, each probe's a view of a
+    C-contiguous (D, ..., K) array, are read in place; any other layout is
+    first copied to that one, so every layout gives the same bits.
     """
-    rows = np.ascontiguousarray(np.swapaxes(terms, -1, -2))
-    return rows.sum(axis=-1).sum(axis=0) / (rows.shape[0] * rows.shape[-1])
+    rows = np.ascontiguousarray(terms.transpose(0, -1, *range(1, terms.ndim - 1)))
+    sums = rows.sum(axis=-1).sum(axis=0)  # (D, ...): D goes last
+    return sums.transpose(*range(1, sums.ndim), 0) / (rows.shape[0] * rows.shape[-1])
 
 
 def estimate_l_dot(l_values, spacing: float):
@@ -203,7 +207,8 @@ def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps, work):
     The total lambda-derivative of f along the ODE is f1 = r - l_dot x / alpha,
     so l_dot enters f1 only through its last, linear term.  f is formed in
     ``eps``'s memory and r in ``d_eps``'s, with ``work`` a scratch of their
-    shape, and the bits are those of the expressions above.
+    shape, and the bits are those of the expressions above.  The arrays are
+    (D, P, K) rows; ``l_row`` is (D, P, 1) and the lambda terms (P, 1).
     """
     d_eps += np.multiply(eps, l_row - 1.0, out=work)
     d_eps *= np.exp(-lam)
@@ -213,38 +218,78 @@ def _f_and_r(l_row, x, lam, alpha, sigma, eps, d_eps, work):
     return eps, d_eps
 
 
-def _point_stats(model, sched, lam, x0, z, probes, xs, eps):
-    """One grid point's share of the sweep, from one model call: ``(l, moments, eps)``.
+def _rows(a):
+    """The ``(D, P, K)`` view of a ``(P, K, D)`` block."""
+    return a.transpose(2, 0, 1)
 
-    l and six (D,) moments over the K diffused points: the means of f, r and
-    y = x/alpha, the variance of f and its covariances with r and y.  The
-    moments are centred (each sample less its mean before the products),
-    which keeps their digits where a coordinate's spread is far below its
-    mean.  ``x0``, ``z`` and each probe are (K, D) transposes of C-contiguous
-    (D, K) arrays, so every sample array here is too (the probe terms
-    included), and l and each moment is a contiguous row reduction.
 
-    Every (K, D) array goes into memory the sweep already has: x into
-    ``xs``, z sigma into ``eps`` (the last point's; None allocates it), the
+def _check_outputs(name, arrays, shape):
+    """Raise ValueError unless each of ``arrays`` is a float64 array of ``shape``; reads no data."""
+    for a in arrays:
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape):
+            got = f"{a.dtype} of shape {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+            want = f"float64 arrays of shape {shape}"
+            raise ValueError(f"the model's {name} must return {want}, got {got}")
+
+
+def _point_stats(model, sched, lams, x0, z, probes, xs, eps):
+    """A block of grid points' share of the sweep, from one model call: ``(l, moments, eps)``.
+
+    ``lams`` is the block's (P, 1) column of lambdas.  l, (P, D), and six
+    (D, P) moments over the K diffused points of each grid point: the means
+    of f, r and y = x/alpha, the variance of f and its covariances with r
+    and y.  The moments are centred (each sample less its mean before the
+    products), which keeps their digits where a coordinate's spread is far
+    below its mean.  ``x0`` and ``z`` are (K, D) transposes of C-contiguous
+    (D, K) arrays, and ``xs`` and each probe of ``probes`` (P, K, D) views
+    of C-contiguous (D, P, K) arrays, so every sample array here is too (the
+    probe terms included), and l and each moment is a contiguous row
+    reduction over one grid point's K samples: the bits of a block of one.
+
+    Every sample array goes into memory the sweep already has: x into
+    ``xs``, z sigma into ``eps`` (the last block's; None allocates it), the
     probe terms into the ``jvp``'s product, which is then the scratch of f
     and r, r into ``d_eps``, f into the returned ``eps`` and y into ``xs``.
-    So from the second point on, a sweep of a mixture with one probe
-    allocates no (K, D) array.
+    So from the second block of a size on, a sweep of a mixture with one
+    probe allocates no sample array.  ``linearize`` must return float64
+    arrays of ``xs``'s shape and ``jvp`` of ``probes``' shape, or
+    ValueError; no data is read to check it.
     """
-    alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
-    np.multiply(x0, alpha, out=xs)
-    xs += np.multiply(z, sigma, out=eps)
-    eps, d_eps, jvp = model.linearize(sched, xs, lam)
+    alpha, sigma = sched.alpha_lambda(lams), sched.sigma_lambda(lams)
+    x = _rows(xs)
+    np.multiply(x0.T[:, None], alpha, out=x)
+    x += np.multiply(z.T[:, None], sigma, out=None if eps is None else _rows(eps))
+    eps, d_eps, jvp = model.linearize(sched, xs, lams)
+    _check_outputs("linearize", (eps, d_eps), xs.shape)
     terms = jvp(probes)
-    l_row = diag_estimate(diag_probe_terms(sigma, terms, probes, out=terms))
-    f, r = _f_and_r(l_row[:, None], xs.T, lam, alpha, sigma, eps.T, d_eps.T, terms[0].T)
-    xs /= alpha  # y, in x's memory: (D, K) rows as f and r are
-    k = len(xs)
-    samples = (f, r, xs.T)
-    means = [np.einsum("dk->d", g) / k for g in samples]
-    for g, m in zip(samples, means):
-        g -= m[:, None]  # centred in place; f is centred before the products read it
-    return l_row, means + [np.einsum("dk,dk->d", f, g) / k for g in samples], eps
+    _check_outputs("jvp", (terms,), probes.shape)
+    l = diag_estimate(diag_probe_terms(sigma[..., None], terms, probes, out=terms))
+    f, r = _f_and_r(
+        l.T[..., None], x, lams, alpha, sigma, _rows(eps), _rows(d_eps), _rows(terms[0])
+    )
+    x /= alpha  # y, in x's memory: (D, P, K) rows as f and r are
+    stats = np.empty((6,) + x.shape[:-1])
+    for g, m in zip((f, r, x), stats):
+        np.einsum("dpk->dp", g, out=m)
+        m /= x.shape[-1]
+        g -= m[..., None]  # centred in place; f is centred before the products read it
+    for g, m in zip((f, r, x), stats[3:]):
+        np.einsum("dpk,dpk->dp", f, g, out=m)
+    stats[3:] /= x.shape[-1]
+    return l, stats, eps
+
+
+def _block(rows):
+    """The ``(..., P, K, D)`` view of ``(..., D, P, K)`` rows: the inverse of :func:`_rows`."""
+    return rows.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+# The most samples one ``linearize`` call of the sweep takes: a block holds
+# P = max(1, _BLOCK_SAMPLES // K) grid points, so K >= 2048 makes one call per
+# point.  On the 4-D mixture a sample's cost is flat up to a block of 4096 and
+# rises after it (142, 159, 171 and 186 ns at 2048, 4096, 8192 and 16384), and
+# a call's fixed cost is then paid once per block, not once per point.
+_BLOCK_SAMPLES = 4096
 
 
 def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTable:
@@ -257,14 +302,19 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     rely on; independently re-drawn points per grid lambda would leave
     grid-scale jitter in the fields and cap the observable convergence order.
 
-    One sweep makes one ``linearize`` call per grid point, the model's whole
-    protocol (see ``ModelSpec.linearize``), applies its ``jvp`` to the probe
-    stack once and overwrites the arrays the call returns (see
-    :func:`_point_stats`).  One call gives l at that point (the pairwise
-    mean of :func:`diag_estimate`), and f and r (see :func:`_f_and_r`), of
-    which six centred moments are kept: the means of f, r and y = x/alpha,
-    var f, cov(f, r) and cov(f, y).  After the sweep, l's slope is taken by
-    finite differences, and since f1 = r - l_dot y is linear in l_dot, the
+    One sweep runs the grid in blocks of P = min(grid points, max(1,
+    ``_BLOCK_SAMPLES`` // K)) points, the last block shorter if they do not
+    divide evenly.  It makes one ``linearize`` call per block, the model's
+    whole protocol (see ``ModelSpec.linearize``), on the block's (P, K, D)
+    samples at the (P, 1) column of its lambdas, applies its ``jvp`` to the
+    probe stack once and overwrites the arrays the call returns (see
+    :func:`_point_stats`).  One call gives l at each of its points (the
+    pairwise mean of :func:`diag_estimate`), and f and r (see
+    :func:`_f_and_r`), of which six centred moments are kept: the means of
+    f, r and y = x/alpha, var f, cov(f, r) and cov(f, y).  Every reduction
+    runs over one point's K samples, so a table has the bits of one built
+    a point at a time.  After the sweep, l's slope is taken by finite
+    differences, and since f1 = r - l_dot y is linear in l_dot, the
     least-squares fit of f1 against f follows in closed form:
 
         s = (cov(f, r) - l_dot cov(f, y)) / (var f + floor),
@@ -273,13 +323,15 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
     data distribution.  The sweep runs inside ``models.sweep_scope(K)``,
-    which lends the mixtures their arrays from point to point and, from
+    which lends the mixtures their arrays from block to block and, from
     K = 64 up to half of numpy's ufunc buffer, holds that buffer to one row
-    of K, which saves the copies of packed rows.  Bit-identical output for a
-    fixed config; for the package's models, whatever the caller's buffer
-    size.  Raises ValueError when ``model`` or ``sched`` lacks the members
-    the sweep reads, ``model.sample_data`` returns other than K finite rows
-    of ``model.dim``, or ``cfg`` is not an :class:`EmsConfig`, and
+    of K, which saves the copies of packed rows.  The model's lambda memo is
+    left as it was.  Bit-identical output for a fixed config; for the
+    package's models, whatever the caller's buffer size.  Raises ValueError
+    when ``model`` or ``sched`` lacks the members the sweep reads,
+    ``model.sample_data`` returns other than K finite rows of ``model.dim``,
+    ``linearize`` or its ``jvp`` returns other than float64 arrays of its
+    input's shape, or ``cfg`` is not an :class:`EmsConfig`, and
     :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's lambda
     domain.
     """
@@ -298,18 +350,27 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     z = rng.standard_normal(x0.shape)
     probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
     # coordinate-major: each (K, D) array the transpose of a C-contiguous (D, K) one
-    x0, z, probes = (
-        np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)
-    )
+    x0, z = (np.ascontiguousarray(a.T).T for a in (x0, z))
+    probes = np.ascontiguousarray(probes.swapaxes(-1, -2))[:, :, None]  # (probes, D, 1, K)
 
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
-    # the diffused points and the last point's eps, dropped with the sweep
-    xs, eps = np.empty_like(x0), None
+    size = min(n_pts, max(1, _BLOCK_SAMPLES // cfg.num_datapoints))
+    # a block's diffused points, probe stack and last eps, made anew for a shorter last block
+    xs = stack = eps = None
     with sweep_scope(cfg.num_datapoints) as sweep:
-        for j, lam in enumerate(grid):
-            sweep.next_point()
-            l[j], moments[:, j], eps = _point_stats(model, sched, lam, x0, z, probes, xs, eps)
+        for start in range(0, n_pts, size):
+            lams = grid[start : start + size, None]
+            if xs is None or len(xs) != len(lams):
+                xs = stack = eps = None  # the last block's arrays go first
+                xs = _block(np.empty((model.dim, len(lams), cfg.num_datapoints)))
+                # a block of one reads the probes in place
+                stack = np.broadcast_to(probes, probes.shape[:2] + xs.shape[:2])
+                stack = _block(np.ascontiguousarray(stack))
+            sweep.next_block()
+            l_block, stats, eps = _point_stats(model, sched, lams, x0, z, stack, xs, eps)
+            l[start : start + len(lams)] = l_block
+            moments[:, start : start + len(lams)] = stats.swapaxes(1, 2)
     mf, mr, my, vf, cfr, cfy = moments
 
     l_dot = estimate_l_dot(l, _spacing(grid))

@@ -12,30 +12,32 @@ model call per stage while each keeps its own step control.
 All evaluation functions broadcast over leading axes: ``x`` may be shaped
 ``(D,)``, ``(batch, D)`` or ``(..., D)``, and a Jacobian-vector product's
 ``v`` may add leading axes to ``x``'s shape, as a stack of probes does.
-``eps`` takes lambda as a scalar or as one value per row, an array of shape
-``x.shape[:-1]``; ``linearize`` takes a scalar only.  A 0-d ``x``, a
-non-finite lambda or a lambda array of the wrong shape raises ValueError.
+``eps`` and ``linearize`` take lambda as ``ModelSpec.eps`` states.  A 0-d
+``x`` or a lambda outside that contract raises ValueError.
 Evaluations are pure; RNG state is only consumed by the sampling helpers,
 which take an explicit ``numpy.random.Generator``.
 
-Layout.  ``GaussianMixture`` computes coordinate-major: the N rows of ``x``
-are read as a ``(D, N)`` view (no copy), the offsets x - alpha mu_i and the
-component scores are ``(C, D, N)``, per-component terms ``(C, N)`` and a
-probe stack ``(P, D, N)``.  With D and C at 2-4, the long N axis is then the
+Layout.  ``GaussianMixture`` computes coordinate-major, on the rows of ``x``
+as lanes that lambda broadcasts against: ``(N,)`` for one lambda or one per
+row, ``(M, n)`` for an (M, 1) column, as a table build's.  The rows are read
+as a ``(D,) + lanes`` view (no copy); the offsets x - alpha mu_i and the
+component scores are ``(C, D) + lanes``, per-component terms ``(C,) +
+lanes`` and a probe stack ``(Q, D) + lanes``, and the lambda-only terms
+have lambda's own size.  With D and C at 2-4, the long last lane is then the
 inner loop of every numpy call.  Sums over C or D add whole leading-axis
 slices left to right (``_short_sum``, ``_short_dot``), in the order of a
 row-major ``np.sum`` over the short axis, and the softmax's max takes
 ``np.maximum`` over component slices (``_short_max``), so the bits are those
-of the row-major arithmetic.  Every output is a float64 array of the
-caller's ``(..., D)`` shape that follows the input's layout: the transpose
-of a C-contiguous ``(..., D, N)`` array for an input laid out so (such as
-``a.T`` of a C-contiguous ``(D, N)`` array ``a``, as the sampler's state and
-the estimator's samples are), C-contiguous otherwise.  The arithmetic is
-element-wise, so both layouts give the same bits.
+of the row-major arithmetic, in any lanes.  Every output is a float64 array
+of the caller's ``(..., D)`` shape that follows the input's layout: a view
+of a C-contiguous ``(..., D) + lanes`` array for an input laid out so (as
+the sampler's state and the estimator's blocks are), C-contiguous
+otherwise.  The arithmetic is element-wise, so both layouts give the same
+bits.
 
 Buffers.  A mixture call writes into arrays it owns instead of taking a
 fresh temporary per numpy call: the squared offsets are summed over D as
-products into one ``(C, N)`` array, in which the log-components, the
+products into one ``(C,) + lanes`` array, in which the log-components, the
 softmax and the posterior weights are then formed; the offsets turn into
 the component scores in place; ``eps`` sums the weighted scores straight
 into the returned array and scales them there, and the softmax's max and
@@ -46,26 +48,26 @@ commuted, ``x * x`` for a square, ``out=`` forms of the same ufunc.
 
 Sweeps.  Outside ``sweep_scope``, every output is a fresh array and no
 buffer outlives its call (or, for the arrays a ``jvp`` reads, its ``jvp``).
-``estimate_table`` runs its grid points inside ``sweep_scope(K)``, a context
-this module owns as ``np.errstate`` owns numpy's state.  On the thread that
-entered it, the i-th mixture ``linearize`` call of each grid point takes the
-scope's i-th slot, which keeps the arrays of its input's shape and layout
-for the next point: eps, d_eps, the arrays its ``jvp`` reads, and the
-temporaries' block, which the ``jvp`` takes for its product and scratch
-when they fit.  With one probe, no point after the first allocates an array
-of the input's size.  Every call has a slot of its own, so ``Guided(m, m)``
-and a user's wrapper alias nothing; a ``jvp`` whose slot a later call took
-raises ValueError, and so does an ``x`` in the slot its call takes.  The
-slots are dropped when the scope exits; nothing is kept on the model.
+``estimate_table`` runs its blocks of grid points inside ``sweep_scope(K)``,
+a context this module owns as ``np.errstate`` owns numpy's state.  On the
+thread that entered it, the i-th mixture ``linearize`` call of each block
+takes the scope's i-th slot, which keeps the arrays of its input's shape
+and layout for the next block: eps, d_eps, the arrays its ``jvp`` reads,
+and the temporaries' memory, which the ``jvp`` takes for its product and
+scratch when they fit.  With one probe, no block after the first of its
+size allocates an array of the input's size.  Every call has a slot of its
+own, so ``Guided(m, m)`` and a user's wrapper alias nothing; a ``jvp`` whose
+slot a later call took raises ValueError, and so does an ``x`` in the slot
+its call takes.  The slots are dropped when the scope exits.
 
-Memo.  The terms that depend on lambda only (sigma, the component
-variances, alpha mu_i, D log(2 pi var_i) and -var_i) are computed once per
-schedule object and scalar lambda and kept in a small memo on the model,
-which is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries.  A sampler
-run evaluates the model at the same few lambdas again and again.  The
-parameters are read-only copies, so no entry goes stale; a copy, pickle
-or ``replace`` rebuilds the model through its constructor with an empty
-memo.  A lambda per row computes its terms afresh.
+Memo.  The lambda-only terms (sigma, the component variances, alpha mu_i,
+D log(2 pi var_i) and -var_i) are computed once per schedule object and
+Python or NumPy float lambda and kept in a small memo on the model, which
+is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries: a sampler run
+evaluates the model at the same few lambdas again and again.  The
+parameters are read-only copies, so no entry goes stale; a copy, pickle or
+``replace`` rebuilds the model with an empty memo.  An array lambda, as a
+table build's, computes its terms afresh and leaves the memo as it was.
 
 Iterator.  numpy 2.x runs a ufunc that broadcasts a ``(R, 1)`` column
 against ``(R, n)`` coordinate-major rows through its buffered iterator.
@@ -147,25 +149,58 @@ def _scalar(lam) -> bool:
     return isinstance(lam, float) or np.ndim(lam) == 0
 
 
-def _columns(a, lead, n):
-    """A ``lead + (n..., D)`` array with its n rows of D as a ``lead + (D, n)`` view."""
-    return a.reshape(lead + (n, a.shape[-1])).swapaxes(-1, -2)
+def _broadcasts(shape, lead) -> bool:
+    """Whether an array of ``shape`` broadcasts against ``lead`` without growing it."""
+    return len(shape) <= len(lead) and all(
+        s in (1, n) for s, n in zip(reversed(shape), reversed(lead))
+    )
 
 
-def _row_buffer(cols, shape, mem=None):
-    """An empty float64 array of ``shape`` to return, and its ``(..., D, n)`` view to write into.
+def _lanes(lam, lead):
+    """``lam`` at its own size, and the rows of ``lead`` as the lanes it broadcasts against.
+
+    A float comes back as it is, an array of one value (as a table build's
+    block of one grid point) as a float and a lambda per row as ``(N,)``,
+    all over lanes ``(N,)``.  An array that varies over ``lead``'s first k
+    axes and not its other ones comes back as an ``(M, 1)`` column over
+    lanes ``(M, n)``, M and n those axes' sizes.
+    """
+    if not isinstance(lam, np.ndarray):
+        return lam, (math.prod(lead),)
+    if lam.size == 1:
+        return lam.item(), (math.prod(lead),)
+    if lam.shape == lead:  # a lambda per row
+        return lam.reshape(-1), (lam.size,)
+    shape = (1,) * (len(lead) - lam.ndim) + lam.shape
+    k = len(shape)
+    while shape[k - 1] == 1:  # k > 0: the array holds more than one value
+        k -= 1
+    m, n = math.prod(lead[:k]), math.prod(lead[k:])
+    if shape[:k] != lead[:k]:
+        lam = np.broadcast_to(lam.reshape(shape), lead[:k] + shape[k:])
+    return (lam.reshape(-1), (m,)) if n == 1 else (lam.reshape(m, 1), (m, n))
+
+
+def _columns(a, lead, lanes):
+    """A ``lead + (rows..., D)`` array as a ``lead + (D,) + lanes`` view."""
+    cols = a.reshape(lead + lanes + a.shape[-1:]).swapaxes(-1, -2)
+    return cols if len(lanes) == 1 else cols.swapaxes(-2, -3)
+
+
+def _row_buffer(cols, shape, lanes, mem=None):
+    """An empty float64 array of ``shape`` to return, and its ``(..., D) + lanes`` view to write into.
 
     ``cols`` is the input's ``_columns`` view.  When it is C-contiguous, the
-    buffer is laid out as ``cols`` is and the returned array is its
-    transpose, so the output keeps the input's layout; otherwise the
-    returned array is C-contiguous.  The buffer is the flat array ``mem``
-    if given, else fresh.
+    buffer is laid out as ``cols`` is, so the output keeps the input's
+    layout; otherwise the returned array is C-contiguous.  The buffer is the
+    flat array ``mem`` if given, else fresh.
     """
     if cols.flags.c_contiguous:
         buf = np.empty(cols.shape) if mem is None else mem.reshape(cols.shape)
-        return buf.swapaxes(-1, -2).reshape(shape), buf  # the reshape only splits axes: a view
+        out = buf if len(lanes) == 1 else buf.swapaxes(-3, -2)
+        return out.swapaxes(-2, -1).reshape(shape), buf  # the reshape only splits axes: a view
     out = np.empty(shape) if mem is None else mem.reshape(shape)
-    return out, _columns(out, cols.shape[:-2], cols.shape[-1])
+    return out, _columns(out, cols.shape[: cols.ndim - 1 - len(lanes)], lanes)
 
 
 # The shortest row that ``row_buffers`` clamps the buffer to.  On plan.run the
@@ -251,21 +286,21 @@ class _Workspace:
 # run evaluates at most its NFE lambdas: sample-serial's 32 runs visit 30 in
 # all, and a bench-convergence command up to 80.
 _LAMBDA_MEMO_SIZE = 128
-# The size of the mixture's (C, D, N) offsets up to which a (C, D, N) temporary
-# costs less than the numpy calls that avoid it
+# The size of the mixture's (C, D) + lanes offsets up to which a temporary of
+# their size costs less than the numpy calls that avoid it
 _SMALL_CALL = 4096
 
 
 class _Sweep:
-    """One ``sweep_scope``'s ``_Workspace`` slots by index, taken in call order at each point."""
+    """One ``sweep_scope``'s ``_Workspace`` slots by index, taken in call order in each block."""
 
     __slots__ = ("slots", "taken", "thread")
 
     def __init__(self):
         self.slots, self.taken, self.thread = {}, 0, threading.get_ident()
 
-    def next_point(self):
-        """A grid point starts: its first ``linearize`` call takes the first slot again."""
+    def next_block(self):
+        """A block of grid points starts: its first ``linearize`` call takes the first slot again."""
         self.taken = 0
 
 
@@ -279,9 +314,9 @@ def sweep_scope(n):
 
     Inside it, numpy's ufunc buffer is clamped by ``row_buffers(n)``, and
     each mixture ``linearize`` call on the entering thread takes the next of
-    the scope's slots; the caller calls ``next_point()`` as each grid point
-    starts (see the module's "Sweeps." paragraph).  On exit or raise the
-    slots go and the caller's numpy state comes back.
+    the scope's slots; the caller calls ``next_block()`` as each block of
+    grid points starts (see the module's "Sweeps." paragraph).  On exit or
+    raise the slots go and the caller's numpy state comes back.
     """
     sweep = _Sweep()
     token = _SWEEP.set(sweep)
@@ -304,28 +339,33 @@ class ModelSpec:
     def eps(self, sched: Schedule, x, lam):
         """Noise prediction eps(x, lambda) = -sigma * grad log q_lambda(x).
 
-        ``lam`` is a scalar or has shape ``x.shape[:-1]``, one lambda per
-        row.  Rows never mix: row i of ``eps(x, lams)`` is ``eps(x[i],
-        lams[i])`` bit for bit.
+        The lambda contract, which ``linearize`` shares: ``lam`` is a
+        finite scalar, or an array that broadcasts against ``x.shape[:-1]``
+        without growing it, such as one lambda per row or the ``(P, 1)``
+        column of ``estimate_table``'s ``(P, K, D)`` blocks; any other
+        raises ValueError.  Rows never mix: each row has the bits of a call
+        at its own lambda alone.
         """
         raise NotImplementedError
 
     def linearize(self, sched: Schedule, x, lam):
         """eps at (x, lambda), its rate along the ODE, and its Jacobian: ``(eps, d_eps, jvp)``.
 
-        ``estimate_table`` calls it plainly, ``linearize(sched, x, lam)``, once a grid point.
+        ``estimate_table`` calls it plainly, ``linearize(sched, x, lam)``,
+        once per block of P grid points, with ``(P, K, D)`` samples and the
+        ``(P, 1)`` column of their lambdas (the contract of ``eps``), so a
+        model that takes a scalar lambda only no longer builds a table.
         d_eps = (d/dlambda) eps + J (c x - sigma eps), where J = grad_x eps
         and c = dlog alpha/dlambda: the rate at which eps changes on the
         probability-flow trajectory through (x, lambda).  ``jvp(v)`` is the
         exact product J v; ``v`` may carry extra leading axes, as a stack of
         probes does.  All closed form, from one evaluation of the model.
-        ``lam`` must be a scalar.
 
         The returned ``eps`` and ``d_eps``, and each product ``jvp`` returns,
         are the caller's to overwrite: ``jvp`` never reads them.  Inside
-        ``sweep_scope``, the package's mixtures reuse them at the next grid
-        point, so a wrapper keeps none of them past its own call.  The sweep
-        also clamps numpy's buffer (``row_buffers(K)``): a reduction that
+        ``sweep_scope``, the package's mixtures reuse them at the next block,
+        so a wrapper keeps none of them past its own call.  The sweep also
+        clamps numpy's buffer (``row_buffers(K)``): a reduction that
         numpy buffers, such as a sum that casts its input, then adds blocks
         of K rounded up to a multiple of 16, and may differ in its last bits
         from the same call outside the sweep.
@@ -345,24 +385,23 @@ class ModelSpec:
             raise ValueError(f"x has dimension {x.shape[-1]}, model expects {self.dim}")
         return x
 
-    def _check_input(self, x, lam, per_row=True):
-        """The argument check every evaluation makes: a finite lambda and ``_check_x(x)``.
-
-        With ``per_row``, ``lam`` may also be an array of shape ``x.shape[:-1]``.
-        """
+    def _check_input(self, x, lam):
+        """``(_check_x(x), lam)``, with ``lam`` held to ``eps``'s contract; an array as float64."""
         if _scalar(lam):
             if not math.isfinite(lam):
                 raise ValueError(f"lambda must be finite, got {lam}")
-            return self._check_x(x)
-        if not per_row:
-            raise ValueError(f"lambda must be a scalar here, got shape {np.shape(lam)}")
+            return self._check_x(x), lam
         x = self._check_x(x)
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != x.shape[:-1]:
-            raise ValueError(f"lambda has shape {lam.shape}, expected a scalar or {x.shape[:-1]}")
-        if not np.all(np.isfinite(lam)):
+        lam, lead = np.asarray(lam, dtype=float), x.shape[:-1]
+        one = lam.size == 1  # as a table build's block of one grid point: checked as a float
+        if not (lam.ndim <= len(lead) if one else _broadcasts(lam.shape, lead)):
+            raise ValueError(
+                f"lambda has shape {lam.shape}, expected a scalar or a shape that broadcasts"
+                f" against {lead}"
+            )
+        if not (math.isfinite(lam.item()) if one else np.isfinite(lam).all()):
             raise ValueError("lambda must be finite")
-        return x
+        return x, lam
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -398,15 +437,16 @@ class PointGaussian(ModelSpec):
         return self.x0.size
 
     def eps(self, sched, x, lam):
-        x = self._check_input(x, lam)
+        x, lam = self._check_input(x, lam)
         alpha = sched.alpha_lambda(lam)[..., None]
         sigma = sched.sigma_lambda(lam)[..., None]
         return (x - alpha * self.x0) / sigma
 
     def linearize(self, sched, x, lam):
         # (x - alpha x0) / sigma is constant along every trajectory
-        eps = self.eps(sched, self._check_input(x, lam, per_row=False), lam)
-        sigma = sched.sigma_lambda(lam)
+        x, lam = self._check_input(x, lam)
+        eps = self.eps(sched, x, lam)
+        sigma = sched.sigma_lambda(lam)[..., None]
 
         def apply_jacobian(v):
             return self._check_x(v) / sigma
@@ -458,7 +498,7 @@ class GaussianMixture(ModelSpec):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "stds", s)
-        # the coordinate-major constants of the arithmetic
+        # the coordinate-major constants of the arithmetic, against (N,) lanes
         object.__setattr__(self, "_means", mu[:, :, None])
         object.__setattr__(self, "_log_weights", np.log(w)[:, None])
         object.__setattr__(self, "_stds_sq", (s**2)[:, None])
@@ -472,52 +512,48 @@ class GaussianMixture(ModelSpec):
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _lambda_terms(self, sched, lam):
+    def _lambda_terms(self, sched, lam, memo):
         """The lambda-only terms: sigma, var_i, alpha mu_i, D log(2 pi var_i) and -var_i.
 
-        For a scalar lambda: a float, then arrays of shape (C, 1), (C, D, 1),
-        (C, 1) and (C, 1, 1), read from the model's memo.  Its key is the
-        schedule object's identity and ``float(lam)``, and an entry holds
-        its schedule, so a key never outlives the object it names; a full
-        memo is cleared.  For a lambda per row: sigma (N,), then (C, N), (C,
-        D, N), (C, N) and (C, 1, N) arrays, computed afresh, which broadcast
-        against the (C, D, N) and (C, N) arrays as the scalar terms do.
-        ``np.float_power`` squares with the C library's ``pow``, as Python's
-        float ``**`` does, so a row's bits are the scalar path's;
-        ``np.square`` differs from ``pow`` in the last bit for about 0.1% of
-        inputs.
+        At lambda's own size (see ``_lanes``): for one lambda a scalar
+        sigma, then (C, 1), (C, D, 1), (C, 1) and (C, 1, 1) arrays, with
+        (N,) or (M, 1) for the 1 for a lambda per row or a column.  With
+        ``memo``, a scalar's are read from the model's memo, keyed on the
+        schedule object's identity and ``float(lam)``; an entry holds its
+        schedule, so a key never outlives the object it names, and a full
+        memo is cleared.  ``np.float_power`` squares with the C library's
+        ``pow``, so each lambda's terms have its bits alone; ``np.square``
+        differs from ``pow`` in the last bit for about 0.1% of inputs.
         """
-        scalar = _scalar(lam)
-        if scalar:
+        if memo:
             key = (id(sched), float(lam))
             hit = self._memo.get(key)
             if hit is not None and hit[0] is sched:
                 return hit[1]
-            alpha = float(sched.alpha_lambda(lam))
-            sigma = float(sched.sigma_lambda(lam))
-            var = alpha**2 * self._stds_sq + sigma**2
-        else:
-            alpha = sched.alpha_lambda(lam).reshape(-1)
-            sigma = sched.sigma_lambda(lam).reshape(-1)
-            var = np.float_power(alpha, 2.0) * self._stds_sq + np.float_power(sigma, 2.0)
+        alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+        stds_sq, means = self._stds_sq, self._means
+        if isinstance(lam, np.ndarray) and lam.ndim == 2:  # an (M, 1) column: lanes (M, n)
+            stds_sq, means = stds_sq[:, None], means[..., None]
+        var = np.float_power(alpha, 2.0) * stds_sq + np.float_power(sigma, 2.0)
         log_norm = self.dim * np.log(2.0 * np.pi * var)
-        terms = sigma, var, alpha * self._means, log_norm, -var[:, None]
-        if scalar:
+        terms = sigma, var, alpha * means, log_norm, -var[:, None]
+        if memo:
             if len(self._memo) >= _LAMBDA_MEMO_SIZE:
                 self._memo.clear()
             self._memo[key] = sched, terms
         return terms
 
     def _posterior(self, sq, var, log_norm, row):
-        """Posterior weights pi_i(x), (C, N), formed in the memory of ``sq`` = |x - alpha mu_i|^2.
+        """Posterior weights pi_i(x), (C,) + lanes, formed in the memory of ``sq`` = |x - alpha mu_i|^2.
 
         log w_i N_i(x) = log w_i - (D log(2 pi var_i) + sq_i / var_i) / 2, then a
-        softmax over the components, whose max and sum take the (N,) array ``row``.
+        softmax over the components, whose max and sum take the lanes' array ``row``.
         """
         sq /= var
         sq += log_norm
         sq *= 0.5
-        np.subtract(self._log_weights, sq, out=sq)
+        log_weights = self._log_weights if sq.ndim == 2 else self._log_weights[:, None]
+        np.subtract(log_weights, sq, out=sq)
         sq -= _short_max(sq, out=row)
         np.exp(sq, out=sq)
         sq /= _short_sum(sq, out=row)
@@ -525,17 +561,17 @@ class GaussianMixture(ModelSpec):
 
     @staticmethod
     def _offsets(xt, alpha_means, diff=None, sq=None, scratch=None):
-        """The offsets x - alpha mu_i, (C, D, N), and their squared norms, (C, N).
+        """The offsets x - alpha mu_i, (C, D) + lanes, and their squared norms, (C,) + lanes.
 
         The squares are summed over D left to right, as a row-major ``np.sum``
         adds them.  A large call forms them as products into the norms, with
-        no (C, D, N) temporary; a small one squares the offsets in one call,
-        which costs fewer numpy calls than D products.  Written into ``diff``
-        and ``sq`` if given; a large call's products go to the (C, N) array
-        ``scratch`` if given.
+        no (C, D) + lanes temporary; a small one squares the offsets in one
+        call, which costs fewer numpy calls than D products.  Written into
+        ``diff`` and ``sq`` if given; a large call's products go to the (C,)
+        + lanes array ``scratch`` if given.
         """
         # order="C": by default a ufunc's output would follow the strided x.T,
-        # and the squares' would follow diff, whose (C, N) slices are strided
+        # and the squares' would follow diff, whose (C,) + lanes slices are strided
         diff = np.subtract(xt, alpha_means, out=diff, order="C")
         by_coord = diff.swapaxes(0, 1)
         if diff.size <= _SMALL_CALL:
@@ -550,23 +586,37 @@ class GaussianMixture(ModelSpec):
 
         With g_i = grad log N_i, gbar = sum_i pi_i g_i and weights_i =
         pi_i (g_i . v) this is the Hessian-vector product H v of log q.  ``v``
-        is (D, N) or a (P, D, N) probe stack, and ``weights`` (C, N) or (P, C,
-        N); ``work`` is a scratch of ``out``'s shape, and ``gbar . v`` is
-        formed in ``gbar_v``, (N,) or (P, N).
+        is (D,) + lanes or a (Q, D) + lanes probe stack, and ``weights`` (C,)
+        + lanes or (Q, C) + lanes; ``work`` is a scratch of ``out``'s shape,
+        and ``gbar . v`` is formed in ``gbar_v``, lanes or (Q,) + lanes.
         """
-        # swapaxes(0, -2) brings the component or coordinate axis to the front
-        _short_dot(weights.swapaxes(0, -2)[..., None, :], comp_score, out=out, scratch=work)
-        _short_dot(mean_score, v.swapaxes(0, -2), out=gbar_v, scratch=work[..., 0, :])
-        out -= np.multiply(mean_score, gbar_v[..., None, :], out=work)
+        if v.ndim > mean_score.ndim:  # a probe stack: C, and D, go in front of its axis
+            by_comp, by_coord = weights.swapaxes(0, 1)[:, :, None], v.swapaxes(0, 1)
+            work_row, gbar_v_col = work[:, 0], gbar_v[:, None]
+        else:
+            by_comp, by_coord = weights[:, None], v
+            work_row, gbar_v_col = work[0], gbar_v[None]
+        _short_dot(by_comp, comp_score, out=out, scratch=work)
+        _short_dot(mean_score, by_coord, out=gbar_v, scratch=work_row)
+        out -= np.multiply(mean_score, gbar_v_col, out=work)
         out -= np.multiply(pi_over_var, v, out=work)
         return out
 
     def eps(self, sched, x, lam):
-        x = self._check_input(x, lam)
-        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
-        xt = _columns(x, (), x.size // self.dim)
-        diff, sq = self._offsets(xt, alpha_means)
-        out, out_t = _row_buffer(xt, x.shape)
+        x, lam = self._check_input(x, lam)
+        memo = not isinstance(lam, np.ndarray)  # a scalar the caller passed
+        lam, lanes = _lanes(lam, x.shape[:-1])
+        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam, memo)
+        xt = _columns(x, (), lanes)
+        # the result before the temporaries: allocated after them, a sampler's
+        # kept result would sit above the offsets' freed block, and the solver's
+        # arrays splitting that hole grew a batch run's heap by one more block
+        out, out_t = _row_buffer(xt, x.shape, lanes)
+        scratch = None
+        if len(var) * out_t.size > _SMALL_CALL and len(var) <= len(out_t):
+            # out's memory is free until the last steps: a large call's products go there
+            scratch = _carve([(len(var),) + lanes], out_t.ravel(order="K"))[0]
+        diff, sq = self._offsets(xt, alpha_means, scratch=scratch)
         pi = self._posterior(sq, var, log_norm, out_t[0])  # a row of out, written last
         # diff turns into the component scores grad log N_i = -diff / var_i, then pi_i times them
         np.divide(diff, neg_var, out=diff)
@@ -576,30 +626,31 @@ class GaussianMixture(ModelSpec):
         return out
 
     def _linearize_arrays(self, xt, shape):
-        """The arrays of a ``linearize`` call on ``xt``, the ``(D, N)`` view of an ``x`` of ``shape``.
+        """The arrays of a ``linearize`` call on ``xt``, the ``(D,) + lanes`` view of an ``x`` of ``shape``.
 
-        In order: eps and d_eps, each with its (D, N) view; the offsets (C,
-        D, N), their squared norms (C, N), the mean score (D, N) and sum_i
-        pi_i / var_i (N,), which the call's ``jvp`` reads, from one block;
-        then the temporaries, two (D, N) and three (C, N) arrays, and
-        ``free``, the flat memory they share, which the ``jvp`` takes for its
-        own arrays once the call has returned.  These are four allocations
-        where one would do: a workspace of one block, freed when a table
-        build ends, raised glibc's dynamic trim threshold (twice the largest
-        mapped chunk freed) above all that the build frees, so the heap was
-        never trimmed after a build, and a benchmark process's peak resident
-        memory read 1.5-2% higher.
+        In order: eps and d_eps, each with its (D,) + lanes view; the
+        offsets (C, D) + lanes, their squared norms (C,) + lanes, the mean
+        score (D,) + lanes and sum_i pi_i / var_i, lanes, which the call's
+        ``jvp`` reads, from one block; then the temporaries, two (D,) +
+        lanes and three (C,) + lanes arrays, and ``free``, the flat memory
+        they share, which the ``jvp`` takes for its own arrays once the call
+        has returned.  These
+        are four allocations where one would do: a workspace of one block,
+        freed when a table build ends, raised glibc's dynamic trim
+        threshold (twice the largest mapped chunk freed) above all that the
+        build frees, so the heap was never trimmed after a build, and a
+        benchmark process's peak resident memory read 1.5-2% higher.
         """
-        num_comp, (dim, n) = len(self.weights), xt.shape
-        kept = _carve([(num_comp, dim, n), (num_comp, n), (dim, n), (n,)])
-        temps = [(dim, n)] * 2 + [(num_comp, n)] * 3
+        num_comp, dim, lanes = len(self.weights), xt.shape[0], xt.shape[1:]
+        kept = _carve([(num_comp, dim, *lanes), (num_comp, *lanes), (dim, *lanes), lanes])
+        temps = [(dim, *lanes)] * 2 + [(num_comp, *lanes)] * 3
         free = np.empty(_block_size(temps))
-        eps, d_eps = _row_buffer(xt, shape), _row_buffer(xt, shape)
+        eps, d_eps = _row_buffer(xt, shape, lanes), _row_buffer(xt, shape, lanes)
         return (*eps, *d_eps, *kept, *_carve(temps, free), free)
 
     def _workspace(self, sweep, xt, shape):
         """The sweep's next slot with this input's arrays, refilled for a new shape or layout."""
-        key = (len(self.weights), shape, xt.flags.c_contiguous)
+        key = (len(self.weights), shape, xt.shape, xt.flags.c_contiguous)
         i = sweep.taken
         sweep.taken += 1
         ws = sweep.slots.get(i)
@@ -611,11 +662,13 @@ class GaussianMixture(ModelSpec):
 
     def linearize(self, sched, x, lam):
         # apply_jacobian closes over this call's posterior, which it keeps alive
-        x = self._check_input(x, lam, per_row=False)
-        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam)
-        c = float(sched.dlog_alpha_dlambda(lam))
-        n = x.size // self.dim
-        xt = _columns(x, (), n)
+        x, lam = self._check_input(x, lam)
+        memo = not isinstance(lam, np.ndarray)  # a scalar the caller passed
+        lam, lanes = _lanes(lam, x.shape[:-1])
+        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam, memo)
+        c = sched.dlog_alpha_dlambda(lam)
+        sigma_sq = np.float_power(sigma, 2.0)  # pow's bits, as the terms' squares
+        xt = _columns(x, (), lanes)
         sweep = _SWEEP.get()
         if sweep is None or sweep.thread != threading.get_ident():
             ws = token = None
@@ -635,9 +688,9 @@ class GaussianMixture(ModelSpec):
         # d_eps = (c - 1) eps - sigma (sum_i (dpi_i g_i + pi_i dg_i) + H v).  In
         # the weights of the g_i, the Jacobian's g_i . v = c g_i . x +
         # sigma^2 g_i . gbar cancels the c g_i . x of dlog N_i.
-        rate = 2.0 * c - 2.0 * sigma**2 / var
+        rate = 2.0 * c - 2.0 * sigma_sq / var
         # |g_i|^2 = sq_i / var_i^2: a_i, before sq turns into pi
-        np.multiply(sq, -(sigma**2), out=a)
+        np.multiply(sq, -sigma_sq, out=a)
         a /= var**2
         a -= 0.5 * self.dim * rate
         pi = self._posterior(sq, var, log_norm, d_eps_t[0])  # a row of d_eps, written last
@@ -645,8 +698,8 @@ class GaussianMixture(ModelSpec):
         _short_dot(pi[:, None], comp_score, out=mean_score, scratch=work)
         np.multiply(mean_score, -sigma, out=eps_t)
         _short_dot(comp_score.swapaxes(0, 1), mean_score[:, None], out=weights, scratch=scratch)
-        weights *= sigma**2
-        # the (N,) dot products go to a row of velocity, which is not in use yet
+        weights *= sigma_sq
+        # the lanes' dot products go to a row of velocity, which is not in use yet
         a -= _short_dot(pi, a, out=velocity[0], scratch=scratch[0])
         weights += a
         weights += np.multiply(
@@ -678,8 +731,8 @@ class GaussianMixture(ModelSpec):
             if shape[len(shape) - x.ndim :] != x.shape:
                 raise ValueError(f"v of shape {v.shape} does not end in x's shape {x.shape}")
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
-            vt = _columns(np.broadcast_to(v, shape), probes, n)  # (P, D, N)
-            by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, P, 1, N)
+            vt = _columns(np.broadcast_to(v, shape), probes, lanes)  # (Q, D) + lanes
+            by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, Q, 1) + lanes
             # the dot products' scratch (which then holds gbar . v), the dots, a scratch and out
             shapes = [probes + pi.shape] * 2 + [vt.shape, (vt.size,)]
             mem = None if ws is None else ws.jvp_memory(_block_size(shapes), v)
@@ -687,9 +740,9 @@ class GaussianMixture(ModelSpec):
                 (scratch, dots, work), out_mem = _carve(shapes[:3]), None
             else:
                 scratch, dots, work, out_mem = _carve(shapes, mem)
-            _short_dot(comp_score.swapaxes(0, 1), by_coord, out=dots, scratch=scratch)  # (P, C, N)
+            _short_dot(comp_score.swapaxes(0, 1), by_coord, out=dots, scratch=scratch)  # (Q, C) + lanes
             dots *= pi
-            out, out_t = _row_buffer(vt, shape, out_mem)
+            out, out_t = _row_buffer(vt, shape, lanes, out_mem)
             self._hessian_terms(
                 comp_score, mean_score, pi_over_var, vt, dots, out_t, work, scratch[:, 0]
             )
@@ -747,7 +800,7 @@ class Guided(ModelSpec):
         # Each part's d_eps follows that part's own ODE.  The guided velocity
         # differs from it by sigma (eps_part - eps), which the parts' Jacobians
         # carry into d_eps: sigma s (1 - s) (J_c - J_u) (eps_c - eps_u).
-        gap = (sched.sigma_lambda(lam) * s * (1.0 - s)) * (eps_c - eps_u)
+        gap = (sched.sigma_lambda(lam)[..., None] * s * (1.0 - s)) * (eps_c - eps_u)
         d_eps = s * d_c + (1.0 - s) * d_u + jvp_c(gap) - jvp_u(gap)
 
         def apply_jacobian(v):

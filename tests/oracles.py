@@ -5,7 +5,9 @@ computes another way: derivative estimates by elimination and by the
 divided-difference recurrence (against the plan's closed-form Taylor
 weights), the classical DDIM update, with alpha and sigma as functions of
 t (against order 1 on the noise-prediction table), f and f1 one point at a time and the per-sample
-least-squares fit (against the one-sweep table), and a model's
+least-squares fit (against the one-sweep table), the sweep with one
+scalar-lambda ``linearize`` call per grid point (against its blocks of grid
+points, bit for bit), and a model's
 derivatives from separate calls, part by part for a guided model (against
 ``linearize``), a mixture's eps in long double (against its float64
 rounding), a mixture's eps, d_eps and J v in row-major arithmetic
@@ -36,7 +38,7 @@ import math
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 
-from emsolve.ems import EmsTable
+from emsolve.ems import EmsTable, estimate_l_dot
 from emsolve.models import REFERENCE_MAX_STEPS, Guided, reference_solve
 from emsolve.schedule import Schedule
 from emsolve.integrals import IntegralTable, Transition
@@ -332,6 +334,48 @@ def _f_and_f1(model, sched, l_row, l_dot_row, x, lam):
     f = (sched.sigma_lambda(lam) * eps - l_row * x) / alpha
     r = np.exp(-lam) * ((l_row - 1.0) * eps + d_eps)
     return f, r - l_dot_row * x / alpha
+
+
+def block_layout(a):
+    """``a``'s values, (..., P, K, D), as ``estimate_table`` lays a block out: a view of a C-contiguous (..., D, P, K)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, -3)), -3, -1)
+
+
+def pointwise_table(model, sched, cfg):
+    """``estimate_table``'s arrays from one scalar-lambda ``linearize`` call per grid point.
+
+    The sweep as it ran before it took grid points in blocks, step for step:
+    the same draws, (K, D) samples laid out coordinate-major, l and each
+    centred moment a contiguous row reduction over the point's K samples,
+    then l's slope and the closed-form fit.  Returns (grid, l, l_dot, s, b).
+    """
+    grid = np.linspace(*cfg.lam_range, cfg.num_timesteps + 1)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    x0 = model.sample_data(rng, cfg.num_datapoints)
+    z = rng.standard_normal(x0.shape)
+    probes = (rng.integers(0, 2, size=(cfg.probes_per_point,) + x0.shape) * 2 - 1).astype(float)
+    x0, z, probes = (
+        np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)
+    )
+    k = cfg.num_datapoints
+    l = np.empty((len(grid), model.dim))
+    moments = np.empty((6,) + l.shape)
+    for j, lam in enumerate(grid):
+        alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+        xs = x0 * alpha + z * sigma
+        eps, d_eps, apply_jacobian = model.linearize(sched, xs, lam)
+        rows = np.ascontiguousarray((sigma * apply_jacobian(probes) * probes).swapaxes(-1, -2))
+        l[j] = rows.sum(axis=-1).sum(axis=0) / (len(rows) * k)
+        f = (eps * sigma - xs * l[j]) / alpha
+        r = (d_eps + eps * (l[j] - 1.0)) * np.exp(-lam)
+        samples = [np.ascontiguousarray(g.T) for g in (f, r, xs / alpha)]  # (D, K) rows
+        means = [np.einsum("dk->d", g) / k for g in samples]
+        centred = [g - m[:, None] for g, m in zip(samples, means)]
+        moments[:, j] = means + [np.einsum("dk,dk->d", centred[0], g) / k for g in centred]
+    mf, mr, my, vf, cfr, cfy = moments
+    l_dot = estimate_l_dot(l, float((grid[-1] - grid[0]) / cfg.num_timesteps))
+    s = (cfr - l_dot * cfy) / (vf + 1e-8 * (vf + mf * mf) + 1e-20)
+    return grid, l, l_dot, s, (mr - l_dot * my) - s * mf
 
 
 def eval_f(model, sched, table: EmsTable, x, lam):

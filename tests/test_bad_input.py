@@ -18,7 +18,8 @@ anything built from it.
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
 inline checks, tested in ``test_models.py``; a ``workspace`` keyword, which
 the protocol ``linearize(sched, x, lam)`` refuses with Python's TypeError,
-and a ``jvp`` whose sweep slot a later call took are tested here), non-integer
+a ``jvp`` whose sweep slot a later call took, and outputs of ``linearize``
+and its ``jvp`` that ``estimate_table`` refuses are tested here), non-integer
 grid indices (index lookups, not checked arguments), ``lupdate``'s states
 and g values (its anchor triple and extra pairs are checked) and
 ``save_table``'s path.
@@ -369,18 +370,18 @@ def test_linearize_takes_no_workspace_argument(model, bad):
 
 @pytest.mark.parametrize("guided", [False, True])
 def test_a_jvp_whose_workspace_was_reused_raises_value_error(guided):
-    """Inside a sweep, the jvp of a call whose slot the next point's call took raises."""
+    """Inside a sweep, the jvp of a call whose slot the next block's call took raises."""
     model = Guided(MIXTURE, MIXTURE, 2.0) if guided else MIXTURE
-    x = np.ones((5, 2))
-    with sweep_scope(len(x)) as sweep:
-        sweep.next_point()
-        _, _, stale = model.linearize(SCHED, x, 0.0)
-        sweep.next_point()
-        _, _, fresh = model.linearize(SCHED, x, 0.5)
+    x, lams = np.ones((2, 5, 2)), np.array([[0.0], [0.5]])  # a block of two grid points
+    with sweep_scope(5) as sweep:
+        sweep.next_block()
+        _, _, stale = model.linearize(SCHED, x, lams)
+        sweep.next_block()
+        _, _, fresh = model.linearize(SCHED, x, lams + 0.5)
         with pytest.raises(ValueError, match="reused this jvp's workspace"):
             stale(x)
         got = fresh(x)
-    assert got.tobytes() == model.linearize(SCHED, x, 0.5)[2](x).tobytes()
+    assert got.tobytes() == model.linearize(SCHED, x, lams + 0.5)[2](x).tobytes()
 
 
 def table_bytes(table):
@@ -428,11 +429,11 @@ class PositionalOnly(WithoutWorkspace):
 
 
 def test_a_linearize_taking_only_positional_arguments_builds():
-    """The sweep reads no signature and passes ``(sched, x, lam)`` alone, once per grid point."""
+    """The sweep reads no signature and passes ``(sched, x, lam)`` alone, once per block."""
     model = PositionalOnly()
     got = estimate_table(model, SCHED, EMS_CFG)
     assert table_bytes(got) == table_bytes(estimate_table(MIXTURE, SCHED, EMS_CFG))
-    assert model.calls == [(3, {})] * (EMS_CFG.num_timesteps + 1)
+    assert model.calls == [(3, {})]  # K = 8: the grid's 5 points make one block
 
 
 # what ``estimate_table`` reads off a model: ``model_id`` reads ``to_dict``, ``dim`` and ``kind``
@@ -480,6 +481,47 @@ def test_estimate_table_checks_the_models_samples(dim, sample_data, message):
     model.linearize = linearize
     with pytest.raises(ValueError, match=message):
         estimate_table(model, SCHED, EMS_CFG)
+
+
+def returning(which, bad):
+    """The mixture's ``linearize`` with ``bad`` applied to its eps, its d_eps or its jvp's product."""
+
+    def linearize(sched, x, lam):
+        eps, d_eps, jvp = MIXTURE.linearize(sched, x, lam)
+        if which == "jvp":
+            return eps, d_eps, lambda v: bad(jvp(v))
+        return (bad(eps), d_eps, jvp) if which == "eps" else (eps, bad(d_eps), jvp)
+
+    return linearize
+
+
+BAD_OUTPUTS = {
+    # the output, what goes wrong with it, the message: EMS_CFG's 5 points of K = 8 are one block
+    "a (K, 1) d_eps": (
+        "d_eps", lambda a: a[..., :1].copy(), r"linearize must return float64 arrays of shape"
+        r" \(5, 8, 2\), got float64 of shape \(5, 8, 1\)$"
+    ),
+    "a list eps": ("eps", lambda a: a.tolist(), r"linearize must return .*, got list$"),
+    "an int eps": ("eps", lambda a: a.astype(int), r"linearize must return .*, got int64 of shape"),
+    "a float32 eps": ("eps", lambda a: a.astype(np.float32), r"linearize .*, got float32 of"),
+    "a float32 product": ("jvp", lambda a: a.astype(np.float32), r"jvp .*, got float32 of"),
+    "a product of no probe": (
+        "jvp", lambda a: a[:0], r"jvp must return float64 arrays of shape \(1, 5, 8, 2\), got"
+    ),
+    "a list product": ("jvp", lambda a: a.tolist(), r"jvp must return .*, got list$"),
+}
+
+
+@pytest.mark.parametrize("which, bad, message", BAD_OUTPUTS.values(), ids=BAD_OUTPUTS.keys())
+def test_estimate_table_checks_what_linearize_returns(which, bad, message):
+    """float64 arrays of the block's shape, or a ValueError naming ``linearize`` or ``jvp``."""
+    model = SimpleNamespace(**{**MEMBERS, "linearize": returning(which, bad)})
+    with pytest.raises(ValueError, match="^the model's " + message):
+        estimate_table(model, SCHED, EMS_CFG)
+    model.linearize = returning(which, lambda a: a)
+    assert table_bytes(estimate_table(model, SCHED, EMS_CFG)) == table_bytes(
+        estimate_table(MIXTURE, SCHED, EMS_CFG)
+    )
 
 
 def test_a_plan_run_checks_its_trace_before_any_model_call():

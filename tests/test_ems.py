@@ -32,19 +32,22 @@ from emsolve import (
     singlestep_sample,
 )
 from emsolve.ems import (
-    DATA_PRED, NOISE_PRED, _point_stats, diag_estimate, diag_probe_terms, estimate_l_dot
+    _BLOCK_SAMPLES, DATA_PRED, NOISE_PRED, _point_stats, diag_estimate, diag_probe_terms,
+    estimate_l_dot,
 )
 from emsolve import models
 from emsolve.models import ModelSpec
 from emsolve.schedule import EDM, UNIFORM_LAMBDA, VP_COSINE, VP_LINEAR, Schedule
 
 from oracles import (
+    block_layout,
     eps_along_ode,
     estimate_sb,
     eval_f,
     eval_f1,
     forward_diffuse,
     jvp,
+    pointwise_table,
     reference_states,
 )
 
@@ -424,12 +427,33 @@ def two_sweep_table(model, sched, cfg):
     return grid, l, l_dot, s, b
 
 
+def blocks(cfg):
+    """The sizes of ``estimate_table``'s blocks of grid points for ``cfg``."""
+    n_pts, size = cfg.num_timesteps + 1, max(1, _BLOCK_SAMPLES // cfg.num_datapoints)
+    return [min(size, n_pts - start) for start in range(0, n_pts, size)]
+
+
 @pytest.mark.parametrize("model_name", ["point-mass", "mixture"])
 def test_estimate_table_makes_one_model_call_per_grid_point(vp, pg4, mix4, model_name):
+    """At K = 4096 a block is one grid point."""
     counted = CallCounter({"point-mass": pg4, "mixture": mix4}[model_name])
-    cfg = EmsConfig(num_timesteps=12, num_datapoints=32, lam_range=(-2.0, 2.0), seed=3)
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=4096, lam_range=(-2.0, 2.0), seed=3)
     estimate_table(counted, vp, cfg)
     assert counted.calls == {"linearize": 13, "jvp": 13}
+
+
+@pytest.mark.parametrize(
+    "num_datapoints, sizes",
+    [(1, [13]), (32, [13]), (1000, [4, 4, 4, 1]), (1366, [2] * 6 + [1]), (2049, [1] * 13)],
+)
+@pytest.mark.parametrize("model_name", ["point-mass", "mixture"])
+def test_estimate_table_makes_one_model_call_per_block(vp, pg4, mix4, model_name, num_datapoints, sizes):
+    """Blocks of max(1, 4096 // K) grid points, the last one shorter; one call and one jvp each."""
+    counted = CallCounter({"point-mass": pg4, "mixture": mix4}[model_name])
+    cfg = EmsConfig(num_timesteps=12, num_datapoints=num_datapoints, lam_range=(-2.0, 2.0), seed=3)
+    assert blocks(cfg) == sizes
+    estimate_table(counted, vp, cfg)
+    assert counted.calls == {"linearize": len(sizes), "jvp": len(sizes)}
 
 
 class BlockRecorder(CallCounter):
@@ -452,19 +476,23 @@ class BlockRecorder(CallCounter):
 
 @pytest.mark.parametrize("guided", [False, True])
 def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
-    """Each mixture sees the same x, eps, d_eps and J v memory at all 13 points: one slot.
+    """Each mixture sees the same x, eps, d_eps and J v memory in every block of a size: one slot.
 
-    A guided pair forms its sums in fresh arrays; its parts, recorded here,
-    each keep their own slot through the guidance gap's ``jvp`` and the
-    probes'.
+    13 points at K = 1024 make three blocks of 4 points, then one of 1,
+    whose arrays are its own.  A guided pair forms its sums in fresh
+    arrays; its parts, recorded here, each keep their own slot through the
+    guidance gap's ``jvp`` and the probes'.
     """
     mixtures = [BlockRecorder(mix4), BlockRecorder(mix4b)] if guided else [BlockRecorder(mix4)]
     model = Guided(*mixtures, 2.5) if guided else mixtures[0]
     cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
+    assert blocks(cfg) == [4, 4, 4, 1]
     estimate_table(model, vp, cfg)
+    per_block = 2 if guided else 1
     for recorder in mixtures:
-        assert len(recorder.seen) == 13 * (2 if guided else 1)
-        assert len(set(recorder.seen)) == 1
+        assert len(recorder.seen) == 4 * per_block
+        assert len(set(recorder.seen[: 3 * per_block])) == 1
+        assert recorder.seen[-1] not in recorder.seen[: 3 * per_block]
 
 
 class SlotRecorder(CallCounter):
@@ -483,13 +511,19 @@ class SlotRecorder(CallCounter):
 
 
 def test_the_sweeps_workspace_holds_only_the_models_entries(vp, mix4):
-    """The sweep takes no slot itself: the model's call finds none taken at each point."""
+    """The sweep takes no slot itself: the model's call finds none taken in each block.
+
+    Its slot keeps one set of arrays while the blocks keep their size, and
+    the shorter last block refills it.
+    """
     cfg = EmsConfig(num_timesteps=12, num_datapoints=1024, lam_range=(-2.0, 2.0), seed=3)
     model = SlotRecorder(mix4)
     assert table_bytes(estimate_table(model, vp, cfg)) == table_bytes(estimate_table(mix4, vp, cfg))
-    assert model.found[0] == (0, []) and len(model.left) == 13
+    assert model.found[0] == (0, []) and len(model.left) == len(blocks(cfg)) == 4
     (slot,) = model.left[0][1]
-    assert model.found[1:] == [(0, [slot])] * 12 and model.left == [(1, [slot])] * 13
+    assert model.found[1:] == [(0, [slot])] * 3 and model.left[:3] == [(1, [slot])] * 3
+    (last,) = model.left[3][1]
+    assert model.left[3][0] == 1 and last is not slot
 
 
 def table_bytes(table):
@@ -615,8 +649,9 @@ class OtherThread(Plain):
 
 @pytest.mark.parametrize("copied", [False, True])
 def test_a_call_on_another_thread_takes_no_slot_of_the_sweep(vp, mix4, copied):
-    """It gets fresh arrays, and the table keeps its bytes."""
-    cfg = EmsConfig(num_timesteps=6, num_datapoints=512, lam_range=(-2.0, 2.0), seed=3)
+    """It gets fresh arrays, and the table keeps its bytes; call 3 is the third block of two points."""
+    cfg = EmsConfig(num_timesteps=6, num_datapoints=2048, lam_range=(-2.0, 2.0), seed=3)
+    assert blocks(cfg) == [2, 2, 2, 1]
     model = OtherThread(mix4, 3, copied)
     assert table_bytes(estimate_table(model, vp, cfg)) == table_bytes(
         estimate_table(mix4, vp, cfg)
@@ -627,7 +662,8 @@ def test_a_call_on_another_thread_takes_no_slot_of_the_sweep(vp, mix4, copied):
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_calls_after_a_sweep_get_fresh_arrays(vp, mix4, fail_at):
     """After ``estimate_table`` returns or raises, no call reuses another's memory."""
-    cfg = EmsConfig(num_timesteps=4, num_datapoints=256, lam_range=(-2.0, 2.0), seed=1)
+    cfg = EmsConfig(num_timesteps=4, num_datapoints=2048, lam_range=(-2.0, 2.0), seed=1)
+    assert blocks(cfg) == [2, 2, 1]  # call 3 is the last block's
     if fail_at is None:
         estimate_table(mix4, vp, cfg)
     else:
@@ -658,6 +694,36 @@ def test_estimate_table_matches_two_sweep_oracle(vp, vp_lam_range, pg4, mix4, mi
     assert table.l.tobytes() == l.tobytes() and table.l_dot.tobytes() == l_dot.tobytes()
     for got, want in ((table.s, s), (table.b, b)):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), floor)
+
+
+# K with grids whose last block is partial where blocks hold more than one point:
+# K = 1 takes the whole grid in one block, and K = 4096 one point per block
+BLOCK_CASES = {1: 6, 63: 69, 64: 69, 100: 44, 1023: 6, 1024: 5, 1025: 6, 4096: 2}
+BLOCK_MODELS = ["mixture", "guided", "guided-same", "point-mass"]
+
+
+@pytest.mark.parametrize("name", BLOCK_MODELS)
+@pytest.mark.parametrize("num_datapoints", sorted(BLOCK_CASES))
+def test_blocked_tables_have_the_bytes_of_a_call_per_point(vp, pg4, mix4, mix4b, num_datapoints, name):
+    """Every table array has the bits of the sweep with one scalar-lambda call per grid point.
+
+    Each model meets 1, 2 and 3 probes over the K.
+    """
+    model = {
+        "mixture": mix4,
+        "guided": Guided(mix4, mix4b, 2.5),
+        "guided-same": Guided(mix4, mix4, 7.5),
+        "point-mass": pg4,
+    }[name]
+    num_probes = 1 + (sorted(BLOCK_CASES).index(num_datapoints) + BLOCK_MODELS.index(name)) % 3
+    cfg = EmsConfig(
+        BLOCK_CASES[num_datapoints], num_datapoints, (-3.0, 4.0), probes_per_point=num_probes, seed=4
+    )
+    sizes = blocks(cfg)
+    assert len(sizes) == 1 or sizes[-1] < sizes[0] or sizes[0] == 1
+    table = estimate_table(model, vp, cfg)
+    grid, l, l_dot, s, b = pointwise_table(model, vp, cfg)
+    assert table_bytes(table) == [a.tobytes() for a in (grid, l, s, b, l_dot)]
 
 
 def longdouble_sb(model, sched, cfg, table):
@@ -705,8 +771,12 @@ def test_estimate_table_fit_matches_a_long_double_fit(vp, vp_lam_range, pg4, mix
         assert rel <= 1e-12, (name, rel)
 
 
-@pytest.mark.parametrize("lam", [-2.0, 1.0, 4.56, 6.5])
+POINT_LAMBDAS = [-2.0, 1.0, 4.56, 6.5]
+
+
+@pytest.mark.parametrize("lam", POINT_LAMBDAS)
 def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
+    """Each point of one block of these four lambdas, against long double."""
     # at high lambda this guided pair's f and r spread ~1e-4 of their means;
     # a covariance with an uncentred r is then up to 6e-12 of std f * std r off
     model = Guided(cond=mix4, uncond=pg4, scale=2.5)
@@ -714,8 +784,14 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
     x0 = model.sample_data(rng, 256)
     z = rng.standard_normal(x0.shape)
     probes = np.where(rng.random((1,) + x0.shape) < 0.5, -1.0, 1.0)
-    inputs = [np.ascontiguousarray(a.swapaxes(-1, -2)).swapaxes(-1, -2) for a in (x0, z, probes)]
-    l_row, got, _ = _point_stats(model, vp, lam, *inputs, np.empty_like(inputs[0]), None)
+    x0_in, z_in = (np.ascontiguousarray(a.T).T for a in (x0, z))
+    points = len(POINT_LAMBDAS)
+    stack = block_layout(np.repeat(probes[:, None], points, axis=1))
+    xs = block_layout(np.empty((points,) + x0.shape))
+    lams = np.array(POINT_LAMBDAS)[:, None]
+    l_rows, stats, _ = _point_stats(model, vp, lams, x0_in, z_in, stack, xs, None)
+    p = POINT_LAMBDAS.index(lam)
+    l_row, got = l_rows[p], [m[:, p] for m in stats]
     alpha, sigma = vp.alpha_lambda(lam), vp.sigma_lambda(lam)
     xs = alpha * x0 + sigma * z
     eps, d_eps, _ = model.linearize(vp, xs, lam)
@@ -731,25 +807,31 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
         assert np.all(np.abs(g - w) <= 1e-14 * sc), (name, float(np.max(np.abs(g - w) / sc)))
 
 
-# one estimate_table's peak allocation at K=4096, in units of a (K, D) sample
-# array's bytes: 13.82 by this measurement since the sweep keeps its arrays in
-# one workspace (14.06 before that, 14.80 before the sweep was
-# coordinate-major), so a copy of the samples per grid point would break it
+# one estimate_table's peak allocation, in units of a block's (P, K, D) sample
+# array's bytes: 13.39 at K=4096 (P=1) and 12.67 at K=1024 (P=4) by this
+# measurement (numpy 2.4.6; 13.82 at K=4096 when the sweep first kept its
+# arrays in one workspace, 14.06 before that, 14.80 before the sweep was
+# coordinate-major), so a copy of the samples per block would break it
 ESTIMATE_PEAK_ALLOCATION = 14.75
 
 
 def test_estimate_table_peak_allocation(vp, mix4, vp_lam_range):
-    cfg = EmsConfig(num_timesteps=4, num_datapoints=4096, lam_range=vp_lam_range, seed=1)
-    estimate_table(mix4, vp, cfg)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
+    """At K=4096, one point a block, and at K=1024, blocks of 4 points and a last one of 1."""
+    for num_datapoints, size in ((4096, 1), (1024, 4)):
+        cfg = EmsConfig(
+            num_timesteps=4, num_datapoints=num_datapoints, lam_range=vp_lam_range, seed=1
+        )
+        assert blocks(cfg)[0] == size
         estimate_table(mix4, vp, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    sample_bytes = cfg.num_datapoints * mix4.dim * 8
-    assert peak <= ESTIMATE_PEAK_ALLOCATION * sample_bytes, peak / sample_bytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            estimate_table(mix4, vp, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        block_bytes = size * cfg.num_datapoints * mix4.dim * 8
+        assert peak <= ESTIMATE_PEAK_ALLOCATION * block_bytes, (size, peak / block_bytes)
 
 
 def test_estimate_table_point_gaussian(vp, pg4, vp_lam_range):
@@ -845,7 +927,7 @@ def test_a_sweep_runs_its_model_calls_under_a_one_row_buffer(vp, mix4, num_datap
     cfg = EmsConfig(num_timesteps=2, num_datapoints=num_datapoints, lam_range=(-2.0, 2.0), seed=1)
     estimate_table(spy, vp, cfg)
     assert np.getbufsize() == 8192
-    assert spy.bufsizes == [seen] * 3
+    assert spy.bufsizes == [seen] * len(blocks(cfg))  # one block of 3 points below K = 2048
 
 
 def test_estimate_table_rejects_lam_range_outside_schedule(vp, edm, pg4):

@@ -35,6 +35,7 @@ from emsolve.models import ModelSpec, _short_dot, _short_max, _short_sum
 from emsolve.schedule import UNIFORM_LAMBDA
 
 from oracles import (
+    block_layout,
     composed_linearize,
     eps_along_ode,
     forward_diffuse,
@@ -438,15 +439,26 @@ def addresses(*arrays):
     return tuple(a.__array_interface__["data"][0] for a in arrays)
 
 
+def stacked(per_point):
+    """The bytes of a block's eps, d_eps and J v from each point's (eps, d_eps, J v)."""
+    eps, d_eps, jv = zip(*per_point)
+    return [np.stack(eps).tobytes(), np.stack(d_eps).tobytes(), np.stack(jv, axis=1).tobytes()]
+
+
+# three blocks of two grid points each
+BLOCK_LAMBDAS = [np.array([[-2.0], [-0.7]]), np.array([[0.5], [1.2]]), np.array([[3.0], [4.1]])]
+
+
 @pytest.mark.parametrize("num_comp", [1, 2, 3])
 @pytest.mark.parametrize("rows", [100, 1500])
 @pytest.mark.parametrize("num_probes", [1, 2, 3])
 def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_probes):
-    """Outside a sweep and in one slot reused over several grid points: the oracle's bytes.
+    """Outside a sweep and in one slot reused over several blocks: each point's oracle bytes.
 
-    100 rows take the small-call path and 1500 the large one.  One probe's
-    product fits the memory the call's temporaries leave free, so it lies
-    there at every point; two or three do not, and are fresh arrays.
+    Blocks of two points of 100 rows take the small-call path and of 1500
+    the large one.  One probe's product fits the memory the call's
+    temporaries leave free, so it lies there in every block; two or three
+    do not, and are fresh arrays.
     """
     rng = np.random.default_rng(100 * num_comp + rows + num_probes)
     weights = rng.uniform(0.1, 1.0, num_comp)
@@ -455,67 +467,70 @@ def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_prob
         means=rng.uniform(-2.0, 2.0, (num_comp, 4)),
         stds=rng.uniform(0.0, 1.5, num_comp),
     )
-    assert (num_comp * 4 * rows <= models._SMALL_CALL) == (rows == 100)
-    points = []
-    for lam in (-2.0, 0.5, 3.0):
-        x = laid_out(2.0 * rng.standard_normal((rows, 4)), "coordinate-major")
-        v = laid_out(rng.standard_normal((num_probes, rows, 4)), "coordinate-major")
-        want = [a.tobytes() for a in mixture_linearize_rowmajor(model, vp, x, lam, v)]
-        eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+    assert (num_comp * 4 * 2 * rows <= models._SMALL_CALL) == (rows == 100)
+    blocks = []
+    for lams in BLOCK_LAMBDAS:
+        x = block_layout(2.0 * rng.standard_normal((2, rows, 4)))
+        v = block_layout(rng.standard_normal((num_probes, 2, rows, 4)))
+        want = stacked(
+            mixture_linearize_rowmajor(model, vp, x[p], lams[p, 0], v[:, p]) for p in range(2)
+        )
+        eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
         assert [a.tobytes() for a in (eps, d_eps, apply_jacobian(v))] == want
-        points.append((lam, x, v, want))
+        blocks.append((lams, x, v, want))
     seen = set()
     with models.sweep_scope(rows) as sweep:
-        for lam, x, v, want in points:
-            sweep.next_point()
-            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+        for lams, x, v, want in blocks:
+            sweep.next_block()
+            eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
             got = (eps, d_eps, apply_jacobian(v))
             assert [a.tobytes() for a in got] == want
             seen.add(addresses(*got[: 3 if num_probes == 1 else 2]))
-    assert len(seen) == 1  # the slot's arrays at every point
+    assert len(seen) == 1  # the slot's arrays in every block
 
 
 @pytest.mark.parametrize("which", ["point", "guided", "guided-nested"])
 @pytest.mark.parametrize("num_probes", [1, 3])
 def test_workspace_keeps_the_bytes_of_separate_calls(vp, pg4, mix4, mix4b, which, num_probes):
+    """Each block of a sweep: each point's bytes of every quantity from a call of its own."""
     guided = Guided(cond=mix4, uncond=mix4b, scale=2.5)
     model = {
         "point": pg4,
         "guided": guided,
         "guided-nested": Guided(cond=guided, uncond=Guided(mix4b, pg4, 1.5), scale=-2.0),
     }[which]
-    """Each grid point of a sweep: the bytes of every quantity from a call of its own."""
     rng = np.random.default_rng(num_probes)
-    points = []
-    for lam in (-2.0, 0.5, 3.0):
-        x = laid_out(2.0 * rng.standard_normal((700, 4)), "coordinate-major")
-        v = laid_out(rng.standard_normal((num_probes, 700, 4)), "coordinate-major")
-        want = composed_linearize(model, vp, x, lam, v)
-        points.append((lam, x, v, [a.tobytes() for a in want]))
+    blocks = []
+    for lams in BLOCK_LAMBDAS:
+        x = block_layout(2.0 * rng.standard_normal((2, 700, 4)))
+        v = block_layout(rng.standard_normal((num_probes, 2, 700, 4)))
+        want = stacked(composed_linearize(model, vp, x[p], lams[p, 0], v[:, p]) for p in range(2))
+        blocks.append((lams, x, v, want))
     with models.sweep_scope(700) as sweep:
-        for lam, x, v, want in points:
-            sweep.next_point()
-            eps, d_eps, apply_jacobian = model.linearize(vp, x, lam)
+        for lams, x, v, want in blocks:
+            sweep.next_block()
+            eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
             assert [a.tobytes() for a in (eps, d_eps, apply_jacobian(v))] == want
 
 
 def test_workspace_arrays_never_feed_their_own_call(vp, mix4):
     """A product of a product takes fresh memory; an x in the slot its call takes raises."""
     rng = np.random.default_rng(3)
-    x = laid_out(rng.standard_normal((600, 4)), "coordinate-major")
-    v = laid_out(rng.standard_normal((1, 600, 4)), "coordinate-major")
-    eps, d_eps, fresh = mix4.linearize(vp, x, 0.5)
+    x = block_layout(rng.standard_normal((2, 300, 4)))
+    v = block_layout(rng.standard_normal((1, 2, 300, 4)))
+    lams = BLOCK_LAMBDAS[1]
+    eps, d_eps, fresh = mix4.linearize(vp, x, lams)
     want = [a.tobytes() for a in (eps, d_eps, fresh(fresh(v)))]
     stacks = [np.stack([v[0]] * num_probes) for num_probes in (2, 3)]
-    with models.sweep_scope(600) as sweep:
-        sweep.next_point()
-        eps, d_eps, apply_jacobian = mix4.linearize(vp, x, 0.5)
+    with models.sweep_scope(300) as sweep:
+        sweep.next_block()
+        eps, d_eps, apply_jacobian = mix4.linearize(vp, x, lams)
         twice = apply_jacobian(apply_jacobian(v))
         assert [a.tobytes() for a in (eps, d_eps, twice)] == want
         for inside in (eps, d_eps, apply_jacobian(v)[0]):
-            sweep.next_point()  # the call takes the slot that holds its x
+            sweep.next_block()  # the call takes the slot that holds its x
             with pytest.raises(ValueError, match="shares memory with the workspace"):
-                mix4.linearize(vp, inside, 0.5)
+                mix4.linearize(vp, inside, lams)
         too_big = [apply_jacobian(stack) for stack in stacks]  # fresh: they do not fit
     assert [a.tobytes() for a in too_big] == [fresh(stack).tobytes() for stack in stacks]
 
@@ -551,29 +566,83 @@ def test_eps_per_row_lambda_matches_scalar_calls_bit_for_bit(
 
 
 def test_mixture_per_row_moments_are_the_scalar_path_bits(vp, mix4):
+    """A lambda per row and a column of lambdas give each lambda's scalar terms, and ``c`` its bits."""
     # squaring the per-row alpha and sigma with np.square, not Python's float
     # ** 2, moves 19 of these 20001 lambdas' variances by an ulp
     lams = np.linspace(-8.0, 8.0, 20001)
-    got = mix4._lambda_terms(vp, lams)
-    scalar = [mix4._lambda_terms(vp, lam) for lam in lams]
-    assert got[0].tobytes() == np.array([m[0] for m in scalar]).tobytes()
+    got = mix4._lambda_terms(vp, lams, memo=False)
+    column = mix4._lambda_terms(vp, lams[:, None], memo=False)
+    scalar = [mix4._lambda_terms(vp, lam, memo=True) for lam in lams]
+    assert got[0].tobytes() == column[0].tobytes() == np.array([m[0] for m in scalar]).tobytes()
     # var, alpha mu, D log(2 pi var) and -var: the scalar terms' last axis is the rows'
     for k in range(1, 5):
         assert got[k].tobytes() == np.concatenate([m[k] for m in scalar], axis=-1).tobytes()
+        assert column[k].shape == got[k].shape + (1,)
+        assert column[k].tobytes() == got[k].tobytes()
+    c = vp.dlog_alpha_dlambda(lams[:, None])
+    assert c.tobytes() == np.array([vp.dlog_alpha_dlambda(lam) for lam in lams]).tobytes()
 
 
 @pytest.mark.parametrize("name", ["point", "mixture", "guided"])
 def test_eps_rejects_bad_per_row_lambda(vp, mix4, mix4b, pg4, name):
+    """``eps`` and ``linearize``, which share the lambda contract, refuse the same lambdas."""
     model = per_row_models(mix4, mix4b, pg4)[name]
     x = np.zeros((3, 4))
-    for lams in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(4)):
-        with pytest.raises(ValueError, match="lambda has shape"):
-            model.eps(vp, x, lams)
-    for bad in (np.nan, np.inf, -np.inf):
+    for evaluate in (model.eps, model.linearize):
+        for lams in (np.zeros(2), np.zeros((3, 1)), np.zeros((1, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match="lambda has shape"):
+                evaluate(vp, x, lams)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                evaluate(vp, x, np.array([0.0, bad, 1.0]))
+
+
+@settings(max_examples=60)
+@given(
+    name=st.sampled_from(["point", "mixture", "guided", "guided-same"]),
+    layout=st.sampled_from(["block", "strided"]),
+    points=st.integers(1, 5),
+    rows=st.sampled_from([1, 7, 40, 1100]),  # 1100 rows take the mixture's large-call path
+    num_probes=st.integers(1, 3),
+    lam=st.floats(-6.0, 6.0),
+    spread=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_lambda_gives_the_bits_of_a_call_per_point(
+    vp, mix4, mix4b, pg4, name, layout, points, rows, num_probes, lam, spread, seed
+):
+    """``linearize``, its ``jvp`` and ``eps`` at a (P, 1) column: each point's scalar-lambda bits."""
+    model = {**per_row_models(mix4, mix4b, pg4), "guided-same": Guided(mix4, mix4, 7.5)}[name]
+    rng = np.random.default_rng(seed)
+    x = 2.0 * rng.standard_normal((points, rows, 4))
+    v = rng.standard_normal((num_probes, points, rows, 4))
+    lams = lam + spread * rng.uniform(-1.0, 1.0, (points, 1))
+    x_in, v_in = (block_layout(a) if layout == "block" else laid_out(a, "strided") for a in (x, v))
+    eps, d_eps, apply_jacobian = model.linearize(vp, x_in, lams)
+    got = [model.eps(vp, x_in, lams), eps, d_eps, apply_jacobian(v_in).swapaxes(0, 1)]
+    for p in range(points):
+        eps, d_eps, apply_jacobian = model.linearize(vp, x[p], lams[p, 0])
+        want = (model.eps(vp, x[p], lams[p, 0]), eps, d_eps, apply_jacobian(v[:, p]))
+        assert [g[p].tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("name", ["point", "mixture", "guided"])
+def test_a_lambda_that_does_not_broadcast_against_the_rows_raises(vp, mix4, mix4b, pg4, name):
+    """Against (2, 3) rows: any shape that broadcasts without growing them, and nothing else."""
+    model = per_row_models(mix4, mix4b, pg4)[name]
+    x = np.ones((2, 3, 4))
+    want = model.eps(vp, x, np.full((2, 3), 0.5))
+    for shape in ((), (1,), (3,), (1, 3), (2, 1), (2, 3), (1, 1)):
+        lams = np.full(shape, 0.5)
+        eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
+        assert eps.tobytes() == model.eps(vp, x, lams).tobytes() == want.tobytes()
+    for shape in ((2,), (3, 2), (2, 3, 1), (1, 2, 3), (4, 1), (0,), (1, 1, 1)):
+        for evaluate in (model.eps, model.linearize):
+            with pytest.raises(ValueError, match=rf"lambda has shape \({shape[0]},"):
+                evaluate(vp, x, np.zeros(shape))
+    for lams in (np.array([[0.0], [np.nan]]), np.array([[np.inf]])):
         with pytest.raises(ValueError, match="lambda must be finite"):
-            model.eps(vp, x, np.array([0.0, bad, 1.0]))
-    with pytest.raises(ValueError, match="lambda must be a scalar"):
-        model.linearize(vp, x, np.zeros(3))
+            model.linearize(vp, x, lams)
 
 
 # eps's peak allocation on sample-batch's state, in units of the state's bytes:
@@ -667,6 +736,27 @@ def test_mixture_memo_is_not_state(vp, mix4):
         assert not any(getattr(again, n).flags.writeable for n in ("weights", "means", "stds"))
         assert again.eps(vp, x, 0.1).tobytes() == model.eps(vp, x, 0.1).tobytes()
     assert len(model._memo) == 1
+
+
+@pytest.mark.parametrize("num_datapoints", [64, 4096])
+def test_a_table_build_leaves_the_memo_as_it_found_it(vp, vp_lam_range, mix4, mix4b, num_datapoints):
+    """A build adds no entry and evicts none of a sampler's: 241 points in blocks of 64, 7 of one.
+
+    An entry per grid point, as scalar-lambda calls made, would clear the
+    128-entry memo twice over a 241-point build.
+    """
+    parts = fresh_copy(mix4), fresh_copy(mix4b)
+    sampler_lams = np.linspace(*vp_lam_range, 11)
+    for part in parts:
+        for lam in sampler_lams:
+            part.eps(vp, np.ones(4), lam)
+    before = [dict(part._memo) for part in parts]
+    cfg = EmsConfig(240 if num_datapoints == 64 else 6, num_datapoints, vp_lam_range, seed=2)
+    for model in (parts[0], Guided(*parts, 2.5)):
+        estimate_table(model, vp, cfg)
+        for part, memo in zip(parts, before):
+            assert part._memo.keys() == memo.keys()
+            assert all(part._memo[key] is entry for key, entry in memo.items())
 
 
 def test_model_parameters_are_read_only(vp, pg4):
@@ -890,6 +980,7 @@ def test_linearize_equals_composition_from_separate_calls_bit_for_bit(
 def test_table_build_makes_one_posterior_per_mixture_per_grid_point(
     vp, mix4, mix4b, monkeypatch, guided
 ):
+    """One per block: at K = 4096 a block is one grid point, and at K = 32 the whole grid."""
     model = Guided(cond=mix4, uncond=mix4b, scale=2.5) if guided else mix4
     posterior = GaussianMixture._posterior
     calls = []
@@ -899,9 +990,12 @@ def test_table_build_makes_one_posterior_per_mixture_per_grid_point(
         return posterior(self, *args)
 
     monkeypatch.setattr(GaussianMixture, "_posterior", counted)
-    estimate_table(model, vp, EmsConfig(num_timesteps=10, num_datapoints=32, lam_range=(-2.0, 2.0)))
-    want = [mix4, mix4b] * 11 if guided else [mix4] * 11
-    assert calls == want  # models compare by identity
+    for num_datapoints, num_blocks in ((4096, 11), (32, 1)):
+        calls.clear()
+        cfg = EmsConfig(num_timesteps=10, num_datapoints=num_datapoints, lam_range=(-2.0, 2.0))
+        estimate_table(model, vp, cfg)
+        want = [mix4, mix4b] * num_blocks if guided else [mix4] * num_blocks
+        assert calls == want  # models compare by identity
 
 
 # -- serialization ---------------------------------------------------------------
@@ -1106,7 +1200,7 @@ class _Stub(ModelSpec):
         return 4
 
     def eps(self, sched, x, lam):
-        x = self._check_input(x, lam)
+        x, lam = self._check_input(x, lam)
         return self.fn(x, np.broadcast_to(lam, x.shape[:-1])[..., None])
 
 
