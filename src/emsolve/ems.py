@@ -19,8 +19,8 @@ once l's slope is known.  The sweep keeps a block's (P, K, D) sample arrays
 and probe terms coordinate-major, laid out (D, P, K), so l and each moment
 is a contiguous row sum over one point's K samples, with the bits of a
 sweep one point at a time.  Every block after the first of its size reuses
-that block's arrays: the sweep's own, and a mixture's through the sweep's
-scope (``models.sweep_scope``).
+that block's sample and probe arrays, and a mixture keeps the arrays that
+outlive its call in a slot of the sweep's scope (``models.sweep_scope``).
 Tables are immutable once built and serialize to a versioned JSON file.
 """
 
@@ -232,8 +232,8 @@ def _check_outputs(name, arrays, shape):
             raise ValueError(f"the model's {name} must return {want}, got {got}")
 
 
-def _point_stats(model, sched, lams, x0, z, probes, xs, eps):
-    """A block of grid points' share of the sweep, from one model call: ``(l, moments, eps)``.
+def _point_stats(model, sched, lams, x0, z, probes, xs):
+    """A block of grid points' share of the sweep, from one model call: ``(l, moments)``.
 
     ``lams`` is the block's (P, 1) column of lambdas.  l, (P, D), and six
     (D, P) moments over the K diffused points of each grid point: the means
@@ -246,19 +246,17 @@ def _point_stats(model, sched, lams, x0, z, probes, xs, eps):
     probe terms included), and l and each moment is a contiguous row
     reduction over one grid point's K samples: the bits of a block of one.
 
-    Every sample array goes into memory the sweep already has: x into
-    ``xs``, z sigma into ``eps`` (the last block's; None allocates it), the
-    probe terms into the ``jvp``'s product, which is then the scratch of f
-    and r, r into ``d_eps``, f into the returned ``eps`` and y into ``xs``.
-    So from the second block of a size on, a sweep of a mixture with one
-    probe allocates no sample array.  ``linearize`` must return float64
-    arrays of ``xs``'s shape and ``jvp`` of ``probes``' shape, or
+    The sweep writes only into arrays of this block: x into ``xs`` (z
+    sigma is a temporary), the probe terms into the ``jvp``'s product,
+    which is then the scratch of f and r, r into the returned ``d_eps``, f
+    into the returned ``eps`` and y into ``xs``.  ``linearize`` must return
+    float64 arrays of ``xs``'s shape and ``jvp`` of ``probes``' shape, or
     ValueError; no data is read to check it.
     """
     alpha, sigma = sched.alpha_lambda(lams), sched.sigma_lambda(lams)
     x = _rows(xs)
     np.multiply(x0.T[:, None], alpha, out=x)
-    x += np.multiply(z.T[:, None], sigma, out=None if eps is None else _rows(eps))
+    x += z.T[:, None] * sigma
     eps, d_eps, jvp = model.linearize(sched, xs, lams)
     _check_outputs("linearize", (eps, d_eps), xs.shape)
     terms = jvp(probes)
@@ -276,7 +274,7 @@ def _point_stats(model, sched, lams, x0, z, probes, xs, eps):
     for g, m in zip((f, r, x), stats[3:]):
         np.einsum("dpk,dpk->dp", f, g, out=m)
     stats[3:] /= x.shape[-1]
-    return l, stats, eps
+    return l, stats
 
 
 def _block(rows):
@@ -323,15 +321,17 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     element-wise.  The floor, 1e-8 (var f + (mean f)^2) plus a tiny absolute
     term, regularizes the zero-variance case, as happens for a point-mass
     data distribution.  The sweep runs inside ``models.sweep_scope(K)``,
-    which lends the mixtures their arrays from block to block and, from
-    K = 64 up to half of numpy's ufunc buffer, holds that buffer to one row
-    of K, which saves the copies of packed rows.  The model's lambda memo is
-    left as it was.  Bit-identical output for a fixed config; for the
-    package's models, whatever the caller's buffer size.  Raises ValueError
-    when ``model`` or ``sched`` lacks the members the sweep reads,
-    ``model.sample_data`` returns other than K finite rows of ``model.dim``,
-    ``linearize`` or its ``jvp`` returns other than float64 arrays of its
-    input's shape, or ``cfg`` is not an :class:`EmsConfig`, and
+    in which each mixture call keeps its eps, d_eps and the arrays its
+    ``jvp`` reads from block to block and, from K = 64 up to half of numpy's
+    ufunc buffer, numpy's buffer holds one row of K, which saves the copies
+    of packed rows.  The model's lambda memo is left as it was.
+    Bit-identical output for a fixed config; for the package's models,
+    whatever the caller's buffer size.  Raises ValueError before any
+    ``linearize`` call when ``model`` (a ``Guided`` pair's parts included)
+    or ``sched`` lacks the members the sweep reads, ``model.sample_data``
+    returns other than K finite rows of ``model.dim`` or ``cfg`` is not an
+    :class:`EmsConfig`; ValueError when ``linearize`` or its ``jvp``
+    returns other than float64 arrays of its input's shape; and
     :class:`DomainError` when ``cfg.lam_range`` leaves the schedule's lambda
     domain.
     """
@@ -352,23 +352,26 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     # coordinate-major: each (K, D) array the transpose of a C-contiguous (D, K) one
     x0, z = (np.ascontiguousarray(a.T).T for a in (x0, z))
     probes = np.ascontiguousarray(probes.swapaxes(-1, -2))[:, :, None]  # (probes, D, 1, K)
+    # before the sweep, so a model that has no id fails first; Python ints: numpy
+    # integers from the config are not JSON-serializable
+    meta = {"K": int(cfg.num_datapoints), "seed": int(cfg.seed), "model": model_id(model)}
 
     l = np.empty((n_pts, model.dim))
     moments = np.empty((6, n_pts, model.dim))
     size = min(n_pts, max(1, _BLOCK_SAMPLES // cfg.num_datapoints))
-    # a block's diffused points, probe stack and last eps, made anew for a shorter last block
-    xs = stack = eps = None
+    # a block's diffused points and probe stack, made anew for a shorter last block
+    xs = stack = None
     with sweep_scope(cfg.num_datapoints) as sweep:
         for start in range(0, n_pts, size):
             lams = grid[start : start + size, None]
             if xs is None or len(xs) != len(lams):
-                xs = stack = eps = None  # the last block's arrays go first
+                xs = stack = None  # the last block's arrays go first
                 xs = _block(np.empty((model.dim, len(lams), cfg.num_datapoints)))
                 # a block of one reads the probes in place
                 stack = np.broadcast_to(probes, probes.shape[:2] + xs.shape[:2])
                 stack = _block(np.ascontiguousarray(stack))
             sweep.next_block()
-            l_block, stats, eps = _point_stats(model, sched, lams, x0, z, stack, xs, eps)
+            l_block, stats = _point_stats(model, sched, lams, x0, z, stack, xs)
             l[start : start + len(lams)] = l_block
             moments[:, start : start + len(lams)] = stats.swapaxes(1, 2)
     mf, mr, my, vf, cfr, cfy = moments
@@ -377,8 +380,6 @@ def estimate_table(model: ModelSpec, sched: Schedule, cfg: EmsConfig) -> EmsTabl
     s = (cfr - l_dot * cfy) / (vf + 1e-8 * (vf + mf * mf) + _ABS_FLOOR)
     b = (mr - l_dot * my) - s * mf
 
-    # Python ints: numpy integers from the config are not JSON-serializable
-    meta = {"K": int(cfg.num_datapoints), "seed": int(cfg.seed), "model": model_id(model)}
     return EmsTable(lambda_grid=grid, l=l, s=s, b=b, l_dot=l_dot, schedule=sched, meta=meta)
 
 

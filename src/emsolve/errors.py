@@ -40,7 +40,8 @@ def _a(noun: str) -> str:
     return f"{'an' if noun[:1] in 'AEIOUaeiou' else 'a'} {noun}"
 
 
-def _is_real(value) -> bool:
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int, a float or a NumPy real scalar, never a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -55,7 +56,7 @@ def check_int(value, name: str, lo: int, hi: int | None = None):
 
 def check_real(value, name: str):
     """``value``, unless it is not a finite real number."""
-    if not (_is_real(value) and math.isfinite(value)):
+    if not (is_real(value) and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and real, got {value!r}")
     return value
 
@@ -71,7 +72,7 @@ def check_floats(value, name: str) -> np.ndarray:
 def check_span(value, name: str) -> tuple:
     """``value`` as a tuple ``(lo, hi)``, unless it is not two finite reals with lo < hi."""
     pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
-    if not (len(pair) == 2 and all(map(_is_real, pair))):
+    if not (len(pair) == 2 and all(map(is_real, pair))):
         raise ValueError(f"{name} must be a pair of real numbers, got {value!r}")
     if not all(map(math.isfinite, pair)):
         raise ValueError(f"{name} must be finite, got {value!r}")

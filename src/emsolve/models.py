@@ -42,23 +42,27 @@ softmax and the posterior weights are then formed; the offsets turn into
 the component scores in place; ``eps`` sums the weighted scores straight
 into the returned array and scales them there, and the softmax's max and
 sum borrow one of its rows first.  ``linearize`` takes its temporaries from
-one block, and its ``jvp`` writes into the product it returns.  Only
-operations whose bits IEEE arithmetic fixes are reordered: ``+`` and ``*``
-commuted, ``x * x`` for a square, ``out=`` forms of the same ufunc.
+one fresh block, and its ``jvp`` takes its scratch from another and writes
+into the product it returns.  Only operations whose bits IEEE arithmetic
+fixes are reordered: ``+`` and ``*`` commuted, ``x * x`` for a square,
+``out=`` forms of the same ufunc.
 
-Sweeps.  Outside ``sweep_scope``, every output is a fresh array and no
-buffer outlives its call (or, for the arrays a ``jvp`` reads, its ``jvp``).
+Sweeps.  Outside ``sweep_scope``, every output is a fresh array.
 ``estimate_table`` runs its blocks of grid points inside ``sweep_scope(K)``,
 a context this module owns as ``np.errstate`` owns numpy's state.  On the
 thread that entered it, the i-th mixture ``linearize`` call of each block
-takes the scope's i-th slot, which keeps the arrays of its input's shape
-and layout for the next block: eps, d_eps, the arrays its ``jvp`` reads,
-and the temporaries' memory, which the ``jvp`` takes for its product and
-scratch when they fit.  With one probe, no block after the first of its
-size allocates an array of the input's size.  Every call has a slot of its
-own, so ``Guided(m, m)`` and a user's wrapper alias nothing; a ``jvp`` whose
-slot a later call took raises ValueError, and so does an ``x`` in the slot
-its call takes.  The slots are dropped when the scope exits.
+takes the scope's i-th slot.  A slot keeps what outlives its call, for the
+next block of the same input shape and layout: eps, d_eps and the block
+its ``jvp`` reads.  The call's temporaries and each ``jvp``'s scratch and
+product are the call's own.  The ``jvp``'s block is the one that must
+stay: taken afresh at every call, it made a second 60 x 4096 table build
+fault its pages in again and again (about 12,000 minor faults against
+about 200).  Every call has a slot of its own, so ``Guided(m, m)`` and a
+user's wrapper alias nothing; a ``jvp`` whose slot a later call took raises
+ValueError, and so does an ``x`` that lies in eps, d_eps or the ``jvp``'s
+block of the slot its call takes.  The scope's state is the thread's own
+(a ``threading.local``), so no other thread, and no copied context, sees
+it.  The slots are dropped when the scope exits.
 
 Memo.  The lambda-only terms (sigma, the component variances, alpha mu_i,
 D log(2 pi var_i) and -var_i) are computed once per schedule object and
@@ -90,7 +94,6 @@ to 4096 rows gained in-process, but no benchmark workload times them.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import hashlib
 import json
 import math
@@ -99,7 +102,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, check_floats, check_members, check_real
+from .errors import ConvergenceError, check_floats, check_members, check_real, is_real
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 
@@ -142,13 +145,6 @@ def _short_dot(a, b, out=None, scratch=None):
     return out
 
 
-def _scalar(lam) -> bool:
-    """``np.ndim(lam) == 0``, without np.ndim's dispatch for an array or a Python or numpy float."""
-    if isinstance(lam, np.ndarray):
-        return lam.ndim == 0
-    return isinstance(lam, float) or np.ndim(lam) == 0
-
-
 def _broadcasts(shape, lead) -> bool:
     """Whether an array of ``shape`` broadcasts against ``lead`` without growing it."""
     return len(shape) <= len(lead) and all(
@@ -187,19 +183,18 @@ def _columns(a, lead, lanes):
     return cols if len(lanes) == 1 else cols.swapaxes(-2, -3)
 
 
-def _row_buffer(cols, shape, lanes, mem=None):
-    """An empty float64 array of ``shape`` to return, and its ``(..., D) + lanes`` view to write into.
+def _row_buffer(cols, shape, lanes):
+    """A fresh float64 array of ``shape`` to return, and its ``(..., D) + lanes`` view to write into.
 
     ``cols`` is the input's ``_columns`` view.  When it is C-contiguous, the
     buffer is laid out as ``cols`` is, so the output keeps the input's
-    layout; otherwise the returned array is C-contiguous.  The buffer is the
-    flat array ``mem`` if given, else fresh.
+    layout; otherwise the returned array is C-contiguous.
     """
     if cols.flags.c_contiguous:
-        buf = np.empty(cols.shape) if mem is None else mem.reshape(cols.shape)
+        buf = np.empty(cols.shape)
         out = buf if len(lanes) == 1 else buf.swapaxes(-3, -2)
         return out.swapaxes(-2, -1).reshape(shape), buf  # the reshape only splits axes: a view
-    out = np.empty(shape) if mem is None else mem.reshape(shape)
+    out = np.empty(shape)
     return out, _columns(out, cols.shape[: cols.ndim - 1 - len(lanes)], lanes)
 
 
@@ -233,53 +228,39 @@ def _clamped_buffer(size):
         yield
 
 
-def _block_size(shapes):
-    """The length of the flat block in which ``_carve`` lays out arrays of ``shapes``."""
-    return sum(size + size % 2 for size in map(math.prod, shapes))
-
-
 def _carve(shapes, mem=None):
     """C-contiguous float64 arrays of ``shapes``, laid end to end in the flat array ``mem``.
 
     Each starts at an even offset, so it keeps a fresh array's 16-byte
     alignment.  Without ``mem`` they share one fresh block.
     """
+    sizes = [math.prod(shape) for shape in shapes]
     if mem is None:
-        mem = np.empty(_block_size(shapes))
+        mem = np.empty(sum(size + size % 2 for size in sizes))
     arrays, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
+    for shape, size in zip(shapes, sizes):
         arrays.append(mem[start : start + size].reshape(shape))
         start += size + size % 2
     return arrays
 
 
 class _Workspace:
-    """A mixture's ``linearize`` arrays for one input shape and layout: a slot of a sweep.
+    """A sweep's slot: the ``linearize`` arrays that outlive a call, for one input shape and layout.
 
     ``owner`` is the token of the last call that took them, so the ``jvp``
-    of an earlier call can tell that its memory was reused.
+    of an earlier call can tell that its arrays were reused.
     """
 
     __slots__ = ("key", "arrays", "memory", "owner")
 
     def __init__(self, key, arrays):
         self.key, self.arrays = key, arrays
-        # eps, d_eps, the block the jvp reads and the temporaries' memory
-        self.memory = (arrays[0], arrays[2], arrays[4].base, arrays[-1])
+        self.memory = (arrays[0], arrays[2], arrays[4].base)  # eps, d_eps and the jvp's block
         self.owner = None
 
     def holds(self, a) -> bool:
         """Whether ``a`` may share memory with the workspace's arrays."""
         return any(np.may_share_memory(a, m) for m in self.memory)
-
-    def jvp_memory(self, size, v):
-        """The temporaries' memory for a ``jvp``'s arrays of ``size``, or None.
-
-        None if they do not fit it or its ``v`` lies in it.
-        """
-        mem = self.arrays[-1]
-        return None if size > mem.size or np.may_share_memory(v, mem) else mem
 
 
 # The cap on a mixture's per-lambda memo, which is cleared when full.  A sampler
@@ -294,18 +275,23 @@ _SMALL_CALL = 4096
 class _Sweep:
     """One ``sweep_scope``'s ``_Workspace`` slots by index, taken in call order in each block."""
 
-    __slots__ = ("slots", "taken", "thread")
+    __slots__ = ("slots", "taken")
 
     def __init__(self):
-        self.slots, self.taken, self.thread = {}, 0, threading.get_ident()
+        self.slots, self.taken = {}, 0
 
     def next_block(self):
         """A block of grid points starts: its first ``linearize`` call takes the first slot again."""
         self.taken = 0
 
 
-# The sweep whose scope this context is in, if any
-_SWEEP = contextvars.ContextVar("emsolve_sweep", default=None)
+class _Scope(threading.local):
+    """The sweep whose ``sweep_scope`` this thread is in, if any: each thread sees its own."""
+
+    sweep = None
+
+
+_SCOPE = _Scope()
 
 
 @contextlib.contextmanager
@@ -318,13 +304,13 @@ def sweep_scope(n):
     grid points starts (see the module's "Sweeps." paragraph).  On exit or
     raise the slots go and the caller's numpy state comes back.
     """
-    sweep = _Sweep()
-    token = _SWEEP.set(sweep)
+    sweep, outer = _Sweep(), _SCOPE.sweep
+    _SCOPE.sweep = sweep
     try:
         with row_buffers(n):
             yield sweep
     finally:
-        _SWEEP.reset(token)
+        _SCOPE.sweep = outer
 
 
 class ModelSpec:
@@ -363,12 +349,12 @@ class ModelSpec:
 
         The returned ``eps`` and ``d_eps``, and each product ``jvp`` returns,
         are the caller's to overwrite: ``jvp`` never reads them.  Inside
-        ``sweep_scope``, the package's mixtures reuse them at the next block,
-        so a wrapper keeps none of them past its own call.  The sweep also
-        clamps numpy's buffer (``row_buffers(K)``): a reduction that
-        numpy buffers, such as a sum that casts its input, then adds blocks
-        of K rounded up to a multiple of 16, and may differ in its last bits
-        from the same call outside the sweep.
+        ``sweep_scope``, the package's mixtures reuse eps and d_eps at the
+        next block, so a wrapper keeps neither past its own call.  The
+        sweep also clamps numpy's buffer (``row_buffers(K)``): a reduction
+        that numpy buffers, such as a sum that casts its input, then adds
+        blocks of K rounded up to a multiple of 16, and may differ in its
+        last bits from the same call outside the sweep.
         """
         raise NotImplementedError
 
@@ -386,13 +372,21 @@ class ModelSpec:
         return x
 
     def _check_input(self, x, lam):
-        """``(_check_x(x), lam)``, with ``lam`` held to ``eps``'s contract; an array as float64."""
-        if _scalar(lam):
+        """``(_check_x(x), lam)``, with ``lam`` held to ``eps``'s contract; an array as float64.
+
+        A real scalar comes back as it is.  A lambda that is not real (a
+        string, None, a complex or bool value or array) raises ValueError,
+        never a TypeError or a discarded imaginary part.
+        """
+        # a Python or NumPy float64, as a sampler's, takes the first test alone
+        if isinstance(lam, float) or is_real(lam):
             if not math.isfinite(lam):
                 raise ValueError(f"lambda must be finite, got {lam}")
             return self._check_x(x), lam
-        x = self._check_x(x)
-        lam, lead = np.asarray(lam, dtype=float), x.shape[:-1]
+        x, lams = self._check_x(x), np.asarray(lam)
+        if lams.dtype.kind not in "iuf":
+            raise ValueError(f"lambda must be real, got {lam!r}")
+        lam, lead = lams.astype(float, copy=False), x.shape[:-1]
         one = lam.size == 1  # as a table build's block of one grid point: checked as a float
         if not (lam.ndim <= len(lead) if one else _broadcasts(lam.shape, lead)):
             raise ValueError(
@@ -626,27 +620,21 @@ class GaussianMixture(ModelSpec):
         return out
 
     def _linearize_arrays(self, xt, shape):
-        """The arrays of a ``linearize`` call on ``xt``, the ``(D,) + lanes`` view of an ``x`` of ``shape``.
+        """The arrays that outlive a ``linearize`` call on ``xt``, an ``x`` of ``shape`` as ``(D,) + lanes``.
 
-        In order: eps and d_eps, each with its (D,) + lanes view; the
-        offsets (C, D) + lanes, their squared norms (C,) + lanes, the mean
-        score (D,) + lanes and sum_i pi_i / var_i, lanes, which the call's
-        ``jvp`` reads, from one block; then the temporaries, two (D,) +
-        lanes and three (C,) + lanes arrays, and ``free``, the flat memory
-        they share, which the ``jvp`` takes for its own arrays once the call
-        has returned.  These
-        are four allocations where one would do: a workspace of one block,
-        freed when a table build ends, raised glibc's dynamic trim
-        threshold (twice the largest mapped chunk freed) above all that the
-        build frees, so the heap was never trimmed after a build, and a
-        benchmark process's peak resident memory read 1.5-2% higher.
+        In order: eps and d_eps, each with its (D,) + lanes view, then the
+        block that the call's ``jvp`` reads: the offsets (C, D) + lanes,
+        their squared norms (C,) + lanes, the mean score (D,) + lanes and
+        sum_i pi_i / var_i, lanes.  These are three allocations where one
+        would do.  A slot of one block, freed when a table build ends,
+        raised glibc's dynamic trim threshold (twice the largest mapped
+        chunk freed) above all that the build frees, so the heap was never
+        trimmed after a build, and a benchmark process's peak resident
+        memory read 1.5-2% higher.
         """
         num_comp, dim, lanes = len(self.weights), xt.shape[0], xt.shape[1:]
         kept = _carve([(num_comp, dim, *lanes), (num_comp, *lanes), (dim, *lanes), lanes])
-        temps = [(dim, *lanes)] * 2 + [(num_comp, *lanes)] * 3
-        free = np.empty(_block_size(temps))
-        eps, d_eps = _row_buffer(xt, shape, lanes), _row_buffer(xt, shape, lanes)
-        return (*eps, *d_eps, *kept, *_carve(temps, free), free)
+        return (*_row_buffer(xt, shape, lanes), *_row_buffer(xt, shape, lanes), *kept)
 
     def _workspace(self, sweep, xt, shape):
         """The sweep's next slot with this input's arrays, refilled for a new shape or layout."""
@@ -669,16 +657,17 @@ class GaussianMixture(ModelSpec):
         c = sched.dlog_alpha_dlambda(lam)
         sigma_sq = np.float_power(sigma, 2.0)  # pow's bits, as the terms' squares
         xt = _columns(x, (), lanes)
-        sweep = _SWEEP.get()
-        if sweep is None or sweep.thread != threading.get_ident():
+        sweep = _SCOPE.sweep
+        if sweep is None:
             ws = token = None
             arrays = self._linearize_arrays(xt, x.shape)
         else:
             ws = self._workspace(sweep, xt, x.shape)
             arrays = ws.arrays
             ws.owner = token = object()
-        (eps, eps_t, d_eps, d_eps_t, diff, sq, mean_score, pi_over_var,
-         work, velocity, a, scratch, weights, _) = arrays
+        eps, eps_t, d_eps, d_eps_t, diff, sq, mean_score, pi_over_var = arrays
+        # the temporaries, allocated after the arrays that outlive the call
+        work, velocity, a, scratch, weights = _carve([xt.shape] * 2 + [sq.shape] * 3)
         diff, sq = self._offsets(xt, alpha_means, diff, sq, scratch=a)
         # lambda-partials at fixed x, from alpha mu_i = x + var_i g_i and
         # dvar_i = rate_i var_i (dalpha = c alpha, dsigma = (c - 1) sigma):
@@ -733,16 +722,12 @@ class GaussianMixture(ModelSpec):
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
             vt = _columns(np.broadcast_to(v, shape), probes, lanes)  # (Q, D) + lanes
             by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, Q, 1) + lanes
-            # the dot products' scratch (which then holds gbar . v), the dots, a scratch and out
-            shapes = [probes + pi.shape] * 2 + [vt.shape, (vt.size,)]
-            mem = None if ws is None else ws.jvp_memory(_block_size(shapes), v)
-            if mem is None:  # fresh temporaries and a fresh product
-                (scratch, dots, work), out_mem = _carve(shapes[:3]), None
-            else:
-                scratch, dots, work, out_mem = _carve(shapes, mem)
+            # the product first: an array that outlives a call goes before its temporaries
+            out, out_t = _row_buffer(vt, shape, lanes)
+            # the dot products' scratch (which then holds gbar . v), the dots and a scratch
+            scratch, dots, work = _carve([probes + pi.shape] * 2 + [vt.shape])
             _short_dot(comp_score.swapaxes(0, 1), by_coord, out=dots, scratch=scratch)  # (Q, C) + lanes
             dots *= pi
-            out, out_t = _row_buffer(vt, shape, lanes, out_mem)
             self._hessian_terms(
                 comp_score, mean_score, pi_over_var, vt, dots, out_t, work, scratch[:, 0]
             )
@@ -809,9 +794,12 @@ class Guided(ModelSpec):
         return eps, d_eps, apply_jacobian
 
     def sample_data(self, rng, n):
+        check_members(self.cond, "cond model", ("sample_data",))
         return self.cond.sample_data(rng, n)
 
     def to_dict(self):
+        for part in (self.cond, self.uncond):
+            check_members(part, "model", ("to_dict",))
         return {
             "kind": self.kind,
             "cond": self.cond.to_dict(),

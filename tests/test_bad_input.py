@@ -16,13 +16,13 @@ caller passed, or to the base of a read-only view it passed, changes
 anything built from it.
 
 Left out: the per-call ``eps`` and ``linearize`` (hot paths with their own
-inline checks, tested in ``test_models.py``; a ``workspace`` keyword, which
-the protocol ``linearize(sched, x, lam)`` refuses with Python's TypeError,
-a ``jvp`` whose sweep slot a later call took, and outputs of ``linearize``
-and its ``jvp`` that ``estimate_table`` refuses are tested here), non-integer
-grid indices (index lookups, not checked arguments), ``lupdate``'s states
-and g values (its anchor triple and extra pairs are checked) and
-``save_table``'s path.
+inline checks, tested in ``test_models.py``; a lambda that is not real, a
+``workspace`` keyword, which the protocol ``linearize(sched, x, lam)``
+refuses with Python's TypeError, a ``jvp`` whose sweep slot a later call
+took, and outputs of ``linearize`` and its ``jvp`` that ``estimate_table``
+refuses are tested here), non-integer grid indices (index lookups, not
+checked arguments), ``lupdate``'s states and g values (its anchor triple
+and extra pairs are checked) and ``save_table``'s path.
 """
 
 import dataclasses
@@ -452,6 +452,71 @@ def test_estimate_table_names_a_member_the_model_lacks(missing):
     model = SimpleNamespace(**{name: v for name, v in MEMBERS.items() if name != missing})
     with pytest.raises(ValueError, match=rf"without \['{missing}'\]$"):
         estimate_table(model, SCHED, EMS_CFG)
+
+
+class Bare:
+    """A model with ``eps``, ``linearize``, ``dim`` and ``kind`` only: a part ``Guided`` takes."""
+
+    kind, dim = "bare", MIXTURE.dim
+
+    def eps(self, sched, x, lam):
+        return MIXTURE.eps(sched, x, lam)
+
+    def linearize(self, sched, x, lam):
+        pytest.fail("the sweep started")
+
+
+@pytest.mark.parametrize("bare", ["cond", "uncond"])
+def test_estimate_table_names_a_member_a_guided_part_lacks(bare):
+    """The cond part's ``sample_data``, or either part's ``to_dict``, before any ``linearize`` call.
+
+    Both used to escape as AttributeError, the second after the whole sweep.
+    """
+    if bare == "cond":
+        parts, missing = (Bare(), MIXTURE), "sample_data"
+    else:
+        parts, missing = (MIXTURE, Bare()), "to_dict"
+    with pytest.raises(ValueError, match=rf"got a Bare without \['{missing}'\]$"):
+        estimate_table(Guided(*parts, 2.0), SCHED, EMS_CFG)
+
+
+LAMBDA_MODELS = {"mixture": MIXTURE, "point": POINT, "guided": Guided(MIXTURE, POINT, 2.0)}
+# lambdas that are not real, against (2, 3) rows: a scalar used to escape as math.isfinite's
+# TypeError; an array warned and dropped its imaginary part, a str array was parsed, a bool
+# read as 0 or 1 and a list of None as NaN
+NOT_REAL = {
+    "a str": "0.5", "None": None, "a complex": 0.5 + 0j, "a numpy complex": np.complex128(0.5),
+    "a 0-d complex array": np.array(0.5 + 0j), "a complex column": np.full((2, 1), 0.5 + 0j),
+    "a complex per row": np.full((2, 3), 0.5 + 0.5j), "a str array": np.array(["0.5", "1"]),
+    "a bool": True, "a list of None": [None, None, None],
+}
+
+
+@pytest.mark.parametrize("lam", NOT_REAL.values(), ids=NOT_REAL.keys())
+@pytest.mark.parametrize("method", ["eps", "linearize"])
+@pytest.mark.parametrize("name", sorted(LAMBDA_MODELS))
+def test_a_lambda_that_is_not_real_raises_value_error(name, method, lam):
+    """``ModelSpec.eps``'s contract holds on every package model, a ``Guided`` pair included."""
+    evaluate = getattr(LAMBDA_MODELS[name], method)
+    with pytest.raises(ValueError, match="^lambda must be real, got "):
+        evaluate(SCHED, np.zeros((2, 3, 2)), lam)
+
+
+REAL_SCALARS = {"an int": 1, "a float32": np.float32(0.5), "an int64": np.int64(1)}
+
+
+@pytest.mark.parametrize("lam", REAL_SCALARS.values(), ids=REAL_SCALARS.keys())
+@pytest.mark.parametrize("name", sorted(LAMBDA_MODELS))
+def test_a_real_scalar_lambda_gives_the_bits_of_its_float(name, lam):
+    """Any real scalar passes the check, and ``eps`` reads it as ``float(lam)``.
+
+    An int past int64, which ``np.asarray`` holds as an object, is real too.
+    """
+    x = np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)
+    model = LAMBDA_MODELS[name]
+    assert model.eps(SCHED, x, lam).tobytes() == model.eps(SCHED, x, float(lam)).tobytes()
+    big = 2**100  # sigma is 0 there: the mixture's stds are positive, the point mass divides by it
+    assert MIXTURE.eps(SCHED, x, big).tobytes() == MIXTURE.eps(SCHED, x, float(big)).tobytes()
 
 
 def _with_nan(rng, n):

@@ -2,7 +2,10 @@ import contextvars
 import copy
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -457,18 +460,25 @@ def test_estimate_table_makes_one_model_call_per_block(vp, pg4, mix4, model_name
 
 
 class BlockRecorder(CallCounter):
-    """A counting delegate that records where each call's arrays lie."""
+    """A counting delegate that records where each call's arrays lie, and its ``jvp``'s block.
+
+    ``shared`` records, per ``jvp`` product, whether it shares memory with the call's slot.
+    """
 
     def __init__(self, inner):
         super().__init__(inner)
-        self.seen = []
+        self.seen, self.shared = [], []
 
     def linearize(self, sched, x, lam):
         eps, d_eps, apply_jacobian = super().linearize(sched, x, lam)
+        sweep = models._SCOPE.sweep
+        slot = sweep.slots[sweep.taken - 1]  # the one this call took
 
         def recorded_jvp(v):
             out = apply_jacobian(v)
-            self.seen.append(tuple(a.__array_interface__["data"][0] for a in (x, eps, d_eps, out)))
+            arrays = (x, eps, d_eps, slot.memory[2])
+            self.seen.append(tuple(a.__array_interface__["data"][0] for a in arrays))
+            self.shared.append(any(np.shares_memory(out, m) for m in slot.memory))
             return out
 
         return eps, d_eps, recorded_jvp
@@ -476,12 +486,12 @@ class BlockRecorder(CallCounter):
 
 @pytest.mark.parametrize("guided", [False, True])
 def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
-    """Each mixture sees the same x, eps, d_eps and J v memory in every block of a size: one slot.
+    """Each mixture sees the same x, eps, d_eps and ``jvp`` block in every block of a size: one slot.
 
     13 points at K = 1024 make three blocks of 4 points, then one of 1,
     whose arrays are its own.  A guided pair forms its sums in fresh
     arrays; its parts, recorded here, each keep their own slot through the
-    guidance gap's ``jvp`` and the probes'.
+    guidance gap's ``jvp`` and the probes'.  No J v product lies in a slot.
     """
     mixtures = [BlockRecorder(mix4), BlockRecorder(mix4b)] if guided else [BlockRecorder(mix4)]
     model = Guided(*mixtures, 2.5) if guided else mixtures[0]
@@ -493,6 +503,7 @@ def test_a_sweep_reuses_one_workspace_at_every_point(vp, mix4, mix4b, guided):
         assert len(recorder.seen) == 4 * per_block
         assert len(set(recorder.seen[: 3 * per_block])) == 1
         assert recorder.seen[-1] not in recorder.seen[: 3 * per_block]
+        assert recorder.shared == [False] * 4 * per_block
 
 
 class SlotRecorder(CallCounter):
@@ -503,7 +514,7 @@ class SlotRecorder(CallCounter):
         self.found, self.left = [], []
 
     def linearize(self, sched, x, lam):
-        sweep = models._SWEEP.get()
+        sweep = models._SCOPE.sweep
         self.found.append((sweep.taken, list(sweep.slots.values())))
         out = super().linearize(sched, x, lam)
         self.left.append((sweep.taken, list(sweep.slots.values())))
@@ -632,7 +643,7 @@ class OtherThread(Plain):
         def call(x):
             other.extend(self.inner.linearize(sched, x, lam))
 
-        sweep = models._SWEEP.get()
+        sweep = models._SCOPE.sweep
         before = sweep.taken, len(sweep.slots)
         run = contextvars.copy_context().run if self.copied else (lambda fn, arg: fn(arg))
         thread = threading.Thread(target=run, args=(call, x.copy()))
@@ -659,6 +670,38 @@ def test_a_call_on_another_thread_takes_no_slot_of_the_sweep(vp, mix4, copied):
     assert model.slots == ((0, 1), (0, 1)) and model.shared is False
 
 
+def test_tables_built_on_several_threads_at_once_keep_their_bytes(vp, mix4, mix4b):
+    """Each thread's sweep scope is its own: four threads at once build the serial tables.
+
+    41 points at K = 512 make five blocks of 8 and one of 1, so each slot
+    is reused while the threads switch every 10 microseconds; three rounds.
+    """
+    pair = [mix4, Guided(mix4, mix4b, 2.5)]
+    cfg = EmsConfig(num_timesteps=40, num_datapoints=512, lam_range=(-2.0, 2.0), seed=2)
+    assert blocks(cfg) == [8] * 5 + [1]
+    want = [table_bytes(estimate_table(model, vp, cfg)) for model in pair] * 2
+    start = threading.Barrier(4)
+
+    def build(i):
+        start.wait(timeout=60)
+        got[i] = table_bytes(estimate_table(pair[i % 2], vp, cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            got = [None] * 4
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("fail_at", [None, 3])
 def test_calls_after_a_sweep_get_fresh_arrays(vp, mix4, fail_at):
     """After ``estimate_table`` returns or raises, no call reuses another's memory."""
@@ -669,7 +712,7 @@ def test_calls_after_a_sweep_get_fresh_arrays(vp, mix4, fail_at):
     else:
         with pytest.raises(RuntimeError, match="model call 3 fails"):
             estimate_table(BufferSpy(mix4, fail_at), vp, cfg)
-    assert models._SWEEP.get() is None
+    assert models._SCOPE.sweep is None
     x = np.random.default_rng(0).standard_normal((256, 4))
     first, second = mix4.linearize(vp, x, 0.5), mix4.linearize(vp, x, 0.5)
     probe = np.ones((1, 256, 4))
@@ -789,7 +832,7 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
     stack = block_layout(np.repeat(probes[:, None], points, axis=1))
     xs = block_layout(np.empty((points,) + x0.shape))
     lams = np.array(POINT_LAMBDAS)[:, None]
-    l_rows, stats, _ = _point_stats(model, vp, lams, x0_in, z_in, stack, xs, None)
+    l_rows, stats = _point_stats(model, vp, lams, x0_in, z_in, stack, xs)
     p = POINT_LAMBDAS.index(lam)
     l_row, got = l_rows[p], [m[:, p] for m in stats]
     alpha, sigma = vp.alpha_lambda(lam), vp.sigma_lambda(lam)
@@ -808,10 +851,12 @@ def test_point_moments_match_long_double_on_their_own_scale(vp, pg4, mix4, lam):
 
 
 # one estimate_table's peak allocation, in units of a block's (P, K, D) sample
-# array's bytes: 13.39 at K=4096 (P=1) and 12.67 at K=1024 (P=4) by this
-# measurement (numpy 2.4.6; 13.82 at K=4096 when the sweep first kept its
-# arrays in one workspace, 14.06 before that, 14.80 before the sweep was
-# coordinate-major), so a copy of the samples per block would break it
+# array's bytes: 13.35 at K=4096 (P=1) and 12.09 at K=1024 (P=4) by this
+# measurement (numpy 2.4.6; 13.38 and 12.66 while a slot lent its call's
+# temporaries to the jvp and the sweep wrote z sigma into the last eps, 13.82
+# at K=4096 when the sweep first kept its arrays in one workspace, 14.06
+# before that, 14.80 before the sweep was coordinate-major), so a copy of the
+# samples per block would break it
 ESTIMATE_PEAK_ALLOCATION = 14.75
 
 
@@ -832,6 +877,38 @@ def test_estimate_table_peak_allocation(vp, mix4, vp_lam_range):
             tracemalloc.stop()
         block_bytes = size * cfg.num_datapoints * mix4.dim * 8
         assert peak <= ESTIMATE_PEAK_ALLOCATION * block_bytes, (size, peak / block_bytes)
+
+
+# A second 60 x 4096 mixture build, in a fresh process: it prints that build's minor faults
+SECOND_BUILD_FAULTS = """
+import resource
+from emsolve import EmsConfig, GaussianMixture, Schedule, estimate_table
+vp = Schedule("vp-linear")
+model = GaussianMixture([0.4, 0.6], [[0.6, -0.3, 0.25, -0.5], [-0.55, 0.4, -0.3, 0.45]], [0.8, 1.1])
+cfg = EmsConfig(60, 4096, (float(vp.lambda_of_t(1.0)), float(vp.lambda_of_t(1e-3))), seed=1)
+estimate_table(model, vp, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_table(model, vp, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux's minor-fault count")
+def test_a_second_table_build_faults_few_pages():
+    """A sweep slot keeps the arrays that outlive a call, so a second build reuses warm pages.
+
+    A fresh process's second 60 x 4096 build made 120-232 minor faults.
+    With the block the ``jvp`` reads taken afresh at each call, or with no
+    slot at all, it made over 12,000 (numpy 2.4.6, glibc's malloc).  The
+    test process's own heap, shaped by the tests before it, can hide that.
+    """
+    package = os.path.dirname(os.path.dirname(os.path.abspath(models.__file__)))
+    path = os.pathsep.join(filter(None, (package, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", SECOND_BUILD_FAULTS], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True,
+    )
+    assert int(done.stdout) < 1000
 
 
 def test_estimate_table_point_gaussian(vp, pg4, vp_lam_range):

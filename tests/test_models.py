@@ -456,9 +456,9 @@ def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_prob
     """Outside a sweep and in one slot reused over several blocks: each point's oracle bytes.
 
     Blocks of two points of 100 rows take the small-call path and of 1500
-    the large one.  One probe's product fits the memory the call's
-    temporaries leave free, so it lies there in every block; two or three
-    do not, and are fresh arrays.
+    the large one.  In every block eps, d_eps and the block the ``jvp``
+    reads lie at the slot's one address, and the product, of one probe or
+    more, is the call's own: it shares no memory with the slot.
     """
     rng = np.random.default_rng(100 * num_comp + rows + num_probes)
     weights = rng.uniform(0.1, 1.0, num_comp)
@@ -485,7 +485,10 @@ def test_mixture_workspace_keeps_the_rowmajor_bytes(vp, num_comp, rows, num_prob
             eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
             got = (eps, d_eps, apply_jacobian(v))
             assert [a.tobytes() for a in got] == want
-            seen.add(addresses(*got[: 3 if num_probes == 1 else 2]))
+            (slot,) = sweep.slots.values()
+            assert slot.memory[:2] == (eps, d_eps)
+            assert not any(np.shares_memory(got[2], m) for m in slot.memory)
+            seen.add(addresses(eps, d_eps, slot.memory[2]))
     assert len(seen) == 1  # the slot's arrays in every block
 
 
@@ -514,25 +517,36 @@ def test_workspace_keeps_the_bytes_of_separate_calls(vp, pg4, mix4, mix4b, which
 
 
 def test_workspace_arrays_never_feed_their_own_call(vp, mix4):
-    """A product of a product takes fresh memory; an x in the slot its call takes raises."""
+    """A ``jvp`` product is the call's own, so it may come back as x; an eps or d_eps x raises.
+
+    A product of a product, and the products of one probe and of three,
+    have the bytes of the calls outside the sweep and share no memory with
+    the slot.  An x in eps or d_eps of the slot its call takes raises.
+    """
     rng = np.random.default_rng(3)
     x = block_layout(rng.standard_normal((2, 300, 4)))
     v = block_layout(rng.standard_normal((1, 2, 300, 4)))
     lams = BLOCK_LAMBDAS[1]
     eps, d_eps, fresh = mix4.linearize(vp, x, lams)
     want = [a.tobytes() for a in (eps, d_eps, fresh(fresh(v)))]
-    stacks = [np.stack([v[0]] * num_probes) for num_probes in (2, 3)]
+    stacks = [np.stack([v[0]] * num_probes) for num_probes in (1, 3)]
     with models.sweep_scope(300) as sweep:
         sweep.next_block()
         eps, d_eps, apply_jacobian = mix4.linearize(vp, x, lams)
         twice = apply_jacobian(apply_jacobian(v))
         assert [a.tobytes() for a in (eps, d_eps, twice)] == want
-        for inside in (eps, d_eps, apply_jacobian(v)[0]):
+        products = [apply_jacobian(stack) for stack in stacks]
+        (slot,) = sweep.slots.values()
+        assert not any(np.shares_memory(a, m) for a in (twice, *products) for m in slot.memory)
+        for inside in (eps, d_eps):
             sweep.next_block()  # the call takes the slot that holds its x
             with pytest.raises(ValueError, match="shares memory with the workspace"):
                 mix4.linearize(vp, inside, lams)
-        too_big = [apply_jacobian(stack) for stack in stacks]  # fresh: they do not fit
-    assert [a.tobytes() for a in too_big] == [fresh(stack).tobytes() for stack in stacks]
+        sweep.next_block()
+        again = mix4.linearize(vp, products[0][0], lams)[:2]
+    assert [a.tobytes() for a in products] == [fresh(stack).tobytes() for stack in stacks]
+    alone = mix4.linearize(vp, products[0][0], lams)[:2]
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in alone]
 
 
 # -- one lambda per row -----------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_pairs_alternate_sides_and_path_lengths_and_summarize(repo, tmp_path, ca
     assert summary["op_s_matched_cal"]["pairs"] == 3
     assert summary["op_s_matched_cal"]["median_ratio"] == pytest.approx(100.02 / 200.02)
     assert summary["op_s_matched_cal"]["lower_in"] == "3/3"
+    # each side's op_s median per checkout depth: seeds 1-3 ran at the first three depths
+    by_depth = summary["op_s_by_depth"]
+    assert [d["path_len"] for d in by_depth] == sorted(lengths[0:24:8])
+    assert [d["pairs"] for d in by_depth] == [1, 1, 1]
+    for d, seed in zip(by_depth, (1, 2, 3)):
+        assert d["parent_median"] == pytest.approx(0.002 * (200.0 + 0.01 * seed))
+        assert d["change_median"] == pytest.approx(0.002 * (100.0 + 0.01 * seed))
     assert record["rounds"][1]["workloads"]["ems-build"]["summary"]["op_rel"]["lower_in"] == "1/1"
     # after each round, one line per workload: each metric's move, lower in k/n and parent IQR
     logged = capsys.readouterr().err.splitlines()
@@ -122,7 +129,10 @@ def test_pairs_alternate_sides_and_path_lengths_and_summarize(repo, tmp_path, ca
     batch_line = summaries[WORKLOADS.index("sample-batch")]
     assert "op_rel -50.00% (lower in 3/3, parent IQR 0.00%)" in batch_line
     assert "err_l2.nfe10 +0.00% (lower in 0/3, 3 ties, parent IQR 50.00%)" in batch_line
-    assert batch_line.endswith("; op_s_matched_cal 0.5000 (lower in 3/3)")
+    assert "; op_s_matched_cal 0.5000 (lower in 3/3); " in batch_line
+    depths = ", ".join(f"{n} {0.4 + 0.00002 * k:.4g}/{0.2 + 0.00002 * k:.4g}"
+                       for k, n in enumerate(lengths[0:24:8], start=1))
+    assert batch_line.endswith(f"; op_s by path_len, parent/change s: {depths}")
 
 
 def test_pairs_export_a_working_tree_with_its_uncommitted_files(repo, tmp_path):

@@ -30,8 +30,11 @@ change read lower ("lower in k/n", ties counted apart).  ``op_s_matched_cal``
 is the median change/parent ``op_s`` ratio, and "lower in k/n", over the
 pairs whose two calibration times differ by at most ``CAL_MATCH``: a
 reading of the op's own time in the pairs the machine's drift did not move.
-After each round it logs one line per workload with each metric's relative
-move, "lower in k/n", ties and parent IQR.  Standard library only.
+``op_s_by_depth`` holds each side's median ``op_s`` per checkout depth, by
+the trees' path length (``path_len``), since a layout effect can make one
+side fast at some depths and slow at others.  After each round it logs one
+line per workload with each metric's relative move, "lower in k/n", ties
+and parent IQR, then the per-depth medians.  Standard library only.
 """
 
 from __future__ import annotations
@@ -204,6 +207,16 @@ def summarize(pairs: list) -> dict:
         "median_ratio": statistics.median(matched) if matched else None,
         "change_lower": lower, "lower_in": f"{lower}/{len(matched)}",
     }
+    by_depth = {}  # both sides of a pair run at one path length
+    for p in pairs:
+        if p["parent"].get("op_s") and p["change"].get("op_s"):
+            by_depth.setdefault(p["parent"]["path_len"], []).append(p)
+    out["op_s_by_depth"] = [
+        {"path_len": n, "pairs": len(got), **{
+            f"{side}_median": statistics.median(p[side]["op_s"] for p in got) for side in SIDES
+        }}
+        for n, got in sorted(by_depth.items())
+    ]
     return out
 
 
@@ -219,13 +232,18 @@ def summary_line(workload: str, summary: dict) -> str:
     parts = [
         f"{name} {pct(m['rel_change'], '+.2%')} ({lower_in(m)},"
         f" parent IQR {pct(m['parent_iqr_rel'], '.2%')})"
-        for name, m in summary.items() if name != "op_s_matched_cal"
+        for name, m in summary.items() if name not in ("op_s_matched_cal", "op_s_by_depth")
     ]
     matched = summary["op_s_matched_cal"]
     parts.append(
         f"op_s_matched_cal {pct(matched['median_ratio'], '.4f')}"
         f" ({lower_in(matched)})"
     )
+    depths = ", ".join(
+        f"{d['path_len']} {d['parent_median']:.4g}/{d['change_median']:.4g}"
+        for d in summary["op_s_by_depth"]
+    )
+    parts.append(f"op_s by path_len, parent/change s: {depths or 'n/a'}")
     return f"{workload}: " + "; ".join(parts)
 
 
