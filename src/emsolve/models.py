@@ -26,26 +26,32 @@ lanes`` and a probe stack ``(Q, D) + lanes``, and the lambda-only terms
 have lambda's own size.  With D and C at 2-4, the long last lane is then the
 inner loop of every numpy call.  Sums over C or D add whole leading-axis
 slices left to right (``_short_sum``, ``_short_dot``), in the order of a
-row-major ``np.sum`` over the short axis, and the softmax's max takes
-``np.maximum`` over component slices (``_short_max``), so the bits are those
-of the row-major arithmetic, in any lanes.  Every output is a float64 array
-of the caller's ``(..., D)`` shape that follows the input's layout: a view
+row-major ``np.sum`` over the short axis (a sum of 3 to 7 slices in one
+``np.add.reduce``, which numpy adds in that order too), and the softmax's
+max takes ``np.maximum`` over component slices (``_short_max``), so the bits
+are those of the row-major arithmetic, in any lanes.  Every output is a
+float64 array of the caller's ``(..., D)`` shape that follows the input's layout: a view
 of a C-contiguous ``(..., D) + lanes`` array for an input laid out so (as
 the sampler's state and the estimator's blocks are), C-contiguous
 otherwise.  The arithmetic is element-wise, so both layouts give the same
 bits.
 
 Buffers.  A mixture call writes into arrays it owns instead of taking a
-fresh temporary per numpy call: the squared offsets are summed over D as
-products into one ``(C,) + lanes`` array, in which the log-components, the
+fresh temporary per numpy call: the squared offsets are summed over D into
+one ``(C,) + lanes`` array (as products into it for a large call, from one
+array of squares for a small one), in which the log-components, the
 softmax and the posterior weights are then formed; the offsets turn into
 the component scores in place; ``eps`` sums the weighted scores straight
 into the returned array and scales them there, and the softmax's max and
-sum borrow one of its rows first.  ``linearize`` takes its temporaries from
-one fresh block, and its ``jvp`` takes its scratch from another and writes
-into the product it returns.  Only operations whose bits IEEE arithmetic
-fixes are reordered: ``+`` and ``*`` commuted, ``x * x`` for a square,
-``out=`` forms of the same ufunc.
+sum borrow one of its rows first.  A scalar-lambda ``eps`` on a ``(D,)``
+state so makes 15 numpy calls at C = 2 and D = 4, and two of its lambda
+terms, -var_i at the offsets' own shape and -sigma as a 0-d array, are
+operands that numpy takes without broadcasting.  ``linearize`` takes its
+temporaries from one fresh block, and its ``jvp`` takes its scratch from
+another and writes into the product it returns.  Only operations whose
+bits IEEE arithmetic fixes are reordered: ``+`` and ``*`` commuted,
+``x * x`` for a square, ``out=`` forms of the same ufunc, and a factor of 2
+moved into a memoized term (the log-components' halving).
 
 Sweeps.  Outside ``sweep_scope``, every output is a fresh array.
 ``estimate_table`` runs its blocks of grid points inside ``sweep_scope(K)``,
@@ -64,14 +70,17 @@ block of the slot its call takes.  The scope's state is the thread's own
 (a ``threading.local``), so no other thread, and no copied context, sees
 it.  The slots are dropped when the scope exits.
 
-Memo.  The lambda-only terms (sigma, the component variances, alpha mu_i,
-D log(2 pi var_i) and -var_i) are computed once per schedule object and
-Python or NumPy float lambda and kept in a small memo on the model, which
-is cleared when it holds ``_LAMBDA_MEMO_SIZE`` entries: a sampler run
-evaluates the model at the same few lambdas again and again.  The
-parameters are read-only copies, so no entry goes stale; a copy, pickle or
-``replace`` rebuilds the model with an empty memo.  An array lambda, as a
-table build's, computes its terms afresh and leaves the memo as it was.
+Memo.  The lambda-only terms (sigma and -sigma, the component variances
+var_i and 2 var_i, alpha mu_i, D log(2 pi var_i) / 2 and -var_i) are
+computed once per schedule object and Python or NumPy float lambda and kept
+in a small memo on the model, which is cleared when it holds
+``_LAMBDA_MEMO_SIZE`` entries: a sampler run evaluates the model at the
+same few lambdas again and again.  A lambda at which a zero-std
+component's variance underflows to 0 raises DomainError when its terms are
+formed, so a memo hit checks nothing.  The parameters are read-only
+copies, so no entry goes stale; a copy, pickle or ``replace`` rebuilds the
+model with an empty memo.  An array lambda, as a table build's, computes
+its terms afresh and leaves the memo as it was.
 
 Iterator.  numpy 2.x runs a ufunc that broadcasts a ``(R, 1)`` column
 against ``(R, n)`` coordinate-major rows through its buffered iterator.
@@ -102,7 +111,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, check_floats, check_members, check_real, is_real
+from .errors import (
+    ConvergenceError, DomainError, check_floats, check_members, check_real, is_real
+)
 from .schedule import Schedule, check_lam_span, check_schedule, read_only
 
 
@@ -110,22 +121,33 @@ def _short_sum(a, out=None):
     """``np.sum(a, axis=0)`` bit for bit, as left-to-right additions of leading-axis slices.
 
     Below 8 terms this also matches ``np.sum`` over the same axis laid out
-    last.  The slices skip np.sum's reduction set-up, which dominates on the
-    mixture's short component and coordinate axes.  Written into ``out`` if given.
+    last, but for a sum of -0.0 terms alone, which is -0.0 as those
+    additions give.  Two slices take one ``np.add``; 3 to 7 one
+    ``np.add.reduce``, which numpy adds in order below 8 terms along any
+    axis; 8 or more, which numpy may add pairwise, are added one by one.
+    Written into ``out`` if given.
     """
-    if len(a) == 1:
+    n = len(a)
+    if n == 2:
+        return np.add(a[0], a[1], out=out)
+    if n == 1:
         if out is None:
             return a[0].copy()
         np.copyto(out, a[0])
         return out
+    if n < 8:
+        # from -0.0, which adds to any first term exactly, as numpy's +0.0 does not to -0.0
+        return np.add.reduce(a, axis=0, out=out, initial=-0.0)
     out = np.add(a[0], a[1], out=out)
-    for k in range(2, len(a)):
+    for k in range(2, n):
         out += a[k]
     return out
 
 
 def _short_max(a, out=None):
     """``np.max(a, axis=0)`` as ``np.maximum`` over leading-axis slices (``a[0]`` if only one)."""
+    if len(a) == 2:
+        return np.maximum(a[0], a[1], out=out)
     if len(a) == 1:
         return a[0]
     out = np.maximum(a[0], a[1], out=out)
@@ -143,6 +165,19 @@ def _short_dot(a, b, out=None, scratch=None):
     for k in range(1, len(a)):
         out += np.multiply(a[k], b[k], out=scratch)
     return out
+
+
+def _check_positive(var, lam) -> None:
+    """Raise DomainError naming the first lambda at which ``var`` is 0.
+
+    ``var`` has lambda's shape after any leading axes.  Where sigma
+    underflows, a point mass's sigma and a zero-std component's variance are
+    0, and eps would divide by them.
+    """
+    zero = var <= 0.0
+    if zero.any():
+        at = np.broadcast_to(lam, zero.shape)[zero][0]
+        raise DomainError(f"a variance underflows to 0 at lambda={float(at)!r}")
 
 
 def _broadcasts(shape, lead) -> bool:
@@ -177,14 +212,23 @@ def _lanes(lam, lead):
     return (lam.reshape(-1), (m,)) if n == 1 else (lam.reshape(m, 1), (m, n))
 
 
-def _columns(a, lead, lanes):
+# Per (len(lead), len(lanes)): the axes that take a ``lead + lanes + (D,)`` array
+# to ``lead + (D,) + lanes``, and back.  Inverted without numpy: an np.argsort
+# here faulted numpy's sort code into every importing process (+0.4 MB RSS).
+_TO_COLUMNS = {
+    (k, n): tuple(range(k)) + (k + n,) + tuple(range(k, k + n)) for k in (0, 1) for n in (1, 2)
+}
+_FROM_COLUMNS = {key: tuple(map(axes.index, range(len(axes)))) for key, axes in _TO_COLUMNS.items()}
+
+
+def _columns(a, lanes, lead=()):
     """A ``lead + (rows..., D)`` array as a ``lead + (D,) + lanes`` view."""
-    cols = a.reshape(lead + lanes + a.shape[-1:]).swapaxes(-1, -2)
-    return cols if len(lanes) == 1 else cols.swapaxes(-2, -3)
+    rows = a.reshape(lead + lanes + a.shape[-1:])
+    return rows.T if rows.ndim == 2 else rows.transpose(_TO_COLUMNS[len(lead), len(lanes)])
 
 
-def _row_buffer(cols, shape, lanes):
-    """A fresh float64 array of ``shape`` to return, and its ``(..., D) + lanes`` view to write into.
+def _row_buffer(cols, shape, lanes, lead=()):
+    """A fresh float64 array of ``shape``, to return, and its ``_columns`` view, to write into.
 
     ``cols`` is the input's ``_columns`` view.  When it is C-contiguous, the
     buffer is laid out as ``cols`` is, so the output keeps the input's
@@ -192,10 +236,10 @@ def _row_buffer(cols, shape, lanes):
     """
     if cols.flags.c_contiguous:
         buf = np.empty(cols.shape)
-        out = buf if len(lanes) == 1 else buf.swapaxes(-3, -2)
-        return out.swapaxes(-2, -1).reshape(shape), buf  # the reshape only splits axes: a view
+        rows = buf.T if buf.ndim == 2 else buf.transpose(_FROM_COLUMNS[len(lead), len(lanes)])
+        return rows.reshape(shape), buf  # the reshape only splits axes: a view
     out = np.empty(shape)
-    return out, _columns(out, cols.shape[: cols.ndim - 1 - len(lanes)], lanes)
+    return out, _columns(out, lanes, lead)
 
 
 # The shortest row that ``row_buffers`` clamps the buffer to.  On plan.run the
@@ -330,7 +374,10 @@ class ModelSpec:
         without growing it, such as one lambda per row or the ``(P, 1)``
         column of ``estimate_table``'s ``(P, K, D)`` blocks; any other
         raises ValueError.  Rows never mix: each row has the bits of a call
-        at its own lambda alone.
+        at its own lambda alone.  The package's models raise DomainError,
+        naming lambda, where a variance they divide by underflows to 0: a
+        point mass's sigma, or a zero-std component's, far into the
+        low-noise end (lambda = 1500 on vp-linear).
         """
         raise NotImplementedError
 
@@ -388,7 +435,10 @@ class ModelSpec:
             raise ValueError(f"lambda must be real, got {lam!r}")
         lam, lead = lams.astype(float, copy=False), x.shape[:-1]
         one = lam.size == 1  # as a table build's block of one grid point: checked as a float
-        if not (lam.ndim <= len(lead) if one else _broadcasts(lam.shape, lead)):
+        # one lambda per row, as the reference's, takes the first shape test alone
+        if not (
+            lam.ndim <= len(lead) if one else lam.shape == lead or _broadcasts(lam.shape, lead)
+        ):
             raise ValueError(
                 f"lambda has shape {lam.shape}, expected a scalar or a shape that broadcasts"
                 f" against {lead}"
@@ -432,9 +482,9 @@ class PointGaussian(ModelSpec):
 
     def eps(self, sched, x, lam):
         x, lam = self._check_input(x, lam)
-        alpha = sched.alpha_lambda(lam)[..., None]
-        sigma = sched.sigma_lambda(lam)[..., None]
-        return (x - alpha * self.x0) / sigma
+        alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
+        _check_positive(sigma, lam)
+        return (x - alpha[..., None] * self.x0) / sigma[..., None]
 
     def linearize(self, sched, x, lam):
         # (x - alpha x0) / sigma is constant along every trajectory
@@ -496,6 +546,8 @@ class GaussianMixture(ModelSpec):
         object.__setattr__(self, "_means", mu[:, :, None])
         object.__setattr__(self, "_log_weights", np.log(w)[:, None])
         object.__setattr__(self, "_stds_sq", (s**2)[:, None])
+        object.__setattr__(self, "_neg_ones", np.full(mu.shape + (1,), -1.0))
+        object.__setattr__(self, "_zero_stds", bool((self._stds_sq == 0.0).any()))
         object.__setattr__(self, "_memo", {})
 
     def __reduce__(self):
@@ -507,17 +559,22 @@ class GaussianMixture(ModelSpec):
         return self.means.shape[1]
 
     def _lambda_terms(self, sched, lam, memo):
-        """The lambda-only terms: sigma, var_i, alpha mu_i, D log(2 pi var_i) and -var_i.
+        """The lambda-only terms, each at lambda's own size (see ``_lanes``).
 
-        At lambda's own size (see ``_lanes``): for one lambda a scalar
-        sigma, then (C, 1), (C, D, 1), (C, 1) and (C, 1, 1) arrays, with
-        (N,) or (M, 1) for the 1 for a lambda per row or a column.  With
-        ``memo``, a scalar's are read from the model's memo, keyed on the
-        schedule object's identity and ``float(lam)``; an entry holds its
-        schedule, so a key never outlives the object it names, and a full
-        memo is cleared.  ``np.float_power`` squares with the C library's
-        ``pow``, so each lambda's terms have its bits alone; ``np.square``
-        differs from ``pow`` in the last bit for about 0.1% of inputs.
+        In order sigma, var_i, alpha mu_i, D log(2 pi var_i) / 2, -var_i,
+        2 var_i and -sigma: for one lambda a scalar, then (C, 1), (C, D, 1),
+        (C, 1), (C, D, 1) and (C, 1) arrays and a 0-d array, with (N,) or
+        (M, 1) for the 1 for a lambda per row or a column.  A zero-std
+        component's variance that underflows to 0 raises DomainError.  With
+        ``memo``, a scalar's are read from the
+        model's memo, keyed on the schedule object's identity and
+        ``float(lam)``; an entry holds its schedule, so a key never outlives
+        the object it names, and a full memo is cleared.
+        ``np.float_power`` squares with the C library's ``pow``, so each
+        lambda's terms have its bits alone; ``np.square`` differs from
+        ``pow`` in the last bit for about 0.1% of inputs.  The halved
+        log-normalizer is (D / 2) log(pi 2 var_i): the bits of halving
+        D log(2 pi var_i), since a factor of 2 moves no bit.
         """
         if memo:
             key = (id(sched), float(lam))
@@ -525,32 +582,39 @@ class GaussianMixture(ModelSpec):
             if hit is not None and hit[0] is sched:
                 return hit[1]
         alpha, sigma = sched.alpha_lambda(lam), sched.sigma_lambda(lam)
-        stds_sq, means = self._stds_sq, self._means
+        stds_sq, means, neg_ones = self._stds_sq, self._means, self._neg_ones
         if isinstance(lam, np.ndarray) and lam.ndim == 2:  # an (M, 1) column: lanes (M, n)
-            stds_sq, means = stds_sq[:, None], means[..., None]
+            stds_sq, means, neg_ones = stds_sq[:, None], means[..., None], neg_ones[..., None]
         var = np.float_power(alpha, 2.0) * stds_sq + np.float_power(sigma, 2.0)
-        log_norm = self.dim * np.log(2.0 * np.pi * var)
-        terms = sigma, var, alpha * means, log_norm, -var[:, None]
+        if self._zero_stds:  # only a zero-std component's variance can vanish
+            _check_positive(var, lam)
+        two_var = 2.0 * var
+        half_log_norm = (0.5 * self.dim) * np.log(np.pi * two_var)
+        # -var_i at the offsets' (C, D) and -sigma as a 0-d array: numpy runs an
+        # operand of the other's shape, or a 0-d one, without broadcasting
+        neg_var = np.multiply(var[:, None], neg_ones)
+        terms = sigma, var, alpha * means, half_log_norm, neg_var, two_var, np.asarray(-sigma)
         if memo:
             if len(self._memo) >= _LAMBDA_MEMO_SIZE:
                 self._memo.clear()
             self._memo[key] = sched, terms
         return terms
 
-    def _posterior(self, sq, var, log_norm, row):
+    def _posterior(self, sq, two_var, half_log_norm, row):
         """Posterior weights pi_i(x), (C,) + lanes, formed in the memory of ``sq`` = |x - alpha mu_i|^2.
 
-        log w_i N_i(x) = log w_i - (D log(2 pi var_i) + sq_i / var_i) / 2, then a
+        log w_i N_i(x) = log w_i - (sq_i / (2 var_i) + D log(2 pi var_i) / 2), then a
         softmax over the components, whose max and sum take the lanes' array ``row``.
+        Halving sq_i / var_i + D log(2 pi var_i) after the sum gives the same
+        bits, unless that sum overflows.
         """
-        sq /= var
-        sq += log_norm
-        sq *= 0.5
+        np.divide(sq, two_var, out=sq)
+        np.add(sq, half_log_norm, out=sq)
         log_weights = self._log_weights if sq.ndim == 2 else self._log_weights[:, None]
         np.subtract(log_weights, sq, out=sq)
-        sq -= _short_max(sq, out=row)
+        np.subtract(sq, _short_max(sq, out=row), out=sq)
         np.exp(sq, out=sq)
-        sq /= _short_sum(sq, out=row)
+        np.divide(sq, _short_sum(sq, out=row), out=sq)
         return sq
 
     @staticmethod
@@ -560,16 +624,16 @@ class GaussianMixture(ModelSpec):
         The squares are summed over D left to right, as a row-major ``np.sum``
         adds them.  A large call forms them as products into the norms, with
         no (C, D) + lanes temporary; a small one squares the offsets in one
-        call, which costs fewer numpy calls than D products.  Written into
-        ``diff`` and ``sq`` if given; a large call's products go to the (C,)
-        + lanes array ``scratch`` if given.
+        call and sums them with ``_short_sum`` (in one more below 8
+        coordinates), which costs fewer numpy calls than D products.  Written into ``diff`` and ``sq`` if
+        given; a large call's products go to the (C,) + lanes array
+        ``scratch`` if given.
         """
-        # order="C": by default a ufunc's output would follow the strided x.T,
-        # and the squares' would follow diff, whose (C,) + lanes slices are strided
+        # order="C": by default a ufunc's output would follow the strided x.T
         diff = np.subtract(xt, alpha_means, out=diff, order="C")
-        by_coord = diff.swapaxes(0, 1)
         if diff.size <= _SMALL_CALL:
-            return diff, _short_sum(np.multiply(by_coord, by_coord, order="C"), out=sq)
+            return diff, _short_sum(np.multiply(diff, diff).swapaxes(0, 1), out=sq)
+        by_coord = diff.swapaxes(0, 1)
         if scratch is None:
             scratch = np.empty(by_coord.shape[1:])
         return diff, _short_dot(by_coord, by_coord, out=sq, scratch=scratch)
@@ -600,23 +664,25 @@ class GaussianMixture(ModelSpec):
         x, lam = self._check_input(x, lam)
         memo = not isinstance(lam, np.ndarray)  # a scalar the caller passed
         lam, lanes = _lanes(lam, x.shape[:-1])
-        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam, memo)
-        xt = _columns(x, (), lanes)
+        _, _, alpha_means, half_log_norm, neg_var, two_var, neg_sigma = self._lambda_terms(
+            sched, lam, memo
+        )
+        xt = _columns(x, lanes)
         # the result before the temporaries: allocated after them, a sampler's
         # kept result would sit above the offsets' freed block, and the solver's
         # arrays splitting that hole grew a batch run's heap by one more block
         out, out_t = _row_buffer(xt, x.shape, lanes)
         scratch = None
-        if len(var) * out_t.size > _SMALL_CALL and len(var) <= len(out_t):
+        if len(two_var) * out_t.size > _SMALL_CALL and len(two_var) <= len(out_t):
             # out's memory is free until the last steps: a large call's products go there
-            scratch = _carve([(len(var),) + lanes], out_t.ravel(order="K"))[0]
-        diff, sq = self._offsets(xt, alpha_means, scratch=scratch)
-        pi = self._posterior(sq, var, log_norm, out_t[0])  # a row of out, written last
+            scratch = _carve([(len(two_var),) + lanes], out_t.ravel(order="K"))[0]
+        diff, sq = self._offsets(xt, alpha_means, None, None, scratch)
+        pi = self._posterior(sq, two_var, half_log_norm, out_t[0])  # a row of out, written last
         # diff turns into the component scores grad log N_i = -diff / var_i, then pi_i times them
         np.divide(diff, neg_var, out=diff)
-        diff *= pi[:, None]
+        np.multiply(diff, pi[:, None], out=diff)
         _short_sum(diff, out=out_t)
-        out_t *= -sigma
+        np.multiply(out_t, neg_sigma, out=out_t)
         return out
 
     def _linearize_arrays(self, xt, shape):
@@ -653,10 +719,12 @@ class GaussianMixture(ModelSpec):
         x, lam = self._check_input(x, lam)
         memo = not isinstance(lam, np.ndarray)  # a scalar the caller passed
         lam, lanes = _lanes(lam, x.shape[:-1])
-        sigma, var, alpha_means, log_norm, neg_var = self._lambda_terms(sched, lam, memo)
+        sigma, var, alpha_means, half_log_norm, neg_var, two_var, _ = self._lambda_terms(
+            sched, lam, memo
+        )
         c = sched.dlog_alpha_dlambda(lam)
         sigma_sq = np.float_power(sigma, 2.0)  # pow's bits, as the terms' squares
-        xt = _columns(x, (), lanes)
+        xt = _columns(x, lanes)
         sweep = _SCOPE.sweep
         if sweep is None:
             ws = token = None
@@ -682,7 +750,8 @@ class GaussianMixture(ModelSpec):
         np.multiply(sq, -sigma_sq, out=a)
         a /= var**2
         a -= 0.5 * self.dim * rate
-        pi = self._posterior(sq, var, log_norm, d_eps_t[0])  # a row of d_eps, written last
+        # a row of d_eps, written last
+        pi = self._posterior(sq, two_var, half_log_norm, d_eps_t[0])
         comp_score = np.divide(diff, neg_var, out=diff)
         _short_dot(pi[:, None], comp_score, out=mean_score, scratch=work)
         np.multiply(mean_score, -sigma, out=eps_t)
@@ -720,10 +789,10 @@ class GaussianMixture(ModelSpec):
             if shape[len(shape) - x.ndim :] != x.shape:
                 raise ValueError(f"v of shape {v.shape} does not end in x's shape {x.shape}")
             probes = (math.prod(shape[: len(shape) - x.ndim]),)
-            vt = _columns(np.broadcast_to(v, shape), probes, lanes)  # (Q, D) + lanes
+            vt = _columns(np.broadcast_to(v, shape), lanes, probes)  # (Q, D) + lanes
             by_coord = vt.swapaxes(0, 1)[:, :, None]  # (D, Q, 1) + lanes
             # the product first: an array that outlives a call goes before its temporaries
-            out, out_t = _row_buffer(vt, shape, lanes)
+            out, out_t = _row_buffer(vt, shape, lanes, probes)
             # the dot products' scratch (which then holds gbar . v), the dots and a scratch
             scratch, dots, work = _carve([probes + pi.shape] * 2 + [vt.shape])
             _short_dot(comp_score.swapaxes(0, 1), by_coord, out=dots, scratch=scratch)  # (Q, C) + lanes
@@ -991,7 +1060,8 @@ def reference_solve(
 
     Each row has its own lambda, step size and accept/reject state, and
     leaves the active set at lam_end; the active rows share one ``eps`` call
-    per stage, with a lambda per row.  Rows never mix, so a row's result is
+    per stage, with a lambda per row, and each step takes its stages' sigma
+    and dlog alpha/dlambda from one schedule call each.  Rows never mix, so a row's result is
     the same bits alone or in any batch.  Each stage's derivative is added
     once into the running sums of the later stages, the new state and the
     two error estimates that weigh it, so every sum adds its terms in stage
@@ -1027,11 +1097,13 @@ def reference_solve(
     if lam_end == lam_start or x_start.size == 0:
         return x_start.copy()
 
-    def rhs(lam, x, out=None):
+    def terms(lam):
+        """dlog alpha/dlambda and sigma at ``lam``, with a trailing axis for the coordinates."""
+        return sched.dlog_alpha_dlambda(lam)[..., None], sched.sigma_lambda(lam)[..., None]
+
+    def rhs(lam, x, c, sigma, out=None):
         if not np.isfinite(x).all():
             raise ConvergenceError("reference integration reached a non-finite state")
-        c = sched.dlog_alpha_dlambda(lam)[:, None]
-        sigma = sched.sigma_lambda(lam)[:, None]
         eps = model.eps(sched, x, lam)
         out = np.multiply(c, x, out=out)
         out -= sigma * eps
@@ -1046,8 +1118,10 @@ def reference_solve(
     rejected = np.zeros(len(y), dtype=bool)  # the row's last attempt was rejected
     # non-finite values are caught by the checks, not reported as warnings
     with np.errstate(all="ignore"):
-        f = rhs(lam, y)
-        h_abs = _initial_step(rhs, lam, y, f, lam_end - lam_start, tol)
+        f = rhs(lam, y, *terms(lam))
+        h_abs = _initial_step(
+            lambda at, x: rhs(at, x, *terms(at)), lam, y, f, lam_end - lam_start, tol
+        )
         for _ in range(REFERENCE_MAX_STEPS):
             min_step = 10.0 * np.abs(np.nextafter(lam, np.inf) - lam)
             h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
@@ -1065,6 +1139,7 @@ def reference_solve(
             h_col = h[:, None]
             np.multiply(_NODES, h, out=stage_lam[:-1])
             stage_lam[:-1] += lam
+            stage_c, stage_sigma = terms(stage_lam)  # one schedule call each for the step's stages
             sums = np.empty((len(_SUMS),) + y.shape)
             products, k_stage = np.empty_like(sums), np.empty_like(y)
             np.multiply(_STAGE_COLUMNS[0][2], f, out=sums)
@@ -1072,12 +1147,12 @@ def reference_solve(
                 state = sums[k - 1]  # stage k's sum is complete: it turns into y + h sum
                 state *= h_col
                 state += y
-                rhs(stage_lam[k - 1], state, out=k_stage)
+                rhs(stage_lam[k - 1], state, stage_c[k - 1], stage_sigma[k - 1], out=k_stage)
                 sums[lo:hi] += np.multiply(coef, k_stage, out=products[lo:hi])
             y_new = sums[_B_ROW]
             y_new *= h_col
             y_new += y
-            f_new = rhs(lam_new, y_new)
+            f_new = rhs(lam_new, y_new, stage_c[-1], stage_sigma[-1])
 
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             err5 = _row_sq(np.divide(sums[_E5_ROW], scale, out=products[0]))

@@ -163,10 +163,10 @@ def _update(scale, x_s, alpha_s, int_EB, weights, g, reads):
     ``scale`` is alpha_t A; each (position, row) of ``reads`` adds ``weights[row] * g[position]``.
     The sum is the one scratch array; every later product and the result share the returned one.
     """
-    (p, row), *rest = reads
+    p, row = reads[0]
     total = weights[row] * g[p]
     out = None
-    for p, row in rest:
+    for p, row in reads[1:]:
         out = np.multiply(weights[row], g[p], out=out)
         total += out
     out = np.divide(x_s, alpha_s, out=out, order="C")
@@ -235,7 +235,8 @@ class SamplerPlan:
         g = {0: _g_value(a[0], b[0], c[0], x, model.eps(ems.schedule, x.T, lams[0]).T)}
         # reads never start earlier, anchors stay or move to the target: keep the next step's reads
         for i, t_pos in enumerate(self.targets):
-            step = scale[i], x_s, self.alpha_s[i], int_EB[i], weights, g
+            # alpha_s as a 0-d array, which numpy takes with no scalar conversion
+            step = scale[i], x_s, self.alpha_s[i, ...], int_EB[i], weights, g
             x = _update(*step, self.reads[i])
             if i == last:
                 break

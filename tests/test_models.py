@@ -306,6 +306,48 @@ def test_short_sum_matches_np_sum_bit_for_bit(axis, terms):
     assert a.tobytes() == a_bytes
 
 
+@settings(max_examples=300)
+@given(
+    terms=st.integers(3, 12),
+    shape=st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=3),
+    order=st.permutations(range(4)),
+    stepped=st.booleans(),
+    flipped=st.integers(-1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_short_sums_add_the_slices_in_order_in_any_layout(
+    terms, shape, order, stepped, flipped, seed
+):
+    """One ``ufunc.reduce`` call only where numpy takes the slices left to right.
+
+    Leading-axis stacks of 3 to 12 slices of 1 to 125 elements, with signed
+    zeros, laid out in any axis order, every other element of a larger
+    array, or flipped: the sum has the bits of adding the slices one by one,
+    and so does the max.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (terms, *shape)
+    axes = [k for k in order if k < len(shape)]
+    memory = rng.standard_normal([shape[k] for k in axes]) * 10.0 ** rng.integers(-8, 8)
+    memory[rng.uniform(size=memory.shape) < 0.3] = -0.0  # zeros whose sums keep their sign
+    memory[rng.uniform(size=memory.shape) < 0.1] = 0.0
+    a = memory.transpose(np.argsort(axes))  # shape, in the axis order ``axes``
+    if stepped:
+        wide = np.zeros([2 * n for n in shape])
+        wide[tuple(slice(None, None, 2) for _ in shape)] = a
+        a = wide[tuple(slice(None, None, 2) for _ in shape)]
+    if flipped < len(shape):
+        a = np.flip(a, flipped)
+    want_sum, want_max = a[0].copy(), a[0].copy()
+    for k in range(1, terms):
+        want_sum = want_sum + a[k]
+        want_max = np.maximum(want_max, a[k])
+    assert np.asarray(_short_sum(a)).tobytes() == want_sum.tobytes()
+    assert np.asarray(_short_max(a)).tobytes() == want_max.tobytes()
+    out = np.empty(shape[1:])
+    assert _short_sum(a, out=out) is out and out.tobytes() == want_sum.tobytes()
+
+
 @pytest.mark.parametrize("num_comp, dim", [(9, 3), (3, 9), (12, 10)])
 def test_sums_of_8_or_more_terms_keep_each_rows_bits_in_a_batch(vp, num_comp, dim):
     """With 8 or more components or coordinates, a batch gives each row its lone call's bits.
@@ -387,6 +429,62 @@ def test_mixture_matches_rowmajor_oracle_bit_for_bit(
         assert g.dtype == np.float64 and g.flags.c_contiguous
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
     assert x.tobytes() == x_bytes and v.tobytes() == v_bytes
+
+
+@settings(max_examples=120)
+@given(
+    num_comp=st.integers(1, 4),
+    dim=st.sampled_from([1, 8, 9]),
+    layout=st.sampled_from(["(D,)", "(B, D)", "F-ordered", "per-row lambda"]),
+    rows=st.integers(1, 5),
+    edge=st.sampled_from(["zero offsets", "near-zero offsets", "large lambda"]),
+    lam=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mixture_matches_rowmajor_oracle_at_the_edges(
+    vp, num_comp, dim, layout, rows, edge, lam, seed
+):
+    """The halved and memoized terms and the one-reduce sums keep the row-major oracle's bits.
+
+    At the edges they reach: offsets that are exactly or nearly 0 (x at a
+    scaled mean), |lambda| from 15 to 30, D of 1 (one-element sums) and of 8
+    and 9 (sums of 8 or more terms), zero stds, and ``(D,)``, ``(B, D)``,
+    F-ordered and per-row-lambda inputs.
+    """
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, num_comp)
+    stds = rng.uniform(0.0, 1.5, num_comp)
+    stds[rng.uniform(size=num_comp) < 0.3] = 0.0
+    model = GaussianMixture(
+        weights=weights / weights.sum(), means=rng.uniform(-2.0, 2.0, (num_comp, dim)), stds=stds
+    )
+    lead = () if layout == "(D,)" else (rows,)
+    if edge == "large lambda":
+        lam = float(rng.choice([-1.0, 1.0]) * rng.uniform(15.0, 30.0))
+    lams = np.full(lead, lam)
+    if layout == "per-row lambda":
+        lams += rng.uniform(-1.0, 1.0, lead)
+    alpha = vp.alpha_lambda(lams)[..., None]
+    x = 2.0 * rng.standard_normal(lead + (dim,))
+    if edge != "large lambda":  # each row at a scaled mean, or a hair off it
+        x = alpha * model.means[rng.integers(0, num_comp, lead)]
+        if edge == "near-zero offsets":
+            x += 1e-13 * rng.standard_normal(x.shape)
+    v = rng.standard_normal((2,) + x.shape)
+    if layout == "per-row lambda":
+        eps, d_eps, apply_jacobian = model.linearize(vp, x, lams)
+        got = (model.eps(vp, x, lams), eps, d_eps, apply_jacobian(v))
+        per_row = [
+            mixture_linearize_rowmajor(model, vp, x[i], lams[i], v[:, i]) for i in range(rows)
+        ]
+        want_eps, want_d_eps, want_jv = (np.stack(w, axis=-2) for w in zip(*per_row))
+    else:
+        x_in = laid_out(x, "coordinate-major") if layout == "F-ordered" else x
+        eps, d_eps, apply_jacobian = model.linearize(vp, x_in, lam)
+        got = (model.eps(vp, x_in, lam), eps, d_eps, apply_jacobian(v))
+        want_eps, want_d_eps, want_jv = mixture_linearize_rowmajor(model, vp, x, lam, v)
+    for g, w in zip(got, (want_eps, want_eps, want_d_eps, want_jv)):
+        assert g.shape == w.shape and np.ascontiguousarray(g).tobytes() == w.tobytes()
 
 
 def laid_out(a, layout):
@@ -609,6 +707,24 @@ def test_eps_rejects_bad_per_row_lambda(vp, mix4, mix4b, pg4, name):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="lambda must be finite"):
                 evaluate(vp, x, np.array([0.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("name", ["point", "zero-std mixture"])
+@pytest.mark.parametrize("lam", [1500.0, np.array([0.0, 1500.0, 1.0])])
+def test_a_variance_that_underflows_raises_domain_error(vp, pg4, name, lam):
+    """At lambda = 1500 on vp-linear sigma is 0, and so is a zero std's variance: DomainError.
+
+    The error names the lambda, for ``eps`` and ``linearize`` alike, with a
+    scalar lambda (checked when its terms are formed) and a lambda per row.
+    """
+    assert vp.sigma_lambda(1500.0) == 0.0 and vp.lam_domain[1] == np.inf
+    model = pg4 if name == "point" else GaussianMixture([0.5, 0.5], [pg4.x0, -pg4.x0], [0.0, 0.8])
+    x = np.zeros((3, 4))
+    for evaluate in (model.eps, model.linearize):
+        with pytest.raises(DomainError, match="lambda=1500.0"):
+            evaluate(vp, x, lam)
+    # a mixture whose stds are all positive keeps a positive variance there
+    assert np.isfinite(GaussianMixture([1.0], [pg4.x0], [0.5]).eps(vp, x, lam)).all()
 
 
 @settings(max_examples=60)
@@ -1201,6 +1317,42 @@ def test_reference_row_is_the_same_bits_alone_and_in_any_batch(
         assert state.tobytes() == alone[i].tobytes()
     grid = reference_solve(model, vp, x[rows].reshape(1, -1, 4), -2.0, 1.0, tol=1e-6)
     assert grid.shape == (1, len(rows), 4) and grid.tobytes() == got.tobytes()
+
+
+class _CountingSchedule:
+    """A schedule's delegate that counts its ``dlog_alpha_dlambda`` and ``sigma_lambda`` calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, {"dlog_alpha_dlambda": 0, "sigma_lambda": 0}
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+        if name not in self.calls:
+            return method
+
+        def counted(*args):
+            self.calls[name] += 1
+            return method(*args)
+
+        return counted
+
+
+def test_reference_takes_each_steps_stage_terms_from_one_schedule_call(vp, mix4):
+    """Per step, one dlog alpha/dlambda call and one sigma call for all 12 stages' lambdas.
+
+    Besides them, the initial right-hand side and the initial step's trial
+    one take one call each.  The model's ``eps`` calls count the stages: two
+    before the first step, then 12 per step.
+    """
+    sched = _CountingSchedule(vp)
+    model = EvalCounter(mix4)
+    x = vp.sigma_lambda(-2.0) * np.random.default_rng(5).standard_normal((3, 4))
+    got = reference_solve(model, sched, x, -2.0, 3.0, tol=1e-8)
+    assert got.tobytes() == reference_solve(mix4, vp, x, -2.0, 3.0, tol=1e-8).tobytes()
+    steps, stages = divmod(model.calls - 2, 12)
+    assert stages == 0 and steps > 10
+    # the mixture's own sigma calls, one per stage, come on top of the reference's
+    assert sched.calls == {"dlog_alpha_dlambda": 2 + steps, "sigma_lambda": 2 + steps + model.calls}
 
 
 class _Stub(ModelSpec):

@@ -160,3 +160,61 @@ def test_a_run_without_a_result_raises_and_the_trees_go(repo, tmp_path):
     with pytest.raises(RuntimeError, match="without a result"):
         run_pairs(repo, tmp_path, "HEAD", "--seeds", "1")
     assert not list((tmp_path / "scratch").iterdir())
+
+
+def synthetic_pairs(parent, change, name="op_rel"):
+    """Pairs whose ``name`` reads ``parent[i]`` and ``change[i]``."""
+    return [{"parent": {name: a}, "change": {name: b}} for a, b in zip(parent, change)]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]  # IQR 0.5
+
+
+@pytest.mark.parametrize(
+    "change, bound, want",
+    [
+        ([97.0] * 10, 0.25, "met"),  # lower in 10/10, moved 3 against an IQR of 0.5
+        ([97.0] * 9 + [102.0], 0.25, "met"),  # lower in 9/10
+        ([97.0] * 8 + [102.0] * 2, 0.25, "unresolved"),  # lower in 8/10
+        ([99.7] * 10, 0.25, "unresolved"),  # lower in 10/10, but inside the parent's IQR
+        ([126.0] * 10, 0.25, "worse"),  # 26% worse, bound 25%
+        ([124.0] * 10, 0.25, "unresolved"),  # 24% worse
+        ([126.0] * 10, None, "unresolved"),  # no bound: never worse
+        (PARENT, 0.25, "unresolved"),  # all ties
+    ],
+)
+def test_each_metric_gets_a_verdict(change, bound, want):
+    summary = pairs.summarize(synthetic_pairs(PARENT, change), {"op_rel": ("lower", bound)})
+    assert summary["op_rel"]["verdict"] == want
+    assert summary["op_rel"]["pairs"] == 10
+
+
+def test_a_higher_is_better_metric_is_met_when_it_rises_and_worse_when_it_falls():
+    def verdict(change, bounds):
+        return pairs.summarize(synthetic_pairs(PARENT, change), bounds)["op_rel"]["verdict"]
+
+    higher = {"op_rel": ("higher", 0.1)}
+    assert verdict([103.0] * 10, higher) == "met"
+    assert verdict([89.0] * 10, higher) == "worse"
+    assert verdict(PARENT[:9] + [103.0], higher) == "unresolved"  # ties are not wins
+    assert verdict([103.0] * 10, None) == "unresolved"  # without bounds, lower is better
+
+
+def test_bounds_are_read_from_the_parent_trees_benchmark_json(repo, tmp_path, capsys):
+    assert pairs.bounds_of(str(tmp_path)) == {}
+    declared = {"end_to_end": [
+        {"name": "op_rel", "better": "lower", "bound": 0.25},
+        {"name": "err_l2.nfe10", "better": "lower", "bound": 0.2},
+    ]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(declared))
+    git(repo, "add", "-A")
+    git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "declare the bounds")
+    before = (repo / "BENCHMARK.json").read_bytes()
+    commit_speed(repo, 3.0)  # HEAD~1 runs at speed 1, HEAD at 3: op_rel about 3 times higher
+    record = run_pairs(repo, tmp_path, "HEAD", "--seeds", "1-3")
+    assert (repo / "BENCHMARK.json").read_bytes() == before
+    summary = record["rounds"][0]["workloads"]["ems-build"]["summary"]
+    assert summary["op_rel"]["verdict"] == "worse"
+    assert summary["err_l2.nfe10"]["verdict"] == "unresolved"  # tied in every pair
+    line = next(ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("ems-build:"))
+    assert "; verdicts: setup_s unresolved, peak_rss_mb unresolved, op_rel worse," in line

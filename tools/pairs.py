@@ -34,7 +34,15 @@ reading of the op's own time in the pairs the machine's drift did not move.
 the trees' path length (``path_len``), since a layout effect can make one
 side fast at some depths and slow at others.  After each round it logs one
 line per workload with each metric's relative move, "lower in k/n", ties
-and parent IQR, then the per-depth medians.  Standard library only.
+and parent IQR, then every metric's verdict and the per-depth medians.  Standard library only.
+
+Each metric's verdict reads the parent tree's ``BENCHMARK.json``, never
+writing it: ``met`` when the change is better in at least
+``MET_SHARE`` of the pairs and its median moved the better way by more
+than the parent's IQR; ``worse`` when its median is worse than the
+parent's by more than the metric's ``bound`` there (a metric without a
+bound is never ``worse``); ``unresolved`` otherwise.  "Better" is the
+metric's ``better`` direction there, lower for a metric it does not name.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ CAL_MATCH = 0.05  # the largest relative gap between a pair's calibration times 
 RUN_TIMEOUT_S = 900
 SECONDS = 6  # each run's length, the benchmark's run_seconds
 LENGTHS = 8  # the directory depths at which both sides are exported
+MET_SHARE = 0.9  # the share of pairs in which a met claim reads better
 DIGESTED = ("src", "bench")  # the directories whose files a run executes
 
 
@@ -175,8 +184,37 @@ def quartiles(values: list) -> tuple:
     return q1, q2, q3
 
 
-def summarize(pairs: list) -> dict:
-    """Per metric: both sides' medians and quartiles, the relative move and "lower in k/n"."""
+def bounds_of(tree: str) -> dict:
+    """Each end-to-end metric's ``(better, bound)`` from ``tree``'s ``BENCHMARK.json``, if any."""
+    path = os.path.join(tree, "BENCHMARK.json")
+    if not os.path.isfile(path):
+        return {}
+    with open(path) as fh:
+        declared = json.load(fh).get("end_to_end", [])
+    return {m["name"]: (m.get("better", "lower"), m.get("bound")) for m in declared}
+
+
+def verdict(summary: dict, better: str = "lower", bound: float | None = None) -> str:
+    """``met``, ``worse`` or ``unresolved`` for one metric's summary (see the module docstring)."""
+    p2, c2, n = summary["parent_median"], summary["change_median"], summary["pairs"]
+    sign = 1.0 if better == "lower" else -1.0
+    wins = summary["change_lower"]
+    if better != "lower":
+        wins = n - wins - summary["ties"]
+    gain = sign * (p2 - c2)  # how far the change's median moved the better way
+    if n and wins >= MET_SHARE * n and gain > summary["parent_q3"] - summary["parent_q1"]:
+        return "met"
+    if bound is not None and p2 and -gain / abs(p2) > bound:
+        return "worse"
+    return "unresolved"
+
+
+def summarize(pairs: list, bounds: dict | None = None) -> dict:
+    """Per metric: both sides' medians and quartiles, the move, "lower in k/n" and a verdict.
+
+    ``bounds`` maps a metric to its ``(better, bound)``, as ``bounds_of`` reads them.
+    """
+    bounds = bounds or {}
     out = {}
     for name in METRICS:
         got = [(p["parent"].get(name), p["change"].get(name)) for p in pairs]
@@ -194,7 +232,9 @@ def summarize(pairs: list) -> dict:
             "change_median": c2, "change_q1": c1, "change_q3": c3,
             "rel_change": c2 / p2 - 1.0 if p2 else None,
             "change_lower": lower, "ties": ties, "lower_in": f"{lower}/{len(got)}",
+            "pairs": len(got),
         }
+        out[name]["verdict"] = verdict(out[name], *bounds.get(name, ("lower", None)))
     matched = [
         p["change"]["op_s"] / p["parent"]["op_s"]
         for p in pairs
@@ -221,7 +261,7 @@ def summarize(pairs: list) -> dict:
 
 
 def summary_line(workload: str, summary: dict) -> str:
-    """One log line: per metric the relative move, "lower in k/n", any ties and the parent's IQR."""
+    """One log line: per metric the move, "lower in k/n", ties and parent IQR; then the verdicts."""
 
     def pct(value, spec):
         return "n/a" if value is None else format(value, spec)
@@ -229,11 +269,13 @@ def summary_line(workload: str, summary: dict) -> str:
     def lower_in(m):
         return f"lower in {m['lower_in']}" + (f", {m['ties']} ties" if m.get("ties") else "")
 
+    metrics = {k: m for k, m in summary.items() if k not in ("op_s_matched_cal", "op_s_by_depth")}
     parts = [
         f"{name} {pct(m['rel_change'], '+.2%')} ({lower_in(m)},"
         f" parent IQR {pct(m['parent_iqr_rel'], '.2%')})"
-        for name, m in summary.items() if name not in ("op_s_matched_cal", "op_s_by_depth")
+        for name, m in metrics.items()
     ]
+    parts.append("verdicts: " + ", ".join(f"{name} {m['verdict']}" for name, m in metrics.items()))
     matched = summary["op_s_matched_cal"]
     parts.append(
         f"op_s_matched_cal {pct(matched['median_ratio'], '.4f')}"
@@ -247,7 +289,7 @@ def summary_line(workload: str, summary: dict) -> str:
     return f"{workload}: " + "; ".join(parts)
 
 
-def run_round(launcher, pair_trees, seeds, workloads, log) -> tuple:
+def run_round(launcher, pair_trees, seeds, workloads, log, bounds=None) -> tuple:
     """One round: per seed, every workload on both sides, alternating which goes first."""
     per_workload = {w: [] for w in workloads}
     env = None
@@ -263,7 +305,9 @@ def run_round(launcher, pair_trees, seeds, workloads, log) -> tuple:
                 log(f"seed {seed} {workload} {side}: op_rel {done['run']['op_rel']:.6g}"
                     f" peak_rss_mb {done['run']['peak_rss_mb']:.4g}")
             per_workload[workload].append(pair)
-    workloads_out = {w: {"summary": summarize(p), "pairs": p} for w, p in per_workload.items()}
+    workloads_out = {
+        w: {"summary": summarize(p, bounds), "pairs": p} for w, p in per_workload.items()
+    }
     for workload, done in workloads_out.items():
         log(summary_line(workload, done["summary"]))
     return {"seeds": seeds, "workloads": workloads_out}, env
@@ -295,9 +339,9 @@ def main(argv=None) -> int:
         sides = {side: resolve(args.repo, given[side], pair_trees[0][side]) for side in SIDES}
         parent_workloads = workloads_of(pair_trees[0]["parent"])
         workloads = [w for w in workloads_of(pair_trees[0]["change"]) if w in parent_workloads]
-        rounds, env = [], None
+        rounds, env, bounds = [], None, bounds_of(pair_trees[0]["parent"])
         for seeds in args.seeds:
-            done, round_env = run_round(launcher, pair_trees, seeds, workloads, log)
+            done, round_env = run_round(launcher, pair_trees, seeds, workloads, log, bounds)
             rounds.append(done)
             env = env or round_env
     finally:
